@@ -120,7 +120,7 @@ func runEngineBench(args []string) error {
 		rows := 0
 		run := func() (hql.Result, error) {
 			if naive {
-				//lint:allow sessionapi the naive evaluator IS the measured baseline, not a served path
+				// The naive evaluator is the measured baseline, not a served path.
 				return hql.EvalNaive(e, st)
 			}
 			return sess.Eval(ctx, e)

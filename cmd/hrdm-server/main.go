@@ -77,6 +77,11 @@ func main() {
 		QueryDeadline: *queryDeadline,
 		DrainTimeout:  *drainTimeout,
 	})
+	// Install the handler before the listening line is printed: a
+	// supervisor that signals the instant it sees the line must get a
+	// drain, not the default-action kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "hrdm-server:", err)
 		os.Exit(1)
@@ -86,8 +91,6 @@ func main() {
 	fmt.Printf("listening on %s (%d relations, max-conns=%d, max-inflight=%d)\n",
 		srv.Addr(), len(st.Names()), *maxConns, *maxInflight)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
 	fmt.Printf("received %s, draining\n", got)
 	if err := srv.Shutdown(context.Background()); err != nil {

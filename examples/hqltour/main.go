@@ -4,11 +4,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/hql"
+	"repro/internal/engine"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	st := buildStore()
+	sess := engine.OpenDB(buildStore()).NewSession()
 	queries := []struct {
 		caption string
 		q       string
@@ -54,7 +55,7 @@ func main() {
 	}
 	for i, qc := range queries {
 		fmt.Printf("-- %d. %s\nhrdm> %s\n", i+1, qc.caption, qc.q)
-		res, err := hql.Run(qc.q, st)
+		res, err := sess.Query(context.Background(), qc.q)
 		if err != nil {
 			panic(fmt.Sprintf("query %d failed: %v", i+1, err))
 		}

@@ -1,22 +1,19 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
-// This file exports the index-aware fast paths of the algebra. The
+// This file exports the per-tuple kernels of the algebra. The
 // operators in unary.go and join.go are faithful linear-scan
 // transliterations of the paper's definitions; the entry points here
-// compute the same results but accept an externally supplied candidate
-// set (or probe function), so that a query engine holding lifespan or
-// key indexes (internal/engine) can skip the tuples an index has already
-// ruled out. Every function documents the soundness condition its
-// candidate set must satisfy; the equivalence is property-tested against
-// the naive operators in internal/engine.
+// are the per-tuple (and per-pair) steps of those scans, so that a
+// query engine holding lifespan or key indexes (internal/engine) can
+// apply them to just the tuples an index has not already ruled out.
+// The equivalence is property-tested against the naive operators in
+// internal/engine.
 
 // Restrict returns t|L — the tuple restricted to lifespan L, or nil when
 // nothing of the tuple survives. It is the exported form of the
@@ -43,118 +40,4 @@ func JoinPair(rs *schema.Scheme, t1, t2 *Tuple, attrA string, th value.Theta, at
 		return nil, err
 	}
 	return concatTuple(rs, t1, t2, nl)
-}
-
-// TimesliceStaticOver is TimesliceStatic computed over a candidate
-// subset. Soundness: cand must contain every tuple of r whose lifespan
-// overlaps L (tuples missing L entirely contribute nothing); a lifespan
-// interval index provides exactly that set in O(log n + k).
-func TimesliceStaticOver(r *Relation, L lifespan.Lifespan, cand []*Tuple) (*Relation, error) {
-	out := make([]*Tuple, 0, len(cand))
-	for _, t := range cand {
-		if nt := t.restrict(L); nt != nil {
-			out = append(out, nt)
-		}
-	}
-	// Restriction keeps each tuple's (unique, constant) key, so the
-	// coalesced construction cannot hit a duplicate.
-	return NewRelationFromTuples(r.scheme, out)
-}
-
-// SelectWhenCondOver is SelectWhenCond computed over a candidate subset.
-// Soundness: cand must contain every tuple for which the condition can
-// hold at some time of L ∩ t.l — e.g. the tuples overlapping L (interval
-// index), or the tuples whose indexed attribute can satisfy a required
-// equality conjunct (attribute index plus its varying overflow).
-func SelectWhenCondOver(r *Relation, c Condition, L lifespan.Lifespan, cand []*Tuple) (*Relation, error) {
-	if err := c.check(r.scheme); err != nil {
-		return nil, err
-	}
-	out := make([]*Tuple, 0, len(cand))
-	for _, t := range cand {
-		scope := t.l.Intersect(L)
-		holds, err := c.when(t, scope)
-		if err != nil {
-			return nil, fmt.Errorf("core: select-when %s: %w", c, err)
-		}
-		if nt := t.restrict(holds); nt != nil {
-			out = append(out, nt)
-		}
-	}
-	return NewRelationFromTuples(r.scheme, out)
-}
-
-// SelectIfCondOver is SelectIfCond (existential form only) computed over
-// a candidate subset. Soundness: as for SelectWhenCondOver. The
-// universal (∀) form is deliberately absent: a tuple whose scope L ∩ t.l
-// is empty satisfies ∀ vacuously and is returned whole, so no candidate
-// pruning is sound for it — planners must scan.
-func SelectIfCondOver(r *Relation, c Condition, L lifespan.Lifespan, cand []*Tuple) (*Relation, error) {
-	if err := c.check(r.scheme); err != nil {
-		return nil, err
-	}
-	out := make([]*Tuple, 0, len(cand))
-	for _, t := range cand {
-		scope := t.l.Intersect(L)
-		holds, err := c.when(t, scope)
-		if err != nil {
-			return nil, fmt.Errorf("core: select-if %s: %w", c, err)
-		}
-		if !holds.IsEmpty() {
-			out = append(out, t)
-		}
-	}
-	return NewRelationFromTuples(r.scheme, out)
-}
-
-// EquiJoinProbe is EquiJoin evaluated as an index lookup join: instead
-// of the nested loop over r2, probe(t1) supplies the r2 tuples whose
-// attrB value could equal t1's attrA value at some time. Soundness:
-// probe must return a superset of the r2 tuples t2 with a non-empty
-// agreement lifespan for (t1, t2); pairs it omits must provably never
-// agree (e.g. both values constant and unequal).
-func EquiJoinProbe(r1, r2 *Relation, attrA, attrB string, probe func(t1 *Tuple) []*Tuple) (*Relation, error) {
-	return EquiJoinProbeOver(r1, r2, attrA, attrB, r1.Tuples(), probe)
-}
-
-// EquiJoinProbeOver is EquiJoinProbe streaming an externally supplied
-// tuple snapshot of r1 instead of its live state — the form a
-// snapshot-pinned query plan uses so the streamed side reflects the
-// pinned version even while writers append to r1. Soundness: ts must
-// be a consistent snapshot of r1's tuples (e.g. core.RelVersion's
-// pinned slice), and probe as for EquiJoinProbe.
-func EquiJoinProbeOver(r1, r2 *Relation, attrA, attrB string, ts []*Tuple, probe func(t1 *Tuple) []*Tuple) (*Relation, error) {
-	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: equi-join probe: schemes share attributes; rename first")
-	}
-	if !r1.scheme.HasAttr(attrA) {
-		return nil, fmt.Errorf("core: equi-join probe: %s not in %s", attrA, r1.scheme.Name)
-	}
-	if !r2.scheme.HasAttr(attrB) {
-		return nil, fmt.Errorf("core: equi-join probe: %s not in %s", attrB, r2.scheme.Name)
-	}
-	rs, err := joinScheme(r1, r2)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Tuple
-	for _, t1 := range ts {
-		f1 := t1.Value(attrA)
-		if f1.IsNowhereDefined() {
-			continue
-		}
-		for _, t2 := range probe(t1) {
-			nt, err := JoinPair(rs, t1, t2, attrA, value.EQ, attrB)
-			if err != nil {
-				return nil, fmt.Errorf("core: equi-join probe: %w", err)
-			}
-			if nt != nil {
-				out = append(out, nt)
-			}
-		}
-	}
-	// Each surviving pair concatenates two distinct keys, and probe
-	// candidates are deduplicated per streamed tuple, so the joined keys
-	// are unique; the coalesced construction still verifies it.
-	return NewRelationFromTuples(rs, out)
 }

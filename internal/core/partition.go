@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
@@ -11,29 +10,16 @@ import (
 
 // This file is the partitioning layer over pinned snapshots: it splits
 // an immutable tuple slice — a RelVersion's pinned prefix, or a
-// plan-time candidate set — into units a parallel executor can hand to
-// workers. Two schemes are provided, matching the two natural axes of
-// the temporal model:
-//
-//   - Range partitions (PartitionSlice): contiguous position chunks of
-//     the slice, each annotated with the bounding interval of its
-//     tuples' lifespans. Chunks preserve the slice's order, so a merge
-//     that concatenates per-chunk results in chunk order reproduces the
-//     sequential output exactly — the determinism the engine's ordered
-//     merge relies on. The bounds support lifespan-range pruning: a
-//     chunk whose bounding interval misses a query window holds no
-//     tuple alive in it.
-//   - Key-hash buckets (PartitionByKeyHash): tuples grouped by a hash
-//     of their canonical key string. Buckets are key-disjoint — no two
-//     buckets share a key value — so per-bucket work that builds keyed
-//     structures (sub-relations, per-bucket maps) can proceed without
-//     cross-bucket coordination. Bucket order does not preserve slice
-//     order; consumers needing deterministic output must sort or use
-//     range partitions instead.
-//
-// Both operate on immutable snapshots and allocate only the partition
-// descriptors (and, for hash buckets, the bucket slices); the tuples
-// themselves are shared, never copied.
+// plan-time candidate set — into contiguous position chunks
+// (PartitionSlice) a parallel executor can hand to workers, each
+// annotated with the bounding interval of its tuples' lifespans.
+// Chunks preserve the slice's order, so a merge that concatenates
+// per-chunk results in chunk order reproduces the sequential output
+// exactly — the determinism the engine's ordered merge relies on. The
+// bounds support lifespan-range pruning: a chunk whose bounding
+// interval misses a query window holds no tuple alive in it. Only the
+// partition descriptors are allocated; the tuples themselves are
+// shared, never copied.
 
 // Partition is one contiguous chunk of a partitioned tuple slice.
 type Partition struct {
@@ -105,36 +91,14 @@ func PartitionSlice(ts []*Tuple, chunk int) []Partition {
 	return parts
 }
 
-// partitionSeed fixes the key-hash function for the process: bucket
-// assignment is stable within a run (what a parallel executor needs)
-// without promising a cross-process layout.
-var partitionSeed = maphash.MakeSeed()
-
-// PartitionByKeyHash distributes ts into n buckets by a hash of each
-// tuple's canonical key string under scheme s. Distinct tuples of one
-// relation have distinct constant keys, so the buckets are
-// key-disjoint: work that builds keyed structures per bucket needs no
-// cross-bucket coordination. Within a bucket, slice order is preserved.
-func PartitionByKeyHash(s *schema.Scheme, ts []*Tuple, n int) [][]*Tuple {
-	if n < 1 {
-		n = 1
-	}
-	buckets := make([][]*Tuple, n)
-	for _, t := range ts {
-		b := maphash.String(partitionSeed, t.keyString(s)) % uint64(n)
-		buckets[b] = append(buckets[b], t)
-	}
-	return buckets
-}
-
 // NewRelationFromTuples builds a relation over s holding exactly ts, in
 // one coalesced pass: the tuple slice is adopted as-is and the key map
 // is allocated once at its final size, instead of the per-tuple
 // Insert's repeated map growth and per-call lock round. It is the
-// materialization step of a parallel executor — workers produce
-// per-partition result slices, the ordered merge concatenates them, and
-// this constructor turns the merged slice into a relation — and equally
-// a fast path for any single-writer bulk construction. The key
+// materialization step of the engine's executor — operators produce
+// result slices (parallel ones merge their per-partition slices in
+// order) and this constructor turns the final slice into a relation —
+// and equally a fast path for any single-writer bulk construction. The key
 // uniqueness invariant is still enforced; a duplicate fails the whole
 // construction. The relation is private to the caller (unpublished, no
 // observers) exactly as NewRelation's result is; ts must not be

@@ -124,46 +124,6 @@ func TestPartitionOverlaps(t *testing.T) {
 	}
 }
 
-func TestPartitionByKeyHash(t *testing.T) {
-	s := empScheme()
-	ts := partitionFixture(t, 64)
-	buckets := PartitionByKeyHash(s, ts, 8)
-	if len(buckets) != 8 {
-		t.Fatalf("got %d buckets, want 8", len(buckets))
-	}
-	seen := make(map[string]int) // key → bucket
-	total := 0
-	for b, bucket := range buckets {
-		last := -1
-		for _, tp := range bucket {
-			total++
-			ks := tp.keyString(s)
-			if prev, dup := seen[ks]; dup && prev != b {
-				t.Fatalf("key %s appears in buckets %d and %d", ks, prev, b)
-			}
-			seen[ks] = b
-			// Within a bucket, input order is preserved.
-			idx := -1
-			for i, orig := range ts {
-				if orig == tp {
-					idx = i
-					break
-				}
-			}
-			if idx <= last {
-				t.Fatalf("bucket %d reorders tuples (%d after %d)", b, idx, last)
-			}
-			last = idx
-		}
-	}
-	if total != len(ts) {
-		t.Fatalf("buckets hold %d tuples, want %d", total, len(ts))
-	}
-	if got := len(PartitionByKeyHash(s, ts, 0)); got != 1 {
-		t.Fatalf("n=0 clamps to one bucket, got %d", got)
-	}
-}
-
 func TestNewRelationFromTuples(t *testing.T) {
 	s := empScheme()
 	ts := partitionFixture(t, 30)

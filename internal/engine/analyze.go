@@ -31,28 +31,11 @@ type analysis struct {
 	res  hql.Result
 }
 
-// ExplainAnalyze parses, plans, executes and profiles a query,
-// returning the annotated plan rendering. When optimize is set the
-// Section 5 rewriter runs first, matching what Run would execute.
-func ExplainAnalyze(src string, env hql.Env, optimize bool) (string, error) {
-	return ExplainAnalyzeContext(context.Background(), src, env, optimize)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze under a context: the profiled
-// execution honors cancellation and deadlines exactly as RunContext
-// does, since EXPLAIN ANALYZE genuinely runs the query.
-func ExplainAnalyzeContext(ctx context.Context, src string, env hql.Env, optimize bool) (string, error) {
-	a, err := analyzeQuery(ctx, src, env, optimize)
-	if err != nil {
-		return "", err
-	}
-	return a.render(), nil
-}
-
-// analyzeQuery is the execution half of ExplainAnalyze. It mirrors the
-// engine's plan-then-pin discipline — optimistic retries, then the
-// exclusive fallback — so the profiled execution is the same
-// snapshot-verified execution Run performs. Expressions the planner
+// analyzeQuery is the execution half of Session.ExplainAnalyze. It
+// mirrors the engine's plan-then-pin discipline — optimistic retries,
+// then the exclusive fallback — and runs the same operator code as an
+// unprofiled query; the profiler only observes. When optimize is set
+// the Section 5 rewriter runs first. Expressions the planner
 // cannot compile surface their planning error: there is no naive
 // fallback to attribute per-operator numbers to.
 func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (*analysis, error) {
@@ -107,12 +90,25 @@ func (a *analysis) rootStats() *opStats {
 	return a.prof.ops[a.plan.root]
 }
 
+// wallOf is the time n's subtree ran for. A node that never ran itself
+// — the sequential form a parallel operator borrows its input and
+// kernel from — is transparent: whatever ran below it ran inside its
+// parent.
+func (a *analysis) wallOf(n node) time.Duration {
+	if st := a.prof.ops[n]; st != nil && st.wall > 0 {
+		return st.wall
+	}
+	var w time.Duration
+	for _, k := range n.children() {
+		w += a.wallOf(k)
+	}
+	return w
+}
+
 // selfTime is wall time minus the children's wall time, clamped at
 // zero (clock granularity can make the difference marginally
-// negative). Iterator-profiled parents include every child pull in
-// their own wall, and exec-profiled parents run their children inside
-// their own measurement, so the subtraction is the operator's own
-// work in both modes.
+// negative). Children run inside their parent's measurement, so the
+// subtraction is the operator's own work.
 func (a *analysis) selfTime(n node) time.Duration {
 	st := a.prof.ops[n]
 	if st == nil {
@@ -120,9 +116,7 @@ func (a *analysis) selfTime(n node) time.Duration {
 	}
 	self := st.wall
 	for _, k := range n.children() {
-		if ks := a.prof.ops[k]; ks != nil {
-			self -= ks.wall
-		}
+		self -= a.wallOf(k)
 	}
 	if self < 0 {
 		return 0

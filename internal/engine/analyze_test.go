@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,6 +18,15 @@ import (
 // 40 tuples, {[100,139]}) carry no unit suffix and survive untouched.
 var durRe = regexp.MustCompile(`\d+(\.\d+)?(ns|µs|ms|s)`)
 
+// analyzeGolden lists the EXPLAIN ANALYZE golden cases.
+var analyzeGolden = []struct{ name, query string }{
+	{"analyze_key_eq", `SELECT WHEN NAME = 'aaemp' FROM EMP`},
+	{"analyze_attr_index_select", `SELECT WHEN DEPT = 'Toys' FROM EMP`},
+	{"analyze_index_time_slice", `TIMESLICE EMP AT {[100,139]}`},
+	{"analyze_equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`},
+	{"analyze_when_materialize", `WHEN (SELECT WHEN SAL = 30000 FROM EMP)`},
+}
+
 // TestExplainAnalyzeGolden locks the annotated-tree rendering — per
 // operator (actual: rows/time/self[/lookups]) trailers, the stage
 // line, result summary and pinned snapshot — for representative plans,
@@ -29,18 +37,9 @@ var durRe = regexp.MustCompile(`\d+(\.\d+)?(ns|µs|ms|s)`)
 //	go test ./internal/engine -run TestExplainAnalyzeGolden -update
 func TestExplainAnalyzeGolden(t *testing.T) {
 	st := goldenStore(t)
-	cases := []struct {
-		name, query string
-	}{
-		{"analyze_key_eq", `SELECT WHEN NAME = 'aaemp' FROM EMP`},
-		{"analyze_attr_index_select", `SELECT WHEN DEPT = 'Toys' FROM EMP`},
-		{"analyze_index_time_slice", `TIMESLICE EMP AT {[100,139]}`},
-		{"analyze_equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`},
-		{"analyze_when_materialize", `WHEN (SELECT WHEN SAL = 30000 FROM EMP)`},
-	}
-	for _, c := range cases {
+	for _, c := range analyzeGolden {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := ExplainAnalyze(c.query, st, false)
+			out, err := sess(st).ExplainAnalyze(bg, c.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,18 +66,50 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMatchesQuery: profiled and unprofiled executions are the
+// same code, so for every golden query EXPLAIN ANALYZE's result renders
+// byte-identically to Session.Query's, and the root operator's actual
+// rows= is the cardinality Query returns.
+func TestAnalyzeMatchesQuery(t *testing.T) {
+	st := goldenStore(t)
+	var queries []string
+	for _, c := range explainGolden {
+		queries = append(queries, c.query)
+	}
+	for _, c := range analyzeGolden {
+		queries = append(queries, c.query)
+	}
+	for _, q := range queries {
+		res, err := sess(st).Query(bg, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		a, err := analyzeQuery(bg, q, st, false)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got, want := a.res.String(), res.String(); got != want {
+			t.Errorf("%s: profiled result differs from Query's\n--- analyze ---\n%s\n--- query ---\n%s", q, got, want)
+		}
+		if res.Relation != nil && a.rootStats().rows != int64(res.Relation.Cardinality()) {
+			t.Errorf("%s: root rows=%d, Query returned %d tuples", q, a.rootStats().rows, res.Relation.Cardinality())
+		}
+	}
+}
+
 // TestAnalyzeAccounting asserts the numbers behind the rendering on an
 // indexed equality select and an index join: per-operator self times
 // sum to the root's wall time, the root's wall time accounts for the
-// execute stage within tolerance, and actual row counts equal the
-// result's cardinality.
+// execute stage within tolerance, the stages partition the span's
+// total with the sink's work landing in materialize (not execute), and
+// actual row counts equal the result's cardinality.
 func TestAnalyzeAccounting(t *testing.T) {
 	st := goldenStore(t)
 	for _, q := range []string{
 		`SELECT WHEN DEPT = 'Toys' FROM EMP`,
 		`REF JOIN EMP ON RNAME = NAME`,
 	} {
-		a, err := analyzeQuery(context.Background(), q, st, false)
+		a, err := analyzeQuery(bg, q, st, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +137,27 @@ func TestAnalyzeAccounting(t *testing.T) {
 			t.Fatalf("%s: Σ self=%v vs root wall=%v", q, selfSum, root.wall)
 		}
 		// The root's wall accounts for the execute stage: the stage adds
-		// only the profExec/span bookkeeping around the tree.
+		// only the profiler/span bookkeeping around the tree.
 		exec := a.sp.StageDur(obs.StageExecute)
 		if root.wall > exec {
 			t.Fatalf("%s: root wall %v exceeds execute stage %v", q, root.wall, exec)
 		}
 		if slack := exec - root.wall; slack > exec/10+50*time.Microsecond {
 			t.Fatalf("%s: execute stage %v vs root wall %v — unaccounted %v", q, exec, root.wall, slack)
+		}
+		// Stages partition the span: every nanosecond between Begin and
+		// the last mark belongs to exactly one stage, and building the
+		// result relation — a plain relation query's whole materialize
+		// stage — is measured, not billed to execute.
+		var stageSum time.Duration
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			stageSum += a.sp.StageDur(st)
+		}
+		if stageSum != a.sp.Total() {
+			t.Fatalf("%s: Σ stages=%v vs span total=%v", q, stageSum, a.sp.Total())
+		}
+		if a.sp.StageDur(obs.StageMaterialize) <= 0 {
+			t.Fatalf("%s: materialize stage is empty — the sink ran unmeasured", q)
 		}
 		// Every operator in the tree must have been measured.
 		for _, n := range walked {
@@ -127,7 +172,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 // two REF tuples against EMP's key map is exactly two lookups.
 func TestAnalyzeJoinLookups(t *testing.T) {
 	st := goldenStore(t)
-	a, err := analyzeQuery(context.Background(), `REF JOIN EMP ON RNAME = NAME`, st, false)
+	a, err := analyzeQuery(bg, `REF JOIN EMP ON RNAME = NAME`, st, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,8 +123,9 @@ func compareAll(t *testing.T, st *storage.Store, src string) bool {
 	ctx := context.Background()
 	nRes, nErr := hql.EvalNaiveContext(ctx, e, st)
 	var baseline string
+	sess := engine.OpenDB(st).NewSession()
 	for _, w := range diffWorkers {
-		gRes, gErr := engine.EvalContext(engine.WithWorkers(ctx, w), e, st)
+		gRes, gErr := sess.Eval(engine.WithWorkers(ctx, w), e)
 		if (nErr != nil) != (gErr != nil) {
 			t.Fatalf("%q workers=%d: naive err=%v, engine err=%v", src, w, nErr, gErr)
 		}

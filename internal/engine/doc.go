@@ -7,9 +7,9 @@
 // the model semantics: a lifespan interval index (which tuples are alive
 // over [t1,t2] in O(log n + k)), key/attribute hash indexes over the
 // constant-valued functions the paper's CD domains guarantee, a
-// cost-aware planner that lowers parsed HQL expressions into streaming
-// iterator plans with selection and time-slice pushdown (falling back to
-// the naive evaluator wherever no index applies), per-relation
+// cost-aware planner that lowers parsed HQL expressions into physical
+// plans with selection and time-slice pushdown (falling back to the
+// naive evaluator wherever no index applies), per-relation
 // statistics feeding the planner's selectivity and join estimates, and
 // a plan cache that lets repeated queries skip parse and plan entirely.
 // Indexes absorb single-tuple inserts, merges and coalesced batches
@@ -17,9 +17,20 @@
 // rebuilding. Every query executes against a pinned epoch snapshot of
 // its relations (core.Pin), so multi-relation plans read one
 // consistent database state with zero locks on the scan path even
-// while writers publish. Importing the package installs the planner as
-// internal/hql's evaluation hook; equivalence with the naive evaluator
-// is property-tested over randomized workloads.
+// while writers publish.
+//
+// One way in: a DB wraps a store and hands out Sessions, and a
+// Session's Query / Eval / Explain / ExplainAnalyze are the only ways
+// to run a query (internal/hql keeps the parser and the naive
+// reference evaluator, hql.EvalNaive, which the engine falls back to
+// and is property-tested against over randomized workloads). One way
+// to execute: every plan node has a single method, run, returning its
+// whole result as a batch; a per-tuple operator (time-slice, select,
+// project, index join) is an input set plus a kernel stated once, and
+// one loop applies a kernel to an input slice either sequentially or
+// over core.PartitionSlice chunks on the worker pool. Batches become
+// relations in exactly one place (batch.relation: the plan root and
+// the inputs of naive operators).
 //
 // The concurrency lifecycle — how plans, pins, write groups and the
 // plan cache interlock — is documented in docs/ARCHITECTURE.md; the

@@ -2,40 +2,16 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/hql"
-	"repro/internal/hrdmerr"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
-// init installs the cost-aware planner as the HQL evaluation hook and
-// the storage layer's index builder: any program that imports this
-// package (the CLI, the benchmark harness, storage-loading services)
-// transparently routes hql.Run / hql.Eval through indexed physical
-// plans — memoized in the plan cache, so repeated queries skip
-// planning — and stores rebuild their indexes on load. Planning
-// failures fall back to the naive evaluator, which either runs the
-// query or reports the definitive semantic error, so installation never
-// changes observable behavior — only speed.
+// init installs the engine as the storage layer's index builder, so
+// stores rebuild their indexes on load.
 func init() {
 	storage.IndexBuilder = BuildIndexes
-	hql.SetPlanner(func(ctx context.Context, e hql.Expr, env hql.Env) (hql.Result, bool, error) {
-		sp := obs.Begin()
-		res, handled, err := planAndRun(ctx, e, env, "", &sp)
-		if handled || err != nil {
-			return res, handled, err
-		}
-		// Unplannable expression: run the naive evaluator here rather
-		// than deferring to hql's own fallback, so the span still lands
-		// in finishQuery and naive queries are counted and slow-logged
-		// like planned ones.
-		res, err = hql.EvalNaiveContext(ctx, e, env)
-		sp.Mark(obs.StageExecute)
-		finishQuery(&sp, astCacheKey(e), nil, nil, err)
-		return res, true, err
-	})
 }
 
 // pinRetries bounds the optimistic plan-then-pin loop: each attempt
@@ -46,133 +22,47 @@ func init() {
 // so a query never livelocks behind a continuous writer.
 const pinRetries = 3
 
-// Run parses, plans and executes a query through the engine, falling
-// back to the naive evaluator when the expression cannot be planned. A
-// plan cached under the query's normalized text short-circuits before
-// the parser runs. Execution is snapshot-isolated: the plan runs
-// against a pinned database state matching its compile-time relation
-// versions, however many relations it touches.
-//
-// Every path through Run carries an obs.Span and lands in finishQuery,
-// so engine.queries / engine.query_total_ns count every query and the
-// slow log sees every outlier. The cached fast path pays exactly three
-// clock reads (span start, pin mark, execute mark) plus finishQuery's
-// atomics — measured against BenchmarkRunCachedKeyEq to stay inside
-// the ~3% overhead budget.
-func Run(src string, env hql.Env) (hql.Result, error) {
-	return RunContext(context.Background(), src, env)
-}
-
-// RunContext is Run under a context: cancellation and deadlines abort
-// execution with a typed hrdmerr error (ErrCanceled / ErrDeadline)
-// within one iterator batch (cancelBatch pulls) instead of running the
-// scan to completion. A Background (uncancellable) context pays zero
-// per-tuple checks, keeping the cached fast path inside its overhead
-// budget.
-func RunContext(ctx context.Context, src string, env hql.Env) (hql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return hql.Result{}, hrdmerr.FromContext(err)
-	}
-	sp := obs.Begin()
-	srcKey := srcCacheKey(src)
-	if p, ok := planCache.lookup(srcKey, env, false); ok {
-		if snap, pinned := pinPlan(ctx, p); pinned {
-			planCache.countHit()
-			// One mark covers lookup + pin: splitting them would buy a
-			// clock read for a sub-microsecond distinction.
-			sp.Mark(obs.StagePin)
-			res, err := p.run(snap, &sp)
-			finishQuery(&sp, srcKey, p, snap, err)
-			return res, err
-		}
-		// A writer moved a dependency between the fence check and the
-		// pin; fall through to the parse path, whose own lookup will
-		// drop the stale entry and replan.
-		mPinRetries.Inc()
-	}
-	e, err := hql.Parse(src)
-	sp.Mark(obs.StageParse)
-	if err != nil {
-		finishQuery(&sp, srcKey, nil, nil, err)
-		return hql.Result{}, err
-	}
-	res, handled, err := planAndRun(ctx, e, env, srcKey, &sp)
-	if handled || err != nil {
-		return res, err
-	}
-	res, err = hql.EvalNaiveContext(ctx, e, env)
-	sp.Mark(obs.StageExecute)
-	finishQuery(&sp, srcKey, nil, nil, err)
-	return res, err
-}
-
-// Eval plans and executes a parsed expression, with plan caching,
-// snapshot pinning and naive fallback.
-func Eval(e hql.Expr, env hql.Env) (hql.Result, error) {
-	return EvalContext(context.Background(), e, env)
-}
-
-// EvalContext is Eval under a context (see RunContext for the
-// cancellation contract).
-func EvalContext(ctx context.Context, e hql.Expr, env hql.Env) (hql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return hql.Result{}, hrdmerr.FromContext(err)
-	}
-	sp := obs.Begin()
-	res, handled, err := planAndRun(ctx, e, env, "", &sp)
-	if handled || err != nil {
-		return res, err
-	}
-	res, err = hql.EvalNaiveContext(ctx, e, env)
-	sp.Mark(obs.StageExecute)
-	finishQuery(&sp, astCacheKey(e), nil, nil, err)
-	return res, err
-}
-
-// planAndRun is the shared execution path behind Eval, Run and the hql
-// planner hook: consult the plan cache under the expression's canonical
-// rendering, else compile and cache — then pin a snapshot of the plan's
-// dependencies and execute only when the pinned versions match the
-// versions the plan was compiled against, so plan-time constants
-// (index candidate sets, WHEN sub-query lifespans) describe exactly
-// the state the query reads. Lost races against writers retry, then
-// resolve under the publish lock. srcKey, when non-empty, is
+// evalExpr is the one evaluation path behind Session.Query and
+// Session.Eval: consult the plan cache under the expression's
+// canonical rendering, else compile and cache — then pin a snapshot of
+// the plan's dependencies and execute only when the pinned versions
+// match the versions the plan was compiled against, so plan-time
+// constants (index candidate sets, WHEN sub-query lifespans) describe
+// exactly the state the query reads. Lost races against writers retry,
+// then resolve under the publish lock. srcKey, when non-empty, is
 // additionally registered as an alias so the raw query text hits
-// before its next parse. handled=false (with nil error) means the
-// planner cannot compile the expression and the caller should fall
-// back to the naive evaluator. When it handles the query it also
-// finishes the span (metrics + slow log); on fallback the caller owns
-// the span's ending, timing whatever evaluator it runs instead.
-func planAndRun(ctx context.Context, e hql.Expr, env hql.Env, srcKey string, sp *obs.Span) (hql.Result, bool, error) {
+// before its next parse. An expression the planner cannot compile
+// falls back to the naive evaluator, which either runs it or reports
+// the definitive semantic error, so planning never changes observable
+// behavior — only speed.
+//
+// evalExpr owns the span it is handed: every path ends in finishQuery,
+// so engine.queries / engine.query_total_ns count every query and the
+// slow log sees every outlier.
+func evalExpr(ctx context.Context, e hql.Expr, env hql.Env, srcKey string, sp *obs.Span) (hql.Result, error) {
 	key := astCacheKey(e)
 	for try := 0; try < pinRetries; try++ {
-		if p, ok := planCache.lookup(key, env, try == 0); ok {
-			sp.Mark(obs.StagePlan)
-			if snap, pinned := pinPlan(ctx, p); pinned {
-				sp.Mark(obs.StagePin)
-				planCache.addKey(p, srcKey)
-				res, err := p.run(snap, sp)
-				finishQuery(sp, key, p, snap, err)
-				return res, true, err
-			}
-			sp.Mark(obs.StagePin)
-			mPinRetries.Inc()
-			continue // dep moved between fence and pin: next lookup drops it
+		p, cached := planCache.lookup(key, env, try == 0)
+		var err error
+		if !cached {
+			p, err = PlanQuery(e, env)
 		}
-		p, err := PlanQuery(e, env)
 		sp.Mark(obs.StagePlan)
 		if err != nil {
-			mNaiveFallback.Inc()
-			return hql.Result{}, false, nil
+			return evalFallback(ctx, e, env, key, sp)
 		}
-		if snap, pinned := pinPlan(ctx, p); pinned {
-			sp.Mark(obs.StagePin)
-			planCache.store([]string{srcKey, key}, p)
-			res, err := p.run(snap, sp)
-			finishQuery(sp, key, p, snap, err)
-			return res, true, err
-		}
+		snap, pinned := pinPlan(ctx, p)
 		sp.Mark(obs.StagePin)
+		if pinned {
+			if cached {
+				planCache.addKey(p, srcKey)
+			} else {
+				planCache.store([]string{srcKey, key}, p)
+			}
+			return runPinned(p, snap, key, sp)
+		}
+		// A dep moved between planning (or the cache's fence) and the
+		// pin; the next lookup drops the stale entry.
 		mPinRetries.Inc()
 	}
 	// A continuous writer kept publishing between plan and pin; compile
@@ -181,44 +71,27 @@ func planAndRun(ctx context.Context, e hql.Expr, env hql.Env, srcKey string, sp 
 	p, snap, err := pinPlanExclusive(ctx, func() (*Plan, error) { return PlanQuery(e, env) })
 	sp.Mark(obs.StagePin)
 	if err != nil {
-		mNaiveFallback.Inc()
-		return hql.Result{}, false, nil
+		return evalFallback(ctx, e, env, key, sp)
 	}
 	planCache.store([]string{srcKey, key}, p)
-	res, err := p.run(snap, sp)
-	finishQuery(sp, key, p, snap, err)
-	return res, true, err
+	return runPinned(p, snap, key, sp)
 }
 
-// Explain parses and plans a query and renders the chosen physical
-// plan without executing the plan itself. Planning is not free of
-// evaluation: lifespan parameters — literal or WHEN sub-queries in AT
-// and DURING positions — are plan-time constants the planner must
-// resolve to price its index probes, so a WHEN sub-query does run
-// during EXPLAIN. When optimize is set, the Section 5 law-based
-// rewriter runs first, so the output shows the plan of the rewritten
-// expression — the same one Run would execute. The output ends with
-// the statistics the planner consulted, the snapshot a run of the plan
-// would pin — the database epoch plus each dependency at its pinned
-// version — and the query's plan-cache status (EXPLAIN itself neither
-// reads from nor populates the cache).
-func Explain(src string, env hql.Env, optimize bool) (string, error) {
-	e, err := hql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	if optimize {
-		e, _ = hql.Optimize(e)
-	}
-	p, err := PlanQuery(e, env)
-	if err != nil {
-		return "", err
-	}
-	status := "miss (first run compiles and caches the plan)"
-	if planCache.peek(astCacheKey(e), env) || planCache.peek(srcCacheKey(src), env) {
-		status = "hit (repeated runs skip parse and plan)"
-	}
-	hits, misses, entries := PlanCacheStats()
-	return fmt.Sprintf("query: %s\n%s\nsnapshot: %s\nplan-cache: %s [%d hits / %d misses, %d cached]",
-		e.String(), p.Explain(), describePin(p), status, hits, misses, entries), nil
+// runPinned executes p against its verified snapshot and closes the
+// span.
+func runPinned(p *Plan, snap *Snapshot, key string, sp *obs.Span) (hql.Result, error) {
+	res, err := p.run(snap, sp)
+	finishQuery(sp, key, p, snap, err)
+	return res, err
+}
+
+// evalFallback runs an unplannable expression through the naive
+// evaluator and closes the span, so naive queries are counted and
+// slow-logged like planned ones.
+func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, key string, sp *obs.Span) (hql.Result, error) {
+	mNaiveFallback.Inc()
+	res, err := hql.EvalNaiveContext(ctx, e, env)
+	sp.Mark(obs.StageExecute)
+	finishQuery(sp, key, nil, nil, err)
+	return res, err
 }

@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/hql"
-	"repro/internal/lifespan"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -32,34 +29,13 @@ func TestPlanShapes(t *testing.T) {
 		{`TIMESLICE EMP AT {[-inf,+inf]}`, "time-slice at"},
 	}
 	for _, c := range cases {
-		out, err := Explain(c.query, st, false)
+		out, err := sess(st).Explain(c.query)
 		if err != nil {
 			t.Fatalf("explain %q: %v", c.query, err)
 		}
 		if !strings.Contains(out, c.want) {
 			t.Errorf("explain %q:\n%s\nwant substring %q", c.query, out, c.want)
 		}
-	}
-}
-
-// TestPlannerHookInstalled verifies that importing the engine routes
-// hql.Run through the planner (the end-to-end wiring of the subsystem).
-func TestPlannerHookInstalled(t *testing.T) {
-	st := testStore(t, 5)
-	res, err := hql.Run(`SELECT WHEN NAME = 'emp0002' FROM EMP`, st)
-	if err != nil {
-		t.Fatalf("hql.Run through hook: %v", err)
-	}
-	e, err := hql.Parse(`SELECT WHEN NAME = 'emp0002' FROM EMP`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	naive, err := hql.EvalNaive(e, st)
-	if err != nil {
-		t.Fatalf("naive: %v", err)
-	}
-	if !res.Relation.Equal(naive.Relation) {
-		t.Fatalf("hooked Run differs from naive")
 	}
 }
 
@@ -108,53 +84,5 @@ func TestAttrIndexBuckets(t *testing.T) {
 	dix := NewAttrIndex(r, "DEPT") // mostly varying
 	if len(dix.Varying())+dix.DistinctValues() == 0 {
 		t.Fatalf("DEPT index indexed nothing")
-	}
-}
-
-// TestEquiJoinProbeDirect exercises core.EquiJoinProbe — the index
-// lookup join fast path — against the naive nested-loop EquiJoin,
-// with a hash-index probe including the varying overflow.
-func TestEquiJoinProbeDirect(t *testing.T) {
-	st := testStore(t, 31)
-	emp, _ := st.Get("EMP")
-	ref, _ := st.Get("REF")
-	ix := NewAttrIndex(ref, "RNAME")
-	fast, err := core.EquiJoinProbe(emp, ref, "NAME", "RNAME", func(t1 *core.Tuple) []*core.Tuple {
-		f := t1.Value("NAME")
-		if f.IsNowhereDefined() || !f.IsConstant() {
-			return ref.Tuples() // cannot prune; check everything
-		}
-		v, _ := f.ConstantValue()
-		return append(append([]*core.Tuple(nil), ix.Probe(v)...), ix.Varying()...)
-	})
-	if err != nil {
-		t.Fatalf("EquiJoinProbe: %v", err)
-	}
-	naive, err := core.EquiJoin(emp, ref, "NAME", "RNAME")
-	if err != nil {
-		t.Fatalf("EquiJoin: %v", err)
-	}
-	if !fast.Equal(naive) || fast.String() != naive.String() {
-		t.Fatalf("probe join differs from naive:\n%s\nvs\n%s", fast, naive)
-	}
-}
-
-// TestIndexedFastPathsDirect exercises the core *Over entry points with
-// index-derived candidate sets against the naive operators.
-func TestIndexedFastPathsDirect(t *testing.T) {
-	r := workload.Personnel(workload.DefaultPersonnel())
-	L := lifespan.MustParse("{[30,55],[90,120]}")
-	ix := NewIntervalIndex(r)
-
-	fast, err := core.TimesliceStaticOver(r, L, ix.Overlapping(L))
-	if err != nil {
-		t.Fatalf("TimesliceStaticOver: %v", err)
-	}
-	naive, err := core.TimesliceStatic(r, L)
-	if err != nil {
-		t.Fatalf("TimesliceStatic: %v", err)
-	}
-	if !fast.Equal(naive) || fast.String() != naive.String() {
-		t.Fatalf("indexed time-slice differs from naive:\n%s\nvs\n%s", fast, naive)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,6 +15,13 @@ import (
 	"repro/internal/value"
 	"repro/internal/workload"
 )
+
+// bg is the uncancellable context most tests query under.
+var bg = context.Background()
+
+// sess opens a session over st — the tests' way in, as it is every
+// other caller's.
+func sess(st *storage.Store) *Session { return OpenDB(st).NewSession() }
 
 // testStore builds a store with the workload generators' relations plus
 // a REF relation keyed by employee name, so equijoins have a disjoint
@@ -62,14 +70,14 @@ func testStore(tb testing.TB, seed int64) *storage.Store {
 // engine and requires identical outcomes — same error presence, and for
 // successes an Equal relation/lifespan/snapshot AND an identical
 // canonical rendering (byte-for-byte).
-func compareQuery(t *testing.T, env hql.Env, q string) {
+func compareQuery(t *testing.T, env *storage.Store, q string) {
 	t.Helper()
 	e, err := hql.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
 	nRes, nErr := hql.EvalNaive(e, env)
-	gRes, gErr := Eval(e, env)
+	gRes, gErr := sess(env).Eval(bg, e)
 	if (nErr != nil) != (gErr != nil) {
 		t.Fatalf("%q: naive err=%v, engine err=%v", q, nErr, gErr)
 	}
@@ -182,7 +190,7 @@ func TestEquivalenceRandomized(t *testing.T) {
 
 // TestEngineConcurrentQueries hammers one shared store from several
 // goroutines so `go test -race` exercises the catalog's lazy index
-// builds and the planner hook.
+// builds and the session entry points.
 func TestEngineConcurrentQueries(t *testing.T) {
 	st := testStore(t, 9)
 	queries := []string{
@@ -196,7 +204,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 20; i++ {
-				if _, err := Run(queries[(g+i)%len(queries)], st); err != nil {
+				if _, err := sess(st).Query(bg, queries[(g+i)%len(queries)]); err != nil {
 					done <- err
 					return
 				}

@@ -85,6 +85,20 @@ func goldenStore(t testing.TB) *storage.Store {
 	return st
 }
 
+// explainGolden lists the EXPLAIN golden cases.
+var explainGolden = []struct {
+	name, query string
+	prime       bool // run the query first, so EXPLAIN reports a cache hit
+}{
+	{"index_scan_key_eq", `SELECT WHEN NAME = 'aaemp' FROM EMP`, false},
+	{"attr_index_select", `SELECT WHEN DEPT = 'Toys' FROM EMP`, false},
+	{"index_time_slice", `TIMESLICE EMP AT {[100,139]}`, false},
+	{"time_slice_short_circuit", `TIMESLICE TINY AT {[0,5]}`, false},
+	{"equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`, false},
+	{"during_interval_index", `SELECT WHEN SAL > 30000 DURING {[100,139]} FROM EMP`, false},
+	{"cache_hit", `SELECT WHEN NAME = 'bbemp' FROM EMP`, true},
+}
+
 // TestExplainGolden locks the full EXPLAIN rendering — plan shape,
 // cost estimates, statistics, pinned snapshot, plan-cache status — for
 // representative plans against golden files. Run with -update after an
@@ -93,29 +107,17 @@ func goldenStore(t testing.TB) *storage.Store {
 //	go test ./internal/engine -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
 	st := goldenStore(t)
-	cases := []struct {
-		name, query string
-		prime       bool // run the query first, so EXPLAIN reports a cache hit
-	}{
-		{"index_scan_key_eq", `SELECT WHEN NAME = 'aaemp' FROM EMP`, false},
-		{"attr_index_select", `SELECT WHEN DEPT = 'Toys' FROM EMP`, false},
-		{"index_time_slice", `TIMESLICE EMP AT {[100,139]}`, false},
-		{"time_slice_short_circuit", `TIMESLICE TINY AT {[0,5]}`, false},
-		{"equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`, false},
-		{"during_interval_index", `SELECT WHEN SAL > 30000 DURING {[100,139]} FROM EMP`, false},
-		{"cache_hit", `SELECT WHEN NAME = 'bbemp' FROM EMP`, true},
-	}
-	for _, c := range cases {
+	for _, c := range explainGolden {
 		t.Run(c.name, func(t *testing.T) {
 			// Counter determinism: every case starts from an empty cache;
 			// the prime run then yields exactly one miss before the hit.
 			ResetPlanCache()
 			if c.prime {
-				if _, err := Run(c.query, st); err != nil {
+				if _, err := sess(st).Query(bg, c.query); err != nil {
 					t.Fatal(err)
 				}
 			}
-			out, err := Explain(c.query, st, false)
+			out, err := sess(st).Explain(c.query)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestObsCountersUnderRace hammers the metrics layer from the paths
-// that feed it concurrently — queries through engine.Run (cached and
+// that feed it concurrently — queries through Session.Query (cached and
 // cold), writers publishing inserts, EXPLAIN ANALYZE runs — and then
 // checks the registry's books balance: every query is counted exactly
 // once in both engine.queries and the engine.query_total_ns histogram,
@@ -58,7 +58,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				q := queries[(w+i)%len(queries)]
 				if i%analyzeEvery == 0 {
-					if _, err := ExplainAnalyze(q, st, false); err != nil {
+					if _, err := sess(st).ExplainAnalyze(bg, q); err != nil {
 						t.Errorf("analyze %s: %v", q, err)
 						return
 					}
@@ -67,7 +67,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 					analyzedMu.Unlock()
 					continue
 				}
-				if _, err := Run(q, st); err != nil {
+				if _, err := sess(st).Query(bg, q); err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
 				}

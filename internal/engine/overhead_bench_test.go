@@ -2,18 +2,19 @@ package engine
 
 import "testing"
 
-// BenchmarkRunCachedKeyEq times the cached-plan Run path end to end —
+// BenchmarkRunCachedKeyEq times the cached-plan Query path end to end —
 // the hot path the observability layer must not tax by more than ~3%.
 func BenchmarkRunCachedKeyEq(b *testing.B) {
 	st := goldenStore(b)
 	q := `SELECT WHEN NAME = 'aaemp' FROM EMP`
 	ResetPlanCache()
-	if _, err := Run(q, st); err != nil {
+	s := sess(st)
+	if _, err := s.Query(bg, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(q, st); err != nil {
+		if _, err := s.Query(bg, q); err != nil {
 			b.Fatal(err)
 		}
 	}

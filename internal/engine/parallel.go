@@ -6,32 +6,29 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/hrdmerr"
 	"repro/internal/lifespan"
 	"repro/internal/obs"
 	"repro/internal/schema"
-	"repro/internal/value"
 )
 
 // Partitioned parallel execution. A parallelNode wraps one leaf-shaped
-// operator — index select, index time-slice, a time-slice or filter
-// over a base scan, or an index lookup join streaming a base scan —
-// and evaluates it by splitting the operator's input snapshot into
+// per-tuple operator — index select, index time-slice, a time-slice or
+// filter over a base scan, or an index lookup join streaming a base
+// scan — and evaluates it by splitting the operator's own input into
 // contiguous range partitions (core.PartitionSlice), running the
-// operator's per-tuple kernel over the partitions on a bounded worker
-// pool, and concatenating the per-partition result slices in partition
+// operator's own kernel over the partitions on a bounded worker pool,
+// and concatenating the per-partition result slices in partition
 // order. Because partitions are contiguous chunks of the input in
 // input order and every kernel is order-preserving within its chunk,
 // the concatenation reproduces the sequential operator's output order
 // exactly, at any degree of parallelism — the ordered-merge
 // determinism the differential harness locks byte-for-byte.
 //
-// Pin discipline: workers receive only the query's *Snapshot and the
-// plan-time candidate slices. Every tuple a worker touches comes from
-// a pinned slice (Snapshot.tuplesOf) or a plan-time candidate set
+// Pin discipline: workers receive only the query's *Snapshot and
+// partitions of the operator's input. Every tuple a worker touches
+// comes from a pinned slice (a scan's batch) or a plan-time candidate set
 // fenced by the plan's (relation, version) deps, and join probes go
 // through the snapshot-bounded accessors (lookupKey, resolve) — so a
 // worker can never observe a torn write group, exactly as the
@@ -65,32 +62,16 @@ var parMetrics = struct {
 // ---------------------------------------------------------------------
 // degree-of-parallelism plumbing
 
-// defaultWorkers is the process-wide degree of parallelism queries use
-// when their context does not carry an explicit setting. It starts at
-// GOMAXPROCS; `-workers` flags (CLI, server, bench) override it.
-var defaultWorkers atomic.Int32
-
-func init() { defaultWorkers.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetDefaultWorkers sets the process-wide default degree of
-// parallelism (clamped to ≥ 1) and returns the previous value.
-// Workers=1 disables parallel execution: plans keep their parallel
-// operators, which then run their partitions sequentially inline.
-func SetDefaultWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(defaultWorkers.Swap(int32(n)))
-}
-
-// DefaultWorkers reports the process-wide default degree.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
+// defaultWorkers is the degree of parallelism queries use when neither
+// their context (WithWorkers) nor their DB (`-workers`) carries an
+// explicit setting: GOMAXPROCS as of process start.
+var defaultWorkers = runtime.GOMAXPROCS(0)
 
 // workersCtxKey carries a per-query degree override in a context.
 type workersCtxKey struct{}
 
 // WithWorkers returns a context whose queries execute parallel
-// operators with degree n (n < 1 means the package default). The
+// operators with degree n (n < 1 means GOMAXPROCS). The
 // degree is an execution-time property of the snapshot, never part of
 // the plan, so sessions with different settings share cached plans.
 func WithWorkers(ctx context.Context, n int) context.Context {
@@ -104,7 +85,7 @@ func workersFrom(ctx context.Context) int {
 			return n
 		}
 	}
-	return DefaultWorkers()
+	return defaultWorkers
 }
 
 // parallelMinInput gates planning a parallel operator: inputs below it
@@ -187,68 +168,24 @@ func poolSubmit(f func()) bool {
 }
 
 // ---------------------------------------------------------------------
-// cancellation for workers
-
-// workerCancel is a per-worker cancellation checker. Each worker owns
-// one — the shared Snapshot.pulls counter is single-goroutine state the
-// parallel path must not touch — and checks the query context every
-// cancelBatch tuples, matching the sequential iterators' granularity.
-type workerCancel struct {
-	ctx context.Context
-	n   int
-}
-
-func (c *workerCancel) check() error {
-	if c == nil {
-		return nil
-	}
-	c.n++
-	if c.n%cancelBatch == 0 {
-		if err := c.ctx.Err(); err != nil {
-			return hrdmerr.FromContext(err)
-		}
-	}
-	return nil
-}
-
-func (s *Snapshot) newWorkerCancel() *workerCancel {
-	if s == nil || s.ctx == nil {
-		return nil
-	}
-	return &workerCancel{ctx: s.ctx}
-}
-
-// ---------------------------------------------------------------------
 // the parallel operator
 
-// tupleKernel is one operator's per-tuple work: it appends t's results
-// (zero, one or several tuples) to out and returns the extended slice.
-// Kernels must be order-preserving and per-tuple independent.
-type tupleKernel func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error)
-
 // parallelNode evaluates child's semantics by partitioned parallel
-// execution. child itself never executes — it is kept for the plan
-// tree (EXPLAIN, baseRel walks, estimate) — and src/mk re-express its
-// work as an input slice plus a per-tuple kernel. window, when armed,
-// prunes partitions whose lifespan bounds miss it entirely.
+// execution: it borrows child's input and kernel instead of running
+// child, which stays in the plan tree unexecuted (EXPLAIN, baseRel
+// walks, estimate). window, when armed, prunes partitions whose
+// lifespan bounds miss it entirely.
 type parallelNode struct {
-	child node
-	rs    *schema.Scheme
-	// src resolves the operator's input: a plan-time candidate slice or
-	// the pinned tuples of a base relation.
-	src func(s *Snapshot) []*core.Tuple
-	// mk builds a fresh kernel per worker, so kernels may carry
-	// per-worker state (the join's memoized candidate resolver).
-	mk func(s *Snapshot) tupleKernel
+	child tupleOp
 	// window/windowed arm the lifespan-range partition prune; pruneSel
 	// is the estimated fraction of partitions surviving it (from the
-	// relation's lifespan-density statistics; 1 when unarmed).
+	// relation's lifespan-density statistics; set only when armed).
 	window   lifespan.Lifespan
 	windowed bool
 	pruneSel float64
 }
 
-func (n *parallelNode) scheme() *schema.Scheme { return n.rs }
+func (n *parallelNode) scheme() *schema.Scheme { return n.child.scheme() }
 func (n *parallelNode) children() []node       { return []node{n.child} }
 
 func (n *parallelNode) estimate() cost {
@@ -270,29 +207,19 @@ func (n *parallelNode) describe() string {
 	return d + ")"
 }
 
-func (n *parallelNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		ts, err := n.runPartitions(s)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewRelationFromTuples(n.rs, ts)
-	})
-}
-
-func (n *parallelNode) open(s *Snapshot) (iterator, error) {
-	// The partition run happens eagerly at open; under profiling its
-	// cost is credited to this node up front so a streaming parent's
-	// self time stays meaningful.
-	t0 := time.Now()
-	ts, err := n.runPartitions(s)
-	if err != nil {
-		return nil, err
-	}
+func (n *parallelNode) run(s *Snapshot) (batch, error) {
 	if s != nil && s.prof != nil {
-		s.prof.stats(n).wall += time.Since(t0)
+		// Pre-create the stats entry workers may touch (profLookup on the
+		// wrapped join): all map writes happen on the query goroutine,
+		// before the fan-out, so workers only ever read the map.
+		s.prof.stats(n.child)
 	}
-	return s.profIter(n, sliceIter(ts)), nil
+	in, err := n.child.input(s)
+	if err != nil {
+		return batch{}, err
+	}
+	out, err := n.runPartitions(s, in)
+	return batch{scheme: n.scheme(), ts: out}, err
 }
 
 // runPartitions is the parallel executor: partition the input, prune
@@ -300,18 +227,8 @@ func (n *parallelNode) open(s *Snapshot) (iterator, error) {
 // Snapshot.workers goroutines (the query goroutine always works;
 // helpers come from the bounded pool), and concatenate the per-chunk
 // results in chunk order.
-func (n *parallelNode) runPartitions(s *Snapshot) ([]*core.Tuple, error) {
-	if err := s.checkCancel(); err != nil {
-		return nil, err
-	}
-	if s != nil && s.prof != nil {
-		// Pre-create the stats entries workers may touch (profLookup on
-		// the wrapped join): all map writes happen here, before the
-		// fan-out, so workers only ever read the map.
-		s.prof.stats(n)
-		s.prof.stats(n.child)
-	}
-	parts := core.PartitionSlice(n.src(s), parallelChunkSize())
+func (n *parallelNode) runPartitions(s *Snapshot, in []*core.Tuple) ([]*core.Tuple, error) {
+	parts := core.PartitionSlice(in, parallelChunkSize())
 	degree := 1
 	if s != nil && s.workers > degree {
 		degree = s.workers
@@ -330,8 +247,7 @@ func (n *parallelNode) runPartitions(s *Snapshot) ([]*core.Tuple, error) {
 	workerBody := func() {
 		parMetrics.busy.Add(1)
 		defer parMetrics.busy.Add(-1)
-		kern := n.mk(s)
-		cancel := s.newWorkerCancel()
+		kern := n.child.kernel(s)
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(parts) {
@@ -343,16 +259,7 @@ func (n *parallelNode) runPartitions(s *Snapshot) ([]*core.Tuple, error) {
 				continue
 			}
 			scanned.Add(1)
-			var out []*core.Tuple
-			var err error
-			for _, t := range p.Tuples {
-				if err = cancel.check(); err != nil {
-					break
-				}
-				if out, err = kern(t, out); err != nil {
-					break
-				}
-			}
+			out, err := s.apply(kern, p.Tuples, nil)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -417,57 +324,38 @@ func (n *parallelNode) runPartitions(s *Snapshot) ([]*core.Tuple, error) {
 // planner wrappers
 
 // maybeParallel wraps n in a parallel node when it has an eligible
-// shape — a per-tuple kernel over a partitionable input — and its
-// input is large enough to amortize the fan-out. Called after costing
-// picked n, so parallelism never changes which logical strategy wins.
+// shape — a per-tuple operator over a partitionable input (a plan-time
+// candidate slice, fenced like every other plan-time constant by the
+// plan's deps, or a base scan's pinned tuples) — and that input is
+// large enough to amortize the fan-out. Called after costing picked n,
+// so parallelism never changes which logical strategy wins.
 func maybeParallel(n node, lc *lowerCtx) node {
+	op, ok := n.(tupleOp)
+	if !ok {
+		return n
+	}
+	p := &parallelNode{child: op}
 	th := int(parallelMinInput.Load())
+	bigScan := func(child node) (*scanNode, bool) {
+		sc, ok := child.(*scanNode)
+		return sc, ok && sc.rel.Cardinality() >= th
+	}
 	switch x := n.(type) {
 	case *indexSelectNode:
 		if len(x.cand) >= th {
-			return parallelOverCandidates(x, x.cand, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-				nt, err := filterTuple(t, x.cond, x.when, false, x.L)
-				if err != nil {
-					return out, err
-				}
-				if nt != nil {
-					out = append(out, nt)
-				}
-				return out, nil
-			})
+			return p
 		}
 	case *indexTimeSliceNode:
 		if len(x.cand) >= th {
-			return parallelOverCandidates(x, x.cand, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-				if nt := t.Restrict(x.L); nt != nil {
-					out = append(out, nt)
-				}
-				return out, nil
-			})
+			return p
 		}
 	case *timeSliceNode:
-		if sc, ok := x.child.(*scanNode); ok && sc.rel.Cardinality() >= th {
-			p := parallelOverScan(x, sc, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-				if nt := t.Restrict(x.L); nt != nil {
-					out = append(out, nt)
-				}
-				return out, nil
-			})
+		if sc, ok := bigScan(x.child); ok {
 			p.armWindow(x.L, timesliceSelectivity(lc.relStats(sc.name, sc.rel), x.L))
 			return p
 		}
 	case *filterNode:
-		if sc, ok := x.child.(*scanNode); ok && sc.rel.Cardinality() >= th {
-			p := parallelOverScan(x, sc, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-				nt, err := filterTuple(t, x.cond, x.when, x.forAll, x.L)
-				if err != nil {
-					return out, err
-				}
-				if nt != nil {
-					out = append(out, nt)
-				}
-				return out, nil
-			})
+		if sc, ok := bigScan(x.child); ok {
 			if !x.forAll {
 				// ∀ keeps tuples with empty scope (vacuous truth), so
 				// only the existential and WHEN forms may skip
@@ -477,36 +365,11 @@ func maybeParallel(n node, lc *lowerCtx) node {
 			return p
 		}
 	case *indexJoinNode:
-		if sc, ok := x.stream.(*scanNode); ok && sc.rel.Cardinality() >= th {
-			return parallelJoin(x, sc)
+		if _, ok := bigScan(x.stream); ok {
+			return p
 		}
 	}
 	return n
-}
-
-// parallelOverCandidates wraps a candidate-set operator: the input is
-// the plan-time candidate slice, fenced like every other plan-time
-// constant by the plan's (relation, version) deps.
-func parallelOverCandidates(child node, cand []*core.Tuple, kern tupleKernel) *parallelNode {
-	return &parallelNode{
-		child:    child,
-		rs:       child.scheme(),
-		src:      func(*Snapshot) []*core.Tuple { return cand },
-		mk:       func(*Snapshot) tupleKernel { return kern },
-		pruneSel: 1,
-	}
-}
-
-// parallelOverScan wraps a streaming operator over a base scan: the
-// input is the scan's pinned tuple slice, resolved per execution.
-func parallelOverScan(child node, sc *scanNode, kern tupleKernel) *parallelNode {
-	return &parallelNode{
-		child:    child,
-		rs:       child.scheme(),
-		src:      func(s *Snapshot) []*core.Tuple { return s.tuplesOf(sc.rel) },
-		mk:       func(*Snapshot) tupleKernel { return kern },
-		pruneSel: 1,
-	}
 }
 
 // armWindow enables the lifespan-range partition prune for window L,
@@ -520,41 +383,5 @@ func (n *parallelNode) armWindow(L lifespan.Lifespan, sel float64) {
 	n.pruneSel = clamp01(sel)
 	if n.pruneSel <= 0 {
 		n.pruneSel = 1.0 / 256
-	}
-}
-
-// parallelJoin wraps an index lookup join whose streamed side is a
-// base scan: partitions of the pinned stream probe the indexed side
-// concurrently. Each worker gets its own candidate resolver — the
-// resolver memoizes the varying-overflow resolution, which is
-// per-goroutine state — and probes run through the snapshot-bounded
-// accessors exactly as the sequential join's do.
-func parallelJoin(x *indexJoinNode, sc *scanNode) *parallelNode {
-	return &parallelNode{
-		child: x,
-		rs:    x.rs,
-		src:   func(s *Snapshot) []*core.Tuple { return s.tuplesOf(sc.rel) },
-		mk: func(s *Snapshot) tupleKernel {
-			candidates := x.candidateFn(s)
-			return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-				for _, o := range candidates(t) {
-					t1, t2 := t, o
-					a, b := x.streamAttr, x.indexedAttr
-					if !x.leftIsStream {
-						t1, t2 = o, t
-						a, b = x.indexedAttr, x.streamAttr
-					}
-					nt, err := core.JoinPair(x.rs, t1, t2, a, value.EQ, b)
-					if err != nil {
-						return out, err
-					}
-					if nt != nil {
-						out = append(out, nt)
-					}
-				}
-				return out, nil
-			}
-		},
-		pruneSel: 1,
 	}
 }

@@ -81,7 +81,7 @@ var parallelBattery = []string{
 func TestParallelPlanShape(t *testing.T) {
 	st := testStore(t, 3)
 	// Default threshold: the small fixture must plan exactly as before.
-	out, err := Explain(`SELECT WHEN DEPT = 'Toys' FROM EMP`, st, false)
+	out, err := sess(st).Explain(`SELECT WHEN DEPT = 'Toys' FROM EMP`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestParallelPlanShape(t *testing.T) {
 
 	lowerParallelThreshold(t, 8)
 	for _, q := range parallelBattery {
-		out, err := Explain(q, st, false)
+		out, err := sess(st).Explain(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -120,7 +120,7 @@ func TestParallelEquivalenceAcrossDegrees(t *testing.T) {
 		}
 		var first string
 		for _, w := range []int{1, 2, 4, 8} {
-			gRes, gErr := EvalContext(WithWorkers(context.Background(), w), e, st)
+			gRes, gErr := sess(st).Eval(WithWorkers(context.Background(), w), e)
 			if gErr != nil {
 				t.Fatalf("%q workers=%d: %v", q, w, gErr)
 			}
@@ -150,7 +150,7 @@ func TestParallelPartitionPruning(t *testing.T) {
 	st := marchStore(t, 64)
 	q := `TIMESLICE MARCH AT {[0,90]}`
 
-	out, err := Explain(q, st, false)
+	out, err := sess(st).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestParallelPartitionPruning(t *testing.T) {
 	}
 	p0 := parMetrics.pruned.Load()
 	s0 := parMetrics.scanned.Load()
-	gRes, err := EvalContext(WithWorkers(context.Background(), 4), e, st)
+	gRes, err := sess(st).Eval(WithWorkers(context.Background(), 4), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestParallelForAllNoPrune(t *testing.T) {
 	lowerParallelThreshold(t, 8)
 	st := marchStore(t, 64)
 	q := `SELECT IF SAL >= 0 FORALL DURING {[0,5]} FROM MARCH`
-	out, err := Explain(q, st, false)
+	out, err := sess(st).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestParallelForAllNoPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRes, err := EvalContext(WithWorkers(context.Background(), 4), e, st)
+	gRes, err := sess(st).Eval(WithWorkers(context.Background(), 4), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestParallelWorkerMetrics(t *testing.T) {
 	t0 := parMetrics.tasks.Load()
 	i0 := parMetrics.inline.Load()
 	r0 := parMetrics.rows.Load()
-	if _, err := RunContext(WithWorkers(context.Background(), 4), `SELECT WHEN SAL >= 0 FROM MARCH`, st); err != nil {
+	if _, err := sess(st).Query(WithWorkers(context.Background(), 4), `SELECT WHEN SAL >= 0 FROM MARCH`); err != nil {
 		t.Fatal(err)
 	}
 	if parMetrics.tasks.Load() == t0 && parMetrics.inline.Load() == i0 {
@@ -248,7 +248,7 @@ func TestParallelCancellation(t *testing.T) {
 	st := marchStore(t, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(WithWorkers(ctx, 4), `SELECT WHEN SAL >= 0 FROM MARCH`, st); err == nil {
+	if _, err := sess(st).Query(WithWorkers(ctx, 4), `SELECT WHEN SAL >= 0 FROM MARCH`); err == nil {
 		t.Fatal("canceled context produced a result")
 	}
 }

@@ -79,7 +79,7 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				degree := []int{2, 4, 8}[(w+i)%3]
-				res, err := RunContext(WithWorkers(context.Background(), degree), probe, st)
+				res, err := sess(st).Query(WithWorkers(context.Background(), degree), probe)
 				if err != nil {
 					t.Errorf("probe at degree %d: %v", degree, err)
 					return
@@ -105,7 +105,7 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	}
 
 	// Quiesced: every group fully visible, parity intact.
-	res, err := RunContext(WithWorkers(context.Background(), 4), probe, st)
+	res, err := sess(st).Query(WithWorkers(context.Background(), 4), probe)
 	if err != nil {
 		t.Fatal(err)
 	}

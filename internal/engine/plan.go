@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lifespan"
@@ -20,53 +21,157 @@ type cost struct {
 	work float64
 }
 
-// iterator streams result tuples; it returns (nil, nil) when exhausted.
-type iterator func() (*core.Tuple, error)
-
-// node is one operator of a physical plan. Nodes with a statically known
-// scheme stream tuple-at-a-time through open; exec materializes the
-// node's full result relation. opNode (the naive fallback) only knows
-// its scheme at execution time and reports nil from scheme. Both
-// execution entry points take the query's pinned snapshot (nil = live
-// reads): leaves read base-relation state through it, so one plan
-// executes against one consistent database version no matter how many
-// relations it touches or how writers race it.
+// node is one operator of a physical plan. run is its only execution
+// method: it returns the node's complete result as a batch, computed
+// against the query's pinned snapshot (nil = live reads, plan-time
+// sub-queries only) — leaves read base-relation state through it, so
+// one plan executes against one consistent database version no matter
+// how many relations it touches or how writers race it. Parents, the
+// plan root and the profiler reach a node through Snapshot.run, never
+// n.run directly. opNode (the naive fallback) only knows its scheme at
+// execution time and reports nil from scheme.
 type node interface {
 	scheme() *schema.Scheme
-	open(s *Snapshot) (iterator, error)
-	exec(s *Snapshot) (*core.Relation, error)
+	run(s *Snapshot) (batch, error)
 	estimate() cost
 	describe() string
 	children() []node
 }
 
-// materialize drains an iterator into a fresh relation on scheme s,
-// collecting the tuples first and building the relation in one
-// coalesced pass (exact-size key map, no per-tuple lock rounds).
-func materialize(s *schema.Scheme, it iterator) (*core.Relation, error) {
-	var ts []*core.Tuple
-	for {
-		t, err := it()
-		if err != nil {
+// batch is a node's complete result: a tuple slice on a scheme, or —
+// for a scan's O(1) pinned view and a naive operator's output — an
+// already-built relation.
+type batch struct {
+	scheme *schema.Scheme
+	ts     []*core.Tuple
+	rel    *core.Relation
+}
+
+func (b batch) tuples() []*core.Tuple {
+	if b.rel != nil {
+		//lint:allow pindiscipline rel is a frozen pinned view or an operator's private output (the live relation only under the nil snapshot's documented live reads)
+		return b.rel.Tuples()
+	}
+	return b.ts
+}
+
+// relation is the engine's one materialization sink: the plan root and
+// the inputs of naive operators turn a tuple batch into a relation
+// here, in one coalesced pass (exact-size key map, no per-tuple lock
+// rounds). Kernels keep each input tuple's unique constant key (joins
+// concatenate two), so the construction cannot hit a duplicate; it
+// still verifies.
+func (b batch) relation() (*core.Relation, error) {
+	if b.rel != nil {
+		return b.rel, nil
+	}
+	return core.NewRelationFromTuples(b.scheme, b.ts)
+}
+
+// tupleKernel is one operator's per-tuple work: it appends t's results
+// (zero, one or several tuples) to out and returns the extended slice.
+// Kernels are order-preserving and per-tuple independent, which is
+// what lets the same kernel run sequentially or over partitions.
+type tupleKernel func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error)
+
+// tupleOp is a per-tuple operator — the paper's T_L(r) = { t|L : t ∈ r }
+// shape: an input set plus a kernel, each stated once. kernel is
+// called once per executing goroutine, so a kernel may carry
+// per-goroutine state (the join's memoized candidate resolver).
+type tupleOp interface {
+	node
+	input(s *Snapshot) ([]*core.Tuple, error)
+	kernel(s *Snapshot) tupleKernel
+}
+
+// run executes n — the operator boundary every parent goes through.
+// Under EXPLAIN ANALYZE it takes the node's one measurement: wall time
+// and rows of the whole batch. Children run inside their parent's
+// run, so self time is wall minus the children's wall.
+func (s *Snapshot) run(n node) (batch, error) {
+	if s == nil || s.prof == nil {
+		return n.run(s)
+	}
+	st := s.prof.stats(n)
+	t0 := time.Now()
+	b, err := n.run(s)
+	st.wall = time.Since(t0)
+	st.rows = int64(len(b.tuples()))
+	return b, err
+}
+
+// tuplesFrom runs a child operator and returns its result tuples.
+func (s *Snapshot) tuplesFrom(child node) ([]*core.Tuple, error) {
+	b, err := s.run(child)
+	return b.tuples(), err
+}
+
+// apply is the executor's one loop: kernel k over in, appending to
+// out, with the query's cancellation check at every cancelBatch-tuple
+// boundary (the first at tuple 0, so every operator checks on entry).
+// Sequential operators pass their whole input; parallel workers pass
+// one partition at a time.
+func (s *Snapshot) apply(k tupleKernel, in, out []*core.Tuple) ([]*core.Tuple, error) {
+	for i, t := range in {
+		if i%cancelBatch == 0 {
+			if err := s.canceled(); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if out, err = k(t, out); err != nil {
 			return nil, err
 		}
-		if t == nil {
-			return core.NewRelationFromTuples(s, ts)
+	}
+	return out, nil
+}
+
+// runSequential executes a per-tuple operator on the query goroutine.
+func (s *Snapshot) runSequential(op tupleOp) (batch, error) {
+	in, err := op.input(s)
+	if err != nil {
+		return batch{}, err
+	}
+	out, err := s.apply(op.kernel(s), in, make([]*core.Tuple, 0, len(in)))
+	return batch{scheme: op.scheme(), ts: out}, err
+}
+
+// restrictKernel is TIME-SLICE's per-tuple step: t|L, dropped when
+// nothing of t survives.
+func restrictKernel(L lifespan.Lifespan) tupleKernel {
+	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+		if nt := t.Restrict(L); nt != nil {
+			out = append(out, nt)
 		}
-		ts = append(ts, t)
+		return out, nil
 	}
 }
 
-// sliceIter streams a tuple slice.
-func sliceIter(ts []*core.Tuple) iterator {
-	i := 0
-	return func() (*core.Tuple, error) {
-		if i >= len(ts) {
-			return nil, nil
+// filterKernel is SELECT's per-tuple step: the restricted tuple for
+// SELECT-WHEN, the whole tuple or nothing for SELECT-IF. Semantics
+// mirror core.SelectIfCond/SelectWhenCond exactly, including vacuous ∀
+// over an empty scope.
+func filterKernel(c core.Condition, when, forAll bool, L lifespan.Lifespan) tupleKernel {
+	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+		scope := t.Lifespan().Intersect(L)
+		holds, err := core.CondWhen(c, t, scope)
+		if err != nil {
+			return out, err
 		}
-		t := ts[i]
-		i++
-		return t, nil
+		if when {
+			if nt := t.Restrict(holds); nt != nil {
+				out = append(out, nt)
+			}
+			return out, nil
+		}
+		keep := !holds.IsEmpty()
+		if forAll {
+			keep = scope.Minus(holds).IsEmpty()
+		}
+		if keep {
+			out = append(out, t)
+		}
+		return out, nil
 	}
 }
 
@@ -82,8 +187,10 @@ func explain(n node, b *strings.Builder, depth int) {
 // ---------------------------------------------------------------------
 // scan
 
-// scanNode streams every tuple of a base relation — the plan leaf when
-// no index applies.
+// scanNode reads every tuple of a base relation — the plan leaf when
+// no index applies. Its batch is the pinned version as a frozen O(1)
+// view, so naive operators consuming it read the snapshot, not the
+// live relation.
 type scanNode struct {
 	name string
 	rel  *core.Relation
@@ -91,14 +198,8 @@ type scanNode struct {
 
 func (n *scanNode) scheme() *schema.Scheme { return n.rel.Scheme() }
 func (n *scanNode) children() []node       { return nil }
-func (n *scanNode) open(s *Snapshot) (iterator, error) {
-	return s.profIter(n, sliceIter(s.tuplesOf(n.rel))), nil
-}
-
-// exec returns the pinned version as a frozen O(1) view, so the naive
-// operators consuming it read the snapshot, not the live relation.
-func (n *scanNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) { return s.relOf(n.rel), nil })
+func (n *scanNode) run(s *Snapshot) (batch, error) {
+	return batch{rel: s.relOf(n.rel)}, nil
 }
 func (n *scanNode) estimate() cost {
 	r := float64(n.rel.Cardinality())
@@ -124,27 +225,13 @@ type indexTimeSliceNode struct {
 
 func (n *indexTimeSliceNode) scheme() *schema.Scheme { return n.rel.Scheme() }
 func (n *indexTimeSliceNode) children() []node       { return nil }
-func (n *indexTimeSliceNode) open(s *Snapshot) (iterator, error) {
-	i := 0
-	return s.profIter(n, func() (*core.Tuple, error) {
-		for i < len(n.cand) {
-			t := n.cand[i]
-			i++
-			if nt := t.Restrict(n.L); nt != nil {
-				return nt, nil
-			}
-		}
-		return nil, nil
-	}), nil
-}
-func (n *indexTimeSliceNode) exec(s *Snapshot) (*core.Relation, error) {
-	// cand was resolved at plan time; the engine only executes a plan
-	// against a snapshot pinned at the exact versions it was compiled
-	// for, so the candidate set already describes the pinned state.
-	return s.profExec(n, func() (*core.Relation, error) {
-		return core.TimesliceStaticOver(n.rel, n.L, n.cand)
-	})
-}
+
+// cand was resolved at plan time; the engine only executes a plan
+// against a snapshot pinned at the exact versions it was compiled for,
+// so the candidate set already describes the pinned state.
+func (n *indexTimeSliceNode) input(*Snapshot) ([]*core.Tuple, error) { return n.cand, nil }
+func (n *indexTimeSliceNode) kernel(*Snapshot) tupleKernel           { return restrictKernel(n.L) }
+func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error)         { return s.runSequential(n) }
 func (n *indexTimeSliceNode) estimate() cost {
 	k := float64(len(n.cand))
 	return cost{rows: k, work: logN(n.rel.Cardinality()) + k}
@@ -165,34 +252,11 @@ type timeSliceNode struct {
 	sel   float64
 }
 
-func (n *timeSliceNode) scheme() *schema.Scheme { return n.child.scheme() }
-func (n *timeSliceNode) children() []node       { return []node{n.child} }
-func (n *timeSliceNode) open(s *Snapshot) (iterator, error) {
-	it, err := n.child.open(s)
-	if err != nil {
-		return nil, err
-	}
-	return s.profIter(n, func() (*core.Tuple, error) {
-		for {
-			t, err := it()
-			if err != nil || t == nil {
-				return nil, err
-			}
-			if nt := t.Restrict(n.L); nt != nil {
-				return nt, nil
-			}
-		}
-	}), nil
-}
-func (n *timeSliceNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		it, err := n.open(s)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(n.scheme(), it)
-	})
-}
+func (n *timeSliceNode) scheme() *schema.Scheme                   { return n.child.scheme() }
+func (n *timeSliceNode) children() []node                         { return []node{n.child} }
+func (n *timeSliceNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
+func (n *timeSliceNode) kernel(*Snapshot) tupleKernel             { return restrictKernel(n.L) }
+func (n *timeSliceNode) run(s *Snapshot) (batch, error)           { return s.runSequential(n) }
 func (n *timeSliceNode) estimate() cost {
 	c := n.child.estimate()
 	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
@@ -205,10 +269,9 @@ func (n *timeSliceNode) describe() string {
 // selection
 
 // filterNode applies a SELECT-IF or SELECT-WHEN condition per child
-// tuple, streaming. Semantics mirror core.SelectIfCond/SelectWhenCond
-// exactly, including vacuous ∀ over an empty scope. sel is the
-// condition's estimated selectivity — statistics-derived over base
-// relations, comparator defaults otherwise.
+// tuple. sel is the condition's estimated selectivity —
+// statistics-derived over base relations, comparator defaults
+// otherwise.
 type filterNode struct {
 	child  node
 	cond   core.Condition
@@ -218,65 +281,19 @@ type filterNode struct {
 	sel    float64
 }
 
-func (n *filterNode) scheme() *schema.Scheme { return n.child.scheme() }
-func (n *filterNode) children() []node       { return []node{n.child} }
-func (n *filterNode) open(s *Snapshot) (iterator, error) {
-	it, err := n.child.open(s)
-	if err != nil {
-		return nil, err
-	}
-	return s.profIter(n, func() (*core.Tuple, error) {
-		for {
-			t, err := it()
-			if err != nil || t == nil {
-				return nil, err
-			}
-			nt, err := filterTuple(t, n.cond, n.when, n.forAll, n.L)
-			if err != nil {
-				return nil, err
-			}
-			if nt != nil {
-				return nt, nil
-			}
-		}
-	}), nil
+func (n *filterNode) scheme() *schema.Scheme                   { return n.child.scheme() }
+func (n *filterNode) children() []node                         { return []node{n.child} }
+func (n *filterNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
+func (n *filterNode) kernel(*Snapshot) tupleKernel {
+	return filterKernel(n.cond, n.when, n.forAll, n.L)
 }
-func (n *filterNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		it, err := n.open(s)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(n.scheme(), it)
-	})
-}
+func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
 func (n *filterNode) estimate() cost {
 	c := n.child.estimate()
 	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
 }
 func (n *filterNode) describe() string {
 	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), n.cond, duringSuffix(n.L))
-}
-
-// filterTuple evaluates one tuple against a selection: the restricted
-// tuple for SELECT-WHEN, the whole tuple or nil for SELECT-IF.
-func filterTuple(t *core.Tuple, c core.Condition, when, forAll bool, L lifespan.Lifespan) (*core.Tuple, error) {
-	scope := t.Lifespan().Intersect(L)
-	holds, err := core.CondWhen(c, t, scope)
-	if err != nil {
-		return nil, err
-	}
-	if when {
-		return t.Restrict(holds), nil
-	}
-	keep := !holds.IsEmpty()
-	if forAll {
-		keep = scope.Minus(holds).IsEmpty()
-	}
-	if keep {
-		return t, nil
-	}
-	return nil, nil
 }
 
 // indexSelectNode evaluates a selection over an index-pruned candidate
@@ -296,33 +313,13 @@ type indexSelectNode struct {
 	prune string // how the candidates were found, for EXPLAIN
 }
 
-func (n *indexSelectNode) scheme() *schema.Scheme { return n.rel.Scheme() }
-func (n *indexSelectNode) children() []node       { return nil }
-func (n *indexSelectNode) open(s *Snapshot) (iterator, error) {
-	i := 0
-	return s.profIter(n, func() (*core.Tuple, error) {
-		for i < len(n.cand) {
-			t := n.cand[i]
-			i++
-			nt, err := filterTuple(t, n.cond, n.when, false, n.L)
-			if err != nil {
-				return nil, err
-			}
-			if nt != nil {
-				return nt, nil
-			}
-		}
-		return nil, nil
-	}), nil
+func (n *indexSelectNode) scheme() *schema.Scheme                 { return n.rel.Scheme() }
+func (n *indexSelectNode) children() []node                       { return nil }
+func (n *indexSelectNode) input(*Snapshot) ([]*core.Tuple, error) { return n.cand, nil }
+func (n *indexSelectNode) kernel(*Snapshot) tupleKernel {
+	return filterKernel(n.cond, n.when, false, n.L)
 }
-func (n *indexSelectNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		if n.when {
-			return core.SelectWhenCondOver(n.rel, n.cond, n.L, n.cand)
-		}
-		return core.SelectIfCondOver(n.rel, n.cond, n.L, n.cand)
-	})
-}
+func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
 func (n *indexSelectNode) estimate() cost {
 	k := float64(len(n.cand))
 	return cost{rows: k, work: k + 1}
@@ -363,34 +360,23 @@ type projectNode struct {
 	rs    *schema.Scheme
 }
 
-func (n *projectNode) scheme() *schema.Scheme { return n.rs }
-func (n *projectNode) children() []node       { return []node{n.child} }
-func (n *projectNode) open(s *Snapshot) (iterator, error) {
-	it, err := n.child.open(s)
-	if err != nil {
-		return nil, err
-	}
-	return s.profIter(n, func() (*core.Tuple, error) {
-		t, err := it()
-		if err != nil || t == nil {
-			return nil, err
-		}
+func (n *projectNode) scheme() *schema.Scheme                   { return n.rs }
+func (n *projectNode) children() []node                         { return []node{n.child} }
+func (n *projectNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
+func (n *projectNode) kernel(*Snapshot) tupleKernel {
+	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
 		nv := make(map[string]tfunc.Func, len(n.attrs))
 		for _, a := range n.attrs {
 			nv[a] = t.Value(a)
 		}
-		return core.NewTuple(n.rs, t.Lifespan(), nv)
-	}), nil
-}
-func (n *projectNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		it, err := n.open(s)
+		nt, err := core.NewTuple(n.rs, t.Lifespan(), nv)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		return materialize(n.rs, it)
-	})
+		return append(out, nt), nil
+	}
 }
+func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
 func (n *projectNode) estimate() cost {
 	c := n.child.estimate()
 	return cost{rows: c.rows, work: c.work + c.rows}
@@ -521,60 +507,34 @@ func (n *indexJoinNode) candidateFn(s *Snapshot) func(*core.Tuple) []*core.Tuple
 	}
 }
 
-func (n *indexJoinNode) open(s *Snapshot) (iterator, error) {
-	it, err := n.stream.open(s)
-	if err != nil {
-		return nil, err
-	}
+func (n *indexJoinNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.stream) }
+
+// kernel joins one streamed tuple against its probed candidates. Each
+// executing goroutine gets its own candidate resolver — the resolver
+// memoizes the varying-overflow resolution, which is per-goroutine
+// state.
+func (n *indexJoinNode) kernel(s *Snapshot) tupleKernel {
 	candidates := n.candidateFn(s)
-	var t *core.Tuple
-	var cand []*core.Tuple
-	ci := 0
-	return s.profIter(n, func() (*core.Tuple, error) {
-		for {
-			for ci < len(cand) {
-				o := cand[ci]
-				ci++
-				t1, t2 := t, o
-				a, b := n.streamAttr, n.indexedAttr
-				if !n.leftIsStream {
-					t1, t2 = o, t
-					a, b = n.indexedAttr, n.streamAttr
-				}
-				nt, err := core.JoinPair(n.rs, t1, t2, a, value.EQ, b)
-				if err != nil {
-					return nil, err
-				}
-				if nt != nil {
-					return nt, nil
-				}
+	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+		for _, o := range candidates(t) {
+			t1, t2 := t, o
+			a, b := n.streamAttr, n.indexedAttr
+			if !n.leftIsStream {
+				t1, t2 = o, t
+				a, b = n.indexedAttr, n.streamAttr
 			}
-			t, err = it()
-			if err != nil || t == nil {
-				return nil, err
+			nt, err := core.JoinPair(n.rs, t1, t2, a, value.EQ, b)
+			if err != nil {
+				return out, err
 			}
-			cand, ci = candidates(t), 0
+			if nt != nil {
+				out = append(out, nt)
+			}
 		}
-	}), nil
-}
-func (n *indexJoinNode) exec(s *Snapshot) (*core.Relation, error) {
-	// When the streamed side is itself a base relation, delegate to the
-	// core fast path (same kernel, one fewer indirection layer),
-	// streaming the pinned snapshot of the base. Under EXPLAIN ANALYZE
-	// the generic path runs instead, so the streamed child reports its
-	// own rows and time rather than vanishing into the kernel.
-	if sc, ok := n.stream.(*scanNode); ok && n.leftIsStream && (s == nil || s.prof == nil) {
-		return core.EquiJoinProbeOver(sc.rel, n.indexed, n.streamAttr, n.indexedAttr,
-			s.tuplesOf(sc.rel), n.candidateFn(s))
+		return out, nil
 	}
-	return s.profExec(n, func() (*core.Relation, error) {
-		it, err := n.open(s)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(n.rs, it)
-	})
 }
+func (n *indexJoinNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
 func (n *indexJoinNode) estimate() cost {
 	c := n.stream.estimate()
 	probes := c.rows * (1 + n.avgBucket)
@@ -604,30 +564,23 @@ type opNode struct {
 
 func (n *opNode) scheme() *schema.Scheme { return nil }
 func (n *opNode) children() []node       { return n.kids }
-func (n *opNode) exec(s *Snapshot) (*core.Relation, error) {
-	return s.profExec(n, func() (*core.Relation, error) {
-		rels := make([]*core.Relation, len(n.kids))
-		for i, k := range n.kids {
-			r, err := k.exec(s)
-			if err != nil {
-				return nil, err
-			}
-			rels[i] = r
+func (n *opNode) run(s *Snapshot) (batch, error) {
+	rels := make([]*core.Relation, len(n.kids))
+	for i, k := range n.kids {
+		b, err := s.run(k)
+		if err != nil {
+			return batch{}, err
 		}
-		return n.apply(rels)
-	})
-}
-
-// open materializes via exec; the slice iterator is deliberately not
-// profiled — exec already measured the node completely, and wrapping
-// the re-stream would double count rows and time.
-func (n *opNode) open(s *Snapshot) (iterator, error) {
-	r, err := n.exec(s)
-	if err != nil {
-		return nil, err
+		if rels[i], err = b.relation(); err != nil {
+			return batch{}, err
+		}
 	}
-	//lint:allow pindiscipline r is the operator's own materialized result, private to this query, not a shared live relation
-	return sliceIter(r.Tuples()), nil
+	// A naive operator is one uninterruptible batch; check before it.
+	if err := s.canceled(); err != nil {
+		return batch{}, err
+	}
+	r, err := n.apply(rels)
+	return batch{rel: r}, err
 }
 func (n *opNode) estimate() cost { return n.est }
 func (n *opNode) describe() string {

@@ -160,37 +160,37 @@ func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 }
 
 // run executes the plan against the given pinned snapshot and wraps
-// the result in the query's sort. It is deliberately unexported: the
-// engine's entry points (Run, Eval, the hql hook) are the only
-// execution paths, and each pins a snapshot verified against the
-// plan's compile-time versions before running — there is no
-// best-effort execute-without-verify path. The snapshot is nil only
-// for plan-time sub-query evaluation (evalLS), which runs under the
-// version fence the plan's deps record. sp, when non-nil, receives the
-// execute mark after the operator tree runs and — for WHEN and
-// SNAPSHOT queries, whose result is derived from the tree's relation —
-// a materialize mark after the wrap; plain relation results are
-// returned as-is, so their materialize stage is legitimately zero.
+// the result in the query's sort. It is deliberately unexported: a
+// Session's query methods are the only execution paths, and each pins
+// a snapshot verified against the plan's compile-time versions before
+// running — there is no best-effort execute-without-verify path. sp
+// receives the execute mark when the operator tree's root batch
+// returns and the materialize mark after the sink has built the
+// result relation (and, for WHEN and SNAPSHOT queries, derived the
+// result from it).
 func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
-	r, err := p.root.exec(s)
-	if sp != nil {
-		sp.Mark(obs.StageExecute)
+	b, err := s.run(p.root)
+	sp.Mark(obs.StageExecute)
+	if err != nil {
+		return hql.Result{}, err
 	}
+	res, err := p.result(b)
+	sp.Mark(obs.StageMaterialize)
+	return res, err
+}
+
+// result materializes the root batch and wraps it in the query's sort.
+func (p *Plan) result(b batch) (hql.Result, error) {
+	r, err := b.relation()
 	if err != nil {
 		return hql.Result{}, err
 	}
 	switch p.kind {
 	case planWhen:
 		ls := core.When(r)
-		if sp != nil {
-			sp.Mark(obs.StageMaterialize)
-		}
 		return hql.Result{Lifespan: &ls}, nil
 	case planSnapshot:
 		snap, err := core.Snapshot(r, p.at)
-		if sp != nil {
-			sp.Mark(obs.StageMaterialize)
-		}
 		if err != nil {
 			return hql.Result{}, err
 		}
@@ -307,7 +307,7 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 	}
 }
 
-// lowerTimeslice picks between the interval index, a streaming restrict,
+// lowerTimeslice picks between the interval index, a per-tuple restrict,
 // and the naive operator for a static TIME-SLICE.
 func lowerTimeslice(child node, L lifespan.Lifespan, lc *lowerCtx) node {
 	if sc, ok := child.(*scanNode); ok {
@@ -339,7 +339,7 @@ func lowerTimeslice(child node, L lifespan.Lifespan, lc *lowerCtx) node {
 }
 
 // lowerSelect plans SELECT IF/WHEN: index-pruned candidates where a
-// required equality conjunct or a DURING lifespan permits, a streaming
+// required equality conjunct or a DURING lifespan permits, a per-tuple
 // filter otherwise, the naive operator when the child's scheme is only
 // known at execution time.
 func lowerSelect(n *hql.SelectExpr, lc *lowerCtx) (node, error) {
@@ -714,10 +714,15 @@ func evalLS(e *hql.LSExpr, lc *lowerCtx) (lifespan.Lifespan, error) {
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}
-		// Sub-queries run at plan time against live state; the resulting
-		// lifespan is a plan-time constant, fenced by the plan's
-		// (relation, version) deps like every other plan-time probe.
-		r, err := n.exec(nil)
+		// Sub-queries run at plan time against live state (the nil
+		// snapshot); the resulting lifespan is a plan-time constant,
+		// fenced by the plan's (relation, version) deps like every other
+		// plan-time probe.
+		b, err := (*Snapshot)(nil).run(n)
+		if err != nil {
+			return lifespan.Lifespan{}, err
+		}
+		r, err := b.relation()
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}

@@ -3,25 +3,24 @@ package engine
 import (
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
 // profiler collects per-operator actuals for EXPLAIN ANALYZE: rows
 // produced, wall time, and index lookups. It is attached to a single
 // query's Snapshot (Snapshot.prof), so normal execution — where prof
-// is nil — pays exactly one nil check per operator open/exec and zero
-// per-tuple cost. A profiler is owned by one executing query and is
-// not safe for concurrent use, which matches how snapshots are used.
+// is nil — pays exactly one nil check per operator (Snapshot.run) and
+// zero per-tuple cost. Profiled and unprofiled queries run the same
+// code. A profiler is owned by one executing query and is not safe for
+// concurrent use, which matches how snapshots are used.
 type profiler struct {
 	ops map[node]*opStats
 }
 
 // opStats is one operator's measured execution. rows and wall are
-// written only by the query goroutine (profIter pulls, profExec
-// assignment); lookups is atomic because a parallel join's workers
-// probe — and count — concurrently. par carries the parallel
-// executor's partition accounting, written once after the fan-in.
+// written once, by the query goroutine (Snapshot.run); lookups is
+// atomic because a parallel join's workers probe — and count —
+// concurrently. par carries the parallel executor's partition
+// accounting, written once after the fan-in.
 type opStats struct {
 	rows    int64
 	wall    time.Duration
@@ -59,57 +58,10 @@ func (pf *profiler) stats(n node) *opStats {
 	return st
 }
 
-// profIter wraps an operator's streaming iterator with per-pull timing
-// and row counting. Wall time accumulates (+=) across pulls; a parent
-// that streams its child therefore observes a wall time that includes
-// every child pull, which is what makes self time (wall − Σ child
-// wall) well defined at render time. Every node's iterator also passes
-// through cancelIter here, so cancellation is checked at iterator
-// batch boundaries on profiled and unprofiled executions alike.
-func (s *Snapshot) profIter(n node, it iterator) iterator {
-	it = s.cancelIter(it)
-	if s == nil || s.prof == nil {
-		return it
-	}
-	st := s.prof.stats(n)
-	return func() (*core.Tuple, error) {
-		t0 := time.Now()
-		t, err := it()
-		st.wall += time.Since(t0)
-		if t != nil {
-			st.rows++
-		}
-		return t, err
-	}
-}
-
-// profExec wraps an operator's materializing execution. It assigns
-// (not accumulates) wall and rows: exec is the outermost, complete
-// measurement of the node, and when a node's own open-path iterator
-// also ran inside f (exec via materialize), the assignment supersedes
-// the partial per-pull accumulation instead of double counting it.
-func (s *Snapshot) profExec(n node, f func() (*core.Relation, error)) (*core.Relation, error) {
-	if err := s.checkCancel(); err != nil {
-		return nil, err
-	}
-	if s == nil || s.prof == nil {
-		return f()
-	}
-	st := s.prof.stats(n)
-	t0 := time.Now()
-	r, err := f()
-	st.wall = time.Since(t0)
-	st.rows = 0
-	if r != nil {
-		st.rows = int64(r.Cardinality())
-	}
-	return r, err
-}
-
 // profLookup counts one index probe against the node's indexed side.
 // Safe from parallel workers: stats entries are created by the query
-// goroutine before workers start (profExec/open precede the fan-out),
-// and the count itself is atomic.
+// goroutine before workers start (Snapshot.run and parallelNode.run
+// precede the fan-out), and the count itself is atomic.
 func (s *Snapshot) profLookup(n node) {
 	if s != nil && s.prof != nil {
 		s.prof.stats(n).lookups.Add(1)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -16,7 +17,7 @@ import (
 // of passing a bare *storage.Store (or any hql.Env) around cmd/ code:
 // every entry point — CLI shell, benchmark harness, server — opens a DB
 // once and creates one Session per client/loop from it. The process-
-// wide pieces (planner hook, plan cache, metrics registry) stay shared
+// wide pieces (index catalog, plan cache, metrics registry) stay shared
 // underneath, which is exactly what a multi-session server wants: two
 // sessions issuing the same query share one cached plan.
 //
@@ -25,7 +26,7 @@ type DB struct {
 	store *storage.Store
 	// workers, when ≥ 1, is the degree of parallelism every session of
 	// this DB executes parallel plan operators with; 0 defers to the
-	// process default (SetDefaultWorkers / GOMAXPROCS).
+	// process default (GOMAXPROCS).
 	workers int
 
 	mu     sync.Mutex
@@ -93,10 +94,10 @@ func (db *DB) Close() error {
 	return db.store.Close()
 }
 
-// Session is one client's handle on a DB: queries with the engine's
-// pinned-snapshot execution, session-scoped settings (the Section 5
-// optimizer toggle), and an optional staged write group for atomic
-// multi-relation mutations. Every error a Session returns carries an
+// Session is one client's handle on a DB and the engine's only query
+// surface: queries with the engine's pinned-snapshot execution,
+// session-scoped settings (the Section 5 optimizer toggle), and an
+// optional staged write group for atomic multi-relation mutations. Every error a Session returns carries an
 // hrdmerr classification, so callers (the CLI's error[CODE] line, the
 // server's wire envelope) never parse message strings.
 //
@@ -115,7 +116,7 @@ type Session struct {
 func (s *Session) DB() *DB { return s.db }
 
 // SetOptimize toggles the Section 5 law-based rewriter for this
-// session's queries. Off by default, matching engine.Run.
+// session's queries. Off by default.
 func (s *Session) SetOptimize(on bool) { s.optimize = on }
 
 // Optimize reports the session's rewriter setting.
@@ -133,37 +134,132 @@ func (s *Session) withDBWorkers(ctx context.Context) context.Context {
 	return WithWorkers(ctx, s.db.workers)
 }
 
-// Query parses, plans and executes src under ctx: cancellation and
-// deadlines abort mid-scan with ErrCanceled/ErrDeadline (see
-// RunContext). Results reflect one pinned snapshot of the store.
-func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
-	ctx = s.withDBWorkers(ctx)
-	if s.optimize {
-		return hql.RunOptimizedContext(ctx, src, s.db.store)
+// begin is the shared preamble of the executing entry points: apply
+// the DB's workers option and fail fast, with the typed error, on a
+// context that is already done.
+func (s *Session) begin(ctx context.Context) (context.Context, error) {
+	if err := ctx.Err(); err != nil {
+		return ctx, hrdmerr.FromContext(err)
 	}
-	return RunContext(ctx, src, s.db.store)
+	return s.withDBWorkers(ctx), nil
+}
+
+// Query parses, plans and executes src under ctx, falling back to the
+// naive evaluator when the expression cannot be planned. A plan cached
+// under the query's normalized text short-circuits before the parser
+// runs. Execution is snapshot-isolated: the plan runs against a pinned
+// database state matching its compile-time relation versions, however
+// many relations it touches. Cancellation and deadlines abort
+// execution with a typed hrdmerr error (ErrCanceled / ErrDeadline)
+// within one batch (cancelBatch tuples) instead of running the scan to
+// completion; a Background (uncancellable) context never reads a
+// context while executing.
+//
+// Every path carries an obs.Span and lands in finishQuery. The cached
+// fast path pays four clock reads (span start; pin, execute and
+// materialize marks) plus finishQuery's atomics — measured against
+// BenchmarkRunCachedKeyEq to stay inside the ~3% overhead budget.
+func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
+	ctx, err := s.begin(ctx)
+	if err != nil {
+		return hql.Result{}, err
+	}
+	env := s.db.store
+	sp := obs.Begin()
+	srcKey := srcCacheKey(src)
+	// The raw text aliases only the unrewritten expression's plan, so a
+	// session with the optimizer on neither reads nor writes the alias.
+	if !s.optimize {
+		if p, ok := planCache.lookup(srcKey, env, false); ok {
+			if snap, pinned := pinPlan(ctx, p); pinned {
+				planCache.countHit()
+				// One mark covers lookup + pin: splitting them would buy
+				// a clock read for a sub-microsecond distinction.
+				sp.Mark(obs.StagePin)
+				return runPinned(p, snap, srcKey, &sp)
+			}
+			// A writer moved a dependency between the fence check and
+			// the pin; fall through to the parse path, whose own lookup
+			// will drop the stale entry and replan.
+			mPinRetries.Inc()
+		}
+	}
+	e, err := hql.Parse(src)
+	sp.Mark(obs.StageParse)
+	if err != nil {
+		finishQuery(&sp, srcKey, nil, nil, err)
+		return hql.Result{}, err
+	}
+	if s.optimize {
+		e, _ = hql.Optimize(e)
+		srcKey = ""
+	}
+	return evalExpr(ctx, e, env, srcKey, &sp)
 }
 
 // Eval plans and executes an already-parsed expression, applying the
 // session's optimizer setting first — the AST-level counterpart of
 // Query for callers that parse once and run many times.
 func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
+	ctx, err := s.begin(ctx)
+	if err != nil {
+		return hql.Result{}, err
+	}
 	if s.optimize {
 		e, _ = hql.Optimize(e)
 	}
-	return EvalContext(s.withDBWorkers(ctx), e, s.db.store)
+	sp := obs.Begin()
+	return evalExpr(ctx, e, s.db.store, "", &sp)
 }
 
-// Explain renders the chosen physical plan without executing it,
-// honoring the session's optimizer setting.
+// Explain parses and plans src and renders the chosen physical plan
+// without executing the plan itself. Planning is not free of
+// evaluation: lifespan parameters — literal or WHEN sub-queries in AT
+// and DURING positions — are plan-time constants the planner must
+// resolve to price its index probes, so a WHEN sub-query does run
+// during EXPLAIN. With the session's optimizer on, the Section 5
+// law-based rewriter runs first, so the output shows the plan of the
+// rewritten expression — the same one Query would execute. The output
+// ends with the statistics the planner consulted, the snapshot a run
+// of the plan would pin — the database epoch plus each dependency at
+// its pinned version — and the query's plan-cache status (EXPLAIN
+// itself neither reads from nor populates the cache).
 func (s *Session) Explain(src string) (string, error) {
-	return Explain(src, s.db.store, s.optimize)
+	env := s.db.store
+	e, err := hql.Parse(src)
+	if err != nil {
+		return "", err
+	}
+	if s.optimize {
+		e, _ = hql.Optimize(e)
+	}
+	p, err := PlanQuery(e, env)
+	if err != nil {
+		return "", err
+	}
+	status := "miss (first run compiles and caches the plan)"
+	if planCache.peek(astCacheKey(e), env) || planCache.peek(srcCacheKey(src), env) {
+		status = "hit (repeated runs skip parse and plan)"
+	}
+	hits, misses, entries := PlanCacheStats()
+	return fmt.Sprintf("query: %s\n%s\nsnapshot: %s\nplan-cache: %s [%d hits / %d misses, %d cached]",
+		e.String(), p.Explain(), describePin(p), status, hits, misses, entries), nil
 }
 
 // ExplainAnalyze executes src under ctx with per-operator profiling
-// and renders the annotated plan.
+// and renders the annotated plan (see analyze.go). The profiled
+// execution honors cancellation and deadlines exactly as Query does,
+// since EXPLAIN ANALYZE genuinely runs the query.
 func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	return ExplainAnalyzeContext(s.withDBWorkers(ctx), src, s.db.store, s.optimize)
+	ctx, err := s.begin(ctx)
+	if err != nil {
+		return "", err
+	}
+	a, err := analyzeQuery(ctx, src, s.db.store, s.optimize)
+	if err != nil {
+		return "", err
+	}
+	return a.render(), nil
 }
 
 // BeginGroup opens a staged write group. ErrState if one is already

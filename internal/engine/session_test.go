@@ -22,7 +22,7 @@ func sessionDB(t *testing.T) *DB {
 }
 
 // TestSessionQuery: the session entry point runs the same planned,
-// snapshot-pinned execution engine.Run does, with and without the
+// snapshot-pinned execution every query gets, with and without the
 // session's optimizer toggle.
 func TestSessionQuery(t *testing.T) {
 	sess := sessionDB(t).NewSession()

@@ -34,14 +34,13 @@ type Snapshot struct {
 	// ANALYZE; normal execution leaves it nil and pays one nil check
 	// per operator.
 	prof *profiler
-	// ctx, when non-nil, is the query's cancellation context: iterator
-	// pulls check it every cancelBatch pulls (see cancelIter) and exec
-	// boundaries check it once per operator, so a canceled or
-	// deadline-expired query aborts within one iterator batch instead
-	// of running its scan to completion. It is nil for uncancellable
-	// queries (context.Background callers), which then pay zero checks.
-	ctx   context.Context
-	pulls int
+	// ctx, when non-nil, is the query's cancellation context: the
+	// executor's loop (apply) checks it every cancelBatch tuples, so a
+	// canceled or deadline-expired query aborts within one batch
+	// instead of running its scan to completion. It is nil for
+	// uncancellable queries (context.Background callers), which then
+	// never read a context.
+	ctx context.Context
 	// workers is the degree of parallelism the query's parallel
 	// operators may use, resolved at pin time from the query context
 	// (WithWorkers) or the process default. It is execution state, not
@@ -50,36 +49,17 @@ type Snapshot struct {
 	workers int
 }
 
-// cancelBatch is the iterator cancellation granularity: the number of
-// pulls (summed across the plan's operators) between context checks.
+// cancelBatch is the cancellation granularity: the number of tuples an
+// operator (or a parallel worker) processes between context checks.
 // Small enough that a canceled scan stops within a few hundred tuple
-// touches, large enough that the per-pull cost is one increment and a
-// mask test.
+// touches, large enough that the per-tuple cost is a mask test.
 const cancelBatch = 256
 
-// cancelIter wraps an operator's streaming iterator with the batch-
-// boundary cancellation check. The pull counter lives on the snapshot
-// — one query, one counter — so stacked operators share the budget and
-// the check fires every cancelBatch tuple movements through the whole
-// plan, wherever they happen.
-func (s *Snapshot) cancelIter(it iterator) iterator {
-	if s == nil || s.ctx == nil {
-		return it
-	}
-	return func() (*core.Tuple, error) {
-		s.pulls++
-		if s.pulls%cancelBatch == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return nil, hrdmerr.FromContext(err)
-			}
-		}
-		return it()
-	}
-}
-
-// checkCancel is the exec-boundary check: one ctx read per operator
-// materialization, nil when the query is uncancellable.
-func (s *Snapshot) checkCancel() error {
+// canceled is the query's one cancellation check: the typed
+// ErrCanceled/ErrDeadline once the context is done, nil before — and
+// always nil for an uncancellable query. It only reads the immutable
+// ctx field, so parallel workers call it concurrently.
+func (s *Snapshot) canceled() error {
 	if s == nil || s.ctx == nil {
 		return nil
 	}
@@ -189,20 +169,9 @@ func describePin(p *Plan) string {
 	return fmt.Sprintf("epoch %d (%s)", core.Epoch(), strings.Join(parts, ", "))
 }
 
-// tuplesOf returns the pinned tuple slice of r, or its live snapshot
-// when r is not part of the pin (or s is nil).
-func (s *Snapshot) tuplesOf(r *core.Relation) []*core.Tuple {
-	if s != nil {
-		if v, ok := s.vers[r]; ok {
-			return v.Tuples()
-		}
-	}
-	//lint:allow pindiscipline documented live fallback for relations outside the pin (nil snapshot = unpinned execution)
-	return r.Tuples()
-}
-
-// relOf returns the relation a naive operator should consume: a frozen
-// O(1) view of the pinned version, or the live relation when unpinned.
+// relOf returns the relation a scan of r reads: a frozen O(1) view of
+// the pinned version, or the live relation when r is not part of the
+// pin (or s is nil).
 func (s *Snapshot) relOf(r *core.Relation) *core.Relation {
 	if s != nil {
 		if v, ok := s.vers[r]; ok {

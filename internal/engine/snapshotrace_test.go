@@ -35,7 +35,7 @@ func raceTuple(s *schema.Scheme, k string, v int64) *core.Tuple {
 // TestSnapshotIsolationMultiRelation is the acceptance test of the
 // snapshot layer: a writer batch-loads the same keys into relation A
 // and then relation B, while concurrent readers run multi-relation
-// plans (set difference and equijoin) through engine.Run. Every
+// plans (set difference and equijoin) through Session.Query. Every
 // result must reflect one epoch-consistent database state:
 //
 //   - `B MINUS A` is empty at every consistent cut (B's keys always
@@ -91,7 +91,7 @@ func TestSnapshotIsolationMultiRelation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 120; i++ {
 				q := queries[(w+i)%len(queries)]
-				res, err := Run(q, st)
+				res, err := sess(st).Query(bg, q)
 				if err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
@@ -118,7 +118,7 @@ func TestSnapshotIsolationMultiRelation(t *testing.T) {
 	}
 
 	// Quiesced: everything visible, and the engine still answers.
-	res, err := Run(`A MINUS B`, st)
+	res, err := sess(st).Query(bg, `A MINUS B`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSnapshotIsolationIndexJoin(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				res, err := Run(`REF JOIN EMP ON RNAME = NAME`, st)
+				res, err := sess(st).Query(bg, `REF JOIN EMP ON RNAME = NAME`)
 				if err != nil {
 					t.Errorf("join: %v", err)
 					return
@@ -249,14 +249,14 @@ func TestSnapshotIsolationIndexJoin(t *testing.T) {
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(`REF JOIN EMP ON RNAME = NAME`, st)
+	res, err := sess(st).Query(bg, `REF JOIN EMP ON RNAME = NAME`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Relation.Cardinality(); got%batchN != 0 {
 		t.Fatalf("final join cardinality %d, not a multiple of %d", got, batchN)
 	}
-	if out, err := Explain(`REF JOIN EMP ON RNAME = NAME`, st, false); err != nil ||
+	if out, err := sess(st).Explain(`REF JOIN EMP ON RNAME = NAME`); err != nil ||
 		!strings.Contains(out, "key-index EMP.NAME") {
 		t.Fatalf("test assumes the stream-REF/probe-EMP orientation, got plan:\n%s (%v)", out, err)
 	}

@@ -1,5 +1,9 @@
-// Package hql implements a small textual query language over the HRDM
-// algebra, used by the hrdm-cli shell and the examples. Every operator of
+// Package hql is the textual query language over the HRDM algebra:
+// parser, AST, the law-based rewriter (Optimize), query-text
+// normalization (NormalizeQuery) and the naive reference evaluator
+// (EvalNaive). It does not run queries for applications — that is
+// engine.Session's job, which parses with this package, plans, and
+// falls back to EvalNaive for what it cannot plan. Every operator of
 // the paper's algebra is reachable:
 //
 //	SELECT IF SAL >= 30000 FORALL DURING {[0,9]} FROM EMP
@@ -20,10 +24,10 @@
 //	WHEN EMP                             -- Ω, yields a lifespan
 //	SNAPSHOT EMP AT 7                    -- classical snapshot
 //
-// Evaluation is snapshot-isolated on every path: the installed engine
-// hook pins a verified snapshot per plan, and EvalNaive — the
-// tree-walking reference evaluator and the planner's fallback — pins
-// its own consistent cut of every referenced relation (pinenv.go)
-// before walking, so even unplannable multi-relation queries read one
+// Evaluation is snapshot-isolated on every path: the engine pins a
+// verified snapshot per plan, and EvalNaive — the tree-walking
+// reference evaluator and the engine's fallback — pins its own
+// consistent cut of every referenced relation (pinenv.go) before
+// walking, so even unplannable multi-relation queries read one
 // database state while writers race.
 package hql

@@ -42,64 +42,13 @@ func (r Result) String() string {
 	return "<empty result>"
 }
 
-// Run parses and evaluates a query against env with a background
-// context; RunContext is the primary entry point.
-func Run(src string, env Env) (Result, error) {
-	return RunContext(context.Background(), src, env)
-}
-
-// RunContext parses and evaluates a query against env. The context
-// governs evaluation: cancellation or an expired deadline aborts the
-// walk (and any installed planner's execution) with a typed
-// hrdmerr.ErrCanceled / ErrDeadline error.
-func RunContext(ctx context.Context, src string, env Env) (Result, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return Result{}, err
-	}
-	return EvalContext(ctx, e, env)
-}
-
-// Planner is an optional physical-plan hook. When installed (by
-// importing internal/engine, whose init registers its cost-aware
-// planner), Eval routes expressions through it; the hook reports
-// handled=false to fall back to the naive tree-walking evaluator. The
-// hook must not call Eval on the same expression, or evaluation would
-// recurse; it composes with EvalNaive instead. The context carries the
-// query's cancellation and deadline; hooks honor it at iterator batch
-// boundaries.
-type Planner func(ctx context.Context, e Expr, env Env) (res Result, handled bool, err error)
-
-// planner is set once at init time (engine's package init) and read on
-// every Eval; no locking is needed because installation happens before
-// any query runs.
-var planner Planner
-
-// SetPlanner installs the physical planner hook. Passing nil restores
-// the naive evaluator.
-func SetPlanner(p Planner) { planner = p }
-
-// Eval evaluates a parsed expression with a background context;
-// EvalContext is the primary entry point.
-func Eval(e Expr, env Env) (Result, error) {
-	return EvalContext(context.Background(), e, env)
-}
-
-// EvalContext evaluates a parsed expression, routing through the
-// installed physical planner when one is registered.
-func EvalContext(ctx context.Context, e Expr, env Env) (Result, error) {
-	if planner != nil {
-		if res, handled, err := planner(ctx, e, env); handled || err != nil {
-			return res, err
-		}
-	}
-	return EvalNaiveContext(ctx, e, env)
-}
-
 // EvalNaive evaluates a parsed expression with the direct tree-walking
 // evaluator — every operator a linear scan, exactly the paper's
 // definitional semantics. It is the reference implementation the
-// planner's indexed plans are property-tested against.
+// engine's indexed plans are property-tested against, and the engine's
+// fallback for expressions its planner cannot compile; it and
+// EvalNaiveContext are this package's only evaluation entry points
+// (queries run through engine.Session).
 //
 // Like the engine's physical plans, naive evaluation is
 // snapshot-isolated: every base relation the expression references is
@@ -159,7 +108,7 @@ func evalNaivePinned(ctx context.Context, e Expr, env Env) (Result, error) {
 // evalRel evaluates a relation-valued expression. The cancellation
 // check at entry runs once per operator node: each operator is a full
 // scan in the naive evaluator, so per-node is the natural abort
-// granularity here (the engine's plans abort finer, at iterator batch
+// granularity here (the engine's plans abort finer, at tuple-batch
 // boundaries).
 func evalRel(ctx context.Context, e Expr, env Env) (*core.Relation, error) {
 	if err := ctx.Err(); err != nil {

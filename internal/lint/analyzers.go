@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		Spanonce,
 		Rawkeyjoin,
 		Metricname,
-		Sessionapi,
 	}
 }
 
@@ -24,7 +23,6 @@ var knownAnalyzers = map[string]bool{
 	Spanonce.Name:      true,
 	Rawkeyjoin.Name:    true,
 	Metricname.Name:    true,
-	Sessionapi.Name:    true,
 }
 
 // ByName resolves one analyzer, for the driver's -run flag.

@@ -32,10 +32,6 @@ func TestMetricname(t *testing.T) {
 	linttest.Run(t, lint.Metricname, "./testdata/src/metricname")
 }
 
-func TestSessionapi(t *testing.T) {
-	linttest.Run(t, lint.Sessionapi, "./testdata/src/sessionapi")
-}
-
 func TestAllowValidation(t *testing.T) {
 	linttest.Run(t, lint.AllowAnalyzer, "./testdata/src/allow")
 }

@@ -104,14 +104,12 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 		if cum+c >= rank {
 			lo, hi := bucketBounds(k)
-			if k == histBuckets-1 {
-				// Open-ended overflow bucket: the max is the only honest
-				// upper bound.
-				if m := h.max.Load(); m > lo {
-					hi = m
-				} else {
-					hi = lo
-				}
+			// No observation exceeds the max, so it caps every bucket's
+			// upper bound — and is the only bound the open-ended overflow
+			// bucket has. (max trails counts for an instant under a
+			// concurrent Observe; never let hi fall below lo.)
+			if m := h.max.Load(); hi > m {
+				hi = max(m, lo)
 			}
 			// Interpolate by rank position within the bucket.
 			frac := float64(rank-cum) / float64(c)

@@ -39,7 +39,8 @@ func TestHistogramBuckets(t *testing.T) {
 // for: for any non-empty observation set, the estimated quantile lands
 // in the same power-of-two bucket as the exact quantile — the
 // histogram's resolution guarantee (within 2× above bucket zero) —
-// and estimates are monotone in q.
+// estimates are monotone in q, and none exceeds the observed max
+// (p50 ≤ p95 ≤ p99 ≤ max in every snapshot).
 func TestQuantileProperty(t *testing.T) {
 	prop := func(raw []uint32, q16 uint16) bool {
 		if len(raw) == 0 {
@@ -73,6 +74,10 @@ func TestQuantileProperty(t *testing.T) {
 				return false
 			}
 			prev = e
+		}
+		if snap := h.Snapshot(); snap.P50 > snap.P95 || snap.P95 > snap.P99 || snap.P99 > snap.Max {
+			t.Logf("snapshot not ordered p50 ≤ p95 ≤ p99 ≤ max: %+v vals=%v", snap, vals)
+			return false
 		}
 		return true
 	}

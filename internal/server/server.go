@@ -321,7 +321,7 @@ func writeResponse(c net.Conn, resp response) error {
 // let in-flight requests finish within the drain grace (Config's
 // DrainTimeout, tightened by ctx if it expires sooner), then — if work
 // is still running — cancel it via the base context, which aborts
-// executing queries with a typed error within one iterator batch.
+// executing queries with a typed error within one tuple batch.
 // Finally the durable store is checkpointed, so a SIGTERM'd server
 // restarts with an empty replay. Shutdown is idempotent; concurrent
 // calls after the first return immediately.

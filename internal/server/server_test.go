@@ -305,66 +305,110 @@ func TestDrainDeadlineForcesCancel(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsConsistency is the acceptance race test: 64
-// client connections issue a query spanning two relations while a
-// writer commits cross-relation write groups through the session API.
-// Every group inserts one tuple into each relation, so any consistent
-// cut has equal cardinalities — a torn read (group half-visible)
-// surfaces as an odd UNIONMERGE count. Run under -race in CI.
-func TestConcurrentClientsConsistency(t *testing.T) {
-	const (
-		clients = 64
-		queries = 20
-		groups  = 200
-	)
-	full := lifespan.Interval(0, 999)
-	mkRel := func(name string) *core.Relation {
-		return core.NewRelation(schema.MustNew(name, []string{"ID"},
-			schema.Attribute{Name: "ID", Domain: value.Ints, Lifespan: full},
-		))
+// query runs one query op and returns its row count; unlike do it
+// reports failures as errors, so client goroutines can use it.
+func (tc *tclient) query(q string) (int, error) {
+	buf, err := json.Marshal(request{Op: "query", Q: q})
+	if err != nil {
+		return 0, err
 	}
+	if _, err := tc.c.Write(append(buf, '\n')); err != nil {
+		return 0, err
+	}
+	tc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
+	line, err := tc.r.ReadString('\n')
+	if err != nil {
+		return 0, err
+	}
+	var resp response
+	if err := json.Unmarshal([]byte(line), &resp); err != nil {
+		return 0, err
+	}
+	if !resp.OK {
+		return 0, fmt.Errorf("query %s failed: %+v", q, resp.Error)
+	}
+	return resp.Rows, nil
+}
+
+// tornCut is the torn-read detector. Every write group stages the same
+// key into A and into B, so at any consistent cut the two relations
+// hold identical keys and both differences are empty; a tuple in
+// either one is a cut that fell between the two halves of a group.
+func (tc *tclient) tornCut() (bool, error) {
+	for _, q := range []string{`A MINUS B`, `B MINUS A`} {
+		rows, err := tc.query(q)
+		if err != nil || rows != 0 {
+			return rows != 0, err
+		}
+	}
+	return false, nil
+}
+
+// pairedStore is the detector's fixture: two empty relations A and B
+// keyed by ID, served on a fresh server.
+func pairedStore(t *testing.T, cfg Config) (*engine.DB, *Server) {
+	t.Helper()
+	full := lifespan.Interval(0, 999)
 	st := storage.NewStore()
-	a, b := mkRel("A"), mkRel("B")
-	st.Put(a)
-	st.Put(b)
+	for _, name := range []string{"A", "B"} {
+		st.Put(core.NewRelation(schema.MustNew(name, []string{"ID"},
+			schema.Attribute{Name: "ID", Domain: value.Ints, Lifespan: full},
+		)))
+	}
 	db := engine.OpenDB(st)
-	srv := New(db, Config{MaxConns: clients + 8, MaxInflight: clients + 8})
+	srv := New(db, cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-	}()
+	})
+	return db, srv
+}
 
-	stop := make(chan struct{})
+// commitID commits one write group staging ID = id into each of rels.
+func commitID(sess *engine.Session, id int, rels ...string) error {
+	if err := sess.BeginGroup(); err != nil {
+		return err
+	}
+	spec := fmt.Sprintf(`tuple {[0,9]}; ID = %d @ {[0,9]}`, id)
+	for _, rel := range rels {
+		if _, err := sess.Stage(rel, spec); err != nil {
+			return err
+		}
+	}
+	_, err := sess.Commit(context.Background())
+	return err
+}
+
+// TestConcurrentClientsConsistency is the acceptance race test: 64
+// client connections run the torn-cut detector while a writer commits
+// cross-relation write groups through the session API. The writer
+// starts once every client is connected and probing, and the clients
+// keep probing until it has finished, so the two overlap on any core
+// count. No client may ever see a group half-applied. Run under -race
+// in CI.
+func TestConcurrentClientsConsistency(t *testing.T) {
+	const (
+		clients = 64
+		groups  = 600
+	)
+	db, srv := pairedStore(t, Config{MaxConns: clients + 8, MaxInflight: clients + 8})
+
+	var ready sync.WaitGroup // every client has completed its first probe
+	ready.Add(clients)
+	var written atomic.Bool
 	writerDone := make(chan error, 1)
 	go func() {
+		defer written.Store(true)
+		ready.Wait()
 		sess := db.NewSession()
 		for i := 0; i < groups; i++ {
-			select {
-			case <-stop:
-				writerDone <- nil
-				return
-			default:
-			}
-			if err := sess.BeginGroup(); err != nil {
-				writerDone <- err
-				return
-			}
-			spec := fmt.Sprintf(`tuple {[0,9]}; ID = %d @ {[0,9]}`, i)
-			if _, err := sess.Stage("A", spec); err != nil {
-				writerDone <- err
-				return
-			}
-			if _, err := sess.Stage("B", spec); err != nil {
-				writerDone <- err
-				return
-			}
-			if _, err := sess.Commit(context.Background()); err != nil {
+			if err := commitID(sess, i, "A", "B"); err != nil {
 				writerDone <- err
 				return
 			}
@@ -372,12 +416,20 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 		writerDone <- nil
 	}()
 
-	var torn atomic.Int64
+	var torn, probes atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			first := true
+			signal := func() {
+				if first {
+					first = false
+					ready.Done()
+				}
+			}
+			defer signal() // a failed client must not strand the writer
 			c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
 			if err != nil {
 				t.Errorf("dial: %v", err)
@@ -385,39 +437,63 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 			}
 			defer c.Close()
 			tc := &tclient{c: c, r: bufio.NewReaderSize(c, 1<<20)}
-			for q := 0; q < queries; q++ {
-				buf, _ := json.Marshal(request{Op: "query", Q: `A UNIONMERGE B`})
-				if _, err := c.Write(append(buf, '\n')); err != nil {
-					t.Errorf("write: %v", err)
-					return
-				}
-				c.SetReadDeadline(time.Now().Add(30 * time.Second))
-				line, err := tc.r.ReadString('\n')
+			for !written.Load() {
+				isTorn, err := tc.tornCut()
 				if err != nil {
-					t.Errorf("read: %v", err)
+					t.Error(err)
 					return
 				}
-				var resp response
-				if err := json.Unmarshal([]byte(line), &resp); err != nil {
-					t.Errorf("unmarshal: %v", err)
-					return
-				}
-				if !resp.OK {
-					t.Errorf("query failed: %+v", resp.Error)
-					return
-				}
-				if resp.Rows%2 != 0 {
+				if isTorn {
 					torn.Add(1)
 				}
+				probes.Add(1)
+				signal()
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
 	if err := <-writerDone; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
 	if n := torn.Load(); n != 0 {
-		t.Fatalf("%d torn reads (odd cross-relation cardinality) — snapshot isolation violated", n)
+		t.Fatalf("%d of %d probes saw A and B differ at a pinned cut — snapshot isolation violated", n, probes.Load())
 	}
+	t.Logf("%d probes raced %d groups", probes.Load(), groups)
+}
+
+// TestTornCutDetectorFires is the detector's negative control: the
+// same logical write split into two groups — A first, B second — is
+// exactly the half-visible state a torn read would show, and the
+// detector must report it; once the second half lands it must go
+// quiet again.
+func TestTornCutDetectorFires(t *testing.T) {
+	db, srv := pairedStore(t, Config{})
+	sess := db.NewSession()
+	tc := dialT(t, srv.Addr())
+	check := func(when string, want bool) {
+		t.Helper()
+		got, err := tc.tornCut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: detector reports torn=%v, want %v", when, got, want)
+		}
+	}
+	if err := commitID(sess, 1, "A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a whole group", false)
+	if err := commitID(sess, 2, "A"); err != nil {
+		t.Fatal(err)
+	}
+	check("between the halves of a split commit (A ahead)", true)
+	if err := commitID(sess, 2, "B"); err != nil {
+		t.Fatal(err)
+	}
+	check("after the second half", false)
+	if err := commitID(sess, 3, "B"); err != nil {
+		t.Fatal(err)
+	}
+	check("between the halves of a split commit (B ahead)", true)
 }
