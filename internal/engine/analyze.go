@@ -31,13 +31,12 @@ type analysis struct {
 	res  hql.Result
 }
 
-// analyzeQuery is the execution half of Session.ExplainAnalyze. It
-// mirrors the engine's plan-then-pin discipline — optimistic retries,
-// then the exclusive fallback — and runs the same operator code as an
-// unprofiled query; the profiler only observes. When optimize is set
-// the Section 5 rewriter runs first. Expressions the planner
-// cannot compile surface their planning error: there is no naive
-// fallback to attribute per-operator numbers to.
+// analyzeQuery is the execution half of Session.ExplainAnalyze: plan,
+// pin and run like any query, with a profiler attached to the snapshot
+// — the same operator code as an unprofiled query; the profiler only
+// observes. When optimize is set the Section 5 rewriter runs first.
+// Expressions the planner cannot compile surface their planning error:
+// there is no naive fallback to attribute per-operator numbers to.
 func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (*analysis, error) {
 	sp := obs.Begin()
 	e, err := hql.Parse(src)
@@ -49,33 +48,14 @@ func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (
 	if optimize {
 		e, _ = hql.Optimize(e)
 	}
-	var p *Plan
-	var snap *Snapshot
-	for try := 0; ; try++ {
-		p, err = PlanQuery(e, env)
-		sp.Mark(obs.StagePlan)
-		if err != nil {
-			finishQuery(&sp, src, nil, nil, err)
-			return nil, err
-		}
-		var pinned bool
-		if snap, pinned = pinPlan(ctx, p); pinned {
-			sp.Mark(obs.StagePin)
-			break
-		}
-		sp.Mark(obs.StagePin)
-		mPinRetries.Inc()
-		if try+1 >= pinRetries {
-			mPinExclusive.Inc()
-			p, snap, err = pinPlanExclusive(ctx, func() (*Plan, error) { return PlanQuery(e, env) })
-			sp.Mark(obs.StagePin)
-			if err != nil {
-				finishQuery(&sp, src, nil, nil, err)
-				return nil, err
-			}
-			break
-		}
+	p, err := PlanQuery(e, env)
+	sp.Mark(obs.StagePlan)
+	if err != nil {
+		finishQuery(&sp, src, nil, nil, err)
+		return nil, err
 	}
+	snap := pinPlan(ctx, p)
+	sp.Mark(obs.StagePin)
 	snap.prof = newProfiler()
 	res, err := p.run(snap, &sp)
 	finishQuery(&sp, "", p, snap, err)
@@ -90,33 +70,14 @@ func (a *analysis) rootStats() *opStats {
 	return a.prof.ops[a.plan.root]
 }
 
-// wallOf is the time n's subtree ran for. A node that never ran itself
-// — the sequential form a parallel operator borrows its input and
-// kernel from — is transparent: whatever ran below it ran inside its
-// parent.
-func (a *analysis) wallOf(n node) time.Duration {
-	if st := a.prof.ops[n]; st != nil && st.wall > 0 {
-		return st.wall
-	}
-	var w time.Duration
-	for _, k := range n.children() {
-		w += a.wallOf(k)
-	}
-	return w
-}
-
 // selfTime is wall time minus the children's wall time, clamped at
 // zero (clock granularity can make the difference marginally
 // negative). Children run inside their parent's measurement, so the
 // subtraction is the operator's own work.
 func (a *analysis) selfTime(n node) time.Duration {
-	st := a.prof.ops[n]
-	if st == nil {
-		return 0
-	}
-	self := st.wall
+	self := a.prof.ops[n].wall
 	for _, k := range n.children() {
-		self -= a.wallOf(k)
+		self -= a.prof.ops[k].wall
 	}
 	if self < 0 {
 		return 0
@@ -129,17 +90,19 @@ func (a *analysis) selfTime(n node) time.Duration {
 func (a *analysis) render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", a.plan.text)
-	switch a.plan.kind {
-	case planWhen:
-		b.WriteString("when (lifespan of result)\n")
-	case planSnapshot:
-		fmt.Fprintf(&b, "snapshot at %s\n", a.plan.at)
-	}
-	depth := 0
-	if a.plan.kind != planRelation {
-		depth = 1
-	}
-	a.renderNode(a.plan.root, &b, depth)
+	a.plan.render(&b, a.snap, func(n node) {
+		// A successful run executes every node of the tree exactly once.
+		st := a.prof.ops[n]
+		fmt.Fprintf(&b, "  (actual: rows=%d time=%s self=%s", st.rows, st.wall, a.selfTime(n))
+		if lk := st.lookups.Load(); lk > 0 {
+			fmt.Fprintf(&b, " lookups=%d", lk)
+		}
+		if st.par != nil {
+			fmt.Fprintf(&b, " degree=%d partitions=%d scanned=%d pruned=%d",
+				st.par.degree, st.par.parts, st.par.scanned, st.par.pruned)
+		}
+		b.WriteString(")")
+	})
 	b.WriteString("stages:")
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		fmt.Fprintf(&b, " %s=%s", obs.StageName(st), a.sp.StageDur(st))
@@ -148,31 +111,6 @@ func (a *analysis) render() string {
 	fmt.Fprintf(&b, "result: %s\n", a.resultSummary())
 	fmt.Fprintf(&b, "snapshot: %s", a.snap)
 	return b.String()
-}
-
-func (a *analysis) renderNode(n node, b *strings.Builder, depth int) {
-	c := n.estimate()
-	fmt.Fprintf(b, "%s%s  [rows≈%.0f cost≈%.0f]", strings.Repeat("  ", depth), n.describe(), c.rows, c.work)
-	if st := a.prof.ops[n]; st != nil && !st.untouched() {
-		fmt.Fprintf(b, "  (actual: rows=%d time=%s self=%s", st.rows, st.wall, a.selfTime(n))
-		if lk := st.lookups.Load(); lk > 0 {
-			fmt.Fprintf(b, " lookups=%d", lk)
-		}
-		if st.par != nil {
-			fmt.Fprintf(b, " degree=%d partitions=%d scanned=%d pruned=%d",
-				st.par.degree, st.par.parts, st.par.scanned, st.par.pruned)
-		}
-		b.WriteString(")")
-	} else {
-		// A node the execution never touched (e.g. pruned to an empty
-		// candidate set before its child ran, or the sequential form an
-		// executed parallel operator wraps).
-		b.WriteString("  (actual: not executed)")
-	}
-	b.WriteString("\n")
-	for _, k := range n.children() {
-		a.renderNode(k, b, depth+1)
-	}
 }
 
 // resultSummary describes whichever sort the result carries, with its

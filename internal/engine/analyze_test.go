@@ -25,6 +25,7 @@ var analyzeGolden = []struct{ name, query string }{
 	{"analyze_index_time_slice", `TIMESLICE EMP AT {[100,139]}`},
 	{"analyze_equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`},
 	{"analyze_when_materialize", `WHEN (SELECT WHEN SAL = 30000 FROM EMP)`},
+	{"analyze_during_when_subplan", `SELECT WHEN SAL > 30000 DURING WHEN (SELECT WHEN DEPT = 'Toys' FROM EMP) INTERSECT {[0,399]} FROM EMP`},
 }
 
 // TestExplainAnalyzeGolden locks the annotated-tree rendering — per
@@ -162,7 +163,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 		// Every operator in the tree must have been measured.
 		for _, n := range walked {
 			if a.prof.ops[n] == nil {
-				t.Fatalf("%s: operator %s not profiled", q, n.describe())
+				t.Fatalf("%s: operator %s not profiled", q, n.describe(a.snap))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/value"
@@ -36,7 +37,7 @@ type AttrIndex struct {
 
 // NewAttrIndex builds the index over r's tuples for the named attribute.
 func NewAttrIndex(r *core.Relation, attr string) *AttrIndex {
-	//lint:allow pindiscipline index builds read the live relation by design; execution resolves probes back through Snapshot.resolve
+	//lint:allow pindiscipline index builds read the live relation by design; execution maps probes back to the pin (eqProbe)
 	return newAttrIndexFrom(r.Tuples(), attr)
 }
 
@@ -181,4 +182,110 @@ func (ix *AttrIndex) String() string {
 	defer ix.mu.RUnlock()
 	return fmt.Sprintf("attr-index(%s: %d values, %d varying, %d absent of %d)",
 		ix.attr, len(ix.byVal), len(ix.varying), ix.absent, ix.total)
+}
+
+// eqProbe is the engine's one equality probe, shared by index-select
+// and the index lookup join: the tuples of a pinned relation version
+// whose attribute could equal a value. When the attribute is the
+// relation's single-attribute key, the canonical key map the relation
+// maintains is the index and the pinned version bounds the lookup.
+// Otherwise the probe reads the catalog's live hash index — fetched
+// here, per execution, because the catalog replaces the object on
+// resync and eviction — and maps what it finds back to the pin: newer
+// tuples drop out, merged successors become their pinned forms. The
+// live index holds a superset of the pinned matches (value images only
+// grow under merges) and the caller's full predicate runs on every
+// candidate, so the mapping is exact, never lossy. An eqProbe is safe
+// for concurrent use by partition workers.
+type eqProbe struct {
+	v    core.RelVersion
+	attr string
+	ix   *AttrIndex // nil: key probe
+	// varying memoizes the pinned form of ix's varying overflow by the
+	// live slice's identity: Varying() hands out stable snapshots
+	// (appends extend behind them, removals copy first), so the same
+	// (pointer, length) means the same contents, and a join pays
+	// O(varying) only when a merge actually lands mid-stream, not per
+	// streamed tuple. Racing workers at worst both compute it.
+	varying atomic.Pointer[pinnedVarying]
+}
+
+type pinnedVarying struct{ live, pinned []*core.Tuple }
+
+func newEqProbe(v core.RelVersion, attr string) *eqProbe {
+	p := &eqProbe{v: v, attr: attr}
+	if key := v.Rel().Scheme().Key; len(key) != 1 || key[0] != attr {
+		p.ix = Indexes(v.Rel()).Attr(attr)
+	}
+	return p
+}
+
+// String names the index for EXPLAIN.
+func (p *eqProbe) String() string {
+	if p.ix == nil {
+		return fmt.Sprintf("key-index %s.%s", p.v.Rel().Scheme().Name, p.attr)
+	}
+	return p.ix.String()
+}
+
+// candidates returns the pinned tuples whose attribute could equal one
+// of vals (distinct values): their constant buckets first, then the
+// varying overflow. The order matters under a concurrent writer — a
+// merge that turns a pinned-constant tuple varying after its bucket was
+// read must still find it in the overflow read afterwards — and is why
+// the result is de-duplicated by pinned identity: the same pinned tuple
+// can surface through a bucket read before such a merge and the
+// overflow read after it.
+func (p *eqProbe) candidates(vals ...value.Value) []*core.Tuple {
+	var out []*core.Tuple
+	if p.ix == nil {
+		for _, val := range vals {
+			if t, ok := p.v.Lookup(val.String()); ok {
+				out = append(out, t)
+			}
+		}
+		return out
+	}
+	for _, val := range vals {
+		out = append(out, p.ix.Probe(val)...)
+	}
+	nb := len(out)
+	live := p.ix.Varying()
+	out = append(out, live...)
+	if p.v.Rel().Version() == p.v.Version() {
+		// Nothing was published since the pin, so the index (at least as
+		// new as the pin, no newer than the relation) is the pinned state.
+		return out
+	}
+	out = resolve(p.v, out[:nb], out[:0])
+	if len(live) == 0 {
+		return out
+	}
+	m := p.varying.Load()
+	if m == nil || len(m.live) != len(live) || &m.live[0] != &live[0] {
+		m = &pinnedVarying{live: live, pinned: resolve(p.v, live, nil)}
+		p.varying.Store(m)
+	}
+	seen := make(map[*core.Tuple]bool, len(out)+len(m.pinned))
+	for _, t := range out {
+		seen[t] = true
+	}
+	for _, t := range m.pinned {
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// resolve appends to out the pinned counterparts of the live tuples in
+// cand, dropping those whose object did not exist at the pin.
+func resolve(v core.RelVersion, cand, out []*core.Tuple) []*core.Tuple {
+	for _, t := range cand {
+		if pt, ok := v.Resolve(t); ok {
+			out = append(out, pt)
+		}
+	}
+	return out
 }

@@ -115,10 +115,6 @@ func InvalidateIndexes(r *core.Relation) {
 // and degrades to a full rebuild on next access instead of applying
 // changes twice or out of order.
 func (x *RelIndexes) RelationChanged(r *core.Relation, c core.Change) {
-	// Before the per-relation index work: give the plan cache its one
-	// chance per write epoch to sweep fenced-out entries. Runs outside
-	// x.mu so the cache walk never nests inside an index lock.
-	planCacheNoteWrite()
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.stale || c.Version <= x.version {

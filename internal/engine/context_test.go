@@ -137,15 +137,15 @@ func TestCanceledKernelUnderNaiveOperator(t *testing.T) {
 	}
 }
 
-// TestCanceledKernelUnderParallelNode: the same kernel run over
+// TestCanceledKernelUnderPartitions: the same kernel run over
 // partitions aborts within one batch per worker — no worker starts
 // another chunk once the context is done.
-func TestCanceledKernelUnderParallelNode(t *testing.T) {
+func TestCanceledKernelUnderPartitions(t *testing.T) {
 	lowerParallelThreshold(t, 2*cancelBatch) // chunk = one cancellation batch
 	st := bigEMP()
 	q := `SELECT WHEN SAL > 0 FROM EMP`
-	if out, err := sess(st).Explain(q); err != nil || !strings.HasPrefix(out, "query: "+q+"\nparallel (") {
-		t.Fatalf("plan root is not a parallel node (err=%v):\n%s", err, out)
+	if out, err := sess(st).Explain(q); err != nil || !strings.HasPrefix(out, "query: "+q+"\nfilter when SAL>0, parallel (") {
+		t.Fatalf("plan root would not run partitioned (err=%v):\n%s", err, out)
 	}
 	const workers = 2
 	ctx := newFlipCtx(2)

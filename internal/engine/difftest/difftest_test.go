@@ -32,9 +32,8 @@ import (
 var diffWorkers = []int{1, 2, 4, 8}
 
 func TestMain(m *testing.M) {
-	// Low threshold for the whole binary: eligible plans go parallel on
-	// the ~100-tuple fixture. (Plans are cached per (query, versions),
-	// and every store here is built fresh, so no cross-test staleness.)
+	// Low threshold for the whole binary: eligible operators run
+	// partitioned on the ~100-tuple fixture.
 	engine.SetParallelThreshold(8)
 	engine.ResetPlanCache()
 	os.Exit(m.Run())
@@ -177,6 +176,28 @@ func TestDifferentialGolden(t *testing.T) {
 	}
 }
 
+// generated is the randomized query generator: windows, names and
+// thresholds drawn from rng over nine shapes, i selecting the shape.
+func generated(rng *rand.Rand, i int) string {
+	lo := rng.Intn(220) - 10
+	hi := lo + rng.Intn(90)
+	name := fmt.Sprintf("emp%04d", rng.Intn(80))
+	dept := []string{"Toys", "Shoes", "Books", "Tools", "Music"}[rng.Intn(5)]
+	sal := 24000 + rng.Intn(30)*1000
+	queries := []string{
+		fmt.Sprintf(`TIMESLICE EMP AT {[%d,%d]}`, lo, hi),
+		fmt.Sprintf(`SELECT WHEN NAME = '%s' FROM EMP`, name),
+		fmt.Sprintf(`SELECT WHEN SAL > %d AND DEPT = '%s' FROM EMP`, sal, dept),
+		fmt.Sprintf(`SELECT IF SAL > %d EXISTS DURING {[%d,%d]} FROM EMP`, sal, lo, hi),
+		fmt.Sprintf(`SELECT IF DEPT = '%s' FORALL DURING {[%d,%d]} FROM EMP`, dept, lo, hi),
+		fmt.Sprintf(`SELECT WHEN DEPT = '%s' DURING {[%d,%d]} FROM EMP`, dept, lo, hi),
+		fmt.Sprintf(`(TIMESLICE EMP AT {[%d,%d]}) JOIN REF ON NAME = RNAME`, lo, hi),
+		fmt.Sprintf(`SNAPSHOT EMP AT %d`, lo),
+		fmt.Sprintf(`WHEN (SELECT WHEN DEPT = '%s' DURING {[%d,%d]} FROM EMP)`, dept, lo, hi),
+	}
+	return queries[i%len(queries)]
+}
+
 // TestDifferentialRandomized drives generated queries over randomized
 // windows, names and thresholds — the deterministic cousin of the fuzz
 // target below, always on in plain `go test`.
@@ -184,23 +205,99 @@ func TestDifferentialRandomized(t *testing.T) {
 	st := diffStore(t, 3)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60; i++ {
-		lo := rng.Intn(220) - 10
-		hi := lo + rng.Intn(90)
-		name := fmt.Sprintf("emp%04d", rng.Intn(80))
-		dept := []string{"Toys", "Shoes", "Books", "Tools", "Music"}[rng.Intn(5)]
-		sal := 24000 + rng.Intn(30)*1000
-		queries := []string{
-			fmt.Sprintf(`TIMESLICE EMP AT {[%d,%d]}`, lo, hi),
-			fmt.Sprintf(`SELECT WHEN NAME = '%s' FROM EMP`, name),
-			fmt.Sprintf(`SELECT WHEN SAL > %d AND DEPT = '%s' FROM EMP`, sal, dept),
-			fmt.Sprintf(`SELECT IF SAL > %d EXISTS DURING {[%d,%d]} FROM EMP`, sal, lo, hi),
-			fmt.Sprintf(`SELECT IF DEPT = '%s' FORALL DURING {[%d,%d]} FROM EMP`, dept, lo, hi),
-			fmt.Sprintf(`SELECT WHEN DEPT = '%s' DURING {[%d,%d]} FROM EMP`, dept, lo, hi),
-			fmt.Sprintf(`(TIMESLICE EMP AT {[%d,%d]}) JOIN REF ON NAME = RNAME`, lo, hi),
-			fmt.Sprintf(`SNAPSHOT EMP AT %d`, lo),
-			fmt.Sprintf(`WHEN (SELECT WHEN DEPT = '%s' DURING {[%d,%d]} FROM EMP)`, dept, lo, hi),
+		compareAll(t, st, generated(rng, i))
+	}
+}
+
+// commitInterleaved commits one write group that moves data under
+// cached plans in every way a write can: a fresh EMP and a fresh REF
+// tuple; a merge that turns REF.GRP — constant on every REF tuple —
+// time-varying on one of them (out of its hash bucket, into the varying
+// overflow); and merges that extend three EMP lifespans into chronons
+// they did not cover, so a tuple outside a query's window before the
+// write can be inside it after. round varies which tuples are hit.
+func commitInterleaved(t *testing.T, st *storage.Store, round int) {
+	t.Helper()
+	emp, _ := st.Get("EMP")
+	ref, _ := st.Get("REF")
+	es, rs := emp.Scheme(), ref.Scheme()
+	full := lifespan.Interval(0, 199)
+	g := core.NewWriteGroup()
+
+	lo := chronon.Time(7 * round % 150)
+	g.Insert(emp, core.NewTupleBuilder(es, lifespan.Interval(lo, lo+40)).
+		Key("NAME", value.String_(fmt.Sprintf("new%04d", round))).
+		Set("SAL", lo, lo+40, value.Int(int64(26000+500*round))).
+		Set("DEPT", lo, lo+40, value.String_("Toys")).
+		MustBuild())
+	g.Insert(ref, core.NewTupleBuilder(rs, lifespan.Interval(lo, lo+20)).
+		Key("RNAME", value.String_(fmt.Sprintf("new%04d", round))).
+		Set("BONUS", lo, lo+20, value.Int(500)).
+		Set("GRP", lo, lo+20, value.String_("A")).
+		MustBuild())
+
+	// free is the first stretch of the clock o's lifespan misses.
+	free := func(o *core.Tuple) (chronon.Interval, bool) {
+		ivs := full.Minus(o.Lifespan()).Intervals()
+		if len(ivs) == 0 {
+			return chronon.Interval{}, false
 		}
-		compareAll(t, st, queries[i%len(queries)])
+		return ivs[0], true
+	}
+	//lint:allow pindiscipline single-goroutine test reads the relations it is about to write
+	rts, ets := ref.Tuples(), emp.Tuples()
+	r := rts[round%len(rts)]
+	if iv, ok := free(r); ok {
+		g.InsertMerging(ref, core.NewTupleBuilder(rs, lifespan.Interval(iv.Lo, iv.Hi)).
+			Key("RNAME", r.KeyValue("RNAME")).
+			Set("BONUS", iv.Lo, iv.Hi, value.Int(1)).
+			Set("GRP", iv.Lo, iv.Hi, value.String_("Z")).
+			MustBuild())
+	}
+	for k := 0; k < 3; k++ {
+		e := ets[(3*round+k)%60]
+		if iv, ok := free(e); ok {
+			g.InsertMerging(emp, core.NewTupleBuilder(es, lifespan.Interval(iv.Lo, iv.Hi)).
+				Key("NAME", e.KeyValue("NAME")).
+				Set("SAL", iv.Lo, iv.Hi, value.Int(41000)).
+				Set("DEPT", iv.Lo, iv.Hi, value.String_("Books")).
+				MustBuild())
+		}
+	}
+	if err := g.Commit(); err != nil {
+		t.Fatalf("round %d: commit: %v", round, err)
+	}
+}
+
+// TestDifferentialWriteInterleaved is the harness's mode for the plan
+// cache's contract — a plan holds no data, so a write to a relation it
+// reads neither invalidates it nor makes it wrong. Every golden and
+// generated query runs, a write group lands (commitInterleaved), and
+// the query runs again: both runs must agree with the naive evaluator
+// byte for byte at every degree, and the second must be served entirely
+// from the plans the first cached — no miss, one hit per degree.
+func TestDifferentialWriteInterleaved(t *testing.T) {
+	st := diffStore(t, 9)
+	rng := rand.New(rand.NewSource(13))
+	queries := append([]string(nil), goldenQueries...)
+	for i := 0; i < 30; i++ {
+		queries = append(queries, generated(rng, i))
+	}
+	for round, q := range queries {
+		if !compareAll(t, st, q) {
+			t.Errorf("query failed to execute: %s", q)
+			continue
+		}
+		commitInterleaved(t, st, round)
+		h0, m0, _ := engine.PlanCacheStats()
+		if !compareAll(t, st, q) {
+			t.Errorf("query failed to execute after the write: %s", q)
+		}
+		h1, m1, _ := engine.PlanCacheStats()
+		if m1 != m0 || h1-h0 != uint64(len(diffWorkers)) {
+			t.Errorf("%q after a write group: hits +%d misses +%d, want +%d / +0 — the cached plan did not survive the write",
+				q, h1-h0, m1-m0, len(diffWorkers))
+		}
 	}
 }
 

@@ -14,10 +14,12 @@
 // a plan cache that lets repeated queries skip parse and plan entirely.
 // Indexes absorb single-tuple inserts, merges and coalesced batches
 // incrementally from relation change notifications instead of
-// rebuilding. Every query executes against a pinned epoch snapshot of
-// its relations (core.Pin), so multi-relation plans read one
-// consistent database state with zero locks on the scan path even
-// while writers publish.
+// rebuilding. A plan is a pure shape over schemes and holds no data:
+// every query executes against a pinned epoch snapshot of its
+// relations (core.Pin), through which every scan, index probe and
+// WHEN-valued lifespan parameter is read, so multi-relation plans read
+// one consistent database state with zero locks on the scan path even
+// while writers publish, and cached plans survive writes.
 //
 // One way in: a DB wraps a store and hands out Sessions, and a
 // Session's Query / Eval / Explain / ExplainAnalyze are the only ways
@@ -26,11 +28,11 @@
 // and is property-tested against over randomized workloads). One way
 // to execute: every plan node has a single method, run, returning its
 // whole result as a batch; a per-tuple operator (time-slice, select,
-// project, index join) is an input set plus a kernel stated once, and
-// one loop applies a kernel to an input slice either sequentially or
-// over core.PartitionSlice chunks on the worker pool. Batches become
-// relations in exactly one place (batch.relation: the plan root and
-// the inputs of naive operators).
+// project, index join) binds to the pin as an input set plus a kernel,
+// and one loop applies a kernel to an input slice either sequentially
+// or over core.PartitionSlice chunks on the worker pool. Batches become
+// relations in exactly one place (batch.relation: the plan root, the
+// inputs of naive operators and lifespan sub-plans).
 //
 // The concurrency lifecycle — how plans, pins, write groups and the
 // plan cache interlock — is documented in docs/ARCHITECTURE.md; the

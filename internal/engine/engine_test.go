@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/lifespan"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -26,7 +28,7 @@ func TestPlanShapes(t *testing.T) {
 		{`PROJECT NAME, SAL FROM EMP`, "project NAME, SAL (key kept)"},
 		{`PROJECT DEPT FROM EMP`, "project DEPT (naive)"},
 		{`EMP NATJOIN EMP`, "natural-join (naive)"},
-		{`TIMESLICE EMP AT {[-inf,+inf]}`, "time-slice at"},
+		{`TIMESLICE EMP AT {[-inf,+inf]}`, "interval index over budget"},
 	}
 	for _, c := range cases {
 		out, err := sess(st).Explain(c.query)
@@ -85,4 +87,64 @@ func TestAttrIndexBuckets(t *testing.T) {
 	if len(dix.Varying())+dix.DistinctValues() == 0 {
 		t.Fatalf("DEPT index indexed nothing")
 	}
+}
+
+// TestEqProbeAnswersAtThePin drives the equality probe's slow path —
+// the live hash index has moved past the pin — deterministically: after
+// a merge turns a pinned-constant GRP varying (out of its bucket, into
+// the overflow) and a fresh GRP = 'A' tuple arrives, a probe through
+// the old pin must still return exactly the tuples that held 'A' at the
+// pin, in their pinned forms, each once.
+func TestEqProbeAnswersAtThePin(t *testing.T) {
+	st := testStore(t, 17)
+	ref, _ := st.Get("REF")
+	rs := ref.Scheme()
+	_, vers := core.Pin(ref)
+	v := vers[0]
+	want := map[*core.Tuple]bool{}
+	var victim *core.Tuple
+	for _, o := range v.Tuples() {
+		if c, _ := o.Value("GRP").ConstantValue(); c.Equal(value.String_("A")) {
+			want[o] = true
+			victim = o
+		}
+	}
+	if victim == nil {
+		t.Fatal("fixture has no GRP = 'A' tuple")
+	}
+	check := func(when string) {
+		t.Helper()
+		got := newEqProbe(v, "GRP").candidates(value.String_("A"))
+		seen := map[*core.Tuple]bool{}
+		for _, o := range got {
+			if !want[o] || seen[o] {
+				t.Fatalf("%s: candidate %s is not a pinned 'A' tuple, or repeats", when, o)
+			}
+			seen[o] = true
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("%s: probe found %d of the %d pinned 'A' tuples", when, len(seen), len(want))
+		}
+	}
+	check("index at the pin")
+
+	free := lifespan.Interval(0, 199).Minus(victim.Lifespan()).Intervals()[0]
+	if err := ref.InsertMerging(core.NewTupleBuilder(rs, lifespan.Interval(free.Lo, free.Hi)).
+		Key("RNAME", victim.KeyValue("RNAME")).
+		Set("BONUS", free.Lo, free.Hi, value.Int(1)).
+		Set("GRP", free.Lo, free.Hi, value.String_("Z")).
+		MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Insert(core.NewTupleBuilder(rs, lifespan.Interval(0, 9)).
+		Key("RNAME", value.String_("newcomer")).
+		Set("BONUS", 0, 9, value.Int(1)).
+		Set("GRP", 0, 9, value.String_("A")).
+		MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(Indexes(ref).Attr("GRP").Varying()); got != 1 {
+		t.Fatalf("merge left %d tuples in the varying overflow, want 1", got)
+	}
+	check("index past the pin")
 }

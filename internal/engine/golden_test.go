@@ -97,6 +97,7 @@ var explainGolden = []struct {
 	{"equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`, false},
 	{"during_interval_index", `SELECT WHEN SAL > 30000 DURING {[100,139]} FROM EMP`, false},
 	{"cache_hit", `SELECT WHEN NAME = 'bbemp' FROM EMP`, true},
+	{"time_slice_when_subplan", `TIMESLICE EMP AT WHEN (SELECT WHEN DEPT = 'Toys' FROM EMP)`, false},
 }
 
 // TestExplainGolden locks the full EXPLAIN rendering — plan shape,

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,7 +52,7 @@ type IntervalIndex struct {
 
 // NewIntervalIndex builds the index over r's tuples.
 func NewIntervalIndex(r *core.Relation) *IntervalIndex {
-	//lint:allow pindiscipline index builds read the live relation by design; execution resolves probes back through Snapshot.resolve
+	//lint:allow pindiscipline index builds read the live relation by design; execution maps probes back to the pin (overlapping)
 	return newIntervalIndexFrom(r.Tuples())
 }
 
@@ -286,25 +288,19 @@ func (n *inode) visit(qlo, qhi chronon.Time, f func(ientry)) {
 	}
 }
 
-// collect walks the tree and overlay once and returns the deduplicated
-// matches: the ord→tuple map and the (unsorted) ord list. Entries whose
-// tuple a merge replaced are skipped; the merged tuple's overlay entries
-// reuse the original ordinal, keeping candidate order deterministic.
-func (ix *IntervalIndex) collect(L lifespan.Lifespan) (map[int]*core.Tuple, []int) {
+// hits walks the tree and overlay once and returns the live entries
+// overlapping L, one per tuple, in position order — the deterministic
+// candidate order the plan nodes stream — or false once more than max
+// entries have matched, before paying for the sort an abandoned index
+// plan would discard. Entries whose tuple a merge replaced are skipped;
+// the merged tuple's overlay entries reuse the original ordinal.
+func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if L.IsEmpty() || (ix.root == nil && len(ix.extra) == 0) {
-		return nil, nil
-	}
-	seen := make(map[int]*core.Tuple)
-	ords := make([]int, 0, 16)
+	var es []ientry
 	hit := func(e ientry) {
-		if ix.dead[e.t] {
-			return
-		}
-		if _, dup := seen[e.ord]; !dup {
-			seen[e.ord] = e.t
-			ords = append(ords, e.ord)
+		if len(es) <= max && !ix.dead[e.t] {
+			es = append(es, e)
 		}
 	}
 	for _, qv := range L.Intervals() {
@@ -315,48 +311,61 @@ func (ix *IntervalIndex) collect(L lifespan.Lifespan) (map[int]*core.Tuple, []in
 			}
 		}
 	}
-	return seen, ords
+	if len(es) > max {
+		return nil, false
+	}
+	// A tuple with several incarnations inside L matched once per
+	// interval; its entries share an ordinal.
+	slices.SortFunc(es, func(a, b ientry) int { return a.ord - b.ord })
+	return slices.CompactFunc(es, func(a, b ientry) bool { return a.ord == b.ord }), true
 }
 
-// order sorts the collected ords and lays the tuples out in insertion
-// order — the deterministic candidate order the plan nodes stream.
-func order(seen map[int]*core.Tuple, ords []int) []*core.Tuple {
-	if len(ords) == 0 {
+// Overlapping returns, in insertion order, the tuples whose lifespan
+// shares at least one chronon with L.
+func (ix *IntervalIndex) Overlapping(L lifespan.Lifespan) []*core.Tuple {
+	es, _ := ix.hits(L, math.MaxInt)
+	if len(es) == 0 {
 		return nil
 	}
-	sort.Ints(ords)
-	out := make([]*core.Tuple, len(ords))
-	for i, o := range ords {
-		out[i] = seen[o]
+	out := make([]*core.Tuple, len(es))
+	for i, e := range es {
+		out[i] = e.t
 	}
 	return out
 }
 
-// Overlapping returns, in insertion order, the tuples whose lifespan
-// shares at least one chronon with L — exactly the candidate set the
-// index-aware TIME-SLICE and DURING-pruned SELECT fast paths require.
-func (ix *IntervalIndex) Overlapping(L lifespan.Lifespan) []*core.Tuple {
-	return order(ix.collect(L))
-}
-
-// OverlappingWithin is the planner's pricing-plus-probe entry point:
-// one tree traversal that materializes the ordered candidate set only
-// when at most max tuples overlap L, and otherwise reports false
-// without paying for the sort and slice an abandoned index plan would
-// discard.
-func (ix *IntervalIndex) OverlappingWithin(L lifespan.Lifespan, max int) ([]*core.Tuple, bool) {
-	seen, ords := ix.collect(L)
-	if len(ords) > max {
+// overlapping is the executor's pricing-plus-probe entry point: the
+// tuples of pinned version v whose lifespan could share a chronon with
+// L, in pinned order, when the relation's interval index matches at
+// most max entries — and false otherwise. The index is fetched from the
+// catalog here, per execution (the catalog replaces the object on
+// resync and eviction), and is at least as new as the pin; its
+// ordinals are tuple positions, which appends and merges never move, so
+// a match at a position inside the pinned prefix is the pinned tuple
+// there. Lifespans only grow under merges, so the live matches are a
+// superset of the pinned ones and the caller's restriction to L drops
+// the excess.
+func overlapping(v core.RelVersion, L lifespan.Lifespan, max int) ([]*core.Tuple, bool) {
+	es, ok := Indexes(v.Rel()).Interval().hits(L, max)
+	if !ok {
 		return nil, false
 	}
-	return order(seen, ords), true
+	pinned := v.Tuples()
+	out := make([]*core.Tuple, 0, len(es))
+	for _, e := range es {
+		if e.ord >= len(pinned) {
+			break
+		}
+		out = append(out, pinned[e.ord])
+	}
+	return out, true
 }
 
 // CountOverlapping returns |Overlapping(L)| without materializing the
 // candidate slice.
 func (ix *IntervalIndex) CountOverlapping(L lifespan.Lifespan) int {
-	_, ords := ix.collect(L)
-	return len(ords)
+	es, _ := ix.hits(L, math.MaxInt)
+	return len(es)
 }
 
 // AliveAt returns the tuples alive at the single chronon s.

@@ -76,3 +76,57 @@ func TestIntervalIndexEmptyRelation(t *testing.T) {
 		t.Fatalf("empty relation should match nothing, got %d", len(got))
 	}
 }
+
+// TestOverlappingAnswersAtThePin drives the pinned interval probe with
+// the live index past the pin: after a merge extends an old tuple's
+// lifespan into the window and a fresh tuple is born inside it, the
+// probe through the old pin returns only pinned tuples, in pinned
+// order, and every one whose pinned lifespan overlaps the window.
+func TestOverlappingAnswersAtThePin(t *testing.T) {
+	r := workload.Personnel(workload.PersonnelConfig{
+		NumEmployees: 40, HistoryLen: 200, ChangeEvery: 10, ReincarnationProb: 0.5, Seed: 23,
+	})
+	Indexes(r).Interval()
+	_, vers := core.Pin(r)
+	v := vers[0]
+	L := lifespan.Interval(60, 70)
+	var outside *core.Tuple
+	for _, o := range v.Tuples() {
+		if !o.Lifespan().Overlaps(L) {
+			outside = o
+		}
+	}
+	if outside == nil {
+		t.Fatal("fixture has no tuple outside the window")
+	}
+	if err := r.InsertMerging(empTuple(r.Scheme(), outside.KeyValue("NAME").AsString(), 62, 64, 1, "X")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Insert(empTuple(r.Scheme(), "newcomer", 60, 70, 1, "X")); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := overlapping(v, L, len(v.Tuples()))
+	if !ok {
+		t.Fatal("probe declined an unlimited budget")
+	}
+	pos := map[*core.Tuple]int{}
+	for i, o := range v.Tuples() {
+		pos[o] = i
+	}
+	last, found := -1, map[*core.Tuple]bool{}
+	for _, o := range got {
+		p, pinned := pos[o]
+		if !pinned || p <= last {
+			t.Fatalf("candidate %s is not a pinned tuple in pinned order", o)
+		}
+		last, found[o] = p, true
+	}
+	for _, o := range v.Tuples() {
+		if o.Lifespan().Overlaps(L) && !found[o] {
+			t.Fatalf("pinned tuple %s overlaps %s but was not a candidate", o, L)
+		}
+	}
+	if _, ok := overlapping(v, L, 0); ok {
+		t.Fatal("probe ignored its budget")
+	}
+}

@@ -17,8 +17,6 @@ var (
 	mQueries       = obs.Default.Counter("engine.queries")
 	mQueryErrors   = obs.Default.Counter("engine.query_errors")
 	mNaiveFallback = obs.Default.Counter("engine.naive_fallbacks")
-	mPinRetries    = obs.Default.Counter("engine.pin_retries")
-	mPinExclusive  = obs.Default.Counter("engine.pin_exclusive")
 	mSlowRecorded  = obs.Default.Counter("engine.slowlog.recorded")
 	mQueryTotal    = obs.Default.Histogram("engine.query_total_ns")
 	mEpochAge      = obs.Default.Histogram("engine.snapshot.epoch_age")
@@ -49,8 +47,9 @@ const stageHistFloor = 50 * time.Microsecond
 // finishQuery closes a query's span into the registry: the total and
 // (for non-trivial queries) per-stage histograms, the error and
 // epoch-age accounting, and — past the slow-log threshold — a full
-// slow-query record with normalized text, plan fingerprint, snapshot
-// epoch and stage breakdown. text is used only when p is nil (parse
+// slow-query record with normalized text, what ran against what (the
+// plan's text and the pinned name@version list), snapshot epoch and
+// stage breakdown. text is used only when p is nil (parse
 // errors, naive fallback); planned queries record the plan's canonical
 // text. A "src:"/"ast:" cache-key prefix on text is stripped lazily,
 // so hot callers can pass the key they already computed.
@@ -79,7 +78,7 @@ func finishQuery(sp *obs.Span, text string, p *Plan, snap *Snapshot, err error) 
 		fp := ""
 		if p != nil {
 			text = p.text
-			fp = planFingerprint(p.text, p.deps)
+			fp = p.text + " @ " + snap.String()
 		} else {
 			text = strings.TrimPrefix(strings.TrimPrefix(text, "src:"), "ast:")
 		}

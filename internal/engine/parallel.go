@@ -8,32 +8,29 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/lifespan"
 	"repro/internal/obs"
-	"repro/internal/schema"
 )
 
-// Partitioned parallel execution. A parallelNode wraps one leaf-shaped
-// per-tuple operator — index select, index time-slice, a time-slice or
-// filter over a base scan, or an index lookup join streaming a base
-// scan — and evaluates it by splitting the operator's own input into
-// contiguous range partitions (core.PartitionSlice), running the
-// operator's own kernel over the partitions on a bounded worker pool,
-// and concatenating the per-partition result slices in partition
-// order. Because partitions are contiguous chunks of the input in
-// input order and every kernel is order-preserving within its chunk,
-// the concatenation reproduces the sequential operator's output order
-// exactly, at any degree of parallelism — the ordered-merge
-// determinism the differential harness locks byte-for-byte.
+// Partitioned parallel execution. A per-tuple operator whose bound
+// input is a slice of a pinned base relation — an index's candidates,
+// or the tuples of a base scan under a time-slice, a filter or the
+// streamed side of an index lookup join — and at least parallelMinInput
+// tuples long is evaluated by splitting that input into contiguous
+// range partitions (core.PartitionSlice), running the operator's own
+// kernel over the partitions on a bounded worker pool, and
+// concatenating the per-partition result slices in partition order.
+// Because partitions are contiguous chunks of the input in input order
+// and every kernel is order-preserving within its chunk, the
+// concatenation reproduces the sequential output order exactly, at any
+// degree of parallelism — the ordered-merge determinism the
+// differential harness locks byte-for-byte.
 //
-// Pin discipline: workers receive only the query's *Snapshot and
-// partitions of the operator's input. Every tuple a worker touches
-// comes from a pinned slice (a scan's batch) or a plan-time candidate set
-// fenced by the plan's (relation, version) deps, and join probes go
-// through the snapshot-bounded accessors (lookupKey, resolve) — so a
-// worker can never observe a torn write group, exactly as the
-// sequential operators cannot. The pindiscipline analyzer extends into
-// worker closures to keep it that way.
+// Pin discipline: workers receive only the operator's bound input and
+// kernel. Every tuple a worker touches comes from a pinned slice, and
+// join probes go through the pin (eqProbe) — so a worker can never
+// observe a torn write group, exactly as the query goroutine cannot.
+// The pindiscipline analyzer extends into worker closures to keep it
+// that way.
 
 // Worker-pool and partition metrics. tasks counts helper executions
 // dispatched to the pool; inline counts parallel operator runs that
@@ -88,22 +85,19 @@ func workersFrom(ctx context.Context) int {
 	return defaultWorkers
 }
 
-// parallelMinInput gates planning a parallel operator: inputs below it
-// (tuples or candidates at plan time) keep the plain sequential node,
-// so small stores — unit-test fixtures, golden files, the CI bench
-// smoke — plan exactly as before. Variable for tests and tuning via
-// SetParallelThreshold.
+// parallelMinInput is the engage threshold: bound inputs shorter than
+// it run on the query goroutine, so small stores — unit-test fixtures,
+// golden files, the CI bench smoke — never pay a fan-out. Variable for
+// tests and tuning via SetParallelThreshold.
 var parallelMinInput atomic.Int64
 
 const defaultParallelThreshold = 4096
 
 func init() { parallelMinInput.Store(defaultParallelThreshold) }
 
-// SetParallelThreshold sets the minimum input size (tuples or plan-time
-// candidates) at which the planner wraps an eligible operator in a
-// parallel node, returning the previous threshold. Cached plans keep
-// the shape they were compiled with; callers changing the threshold
-// mid-process (tests) should ResetPlanCache.
+// SetParallelThreshold sets the minimum pinned input size (tuples or
+// index candidates) at which an eligible operator runs partitioned,
+// returning the previous threshold.
 func SetParallelThreshold(n int) int {
 	if n < 1 {
 		n = 1
@@ -111,9 +105,29 @@ func SetParallelThreshold(n int) int {
 	return int(parallelMinInput.Swap(int64(n)))
 }
 
+// partitioned is the engage rule, read at execution off the input the
+// operator just bound.
+func partitioned(b bound) bool {
+	return b.partition && len(b.in) >= int(parallelMinInput.Load())
+}
+
+// parallelNote is the engage rule as EXPLAIN shows it: the suffix of an
+// eligible operator whose pinned input is in long enough to run
+// partitioned, with the prune window if one is known before execution.
+func parallelNote(in int, window *lsExpr) string {
+	if in < int(parallelMinInput.Load()) {
+		return ""
+	}
+	d := fmt.Sprintf(", parallel (chunk=%d", parallelChunkSize())
+	if window.literal() && !window.isAll() {
+		d += fmt.Sprintf(", prune-window %s", window)
+	}
+	return d + ")"
+}
+
 // parallelChunkSize is the partition granularity: half the engage
-// threshold, so any input big enough to plan parallel splits into at
-// least two chunks. Chunk boundaries depend only on the input length —
+// threshold, so any input big enough to engage splits into at least
+// two chunks. Chunk boundaries depend only on the input length —
 // never on the degree — which keeps partition layout (and therefore
 // pruning counts and merged output) identical across worker counts.
 func parallelChunkSize() int {
@@ -168,69 +182,18 @@ func poolSubmit(f func()) bool {
 }
 
 // ---------------------------------------------------------------------
-// the parallel operator
+// the parallel executor
 
-// parallelNode evaluates child's semantics by partitioned parallel
-// execution: it borrows child's input and kernel instead of running
-// child, which stays in the plan tree unexecuted (EXPLAIN, baseRel
-// walks, estimate). window, when armed, prunes partitions whose
-// lifespan bounds miss it entirely.
-type parallelNode struct {
-	child tupleOp
-	// window/windowed arm the lifespan-range partition prune; pruneSel
-	// is the estimated fraction of partitions surviving it (from the
-	// relation's lifespan-density statistics; set only when armed).
-	window   lifespan.Lifespan
-	windowed bool
-	pruneSel float64
-}
-
-func (n *parallelNode) scheme() *schema.Scheme { return n.child.scheme() }
-func (n *parallelNode) children() []node       { return []node{n.child} }
-
-func (n *parallelNode) estimate() cost {
-	c := n.child.estimate()
-	if n.windowed {
-		// Density statistics bound how much of the scan the
-		// lifespan-range prune can skip: partitions whose bounds miss
-		// the window cost nothing.
-		c.work *= n.pruneSel
-	}
-	return c
-}
-
-func (n *parallelNode) describe() string {
-	d := fmt.Sprintf("parallel (chunk=%d", parallelChunkSize())
-	if n.windowed {
-		d += fmt.Sprintf(", prune-window %s", n.window)
-	}
-	return d + ")"
-}
-
-func (n *parallelNode) run(s *Snapshot) (batch, error) {
-	if s != nil && s.prof != nil {
-		// Pre-create the stats entry workers may touch (profLookup on the
-		// wrapped join): all map writes happen on the query goroutine,
-		// before the fan-out, so workers only ever read the map.
-		s.prof.stats(n.child)
-	}
-	in, err := n.child.input(s)
-	if err != nil {
-		return batch{}, err
-	}
-	out, err := n.runPartitions(s, in)
-	return batch{scheme: n.scheme(), ts: out}, err
-}
-
-// runPartitions is the parallel executor: partition the input, prune
-// by lifespan bounds, fan the surviving chunks out over up to
+// runPartitions runs op's bound kernel over its bound input in
+// parallel: partition the input, skip the chunks whose lifespan bounds
+// miss the operator's window entirely, fan the rest out over up to
 // Snapshot.workers goroutines (the query goroutine always works;
 // helpers come from the bounded pool), and concatenate the per-chunk
 // results in chunk order.
-func (n *parallelNode) runPartitions(s *Snapshot, in []*core.Tuple) ([]*core.Tuple, error) {
-	parts := core.PartitionSlice(in, parallelChunkSize())
+func (s *Snapshot) runPartitions(op tupleOp, b bound) ([]*core.Tuple, error) {
+	parts := core.PartitionSlice(b.in, parallelChunkSize())
 	degree := 1
-	if s != nil && s.workers > degree {
+	if s.workers > degree {
 		degree = s.workers
 	}
 	if degree > len(parts) {
@@ -247,19 +210,18 @@ func (n *parallelNode) runPartitions(s *Snapshot, in []*core.Tuple) ([]*core.Tup
 	workerBody := func() {
 		parMetrics.busy.Add(1)
 		defer parMetrics.busy.Add(-1)
-		kern := n.child.kernel(s)
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(parts) {
 				return
 			}
 			p := parts[i]
-			if n.windowed && !p.Overlaps(n.window) {
+			if b.windowed && !p.Overlaps(b.window) {
 				pruned.Add(1)
 				continue
 			}
 			scanned.Add(1)
-			out, err := s.apply(kern, p.Tuples, nil)
+			out, err := s.apply(b.kernel, p.Tuples, nil)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -298,8 +260,8 @@ func (n *parallelNode) runPartitions(s *Snapshot, in []*core.Tuple) ([]*core.Tup
 	parMetrics.scanned.Add(uint64(scanned.Load()))
 	parMetrics.pruned.Add(uint64(pruned.Load()))
 	parMetrics.rows.Add(uint64(rows.Load()))
-	if s != nil && s.prof != nil {
-		s.prof.stats(n).par = &parStats{
+	if s.prof != nil {
+		s.prof.stats(op).par = &parStats{
 			degree:  helpers + 1,
 			parts:   len(parts),
 			scanned: int(scanned.Load()),
@@ -318,70 +280,4 @@ func (n *parallelNode) runPartitions(s *Snapshot, in []*core.Tuple) ([]*core.Tup
 		merged = append(merged, r...)
 	}
 	return merged, nil
-}
-
-// ---------------------------------------------------------------------
-// planner wrappers
-
-// maybeParallel wraps n in a parallel node when it has an eligible
-// shape — a per-tuple operator over a partitionable input (a plan-time
-// candidate slice, fenced like every other plan-time constant by the
-// plan's deps, or a base scan's pinned tuples) — and that input is
-// large enough to amortize the fan-out. Called after costing picked n,
-// so parallelism never changes which logical strategy wins.
-func maybeParallel(n node, lc *lowerCtx) node {
-	op, ok := n.(tupleOp)
-	if !ok {
-		return n
-	}
-	p := &parallelNode{child: op}
-	th := int(parallelMinInput.Load())
-	bigScan := func(child node) (*scanNode, bool) {
-		sc, ok := child.(*scanNode)
-		return sc, ok && sc.rel.Cardinality() >= th
-	}
-	switch x := n.(type) {
-	case *indexSelectNode:
-		if len(x.cand) >= th {
-			return p
-		}
-	case *indexTimeSliceNode:
-		if len(x.cand) >= th {
-			return p
-		}
-	case *timeSliceNode:
-		if sc, ok := bigScan(x.child); ok {
-			p.armWindow(x.L, timesliceSelectivity(lc.relStats(sc.name, sc.rel), x.L))
-			return p
-		}
-	case *filterNode:
-		if sc, ok := bigScan(x.child); ok {
-			if !x.forAll {
-				// ∀ keeps tuples with empty scope (vacuous truth), so
-				// only the existential and WHEN forms may skip
-				// partitions that miss the DURING window.
-				p.armWindow(x.L, timesliceSelectivity(lc.relStats(sc.name, sc.rel), x.L))
-			}
-			return p
-		}
-	case *indexJoinNode:
-		if _, ok := bigScan(x.stream); ok {
-			return p
-		}
-	}
-	return n
-}
-
-// armWindow enables the lifespan-range partition prune for window L,
-// with sel the density-statistics estimate of the surviving fraction.
-func (n *parallelNode) armWindow(L lifespan.Lifespan, sel float64) {
-	if L.Equal(lifespan.All()) {
-		return
-	}
-	n.window = L
-	n.windowed = true
-	n.pruneSel = clamp01(sel)
-	if n.pruneSel <= 0 {
-		n.pruneSel = 1.0 / 256
-	}
 }

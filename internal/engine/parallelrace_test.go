@@ -11,16 +11,15 @@ import (
 )
 
 // TestParallelQueriesRaceWriteGroups drives the parallel executor
-// against concurrent write-group commits and durable checkpoints, with
-// a cardinality-parity torn-snapshot detector. Relations A and B hold
-// key-disjoint tuples and start with equal cardinalities; every write
-// group inserts exactly one tuple into each, so at every
-// epoch-consistent cut |A| + |B| is even. The probe query unions two
-// parallel-eligible selects over A and B inside one pinned snapshot —
-// an odd cardinality means a partition worker observed one relation of
-// a group without the other, i.e. a torn snapshot. A checkpointer
-// races the same store to put the WAL/checkpoint path under the same
-// pressure. Run under -race.
+// against concurrent write-group commits and durable checkpoints, under
+// the shared torn-group detector (tornGroup): relations A and B start
+// with the same keys and every write group inserts one new key into
+// both, so at every epoch-consistent cut the two hold identical keys.
+// The probes difference two parallel-eligible selects over A and B
+// inside one pinned snapshot — a surviving tuple means a partition
+// worker observed one relation of a group without the other. A
+// checkpointer races the same store to put the WAL/checkpoint path
+// under the same pressure. Run under -race.
 func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	lowerParallelThreshold(t, 8)
 
@@ -32,8 +31,8 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	a, b := core.NewRelation(sa), core.NewRelation(sb)
 	const seedN = 100
 	for i := 0; i < seedN; i++ {
-		a.MustInsert(raceTuple(sa, fmt.Sprintf("a%05d", i), int64(i)))
-		b.MustInsert(raceTuple(sb, fmt.Sprintf("b%05d", i), int64(i)))
+		a.MustInsert(raceTuple(sa, fmt.Sprintf("k%05d", i), int64(i)))
+		b.MustInsert(raceTuple(sb, fmt.Sprintf("k%05d", i), int64(i)))
 	}
 	st.Put(a)
 	st.Put(b)
@@ -47,8 +46,8 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	go func() {
 		for i := 0; i < rounds; i++ {
 			g := core.NewWriteGroup()
-			g.Insert(a, raceTuple(sa, fmt.Sprintf("a%05d", seedN+i), int64(i)))
-			g.Insert(b, raceTuple(sb, fmt.Sprintf("b%05d", seedN+i), int64(i)))
+			g.Insert(a, raceTuple(sa, fmt.Sprintf("k%05d", seedN+i), int64(i)))
+			g.Insert(b, raceTuple(sb, fmt.Sprintf("k%05d", seedN+i), int64(i)))
 			if err := g.Commit(); err != nil {
 				writerDone <- err
 				return
@@ -68,10 +67,11 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 		ckptDone <- nil
 	}()
 
-	// Both selects plan parallel filters over their base scans (V >= 0
-	// has no equality conjunct to index), and the union on top sees both
-	// relations through the one snapshot the whole plan pinned.
-	const probe = `(SELECT WHEN V >= 0 FROM A) UNIONMERGE (SELECT WHEN V >= 0 FROM B)`
+	// Both selects are filters over their base scans (V >= 0 has no
+	// equality conjunct to index) that run partitioned, and the
+	// difference on top sees both relations through the one snapshot the
+	// whole plan pinned.
+	const selA, selB = `(SELECT WHEN V >= 0 FROM A)`, `(SELECT WHEN V >= 0 FROM B)`
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -79,18 +79,13 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				degree := []int{2, 4, 8}[(w+i)%3]
-				res, err := sess(st).Query(WithWorkers(context.Background(), degree), probe)
+				torn, err := tornGroup(sessionRun(WithWorkers(context.Background(), degree), st), selA, selB)
 				if err != nil {
 					t.Errorf("probe at degree %d: %v", degree, err)
 					return
 				}
-				n := res.Relation.Cardinality()
-				if n%2 != 0 {
-					t.Errorf("torn snapshot: |A|+|B| = %d (odd) at degree %d", n, degree)
-					return
-				}
-				if n < 2*seedN || n > 2*(seedN+rounds) {
-					t.Errorf("cardinality %d outside [%d,%d]", n, 2*seedN, 2*(seedN+rounds))
+				if torn {
+					t.Errorf("torn snapshot: A and B differ at a pinned cut, degree %d", degree)
 					return
 				}
 			}
@@ -104,12 +99,12 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: every group fully visible, parity intact.
-	res, err := sess(st).Query(WithWorkers(context.Background(), 4), probe)
+	// Quiesced: every group fully visible.
+	res, err := sess(st).Query(WithWorkers(context.Background(), 4), selA+` INTERSECT `+selB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Relation.Cardinality(); got != 2*(seedN+rounds) {
-		t.Fatalf("final cardinality %d, want %d", got, 2*(seedN+rounds))
+	if got := res.Relation.Cardinality(); got != seedN+rounds {
+		t.Fatalf("final cardinality %d, want %d", got, seedN+rounds)
 	}
 }

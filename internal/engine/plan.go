@@ -13,28 +13,31 @@ import (
 )
 
 // cost is the planner's currency: estimated result cardinality and
-// abstract work units (tuple touches). Estimates are heuristic — exact
-// candidate counts where an index was consulted at plan time, coarse
-// selectivity guesses elsewhere — which is enough to rank alternatives.
+// abstract work units (tuple touches). Estimates are heuristic and come
+// from catalog statistics alone — a plan never touches tuples — which
+// is enough to rank alternatives.
 type cost struct {
 	rows float64
 	work float64
 }
 
-// node is one operator of a physical plan. run is its only execution
-// method: it returns the node's complete result as a batch, computed
-// against the query's pinned snapshot (nil = live reads, plan-time
-// sub-queries only) — leaves read base-relation state through it, so
-// one plan executes against one consistent database version no matter
-// how many relations it touches or how writers race it. Parents, the
-// plan root and the profiler reach a node through Snapshot.run, never
-// n.run directly. opNode (the naive fallback) only knows its scheme at
-// execution time and reports nil from scheme.
+// node is one operator of a physical plan. A plan is a pure shape over
+// schemes: operators, relation pointers, literal lifespans and sub-plans
+// for WHEN-valued lifespans. Everything that depends on data — scans,
+// index probes, lifespan sub-queries — happens in run, against the
+// query's pinned snapshot, so one plan executes against one consistent
+// database version no matter how many relations it touches or how
+// writers race it, and a cached plan stays correct across writes.
+// Parents, the plan root and the profiler reach a node through
+// Snapshot.run, never n.run directly. describe renders the node for
+// EXPLAIN against the same kind of pin (probing indexes for candidate
+// counts, never running a sub-plan). opNode (the naive fallback) only
+// knows its scheme at execution time and reports nil from scheme.
 type node interface {
 	scheme() *schema.Scheme
 	run(s *Snapshot) (batch, error)
 	estimate() cost
-	describe() string
+	describe(s *Snapshot) string
 	children() []node
 }
 
@@ -49,18 +52,18 @@ type batch struct {
 
 func (b batch) tuples() []*core.Tuple {
 	if b.rel != nil {
-		//lint:allow pindiscipline rel is a frozen pinned view or an operator's private output (the live relation only under the nil snapshot's documented live reads)
+		//lint:allow pindiscipline rel is a frozen pinned view or an operator's private output
 		return b.rel.Tuples()
 	}
 	return b.ts
 }
 
-// relation is the engine's one materialization sink: the plan root and
-// the inputs of naive operators turn a tuple batch into a relation
-// here, in one coalesced pass (exact-size key map, no per-tuple lock
-// rounds). Kernels keep each input tuple's unique constant key (joins
-// concatenate two), so the construction cannot hit a duplicate; it
-// still verifies.
+// relation is the engine's one materialization sink: the plan root, the
+// inputs of naive operators and lifespan sub-plans turn a tuple batch
+// into a relation here, in one coalesced pass (exact-size key map, no
+// per-tuple lock rounds). Kernels keep each input tuple's unique
+// constant key (joins concatenate two), so the construction cannot hit
+// a duplicate; it still verifies.
 func (b batch) relation() (*core.Relation, error) {
 	if b.rel != nil {
 		return b.rel, nil
@@ -70,18 +73,32 @@ func (b batch) relation() (*core.Relation, error) {
 
 // tupleKernel is one operator's per-tuple work: it appends t's results
 // (zero, one or several tuples) to out and returns the extended slice.
-// Kernels are order-preserving and per-tuple independent, which is
-// what lets the same kernel run sequentially or over partitions.
+// Kernels are order-preserving, per-tuple independent and safe for
+// concurrent use, which is what lets the same kernel run sequentially
+// or over partitions.
 type tupleKernel func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error)
 
 // tupleOp is a per-tuple operator — the paper's T_L(r) = { t|L : t ∈ r }
-// shape: an input set plus a kernel, each stated once. kernel is
-// called once per executing goroutine, so a kernel may carry
-// per-goroutine state (the join's memoized candidate resolver).
+// shape. bind resolves it against one pinned snapshot, once per
+// execution on the query goroutine: lifespan parameters are evaluated,
+// indexes probed, the child run.
 type tupleOp interface {
 	node
-	input(s *Snapshot) ([]*core.Tuple, error)
-	kernel(s *Snapshot) tupleKernel
+	bind(s *Snapshot) (bound, error)
+}
+
+// bound is a per-tuple operator bound to one execution: its input, its
+// kernel, and what the executor may do with them. windowed promises
+// that an input tuple whose lifespan misses window produces nothing,
+// so whole partitions outside it can be skipped; partition marks an
+// input that is a slice of a pinned base relation (a scan or an
+// index's candidates), the shapes worth splitting across workers.
+type bound struct {
+	in        []*core.Tuple
+	kernel    tupleKernel
+	window    lifespan.Lifespan
+	windowed  bool
+	partition bool
 }
 
 // run executes n — the operator boundary every parent goes through.
@@ -89,7 +106,7 @@ type tupleOp interface {
 // and rows of the whole batch. Children run inside their parent's
 // run, so self time is wall minus the children's wall.
 func (s *Snapshot) run(n node) (batch, error) {
-	if s == nil || s.prof == nil {
+	if s.prof == nil {
 		return n.run(s)
 	}
 	st := s.prof.stats(n)
@@ -126,13 +143,21 @@ func (s *Snapshot) apply(k tupleKernel, in, out []*core.Tuple) ([]*core.Tuple, e
 	return out, nil
 }
 
-// runSequential executes a per-tuple operator on the query goroutine.
-func (s *Snapshot) runSequential(op tupleOp) (batch, error) {
-	in, err := op.input(s)
+// runOp executes a per-tuple operator: bind it to the pin, then run its
+// kernel over its input — on the query goroutine, or over partitions
+// when the pinned input is a base-relation slice long enough to
+// amortize the fan-out (see parallel.go).
+func (s *Snapshot) runOp(op tupleOp) (batch, error) {
+	b, err := op.bind(s)
 	if err != nil {
 		return batch{}, err
 	}
-	out, err := s.apply(op.kernel(s), in, make([]*core.Tuple, 0, len(in)))
+	var out []*core.Tuple
+	if partitioned(b) {
+		out, err = s.runPartitions(op, b)
+	} else {
+		out, err = s.apply(b.kernel, b.in, make([]*core.Tuple, 0, len(b.in)))
+	}
 	return batch{scheme: op.scheme(), ts: out}, err
 }
 
@@ -175,14 +200,97 @@ func filterKernel(c core.Condition, when, forAll bool, L lifespan.Lifespan) tupl
 	}
 }
 
-// explain renders the plan tree, one node per line with cost estimates.
-func explain(n node, b *strings.Builder, depth int) {
-	c := n.estimate()
-	fmt.Fprintf(b, "%s%s  [rows≈%.0f cost≈%.0f]\n", strings.Repeat("  ", depth), n.describe(), c.rows, c.work)
-	for _, k := range n.children() {
-		explain(k, b, depth+1)
-	}
+// ---------------------------------------------------------------------
+// lifespan parameters
+
+// lsExpr is a lifespan-valued plan parameter — the algebra's second
+// sort, the L of TIME-SLICE and SELECT … DURING: a literal, the WHEN of
+// a sub-plan's result, or a set operation over two. Only literals are
+// known to the plan; everything else is evaluated per execution by
+// Snapshot.lifespanOf, against the same pin as the rest of the query.
+type lsExpr struct {
+	lit  lifespan.Lifespan
+	when *whenNode
+	op   string // UNION, INTERSECT or MINUS over l and r
+	l, r *lsExpr
 }
+
+// allTime is the lifespan parameter of an operator without one.
+var allTime = &lsExpr{lit: lifespan.All()}
+
+func (e *lsExpr) literal() bool { return e.when == nil && e.op == "" }
+func (e *lsExpr) isAll() bool   { return e.literal() && e.lit.Equal(lifespan.All()) }
+
+// subplans appends e's WHEN sub-plans to out, left to right — the
+// order EXPLAIN prints them in below the operator they parameterise.
+func (e *lsExpr) subplans(out []node) []node {
+	switch {
+	case e.when != nil:
+		return append(out, e.when)
+	case e.op != "":
+		return e.r.subplans(e.l.subplans(out))
+	}
+	return out
+}
+
+func (e *lsExpr) String() string {
+	switch {
+	case e.when != nil:
+		return "WHEN(sub-plan)"
+	case e.op != "":
+		return "(" + e.l.String() + " " + e.op + " " + e.r.String() + ")"
+	}
+	return e.lit.String()
+}
+
+// lsApply combines two lifespans under one of lsExpr's operators.
+func lsApply(op string, l, r lifespan.Lifespan) lifespan.Lifespan {
+	switch op {
+	case "UNION":
+		return l.Union(r)
+	case "INTERSECT":
+		return l.Intersect(r)
+	}
+	return l.Minus(r)
+}
+
+// lifespanOf evaluates e against the pin, running its sub-plans.
+func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
+	switch {
+	case e.when != nil:
+		b, err := s.run(e.when)
+		if err != nil {
+			return lifespan.Lifespan{}, err
+		}
+		r, err := b.relation()
+		if err != nil {
+			return lifespan.Lifespan{}, err
+		}
+		return core.When(r), nil
+	case e.op != "":
+		l, err := s.lifespanOf(e.l)
+		if err != nil {
+			return lifespan.Lifespan{}, err
+		}
+		r, err := s.lifespanOf(e.r)
+		if err != nil {
+			return lifespan.Lifespan{}, err
+		}
+		return lsApply(e.op, l, r), nil
+	}
+	return e.lit, nil
+}
+
+// whenNode roots a lifespan sub-plan: lifespanOf takes the WHEN of its
+// child's result. It is a node so that the sub-plan shows up — labelled
+// — among the children of the operator it parameterises.
+type whenNode struct{ child node }
+
+func (n *whenNode) scheme() *schema.Scheme         { return n.child.scheme() }
+func (n *whenNode) children() []node               { return []node{n.child} }
+func (n *whenNode) run(s *Snapshot) (batch, error) { return s.run(n.child) }
+func (n *whenNode) estimate() cost                 { return n.child.estimate() }
+func (n *whenNode) describe(*Snapshot) string      { return "when (lifespan of sub-query)" }
 
 // ---------------------------------------------------------------------
 // scan
@@ -190,79 +298,124 @@ func explain(n node, b *strings.Builder, depth int) {
 // scanNode reads every tuple of a base relation — the plan leaf when
 // no index applies. Its batch is the pinned version as a frozen O(1)
 // view, so naive operators consuming it read the snapshot, not the
-// live relation.
+// live relation. card is the cardinality the planner costed with.
 type scanNode struct {
 	name string
 	rel  *core.Relation
+	card int
 }
 
 func (n *scanNode) scheme() *schema.Scheme { return n.rel.Scheme() }
 func (n *scanNode) children() []node       { return nil }
 func (n *scanNode) run(s *Snapshot) (batch, error) {
-	return batch{rel: s.relOf(n.rel)}, nil
+	v, err := s.pinned(n.rel)
+	if err != nil {
+		return batch{}, err
+	}
+	return batch{rel: v.View()}, nil
 }
 func (n *scanNode) estimate() cost {
-	r := float64(n.rel.Cardinality())
+	r := float64(n.card)
 	return cost{rows: r, work: r}
 }
-func (n *scanNode) describe() string {
-	return fmt.Sprintf("scan %s (%d tuples)", n.name, n.rel.Cardinality())
+func (n *scanNode) describe(s *Snapshot) string {
+	return fmt.Sprintf("scan %s (%d tuples)", n.name, s.card(n.rel))
+}
+
+// scanNote is parallelNote for an operator that reads child directly:
+// empty unless child is a base scan — the partitionable shape.
+func (s *Snapshot) scanNote(child node, window *lsExpr) string {
+	if sc, ok := child.(*scanNode); ok {
+		return parallelNote(s.card(sc.rel), window)
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------
 // time-slice
 
-// indexTimeSliceNode answers a static TIME-SLICE from the lifespan
-// interval index: only the tuples whose lifespan overlaps L are touched,
-// then each is restricted to L. Candidates are resolved at plan time —
-// the index probe is the cheap part — so the cost estimate is exact.
+// indexTimeSliceNode answers a static TIME-SLICE over a base relation:
+// each execution asks the lifespan interval index for the pinned tuples
+// overlapping L, and restricts only those — unless the index would
+// touch nearly everything (log n + k ≥ n), in which case restricting
+// the whole pinned relation is cheaper and it does that instead.
 type indexTimeSliceNode struct {
 	name string
 	rel  *core.Relation
-	L    lifespan.Lifespan
-	cand []*core.Tuple
+	at   *lsExpr
+	est  cost
 }
 
 func (n *indexTimeSliceNode) scheme() *schema.Scheme { return n.rel.Scheme() }
-func (n *indexTimeSliceNode) children() []node       { return nil }
+func (n *indexTimeSliceNode) children() []node       { return n.at.subplans(nil) }
 
-// cand was resolved at plan time; the engine only executes a plan
-// against a snapshot pinned at the exact versions it was compiled for,
-// so the candidate set already describes the pinned state.
-func (n *indexTimeSliceNode) input(*Snapshot) ([]*core.Tuple, error) { return n.cand, nil }
-func (n *indexTimeSliceNode) kernel(*Snapshot) tupleKernel           { return restrictKernel(n.L) }
-func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error)         { return s.runSequential(n) }
-func (n *indexTimeSliceNode) estimate() cost {
-	k := float64(len(n.cand))
-	return cost{rows: k, work: logN(n.rel.Cardinality()) + k}
-}
-func (n *indexTimeSliceNode) describe() string {
-	return fmt.Sprintf("index-time-slice %s at %s (interval index: %d of %d tuples alive)",
-		n.name, n.L, len(n.cand), n.rel.Cardinality())
+// candidates returns the pinned tuples to restrict and whether the
+// interval index chose them.
+func (n *indexTimeSliceNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*core.Tuple, bool, error) {
+	v, err := s.pinned(n.rel)
+	if err != nil {
+		return nil, false, err
+	}
+	all := v.Tuples()
+	if cand, ok := overlapping(v, L, len(all)-int(logN(len(all)))-1); ok {
+		return cand, true, nil
+	}
+	return all, false, nil
 }
 
-// timeSliceNode restricts each tuple of its child to L — the pushdown
-// residual used when the source is not a base relation, or when the
-// interval index would touch nearly everything. sel is the estimated
-// fraction of tuples surviving the restriction (interval-geometry
-// statistics over base relations, 1 where unknown).
+func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
+	L, err := s.lifespanOf(n.at)
+	if err != nil {
+		return bound{}, err
+	}
+	cand, _, err := n.candidates(s, L)
+	return bound{in: cand, kernel: restrictKernel(L), window: L, windowed: true, partition: true}, err
+}
+func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
+func (n *indexTimeSliceNode) estimate() cost                 { return n.est }
+func (n *indexTimeSliceNode) describe(s *Snapshot) string {
+	d := fmt.Sprintf("index-time-slice %s at %s", n.name, n.at)
+	if !n.at.literal() {
+		return d + " (interval index, probed at execution)"
+	}
+	cand, indexed, err := n.candidates(s, n.at.lit)
+	switch {
+	case err != nil:
+		return fmt.Sprintf("%s (%v)", d, err)
+	case !indexed:
+		d += fmt.Sprintf(" (interval index over budget: restricting all %d tuples)", len(cand))
+	default:
+		d += fmt.Sprintf(" (interval index: %d of %d tuples alive)", len(cand), s.card(n.rel))
+	}
+	return d + parallelNote(len(cand), n.at)
+}
+
+// timeSliceNode restricts each tuple of its child to L — the form used
+// when the source is not a base relation, or is one too small for an
+// index to pay.
 type timeSliceNode struct {
 	child node
-	L     lifespan.Lifespan
-	sel   float64
+	at    *lsExpr
 }
 
-func (n *timeSliceNode) scheme() *schema.Scheme                   { return n.child.scheme() }
-func (n *timeSliceNode) children() []node                         { return []node{n.child} }
-func (n *timeSliceNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
-func (n *timeSliceNode) kernel(*Snapshot) tupleKernel             { return restrictKernel(n.L) }
-func (n *timeSliceNode) run(s *Snapshot) (batch, error)           { return s.runSequential(n) }
+func (n *timeSliceNode) scheme() *schema.Scheme { return n.child.scheme() }
+func (n *timeSliceNode) children() []node       { return n.at.subplans([]node{n.child}) }
+func (n *timeSliceNode) bind(s *Snapshot) (bound, error) {
+	L, err := s.lifespanOf(n.at)
+	if err != nil {
+		return bound{}, err
+	}
+	in, err := s.tuplesFrom(n.child)
+	_, overScan := n.child.(*scanNode)
+	return bound{in: in, kernel: restrictKernel(L), window: L, windowed: true, partition: overScan}, err
+}
+func (n *timeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *timeSliceNode) estimate() cost {
 	c := n.child.estimate()
-	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
+	return cost{rows: c.rows, work: c.work + c.rows}
 }
-func (n *timeSliceNode) describe() string {
-	return fmt.Sprintf("time-slice at %s", n.L)
+func (n *timeSliceNode) describe(s *Snapshot) string {
+	return fmt.Sprintf("time-slice at %s", n.at) + s.scanNote(n.child, n.at)
 }
 
 // ---------------------------------------------------------------------
@@ -277,56 +430,121 @@ type filterNode struct {
 	cond   core.Condition
 	when   bool
 	forAll bool
-	L      lifespan.Lifespan
+	during *lsExpr
 	sel    float64
 }
 
-func (n *filterNode) scheme() *schema.Scheme                   { return n.child.scheme() }
-func (n *filterNode) children() []node                         { return []node{n.child} }
-func (n *filterNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
-func (n *filterNode) kernel(*Snapshot) tupleKernel {
-	return filterKernel(n.cond, n.when, n.forAll, n.L)
+func (n *filterNode) scheme() *schema.Scheme { return n.child.scheme() }
+func (n *filterNode) children() []node       { return n.during.subplans([]node{n.child}) }
+
+func (n *filterNode) bind(s *Snapshot) (bound, error) {
+	L, err := s.lifespanOf(n.during)
+	if err != nil {
+		return bound{}, err
+	}
+	in, err := s.tuplesFrom(n.child)
+	_, overScan := n.child.(*scanNode)
+	b := bound{in: in, kernel: filterKernel(n.cond, n.when, n.forAll, L), partition: overScan}
+	if !n.forAll {
+		// ∀ keeps tuples whose scope is empty (vacuous truth), so only
+		// the existential and WHEN forms may skip what misses DURING.
+		b.window, b.windowed = L, true
+	}
+	return b, err
 }
-func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
+func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *filterNode) estimate() cost {
 	c := n.child.estimate()
 	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
 }
-func (n *filterNode) describe() string {
-	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), n.cond, duringSuffix(n.L))
+func (n *filterNode) describe(s *Snapshot) string {
+	window := n.during
+	if n.forAll {
+		window = allTime
+	}
+	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), n.cond, duringSuffix(n.during)) +
+		s.scanNote(n.child, window)
 }
 
-// indexSelectNode evaluates a selection over an index-pruned candidate
-// set: either the tuples matching a required equality conjunct (hash
-// index probe plus its varying overflow) or the tuples overlapping a
-// DURING lifespan (interval index). The full condition still runs per
-// candidate, so pruning is pure speedup, never semantics. The ∀ form is
-// excluded by the planner — vacuously-true tuples live outside any
-// candidate set.
+// indexSelectNode evaluates an existential or WHEN selection over a
+// base relation from an index-pruned candidate set. Each execution
+// prices, against the pin, the pruning the condition permits — the
+// tuples matching a required equality conjunct (hash index probe plus
+// its varying overflow), the tuples overlapping a DURING lifespan
+// (interval index) — against filtering the whole pinned relation, and
+// takes the cheapest. The full condition still runs per candidate, so
+// pruning is pure speedup, never semantics. The ∀ form never gets here
+// — vacuously-true tuples live outside any candidate set.
 type indexSelectNode struct {
-	name  string
-	rel   *core.Relation
-	cond  core.Condition
-	when  bool
-	L     lifespan.Lifespan
-	cand  []*core.Tuple
-	prune string // how the candidates were found, for EXPLAIN
+	name   string
+	rel    *core.Relation
+	cond   core.Condition
+	when   bool
+	during *lsExpr
+	// eqAttr = eqVal is a required conjunct of cond; eqAttr is "" when
+	// it has none.
+	eqAttr string
+	eqVal  value.Value
+	est    cost
 }
 
-func (n *indexSelectNode) scheme() *schema.Scheme                 { return n.rel.Scheme() }
-func (n *indexSelectNode) children() []node                       { return nil }
-func (n *indexSelectNode) input(*Snapshot) ([]*core.Tuple, error) { return n.cand, nil }
-func (n *indexSelectNode) kernel(*Snapshot) tupleKernel {
-	return filterKernel(n.cond, n.when, false, n.L)
+func (n *indexSelectNode) scheme() *schema.Scheme { return n.rel.Scheme() }
+func (n *indexSelectNode) children() []node       { return n.during.subplans(nil) }
+
+// candidates returns the pinned tuples the condition has to see and how
+// they were found: through the equality probe eq, the interval index,
+// or (neither) by taking the whole pinned relation. Work units are the
+// planner's: a filter over the scan costs 2n, an index-select over k
+// candidates k+1.
+func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) (cand []*core.Tuple, eq *eqProbe, interval bool, err error) {
+	v, err := s.pinned(n.rel)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	cand = v.Tuples()
+	work := 2 * len(cand)
+	if n.eqAttr != "" {
+		p := newEqProbe(v, n.eqAttr)
+		if m := p.candidates(n.eqVal); len(m)+1 < work {
+			cand, eq, work = m, p, len(m)+1
+		}
+	}
+	if !n.during.isAll() {
+		// Tuples missing L have empty scope and vanish.
+		if m, ok := overlapping(v, L, work-2); ok {
+			return m, nil, true, nil
+		}
+	}
+	return cand, eq, false, nil
 }
-func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
-func (n *indexSelectNode) estimate() cost {
-	k := float64(len(n.cand))
-	return cost{rows: k, work: k + 1}
+
+func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
+	L, err := s.lifespanOf(n.during)
+	if err != nil {
+		return bound{}, err
+	}
+	cand, _, _, err := n.candidates(s, L)
+	return bound{in: cand, kernel: filterKernel(n.cond, n.when, false, L), window: L, windowed: true, partition: true}, err
 }
-func (n *indexSelectNode) describe() string {
-	return fmt.Sprintf("index-select %s %s %s%s via %s (%d of %d candidates)",
-		selKind(n.when, false), n.name, n.cond, duringSuffix(n.L), n.prune, len(n.cand), n.rel.Cardinality())
+func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
+func (n *indexSelectNode) estimate() cost                 { return n.est }
+func (n *indexSelectNode) describe(s *Snapshot) string {
+	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, n.cond, duringSuffix(n.during))
+	if !n.during.literal() {
+		return d + " (candidates priced at execution)"
+	}
+	cand, eq, interval, err := n.candidates(s, n.during.lit)
+	via := "pinned scan"
+	switch {
+	case err != nil:
+		return fmt.Sprintf("%s (%v)", d, err)
+	case interval:
+		via = fmt.Sprintf("interval-index during %s", n.during)
+	case eq != nil:
+		via = eq.String()
+	}
+	return fmt.Sprintf("%s via %s (%d of %d candidates)", d, via, len(cand), s.card(n.rel)) +
+		parallelNote(len(cand), n.during)
 }
 
 func selKind(when, forAll bool) string {
@@ -340,11 +558,11 @@ func selKind(when, forAll bool) string {
 	}
 }
 
-func duringSuffix(L lifespan.Lifespan) string {
-	if L.Equal(lifespan.All()) {
+func duringSuffix(e *lsExpr) string {
+	if e.isAll() {
 		return ""
 	}
-	return " during " + L.String()
+	return " during " + e.String()
 }
 
 // ---------------------------------------------------------------------
@@ -360,11 +578,11 @@ type projectNode struct {
 	rs    *schema.Scheme
 }
 
-func (n *projectNode) scheme() *schema.Scheme                   { return n.rs }
-func (n *projectNode) children() []node                         { return []node{n.child} }
-func (n *projectNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.child) }
-func (n *projectNode) kernel(*Snapshot) tupleKernel {
-	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+func (n *projectNode) scheme() *schema.Scheme { return n.rs }
+func (n *projectNode) children() []node       { return []node{n.child} }
+func (n *projectNode) bind(s *Snapshot) (bound, error) {
+	in, err := s.tuplesFrom(n.child)
+	return bound{in: in, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
 		nv := make(map[string]tfunc.Func, len(n.attrs))
 		for _, a := range n.attrs {
 			nv[a] = t.Value(a)
@@ -374,14 +592,14 @@ func (n *projectNode) kernel(*Snapshot) tupleKernel {
 			return out, err
 		}
 		return append(out, nt), nil
-	}
+	}}, err
 }
-func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
+func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *projectNode) estimate() cost {
 	c := n.child.estimate()
 	return cost{rows: c.rows, work: c.work + c.rows}
 }
-func (n *projectNode) describe() string {
+func (n *projectNode) describe(*Snapshot) string {
 	return "project " + strings.Join(n.attrs, ", ") + " (key kept)"
 }
 
@@ -394,7 +612,8 @@ func (n *projectNode) describe() string {
 // probe; a time-varying value probes once per distinct image value. The
 // indexed side's varying overflow joins against every streamed tuple —
 // the index cannot rule those pairs out — so the cost model charges for
-// them and the planner picks the orientation that minimizes the total.
+// them (avgBucket, from the statistics at planning) and the planner
+// picks the orientation that minimizes the total.
 type indexJoinNode struct {
 	stream       node
 	streamAttr   string
@@ -403,120 +622,41 @@ type indexJoinNode struct {
 	indexedAttr  string
 	rs           *schema.Scheme
 	leftIsStream bool // stream side is r1 of the result scheme
-	// keyProbe probes the indexed relation's canonical key map; aix is
-	// the attribute hash index probed otherwise. Probes run against
-	// live structures at execution time and are restricted to the
-	// query's pinned snapshot: key lookups bound by the pinned prefix,
-	// attribute-index candidates resolved through it (live probes are
-	// a superset of the pinned matches — value images only grow under
-	// merges — and JoinPair re-checks every candidate, so restriction
-	// is exact).
-	keyProbe  bool
-	aix       *AttrIndex
-	probeDesc string
-	avgBucket float64
+	avgBucket    float64
 }
 
 func (n *indexJoinNode) scheme() *schema.Scheme { return n.rs }
 func (n *indexJoinNode) children() []node       { return []node{n.stream} }
 
-// probeVal returns the indexed-side tuples whose attribute could equal
-// v, as of the pinned snapshot.
-func (n *indexJoinNode) probeVal(s *Snapshot, v value.Value) []*core.Tuple {
-	s.profLookup(n)
-	if n.keyProbe {
-		if t, ok := s.lookupKey(n.indexed, v.String()); ok {
-			return []*core.Tuple{t}
-		}
-		return nil
+// bind streams the child and joins each tuple against its probed
+// candidates — found through the pin (eqProbe), and re-checked by
+// JoinPair, so the probe's superset is exact.
+func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
+	v, err := s.pinned(n.indexed)
+	if err != nil {
+		return bound{}, err
 	}
-	return s.resolve(n.indexed, n.aix.Probe(v))
-}
-
-// candidateFn returns the per-tuple candidate resolver for one
-// execution of the node. Under a snapshot, the varying overflow is
-// re-read live for every streamed tuple — a pinned-constant tuple that
-// a concurrent merge moves to varying mid-stream must still be found —
-// and the resolved candidates are deduplicated by pinned identity: the
-// same pinned object can surface through both a bucket probed before
-// such a merge and the varying list read after it, and the join must
-// not emit the pair twice. Without a snapshot (plan-time sub-query
-// evaluation only), the varying overflow is captured once up front
-// instead, which cannot alias any later bucket probe.
-func (n *indexJoinNode) candidateFn(s *Snapshot) func(*core.Tuple) []*core.Tuple {
-	var baseVarying []*core.Tuple
-	if s == nil && n.aix != nil {
-		baseVarying = n.aix.Varying()
-	}
-	// Memoized resolution of the live varying slice: Varying() hands out
-	// stable snapshots (appends extend behind them, removals copy
-	// first), so an unchanged (pointer, length) identity means unchanged
-	// contents and the resolved set from the previous streamed tuple can
-	// be reused — the per-tuple live re-read then only pays for actual
-	// mid-stream merges instead of O(stream × varying) key computations.
-	var lastVarying, lastResolved []*core.Tuple
-	resolveVarying := func() []*core.Tuple {
-		v := n.aix.Varying()
-		if len(v) == 0 {
-			return nil
-		}
-		if len(v) == len(lastVarying) && &v[0] == &lastVarying[0] {
-			return lastResolved
-		}
-		lastVarying, lastResolved = v, s.resolve(n.indexed, v)
-		return lastResolved
-	}
-	return func(t *core.Tuple) []*core.Tuple {
+	in, err := s.tuplesFrom(n.stream)
+	p := newEqProbe(v, n.indexedAttr)
+	_, overScan := n.stream.(*scanNode)
+	return bound{in: in, partition: overScan, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
 		f := t.Value(n.streamAttr)
 		if f.IsNowhereDefined() {
-			return nil
+			return out, nil
 		}
-		var out []*core.Tuple
+		// A constant join value costs one probe; a time-varying one
+		// probes once per distinct image value.
+		var cand []*core.Tuple
 		if f.IsConstant() {
 			v, _ := f.ConstantValue()
-			out = n.probeVal(s, v)
+			s.profLookups(n, 1)
+			cand = p.candidates(v)
 		} else {
-			// Distinct image values hit disjoint buckets, so no pair repeats.
-			for _, v := range f.Image() {
-				out = append(out, n.probeVal(s, v)...)
-			}
+			vals := f.Image()
+			s.profLookups(n, len(vals))
+			cand = p.candidates(vals...)
 		}
-		if n.aix == nil {
-			return out
-		}
-		varying := baseVarying
-		if s != nil {
-			varying = resolveVarying()
-		}
-		if len(varying) == 0 {
-			return out
-		}
-		merged := append(append(make([]*core.Tuple, 0, len(out)+len(varying)), out...), varying...)
-		if s == nil {
-			return merged
-		}
-		seen := make(map[*core.Tuple]bool, len(merged))
-		dedup := merged[:0]
-		for _, c := range merged {
-			if !seen[c] {
-				seen[c] = true
-				dedup = append(dedup, c)
-			}
-		}
-		return dedup
-	}
-}
-
-func (n *indexJoinNode) input(s *Snapshot) ([]*core.Tuple, error) { return s.tuplesFrom(n.stream) }
-
-// kernel joins one streamed tuple against its probed candidates. Each
-// executing goroutine gets its own candidate resolver — the resolver
-// memoizes the varying-overflow resolution, which is per-goroutine
-// state.
-func (n *indexJoinNode) kernel(s *Snapshot) tupleKernel {
-	candidates := n.candidateFn(s)
-	return func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-		for _, o := range candidates(t) {
+		for _, o := range cand {
 			t1, t2 := t, o
 			a, b := n.streamAttr, n.indexedAttr
 			if !n.leftIsStream {
@@ -532,21 +672,30 @@ func (n *indexJoinNode) kernel(s *Snapshot) tupleKernel {
 			}
 		}
 		return out, nil
-	}
+	}}, err
 }
-func (n *indexJoinNode) run(s *Snapshot) (batch, error) { return s.runSequential(n) }
+func (n *indexJoinNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexJoinNode) estimate() cost {
 	c := n.stream.estimate()
 	probes := c.rows * (1 + n.avgBucket)
 	return cost{rows: c.rows * maxf(n.avgBucket, 0.5), work: c.work + probes}
 }
-func (n *indexJoinNode) describe() string {
+func (n *indexJoinNode) describe(s *Snapshot) string {
 	side := "right"
 	if !n.leftIsStream {
 		side = "left"
 	}
-	return fmt.Sprintf("index-lookup-join %s=%s probing %s %s via %s",
-		n.streamAttr, n.indexedAttr, side, n.indexedName, n.probeDesc)
+	d := fmt.Sprintf("index-lookup-join %s=%s probing %s %s", n.streamAttr, n.indexedAttr, side, n.indexedName)
+	v, err := s.pinned(n.indexed)
+	if err != nil {
+		return fmt.Sprintf("%s (%v)", d, err)
+	}
+	p := newEqProbe(v, n.indexedAttr)
+	d += " via " + p.String()
+	if p.ix == nil {
+		d += fmt.Sprintf(" (%d keys)", v.Cardinality())
+	}
+	return d + s.scanNote(n.stream, allTime)
 }
 
 // ---------------------------------------------------------------------
@@ -555,15 +704,20 @@ func (n *indexJoinNode) describe() string {
 // opNode materializes its children and applies one naive algebra
 // operator — the planner's per-operator fallback. Children still run as
 // plans, so an indexed scan below a naive operator keeps its speedup.
+// ls is the operator's lifespan parameter (allTime for the operators
+// that take none).
 type opNode struct {
 	name  string
 	kids  []node
+	ls    *lsExpr
 	est   cost
-	apply func(rels []*core.Relation) (*core.Relation, error)
+	apply func(rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error)
 }
 
 func (n *opNode) scheme() *schema.Scheme { return nil }
-func (n *opNode) children() []node       { return n.kids }
+func (n *opNode) children() []node {
+	return n.ls.subplans(n.kids[:len(n.kids):len(n.kids)]) // capped: appending a sub-plan copies
+}
 func (n *opNode) run(s *Snapshot) (batch, error) {
 	rels := make([]*core.Relation, len(n.kids))
 	for i, k := range n.kids {
@@ -575,15 +729,19 @@ func (n *opNode) run(s *Snapshot) (batch, error) {
 			return batch{}, err
 		}
 	}
+	L, err := s.lifespanOf(n.ls)
+	if err != nil {
+		return batch{}, err
+	}
 	// A naive operator is one uninterruptible batch; check before it.
 	if err := s.canceled(); err != nil {
 		return batch{}, err
 	}
-	r, err := n.apply(rels)
+	r, err := n.apply(rels, L)
 	return batch{rel: r}, err
 }
 func (n *opNode) estimate() cost { return n.est }
-func (n *opNode) describe() string {
+func (n *opNode) describe(*Snapshot) string {
 	return n.name + " (naive)"
 }
 

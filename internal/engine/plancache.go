@@ -2,30 +2,25 @@ package engine
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 // Plan-cache metrics live in the process-wide registry so `\metrics`,
 // JSON snapshots and the benchmark harness see them alongside every
 // other engine counter; PlanCacheStats below stays as a thin typed
 // view over the same numbers. Invalidations count fence failures
-// (a dependency relation mutated or was swapped), evictions count LRU
-// overflow — the distinction tells an operator whether the cache is
-// too small or the workload too write-heavy.
+// (a dependency relation was swapped or outgrew its costing),
+// evictions count LRU overflow — the distinction tells an operator
+// whether the cache is too small or the store is being replaced.
 var (
 	mPlanHits          = obs.Default.Counter("engine.plancache.hits")
 	mPlanMisses        = obs.Default.Counter("engine.plancache.misses")
 	mPlanStores        = obs.Default.Counter("engine.plancache.stores")
 	mPlanInvalidations = obs.Default.Counter("engine.plancache.invalidations")
 	mPlanEvictions     = obs.Default.Counter("engine.plancache.evictions")
-	mPlanSweeps        = obs.Default.Counter("engine.plancache.sweeps")
 )
 
 func init() {
@@ -37,42 +32,22 @@ func init() {
 }
 
 // The plan cache memoizes compiled physical plans so repeated queries
-// skip parsing and planning — including the plan-time index probes that
-// resolve candidate sets and the WHEN sub-queries evaluated for AT and
-// DURING lifespans. An entry is keyed by normalized query text (the
-// raw source via hql.NormalizeQuery, and the parsed expression's
-// canonical rendering, so textual and structural repeats both hit) and
-// fenced by the plan's (relation, version) dependencies: any insert or
-// merge into a relation the plan touches moves that relation's version
-// and the stale entry is dropped on its next lookup. Because plans pin
-// relation pointers, a swapped environment (e.g. the CLI's \load)
-// fails the same fence and replans rather than serving results from
-// the old store.
+// skip parsing and planning. An entry is keyed by normalized query text
+// (the raw source via hql.NormalizeQuery, and the parsed expression's
+// canonical rendering, so textual and structural repeats both hit). A
+// plan holds no data, so writes do not invalidate it; it is fenced by
+// its dependencies' identity and size: each name must still resolve to
+// the relation the plan was compiled over (a swapped environment, e.g.
+// the CLI's \load, fails this and replans rather than serving results
+// from the old store), grown to no more than staleGrowth times the
+// cardinality it was costed at.
 
-// cacheEntry is one cached plan with the keys it is registered under
-// and its fingerprint — the injective identity of the (normalized
-// query, relation-version set) pair the plan answers for.
+// cacheEntry is one cached plan with the keys it is registered under.
+// elem is nil once the entry has left the cache.
 type cacheEntry struct {
 	plan *Plan
 	keys []string
-	fp   string
 	elem *list.Element
-}
-
-// planFingerprint builds the injective identity of a cached plan: the
-// query's canonical text plus every dependency as (name, version),
-// combined with value.EncodeKey's escaping so no two distinct
-// (query, dep-set) pairs can collide — a query text that happens to
-// embed "NAME|3" can never alias a dependency entry, and dependency
-// names containing separators cannot bleed into their neighbors. The
-// injectivity is property-tested in plancache_test.go.
-func planFingerprint(text string, deps []planDep) string {
-	parts := make([]string, 0, 1+2*len(deps))
-	parts = append(parts, text)
-	for _, d := range deps {
-		parts = append(parts, d.name, strconv.FormatUint(d.version, 10))
-	}
-	return value.EncodeKey(parts)
 }
 
 type planCacheT struct {
@@ -87,43 +62,32 @@ const maxPlanCache = 256
 
 var planCache = &planCacheT{entries: make(map[string]*cacheEntry), lru: list.New()}
 
-// lookup returns the cached, still-valid plan under key, dropping the
-// entry (and counting a miss) when its dependency fence fails. count
-// controls whether the hit/miss counters move — the raw-source alias
-// lookup passes false so one query never counts twice.
-func (pc *planCacheT) lookup(key string, env hql.Env, count bool) (*Plan, bool) {
-	if key == "" {
-		return nil, false
-	}
+// lookup returns the cached, still-valid entry under key (nil on a
+// miss), dropping an entry whose dependency fence fails. count controls
+// whether the hit/miss counters move — the raw-source alias lookup
+// passes false so one query never counts twice.
+func (pc *planCacheT) lookup(key string, env hql.Env, count bool) *cacheEntry {
 	pc.mu.Lock()
-	ent, ok := pc.entries[key]
-	if ok {
+	ent := pc.entries[key]
+	if ent != nil {
 		pc.lru.MoveToFront(ent.elem)
 	}
 	pc.mu.Unlock()
-	if ok && !ent.plan.valid(env) {
+	if ent != nil && !ent.plan.valid(env) {
 		pc.mu.Lock()
 		pc.removeLocked(ent)
 		pc.mu.Unlock()
 		mPlanInvalidations.Inc()
-		ok = false
+		ent = nil
 	}
 	if count {
-		if ok {
+		if ent != nil {
 			mPlanHits.Inc()
 		} else {
 			mPlanMisses.Inc()
 		}
 	}
-	if !ok {
-		return nil, false
-	}
-	return ent.plan, true
-}
-
-// countHit records a hit found through an uncounted alias lookup.
-func (pc *planCacheT) countHit() {
-	mPlanHits.Inc()
+	return ent
 }
 
 // peek reports whether a valid entry exists under key without touching
@@ -136,45 +100,20 @@ func (pc *planCacheT) peek(key string, env hql.Env) bool {
 }
 
 // store registers p under every non-empty key (replacing older entries
-// those keys pointed at) and evicts least-recently-used plans beyond
-// the bound.
+// those keys pointed at — two goroutines racing one miss leave the
+// later plan) and evicts least-recently-used plans beyond the bound.
 func (pc *planCacheT) store(keys []string, p *Plan) {
-	clean := keys[:0:0]
+	ent := &cacheEntry{plan: p}
 	for _, k := range keys {
 		if k != "" {
-			clean = append(clean, k)
+			ent.keys = append(ent.keys, k)
 		}
 	}
-	if len(clean) == 0 {
-		return
-	}
-	fp := planFingerprint(p.text, p.deps)
 	mPlanStores.Inc()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.sweepStaleLocked()
-	// Two goroutines racing the same cache miss compile the same plan
-	// twice; the fingerprint identifies the duplicate, so the second
-	// store keeps the incumbent entry (registering any missing alias
-	// keys) instead of churning the LRU with an identical plan.
-	for _, k := range clean {
-		if old, ok := pc.entries[k]; ok && old.fp == fp {
-			for _, k2 := range clean {
-				if pc.entries[k2] != old && len(old.keys) < maxAliasKeys {
-					if prev, ok := pc.entries[k2]; ok {
-						pc.removeLocked(prev)
-					}
-					pc.entries[k2] = old
-					old.keys = append(old.keys, k2)
-				}
-			}
-			pc.lru.MoveToFront(old.elem)
-			return
-		}
-	}
-	ent := &cacheEntry{plan: p, keys: clean, fp: fp}
 	ent.elem = pc.lru.PushFront(ent)
-	for _, k := range clean {
+	for _, k := range ent.keys {
 		if old, ok := pc.entries[k]; ok && old != ent {
 			pc.removeLocked(old)
 		}
@@ -186,59 +125,6 @@ func (pc *planCacheT) store(keys []string, p *Plan) {
 	}
 }
 
-// lastSweepEpoch coalesces write-driven sweeps to one per database
-// epoch. A write group touching k catalogued relations delivers k
-// change notifications, but the whole group moved the epoch exactly
-// once — so the first notification CASes the epoch forward and sweeps,
-// and the remaining k−1 observe the already-current epoch and return
-// without touching the cache lock. Sweeping once per group instead of
-// once per member relation is the difference between O(groups) and
-// O(relations) full-cache walks under wide commits.
-var lastSweepEpoch atomic.Uint64
-
-// planCacheNoteWrite is called from the index catalog's change
-// observer, after every relation/publish lock of the commit has been
-// released. It runs at most one stale sweep per epoch; writes to
-// unpublished relations (which never move the epoch) may coalesce into
-// a neighboring sweep, but such relations cannot be plan dependencies —
-// plans only pin relations resolved from a store, and stores publish.
-func planCacheNoteWrite() {
-	e := core.Epoch()
-	old := lastSweepEpoch.Load()
-	if old == e || !lastSweepEpoch.CompareAndSwap(old, e) {
-		return // this epoch's sweep already ran (or another writer won the CAS)
-	}
-	mPlanSweeps.Inc()
-	planCache.mu.Lock()
-	planCache.sweepStaleLocked()
-	planCache.mu.Unlock()
-}
-
-// sweepStaleLocked drops every entry one of whose pinned relations has
-// mutated since planning. Versions are monotone, so such a fence can
-// never pass again; without the sweep an invalidated entry is only
-// evicted when its exact query text is looked up again (or by LRU
-// overflow), retaining dead candidate slices and relation generations
-// meanwhile. Runs on each store — i.e. once per compile — and once per
-// write epoch via planCacheNoteWrite, over at most maxPlanCache
-// entries each time. Entries from a swapped-out environment (same
-// versions, different store) are not caught here; callers that swap
-// environments run InvalidateStalePlans against the new one.
-func (pc *planCacheT) sweepStaleLocked() {
-	var next *list.Element
-	for e := pc.lru.Front(); e != nil; e = next {
-		next = e.Next()
-		ent := e.Value.(*cacheEntry)
-		for _, d := range ent.plan.deps {
-			if d.rel.Version() != d.version {
-				pc.removeLocked(ent)
-				mPlanInvalidations.Inc()
-				break
-			}
-		}
-	}
-}
-
 // maxAliasKeys bounds the spellings one entry may be registered under.
 // Without it, a stream of whitespace-variant spellings of one query
 // would grow the entries map without bound while the LRU stays at a
@@ -246,28 +132,22 @@ func (pc *planCacheT) sweepStaleLocked() {
 // the canonical AST key after their parse.
 const maxAliasKeys = 8
 
-// addKey registers an additional alias key for an already-cached plan
-// (e.g. the raw-source spelling of a query first seen pre-parsed).
-func (pc *planCacheT) addKey(p *Plan, key string) {
+// addKey registers an additional alias key for a cached entry (e.g.
+// the raw-source spelling of a query first seen pre-parsed).
+func (pc *planCacheT) addKey(ent *cacheEntry, key string) {
 	if key == "" {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for e := pc.lru.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*cacheEntry)
-		if ent.plan == p {
-			if len(ent.keys) >= maxAliasKeys {
-				return
-			}
-			if old, ok := pc.entries[key]; ok && old != ent {
-				pc.removeLocked(old)
-			}
-			pc.entries[key] = ent
-			ent.keys = append(ent.keys, key)
-			return
-		}
+	if ent.elem == nil || len(ent.keys) >= maxAliasKeys || pc.entries[key] == ent {
+		return
 	}
+	if old, ok := pc.entries[key]; ok {
+		pc.removeLocked(old)
+	}
+	pc.entries[key] = ent
+	ent.keys = append(ent.keys, key)
 }
 
 func (pc *planCacheT) removeLocked(ent *cacheEntry) {
@@ -293,12 +173,12 @@ func PlanCacheStats() (hits, misses uint64, entries int) {
 
 // InvalidateStalePlans drops every cached plan that no longer
 // validates against env — one of its dependencies resolves to a
-// different relation (a swapped store) or a moved version — and
-// reports how many entries were dropped. Entries whose dependencies
-// still resolve identically survive, so a store swap that shares
-// relations with its predecessor (or a reload of unrelated relations)
-// keeps the working set warm: the precise replacement for clearing
-// the cache wholesale on swap.
+// different relation (a swapped store) or has outgrown its costing —
+// and reports how many entries were dropped. Entries whose
+// dependencies still resolve identically survive, so a store swap that
+// shares relations with its predecessor (or a reload of unrelated
+// relations) keeps the working set warm: the precise replacement for
+// clearing the cache wholesale on swap.
 func InvalidateStalePlans(env hql.Env) (dropped int) {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()

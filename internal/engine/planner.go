@@ -16,9 +16,10 @@ import (
 
 // Plan is a compiled query: a physical operator tree plus the result
 // sort of the original expression (relation, lifespan or snapshot),
-// the (relation, version) pairs the plan was compiled against — the
-// plan cache's validity fence — and the statistics the planner
-// consulted, for EXPLAIN.
+// the relations it depends on — the plan cache's validity fence — and
+// the statistics the planner consulted, for EXPLAIN. A plan holds no
+// tuples, index objects or evaluated lifespans, so a write to a
+// relation it reads does not outdate it.
 type Plan struct {
 	root  node
 	kind  planKind
@@ -28,16 +29,22 @@ type Plan struct {
 	notes []string
 }
 
-// planDep pins one relation the plan depends on — resolved from the
-// environment during lowering (including WHEN sub-queries evaluated at
-// plan time) — at the version the plan saw. A cached plan is reusable
-// only while every dep still resolves to the same relation at the same
-// version.
+// planDep is one relation the plan depends on — resolved from the
+// environment during lowering, lifespan sub-plans included — with the
+// cardinality the planner costed it at. A cached plan is reusable
+// while every dep still resolves to the same relation (schemes are
+// immutable per relation) and none has outgrown its costing.
 type planDep struct {
-	name    string
-	rel     *core.Relation
-	version uint64
+	name string
+	rel  *core.Relation
+	card int
 }
+
+// staleGrowth bounds how stale a cost-chosen shape (a join
+// orientation, a too-small-to-index short-circuit) can get: a cached
+// plan is replanned once a dependency holds more than staleGrowth
+// times the tuples it was costed with.
+const staleGrowth = 2
 
 type planKind uint8
 
@@ -60,12 +67,15 @@ func newLowerCtx(env hql.Env) *lowerCtx {
 	return &lowerCtx{env: env, deps: make(map[string]planDep), notes: make(map[string]string)}
 }
 
-// dep records that the plan depends on relation r (resolved as name) at
-// its current version.
-func (lc *lowerCtx) dep(name string, r *core.Relation) {
-	if _, ok := lc.deps[name]; !ok {
-		lc.deps[name] = planDep{name: name, rel: r, version: r.Version()}
+// scan records that the plan depends on relation r (resolved as name)
+// and returns its leaf; repeated references share one costing.
+func (lc *lowerCtx) scan(name string, r *core.Relation) *scanNode {
+	d, ok := lc.deps[name]
+	if !ok {
+		d = planDep{name: name, rel: r, card: r.Cardinality()}
+		lc.deps[name] = d
 	}
+	return &scanNode{name: name, rel: r, card: d.card}
 }
 
 // relStats resolves and records the statistics object of a base
@@ -162,12 +172,10 @@ func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 // run executes the plan against the given pinned snapshot and wraps
 // the result in the query's sort. It is deliberately unexported: a
 // Session's query methods are the only execution paths, and each pins
-// a snapshot verified against the plan's compile-time versions before
-// running — there is no best-effort execute-without-verify path. sp
-// receives the execute mark when the operator tree's root batch
-// returns and the materialize mark after the sink has built the
-// result relation (and, for WHEN and SNAPSHOT queries, derived the
-// result from it).
+// a snapshot of the plan's dependencies first. sp receives the execute
+// mark when the operator tree's root batch returns and the materialize
+// mark after the sink has built the result relation (and, for WHEN and
+// SNAPSHOT queries, derived the result from it).
 func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 	b, err := s.run(p.root)
 	sp.Mark(obs.StageExecute)
@@ -200,33 +208,52 @@ func (p *Plan) result(b batch) (hql.Result, error) {
 	}
 }
 
-// valid reports whether the plan's relation dependencies still resolve
-// to the same relations at the versions the plan was compiled against.
+// valid reports whether the plan's dependencies still resolve to the
+// same relations, none grown past staleGrowth times its costing.
 func (p *Plan) valid(env hql.Env) bool {
 	for _, d := range p.deps {
 		r, ok := env.Get(d.name)
-		if !ok || r != d.rel || r.Version() != d.version {
+		if !ok || r != d.rel || r.Cardinality() > staleGrowth*d.card {
 			return false
 		}
 	}
 	return true
 }
 
-// Explain renders the physical plan — one operator per line with cost
-// estimates — followed by the statistics the planner consulted.
-func (p *Plan) Explain() string {
-	var b strings.Builder
+// render is the skeleton EXPLAIN and EXPLAIN ANALYZE share: the
+// result-sort header, then the operator tree depth-first, one node per
+// line — described against pin s, with its cost estimate, and whatever
+// actual (if non-nil) appends for it.
+func (p *Plan) render(b *strings.Builder, s *Snapshot, actual func(n node)) {
+	depth := 0
 	switch p.kind {
 	case planWhen:
 		b.WriteString("when (lifespan of result)\n")
+		depth = 1
 	case planSnapshot:
-		fmt.Fprintf(&b, "snapshot at %s\n", p.at)
-	}
-	depth := 0
-	if p.kind != planRelation {
+		fmt.Fprintf(b, "snapshot at %s\n", p.at)
 		depth = 1
 	}
-	explain(p.root, &b, depth)
+	var visit func(n node, depth int)
+	visit = func(n node, depth int) {
+		c := n.estimate()
+		fmt.Fprintf(b, "%s%s  [rows≈%.0f cost≈%.0f]", strings.Repeat("  ", depth), n.describe(s), c.rows, c.work)
+		if actual != nil {
+			actual(n)
+		}
+		b.WriteString("\n")
+		for _, k := range n.children() {
+			visit(k, depth+1)
+		}
+	}
+	visit(p.root, depth)
+}
+
+// explain renders the physical plan against pin s, followed by the
+// statistics the planner consulted.
+func (p *Plan) explain(s *Snapshot) string {
+	var b strings.Builder
+	p.render(&b, s, nil)
 	if len(p.notes) > 0 {
 		b.WriteString("statistics:\n")
 		for _, n := range p.notes {
@@ -246,8 +273,7 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown relation %q", n.Name)
 		}
-		lc.dep(n.Name, r)
-		return &scanNode{name: n.Name, rel: r}, nil
+		return lc.scan(n.Name, r), nil
 
 	case *hql.TimesliceExpr:
 		child, err := lower(n.Source, lc)
@@ -259,11 +285,11 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 				return core.TimesliceDynamic(r, n.By)
 			}), nil
 		}
-		L, err := evalLS(n.At, lc)
+		at, err := lowerLS(n.At, lc)
 		if err != nil {
 			return nil, err
 		}
-		return maybeParallel(lowerTimeslice(child, L, lc), lc), nil
+		return lowerTimeslice(child, at, lc), nil
 
 	case *hql.SelectExpr:
 		return lowerSelect(n, lc)
@@ -307,41 +333,30 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 	}
 }
 
-// lowerTimeslice picks between the interval index, a per-tuple restrict,
-// and the naive operator for a static TIME-SLICE.
-func lowerTimeslice(child node, L lifespan.Lifespan, lc *lowerCtx) node {
-	if sc, ok := child.(*scanNode); ok {
-		// One tree traversal prices the index and, only if it wins
-		// (log n + k < n), materializes the candidate set.
-		n := sc.rel.Cardinality()
-		kmax := n - int(logN(n)) - 1
-		if kmax <= 0 {
-			// Relations of a couple of tuples can never beat a straight
-			// restrict (the budget is already negative); don't traverse
-			// an interval tree just to discard it.
-			return &timeSliceNode{child: child, L: L, sel: 1}
+// lowerTimeslice plans a static TIME-SLICE: the interval index over a
+// base relation big enough for one to pay (log n + k < n needs n > 2),
+// a per-tuple restrict over any other known scheme, the naive operator
+// otherwise.
+func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
+	if sc, ok := child.(*scanNode); ok && sc.card-int(logN(sc.card))-1 > 0 {
+		k := float64(sc.card)
+		if at.literal() {
+			k *= timesliceSelectivity(lc.relStats(sc.name, sc.rel), at.lit)
 		}
-		if cand, ok := Indexes(sc.rel).Interval().OverlappingWithin(L, kmax); ok {
-			return &indexTimeSliceNode{name: sc.name, rel: sc.rel, L: L, cand: cand}
-		}
-		// Index touches nearly everything; a plain scan restricts with
-		// less overhead. The interval geometry still improves the output
-		// estimate over the pessimistic "every tuple survives".
-		return &timeSliceNode{child: child, L: L,
-			sel: timesliceSelectivity(lc.relStats(sc.name, sc.rel), L)}
+		return &indexTimeSliceNode{name: sc.name, rel: sc.rel, at: at,
+			est: cost{rows: k, work: logN(sc.card) + k}}
 	}
 	if child.scheme() != nil {
-		return &timeSliceNode{child: child, L: L, sel: 1}
+		return &timeSliceNode{child: child, at: at}
 	}
-	return naive1("time-slice at "+L.String(), child, func(r *core.Relation) (*core.Relation, error) {
-		return core.TimesliceStatic(r, L)
-	})
+	return naiveL("time-slice at "+at.String(), child, at, core.TimesliceStatic)
 }
 
-// lowerSelect plans SELECT IF/WHEN: index-pruned candidates where a
-// required equality conjunct or a DURING lifespan permits, a per-tuple
-// filter otherwise, the naive operator when the child's scheme is only
-// known at execution time.
+// lowerSelect plans SELECT IF/WHEN: an index-select over a base
+// relation where a required equality conjunct or a DURING lifespan
+// gives an index something to prune by, a per-tuple filter otherwise,
+// the naive operator when the child's scheme is only known at
+// execution time.
 func lowerSelect(n *hql.SelectExpr, lc *lowerCtx) (node, error) {
 	child, err := lower(n.Source, lc)
 	if err != nil {
@@ -351,75 +366,60 @@ func lowerSelect(n *hql.SelectExpr, lc *lowerCtx) (node, error) {
 	if err != nil {
 		return nil, err
 	}
-	L := lifespan.All()
+	during := allTime
 	if n.During != nil {
-		L, err = evalLS(n.During, lc)
-		if err != nil {
+		if during, err = lowerLS(n.During, lc); err != nil {
 			return nil, err
 		}
 	}
+	forAll := !n.When && n.ForAll
 	cs := child.scheme()
 	if cs == nil {
-		return naiveSelect(n, cond, L, child), nil
+		return naiveSelect(n, cond, during, child), nil
 	}
 	if err := core.CondCheck(cond, cs); err != nil {
 		return nil, err // surface via the naive evaluator's error path
 	}
+	// ∀ quantification keeps tuples whose scope is empty (vacuous truth),
+	// so no candidate pruning is sound for it.
 	sc, isScan := child.(*scanNode)
+	reqAttr, reqVal, hasReq := requiredEQ(n.Cond)
+	if hasReq {
+		a, has := cs.Attr(reqAttr)
+		hasReq = isScan && !forAll && has && a.Domain.Kind == reqVal.Kind()
+	}
 	// Selectivity: statistics-derived for base relations, comparator
 	// defaults for derived inputs whose distribution the catalog cannot
-	// see. Statistics come only from indexes the plan pays for anyway —
-	// the key map, an already-built index, or the required-equality
-	// probe index the index-select candidate is about to build.
-	reqAttr, reqVal, hasReq := requiredEQ(n.Cond)
+	// see. Statistics come only from indexes the query pays for anyway —
+	// the key map, an already-built index, or the index an index-select
+	// will probe for its required equality.
 	var statsFor func(attr string) (AttrStats, bool)
 	if rel, rname, ok := baseRel(child); ok {
 		statsFor = func(attr string) (AttrStats, bool) {
 			if !rel.Scheme().HasAttr(attr) {
 				return AttrStats{}, false
 			}
-			// ∀ selects never prune candidates, so they build no probe
-			// index either.
-			willBuild := isScan && !(!n.When && n.ForAll) && hasReq && attr == reqAttr
-			if willBuild {
-				a, has := cs.Attr(attr)
-				willBuild = has && a.Domain.Kind == reqVal.Kind()
-			}
-			return lc.attrStatsCheap(rname, rel, attr, willBuild)
+			return lc.attrStatsCheap(rname, rel, attr, hasReq && attr == reqAttr)
 		}
 	}
 	sel := condSelectivity(n.Cond, statsFor)
-	filter := &filterNode{child: child, cond: cond, when: n.When, forAll: !n.When && n.ForAll, L: L, sel: sel}
-	if !isScan || filter.forAll {
-		// ∀ quantification keeps tuples whose scope is empty (vacuous
-		// truth), so no candidate pruning is sound for it.
-		return maybeParallel(filter, lc), nil
+	if !isScan || forAll || (!hasReq && during.isAll()) {
+		return &filterNode{child: child, cond: cond, when: n.When, forAll: forAll, during: during, sel: sel}, nil
 	}
-	best := node(filter)
-	// Candidate pruning via a required equality conjunct: key hash index
-	// when the attribute is the relation's key, attribute index otherwise.
+	// Candidates: the equality's matches, the tuples overlapping a
+	// literal DURING, whichever the statistics say is fewer.
+	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: cond, when: n.When, during: during}
+	k := float64(sc.card)
 	if hasReq {
-		if a, has := cs.Attr(reqAttr); has && a.Domain.Kind == reqVal.Kind() {
-			cand, prune := eqCandidates(sc, reqAttr, reqVal)
-			isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: cond, when: n.When, L: L, cand: cand, prune: prune}
-			if isel.estimate().work < best.estimate().work {
-				best = isel
-			}
-		}
+		isel.eqAttr, isel.eqVal = reqAttr, reqVal
+		as, _ := statsFor(reqAttr)
+		k = minf(k, as.EqMatches())
 	}
-	// Candidate pruning via the lifespan interval index when DURING
-	// bounds the scope: tuples missing L have empty scope and vanish.
-	// One traversal; candidates materialize only under the current best
-	// cost (index-select work is k+1, so the budget is best.work - 2).
-	if n.During != nil {
-		kmax := int(best.estimate().work) - 2
-		if cand, ok := Indexes(sc.rel).Interval().OverlappingWithin(L, kmax); ok {
-			best = &indexSelectNode{name: sc.name, rel: sc.rel, cond: cond, when: n.When, L: L,
-				cand:  cand,
-				prune: fmt.Sprintf("interval-index during %s", L)}
-		}
+	if during.literal() && !during.isAll() {
+		k = minf(k, float64(sc.card)*timesliceSelectivity(lc.relStats(sc.name, sc.rel), during.lit))
 	}
-	return maybeParallel(best, lc), nil
+	isel.est = cost{rows: k, work: k + 1}
+	return isel, nil
 }
 
 // baseRel resolves a plan node to the base relation its tuples derive
@@ -440,28 +440,8 @@ func baseRel(n node) (*core.Relation, string, bool) {
 		return baseRel(x.child)
 	case *projectNode:
 		return baseRel(x.child)
-	case *parallelNode:
-		return baseRel(x.child)
 	}
 	return nil, "", false
-}
-
-// eqCandidates resolves the candidate set for attr = v over a base
-// relation: the byKey hash map when attr is the single-attribute key,
-// the attribute hash index (constant bucket plus varying overflow)
-// otherwise.
-func eqCandidates(sc *scanNode, attr string, v value.Value) (cand []*core.Tuple, prune string) {
-	key := sc.rel.Scheme().Key
-	if len(key) == 1 && key[0] == attr {
-		//lint:allow pindiscipline live probe feeds candidates only; Snapshot.resolve maps them back to the pinned version
-		if t, ok := sc.rel.Lookup(v.String()); ok {
-			cand = []*core.Tuple{t}
-		}
-		return cand, fmt.Sprintf("key-index %s.%s", sc.name, attr)
-	}
-	ix := Indexes(sc.rel).Attr(attr)
-	cand = append(append(cand, ix.Probe(v)...), ix.Varying()...)
-	return cand, ix.String()
 }
 
 // requiredEQ finds an `attr = constant` atom that is a required conjunct
@@ -487,9 +467,9 @@ func requiredEQ(c hql.CondExpr) (string, value.Value, bool) {
 }
 
 // naiveSelect wraps the naive SELECT operators over a materialized child.
-func naiveSelect(n *hql.SelectExpr, cond core.Condition, L lifespan.Lifespan, child node) node {
+func naiveSelect(n *hql.SelectExpr, cond core.Condition, during *lsExpr, child node) node {
 	name := fmt.Sprintf("select-%s %s", selKind(n.When, !n.When && n.ForAll), cond)
-	return naive1(name, child, func(r *core.Relation) (*core.Relation, error) {
+	return naiveL(name, child, during, func(r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
 		if n.When {
 			return core.SelectWhenCond(r, cond, L)
 		}
@@ -516,7 +496,7 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 		return nil, err
 	}
 	if n.Op == "JOIN" && n.Theta == value.EQ {
-		return maybeParallel(lowerEquiJoin(n, left, right, lc), lc), nil
+		return lowerEquiJoin(n, left, right, lc), nil
 	}
 	le, re := left.estimate(), right.estimate()
 	est := cost{rows: le.rows + re.rows, work: le.work + re.work + le.rows + re.rows}
@@ -579,8 +559,7 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown operator %s", n.Op)
 	}
-	return &opNode{name: name, kids: []node{left, right}, est: est,
-		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0], rels[1]) }}, nil
+	return naive2(name, left, right, est, apply), nil
 }
 
 // equiJoinSelectivity estimates the fraction of the cross product an
@@ -612,13 +591,9 @@ func equiJoinSelectivity(n *hql.BinaryExpr, left, right node, lc *lowerCtx) floa
 func lowerEquiJoin(n *hql.BinaryExpr, left, right node, lc *lowerCtx) node {
 	le, re := left.estimate(), right.estimate()
 	sel := equiJoinSelectivity(n, left, right, lc)
-	best := node(&opNode{
-		name: fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB),
-		kids: []node{left, right},
-		est:  cost{rows: le.rows * re.rows * sel, work: le.work + re.work + le.rows*re.rows},
-		apply: func(rels []*core.Relation) (*core.Relation, error) {
-			return core.EquiJoin(rels[0], rels[1], n.AttrA, n.AttrB)
-		}})
+	best := node(naive2(fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB), left, right,
+		cost{rows: le.rows * re.rows * sel, work: le.work + re.work + le.rows*re.rows},
+		func(l, r *core.Relation) (*core.Relation, error) { return core.EquiJoin(l, r, n.AttrA, n.AttrB) }))
 	if j := indexJoin(left, n.AttrA, right, n.AttrB, true); j != nil && j.estimate().work < best.estimate().work {
 		best = j
 	}
@@ -657,34 +632,39 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsS
 	}
 	j := &indexJoinNode{stream: stream, streamAttr: streamAttr,
 		indexed: sc.rel, indexedName: sc.name, indexedAttr: idxAttr,
-		rs: joined, leftIsStream: leftIsStream}
-	key := is.Key
-	if len(key) == 1 && key[0] == idxAttr {
-		// The canonical-key map the relation already maintains is the
-		// hash index; no separate structure needed. Execution probes it
-		// through the query's snapshot, bounded by the pinned prefix.
-		j.keyProbe = true
-		j.avgBucket = 1
-		j.probeDesc = fmt.Sprintf("key-index %s.%s (%d keys)", sc.name, idxAttr, sc.rel.Cardinality())
-		return j
+		rs: joined, leftIsStream: leftIsStream, avgBucket: 1}
+	if key := is.Key; len(key) != 1 || key[0] != idxAttr {
+		// Not the key, whose canonical-key map the relation already
+		// maintains: price the attribute index. Building it here is an
+		// O(n) scan, but the catalog caches it per (relation, attribute)
+		// and maintains it incrementally: every later query — either join
+		// orientation, or an index-select on the same attribute — reuses
+		// it, so the build amortizes like any index warm-up even when
+		// this particular candidate loses the costing.
+		j.avgBucket = Indexes(sc.rel).Attr(idxAttr).AvgBucket()
 	}
-	// Building the attribute index here is an O(n) scan, but the catalog
-	// caches it per (relation, attribute) and maintains it incrementally:
-	// every later query — either join orientation, or an index-select on
-	// the same attribute — reuses it, so the build amortizes like any
-	// index warm-up even when this particular candidate loses the costing.
-	j.aix = Indexes(sc.rel).Attr(idxAttr)
-	j.avgBucket = j.aix.AvgBucket()
-	j.probeDesc = j.aix.String()
 	return j
 }
 
 // naive1 wraps a unary naive operator over a planned child.
 func naive1(name string, child node, apply func(*core.Relation) (*core.Relation, error)) *opNode {
+	return naiveL(name, child, allTime, func(r *core.Relation, _ lifespan.Lifespan) (*core.Relation, error) { return apply(r) })
+}
+
+// naiveL wraps a unary naive operator that takes a lifespan parameter.
+func naiveL(name string, child node, ls *lsExpr, apply func(*core.Relation, lifespan.Lifespan) (*core.Relation, error)) *opNode {
 	c := child.estimate()
-	return &opNode{name: name, kids: []node{child},
+	return &opNode{name: name, kids: []node{child}, ls: ls,
 		est:   cost{rows: c.rows, work: c.work + c.rows},
-		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0]) }}
+		apply: func(rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error) { return apply(rels[0], L) }}
+}
+
+// naive2 wraps a binary naive operator over planned children.
+func naive2(name string, left, right node, est cost, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
+	return &opNode{name: name, kids: []node{left, right}, ls: allTime, est: est,
+		apply: func(rels []*core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
+			return apply(rels[0], rels[1])
+		}}
 }
 
 // keyKept reports whether a projection onto attrs retains every key
@@ -702,48 +682,35 @@ func keyKept(s *schema.Scheme, attrs []string) bool {
 	return true
 }
 
-// evalLS evaluates a lifespan-valued expression at plan time, routing
-// WHEN sub-queries through the planner so they benefit from indexes too
-// (and recording their relation dependencies on the plan).
-func evalLS(e *hql.LSExpr, lc *lowerCtx) (lifespan.Lifespan, error) {
+// lowerLS translates a lifespan-valued expression into a plan
+// parameter: literals (and set operations over literals) fold to a
+// constant; a WHEN sub-query becomes a sub-plan, recording its relation
+// dependencies on the plan, that every execution runs against its own
+// pin.
+func lowerLS(e *hql.LSExpr, lc *lowerCtx) (*lsExpr, error) {
 	switch {
 	case e.Literal != "":
-		return lifespan.Parse(e.Literal)
+		L, err := lifespan.Parse(e.Literal)
+		return &lsExpr{lit: L}, err
 	case e.When != nil:
 		n, err := lower(e.When, lc)
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		// Sub-queries run at plan time against live state (the nil
-		// snapshot); the resulting lifespan is a plan-time constant,
-		// fenced by the plan's (relation, version) deps like every other
-		// plan-time probe.
-		b, err := (*Snapshot)(nil).run(n)
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		r, err := b.relation()
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		return core.When(r), nil
-	default:
-		l, err := evalLS(e.Left, lc)
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		r, err := evalLS(e.Right, lc)
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		switch e.Op {
-		case "UNION":
-			return l.Union(r), nil
-		case "INTERSECT":
-			return l.Intersect(r), nil
-		case "MINUS":
-			return l.Minus(r), nil
-		}
-		return lifespan.Lifespan{}, fmt.Errorf("engine: unknown lifespan operator %s", e.Op)
+		return &lsExpr{when: &whenNode{child: n}}, err
 	}
+	switch e.Op {
+	case "UNION", "INTERSECT", "MINUS":
+	default:
+		return nil, fmt.Errorf("engine: unknown lifespan operator %s", e.Op)
+	}
+	l, err := lowerLS(e.Left, lc)
+	if err != nil {
+		return nil, err
+	}
+	r, err := lowerLS(e.Right, lc)
+	if err != nil {
+		return nil, err
+	}
+	if l.literal() && r.literal() {
+		return &lsExpr{lit: lsApply(e.Op, l.lit, r.lit)}, nil
+	}
+	return &lsExpr{op: e.Op, l: l, r: r}, nil
 }

@@ -38,13 +38,6 @@ type parStats struct {
 	pruned  int
 }
 
-// untouched reports whether the entry was pre-created (so parallel
-// workers can count probes without racing the stats map) but never
-// actually measured — the renderer shows such nodes as not executed.
-func (st *opStats) untouched() bool {
-	return st.rows == 0 && st.wall == 0 && st.lookups.Load() == 0 && st.par == nil
-}
-
 func newProfiler() *profiler {
 	return &profiler{ops: make(map[node]*opStats)}
 }
@@ -58,12 +51,12 @@ func (pf *profiler) stats(n node) *opStats {
 	return st
 }
 
-// profLookup counts one index probe against the node's indexed side.
-// Safe from parallel workers: stats entries are created by the query
-// goroutine before workers start (Snapshot.run and parallelNode.run
-// precede the fan-out), and the count itself is atomic.
-func (s *Snapshot) profLookup(n node) {
-	if s != nil && s.prof != nil {
-		s.prof.stats(n).lookups.Add(1)
+// profLookups counts k index probes against the node's indexed side.
+// Safe from parallel workers: the node's stats entry is created by the
+// query goroutine before its kernel runs anywhere (Snapshot.run), and
+// the count itself is atomic.
+func (s *Snapshot) profLookups(n node, k int) {
+	if s.prof != nil {
+		s.prof.stats(n).lookups.Add(int64(k))
 	}
 }

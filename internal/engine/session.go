@@ -147,13 +147,14 @@ func (s *Session) begin(ctx context.Context) (context.Context, error) {
 // Query parses, plans and executes src under ctx, falling back to the
 // naive evaluator when the expression cannot be planned. A plan cached
 // under the query's normalized text short-circuits before the parser
-// runs. Execution is snapshot-isolated: the plan runs against a pinned
-// database state matching its compile-time relation versions, however
-// many relations it touches. Cancellation and deadlines abort
-// execution with a typed hrdmerr error (ErrCanceled / ErrDeadline)
-// within one batch (cancelBatch tuples) instead of running the scan to
-// completion; a Background (uncancellable) context never reads a
-// context while executing.
+// runs, and stays cached across writes: a plan holds no data. Execution
+// is snapshot-isolated: every scan, index probe and WHEN sub-query of
+// the plan reads one pinned database state, however many relations it
+// touches. Cancellation and deadlines abort execution with a typed
+// hrdmerr error (ErrCanceled / ErrDeadline) within one batch
+// (cancelBatch tuples) instead of running the scan to completion; a
+// Background (uncancellable) context never reads a context while
+// executing.
 //
 // Every path carries an obs.Span and lands in finishQuery. The cached
 // fast path pays four clock reads (span start; pin, execute and
@@ -170,18 +171,13 @@ func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
 	// The raw text aliases only the unrewritten expression's plan, so a
 	// session with the optimizer on neither reads nor writes the alias.
 	if !s.optimize {
-		if p, ok := planCache.lookup(srcKey, env, false); ok {
-			if snap, pinned := pinPlan(ctx, p); pinned {
-				planCache.countHit()
-				// One mark covers lookup + pin: splitting them would buy
-				// a clock read for a sub-microsecond distinction.
-				sp.Mark(obs.StagePin)
-				return runPinned(p, snap, srcKey, &sp)
-			}
-			// A writer moved a dependency between the fence check and
-			// the pin; fall through to the parse path, whose own lookup
-			// will drop the stale entry and replan.
-			mPinRetries.Inc()
+		if ent := planCache.lookup(srcKey, env, false); ent != nil {
+			mPlanHits.Inc()
+			snap := pinPlan(ctx, ent.plan)
+			// One mark covers lookup + pin: splitting them would buy
+			// a clock read for a sub-microsecond distinction.
+			sp.Mark(obs.StagePin)
+			return runPinned(ent.plan, snap, srcKey, &sp)
 		}
 	}
 	e, err := hql.Parse(src)
@@ -213,17 +209,17 @@ func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 }
 
 // Explain parses and plans src and renders the chosen physical plan
-// without executing the plan itself. Planning is not free of
-// evaluation: lifespan parameters — literal or WHEN sub-queries in AT
-// and DURING positions — are plan-time constants the planner must
-// resolve to price its index probes, so a WHEN sub-query does run
-// during EXPLAIN. With the session's optimizer on, the Section 5
-// law-based rewriter runs first, so the output shows the plan of the
-// rewritten expression — the same one Query would execute. The output
-// ends with the statistics the planner consulted, the snapshot a run
-// of the plan would pin — the database epoch plus each dependency at
-// its pinned version — and the query's plan-cache status (EXPLAIN
-// itself neither reads from nor populates the cache).
+// without executing it. It pins a snapshot exactly as a run would and
+// each operator describes itself against that pin — index operators
+// probe their indexes to report the candidates a run would touch — but
+// no operator runs: a WHEN sub-query in an AT or DURING position prints
+// as a sub-plan below the operator it parameterises. With the session's
+// optimizer on, the Section 5 law-based rewriter runs first, so the
+// output shows the plan of the rewritten expression — the same one
+// Query would execute. The output ends with the statistics the planner
+// consulted, the pinned snapshot — the database epoch plus each
+// dependency at its pinned version — and the query's plan-cache status
+// (EXPLAIN itself neither reads from nor populates the cache).
 func (s *Session) Explain(src string) (string, error) {
 	env := s.db.store
 	e, err := hql.Parse(src)
@@ -237,13 +233,14 @@ func (s *Session) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	snap := pinPlan(context.Background(), p)
 	status := "miss (first run compiles and caches the plan)"
 	if planCache.peek(astCacheKey(e), env) || planCache.peek(srcCacheKey(src), env) {
 		status = "hit (repeated runs skip parse and plan)"
 	}
 	hits, misses, entries := PlanCacheStats()
 	return fmt.Sprintf("query: %s\n%s\nsnapshot: %s\nplan-cache: %s [%d hits / %d misses, %d cached]",
-		e.String(), p.Explain(), describePin(p), status, hits, misses, entries), nil
+		e.String(), p.explain(snap), snap, status, hits, misses, entries), nil
 }
 
 // ExplainAnalyze executes src under ctx with per-operator profiling

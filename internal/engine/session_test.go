@@ -211,3 +211,20 @@ func TestDBLifecycle(t *testing.T) {
 		t.Fatalf("checkpoint after close error = %v, want ErrState", err)
 	}
 }
+
+// TestSlowLogRecordsWhatRanAgainstWhat: a slow-log entry's fingerprint
+// names the plan that ran and the relation versions it was pinned at.
+func TestSlowLogRecordsWhatRanAgainstWhat(t *testing.T) {
+	prev := slowLog.Threshold()
+	slowLog.SetThreshold(0)
+	defer slowLog.SetThreshold(prev)
+	db := sessionDB(t)
+	if _, err := db.NewSession().Query(context.Background(), `SELECT WHEN NAME = 'emp0002' FROM EMP`); err != nil {
+		t.Fatal(err)
+	}
+	got := slowLog.Last(1)[0]
+	const text = `SELECT WHEN NAME = "emp0002" FROM EMP`
+	if got.Query != text || !strings.HasPrefix(got.Fingerprint, text+" @ epoch ") || !strings.HasSuffix(got.Fingerprint, "(EMP@20)") {
+		t.Fatalf("slow-log entry = %+v, want fingerprint %q @ epoch N (EMP@20)", got, text)
+	}
+}

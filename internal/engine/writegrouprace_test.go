@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,6 +12,96 @@ import (
 	"repro/internal/storage"
 )
 
+// tornGroup is the engine suites' one torn-read detector. The writers
+// it watches commit write groups that put the same keys into two
+// relations, so at any epoch-consistent cut exprA and exprB (HQL over
+// those relations) hold identical keys and both differences are empty;
+// a tuple in either one is a cut that fell between the two halves of a
+// group. It tests set equality, not a count, so no number of tears can
+// cancel out. run is the evaluation path under test.
+func tornGroup(run func(q string) (hql.Result, error), exprA, exprB string) (bool, error) {
+	for _, q := range []string{exprA + ` MINUS ` + exprB, exprB + ` MINUS ` + exprA} {
+		res, err := run(q)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", q, err)
+		}
+		if res.Relation.Cardinality() != 0 {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// sessionRun evaluates through Session.Query — plan cache, pin, engine.
+func sessionRun(ctx context.Context, st *storage.Store) func(string) (hql.Result, error) {
+	return func(q string) (hql.Result, error) { return sess(st).Query(ctx, q) }
+}
+
+// naiveRun evaluates through hql.EvalNaive — the planner's fallback,
+// which pins its own consistent cut — called directly so no physical
+// plan can mask a hole in the naive path.
+func naiveRun(st *storage.Store) func(string) (hql.Result, error) {
+	return func(q string) (hql.Result, error) {
+		e, err := hql.Parse(q)
+		if err != nil {
+			return hql.Result{}, err
+		}
+		return hql.EvalNaive(e, st)
+	}
+}
+
+// TestTornGroupDetectorFires is the detector's negative control: the
+// same logical write split into two groups — A first, B second — is
+// exactly the half-visible state a torn read would show, and the
+// detector must report it on both evaluation paths, whichever relation
+// is ahead, and go quiet again once the second half lands. Two tears
+// at once (one key ahead in each relation — an even count the old
+// parity probe could not see) must be reported too.
+func TestTornGroupDetectorFires(t *testing.T) {
+	sa, sb := raceScheme("A"), raceScheme("B")
+	a, b := core.NewRelation(sa), core.NewRelation(sb)
+	st := storage.NewStore()
+	st.Put(a)
+	st.Put(b)
+	commit := func(key string, rels ...*core.Relation) {
+		t.Helper()
+		g := core.NewWriteGroup()
+		for _, r := range rels {
+			g.Insert(r, raceTuple(r.Scheme(), key, 1))
+		}
+		if err := g.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, want bool) {
+		t.Helper()
+		for name, run := range map[string]func(string) (hql.Result, error){
+			"session": sessionRun(bg, st), "naive": naiveRun(st),
+		} {
+			got, err := tornGroup(run, `A`, `B`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s (%s path): detector reports torn=%v, want %v", when, name, got, want)
+			}
+		}
+	}
+	commit("k1", a, b)
+	check("after a whole group", false)
+	commit("k2", a)
+	check("between the halves of a split group (A ahead)", true)
+	commit("k2", b)
+	check("after the second half", false)
+	commit("k3", b)
+	check("between the halves of a split group (B ahead)", true)
+	commit("k4", a)
+	check("two tears, one each way (even count)", true)
+	commit("k3", a)
+	commit("k4", b)
+	check("after both second halves", false)
+}
+
 // TestWriteGroupAtomicityMultiRelation extends the multi_rel_race
 // methodology from sequential batch writers to atomic write groups: a
 // writer commits one core.WriteGroup per round inserting the same keys
@@ -19,9 +110,8 @@ import (
 // reader may legitimately observe A ahead of B between publications;
 // with write groups that window must not exist:
 //
-//   - `A MINUS B` and `B MINUS A` are both empty at every
-//     epoch-consistent cut — any surviving tuple is a torn group, one
-//     relation of the group observed and the other not.
+//   - tornGroup never fires: `A MINUS B` and `B MINUS A` are both empty
+//     at every epoch-consistent cut.
 //   - `A INTERSECT B` contains whole groups only: a cardinality that
 //     is not a multiple of the group's batch size is a half-visible
 //     publication.
@@ -59,38 +149,32 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 		writerDone <- nil
 	}()
 
-	queries := []string{
-		`A MINUS B`,
-		`B MINUS A`,
-		`A INTERSECT B`,
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 120; i++ {
-				q := queries[(w+i)%len(queries)]
-				res, err := sess(st).Query(bg, q)
+			for i := 0; i < 60; i++ {
+				torn, err := tornGroup(sessionRun(bg, st), `A`, `B`)
 				if err != nil {
-					t.Errorf("%s: %v", q, err)
+					t.Error(err)
 					return
 				}
-				n := res.Relation.Cardinality()
-				switch q {
-				case `A MINUS B`, `B MINUS A`:
-					if n != 0 {
-						t.Errorf("torn group: %s has %d tuples", q, n)
-						return
-					}
-				case `A INTERSECT B`:
-					if n%batchN != 0 {
-						t.Errorf("half-visible group: %s has %d tuples (batch %d)", q, n, batchN)
-						return
-					}
+				if torn {
+					t.Error("torn group: A and B differ at a pinned cut")
+					return
+				}
+				res, err := sess(st).Query(bg, `A INTERSECT B`)
+				if err != nil {
+					t.Errorf("A INTERSECT B: %v", err)
+					return
+				}
+				if n := res.Relation.Cardinality(); n%batchN != 0 {
+					t.Errorf("half-visible group: A INTERSECT B has %d tuples (batch %d)", n, batchN)
+					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if err := <-writerDone; err != nil {
@@ -98,21 +182,19 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 	}
 
 	// Quiesced: both relations hold every group in full.
-	res, err := sess(st).Query(bg, `A MINUS B`)
+	torn, err := tornGroup(sessionRun(bg, st), `A`, `B`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Relation.Cardinality() != 0 || a.Cardinality() != rounds*batchN || b.Cardinality() != rounds*batchN {
-		t.Fatalf("final state: |A|=%d |B|=%d |A−B|=%d",
-			a.Cardinality(), b.Cardinality(), res.Relation.Cardinality())
+	if torn || a.Cardinality() != rounds*batchN || b.Cardinality() != rounds*batchN {
+		t.Fatalf("final state: |A|=%d |B|=%d torn=%v", a.Cardinality(), b.Cardinality(), torn)
 	}
 }
 
 // TestWriteGroupNaiveFallbackAtomicity drives the same torn-group
 // detector through hql's naive evaluator — the planner's fallback —
 // which since the snapshot-complete work pins its own consistent cut
-// instead of reading live state. EvalNaive is called directly so no
-// physical plan can mask a hole in the naive path. Run under -race.
+// instead of reading live state. Run under -race.
 func TestWriteGroupNaiveFallbackAtomicity(t *testing.T) {
 	sa, sb := raceScheme("A"), raceScheme("B")
 	a, b := core.NewRelation(sa), core.NewRelation(sb)
@@ -144,21 +226,14 @@ func TestWriteGroupNaiveFallbackAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				for _, q := range []string{`A MINUS B`, `B MINUS A`} {
-					e, err := hql.Parse(q)
-					if err != nil {
-						t.Errorf("parse %s: %v", q, err)
-						return
-					}
-					res, err := hql.EvalNaive(e, st)
-					if err != nil {
-						t.Errorf("%s: %v", q, err)
-						return
-					}
-					if n := res.Relation.Cardinality(); n != 0 {
-						t.Errorf("torn group on the naive path: %s has %d tuples", q, n)
-						return
-					}
+				torn, err := tornGroup(naiveRun(st), `A`, `B`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if torn {
+					t.Error("torn group on the naive path: A and B differ at a pinned cut")
+					return
 				}
 			}
 		}()

@@ -151,7 +151,7 @@ func OpenDurable(dir string) (*Store, RecoveryStats, error) {
 // OpenDurableOptions is OpenDurable with knobs.
 func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats, error) {
 	var stats RecoveryStats
-	if err := os.MkdirAll(dir, 0o777); err != nil {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, stats, fmt.Errorf("storage: open durable: %w", err)
 	}
 	snapPath := filepath.Join(dir, snapshotFile)

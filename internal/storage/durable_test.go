@@ -247,7 +247,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
-		cuts[rng.Int63n(int64(len(walBytes)) + 1)] = true
+		cuts[rng.Int63n(int64(len(walBytes))+1)] = true
 	}
 
 	for cut := range cuts {
@@ -408,5 +408,32 @@ func TestWriteGroupSpanningTwoDurableStoresRefused(t *testing.T) {
 	}
 	if r1.Cardinality() != 0 || r2.Cardinality() != 0 {
 		t.Fatal("refused group still applied tuples")
+	}
+}
+
+// TestOpenDurableCreatesPrivateState: the store directory and the two
+// files in it (snapshot, log) hold the whole database; they are created
+// for their owner only (0700 / 0600).
+func TestOpenDurableCreatesPrivateState(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	st, _ := openDurableT(t, dir)
+	a := core.NewRelation(dScheme("DA"))
+	st.Put(a)
+	commitKV(t, []*core.Relation{a}, 1)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]os.FileMode{
+		dir:                              0o700,
+		filepath.Join(dir, snapshotFile): 0o600,
+		filepath.Join(dir, walFile):      0o600,
+	} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := fi.Mode().Perm(); perm != want {
+			t.Errorf("%s: mode %o, want %o", path, perm, want)
+		}
 	}
 }

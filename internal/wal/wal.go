@@ -85,7 +85,7 @@ type Log struct {
 // only mean corruption beyond a kill, and an empty prefix is the only
 // safe reading.
 func Open(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}

@@ -279,3 +279,28 @@ func TestNoSyncOptionStillFramesCorrectly(t *testing.T) {
 	}
 	l.Close()
 }
+
+// TestOpenCreatesPrivateLog: the log holds every committed tuple, so a
+// freshly created one is readable and writable by its owner only — and
+// stays so across the temp-file-and-rename rewrites.
+func TestOpenCreatesPrivateLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l := openT(t, path)
+	checkMode := func(when string) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := fi.Mode().Perm(); perm != 0o600 {
+			t.Fatalf("%s: log mode %o, want 600", when, perm)
+		}
+	}
+	checkMode("after create")
+	lsn := appendT(t, l, "a")
+	appendT(t, l, "b")
+	if err := l.TruncateThrough(lsn); err != nil {
+		t.Fatal(err)
+	}
+	checkMode("after TruncateThrough")
+}
