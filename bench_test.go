@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/core"
-	"repro/internal/hql"
 	"repro/internal/lifespan"
 	"repro/internal/rel"
 	"repro/internal/schema"
@@ -547,32 +546,4 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkOptimizer measures the law-based plan rewrites of
-// internal/hql: the same query evaluated as written vs optimized
-// (σ pushdown below ∪o plus slice-before-select).
-func BenchmarkOptimizer(b *testing.B) {
-	world := personnel(800, 200, 20, 16)
-	st := storage.NewStore()
-	st.Put(world)
-	q := `TIMESLICE (SELECT WHEN SAL >= 40000 FROM ((TIMESLICE EMP AT {[0,120]}) UNIONMERGE (TIMESLICE EMP AT {[80,199]}))) AT {[0,50]}`
-	// Both sides run on the reference evaluator, so the difference is the
-	// rewrite alone, not the engine's indexes.
-	run := func(b *testing.B, optimize bool) {
-		for i := 0; i < b.N; i++ {
-			e, err := hql.Parse(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if optimize {
-				e, _ = hql.Optimize(e)
-			}
-			if _, err := hql.EvalNaive(e, st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("AsWritten", func(b *testing.B) { run(b, false) })
-	b.Run("Optimized", func(b *testing.B) { run(b, true) })
 }

@@ -34,8 +34,8 @@
 // HQL query; see
 // internal/hql for the grammar. Queries run through the cost-aware
 // planner of internal/engine (lifespan interval indexes plus key and
-// attribute hash indexes); \opt additionally toggles the law-based AST
-// rewriter.
+// attribute hash indexes, and the paper's Section 5 laws where they
+// pay).
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -58,10 +59,8 @@ func main() {
 	query := flag.String("q", "", "run one query and exit")
 	dbPath := flag.String("db", "", "load a saved store instead of the demo database")
 	openDir := flag.String("open", "", "open a durable (write-ahead-logged) store directory instead of the demo database")
-	optimize := flag.Bool("opt", true, "apply the law-based plan rewrites before evaluating")
 	workers := flag.Int("workers", 0, "parallel degree for query execution (0 = number of CPUs)")
 	flag.Parse()
-	useOptimizer = *optimize
 
 	var st *storage.Store
 	switch {
@@ -87,24 +86,21 @@ func main() {
 	}
 	// The shell runs everything through an explicit engine.DB + Session
 	// pair rather than poking the store into hql entry points directly:
-	// the session owns the optimizer toggle and threads a context through
-	// every query. \open/\load/\loadtext swap the store, so the DB and
-	// session are rebuilt then; the deferred close (checkpoint + WAL
-	// release for durable stores, no-op otherwise) covers whatever is
-	// current at exit.
+	// the session threads a context through every query. \open/\load/
+	// \loadtext swap the store, so the DB and session are rebuilt then;
+	// the deferred close (checkpoint + WAL release for durable stores,
+	// no-op otherwise) covers whatever is current at exit.
 	db := engine.OpenDBOptions(st, engine.DBOptions{Workers: *workers})
 	sess := db.NewSession()
-	sess.SetOptimize(useOptimizer)
 	defer func() { closeDB(db) }()
 	attach := func(s *storage.Store) {
 		st = s
 		db = engine.OpenDBOptions(s, engine.DBOptions{Workers: *workers})
 		sess = db.NewSession()
-		sess.SetOptimize(useOptimizer)
 	}
 
 	if *query != "" {
-		if err := runQuery(sess, *query); err != nil {
+		if err := runQuery(os.Stdout, sess, *query); err != nil {
 			closeDB(db)
 			fmt.Fprintf(os.Stderr, "hrdm-cli: error[%d]: %s\n", hrdmerr.CodeOf(err), hrdmerr.Message(err))
 			os.Exit(1)
@@ -128,10 +124,6 @@ func main() {
 			continue
 		case line == `\q`, line == "quit", line == "exit":
 			return
-		case line == `\opt`:
-			useOptimizer = !useOptimizer
-			sess.SetOptimize(useOptimizer)
-			fmt.Printf("  optimizer now %v\n", useOptimizer)
 		case line == `\metrics`:
 			fmt.Println(metricsReport(false))
 		case line == `\metrics json`:
@@ -281,7 +273,7 @@ func main() {
 				fmt.Println("  dumped to", path)
 			}
 		default:
-			if err := runQuery(sess, line); err != nil {
+			if err := runQuery(os.Stdout, sess, line); err != nil {
 				// Stable error line: the numeric wire code from the hrdmerr
 				// taxonomy plus the unprefixed message, matching the server's
 				// JSON envelope (docs/SERVER.md).
@@ -290,10 +282,6 @@ func main() {
 		}
 	}
 }
-
-// useOptimizer controls whether queries run through the Section 5
-// law-based rewriter; toggle interactively with \opt.
-var useOptimizer = true
 
 // closeDB checkpoints and releases the DB's durable store (no-op for
 // the in-memory demo/loaded stores), surfacing rather than swallowing a
@@ -317,34 +305,35 @@ func recoveryBanner(stats storage.RecoveryStats) string {
 		stats.ReplayedGroups, stats.ReplayedTuples, stats.SnapshotLSN, stats.TornBytes)
 }
 
-func runQuery(sess *engine.Session, q string) error {
+// runQuery runs one query or EXPLAIN [ANALYZE] line, printing to out.
+func runQuery(out io.Writer, sess *engine.Session, q string) error {
 	ctx := context.Background()
 	if rest, ok := cutExplain(q); ok {
 		rest, analyze := cutAnalyze(rest)
 		if rest == "" {
 			// A bare EXPLAIN used to fall through to the HQL parser and
 			// surface as a cryptic parse error; hint at the verb instead.
-			fmt.Println(`usage: EXPLAIN [ANALYZE] <QUERY> — e.g. EXPLAIN SELECT WHEN SAL = 30000 FROM EMP`)
+			fmt.Fprintln(out, `usage: EXPLAIN [ANALYZE] <QUERY> — e.g. EXPLAIN SELECT WHEN SAL = 30000 FROM EMP`)
 			return nil
 		}
-		var out string
+		var plan string
 		var err error
 		if analyze {
-			out, err = sess.ExplainAnalyze(ctx, rest)
+			plan, err = sess.ExplainAnalyze(ctx, rest)
 		} else {
-			out, err = sess.Explain(rest)
+			plan, err = sess.Explain(rest)
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(out, plan)
 		return nil
 	}
 	res, err := sess.Query(ctx, q)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(out, res)
 	return nil
 }
 

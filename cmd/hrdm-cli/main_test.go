@@ -2,21 +2,45 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/hql"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// demoSession builds the shell's default state: a session with the
-// optimizer on over the demo database.
+// demoSession builds the shell's default state: a session over the
+// demo database.
 func demoSession() *engine.Session {
-	sess := engine.OpenDB(workload.Demo()).NewSession()
-	sess.SetOptimize(true)
-	return sess
+	return engine.OpenDB(workload.Demo()).NewSession()
+}
+
+// TestRunQueryMatchesNaive: the shell answers a SELECT-IF over the
+// object-based union of two complementary slices exactly as the
+// reference evaluator does — whole histories of the objects that ever
+// earned 30000 — rather than the per-operand halves a select pushed
+// below ∪o would return.
+func TestRunQueryMatchesNaive(t *testing.T) {
+	const q = `SELECT IF SAL = 30000 EXISTS FROM ((TIMESLICE EMP AT {[0,4]}) UNIONMERGE (TIMESLICE EMP AT {[5,99]}))`
+	var got strings.Builder
+	if err := runQuery(&got, demoSession(), q); err != nil {
+		t.Fatal(err)
+	}
+	e, err := hql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hql.EvalNaive(e, workload.Demo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String()+"\n" {
+		t.Fatalf("shell rendered\n%s\nreference evaluator\n%s", got.String(), want)
+	}
 }
 
 func TestCutExplain(t *testing.T) {
@@ -45,10 +69,10 @@ func TestCutExplain(t *testing.T) {
 // must succeed (printing a hint) instead of surfacing an HQL parse error.
 func TestRunQueryBareExplain(t *testing.T) {
 	sess := demoSession()
-	if err := runQuery(sess, "EXPLAIN"); err != nil {
+	if err := runQuery(io.Discard, sess, "EXPLAIN"); err != nil {
 		t.Fatalf("bare EXPLAIN should print a usage hint, got error: %v", err)
 	}
-	if err := runQuery(sess, "EXPLAIN TIMESLICE EMP AT {[0,5]}"); err != nil {
+	if err := runQuery(io.Discard, sess, "EXPLAIN TIMESLICE EMP AT {[0,5]}"); err != nil {
 		t.Fatalf("EXPLAIN with query: %v", err)
 	}
 }
@@ -78,10 +102,10 @@ func TestCutAnalyze(t *testing.T) {
 // runQuery, both bare and with a query.
 func TestRunQueryExplainAnalyze(t *testing.T) {
 	sess := demoSession()
-	if err := runQuery(sess, "EXPLAIN ANALYZE"); err != nil {
+	if err := runQuery(io.Discard, sess, "EXPLAIN ANALYZE"); err != nil {
 		t.Fatalf("bare EXPLAIN ANALYZE should print a usage hint, got error: %v", err)
 	}
-	if err := runQuery(sess, "EXPLAIN ANALYZE SELECT WHEN SAL = 30000 FROM EMP"); err != nil {
+	if err := runQuery(io.Discard, sess, "EXPLAIN ANALYZE SELECT WHEN SAL = 30000 FROM EMP"); err != nil {
 		t.Fatalf("EXPLAIN ANALYZE with query: %v", err)
 	}
 }
@@ -91,7 +115,7 @@ func TestRunQueryExplainAnalyze(t *testing.T) {
 // same keys under the snapshot's sections.
 func TestMetricsReport(t *testing.T) {
 	sess := demoSession()
-	if err := runQuery(sess, "SELECT WHEN SAL = 30000 FROM EMP"); err != nil {
+	if err := runQuery(io.Discard, sess, "SELECT WHEN SAL = 30000 FROM EMP"); err != nil {
 		t.Fatal(err)
 	}
 	text := metricsReport(false)
@@ -129,7 +153,7 @@ func TestSlowlogAndSetOption(t *testing.T) {
 		t.Fatalf("threshold = %v after \\set slowlog_ms 0", got)
 	}
 	sess := demoSession()
-	if err := runQuery(sess, "TIMESLICE EMP AT {[0,5]}"); err != nil {
+	if err := runQuery(io.Discard, sess, "TIMESLICE EMP AT {[0,5]}"); err != nil {
 		t.Fatal(err)
 	}
 	out := slowlogReport(5)

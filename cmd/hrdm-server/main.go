@@ -13,8 +13,8 @@
 //	hrdm-server -max-conns 64 -max-inflight 16 -query-deadline 30s
 //
 // Every connection gets its own session (snapshot-isolated reads, one
-// staged write group, session-scoped optimizer toggle) over the shared
-// store and plan cache. SIGTERM/SIGINT drains gracefully: accepting
+// staged write group) over the shared store and plan cache.
+// SIGTERM/SIGINT drains gracefully: accepting
 // stops, in-flight queries finish within -drain-timeout, and a durable
 // store is checkpointed before exit so restart replays an empty log.
 package main

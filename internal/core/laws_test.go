@@ -139,7 +139,9 @@ func TestLawSelectIfCommutes(t *testing.T) {
 
 func TestLawTimesliceCommutesWithSelect(t *testing.T) {
 	// T_L ∘ σ-WHEN_p = σ-WHEN_p ∘ T_L: restricting then filtering equals
-	// filtering then restricting, because σ-WHEN works pointwise.
+	// filtering then restricting, because σ-WHEN works pointwise. The
+	// engine's planner prices both sides for a static slice over a
+	// σ-WHEN without DURING and runs the cheaper.
 	for i := int64(0); i < lawTrials; i++ {
 		r := genHist(i, 5)
 		p := randomPredicate(i)
@@ -271,7 +273,8 @@ func TestLawSliceRestoresViaUnionMerge(t *testing.T) {
 }
 
 func TestLawTimesliceComposition(t *testing.T) {
-	// T_L1(T_L2(r)) = T_{L1 ∩ L2}(r).
+	// T_L1(T_L2(r)) = T_{L1 ∩ L2}(r). The engine's planner composes every
+	// literal slice of a literal slice this way.
 	for i := int64(0); i < lawTrials; i++ {
 		r := genHist(i, 5)
 		L1, L2 := randomLS(i), randomLS(i+500)
@@ -343,5 +346,75 @@ func TestLawNaturalJoinCommutesRandom(t *testing.T) {
 		if !ab.Equal(ba) {
 			t.Fatalf("seed %d: natural join does not commute:\n%s\nvs\n%s", i, ab, ba)
 		}
+	}
+}
+
+// What is not a law. Selection distributes over the object-based set
+// operators only in the forms checked above; in general it does not, and
+// the two witnesses below pin a counterexample each on a fixed fixture.
+// They are the negative controls for the differential tests, which run
+// these shapes through the engine against the reference evaluator: a
+// planner that pushed σ below ∪o or ∩o would answer them differently.
+
+// TestNotALawSelectIfOverUnionMerge: σ-IF keeps or drops whole tuples,
+// so below ∪o it judges each operand's fragment of an object rather
+// than the merged object. Over two complementary slices of EMP, John
+// and Ahmed come back whole from σ-IF(r1 ∪o r2) but cut to the
+// fragments where SAL = 30000 from σ-IF(r1) ∪o σ-IF(r2).
+func TestNotALawSelectIfOverUnionMerge(t *testing.T) {
+	r := empRelation(t)
+	r1, err := TimesliceStatic(r, ls("{[0,4]}"))
+	mustHold(t, err)
+	r2, err := TimesliceStatic(r, ls("{[5,99]}"))
+	mustHold(t, err)
+	p := Predicate{Attr: "SAL", Theta: value.EQ, Const: value.Int(30000)}
+
+	u, err := UnionMerge(r1, r2)
+	mustHold(t, err)
+	lhs, err := SelectIf(u, p, Exists, lifespan.All())
+	mustHold(t, err)
+	s1, err := SelectIf(r1, p, Exists, lifespan.All())
+	mustHold(t, err)
+	s2, err := SelectIf(r2, p, Exists, lifespan.All())
+	mustHold(t, err)
+	rhs, err := UnionMerge(s1, s2)
+	mustHold(t, err)
+	if lhs.Equal(rhs) {
+		t.Fatalf("σ-IF(r1 ∪o r2) = σ-IF(r1) ∪o σ-IF(r2) on the witness:\n%s", lhs)
+	}
+}
+
+// TestNotALawSelectWhenOverIntersectMerge: ∩o drops an object whose
+// operands contradict each other, but σ-WHEN applied first can cut
+// away the contradiction. John's SAL agrees on [0,9] and differs on
+// [10,19]: σ-WHEN(r1 ∩o r2) is empty, σ-WHEN(r1) ∩o σ-WHEN(r2) invents
+// John on [0,9].
+func TestNotALawSelectWhenOverIntersectMerge(t *testing.T) {
+	s := empScheme()
+	john := func(sal2 int64) *Relation {
+		r := NewRelation(s)
+		r.MustInsert(NewTupleBuilder(s, ls("{[0,19]}")).
+			Key("NAME", value.String_("John")).
+			Set("SAL", 0, 9, value.Int(30000)).
+			Set("SAL", 10, 19, value.Int(sal2)).
+			Set("DEPT", 0, 19, value.String_("Toys")).
+			MustBuild())
+		return r
+	}
+	r1, r2 := john(30000), john(40000)
+	p := Predicate{Attr: "SAL", Theta: value.EQ, Const: value.Int(30000)}
+
+	in, err := IntersectMerge(r1, r2)
+	mustHold(t, err)
+	lhs, err := SelectWhen(in, p, lifespan.All())
+	mustHold(t, err)
+	s1, err := SelectWhen(r1, p, lifespan.All())
+	mustHold(t, err)
+	s2, err := SelectWhen(r2, p, lifespan.All())
+	mustHold(t, err)
+	rhs, err := IntersectMerge(s1, s2)
+	mustHold(t, err)
+	if lhs.Equal(rhs) {
+		t.Fatalf("σ-WHEN(r1 ∩o r2) = σ-WHEN(r1) ∩o σ-WHEN(r2) on the witness:\n%s", lhs)
 	}
 }

@@ -34,10 +34,10 @@ type analysis struct {
 // analyzeQuery is the execution half of Session.ExplainAnalyze: plan,
 // pin and run like any query, with a profiler attached to the snapshot
 // — the same operator code as an unprofiled query; the profiler only
-// observes. When optimize is set the Section 5 rewriter runs first.
-// Expressions the planner cannot compile surface their planning error:
-// there is no naive fallback to attribute per-operator numbers to.
-func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (*analysis, error) {
+// observes. Expressions the planner cannot compile surface their
+// planning error: there is no naive fallback to attribute per-operator
+// numbers to.
+func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, error) {
 	sp := obs.Begin()
 	e, err := hql.Parse(src)
 	if err != nil {
@@ -45,9 +45,6 @@ func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (
 		return nil, err
 	}
 	sp.Mark(obs.StageParse)
-	if optimize {
-		e, _ = hql.Optimize(e)
-	}
 	p, err := PlanQuery(e, env)
 	sp.Mark(obs.StagePlan)
 	if err != nil {

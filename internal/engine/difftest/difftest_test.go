@@ -3,7 +3,7 @@
 // evaluation paths — the naive reference evaluator, the engine at
 // workers=1 (sequential execution of the same plans), and the engine
 // at workers 2/4/8 — and every path must agree exactly: same error
-// presence, Equal results, and byte-identical canonical renderings at
+// class, Equal results, and byte-identical canonical renderings at
 // every degree. The package keeps the parallel planning threshold
 // lowered for its whole binary so the small deterministic store plans
 // parallel operators on every eligible shape.
@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hql"
+	"repro/internal/hrdmerr"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -83,7 +84,11 @@ func diffStore(tb testing.TB, seed int64) *storage.Store {
 
 // goldenQueries is the hand-picked battery: every parallel-eligible
 // plan shape plus surrounding operators (unions, projections, WHEN,
-// SNAPSHOT) that consume parallel sub-plans.
+// SNAPSHOT) that consume parallel sub-plans; the shapes the planner
+// rewrites by Section 5's laws (slices of σ-WHEN under a key equality,
+// an attribute equality and a range; nested literal slices); and the
+// shapes of rewrites that are not laws (σ over ∪o/∩o of two
+// complementary slices — see core's TestNotALaw… witnesses).
 var goldenQueries = []string{
 	`TIMESLICE EMP AT {[0,9]}`,
 	`TIMESLICE EMP AT {[50,60],[150,160]}`,
@@ -107,6 +112,16 @@ var goldenQueries = []string{
 	`WHEN (SELECT WHEN SAL = 30000 FROM EMP)`,
 	`SNAPSHOT EMP AT 42`,
 	`TIMESLICE STOCK BY EX_DIV`,
+	`TIMESLICE (SELECT WHEN NAME = 'emp0007' FROM EMP) AT {[10,60]}`,
+	`TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT {[10,60]}`,
+	`TIMESLICE (SELECT WHEN SAL > 30000 FROM EMP) AT {[10,60]}`,
+	`TIMESLICE (SELECT WHEN SAL > 30000 FROM (TIMESLICE EMP AT {[0,99]})) AT {[50,150]}`,
+	`TIMESLICE (TIMESLICE EMP AT {[0,99]}) AT {[50,150]}`,
+	`TIMESLICE (TIMESLICE (TIMESLICE EMP AT {[0,120]}) AT {[30,199]}) AT {[20,90],[110,115]}`,
+	`SELECT IF SAL > 34000 EXISTS FROM ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]}))`,
+	`SELECT IF DEPT = 'Toys' FORALL FROM ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]}))`,
+	`SELECT WHEN SAL > 30000 FROM ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]}))`,
+	`SELECT WHEN SAL > 30000 FROM ((TIMESLICE EMP AT {[0,99]}) INTERSECTMERGE (TIMESLICE EMP AT {[100,199]}))`,
 }
 
 // compareAll runs src through the naive evaluator and the engine at
@@ -125,8 +140,9 @@ func compareAll(t *testing.T, st *storage.Store, src string) bool {
 	sess := engine.OpenDB(st).NewSession()
 	for _, w := range diffWorkers {
 		gRes, gErr := sess.Eval(engine.WithWorkers(ctx, w), e)
-		if (nErr != nil) != (gErr != nil) {
-			t.Fatalf("%q workers=%d: naive err=%v, engine err=%v", src, w, nErr, gErr)
+		if hrdmerr.CodeOf(nErr) != hrdmerr.CodeOf(gErr) {
+			t.Fatalf("%q workers=%d: naive err=%v (class %d), engine err=%v (class %d)",
+				src, w, nErr, hrdmerr.CodeOf(nErr), gErr, hrdmerr.CodeOf(gErr))
 		}
 		if nErr != nil {
 			return false
@@ -177,14 +193,26 @@ func TestDifferentialGolden(t *testing.T) {
 }
 
 // generated is the randomized query generator: windows, names and
-// thresholds drawn from rng over nine shapes, i selecting the shape.
+// thresholds drawn from rng over sixteen shapes, i selecting the shape.
 func generated(rng *rand.Rand, i int) string {
 	lo := rng.Intn(220) - 10
 	hi := lo + rng.Intn(90)
+	lo2 := rng.Intn(220) - 10
+	hi2 := lo2 + rng.Intn(90)
+	cut := rng.Intn(199)
 	name := fmt.Sprintf("emp%04d", rng.Intn(80))
 	dept := []string{"Toys", "Shoes", "Books", "Tools", "Music"}[rng.Intn(5)]
 	sal := 24000 + rng.Intn(30)*1000
+	// Two complementary slices of EMP, cut after chronon cut.
+	halves := fmt.Sprintf(`(TIMESLICE EMP AT {[0,%d]}) %%s (TIMESLICE EMP AT {[%d,199]})`, cut, cut+1)
 	queries := []string{
+		fmt.Sprintf(`TIMESLICE (SELECT WHEN NAME = '%s' FROM EMP) AT {[%d,%d]}`, name, lo, hi),
+		fmt.Sprintf(`TIMESLICE (SELECT WHEN DEPT = '%s' FROM EMP) AT {[%d,%d]}`, dept, lo, hi),
+		fmt.Sprintf(`TIMESLICE (SELECT WHEN SAL > %d FROM EMP) AT {[%d,%d]}`, sal, lo, hi),
+		fmt.Sprintf(`TIMESLICE (TIMESLICE EMP AT {[%d,%d]}) AT {[%d,%d]}`, lo, hi, lo2, hi2),
+		fmt.Sprintf(`SELECT IF SAL > %d EXISTS FROM (%s)`, sal, fmt.Sprintf(halves, "UNIONMERGE")),
+		fmt.Sprintf(`SELECT IF DEPT = '%s' FORALL FROM (%s)`, dept, fmt.Sprintf(halves, "UNIONMERGE")),
+		fmt.Sprintf(`SELECT WHEN DEPT = '%s' FROM (%s)`, dept, fmt.Sprintf(halves, []string{"UNIONMERGE", "INTERSECTMERGE"}[rng.Intn(2)])),
 		fmt.Sprintf(`TIMESLICE EMP AT {[%d,%d]}`, lo, hi),
 		fmt.Sprintf(`SELECT WHEN NAME = '%s' FROM EMP`, name),
 		fmt.Sprintf(`SELECT WHEN SAL > %d AND DEPT = '%s' FROM EMP`, sal, dept),
@@ -204,8 +232,76 @@ func generated(rng *rand.Rand, i int) string {
 func TestDifferentialRandomized(t *testing.T) {
 	st := diffStore(t, 3)
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 96; i++ {
 		compareAll(t, st, generated(rng, i))
+	}
+}
+
+// contradictStore holds two merge-compatible relations that contradict
+// each other on one object: John's SAL agrees on [0,9] and differs on
+// [10,19]. Mary is in both and agrees everywhere; Ahmed is only in OLD.
+func contradictStore() *storage.Store {
+	full := lifespan.Interval(0, 99)
+	scheme := func(name string) *schema.Scheme {
+		return schema.MustNew(name, []string{"NAME"},
+			schema.Attribute{Name: "NAME", Domain: value.Strings, Lifespan: full},
+			schema.Attribute{Name: "SAL", Domain: value.Ints, Lifespan: full, Interp: "step"},
+			schema.Attribute{Name: "DEPT", Domain: value.Strings, Lifespan: full, Interp: "step"},
+		)
+	}
+	emp := func(s *schema.Scheme, name string, lo, hi chronon.Time, sal1, sal2 int64) *core.Tuple {
+		return core.NewTupleBuilder(s, lifespan.Interval(lo, hi)).
+			Key("NAME", value.String_(name)).
+			Set("SAL", lo, 9, value.Int(sal1)).
+			Set("SAL", 10, hi, value.Int(sal2)).
+			Set("DEPT", lo, hi, value.String_("Toys")).
+			MustBuild()
+	}
+	st := storage.NewStore()
+	old, nu := core.NewRelation(scheme("OLD")), core.NewRelation(scheme("NEW"))
+	old.MustInsert(emp(old.Scheme(), "John", 0, 19, 30000, 30000))
+	nu.MustInsert(emp(nu.Scheme(), "John", 0, 19, 30000, 40000))
+	old.MustInsert(emp(old.Scheme(), "Mary", 5, 29, 30000, 35000))
+	nu.MustInsert(emp(nu.Scheme(), "Mary", 5, 29, 30000, 35000))
+	old.MustInsert(emp(old.Scheme(), "Ahmed", 2, 14, 30000, 31000))
+	st.Put(old)
+	st.Put(nu)
+	return st
+}
+
+// TestDifferentialContradictingOperands runs the object-based set
+// operators, under σ-WHEN and σ-IF, over operands that contradict each
+// other: ∪o must fail with the naive evaluator's semantic class, ∩o must
+// drop John. The first check is the fixture's own: selecting before
+// intersecting answers differently — it keeps John on [0,9] — so an
+// engine that pushed σ below ∩o would be caught here.
+func TestDifferentialContradictingOperands(t *testing.T) {
+	st := contradictStore()
+	pushed, err := hql.Parse(`(SELECT WHEN SAL = 30000 FROM OLD) INTERSECTMERGE (SELECT WHEN SAL = 30000 FROM NEW)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpushed, err := hql.Parse(`SELECT WHEN SAL = 30000 FROM (OLD INTERSECTMERGE NEW)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, errA := hql.EvalNaive(pushed, st)
+	b, errB := hql.EvalNaive(unpushed, st)
+	if errA != nil || errB != nil || a.String() == b.String() {
+		t.Fatalf("fixture is no witness: pushed = %v (%v), as written = %v (%v)", a, errA, b, errB)
+	}
+	for _, q := range []string{
+		`OLD UNIONMERGE NEW`,
+		`OLD INTERSECTMERGE NEW`,
+		`SELECT WHEN SAL = 30000 FROM (OLD UNIONMERGE NEW)`,
+		`SELECT WHEN SAL = 30000 FROM (OLD INTERSECTMERGE NEW)`,
+		`SELECT IF SAL = 30000 EXISTS FROM (OLD UNIONMERGE NEW)`,
+		`SELECT IF SAL = 30000 EXISTS FROM (OLD INTERSECTMERGE NEW)`,
+		`TIMESLICE (SELECT WHEN SAL = 30000 FROM (OLD INTERSECTMERGE NEW)) AT {[0,14]}`,
+		`(SELECT WHEN SAL = 30000 FROM OLD) UNIONMERGE (SELECT WHEN SAL = 30000 FROM NEW)`,
+		`(SELECT WHEN SAL = 30000 FROM OLD) INTERSECTMERGE (SELECT WHEN SAL = 30000 FROM NEW)`,
+	} {
+		compareAll(t, st, q)
 	}
 }
 

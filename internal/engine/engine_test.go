@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifespan"
+	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -37,6 +38,57 @@ func TestPlanShapes(t *testing.T) {
 		}
 		if !strings.Contains(out, c.want) {
 			t.Errorf("explain %q:\n%s\nwant substring %q", c.query, out, c.want)
+		}
+	}
+}
+
+// TestPlanLawShapes asserts where the planner applies Section 5's laws,
+// on an EMP large enough for the cost estimates of the two sides of
+// T_L(σ-WHEN_p(r)) = σ-WHEN_p(T_L(r)) to separate. want lists the plan
+// lines, outermost first, each line's operator a prefix: the key
+// equality keeps its index probe under the slice, attribute and range
+// conditions filter what the interval index sliced, nested literal
+// slices compose into one probe, and the rewrites that are not laws of
+// the engine — σ pushed below ∪o, π pushed below T_L — are not made.
+func TestPlanLawShapes(t *testing.T) {
+	st := storage.NewStore()
+	st.Put(workload.Personnel(workload.PersonnelConfig{
+		NumEmployees: 2000, HistoryLen: 200, ChangeEvery: 20, ReincarnationProb: 0.3, Seed: 1,
+	}))
+	cases := []struct {
+		query string
+		want  []string
+	}{
+		{`TIMESLICE (SELECT WHEN NAME = 'emp0007' FROM EMP) AT {[10,14]}`,
+			[]string{"time-slice at {[10,14]}", "  index-select when EMP NAME=\"emp0007\" via key-index"}},
+		{`TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT {[10,14]}`,
+			[]string{"filter when DEPT=\"Toys\"", "  index-time-slice EMP at {[10,14]}"}},
+		{`TIMESLICE (SELECT WHEN SAL > 30000 FROM EMP) AT {[10,14]}`,
+			[]string{"filter when SAL>30000", "  index-time-slice EMP at {[10,14]}"}},
+		{`TIMESLICE (SELECT WHEN SAL > 30000 FROM (TIMESLICE EMP AT {[0,12]})) AT {[10,14]}`,
+			[]string{"filter when SAL>30000", "  index-time-slice EMP at {[10,12]}"}},
+		{`TIMESLICE (TIMESLICE EMP AT {[0,49]}) AT {[10,14],[60,70]}`,
+			[]string{"index-time-slice EMP at {[10,14]}"}},
+		{`TIMESLICE (TIMESLICE (TIMESLICE EMP AT {[0,49]}) AT {[5,99]}) AT {[10,14]}`,
+			[]string{"index-time-slice EMP at {[10,14]}"}},
+		{`TIMESLICE (SELECT IF SAL > 30000 EXISTS FROM EMP) AT {[10,14]}`,
+			[]string{"time-slice at {[10,14]}", "  filter if-exists SAL>30000"}},
+		{`PROJECT NAME, SAL FROM (TIMESLICE EMP AT {[10,14]})`,
+			[]string{"project NAME, SAL (key kept)", "  index-time-slice EMP at {[10,14]}"}},
+		{`SELECT WHEN SAL = 30000 FROM ((TIMESLICE EMP AT {[0,4]}) UNIONMERGE (TIMESLICE EMP AT {[5,199]}))`,
+			[]string{"select-when SAL=30000 (naive)", "  unionmerge (naive)"}},
+	}
+	for _, c := range cases {
+		out, err := sess(st).Explain(c.query)
+		if err != nil {
+			t.Fatalf("explain %q: %v", c.query, err)
+		}
+		lines := strings.Split(out, "\n")[1:] // past the query line
+		for i, want := range c.want {
+			if i >= len(lines) || !strings.HasPrefix(lines[i], want) {
+				t.Errorf("explain %q:\n%s\nwant plan line %d to start %q", c.query, out, i+1, want)
+				break
+			}
 		}
 	}
 }

@@ -260,7 +260,7 @@ func TestAnalyzeAccountingParallel(t *testing.T) {
 		`SELECT WHEN SAL >= 0 FROM MARCH`,
 		`TIMESLICE MARCH AT {[0,90]}`,
 	} {
-		a, err := analyzeQuery(WithWorkers(context.Background(), 4), q, st, false)
+		a, err := analyzeQuery(WithWorkers(context.Background(), 4), q, st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/hql"
+	"repro/internal/hrdmerr"
 	"repro/internal/lifespan"
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -175,16 +176,18 @@ func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 // a snapshot of the plan's dependencies first. sp receives the execute
 // mark when the operator tree's root batch returns and the materialize
 // mark after the sink has built the result relation (and, for WHEN and
-// SNAPSHOT queries, derived the result from it).
+// SNAPSHOT queries, derived the result from it). Its errors are
+// classified as the naive evaluator classifies the same failure —
+// semantic, unless cancellation or a deadline already classified them.
 func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 	b, err := s.run(p.root)
 	sp.Mark(obs.StageExecute)
 	if err != nil {
-		return hql.Result{}, err
+		return hql.Result{}, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 	}
 	res, err := p.result(b)
 	sp.Mark(obs.StageMaterialize)
-	return res, err
+	return res, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 }
 
 // result materializes the root batch and wraps it in the query's sort.
@@ -276,23 +279,23 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		return lc.scan(n.Name, r), nil
 
 	case *hql.TimesliceExpr:
+		if n.By == "" {
+			return lowerStaticSlice(n, lc)
+		}
 		child, err := lower(n.Source, lc)
 		if err != nil {
 			return nil, err
 		}
-		if n.By != "" {
-			return naive1("dynamic-time-slice by "+n.By, child, func(r *core.Relation) (*core.Relation, error) {
-				return core.TimesliceDynamic(r, n.By)
-			}), nil
-		}
-		at, err := lowerLS(n.At, lc)
+		return naive1("dynamic-time-slice by "+n.By, child, func(r *core.Relation) (*core.Relation, error) {
+			return core.TimesliceDynamic(r, n.By)
+		}), nil
+
+	case *hql.SelectExpr:
+		child, err := lower(n.Source, lc)
 		if err != nil {
 			return nil, err
 		}
-		return lowerTimeslice(child, at, lc), nil
-
-	case *hql.SelectExpr:
-		return lowerSelect(n, lc)
+		return lowerSelect(n, child, lc)
 
 	case *hql.ProjectExpr:
 		child, err := lower(n.Source, lc)
@@ -333,11 +336,61 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 	}
 }
 
+// lowerStaticSlice plans T_L(r). Over a σ-WHEN without DURING it lowers
+// both sides of Section 5's T_L(σ-WHEN_p(r)) = σ-WHEN_p(T_L(r)) (core's
+// TestLawTimesliceCommutesWithSelect: σ-WHEN is pointwise, so slicing
+// before or after the filter keeps the same chronons) and keeps the
+// cheaper: slicing first lets the interval index prune what the filter
+// reads, filtering first keeps an equality's index probe. σ-IF does not
+// commute with slicing — its quantifier's scope would change.
+func lowerStaticSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
+	at, err := lowerLS(n.At, lc)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := n.Source.(*hql.SelectExpr)
+	if !ok || !sel.When || sel.During != nil {
+		child, err := lower(n.Source, lc)
+		if err != nil {
+			return nil, err
+		}
+		return lowerTimeslice(child, at, lc), nil
+	}
+	child, err := lower(sel.Source, lc)
+	if err != nil {
+		return nil, err
+	}
+	filtered, err := lowerSelect(sel, child, lc)
+	if err != nil {
+		return nil, err
+	}
+	best := lowerTimeslice(filtered, at, lc)
+	if sliced, err := lowerSelect(sel, lowerTimeslice(child, at, lc), lc); err == nil && sliced.estimate().work < best.estimate().work {
+		best = sliced
+	}
+	return best, nil
+}
+
 // lowerTimeslice plans a static TIME-SLICE: the interval index over a
 // base relation big enough for one to pay (log n + k < n needs n > 2),
 // a per-tuple restrict over any other known scheme, the naive operator
-// otherwise.
+// otherwise. A literal slice of a literal slice is first composed into
+// one by Section 5's T_L1(T_L2(r)) = T_{L1∩L2}(r) (core's
+// TestLawTimesliceComposition) — one restriction, never more work than
+// two.
 func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
+	if at.literal() {
+		switch c := child.(type) {
+		case *indexTimeSliceNode:
+			if c.at.literal() {
+				return lowerTimeslice(lc.scan(c.name, c.rel), &lsExpr{lit: at.lit.Intersect(c.at.lit)}, lc)
+			}
+		case *timeSliceNode:
+			if c.at.literal() {
+				return lowerTimeslice(c.child, &lsExpr{lit: at.lit.Intersect(c.at.lit)}, lc)
+			}
+		}
+	}
 	if sc, ok := child.(*scanNode); ok && sc.card-int(logN(sc.card))-1 > 0 {
 		k := float64(sc.card)
 		if at.literal() {
@@ -352,16 +405,12 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 	return naiveL("time-slice at "+at.String(), child, at, core.TimesliceStatic)
 }
 
-// lowerSelect plans SELECT IF/WHEN: an index-select over a base
-// relation where a required equality conjunct or a DURING lifespan
-// gives an index something to prune by, a per-tuple filter otherwise,
-// the naive operator when the child's scheme is only known at
-// execution time.
-func lowerSelect(n *hql.SelectExpr, lc *lowerCtx) (node, error) {
-	child, err := lower(n.Source, lc)
-	if err != nil {
-		return nil, err
-	}
+// lowerSelect plans SELECT IF/WHEN over its planned source: an
+// index-select over a base relation where a required equality conjunct
+// or a DURING lifespan gives an index something to prune by, a
+// per-tuple filter otherwise, the naive operator when the child's
+// scheme is only known at execution time.
+func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	cond, err := hql.BuildCond(n.Cond)
 	if err != nil {
 		return nil, err

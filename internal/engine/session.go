@@ -95,32 +95,24 @@ func (db *DB) Close() error {
 }
 
 // Session is one client's handle on a DB and the engine's only query
-// surface: queries with the engine's pinned-snapshot execution,
-// session-scoped settings (the Section 5 optimizer toggle), and an
-// optional staged write group for atomic multi-relation mutations. Every error a Session returns carries an
-// hrdmerr classification, so callers (the CLI's error[CODE] line, the
-// server's wire envelope) never parse message strings.
+// surface: queries with the engine's pinned-snapshot execution, and an
+// optional staged write group for atomic multi-relation mutations.
+// Every error a Session returns carries an hrdmerr classification, so
+// callers (the CLI's error[CODE] line, the server's wire envelope)
+// never parse message strings.
 //
 // A Session is a single-goroutine object, like the core.WriteGroup it
 // stages into: use one per connection. Distinct sessions over one DB
 // may run fully concurrently — reads pin snapshots, commits serialize
 // on the publish lock.
 type Session struct {
-	db       *DB
-	optimize bool
-	group    *core.WriteGroup
-	staged   int
+	db     *DB
+	group  *core.WriteGroup
+	staged int
 }
 
 // DB returns the database this session was created from.
 func (s *Session) DB() *DB { return s.db }
-
-// SetOptimize toggles the Section 5 law-based rewriter for this
-// session's queries. Off by default.
-func (s *Session) SetOptimize(on bool) { s.optimize = on }
-
-// Optimize reports the session's rewriter setting.
-func (s *Session) Optimize() bool { return s.optimize }
 
 // withDBWorkers applies the DB's workers option to a query context;
 // contexts already carrying an explicit WithWorkers value keep it.
@@ -168,17 +160,13 @@ func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
 	env := s.db.store
 	sp := obs.Begin()
 	srcKey := srcCacheKey(src)
-	// The raw text aliases only the unrewritten expression's plan, so a
-	// session with the optimizer on neither reads nor writes the alias.
-	if !s.optimize {
-		if ent := planCache.lookup(srcKey, env, false); ent != nil {
-			mPlanHits.Inc()
-			snap := pinPlan(ctx, ent.plan)
-			// One mark covers lookup + pin: splitting them would buy
-			// a clock read for a sub-microsecond distinction.
-			sp.Mark(obs.StagePin)
-			return runPinned(ent.plan, snap, srcKey, &sp)
-		}
+	if ent := planCache.lookup(srcKey, env, false); ent != nil {
+		mPlanHits.Inc()
+		snap := pinPlan(ctx, ent.plan)
+		// One mark covers lookup + pin: splitting them would buy a clock
+		// read for a sub-microsecond distinction.
+		sp.Mark(obs.StagePin)
+		return runPinned(ent.plan, snap, srcKey, &sp)
 	}
 	e, err := hql.Parse(src)
 	sp.Mark(obs.StageParse)
@@ -186,23 +174,16 @@ func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
 		finishQuery(&sp, srcKey, nil, nil, err)
 		return hql.Result{}, err
 	}
-	if s.optimize {
-		e, _ = hql.Optimize(e)
-		srcKey = ""
-	}
 	return evalExpr(ctx, e, env, srcKey, &sp)
 }
 
-// Eval plans and executes an already-parsed expression, applying the
-// session's optimizer setting first — the AST-level counterpart of
-// Query for callers that parse once and run many times.
+// Eval plans and executes an already-parsed expression — the AST-level
+// counterpart of Query for callers that parse once and run many times.
+// The expression is only read, never rewritten.
 func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 	ctx, err := s.begin(ctx)
 	if err != nil {
 		return hql.Result{}, err
-	}
-	if s.optimize {
-		e, _ = hql.Optimize(e)
 	}
 	sp := obs.Begin()
 	return evalExpr(ctx, e, s.db.store, "", &sp)
@@ -213,21 +194,16 @@ func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 // each operator describes itself against that pin — index operators
 // probe their indexes to report the candidates a run would touch — but
 // no operator runs: a WHEN sub-query in an AT or DURING position prints
-// as a sub-plan below the operator it parameterises. With the session's
-// optimizer on, the Section 5 law-based rewriter runs first, so the
-// output shows the plan of the rewritten expression — the same one
-// Query would execute. The output ends with the statistics the planner
-// consulted, the pinned snapshot — the database epoch plus each
-// dependency at its pinned version — and the query's plan-cache status
-// (EXPLAIN itself neither reads from nor populates the cache).
+// as a sub-plan below the operator it parameterises. The output ends
+// with the statistics the planner consulted, the pinned snapshot — the
+// database epoch plus each dependency at its pinned version — and the
+// query's plan-cache status (EXPLAIN itself neither reads from nor
+// populates the cache).
 func (s *Session) Explain(src string) (string, error) {
 	env := s.db.store
 	e, err := hql.Parse(src)
 	if err != nil {
 		return "", err
-	}
-	if s.optimize {
-		e, _ = hql.Optimize(e)
 	}
 	p, err := PlanQuery(e, env)
 	if err != nil {
@@ -252,7 +228,7 @@ func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error
 	if err != nil {
 		return "", err
 	}
-	a, err := analyzeQuery(ctx, src, s.db.store, s.optimize)
+	a, err := analyzeQuery(ctx, src, s.db.store)
 	if err != nil {
 		return "", err
 	}

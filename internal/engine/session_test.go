@@ -22,8 +22,8 @@ func sessionDB(t *testing.T) *DB {
 }
 
 // TestSessionQuery: the session entry point runs the same planned,
-// snapshot-pinned execution every query gets, with and without the
-// session's optimizer toggle.
+// snapshot-pinned execution every query gets, and a repeat of the text
+// — served from the plan cache — returns the same relation.
 func TestSessionQuery(t *testing.T) {
 	sess := sessionDB(t).NewSession()
 	res, err := sess.Query(context.Background(), `SELECT WHEN NAME = 'emp0002' FROM EMP`)
@@ -33,13 +33,12 @@ func TestSessionQuery(t *testing.T) {
 	if res.Relation == nil || res.Relation.Cardinality() != 1 {
 		t.Fatalf("query result = %+v, want 1 tuple", res)
 	}
-	sess.SetOptimize(true)
 	res2, err := sess.Query(context.Background(), `SELECT WHEN NAME = 'emp0002' FROM EMP`)
 	if err != nil {
-		t.Fatalf("optimized query: %v", err)
+		t.Fatalf("repeated query: %v", err)
 	}
 	if !res.Relation.Equal(res2.Relation) {
-		t.Fatal("optimized query differs from plain")
+		t.Fatal("repeated query differs from the first run")
 	}
 	if _, err := sess.Explain(`SELECT WHEN NAME = 'emp0002' FROM EMP`); err != nil {
 		t.Fatalf("explain: %v", err)
@@ -47,7 +46,10 @@ func TestSessionQuery(t *testing.T) {
 }
 
 // TestSessionQueryTypedErrors: parse failures come back as ErrParse
-// through the session, canceled contexts as ErrCanceled.
+// through the session, canceled contexts as ErrCanceled, and an
+// operator of a compiled plan failing at execution as ErrSemantic — the
+// class the naive evaluator gives the same failure — on the query and
+// the EXPLAIN ANALYZE paths alike.
 func TestSessionQueryTypedErrors(t *testing.T) {
 	sess := sessionDB(t).NewSession()
 	if _, err := sess.Query(context.Background(), `SELECT garbage !!`); !errors.Is(err, hrdmerr.ErrParse) {
@@ -57,6 +59,43 @@ func TestSessionQueryTypedErrors(t *testing.T) {
 	cancel()
 	if _, err := sess.Query(ctx, `EMP`); !errors.Is(err, hrdmerr.ErrCanceled) {
 		t.Fatalf("canceled query error = %v, want ErrCanceled", err)
+	}
+	sess = OpenDB(workload.Demo()).NewSession()
+	for _, q := range []string{
+		`EMP UNIONMERGE DEPTREL`,
+		`EMP JOIN DEPTREL ON NOPE = DNAME`,
+		`TIMESLICE EMP BY NOPE`,
+	} {
+		if _, err := sess.Query(bg, q); hrdmerr.CodeOf(err) != hrdmerr.CodeSemantic {
+			t.Errorf("query %q error = %v, want semantic", q, err)
+		}
+		if _, err := sess.ExplainAnalyze(bg, q); hrdmerr.CodeOf(err) != hrdmerr.CodeSemantic {
+			t.Errorf("explain analyze %q error = %v, want semantic", q, err)
+		}
+	}
+}
+
+// TestSessionEvalLeavesExpressionAlone: planning applies Section 5's
+// laws to plan nodes, never to the caller's AST — a nested slice and a
+// slice over σ-WHEN render the same before and after Eval.
+func TestSessionEvalLeavesExpressionAlone(t *testing.T) {
+	sess := sessionDB(t).NewSession()
+	for _, q := range []string{
+		`TIMESLICE (TIMESLICE EMP AT {[0,49]}) AT {[20,79]}`,
+		`TIMESLICE (SELECT WHEN SAL > 30000 FROM EMP) AT {[10,14]}`,
+		`TIMESLICE (SELECT WHEN SAL > 30000 FROM (TIMESLICE EMP AT {[0,49]})) AT {[10,14]}`,
+	} {
+		e, err := hql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.String()
+		if _, err := sess.Eval(bg, e); err != nil {
+			t.Fatalf("eval %q: %v", q, err)
+		}
+		if after := e.String(); after != before {
+			t.Errorf("Eval rewrote the caller's expression:\n%s\nbecame\n%s", before, after)
+		}
 	}
 }
 
@@ -136,10 +175,9 @@ func TestSessionWriteGroup(t *testing.T) {
 }
 
 // TestSessionEvalAndIntrospection: Eval runs a pre-parsed expression
-// through the same pinned execution Query uses (honoring the session's
-// optimizer setting), ExplainAnalyze renders an annotated plan, and
-// the small accessors (DB, Store, Optimize, String) report the
-// session's identity.
+// through the same pinned execution Query uses, ExplainAnalyze renders
+// an annotated plan, and the small accessors (DB, Store, String)
+// report the session's identity.
 func TestSessionEvalAndIntrospection(t *testing.T) {
 	db := sessionDB(t)
 	sess := db.NewSession()
@@ -150,9 +188,6 @@ func TestSessionEvalAndIntrospection(t *testing.T) {
 	}
 	if db.Store() == nil {
 		t.Fatal("Store() is nil")
-	}
-	if sess.Optimize() {
-		t.Fatal("optimizer on by default")
 	}
 
 	const src = `SELECT WHEN NAME = 'emp0002' FROM EMP`
@@ -170,17 +205,6 @@ func TestSessionEvalAndIntrospection(t *testing.T) {
 	}
 	if !want.Relation.Equal(got.Relation) {
 		t.Fatal("Eval differs from Query on the same expression")
-	}
-	sess.SetOptimize(true)
-	if !sess.Optimize() {
-		t.Fatal("SetOptimize(true) did not stick")
-	}
-	got, err = sess.Eval(ctx, e)
-	if err != nil {
-		t.Fatalf("optimized eval: %v", err)
-	}
-	if !want.Relation.Equal(got.Relation) {
-		t.Fatal("optimized Eval differs from plain Query")
 	}
 
 	out, err := sess.ExplainAnalyze(ctx, src)

@@ -1,8 +1,8 @@
 // Package hql is the textual query language over the HRDM algebra:
-// parser, AST, the law-based rewriter (Optimize), query-text
-// normalization (NormalizeQuery) and the naive reference evaluator
-// (EvalNaive). It does not run queries for applications — that is
-// engine.Session's job, which parses with this package, plans, and
+// parser, AST, query-text normalization (NormalizeQuery) and the naive
+// reference evaluator (EvalNaive). It does not run queries for
+// applications — that is engine.Session's job, which parses with this
+// package, plans (applying the Section 5 laws where they pay), and
 // falls back to EvalNaive for what it cannot plan. Every operator of
 // the paper's algebra is reachable:
 //

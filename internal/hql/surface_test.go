@@ -11,7 +11,7 @@ import (
 )
 
 // TestEvaluationSurface pins what this package is: parser, AST,
-// rewriter, normalizer and the naive reference evaluator — not a way
+// normalizer and the naive reference evaluator — not a way
 // to run queries. Anything exported that produces a Result (a function
 // returning one, or a hook type whose implementations would) is an
 // evaluation entry point, and exactly two may exist: EvalNaive and

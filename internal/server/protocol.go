@@ -1,11 +1,10 @@
 // Package server exposes one engine.DB to many concurrent clients over
 // a line-oriented JSON protocol on TCP: one request object per line in,
 // one response object per line out, in order, per connection. Each
-// connection owns an engine.Session — pinned-snapshot reads, a
-// session-scoped optimizer toggle, and at most one staged write group —
-// while the plan cache, metrics registry and store are shared across
-// sessions, so two clients issuing the same query text share one
-// compiled plan.
+// connection owns an engine.Session — pinned-snapshot reads and at most
+// one staged write group — while the plan cache, metrics registry and
+// store are shared across sessions, so two clients issuing the same
+// query text share one compiled plan.
 //
 // The protocol (see docs/SERVER.md for the full spec):
 //
@@ -16,7 +15,6 @@
 //	{"op":"stage","rel":"EMP","tuple":"tuple {[0,9]}; NAME = \"x\" @ {[0,9]}"}
 //	{"op":"commit"}
 //	{"op":"abort"}
-//	{"op":"set","optimize":true}
 //	{"op":"metrics"}
 //
 // Every response carries "ok"; failures carry an error envelope with
@@ -39,9 +37,6 @@ type request struct {
 	Rel     string `json:"rel,omitempty"`
 	Tuple   string `json:"tuple,omitempty"`
 	Analyze bool   `json:"analyze,omitempty"`
-	// Optimize is a pointer so `set` can distinguish "turn it off" from
-	// "not mentioned".
-	Optimize *bool `json:"optimize,omitempty"`
 }
 
 // response is one server line. Exactly one payload field is populated

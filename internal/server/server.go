@@ -217,11 +217,6 @@ func (s *Server) handle(sess *engine.Session, req request) response {
 	switch req.Op {
 	case "ping":
 		return response{OK: true, Result: "pong"}
-	case "set":
-		if req.Optimize != nil {
-			sess.SetOptimize(*req.Optimize)
-		}
-		return response{OK: true, Result: fmt.Sprintf("optimize=%v", sess.Optimize())}
 	case "begin_group":
 		if err := sess.BeginGroup(); err != nil {
 			return errResponse(err)

@@ -87,9 +87,9 @@ func (tc *tclient) do(t *testing.T, req request) response {
 }
 
 // TestServerProtocol drives every op over one connection: ping, query,
-// explain, the session optimizer toggle, the write-group lifecycle
-// (staged tuples visible after commit), metrics, and the typed error
-// envelope for parse failures, bad requests and state violations.
+// explain, the write-group lifecycle (staged tuples visible after
+// commit), metrics, and the typed error envelope for parse failures,
+// operator failures, bad requests and state violations.
 func TestServerProtocol(t *testing.T) {
 	srv := startServer(t, Config{})
 	tc := dialT(t, srv.Addr())
@@ -107,9 +107,12 @@ func TestServerProtocol(t *testing.T) {
 	if resp := tc.do(t, request{Op: "explain", Q: `EMP`, Analyze: true}); !resp.OK || !strings.Contains(resp.Text, "actual") {
 		t.Fatalf("explain analyze = %+v", resp)
 	}
-	on := true
-	if resp := tc.do(t, request{Op: "set", Optimize: &on}); !resp.OK || resp.Result != "optimize=true" {
-		t.Fatalf("set = %+v", resp)
+	// There are no session settings: `set` is an unknown op like any other.
+	if _, err := tc.c.Write([]byte(`{"op":"set","optimize":true}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := tc.recv(t); resp.OK || resp.Error == nil || resp.Error.Code != int(hrdmerr.CodeBadRequest) {
+		t.Fatalf("set = %+v, want bad_request", resp)
 	}
 
 	// Write-group lifecycle: begin → stage → commit → visible.
@@ -138,6 +141,10 @@ func TestServerProtocol(t *testing.T) {
 		code hrdmerr.Code
 	}{
 		{request{Op: "query", Q: `SELECT !! garbage`}, hrdmerr.CodeParse},
+		// Planned, then failing in an operator: semantic, as the naive
+		// evaluator classifies the same query.
+		{request{Op: "query", Q: `EMP UNIONMERGE DEPTREL`}, hrdmerr.CodeSemantic},
+		{request{Op: "explain", Q: `EMP UNIONMERGE DEPTREL`, Analyze: true}, hrdmerr.CodeSemantic},
 		{request{Op: "nope"}, hrdmerr.CodeBadRequest},
 		{request{Op: "commit"}, hrdmerr.CodeState},
 		{request{Op: "stage", Rel: "EMP", Tuple: "x"}, hrdmerr.CodeState},
