@@ -52,14 +52,17 @@ func (t Time) Prev() Time {
 
 // String renders the time point. Min and Max render as -inf / +inf for
 // readability in dumps of complemented lifespans.
-func (t Time) String() string {
+func (t Time) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends the String form of t to dst and returns the result.
+func (t Time) AppendTo(dst []byte) []byte {
 	switch t {
 	case Min:
-		return "-inf"
+		return append(dst, "-inf"...)
 	case Max:
-		return "+inf"
+		return append(dst, "+inf"...)
 	}
-	return strconv.FormatInt(int64(t), 10)
+	return strconv.AppendInt(dst, int64(t), 10)
 }
 
 // ParseTime parses a time point as printed by Time.String.
@@ -155,14 +158,21 @@ func (iv Interval) Equal(ov Interval) bool {
 
 // String renders the interval in the paper's closed-interval notation
 // [lo,hi]; singletons render as the bare time point.
-func (iv Interval) String() string {
+func (iv Interval) String() string { return string(iv.AppendTo(nil)) }
+
+// AppendTo appends the String form of iv to dst and returns the result.
+func (iv Interval) AppendTo(dst []byte) []byte {
 	if iv.IsEmpty() {
-		return "[]"
+		return append(dst, "[]"...)
 	}
 	if iv.Lo == iv.Hi {
-		return iv.Lo.String()
+		return iv.Lo.AppendTo(dst)
 	}
-	return fmt.Sprintf("[%s,%s]", iv.Lo, iv.Hi)
+	dst = append(dst, '[')
+	dst = iv.Lo.AppendTo(dst)
+	dst = append(dst, ',')
+	dst = iv.Hi.AppendTo(dst)
+	return append(dst, ']')
 }
 
 // ParseInterval parses "[lo,hi]", "[lo..hi]" or a bare point "t".

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -443,26 +443,35 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
-// sortedTuples returns the tuples sorted by key string — a canonical
-// order for printing and deterministic iteration in experiments.
-func (r *Relation) sortedTuples() []*Tuple {
-	out := append([]*Tuple(nil), r.Tuples()...)
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].keyString(r.scheme) < out[j].keyString(r.scheme)
-	})
-	return out
-}
+// String renders the relation: the scheme header, then one line per
+// tuple with its values in scheme order. Tuples appear in canonical key
+// order — ascending by keyString, the escaped encoding relations index
+// by, compared bytewise — so a rendering does not depend on insertion
+// order. Each tuple's key is encoded once, into one shared buffer,
+// before the sort.
+func (r *Relation) String() string { return string(r.appendTo(nil)) }
 
-// String renders the relation: scheme header followed by one line per
-// tuple in canonical key order.
-func (r *Relation) String() string {
-	var b strings.Builder
-	b.WriteString(r.scheme.String())
-	for _, t := range r.sortedTuples() {
-		b.WriteString("\n  ")
-		b.WriteString(t.render(r.scheme))
+func (r *Relation) appendTo(dst []byte) []byte {
+	type keyed struct {
+		key []byte
+		t   *Tuple
 	}
-	return b.String()
+	ts := r.Tuples()
+	rows := make([]keyed, len(ts))
+	var keys []byte
+	for i, t := range ts {
+		start := len(keys)
+		keys = t.appendKey(keys, r.scheme)
+		rows[i] = keyed{key: keys[start:], t: t}
+	}
+	slices.SortFunc(rows, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
+	dst = append(dst, r.scheme.String()...)
+	names := r.scheme.AttrNames()
+	for _, row := range rows {
+		dst = append(dst, "\n  "...)
+		dst = row.t.appendTo(dst, names)
+	}
+	return dst
 }
 
 // checkInvariants verifies the paper's structural conditions for every

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
@@ -119,11 +118,17 @@ func (t *Tuple) KeyValue(k string) value.Value {
 // keyString builds a canonical string of the tuple's key values in the
 // scheme's key order, for relation indexing.
 func (t *Tuple) keyString(r *schema.Scheme) string {
-	parts := make([]string, len(r.Key))
+	var buf [64]byte
+	return string(t.appendKey(buf[:0], r))
+}
+
+// appendKey appends the tuple's keyString to dst: encodeKey of the key
+// values' renderings, written without building them as strings.
+func (t *Tuple) appendKey(dst []byte, r *schema.Scheme) []byte {
 	for i, k := range r.Key {
-		parts[i] = t.KeyValue(k).String()
+		dst = value.AppendKeyPart(dst, i, t.KeyValue(k))
 	}
-	return encodeKey(parts)
+	return dst
 }
 
 // encodeKey combines the canonical renderings of a tuple's key values
@@ -204,29 +209,30 @@ func (t *Tuple) Merge(o *Tuple) (*Tuple, error) {
 	return &Tuple{l: nl, v: nv}, nil
 }
 
-// String renders the tuple's lifespan and values in scheme order, e.g.
-// "⟨ls={[0,9]} NAME=<{[0,9]},\"John\"> SAL={[0,4]→30000, [5,9]→34000}⟩".
-func (t *Tuple) String() string { return t.render(nil) }
+// String renders the tuple's lifespan and values in attribute-name
+// order, e.g.
+// "⟨ls={[0,9]} DEPT=<{[0,9]},\"Toys\"> NAME=<{[0,9]},\"John\"> SAL={[0,4]→30000, [5,9]→34000}⟩".
+func (t *Tuple) String() string {
+	names := make([]string, 0, len(t.v))
+	for a := range t.v {
+		names = append(names, a)
+	}
+	sort.Strings(names)
+	return string(t.appendTo(nil, names))
+}
 
-// render prints values in the order given by scheme (or sorted by name
-// when scheme is nil).
-func (t *Tuple) render(r *schema.Scheme) string {
-	var names []string
-	if r != nil {
-		names = r.AttrNames()
-	} else {
-		for a := range t.v {
-			names = append(names, a)
-		}
-		sort.Strings(names)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "⟨ls=%s", t.l)
+// appendTo appends the tuple's lifespan and the values of the named
+// attributes, in the order given, to dst.
+func (t *Tuple) appendTo(dst []byte, names []string) []byte {
+	dst = append(dst, "⟨ls="...)
+	dst = t.l.AppendTo(dst)
 	for _, a := range names {
-		fmt.Fprintf(&b, " %s=%s", a, t.v[a])
+		dst = append(dst, ' ')
+		dst = append(dst, a...)
+		dst = append(dst, '=')
+		dst = t.v[a].AppendTo(dst)
 	}
-	b.WriteString("⟩")
-	return b.String()
+	return append(dst, "⟩"...)
 }
 
 // TupleBuilder assembles a tuple attribute by attribute. It is the

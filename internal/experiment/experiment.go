@@ -448,8 +448,14 @@ func E11Queries() Table {
 	return t
 }
 
-// E12Laws measures both sides of the §5 rewrites; equality of results is
-// property-tested in internal/core.
+// E12Laws measures both sides of two §5 rewrites. The slice/σ-WHEN
+// order is a law (internal/core TestLawTimesliceCommutesWithSelect).
+// σ-WHEN below ∪o is not: it holds only when the operands agree on
+// every shared object (TestLawSelectWhenDistributesOverSetOps checks it
+// for slices of one relation, the case measured here), and fails when
+// they contradict, where r1 ∪o r2 is undefined but σr1 ∪o σr2 may not
+// be; its σ-IF form fails even for agreeing operands
+// (TestNotALawSelectIfOverUnionMerge).
 func E12Laws() Table {
 	t := Table{
 		ID:     "E12",
@@ -481,7 +487,7 @@ func E12Laws() Table {
 		s2, _ := core.SelectWhen(b, p, lifespan.All())
 		_, _ = core.UnionMerge(s1, s2)
 	})
-	t.Rows = append(t.Rows, []string{"σ(r1 ∪o r2) = σr1 ∪o σr2", dur(lhs2), dur(rhs2)})
+	t.Rows = append(t.Rows, []string{"σ(r1 ∪o r2) = σr1 ∪o σr2 if operands agree on every shared object (here both are slices of one relation)", dur(lhs2), dur(rhs2)})
 	return t
 }
 

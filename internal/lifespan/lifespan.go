@@ -280,15 +280,18 @@ func (l Lifespan) Times() []chronon.Time {
 
 // String renders the lifespan in the paper's notation, e.g.
 // "{[1,5],[9,12]}"; the empty lifespan renders as "{}".
-func (l Lifespan) String() string {
-	if l.IsEmpty() {
-		return "{}"
-	}
-	parts := make([]string, len(l.ivs))
+func (l Lifespan) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the String form of l to dst and returns the result.
+func (l Lifespan) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i, iv := range l.ivs {
-		parts[i] = iv.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = iv.AppendTo(dst)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
 
 // Parse parses the notation produced by String: a brace-enclosed,

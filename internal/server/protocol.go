@@ -25,6 +25,7 @@ package server
 
 import (
 	"encoding/json"
+	"time"
 
 	"repro/internal/hrdmerr"
 )
@@ -50,6 +51,8 @@ type response struct {
 	Committed int             `json:"committed,omitempty"` // commit: tuples published
 	Metrics   json.RawMessage `json:"metrics,omitempty"`   // metrics: registry snapshot
 	Error     *wireError      `json:"error,omitempty"`
+
+	rendering time.Time // query: when result rendering began (not sent)
 }
 
 // wireError is the frozen error envelope: code is the stable numeric

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +30,15 @@ var (
 	mOverloaded    = obs.Default.Counter("server.overload_rejected")
 	mDrainedClean  = obs.Default.Counter("server.drains_clean")
 	mDrainedForced = obs.Default.Counter("server.drains_forced")
+	// mRenderNs times a query reply from the start of result rendering
+	// to the end of its JSON encoding — the serving cost that grows
+	// with the result, before the socket write.
+	mRenderNs = obs.Default.Histogram("server.render_ns")
 )
+
+// maxRequestLine bounds one request line. A connection's read buffer
+// starts small and grows up to it only for long requests.
+const maxRequestLine = 1 << 20
 
 // Config bounds the server. Zero values mean: listen on an ephemeral
 // port, defaults for the limits, no per-query deadline, a 5s drain
@@ -173,7 +182,7 @@ func (s *Server) unregister(c net.Conn) {
 // seeing a bare RST.
 func (s *Server) rejectConn(c net.Conn, err error) {
 	c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	writeResponse(c, errResponse(err))
+	newReplyWriter().write(c, errResponse(err))
 	c.Close()
 }
 
@@ -187,21 +196,22 @@ func (s *Server) serveConn(c net.Conn) {
 	sess := s.db.NewSession()
 	defer sess.Abort() // discard a stray staged group on disconnect
 	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxRequestLine)
+	w := newReplyWriter()
 	for !s.draining.Load() && sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		mRequests.Inc()
 		var req request
 		var resp response
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			resp = errResponse(hrdmerr.New(hrdmerr.CodeBadRequest, "malformed request: %v", err))
 		} else {
 			resp = s.handle(sess, req)
 		}
-		if err := writeResponse(c, resp); err != nil {
+		if err := w.write(c, resp); err != nil {
 			return
 		}
 	}
@@ -270,6 +280,7 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 		if err != nil {
 			return errResponse(err)
 		}
+		rendering := time.Now()
 		rows := 0
 		switch {
 		case res.Relation != nil:
@@ -277,7 +288,7 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 		case res.Snapshot != nil:
 			rows = res.Snapshot.Cardinality()
 		}
-		return response{OK: true, Result: res.String(), Rows: rows}
+		return response{OK: true, Result: res.String(), Rows: rows, rendering: rendering}
 	case "explain":
 		var out string
 		var err error
@@ -299,16 +310,36 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 	}
 }
 
-// writeResponse marshals one response line. A client that stopped
+// replyWriter encodes one connection's response lines into a buffer it
+// reuses across replies. HTML escaping is off: renderings are full of
+// '<' and '>', which json.Marshal would send as six-byte \u003c
+// escapes; the line is valid JSON either way and decodes to the same
+// strings.
+type replyWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func newReplyWriter() *replyWriter {
+	w := &replyWriter{}
+	w.enc = json.NewEncoder(&w.buf)
+	w.enc.SetEscapeHTML(false)
+	return w
+}
+
+// write encodes resp as one line and sends it. A client that stopped
 // reading gets a bounded write deadline, so a drain is never hostage to
 // a dead peer's TCP window.
-func writeResponse(c net.Conn, resp response) error {
-	buf, err := json.Marshal(resp)
-	if err != nil {
+func (w *replyWriter) write(c net.Conn, resp response) error {
+	w.buf.Reset()
+	if err := w.enc.Encode(resp); err != nil {
 		return err
 	}
+	if !resp.rendering.IsZero() {
+		mRenderNs.ObserveSince(resp.rendering)
+	}
 	c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err = c.Write(append(buf, '\n'))
+	_, err := c.Write(w.buf.Bytes())
 	return err
 }
 

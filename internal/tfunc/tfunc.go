@@ -3,7 +3,6 @@ package tfunc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
@@ -292,18 +291,47 @@ func (f Func) Steps(fn func(iv chronon.Interval, v value.Value) bool) {
 
 // String renders the representation-level form, e.g.
 // "{[1,5]→30000, [6,9]→34000}". Constant functions render as the paper's
-// <lifespan,value> pair suggestion, e.g. "<{[1,9]},Codd>".
-func (f Func) String() string {
+// <lifespan,value> pair suggestion, e.g. "<{[1,9]},Codd>", whose
+// lifespan is Domain(f). The nowhere-defined function renders as "{}".
+func (f Func) String() string { return string(f.AppendTo(nil)) }
+
+// AppendTo appends the String form of f to dst and returns the result.
+//
+// A constant function's lifespan is printed from its steps without
+// building Domain(): canonical form merges adjacent steps with equal
+// values of one kind, so the steps of a canonical constant function are
+// exactly its domain's maximal intervals. The one exception is adjacent
+// steps holding numerically equal values of different kinds (1 and
+// 1.0), which IsConstant accepts and canonical keeps apart; the run
+// loop below coalesces those, so the output is Domain(f) in every case.
+func (f Func) AppendTo(dst []byte) []byte {
 	if f.IsNowhereDefined() {
-		return "{}"
+		return append(dst, "{}"...)
 	}
-	if f.IsConstant() && len(f.steps) > 0 {
-		v, _ := f.ConstantValue()
-		return fmt.Sprintf("<%s,%s>", f.Domain(), v)
+	if f.IsConstant() {
+		dst = append(dst, "<{"...)
+		for i := 0; i < len(f.steps); {
+			iv := f.steps[i].Iv
+			for i++; i < len(f.steps) && iv.Adjacent(f.steps[i].Iv); i++ {
+				iv.Hi = f.steps[i].Iv.Hi
+			}
+			dst = iv.AppendTo(dst)
+			if i < len(f.steps) {
+				dst = append(dst, ',')
+			}
+		}
+		dst = append(dst, "},"...)
+		dst = f.steps[0].V.AppendTo(dst)
+		return append(dst, '>')
 	}
-	parts := make([]string, len(f.steps))
+	dst = append(dst, '{')
 	for i, s := range f.steps {
-		parts[i] = fmt.Sprintf("%s→%s", s.Iv, s.V)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = s.Iv.AppendTo(dst)
+		dst = append(dst, "→"...)
+		dst = s.V.AppendTo(dst)
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	return append(dst, '}')
 }

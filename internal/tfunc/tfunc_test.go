@@ -363,3 +363,61 @@ func TestBuilderInvalidValuePanics(t *testing.T) {
 	var b Builder
 	b.Set(1, 2, value.Value{})
 }
+
+// TestConstantStepsAreDomainIntervals states the rule String relies on
+// to print a constant function without building Domain(): the steps of
+// a canonical constant function are exactly its domain's maximal
+// intervals, whether it was built, restricted or merged. Adjacent steps
+// holding numerically equal values of different kinds are the one case
+// canonical keeps apart; String still prints the domain for it.
+func TestConstantStepsAreDomainIntervals(t *testing.T) {
+	v := value.String_("Codd")
+	constant := func(seed int64) Func {
+		var b Builder
+		for _, iv := range genLS(seed).Union(genLS(seed + 1)).Intervals() {
+			// Split each interval so the builder sees adjacent pieces.
+			mid := iv.Lo + (iv.Hi-iv.Lo)/2
+			b.Set(iv.Lo, mid, v).Set(mid.Next(), iv.Hi, v)
+		}
+		return b.Build()
+	}
+	check := func(f Func) bool {
+		var steps []chronon.Interval
+		f.Steps(func(iv chronon.Interval, _ value.Value) bool {
+			steps = append(steps, iv)
+			return true
+		})
+		dom := f.Domain().Intervals()
+		if len(steps) != len(dom) {
+			return false
+		}
+		for i := range steps {
+			if !steps[i].Equal(dom[i]) {
+				return false
+			}
+		}
+		return f.IsNowhereDefined() || f.String() == "<"+f.Domain().String()+","+v.String()+">"
+	}
+	props := map[string]any{
+		"built":      func(a int64) bool { return check(constant(a)) },
+		"restricted": func(a, b int64) bool { return check(constant(a).Restrict(genLS(b))) },
+		"merged": func(a, b int64) bool {
+			f, l := constant(a), genLS(b)
+			m, err := f.Restrict(l).Merge(f.Restrict(l.Complement()))
+			return err == nil && check(m)
+		},
+	}
+	for name, p := range props {
+		if err := quick.Check(p, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	mixed := (&Builder{}).Set(0, 4, value.Int(1)).Set(5, 9, value.Float(1)).Build()
+	if mixed.NumSteps() != 2 || !mixed.IsConstant() {
+		t.Fatalf("mixed-kind fixture: %d steps, constant %v", mixed.NumSteps(), mixed.IsConstant())
+	}
+	if got, want := mixed.String(), "<{[0,9]},1>"; got != want {
+		t.Errorf("mixed-kind constant renders %q, want %q", got, want)
+	}
+}

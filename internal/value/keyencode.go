@@ -1,36 +1,64 @@
 package value
 
-import "strings"
-
 // EncodeKey combines the canonical renderings of a multi-attribute key
 // into one index string. Each part is escaped ('\' → `\\`, '|' → `\|`)
 // before the parts are joined with '|', so the encoding is injective: a
 // part containing the separator can never alias a different split,
 // e.g. ("a|b","c") vs ("a","b|c"). Every representation that indexes
 // composite keys by string — core relations, and the cube and
-// tuplestamp storage baselines — must encode through this function so
-// their canonical key strings agree and stay collision-free.
+// tuplestamp storage baselines — must encode through this function or
+// AppendKeyPart so their canonical key strings agree and stay
+// collision-free.
 func EncodeKey(parts []string) string {
 	n := 0
 	for _, p := range parts {
 		n += len(p) + 1
 	}
-	var b strings.Builder
-	b.Grow(n)
+	b := make([]byte, 0, n)
 	for i, p := range parts {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		if !strings.ContainsAny(p, `\|`) {
-			b.WriteString(p)
-			continue
-		}
-		for j := 0; j < len(p); j++ {
-			if p[j] == '\\' || p[j] == '|' {
-				b.WriteByte('\\')
-			}
-			b.WriteByte(p[j])
+		start := len(b)
+		b = escapeKeyPart(append(b, p...), start)
+	}
+	return string(b)
+}
+
+// AppendKeyPart appends part i of an EncodeKey string whose part is
+// v.String(): the '|' separator unless i is 0, then v's escaped
+// rendering. Appending every key value in order yields exactly
+// EncodeKey of their renderings, without building them as strings.
+func AppendKeyPart(dst []byte, i int, v Value) []byte {
+	if i > 0 {
+		dst = append(dst, '|')
+	}
+	start := len(dst)
+	return escapeKeyPart(v.AppendTo(dst), start)
+}
+
+// escapeKeyPart escapes every '\' and '|' of b[start:] in place,
+// shifting the tail right from the end so no second buffer is needed.
+func escapeKeyPart(b []byte, start int) []byte {
+	n := 0
+	for _, c := range b[start:] {
+		if c == '\\' || c == '|' {
+			n++
 		}
 	}
-	return b.String()
+	if n == 0 {
+		return b
+	}
+	end := len(b)
+	b = append(b, make([]byte, n)...)
+	j := len(b)
+	for i := end - 1; i >= start; i-- {
+		j--
+		b[j] = b[i]
+		if b[i] == '\\' || b[i] == '|' {
+			j--
+			b[j] = '\\'
+		}
+	}
+	return b
 }

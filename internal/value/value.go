@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/chronon"
@@ -182,23 +183,25 @@ func cmp[T int64 | float64](a, b T) int {
 
 // String renders the value for display: strings are quoted, booleans are
 // true/false, times use chronon notation.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String form of v to dst and returns the result.
+func (v Value) AppendTo(dst []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.n, 10)
+		return strconv.AppendInt(dst, v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		// AppendQuote grows a short dst to exactly the quoted size,
+		// which copies a long buffer on every call; grow it first.
+		return strconv.AppendQuote(slices.Grow(dst, len(v.s)+2), v.s)
 	case KindBool:
-		if v.n != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.n != 0)
 	case KindTime:
-		return "@" + chronon.Time(v.n).String()
+		return chronon.Time(v.n).AppendTo(append(dst, '@'))
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 

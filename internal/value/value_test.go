@@ -215,3 +215,42 @@ func TestCompareProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKeyPart checks that appending key values part by part, after
+// an unrelated prefix, yields exactly EncodeKey of their renderings.
+func TestAppendKeyPart(t *testing.T) {
+	keys := [][]Value{
+		{String_("plain")},
+		{String_(`a|b`), String_(`c`)},
+		{String_(`a\`), String_(`|b|c`)},
+		{Int(10), String_(`x\|y`), TimeVal(chronon.Max)},
+		{String_(""), String_("|")},
+	}
+	for _, vals := range keys {
+		parts := make([]string, len(vals))
+		dst := []byte("prefix|\\")
+		for i, v := range vals {
+			parts[i] = v.String()
+			dst = AppendKeyPart(dst, i, v)
+		}
+		if got, want := string(dst), "prefix|\\"+EncodeKey(parts); got != want {
+			t.Errorf("AppendKeyPart %v = %q, want %q", vals, got, want)
+		}
+	}
+}
+
+// TestAppendToAmortized guards the renderer against strconv.AppendQuote's
+// exact-size growth: appending n strings to one buffer must reallocate
+// it O(log n) times, not once per string.
+func TestAppendToAmortized(t *testing.T) {
+	v := String_("a string value")
+	allocs := testing.AllocsPerRun(3, func() {
+		var dst []byte
+		for i := 0; i < 1000; i++ {
+			dst = v.AppendTo(dst)
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("1000 appends allocated %.0f times, want ≤ 100", allocs)
+	}
+}
