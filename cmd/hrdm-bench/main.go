@@ -1,20 +1,12 @@
-// Command hrdm-bench runs the full experiment suite (E1–E12 of
-// DESIGN.md) and prints every table recorded in EXPERIMENTS.md.
+// Command hrdm-bench runs the experiment suite E1–E12 defined in
+// internal/experiment and prints each experiment's table.
 //
 // Usage:
 //
 //	hrdm-bench            # run everything
 //	hrdm-bench E5 E10     # run selected experiments
-//	hrdm-bench -json      # benchmark the query engine (naive vs indexed)
-//	                      # and write machine-readable results
 //
-// With -json the command generates a large personnel workload (-n
-// tuples, default 50000), runs each engine benchmark through Go's
-// testing.Benchmark against both the naive evaluator and the indexed
-// physical plans, prints a table, and writes op/n/ns-per-op/allocs
-// records plus indexed-vs-naive speedups to -out (default
-// BENCH_engine.json) so the performance trajectory accumulates in the
-// repository.
+// An argument that names no experiment exits 2 with the list.
 package main
 
 import (
@@ -37,25 +29,7 @@ var runners = map[string]func() experiment.Table{
 var order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
 
 func main() {
-	// -json anywhere in the argument list switches to the engine
-	// benchmark mode; the remaining arguments are its flags.
-	var rest []string
-	jsonMode := false
-	for _, a := range os.Args[1:] {
-		if a == "-json" || a == "--json" {
-			jsonMode = true
-			continue
-		}
-		rest = append(rest, a)
-	}
-	if jsonMode {
-		if err := runEngineBench(rest); err != nil {
-			fmt.Fprintln(os.Stderr, "hrdm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	args := rest
+	args := os.Args[1:]
 	if len(args) == 0 {
 		args = order
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // Index build and maintenance work is counted in the process-wide
-// metrics registry (engine.index.*) so tests, the benchmark harness
-// and `\metrics` can all assert that single-tuple inserts are absorbed
-// incrementally instead of triggering full rebuilds.
+// metrics registry (engine.index.*) so tests, `\metrics` and the
+// server's `metrics` op can all show that single-tuple inserts are
+// absorbed incrementally instead of triggering full rebuilds.
 var idxMetrics = struct {
 	intervalBuilds *obs.Counter // full interval-tree (re)builds, incl. overlay compactions
 	attrBuilds     *obs.Counter // full attribute-index (re)builds
@@ -21,16 +21,6 @@ var idxMetrics = struct {
 	attrBuilds:     obs.Default.Counter("engine.index.attr_builds"),
 	incremental:    obs.Default.Counter("engine.index.incremental"),
 	resyncs:        obs.Default.Counter("engine.index.resyncs"),
-}
-
-// IndexMetrics reports cumulative index-maintenance counters: full
-// interval-index builds, full attribute-index builds, single-tuple
-// changes absorbed incrementally, and full resyncs after missed
-// notifications. It is a thin typed view over the registry's
-// engine.index.* counters.
-func IndexMetrics() (intervalBuilds, attrBuilds, incremental, resyncs uint64) {
-	return idxMetrics.intervalBuilds.Load(), idxMetrics.attrBuilds.Load(),
-		idxMetrics.incremental.Load(), idxMetrics.resyncs.Load()
 }
 
 // RelIndexes is the index set of one relation: a lifespan interval index
@@ -94,12 +84,11 @@ func Indexes(r *core.Relation) *RelIndexes {
 	return x
 }
 
-// InvalidateIndexes drops r's catalog entry (unregistering its change
-// observer), so the next query rebuilds every index from scratch. The
-// benchmark harness uses it to simulate the pre-incremental maintenance
-// behavior; it is also the escape hatch should an index ever be
-// suspected stale.
-func InvalidateIndexes(r *core.Relation) {
+// invalidateIndexes drops r's catalog entry (unregistering its change
+// observer), so the next query rebuilds every index from scratch. Tests
+// use it to force that rebuild and to release a relation they are done
+// with.
+func invalidateIndexes(r *core.Relation) {
 	catalog.mu.Lock()
 	defer catalog.mu.Unlock()
 	if x, ok := catalog.rels[r]; ok {

@@ -87,8 +87,8 @@ func workersFrom(ctx context.Context) int {
 
 // parallelMinInput is the engage threshold: bound inputs shorter than
 // it run on the query goroutine, so small stores — unit-test fixtures,
-// golden files, the CI bench smoke — never pay a fan-out. Variable for
-// tests and tuning via SetParallelThreshold.
+// golden files — never pay a fan-out. Variable for tests and tuning via
+// SetParallelThreshold.
 var parallelMinInput atomic.Int64
 
 const defaultParallelThreshold = 4096

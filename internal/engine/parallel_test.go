@@ -305,8 +305,8 @@ func TestAnalyzeAccountingParallel(t *testing.T) {
 }
 
 // TestParallelThresholdRestoredDefault guards against a test leaking a
-// lowered threshold into the rest of the suite (the golden files and
-// bench smoke depend on small stores planning sequentially).
+// lowered threshold into the rest of the suite (the golden files depend
+// on small stores planning sequentially).
 func TestParallelThresholdRestoredDefault(t *testing.T) {
 	if got := SetParallelThreshold(defaultParallelThreshold); got != defaultParallelThreshold {
 		SetParallelThreshold(got) // put the odd value back for debugging

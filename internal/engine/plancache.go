@@ -9,8 +9,8 @@ import (
 )
 
 // Plan-cache metrics live in the process-wide registry so `\metrics`,
-// JSON snapshots and the benchmark harness see them alongside every
-// other engine counter; PlanCacheStats below stays as a thin typed
+// the server's metrics op and the end-to-end benchmark see them
+// alongside every other engine counter; PlanCacheStats below stays as a thin typed
 // view over the same numbers. Invalidations count fence failures
 // (a dependency relation was swapped or outgrew its costing),
 // evictions count LRU overflow — the distinction tells an operator
@@ -196,10 +196,10 @@ func InvalidateStalePlans(env hql.Env) (dropped int) {
 }
 
 // ResetPlanCache empties the plan cache and zeroes its hit/miss
-// counters (in the registry — the handles stay valid). The benchmark
-// harness uses it to measure cold plan-and-execute against cached
-// execution; tests use it for isolation, and EXPLAIN's plan-cache line
-// depends on the zeroing for golden-file determinism.
+// counters (in the registry — the handles stay valid). The end-to-end
+// benchmark's traced pass uses it to measure cold plan-and-execute
+// against cached execution; tests use it for isolation, and EXPLAIN's
+// plan-cache line depends on the zeroing for golden-file determinism.
 func ResetPlanCache() {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()

@@ -87,7 +87,7 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 
 // TestCachedPlanSurvivesResyncAndEviction pins what a cached plan may
 // and may not outlive. It holds no index object, so it stays cached and
-// correct across writes, across InvalidateIndexes (every index rebuilt
+// correct across writes, across invalidateIndexes (every index rebuilt
 // from scratch) and across the catalog evicting its relation
 // (maxCatalog) — each execution fetches the indexes it probes. It is
 // replanned once a dependency outgrows staleGrowth times its costing,
@@ -129,10 +129,10 @@ func TestCachedPlanSurvivesResyncAndEviction(t *testing.T) {
 	write("after-warm")
 	run("after a write", st, true)
 
-	InvalidateIndexes(emp)
-	InvalidateIndexes(ref)
+	invalidateIndexes(emp)
+	invalidateIndexes(ref)
 	write("after-invalidate")
-	run("after InvalidateIndexes", st, true)
+	run("after invalidateIndexes", st, true)
 
 	evicted := func() bool {
 		catalog.mu.Lock()

@@ -38,7 +38,8 @@ func TestIncrementalIndexMaintenance(t *testing.T) {
 	x.Interval()
 	x.Attr("NAME")
 	x.Attr("DEPT")
-	ib0, ab0, inc0, rs0 := IndexMetrics()
+	ib0, ab0 := idxMetrics.intervalBuilds.Load(), idxMetrics.attrBuilds.Load()
+	inc0, rs0 := idxMetrics.incremental.Load(), idxMetrics.resyncs.Load()
 
 	// Absorb 20 inserts and 5 merges.
 	for i := 0; i < 20; i++ {
@@ -54,7 +55,8 @@ func TestIncrementalIndexMaintenance(t *testing.T) {
 		}
 	}
 
-	ib1, ab1, inc1, rs1 := IndexMetrics()
+	ib1, ab1 := idxMetrics.intervalBuilds.Load(), idxMetrics.attrBuilds.Load()
+	inc1, rs1 := idxMetrics.incremental.Load(), idxMetrics.resyncs.Load()
 	if ib1 != ib0 || ab1 != ab0 {
 		t.Fatalf("full rebuilds during single-tuple maintenance: interval %d→%d, attr %d→%d", ib0, ib1, ab0, ab1)
 	}
@@ -113,13 +115,13 @@ func TestIntervalOverlayCompaction(t *testing.T) {
 	})
 	x := Indexes(r)
 	x.Interval()
-	ib0, _, _, _ := IndexMetrics()
+	ib0 := idxMetrics.intervalBuilds.Load()
 	for i := 0; i < 200; i++ {
 		if err := r.Insert(empTuple(r.Scheme(), fmt.Sprintf("c%04d", i), i%190, i%190+5, 1000, "X")); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 	}
-	ib1, _, _, _ := IndexMetrics()
+	ib1 := idxMetrics.intervalBuilds.Load()
 	if ib1 == ib0 {
 		t.Fatal("overlay never compacted across 200 inserts")
 	}

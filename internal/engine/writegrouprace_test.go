@@ -102,10 +102,11 @@ func TestTornGroupDetectorFires(t *testing.T) {
 	check("after both second halves", false)
 }
 
-// TestWriteGroupAtomicityMultiRelation extends the multi_rel_race
-// methodology from sequential batch writers to atomic write groups: a
-// writer commits one core.WriteGroup per round inserting the same keys
-// into relation A and relation B, while concurrent readers run
+// TestWriteGroupAtomicityMultiRelation extends
+// TestSnapshotIsolationMultiRelation from sequential batch writers to
+// atomic write groups: a writer commits one core.WriteGroup per round
+// inserting the same keys into relation A and relation B, while
+// concurrent readers run
 // multi-relation plans through Session.Query. With sequential batches a
 // reader may legitimately observe A ahead of B between publications;
 // with write groups that window must not exist:

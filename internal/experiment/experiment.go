@@ -60,7 +60,8 @@ func (t Table) String() string {
 
 // timeIt runs f repeatedly for at least minReps and returns the mean
 // duration. Experiments prioritize stable shape over benchmark-grade
-// rigor; bench_test.go has the testing.B versions.
+// rigor; these tables are the one place the E1–E12 operator runs are
+// timed (`go run ./cmd/hrdm-bench`).
 func timeIt(minReps int, f func()) time.Duration {
 	start := time.Now()
 	for i := 0; i < minReps; i++ {

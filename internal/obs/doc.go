@@ -8,7 +8,7 @@
 // The package deliberately imports nothing beyond the standard library
 // and is imported by every other layer — core publishes lock-contention
 // and write-group metrics, the engine publishes query/plan-cache/index
-// metrics, the CLI and benchmark harness read them back — so it must
+// metrics, the CLI and the server read them back — so it must
 // never grow a dependency on any of those layers.
 //
 // Design constraints, in order:
@@ -27,8 +27,8 @@
 //     log is a fixed-capacity ring that overwrites its oldest entry.
 //
 // Registry.Snapshot returns a plain JSON-marshalable value — the
-// expvar-style dump the CLI's \metrics command and the benchmark
-// harness embed — and Snapshot.CounterDelta supports per-scenario
+// expvar-style dump the CLI's \metrics command prints and the server's
+// metrics op returns — and Snapshot.CounterDelta supports interval
 // accounting without resetting live metrics.
 //
 // See docs/OBSERVABILITY.md for the metric catalog and the span

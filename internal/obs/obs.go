@@ -153,7 +153,7 @@ func (r *Registry) Reset() {
 
 // Snapshot is a point-in-time, JSON-marshalable dump of a registry —
 // the expvar-style document the CLI's \metrics command prints and the
-// benchmark harness embeds into BENCH_engine.json.
+// server's metrics op returns.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -191,7 +191,7 @@ func (r *Registry) Snapshot() Snapshot {
 // went backwards was Reset mid-interval (plan-cache counters at a
 // benchmark boundary, say); following monitoring convention the delta
 // then falls back to the count since the reset rather than wrapping.
-// Benchmark scenarios use this for per-scenario accounting without
+// A benchmark uses this to account for its measured window without
 // resetting live metrics.
 func (s Snapshot) CounterDelta(prev Snapshot) map[string]uint64 {
 	d := make(map[string]uint64)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/hrdmerr"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -31,6 +32,25 @@ func TestRequestLineNearLimit(t *testing.T) {
 	}
 	if resp := tc.do(t, request{Op: "ping"}); !resp.OK {
 		t.Fatalf("ping after long line: %+v", resp)
+	}
+}
+
+// TestRequestLineTooLong: a line past maxRequestLine gets one typed
+// bad_request reply naming the limit before the server closes the
+// connection, not a bare reset.
+func TestRequestLineTooLong(t *testing.T) {
+	srv := startServer(t, Config{})
+	tc := dialT(t, srv.Addr())
+	if _, err := tc.c.Write([]byte(strings.Repeat("x", maxRequestLine+1) + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	resp := tc.recv(t)
+	if resp.OK || resp.Error == nil || resp.Error.Code != int(hrdmerr.CodeBadRequest) ||
+		!strings.Contains(resp.Error.Msg, fmt.Sprint(maxRequestLine)) {
+		t.Fatalf("over-long line: %+v, want bad_request naming the %d-byte limit", resp, maxRequestLine)
+	}
+	if line, err := tc.r.ReadString('\n'); err == nil {
+		t.Fatalf("connection still open after the over-long line, read %q", line)
 	}
 }
 

@@ -217,7 +217,19 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 	// Scanner errors (including the read deadline a drain sets to wake
 	// idle readers) and client EOF both land here; the deferred close
-	// finishes the conversation.
+	// finishes the conversation. A line past the limit cannot be
+	// answered in place, so it gets one typed reply; the write side is
+	// shut first, so the reply is sent before the close resets the
+	// connection over the request bytes left unread.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		mRequests.Inc()
+		err := hrdmerr.New(hrdmerr.CodeBadRequest, "request line exceeds %d bytes", maxRequestLine)
+		if w.write(c, errResponse(err)) == nil {
+			if tc, ok := c.(*net.TCPConn); ok {
+				tc.CloseWrite()
+			}
+		}
+	}
 }
 
 // handle executes one request against the connection's session.

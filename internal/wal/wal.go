@@ -45,8 +45,9 @@ var (
 type Options struct {
 	// NoSync skips the per-append fsync. Appends then survive a process
 	// crash only if the OS flushed them, so the durability guarantee is
-	// gone — the option exists for tests and for the wal_commit bench
-	// variant that isolates fsync cost. Production logs use the default.
+	// gone — the option exists for tests and for the storage group-commit
+	// benchmark variant that isolates fsync cost. Production logs use the
+	// default.
 	NoSync bool
 }
 
