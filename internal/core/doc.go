@@ -21,4 +21,14 @@
 // publish-lock acquisition, one epoch tick, one coalesced change
 // notification per relation — so a pinned snapshot can never observe a
 // partially applied group.
+//
+// Sharing contract: tuples, their temporal functions and lifespans are
+// immutable, so a derived tuple, function or lifespan may share storage
+// with its input — t|L is t itself when L covers t.l, and a restriction
+// or intersection that changes nothing returns its operand. Code must
+// therefore never mutate a value it did not just allocate, and must not
+// read pointer equality between a result tuple and a base tuple as
+// "not derived". The interval index's dead set, keyed by tuple pointer,
+// stays sound: a relation holds one slot per key, and a merge always
+// mints a new tuple.
 package core

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/chronon"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/tfunc"
@@ -93,34 +92,31 @@ func ThetaJoin(r1, r2 *Relation, attrA string, th value.Theta, attrB string) (*R
 }
 
 // thetaTimes computes { s | f(s) θ g(s) } over the joint domain of two
-// temporal functions, walking step pairs rather than chronons.
+// temporal functions in one merge walk over both step lists: each pair
+// of overlapping steps is compared once, and the overlaps arrive in
+// ascending order, so the satisfying ones build the lifespan directly.
 func thetaTimes(f, g tfunc.Func, th value.Theta) (lifespan.Lifespan, error) {
-	joint := f.Domain().Intersect(g.Domain())
-	if joint.IsEmpty() {
-		return lifespan.Empty(), nil
-	}
-	var ivs []chronon.Interval
-	var evalErr error
-	fr := f.Restrict(joint)
-	fr.Steps(func(iv chronon.Interval, v value.Value) bool {
-		gr := g.Restrict(lifespan.New(iv))
-		gr.Steps(func(giv chronon.Interval, w value.Value) bool {
+	nf, ng := f.NumSteps(), g.NumSteps()
+	b := lifespan.NewBuilder(nf + ng - 1)
+	for i, j := 0, 0; i < nf && j < ng; {
+		fiv, v := f.StepAt(i)
+		giv, w := g.StepAt(j)
+		if iv := fiv.Intersect(giv); !iv.IsEmpty() {
 			ok, err := th.Apply(v, w)
 			if err != nil {
-				evalErr = err
-				return false
+				return lifespan.Empty(), err
 			}
 			if ok {
-				ivs = append(ivs, giv)
+				b.Add(iv)
 			}
-			return true
-		})
-		return evalErr == nil
-	})
-	if evalErr != nil {
-		return lifespan.Empty(), evalErr
+		}
+		if fiv.Hi < giv.Hi {
+			i++
+		} else {
+			j++
+		}
 	}
-	return lifespan.New(ivs...), nil
+	return b.Lifespan(), nil
 }
 
 // EquiJoin implements r1 [A = B] r2, the special case of θ-JOIN the paper

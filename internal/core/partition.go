@@ -43,8 +43,8 @@ func (p Partition) Overlaps(L lifespan.Lifespan) bool {
 	if p.Bounds.IsEmpty() {
 		return false
 	}
-	for _, iv := range L.Intervals() {
-		if iv.Overlaps(p.Bounds) {
+	for i := range L.NumIntervals() {
+		if L.IntervalAt(i).Overlaps(p.Bounds) {
 			return true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chronon"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 )
@@ -415,13 +416,23 @@ func (r *Relation) keyPos(ks string) (int, bool) {
 }
 
 // Lifespan computes LS(r) = t1.l ∪ t2.l ∪ ... ∪ tn.l, "the lifespan of
-// relation r" (Section 3). WHEN is defined directly from this.
+// relation r" (Section 3). WHEN is defined directly from this. Every
+// tuple's intervals are gathered once and canonicalized once, rather
+// than folded through n pairwise unions that each re-sort the whole
+// accumulator.
 func (r *Relation) Lifespan() lifespan.Lifespan {
-	ls := lifespan.Empty()
-	for _, t := range r.Tuples() {
-		ls = ls.Union(t.l)
+	ts := r.Tuples()
+	n := 0
+	for _, t := range ts {
+		n += t.l.NumIntervals()
 	}
-	return ls
+	ivs := make([]chronon.Interval, 0, n)
+	for _, t := range ts {
+		for i := range t.l.NumIntervals() {
+			ivs = append(ivs, t.l.IntervalAt(i))
+		}
+	}
+	return lifespan.New(ivs...)
 }
 
 // Equal reports set equality of two relations: same scheme attributes and
@@ -492,11 +503,11 @@ func (r *Relation) checkInvariants() error {
 		for _, a := range r.scheme.Attrs {
 			f := t.v[a.Name]
 			vls := t.VLS(r.scheme, a.Name)
-			if !f.Domain().SubsetOf(vls) {
+			if !f.DomainSubsetOf(vls) {
 				return fmt.Errorf("core: relation %s: tuple %s: %s defined outside vls", r.scheme.Name, ks, a.Name)
 			}
 			if r.scheme.IsKey(a.Name) {
-				if !f.IsConstant() || !f.Domain().Equal(vls) {
+				if !f.IsConstant() || !f.DomainEqual(vls) {
 					return fmt.Errorf("core: relation %s: tuple %s: key %s not constant over vls", r.scheme.Name, ks, a.Name)
 				}
 			}

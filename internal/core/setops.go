@@ -246,10 +246,12 @@ func Product(r1, r2 *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// extendConstant widens a constant function to cover ls.
+// extendConstant widens a constant function to cover ls. A function
+// already defined on exactly ls is returned as is: its values share one
+// kind (domain membership is by kind), so it equals Constant(ls, v).
 func extendConstant(f tfunc.Func, ls lifespan.Lifespan) tfunc.Func {
 	v, ok := f.ConstantValue()
-	if !ok {
+	if !ok || f.DomainEqual(ls) {
 		return f
 	}
 	return tfunc.Constant(ls, v)

@@ -72,31 +72,27 @@ func NewTuple(r *schema.Scheme, ls lifespan.Lifespan, vals map[string]tfunc.Func
 			return nil, fmt.Errorf("core: tuple on %s: unknown attribute %s", r.Name, name)
 		}
 	}
+	// Every check below runs without allocating: vls is usually ls or
+	// the attribute lifespan itself, and the domain tests walk steps.
 	t := &Tuple{l: ls, v: make(map[string]tfunc.Func, len(r.Attrs))}
 	for _, a := range r.Attrs {
 		f := vals[a.Name]
 		vls := ls.Intersect(a.Lifespan)
-		if !f.Domain().SubsetOf(vls) {
+		if !f.DomainSubsetOf(vls) {
 			return nil, fmt.Errorf("core: tuple on %s: value of %s defined on %v outside vls %v",
 				r.Name, a.Name, f.Domain(), vls)
 		}
-		bad := false
-		f.Steps(func(_ chronon.Interval, v value.Value) bool {
-			if !a.Domain.Contains(v) {
-				bad = true
-				return false
+		for i := range f.NumSteps() {
+			if _, v := f.StepAt(i); !a.Domain.Contains(v) {
+				return nil, fmt.Errorf("core: tuple on %s: value of %s outside domain %s",
+					r.Name, a.Name, a.Domain.Name)
 			}
-			return true
-		})
-		if bad {
-			return nil, fmt.Errorf("core: tuple on %s: value of %s outside domain %s",
-				r.Name, a.Name, a.Domain.Name)
 		}
 		if r.IsKey(a.Name) {
 			if !f.IsConstant() || f.IsNowhereDefined() {
 				return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be a constant-valued function", r.Name, a.Name)
 			}
-			if !f.Domain().Equal(vls) {
+			if !f.DomainEqual(vls) {
 				return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be defined on all of vls %v, got %v",
 					r.Name, a.Name, vls, f.Domain())
 			}
@@ -140,8 +136,11 @@ func encodeKey(parts []string) string { return value.EncodeKey(parts) }
 
 // restrict returns t|L: the tuple with lifespan t.l ∩ L and every value
 // restricted accordingly. Returns nil when the restricted lifespan is
-// empty (no tuple survives).
+// empty (no tuple survives), and t itself when L covers t.l.
 func (t *Tuple) restrict(l lifespan.Lifespan) *Tuple {
+	if t.l.SubsetOf(l) {
+		return t
+	}
 	nl := t.l.Intersect(l)
 	if nl.IsEmpty() {
 		return nil

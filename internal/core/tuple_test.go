@@ -289,3 +289,61 @@ func TestTupleBuilderErrors(t *testing.T) {
 		t.Error("value beyond lifespan must fail")
 	}
 }
+
+// tupleSink keeps allocation-measured tuples alive past the compiler.
+var tupleSink *Tuple
+
+// TestRestrictSharesCoveredTuple checks t|L = t when L ⊇ t.l: the same
+// pointer, and no allocation.
+func TestRestrictSharesCoveredTuple(t *testing.T) {
+	r := empRelation(t)
+	for _, tp := range r.Tuples() {
+		for _, L := range []lifespan.Lifespan{lifespan.All(), tp.l, tp.l.Union(ls("{[100,200]}"))} {
+			if got := tp.Restrict(L); got != tp {
+				t.Errorf("%v|%v is a new tuple %v", tp, L, got)
+			}
+			if n := testing.AllocsPerRun(100, func() { tupleSink = tp.Restrict(L) }); n != 0 {
+				t.Errorf("%v|%v: %.0f allocations, want 0", tp, L, n)
+			}
+		}
+	}
+}
+
+// TestNewTupleChecksAllocateNothing checks that NewTuple allocates only
+// the tuple and its value map: every structural check is free.
+func TestNewTupleChecksAllocateNothing(t *testing.T) {
+	for _, tp := range empRelation(t).Tuples() {
+		s, vals := empScheme(), tp.v
+		base := testing.AllocsPerRun(100, func() {
+			v := make(map[string]tfunc.Func, len(s.Attrs))
+			for a, f := range vals {
+				v[a] = f
+			}
+			tupleSink = &Tuple{l: tp.l, v: v}
+		})
+		n := testing.AllocsPerRun(100, func() {
+			var err error
+			if tupleSink, err = NewTuple(s, tp.l, vals); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != base {
+			t.Errorf("NewTuple(%v): %.0f allocations, want %.0f (tuple and map)", tp, n, base)
+		}
+	}
+}
+
+// TestRelationLifespanMatchesUnionFold checks LS(r), gathered and
+// canonicalized once, against the fold of pairwise unions it replaced.
+func TestRelationLifespanMatchesUnionFold(t *testing.T) {
+	for seed := int64(0); seed < lawTrials; seed++ {
+		r := genHist(seed, int(seed%9))
+		fold := lifespan.Empty()
+		for _, tp := range r.Tuples() {
+			fold = fold.Union(tp.l)
+		}
+		if got := r.Lifespan(); !got.Equal(fold) || got.String() != fold.String() {
+			t.Errorf("seed %d: LS(r) = %v, fold of unions = %v", seed, got, fold)
+		}
+	}
+}

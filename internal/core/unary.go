@@ -198,49 +198,45 @@ func (p Predicate) holdsAt(t *Tuple, s chronon.Time) (bool, error) {
 
 // when computes the set of times in scope at which the predicate holds
 // for t, stepping through the representation-level pieces rather than
-// individual chronons where possible.
+// individual chronons. The steps are sorted, so the satisfying ones
+// build the lifespan directly; when every step satisfies and the steps
+// cover scope, the answer is scope itself.
 func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	f := t.Value(p.Attr).Restrict(scope)
-	if f.IsNowhereDefined() {
-		return lifespan.Empty(), nil
+	if p.OtherAttr != "" {
+		return thetaTimes(f, t.Value(p.OtherAttr).Restrict(scope), p.Theta)
 	}
-	var ivs []chronon.Interval
-	var evalErr error
-	if p.OtherAttr == "" {
-		// Constant RHS: each step satisfies or fails as a whole.
-		f.Steps(func(iv chronon.Interval, v value.Value) bool {
-			ok, err := p.Theta.Apply(v, p.Const)
-			if err != nil {
-				evalErr = err
-				return false
+	// Constant RHS: each step satisfies or fails as a whole. Nothing is
+	// built while every step so far satisfies.
+	n := f.NumSteps()
+	var b lifespan.Builder
+	all := true
+	for i := range n {
+		iv, v := f.StepAt(i)
+		ok, err := p.Theta.Apply(v, p.Const)
+		if err != nil {
+			return lifespan.Empty(), err
+		}
+		switch {
+		case ok && !all:
+			b.Add(iv)
+		case !ok && all:
+			// The first failing step: catch up on the satisfying prefix.
+			all = false
+			b = lifespan.NewBuilder(n - 1)
+			for k := range i {
+				siv, _ := f.StepAt(k)
+				b.Add(siv)
 			}
-			if ok {
-				ivs = append(ivs, iv)
-			}
-			return true
-		})
-	} else {
-		// Attribute RHS: evaluate pointwise over the joint domain.
-		g := t.Value(p.OtherAttr).Restrict(scope)
-		joint := f.Domain().Intersect(g.Domain())
-		joint.Each(func(s chronon.Time) bool {
-			lv, _ := f.At(s)
-			rv, _ := g.At(s)
-			ok, err := p.Theta.Apply(lv, rv)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				ivs = append(ivs, chronon.Point(s))
-			}
-			return true
-		})
+		}
 	}
-	if evalErr != nil {
-		return lifespan.Empty(), evalErr
+	if !all {
+		return b.Lifespan(), nil
 	}
-	return lifespan.New(ivs...), nil
+	if f.DomainEqual(scope) {
+		return scope, nil
+	}
+	return f.Domain(), nil
 }
 
 // SelectIf implements σ-IF(A θ a, Q, L)(r) (Section 4.3):

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/chronon"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -312,5 +313,55 @@ func TestWhenFeedsTimeslice(t *testing.T) {
 	mary, _ := sliced.Lookup(`"Mary"`)
 	if !mary.Lifespan().Equal(ls("{[3,4]}")) {
 		t.Errorf("Mary during low-pay times = %v", mary.Lifespan())
+	}
+}
+
+// pointwiseWhen is the chronon-by-chronon reference of Predicate.when:
+// the times of scope at which holdsAt is true.
+func pointwiseWhen(p Predicate, t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
+	var b lifespan.Builder
+	var err error
+	scope.Each(func(s chronon.Time) bool {
+		var ok bool
+		if ok, err = p.holdsAt(t, s); ok {
+			b.Add(chronon.Point(s))
+		}
+		return err == nil
+	})
+	return b.Lifespan(), err
+}
+
+// TestWhenMatchesPointwise checks the step-walking satisfaction lifespan
+// — including the attribute-RHS form, which is thetaTimes' merge walk —
+// against evaluating the predicate at every chronon of the scope.
+func TestWhenMatchesPointwise(t *testing.T) {
+	preds := func(seed int64) []Predicate {
+		return []Predicate{
+			randomPredicate(seed),
+			{Attr: "SAL", Theta: value.GE, Const: value.Int(0)},
+			{Attr: "SAL", Theta: value.LT, OtherAttr: "SAL"},
+			{Attr: "SAL", Theta: value.EQ, OtherAttr: "SAL"},
+			{Attr: "DEPT", Theta: value.NE, OtherAttr: "DEPT"},
+			{Attr: "SAL", Theta: value.EQ, OtherAttr: "DEPT"}, // incomparable kinds
+		}
+	}
+	for seed := int64(0); seed < lawTrials; seed++ {
+		r := genHist(seed, 5)
+		for _, scopeOf := range []func(*Tuple) lifespan.Lifespan{
+			func(tp *Tuple) lifespan.Lifespan { return tp.l },
+			func(tp *Tuple) lifespan.Lifespan { return tp.l.Intersect(randomLS(seed)) },
+		} {
+			for _, tp := range r.Tuples() {
+				scope := scopeOf(tp)
+				for _, p := range preds(seed) {
+					got, gerr := p.when(tp, scope)
+					want, werr := pointwiseWhen(p, tp, scope)
+					if (gerr == nil) != (werr == nil) || !got.Equal(want) {
+						t.Errorf("seed %d: %s over %v of %v = %v (%v), want %v (%v)",
+							seed, p, scope, tp, got, gerr, want, werr)
+					}
+				}
+			}
+		}
 	}
 }

@@ -303,7 +303,8 @@ func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
 			es = append(es, e)
 		}
 	}
-	for _, qv := range L.Intervals() {
+	for i := range L.NumIntervals() {
+		qv := L.IntervalAt(i)
 		ix.root.visit(qv.Lo, qv.Hi, hit)
 		for _, e := range ix.extra {
 			if e.iv.Lo <= qv.Hi && e.iv.Hi >= qv.Lo {

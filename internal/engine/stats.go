@@ -184,8 +184,8 @@ func timesliceSelectivity(s RelStats, L lifespan.Lifespan) float64 {
 		return 1
 	}
 	w := 0.0
-	for _, iv := range L.Intervals() {
-		w += ivLen(iv)
+	for i := range L.NumIntervals() {
+		w += ivLen(L.IntervalAt(i))
 	}
 	return clamp01((s.AvgLen + w) / s.SpanLen)
 }

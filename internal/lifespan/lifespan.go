@@ -1,7 +1,9 @@
 package lifespan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,7 +13,8 @@ import (
 // Lifespan is a subset of the time domain T, kept in canonical form: a
 // sorted slice of non-empty, non-overlapping, non-adjacent closed
 // intervals. The zero value is the empty lifespan. Lifespans are
-// immutable; all operations return new values.
+// immutable, so an operation whose result equals an operand returns that
+// operand, sharing its storage, instead of a copy.
 type Lifespan struct {
 	ivs []chronon.Interval
 }
@@ -61,11 +64,11 @@ func fromIntervals(in []chronon.Interval) Lifespan {
 	if len(ivs) == 0 {
 		return Lifespan{}
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
+	slices.SortFunc(ivs, func(a, b chronon.Interval) int {
+		if a.Lo != b.Lo {
+			return cmp.Compare(a.Lo, b.Lo)
 		}
-		return ivs[i].Hi < ivs[j].Hi
+		return cmp.Compare(a.Hi, b.Hi)
 	})
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
@@ -81,6 +84,51 @@ func fromIntervals(in []chronon.Interval) Lifespan {
 	return Lifespan{ivs: out}
 }
 
+// Builder assembles a lifespan from intervals supplied in ascending
+// order — the order a walk over other canonical structures produces
+// them in — coalescing adjacent ones as they arrive, so the result is
+// canonical without the sort New pays for. The zero Builder is ready to
+// use; NewBuilder sizes its storage up front.
+type Builder struct {
+	ivs []chronon.Interval
+	n   int // capacity to allocate at the first Add
+}
+
+// NewBuilder returns a Builder that allocates room for n intervals at
+// its first Add, so a builder that receives nothing allocates nothing.
+func NewBuilder(n int) Builder { return Builder{n: n} }
+
+// Add appends iv, which must start after every interval added so far;
+// an out-of-order or overlapping interval panics. Empty intervals are
+// ignored and an interval abutting the last one extends it.
+func (b *Builder) Add(iv chronon.Interval) {
+	if iv.IsEmpty() {
+		return
+	}
+	if k := len(b.ivs); k > 0 {
+		last := &b.ivs[k-1]
+		if iv.Lo <= last.Hi {
+			panic(fmt.Sprintf("lifespan: Builder.Add(%v) after %v", iv, *last))
+		}
+		if last.Adjacent(iv) {
+			last.Hi = iv.Hi
+			return
+		}
+	}
+	if b.ivs == nil && b.n > 0 {
+		b.ivs = make([]chronon.Interval, 0, b.n)
+	}
+	b.ivs = append(b.ivs, iv)
+}
+
+// Lifespan returns the lifespan built so far and resets the builder,
+// which hands its storage to the result.
+func (b *Builder) Lifespan() Lifespan {
+	l := Lifespan{ivs: b.ivs}
+	*b = Builder{}
+	return l
+}
+
 // Intervals returns a copy of the canonical interval decomposition.
 func (l Lifespan) Intervals() []chronon.Interval {
 	out := make([]chronon.Interval, len(l.ivs))
@@ -92,6 +140,11 @@ func (l Lifespan) Intervals() []chronon.Interval {
 // For an object's lifespan this counts its incarnations: a re-hired
 // employee's lifespan has one interval per employment period.
 func (l Lifespan) NumIntervals() int { return len(l.ivs) }
+
+// IntervalAt returns the i-th maximal interval in ascending order,
+// 0 <= i < NumIntervals(). With NumIntervals it walks the decomposition
+// without the copy Intervals makes.
+func (l Lifespan) IntervalAt(i int) chronon.Interval { return l.ivs[i] }
 
 // IsEmpty reports whether the lifespan is ∅.
 func (l Lifespan) IsEmpty() bool { return len(l.ivs) == 0 }
@@ -159,24 +212,61 @@ func (l Lifespan) Union(m Lifespan) Lifespan {
 }
 
 // Intersect returns L1 ∩ L2. This is the operation that defines the
-// lifespan of an attribute value: vls(t,A,R) = t.l ∩ ALS(A,R).
+// lifespan of an attribute value: vls(t,A,R) = t.l ∩ ALS(A,R). When the
+// intersection is one of the operands — always when the other is a
+// single interval spanning it — that operand is returned and nothing is
+// allocated; otherwise the result is allocated once, at its final size.
 func (l Lifespan) Intersect(m Lifespan) Lifespan {
-	var out []chronon.Interval
-	i, j := 0, 0
-	for i < len(l.ivs) && j < len(m.ivs) {
-		iv := l.ivs[i].Intersect(m.ivs[j])
-		if !iv.IsEmpty() {
-			out = append(out, iv)
+	switch {
+	case l.IsEmpty() || m.IsEmpty():
+		return Lifespan{}
+	case m.spans(l):
+		return l
+	case l.spans(m):
+		return m
+	}
+	n, isL, isM := meet(l.ivs, m.ivs, nil)
+	switch {
+	case n == 0:
+		return Lifespan{}
+	case isL:
+		return l
+	case isM:
+		return m
+	}
+	out := make([]chronon.Interval, n)
+	meet(l.ivs, m.ivs, out)
+	return Lifespan{ivs: out}
+}
+
+// spans reports whether l is one interval containing all of m.
+func (l Lifespan) spans(m Lifespan) bool {
+	return len(l.ivs) == 1 && l.ivs[0].Lo <= m.ivs[0].Lo && m.ivs[len(m.ivs)-1].Hi <= l.ivs[0].Hi
+}
+
+// meet walks the pairwise intersections of two canonical interval lists
+// in ascending order, storing them into out when out is non-nil. It
+// returns how many there are and whether they are exactly a's or exactly
+// b's intervals. Pieces of canonical operands are already disjoint,
+// non-adjacent and sorted, so they need no canonicalization.
+func meet(a, b, out []chronon.Interval) (n int, isA, isB bool) {
+	isA, isB = true, true
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		if iv := a[i].Intersect(b[j]); !iv.IsEmpty() {
+			if out != nil {
+				out[n] = iv
+			}
+			isA = isA && n < len(a) && iv == a[n]
+			isB = isB && n < len(b) && iv == b[n]
+			n++
 		}
-		if l.ivs[i].Hi < m.ivs[j].Hi {
+		if a[i].Hi < b[j].Hi {
 			i++
 		} else {
 			j++
 		}
 	}
-	// Segments produced by pairwise interval intersection of canonical
-	// operands are already disjoint, non-adjacent and sorted.
-	return Lifespan{ivs: out}
+	return n, isA && n == len(a), isB && n == len(b)
 }
 
 // Minus returns the set difference L1 − L2, used by the object-based
@@ -229,9 +319,20 @@ func (l Lifespan) Equal(m Lifespan) bool {
 	return true
 }
 
-// SubsetOf reports L ⊆ M.
+// SubsetOf reports L ⊆ M. Both operands are canonical, so each interval
+// of L must lie inside a single interval of M; one merge walk checks
+// that without allocating.
 func (l Lifespan) SubsetOf(m Lifespan) bool {
-	return l.Intersect(m).Equal(l)
+	j := 0
+	for _, iv := range l.ivs {
+		for j < len(m.ivs) && m.ivs[j].Hi < iv.Lo {
+			j++
+		}
+		if j == len(m.ivs) || m.ivs[j].Lo > iv.Lo || m.ivs[j].Hi < iv.Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // Overlaps reports L ∩ M ≠ ∅ without materializing the intersection.

@@ -306,3 +306,127 @@ func TestFigure6Scenario(t *testing.T) {
 		t.Error("attribute defined during both recording periods")
 	}
 }
+
+func TestBuilder(t *testing.T) {
+	b := NewBuilder(4)
+	for _, iv := range []chronon.Interval{
+		chronon.NewInterval(1, 3), chronon.NewInterval(4, 6), chronon.EmptyInterval(),
+		chronon.Point(9), chronon.NewInterval(10, 12), chronon.NewInterval(20, 20),
+	} {
+		b.Add(iv)
+	}
+	if got := b.Lifespan().String(); got != "{[1,6],[9,12],20}" {
+		t.Errorf("built %s, want {[1,6],[9,12],20}", got)
+	}
+	if got := b.Lifespan(); !got.IsEmpty() {
+		t.Errorf("Lifespan must reset the builder, got %v", got)
+	}
+	for _, bad := range []chronon.Interval{chronon.NewInterval(5, 7), chronon.Point(3)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%v) after [3,5] must panic", bad)
+				}
+			}()
+			var b Builder
+			b.Add(chronon.NewInterval(3, 5))
+			b.Add(bad)
+		}()
+	}
+}
+
+func TestIntervalAt(t *testing.T) {
+	l := MustParse("{[1,3],[7,9],15}")
+	ivs := l.Intervals()
+	for i := range l.NumIntervals() {
+		if l.IntervalAt(i) != ivs[i] {
+			t.Errorf("IntervalAt(%d) = %v, want %v", i, l.IntervalAt(i), ivs[i])
+		}
+	}
+}
+
+// TestIntersectReturnsCoveredOperand checks that an intersection equal
+// to one operand is that operand, allocated for by nobody, and that
+// SubsetOf never allocates.
+func TestIntersectReturnsCoveredOperand(t *testing.T) {
+	tl := MustParse("{[3,5],[9,12]}")
+	for _, cover := range []Lifespan{All(), Interval(0, 20), MustParse("{[1,6],[8,12]}")} {
+		if got := tl.Intersect(cover); !got.Equal(tl) {
+			t.Errorf("%v ∩ %v = %v", tl, cover, got)
+		}
+		if got := cover.Intersect(tl); !got.Equal(tl) {
+			t.Errorf("%v ∩ %v = %v", cover, tl, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { tl.Intersect(cover); cover.Intersect(tl) }); n != 0 {
+			t.Errorf("%v ∩ %v: %.0f allocations, want 0", tl, cover, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { tl.SubsetOf(cover); cover.SubsetOf(tl) }); n != 0 {
+			t.Errorf("SubsetOf %v: %.0f allocations, want 0", cover, n)
+		}
+	}
+	part := Interval(4, 10)
+	if n := testing.AllocsPerRun(100, func() { tl.Intersect(part) }); n != 1 {
+		t.Errorf("a partial intersection allocates %.0f times, want once", n)
+	}
+}
+
+// fromMask is the lifespan of the chronons i in [0,63] whose bit i is
+// set in m: the reference representation of FuzzSetOps.
+func fromMask(m uint64) Lifespan {
+	var ivs []chronon.Interval
+	for i := range 64 {
+		if m&(1<<i) != 0 {
+			ivs = append(ivs, chronon.Point(chronon.Time(i)))
+		}
+	}
+	return New(ivs...)
+}
+
+// mask is fromMask's inverse for lifespans inside [0,63].
+func mask(l Lifespan) uint64 {
+	var m uint64
+	l.Each(func(t chronon.Time) bool {
+		m |= 1 << t
+		return true
+	})
+	return m
+}
+
+// canonicalForm reports whether l's intervals are sorted, non-empty,
+// disjoint and non-adjacent.
+func canonicalForm(l Lifespan) bool {
+	for i, iv := range l.ivs {
+		if iv.IsEmpty() || i > 0 && iv.Lo <= l.ivs[i-1].Hi.Next() {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSetOps checks Intersect, SubsetOf, Union and Minus against set
+// algebra on chronon bitmasks over a 64-chronon clock.
+func FuzzSetOps(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(0xf0f0), uint64(0xff00))
+	f.Add(uint64(0x0ff0), uint64(0xffff))
+	f.Add(^uint64(0), uint64(0x8000000000000001))
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		x, y := fromMask(a), fromMask(b)
+		for _, c := range []struct {
+			op   string
+			got  Lifespan
+			want uint64
+		}{
+			{"∩", x.Intersect(y), a & b},
+			{"∪", x.Union(y), a | b},
+			{"−", x.Minus(y), a &^ b},
+		} {
+			if mask(c.got) != c.want || !canonicalForm(c.got) || !c.got.Equal(fromMask(c.want)) {
+				t.Errorf("%v %s %v = %v, want %v", x, c.op, y, c.got, fromMask(c.want))
+			}
+		}
+		if got, want := x.SubsetOf(y), a&^b == 0; got != want {
+			t.Errorf("%v ⊆ %v = %v, want %v", x, y, got, want)
+		}
+	})
+}

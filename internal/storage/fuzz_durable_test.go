@@ -43,10 +43,10 @@ func FuzzWALCorruption(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint32(len(pristine)), uint32(0), byte(0))  // untouched
-	f.Add(uint32(4), uint32(2), byte(0xff))           // inside the header
+	f.Add(uint32(len(pristine)), uint32(0), byte(0))   // untouched
+	f.Add(uint32(4), uint32(2), byte(0xff))            // inside the header
 	f.Add(uint32(len(pristine)-3), uint32(9), byte(1)) // torn tail + header flip
-	f.Add(uint32(len(pristine)), uint32(40), byte(8)) // mid-log flip
+	f.Add(uint32(len(pristine)), uint32(40), byte(8))  // mid-log flip
 
 	f.Fuzz(func(t *testing.T, truncAt, flipPos uint32, flipMask byte) {
 		data := append([]byte(nil), pristine...)

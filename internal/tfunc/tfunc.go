@@ -1,7 +1,9 @@
 package tfunc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/chronon"
@@ -19,7 +21,8 @@ type step struct {
 // Func is a partial function from T into a value domain, in canonical
 // interval-coalesced form: steps are sorted, non-empty, non-overlapping,
 // and adjacent steps with equal values are merged. The zero Func is the
-// nowhere-defined function. Funcs are immutable.
+// nowhere-defined function. Funcs are immutable, so a restriction that
+// changes nothing returns its receiver, sharing its steps.
 type Func struct {
 	steps []step
 }
@@ -86,7 +89,7 @@ func canonical(ss []step) Func {
 	if len(ss) == 0 {
 		return Func{}
 	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Iv.Lo < ss[j].Iv.Lo })
+	slices.SortFunc(ss, func(a, b step) int { return cmp.Compare(a.Iv.Lo, b.Iv.Lo) })
 	out := make([]step, 0, len(ss))
 	out = append(out, ss[0])
 	for _, s := range ss[1:] {
@@ -110,10 +113,9 @@ func Constant(ls lifespan.Lifespan, v value.Value) Func {
 	if !v.IsValid() {
 		panic("tfunc: Constant with invalid value")
 	}
-	ivs := ls.Intervals()
-	ss := make([]step, len(ivs))
-	for i, iv := range ivs {
-		ss[i] = step{Iv: iv, V: v}
+	ss := make([]step, ls.NumIntervals())
+	for i := range ss {
+		ss[i] = step{Iv: ls.IntervalAt(i), V: v}
 	}
 	return Func{steps: ss}
 }
@@ -132,11 +134,42 @@ func (f Func) At(t chronon.Time) (value.Value, bool) {
 // Domain returns the definition lifespan of the partial function — the
 // set of chronons where it is defined.
 func (f Func) Domain() lifespan.Lifespan {
-	ivs := make([]chronon.Interval, len(f.steps))
-	for i, s := range f.steps {
-		ivs[i] = s.Iv
+	b := lifespan.NewBuilder(len(f.steps))
+	for _, s := range f.steps {
+		b.Add(s.Iv)
 	}
-	return lifespan.New(ivs...)
+	return b.Lifespan()
+}
+
+// DomainSubsetOf reports Domain(f) ⊆ L without building Domain(f): each
+// step must lie inside one interval of the canonical L.
+func (f Func) DomainSubsetOf(l lifespan.Lifespan) bool {
+	j, n := 0, l.NumIntervals()
+	for _, s := range f.steps {
+		for j < n && l.IntervalAt(j).Hi < s.Iv.Lo {
+			j++
+		}
+		if j == n || l.IntervalAt(j).Lo > s.Iv.Lo || l.IntervalAt(j).Hi < s.Iv.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// DomainEqual reports Domain(f) = L without building Domain(f): each
+// run of abutting steps must be exactly the next interval of L.
+func (f Func) DomainEqual(l lifespan.Lifespan) bool {
+	k := 0
+	for i := 0; i < len(f.steps); k++ {
+		run := f.steps[i].Iv
+		for i++; i < len(f.steps) && run.Adjacent(f.steps[i].Iv); i++ {
+			run.Hi = f.steps[i].Iv.Hi
+		}
+		if k == l.NumIntervals() || l.IntervalAt(k) != run {
+			return false
+		}
+	}
+	return k == l.NumIntervals()
 }
 
 // IsNowhereDefined reports whether the function has empty domain.
@@ -147,28 +180,55 @@ func (f Func) IsNowhereDefined() bool { return len(f.steps) == 0 }
 // storage experiments (E10) count.
 func (f Func) NumSteps() int { return len(f.steps) }
 
+// StepAt returns the i-th maximal constant piece in ascending order,
+// 0 <= i < NumSteps(): every chronon of iv maps to v. With NumSteps it
+// lets a caller walk two functions side by side.
+func (f Func) StepAt(i int) (iv chronon.Interval, v value.Value) {
+	return f.steps[i].Iv, f.steps[i].V
+}
+
 // Restrict returns f|L, the restriction of f to the lifespan L (paper
 // Section 3: "we will denote this restricted function by f|D'"). The
 // result is defined on Domain(f) ∩ L.
+//
+// When L covers Domain(f) the result is f itself. Otherwise the steps
+// are clipped in one pass into storage sized once. Clipping a canonical
+// step list by a canonical lifespan only shrinks steps: it cannot
+// reorder them, make them overlap, or make two equal values adjacent
+// (pieces of one step are separated by L's gaps, pieces of different
+// steps abut only where the steps did), so the result is canonical
+// without canonical's sort and merge. The overlap check per appended
+// piece still guards that argument.
 func (f Func) Restrict(l lifespan.Lifespan) Func {
 	if f.IsNowhereDefined() || l.IsEmpty() {
 		return Func{}
 	}
+	if f.DomainSubsetOf(l) {
+		return f
+	}
+	// L's intervals that can meet f lie in [lo,hi); at most one piece per
+	// step plus one per extra interval cut out of the steps survives.
+	n := l.NumIntervals()
+	first, last := f.steps[0].Iv.Lo, f.steps[len(f.steps)-1].Iv.Hi
+	lo := sort.Search(n, func(k int) bool { return l.IntervalAt(k).Hi >= first })
+	hi := sort.Search(n, func(k int) bool { return l.IntervalAt(k).Lo > last })
 	var out []step
-	ivs := l.Intervals()
-	j := 0
+	j := lo
 	for _, s := range f.steps {
-		for j < len(ivs) && ivs[j].Hi < s.Iv.Lo {
+		for j < hi && l.IntervalAt(j).Hi < s.Iv.Lo {
 			j++
 		}
-		for k := j; k < len(ivs) && ivs[k].Lo <= s.Iv.Hi; k++ {
-			iv := s.Iv.Intersect(ivs[k])
-			if !iv.IsEmpty() {
-				out = append(out, step{Iv: iv, V: s.V})
+		for k := j; k < hi && l.IntervalAt(k).Lo <= s.Iv.Hi; k++ {
+			piece := s.Iv.Intersect(l.IntervalAt(k))
+			if out == nil {
+				out = make([]step, 0, len(f.steps)+hi-lo-1)
+			} else if prev := out[len(out)-1].Iv; piece.Lo <= prev.Hi {
+				panic(fmt.Sprintf("tfunc: overlapping steps %v and %v", prev, piece))
 			}
+			out = append(out, step{Iv: piece, V: s.V})
 		}
 	}
-	return canonical(out)
+	return Func{steps: out}
 }
 
 // Merge returns the union t1.v(A) ∪ t2.v(A) of two compatible partial

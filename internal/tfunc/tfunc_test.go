@@ -421,3 +421,107 @@ func TestConstantStepsAreDomainIntervals(t *testing.T) {
 		t.Errorf("mixed-kind constant renders %q, want %q", got, want)
 	}
 }
+
+// clip is the reference restriction: every piece of every step inside
+// L, in step order, before canonicalization.
+func clip(f Func, l lifespan.Lifespan) []step {
+	var out []step
+	for _, s := range f.steps {
+		for _, iv := range l.Intervals() {
+			if p := s.Iv.Intersect(iv); !p.IsEmpty() {
+				out = append(out, step{Iv: p, V: s.V})
+			}
+		}
+	}
+	return out
+}
+
+// isCanonical reports whether f's steps are sorted, non-empty and
+// disjoint, with no two abutting steps holding equal values of one kind.
+func isCanonical(f Func) bool {
+	for i, s := range f.steps {
+		if s.Iv.IsEmpty() {
+			return false
+		}
+		if i == 0 {
+			continue
+		}
+		prev := f.steps[i-1]
+		if s.Iv.Lo <= prev.Iv.Hi || prev.Iv.Adjacent(s.Iv) && prev.V.Equal(s.V) && prev.V.Kind() == s.V.Kind() {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzFunc builds a Func through Builder from byte triples (start,
+// length, value) on a 64-chronon clock. Values are Int(0..2) and
+// Float(0..2), so numerically equal steps of different kinds — which
+// canonical keeps apart — sit next to each other.
+func fuzzFunc(spec []byte) Func {
+	var b Builder
+	for i := 0; i+2 < len(spec); i += 3 {
+		lo := chronon.Time(spec[i] % 64)
+		v := value.Int(int64(spec[i+2] % 3))
+		if spec[i+2]&4 != 0 {
+			v = value.Float(float64(spec[i+2] % 3))
+		}
+		b.Set(lo, lo+chronon.Time(spec[i+1]%8), v)
+	}
+	return b.Build()
+}
+
+// fuzzLS is the lifespan of the chronons i in [0,63] whose bit i is set
+// in m.
+func fuzzLS(m uint64) lifespan.Lifespan {
+	b := lifespan.NewBuilder(32)
+	for i := range 64 {
+		if m&(1<<i) != 0 {
+			b.Add(chronon.Point(chronon.Time(i)))
+		}
+	}
+	return b.Lifespan()
+}
+
+// FuzzRestrict checks Restrict against canonical(clip(f, L)) and the
+// allocation-free domain tests against Domain().
+func FuzzRestrict(f *testing.F) {
+	f.Add([]byte{0, 4, 1, 5, 4, 5}, uint64(0xffff)) // 1 then 1.0, abutting
+	f.Add([]byte{0, 7, 1, 8, 7, 2, 16, 3, 1}, uint64(0x0f0f0f))
+	f.Add([]byte{}, ^uint64(0))
+	f.Add([]byte{3, 2, 0}, uint64(0))
+	f.Fuzz(func(t *testing.T, spec []byte, m uint64) {
+		fn, l := fuzzFunc(spec), fuzzLS(m)
+		got, want := fn.Restrict(l), canonical(clip(fn, l))
+		if !got.Equal(want) || !isCanonical(got) {
+			t.Errorf("%v|%v = %v, want %v", fn, l, got, want)
+		}
+		if g, w := fn.DomainSubsetOf(l), fn.Domain().SubsetOf(l); g != w {
+			t.Errorf("DomainSubsetOf(%v) = %v for %v, want %v", l, g, fn, w)
+		}
+		if g, w := fn.DomainEqual(l), fn.Domain().Equal(l); g != w {
+			t.Errorf("DomainEqual(%v) = %v for %v, want %v", l, g, fn, w)
+		}
+		if d := got.Domain(); !got.DomainEqual(d) || !d.Equal(fn.Domain().Intersect(l)) {
+			t.Errorf("domain of %v is %v", got, d)
+		}
+	})
+}
+
+// TestRestrictCoveredAllocatesNothing checks that restricting to a
+// lifespan covering the domain returns the function itself, for free.
+func TestRestrictCoveredAllocatesNothing(t *testing.T) {
+	f := mk(1, 5, value.Int(1), 6, 9, value.Int(2), 12, 14, value.Int(1))
+	for _, l := range []lifespan.Lifespan{lifespan.All(), lifespan.MustParse("{[0,9],[11,20]}")} {
+		if !f.Restrict(l).Equal(f) {
+			t.Errorf("%v|%v = %v", f, l, f.Restrict(l))
+		}
+		if n := testing.AllocsPerRun(100, func() { f.Restrict(l) }); n != 0 {
+			t.Errorf("%v|%v: %.0f allocations, want 0", f, l, n)
+		}
+	}
+	part := lifespan.MustParse("{[3,7],[13,20]}")
+	if n := testing.AllocsPerRun(100, func() { f.Restrict(part) }); n != 1 {
+		t.Errorf("a clipping restriction allocates %.0f times, want once", n)
+	}
+}
