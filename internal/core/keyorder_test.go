@@ -1,0 +1,153 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/lifespan"
+	"repro/internal/value"
+)
+
+// shuffledFixture is partitionFixture in a seeded random order, so a
+// key-ordered rendering has real sorting to do.
+func shuffledFixture(t testing.TB, n int) []*Tuple {
+	ts := partitionFixture(t, n)
+	rand.New(rand.NewSource(int64(n))).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	return ts
+}
+
+// empTuple builds one EMP tuple living on [lo,hi].
+func empTuple(name string, lo, hi chronon.Time, sal int64) *Tuple {
+	return NewTupleBuilder(empScheme(), lifespan.Interval(lo, hi)).
+		Key("NAME", value.String_(name)).
+		Set("SAL", lo, hi, value.Int(sal)).
+		Set("DEPT", lo, hi, value.String_("Toys")).
+		MustBuild()
+}
+
+// TestNewRelationFromTuplesAllocsConstant: building a relation from a
+// result slice makes no allocation per tuple — the keys are encoded into
+// a pooled buffer and only the sorted order is kept — so 100 and 10 000
+// tuples cost the same number of allocations.
+func TestNewRelationFromTuplesAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := empScheme()
+	allocs := func(n int) float64 {
+		ts := shuffledFixture(t, n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewRelationFromTuples(s, ts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(10000)
+	if small != large {
+		t.Errorf("NewRelationFromTuples: %.0f allocations at n=100, %.0f at n=10 000; want the same", small, large)
+	}
+}
+
+// TestKeyOrderedRelationMatchesInserted: a NewRelationFromTuples
+// relation, whose key map is built only on first keyed use and whose
+// stored order the first mutation drops, answers every keyed operation
+// and renders exactly like a NewRelation+InsertBatch relation of the
+// same tuples — each operation tried first on a fresh relation, so each
+// is the one that builds the key map.
+func TestKeyOrderedRelationMatchesInserted(t *testing.T) {
+	s := empScheme()
+	ts := shuffledFixture(t, 200)
+	fresh := empTuple("emp9999", 0, 9, 1)
+	dup := empTuple("emp0003", 50, 59, 1)        // emp0003's key, for the plain inserts to reject
+	later := empTuple("emp0003", 95, 99, 3000)   // extends emp0003's history ([3,7]) without contradiction
+	clash := empTuple("emp0003", 3, 7, 12345678) // contradicts emp0003's salary
+	ops := []struct {
+		name string
+		op   func(r *Relation) error
+	}{
+		{"no mutation", func(*Relation) error { return nil }}, // Equal, then Lookup, build the key map
+		{"Insert", func(r *Relation) error { return r.Insert(fresh) }},
+		{"Insert duplicate", func(r *Relation) error { return r.Insert(dup) }},
+		{"InsertMerging", func(r *Relation) error { return r.InsertMerging(later) }},
+		{"InsertMerging contradiction", func(r *Relation) error { return r.InsertMerging(clash) }},
+		{"InsertBatch", func(r *Relation) error { return r.InsertBatch([]*Tuple{fresh, empTuple("emp9998", 1, 2, 2)}) }},
+		{"InsertBatch duplicate", func(r *Relation) error { return r.InsertBatch([]*Tuple{fresh, dup}) }},
+		{"WriteGroup", func(r *Relation) error {
+			g := NewWriteGroup()
+			g.Insert(r, fresh)
+			g.InsertMerging(r, later)
+			return g.Commit()
+		}},
+		{"WriteGroup duplicate", func(r *Relation) error {
+			g := NewWriteGroup()
+			g.Insert(r, dup)
+			return g.Commit()
+		}},
+	}
+	for _, c := range ops {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := NewRelationFromTuples(s, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewRelation(s)
+			if err := want.InsertBatch(ts); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("stored-order rendering differs from the sort path:\n%s\nwant\n%s", got, want)
+			}
+			gotErr, wantErr := c.op(got), c.op(want)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("error %v, want %v", gotErr, wantErr)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("rendering after %s differs:\n%s\nwant\n%s", c.name, got, want)
+			}
+			if !got.Equal(want) || !want.Equal(got) {
+				t.Fatal("relations not Equal")
+			}
+			for _, tu := range append(want.Tuples(), fresh) {
+				key := tu.KeyValue("NAME").String()
+				g, gok := got.Lookup(key)
+				w, wok := want.Lookup(key)
+				if gok != wok || (gok && !g.Equal(w)) {
+					t.Fatalf("Lookup(%s) = %v %v, want %v %v", key, g, gok, w, wok)
+				}
+			}
+		})
+	}
+}
+
+// TestDerivedKeyIndexConcurrentLookup: eight goroutines making the first
+// Lookup on a NewRelationFromTuples relation at once all race to build
+// its key map; under -race the build must be synchronized, and every
+// caller must find its tuple.
+func TestDerivedKeyIndexConcurrentLookup(t *testing.T) {
+	ts := shuffledFixture(t, 500)
+	r, err := NewRelationFromTuples(empScheme(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := g; i < len(ts); i += 8 {
+				key := ts[i].KeyValue("NAME").String()
+				if u, ok := r.Lookup(key); !ok || u != ts[i] {
+					t.Errorf("goroutine %d: Lookup(%s) = %v, %v", g, key, u, ok)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}

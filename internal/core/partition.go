@@ -91,29 +91,24 @@ func PartitionSlice(ts []*Tuple, chunk int) []Partition {
 	return parts
 }
 
-// NewRelationFromTuples builds a relation over s holding exactly ts, in
-// one coalesced pass: the tuple slice is adopted as-is and the key map
-// is allocated once at its final size, instead of the per-tuple
-// Insert's repeated map growth and per-call lock round. It is the
+// NewRelationFromTuples builds a relation over s holding exactly ts:
+// the slice is adopted as-is, and its positions are sorted by key
+// (sortByKey), which allocates nothing per tuple. Key uniqueness is
+// checked on that order — a duplicate is two equal adjacent keys and
+// fails the whole construction. The relation keeps the order, so
+// rendering it neither encodes nor sorts again; its key map is built
+// only when a keyed operation (Lookup, Equal, an insert, a write group)
+// first needs it, and the first mutation drops the order. It is the
 // materialization step of the engine's executor — operators produce
 // result slices (parallel ones merge their per-partition slices in
-// order) and this constructor turns the final slice into a relation —
-// and equally a fast path for any single-writer bulk construction. The key
-// uniqueness invariant is still enforced; a duplicate fails the whole
-// construction. The relation is private to the caller (unpublished, no
-// observers) exactly as NewRelation's result is; ts must not be
-// mutated afterwards.
+// order) and this constructor turns the final slice into a relation.
+// The relation is private to the caller (unpublished, no observers)
+// exactly as NewRelation's result is; ts must not be mutated
+// afterwards.
 func NewRelationFromTuples(s *schema.Scheme, ts []*Tuple) (*Relation, error) {
-	r := &Relation{scheme: s, id: relIDs.Add(1)}
-	r.byKey = make(map[string]int, len(ts))
-	for i, t := range ts {
-		ks := t.keyString(s)
-		if _, dup := r.byKey[ks]; dup {
-			return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ks)
-		}
-		r.byKey[ks] = i
+	order, dup := sortByKey(s, ts)
+	if dup >= 0 {
+		return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ts[dup].keyString(s))
 	}
-	r.tuples = ts
-	r.version = 1
-	return r, nil
+	return &Relation{scheme: s, id: relIDs.Add(1), tuples: ts, order: order, version: 1}, nil
 }

@@ -20,7 +20,12 @@ import (
 // distinct constant key values.
 //
 // Tuples are kept in insertion order; byKey indexes the canonical key
-// string for the uniqueness check and merges.
+// string for the uniqueness check and merges. A relation built by
+// NewRelationFromTuples instead holds its tuples' positions sorted by
+// key (order): its renderings print from that order, and byKey is
+// built from the tuples only when a keyed operation (Lookup, Equal,
+// the set operators, an insert or a write group) first needs it. Any
+// mutation drops the order.
 //
 // Concurrency: mutations (Insert, InsertMerging, InsertBatch) and
 // reads are synchronized by an RWMutex, so any number of readers may
@@ -46,7 +51,12 @@ type Relation struct {
 
 	mu     sync.RWMutex
 	tuples []*Tuple
-	byKey  map[string]int
+	// byKey is nil until keyIndexLocked builds it (NewRelationFromTuples
+	// relations only).
+	byKey map[string]int
+	// order lists tuple positions in keyString order; non-nil only in a
+	// NewRelationFromTuples relation not yet mutated.
+	order []int32
 	// version counts mutations (Insert/InsertMerging); external index
 	// caches use it to detect staleness, since tuples themselves are
 	// immutable once inserted.
@@ -238,9 +248,10 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	}
 	pub := r.beginPublish()
 	r.mu.Lock()
+	byKey := r.keyIndexLocked()
 	inBatch := make(map[string]bool, len(kss))
 	for _, ks := range kss {
-		if _, dup := r.byKey[ks]; dup || inBatch[ks] {
+		if _, dup := byKey[ks]; dup || inBatch[ks] {
 			r.mu.Unlock()
 			r.endPublish(pub, false)
 			return fmt.Errorf("core: relation %s: duplicate key %s in batch", r.scheme.Name, ks)
@@ -252,9 +263,9 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	// only [0,pos).
 	r.tuples = append(r.tuples, ts...)
 	for i, ks := range kss {
-		r.byKey[ks] = pos + i
+		byKey[ks] = pos + i
 	}
-	r.version++
+	r.mutatedLocked()
 	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ts, Version: r.version}
 	obs := r.observers
 	r.mu.Unlock()
@@ -271,16 +282,53 @@ func errFrozen(r *Relation) error {
 // insertLocked appends t under the write lock and returns the Change to
 // deliver after release.
 func (r *Relation) insertLocked(ks string, t *Tuple) (Change, error) {
-	if _, dup := r.byKey[ks]; dup {
+	byKey := r.keyIndexLocked()
+	if _, dup := byKey[ks]; dup {
 		return Change{}, fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
 	}
 	pos := len(r.tuples)
-	r.byKey[ks] = pos
+	byKey[ks] = pos
 	// Appending is snapshot-safe without copying: outstanding snapshots
 	// cover only the prefix [0,pos).
 	r.tuples = append(r.tuples, t)
-	r.version++
+	r.mutatedLocked()
 	return Change{Kind: ChangeInsert, Pos: pos, New: t, Version: r.version}, nil
+}
+
+// mutatedLocked records a mutation under the write lock: the version
+// moves and the stored key order, if any, no longer describes the
+// tuples.
+func (r *Relation) mutatedLocked() {
+	r.version++
+	r.order = nil
+}
+
+// keyIndexLocked returns byKey, building it from the tuples if this is
+// the first keyed operation on a NewRelationFromTuples relation. The
+// caller holds the write lock.
+func (r *Relation) keyIndexLocked() map[string]int {
+	if r.byKey == nil {
+		r.byKey = make(map[string]int, len(r.tuples))
+		for i, t := range r.tuples {
+			r.byKey[t.keyString(r.scheme)] = i
+		}
+	}
+	return r.byKey
+}
+
+// rLockKeyed read-locks r with byKey built. byKey is never cleared once
+// built, so a build under the write lock followed by a fresh read lock
+// leaves it in place.
+func (r *Relation) rLockKeyed() {
+	r.mu.RLock()
+	if r.byKey != nil {
+		return
+	}
+	r.mu.RUnlock()
+	r.mu.Lock()
+	r.keyIndexLocked()
+	r.mu.Unlock()
+	r.mu.RLock()
 }
 
 // notify delivers c to every observer registered at mutation time.
@@ -320,7 +368,7 @@ func (r *Relation) InsertMerging(t *Tuple) error {
 	ks := t.keyString(r.scheme)
 	pub := r.beginPublish()
 	r.mu.Lock()
-	i, dup := r.byKey[ks]
+	i, dup := r.keyIndexLocked()[ks]
 	if !dup {
 		c, err := r.insertLocked(ks, t)
 		obs := r.observers
@@ -353,7 +401,7 @@ func (r *Relation) InsertMerging(t *Tuple) error {
 		r.shared.Store(false)
 	}
 	r.tuples[i] = m
-	r.version++
+	r.mutatedLocked()
 	c := Change{Kind: ChangeMerge, Pos: i, Old: old, New: m, Version: r.version}
 	obs := r.observers
 	r.mu.Unlock()
@@ -388,7 +436,7 @@ func (r *Relation) lookupKS(ks string) (*Tuple, bool) {
 		}
 		return r.tuples[i], true // pinned slice, immutable
 	}
-	r.mu.RLock()
+	r.rLockKeyed()
 	defer r.mu.RUnlock()
 	i, ok := r.byKey[ks]
 	if !ok {
@@ -409,7 +457,7 @@ func (r *Relation) keyPos(ks string) (int, bool) {
 		}
 		return i, true
 	}
-	r.mu.RLock()
+	r.rLockKeyed()
 	defer r.mu.RUnlock()
 	i, ok := r.byKey[ks]
 	return i, ok
@@ -454,35 +502,74 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
-// String renders the relation: the scheme header, then one line per
-// tuple with its values in scheme order. Tuples appear in canonical key
-// order — ascending by keyString, the escaped encoding relations index
-// by, compared bytewise — so a rendering does not depend on insertion
-// order. Each tuple's key is encoded once, into one shared buffer,
-// before the sort.
-func (r *Relation) String() string { return string(r.appendTo(nil)) }
+// String renders the relation; see AppendTo.
+func (r *Relation) String() string { return string(r.AppendTo(nil)) }
 
-func (r *Relation) appendTo(dst []byte) []byte {
-	type keyed struct {
-		key []byte
-		t   *Tuple
+// AppendTo appends the relation's rendering to dst: the scheme header,
+// then one line per tuple with its values in scheme order. Tuples
+// appear in canonical key order — ascending by keyString, the escaped
+// encoding relations index by, compared bytewise — so a rendering does
+// not depend on insertion order. A NewRelationFromTuples relation
+// prints from the order it stored; any other is sorted by sortByKey.
+func (r *Relation) AppendTo(dst []byte) []byte {
+	var ts []*Tuple
+	var order []int32
+	if r.origin != nil {
+		ts = r.tuples // frozen views are immutable and store no order
+	} else {
+		// A snapshot like Tuples(), read with the order it describes.
+		r.mu.RLock()
+		r.shared.Store(true)
+		ts, order = r.tuples, r.order
+		r.mu.RUnlock()
 	}
-	ts := r.Tuples()
-	rows := make([]keyed, len(ts))
-	var keys []byte
-	for i, t := range ts {
-		start := len(keys)
-		keys = t.appendKey(keys, r.scheme)
-		rows[i] = keyed{key: keys[start:], t: t}
+	if order == nil {
+		order, _ = sortByKey(r.scheme, ts)
 	}
-	slices.SortFunc(rows, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
 	dst = append(dst, r.scheme.String()...)
 	names := r.scheme.AttrNames()
-	for _, row := range rows {
+	for _, i := range order {
 		dst = append(dst, "\n  "...)
-		dst = row.t.appendTo(dst, names)
+		dst = ts[i].appendTo(dst, names)
 	}
 	return dst
+}
+
+// keyScratch recycles sortByKey's key buffer and offsets, so sorting a
+// result by key allocates only the order it returns.
+var keyScratch = sync.Pool{New: func() any { return new(keyBuf) }}
+
+type keyBuf struct {
+	keys []byte   // every tuple's keyString, concatenated
+	offs []uint32 // tuple i's key is keys[offs[i]:offs[i+1]]
+}
+
+// sortByKey returns the positions of ts in ascending keyString order,
+// compared bytewise, and the position of a tuple whose key another
+// tuple shares (-1 when every key is distinct): duplicates sort next to
+// each other. Each key is encoded once, into one pooled buffer. It is
+// the one encode-and-sort both NewRelationFromTuples and rendering use.
+func sortByKey(s *schema.Scheme, ts []*Tuple) (order []int32, dup int) {
+	kb := keyScratch.Get().(*keyBuf)
+	defer keyScratch.Put(kb)
+	keys, offs := kb.keys[:0], append(kb.offs[:0], 0)
+	for _, t := range ts {
+		keys = t.appendKey(keys, s)
+		offs = append(offs, uint32(len(keys)))
+	}
+	kb.keys, kb.offs = keys, offs
+	key := func(i int32) []byte { return keys[offs[i]:offs[i+1]] }
+	order = make([]int32, len(ts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+	for i := 1; i < len(order); i++ {
+		if bytes.Equal(key(order[i-1]), key(order[i])) {
+			return order, int(order[i])
+		}
+	}
+	return order, -1
 }
 
 // checkInvariants verifies the paper's structural conditions for every

@@ -240,6 +240,7 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 	ap := groupApply{rel: r}
 	pendingIdx := make(map[string]int, len(ops)) // key → index into ap.appended
 	mergeIdx := make(map[int]int)                // live slot → index into ap.merges
+	byKey := r.keyIndexLocked()
 	for _, op := range ops {
 		ks := op.tuple.keyString(r.scheme)
 		if j, ok := pendingIdx[ks]; ok {
@@ -254,7 +255,7 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 			ap.appended[j] = m
 			continue
 		}
-		if i, live := r.byKey[ks]; live {
+		if i, live := byKey[ks]; live {
 			if !op.merging {
 				return ap, fmt.Errorf("core: relation %s: duplicate key %s in write group", r.scheme.Name, ks)
 			}
@@ -306,9 +307,9 @@ func (r *Relation) applyGroupLocked(ap groupApply) (Change, []Observer) {
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, ap.appended...)
 	for i, ks := range ap.keys {
-		r.byKey[ks] = pos + i
+		r.byKey[ks] = pos + i // built by validateGroupLocked
 	}
-	r.version++
+	r.mutatedLocked()
 	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ap.appended, Merges: ap.merges, Version: r.version}
 	return c, r.observers
 }

@@ -60,10 +60,10 @@ func (b batch) tuples() []*core.Tuple {
 
 // relation is the engine's one materialization sink: the plan root, the
 // inputs of naive operators and lifespan sub-plans turn a tuple batch
-// into a relation here, in one coalesced pass (exact-size key map, no
-// per-tuple lock rounds). Kernels keep each input tuple's unique
-// constant key (joins concatenate two), so the construction cannot hit
-// a duplicate; it still verifies.
+// into a relation here, in one pass that sorts the batch by key and
+// allocates nothing per tuple (core.NewRelationFromTuples). Kernels
+// keep each input tuple's unique constant key (joins concatenate two),
+// so the construction cannot hit a duplicate; it still verifies.
 func (b batch) relation() (*core.Relation, error) {
 	if b.rel != nil {
 		return b.rel, nil

@@ -29,17 +29,21 @@ type Result struct {
 	Snapshot *rel.Relation
 }
 
-// String renders whichever sort the result carries.
-func (r Result) String() string {
+// String renders whichever sort the result carries; see AppendTo.
+func (r Result) String() string { return string(r.AppendTo(nil)) }
+
+// AppendTo appends the rendering of whichever sort the result carries
+// to dst.
+func (r Result) AppendTo(dst []byte) []byte {
 	switch {
 	case r.Relation != nil:
-		return r.Relation.String()
+		return r.Relation.AppendTo(dst)
 	case r.Lifespan != nil:
-		return r.Lifespan.String()
+		return r.Lifespan.AppendTo(dst)
 	case r.Snapshot != nil:
-		return r.Snapshot.String()
+		return append(dst, r.Snapshot.String()...)
 	}
-	return "<empty result>"
+	return append(dst, "<empty result>"...)
 }
 
 // EvalNaive evaluates a parsed expression with the direct tree-walking

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"repro/internal/hql"
 	"repro/internal/hrdmerr"
 )
 
@@ -52,7 +53,8 @@ type response struct {
 	Metrics   json.RawMessage `json:"metrics,omitempty"`   // metrics: registry snapshot
 	Error     *wireError      `json:"error,omitempty"`
 
-	rendering time.Time // query: when result rendering began (not sent)
+	query     *hql.Result // query: the result replyWriter renders into Result (not sent)
+	rendering time.Time   // query: when result rendering began (not sent)
 }
 
 // wireError is the frozen error envelope: code is the stable numeric

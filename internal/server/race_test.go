@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled is set under -race, whose sync.Pool drops items at random,
+// so allocation counts there do not measure the code.
+const raceEnabled = true

@@ -97,15 +97,113 @@ func TestQueryReplyUnescaped(t *testing.T) {
 	}
 }
 
-// BenchmarkServeScanReply serves one SELECT WHEN SAL > … over a
-// loopback connection: query, rendering, encoding and socket write of
-// a reply of 1 816 rows and about 300 KB, the size of a scan_join reply.
-func BenchmarkServeScanReply(b *testing.B) {
+// personnelDB is a 2 000-employee EMP history. Its scanQuery reply is
+// 1 816 rows and about 300 KB, the size of a scan_join reply.
+func personnelDB() *engine.DB {
 	st := storage.NewStore()
 	st.Put(workload.Personnel(workload.PersonnelConfig{
 		NumEmployees: 2000, HistoryLen: 200, ChangeEvery: 20, ReincarnationProb: 0.3, Seed: 1,
 	}))
-	srv := New(engine.OpenDB(st), Config{})
+	return engine.OpenDB(st)
+}
+
+const scanQuery = "SELECT WHEN SAL > 30000 FROM EMP"
+
+// TestQueryReplyBytesUnchanged: rendering into the connection's reused
+// buffer and encoding through a string alias over it sends, for every
+// result sort, exactly the line json.Encoder (HTML escaping off) makes
+// of the result's String rendering. A long reply followed by a short
+// one on the same connection shows the reused buffer leaks no bytes
+// from one reply into the next.
+func TestQueryReplyBytesUnchanged(t *testing.T) {
+	srv := New(personnelDB(), Config{})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	tc := dialT(t, srv.Addr())
+	queries := []string{
+		scanQuery,                             // relation, about 300 KB
+		`SELECT IF NAME = "emp0007" FROM EMP`, // one row, after the long reply
+		`WHEN (SELECT WHEN SAL > 40000 FROM EMP)`,
+		`SNAPSHOT EMP AT 7`,
+		`SELECT WHEN SAL < 0 FROM EMP`, // empty relation
+		`EMP`,                          // a pinned view, rendered by sorting
+	}
+	for i, q := range queries {
+		tc.send(t, request{Op: "query", Q: q})
+		tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		got, err := tc.r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.db.NewSession().Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		switch {
+		case res.Relation != nil:
+			rows = res.Relation.Cardinality()
+		case res.Snapshot != nil:
+			rows = res.Snapshot.Cardinality()
+		}
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(response{OK: true, Result: res.String(), Rows: rows}); err != nil {
+			t.Fatal(err)
+		}
+		if got != want.String() {
+			t.Errorf("%s: served line differs from the encoded String rendering\n got %.300s\nwant %.300s", q, got, want.String())
+		}
+		if i == 0 && len(got) < 200_000 {
+			t.Fatalf("%s: %d-byte reply, want one of about 300 KB", q, len(got))
+		}
+	}
+}
+
+// discardConn is a connection whose writes always succeed and go
+// nowhere: replyWriter's cost without a socket.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestReplyAllocsIndependentOfResultSize: on a warm connection, a query
+// reply is rendered into the reused buffer and encoded from it without a
+// copy, so a 1 816-row reply makes no more allocations than a one-row
+// reply.
+func TestReplyAllocsIndependentOfResultSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sess := personnelDB().NewSession()
+	w := newReplyWriter()
+	allocs := func(q string) float64 {
+		res, err := sess.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := response{OK: true, Rows: res.Relation.Cardinality(), query: &res}
+		return testing.AllocsPerRun(10, func() {
+			if err := w.write(discardConn{}, resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	large := allocs(scanQuery) // also warms the buffers
+	small := allocs(`SELECT IF NAME = "emp0007" FROM EMP`)
+	if large > small {
+		t.Errorf("reply encoding: %.0f allocations for 1 816 rows, %.0f for one row; want no growth with result size", large, small)
+	}
+}
+
+// BenchmarkServeScanReply serves scanQuery over a loopback connection:
+// query, rendering, encoding and socket write of a reply of 1 816 rows
+// and about 300 KB, the size of a scan_join reply.
+func BenchmarkServeScanReply(b *testing.B) {
+	srv := New(personnelDB(), Config{})
 	if err := srv.Start(); err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +214,7 @@ func BenchmarkServeScanReply(b *testing.B) {
 	}
 	defer c.Close()
 	r := bufio.NewReaderSize(c, 1<<20)
-	line := []byte(fmt.Sprintf(`{"op":"query","q":%q}`+"\n", "SELECT WHEN SAL > 30000 FROM EMP"))
+	line := []byte(fmt.Sprintf(`{"op":"query","q":%q}`+"\n", scanQuery))
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := c.Write(line); err != nil {

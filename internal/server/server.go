@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/hrdmerr"
@@ -300,7 +301,7 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 		case res.Snapshot != nil:
 			rows = res.Snapshot.Cardinality()
 		}
-		return response{OK: true, Result: res.String(), Rows: rows, rendering: rendering}
+		return response{OK: true, Rows: rows, query: &res, rendering: rendering}
 	case "explain":
 		var out string
 		var err error
@@ -323,13 +324,16 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 }
 
 // replyWriter encodes one connection's response lines into a buffer it
-// reuses across replies. HTML escaping is off: renderings are full of
+// reuses across replies. A query reply's result is rendered into a
+// second reused buffer, which the encoder reads through a string alias
+// rather than a copy. HTML escaping is off: renderings are full of
 // '<' and '>', which json.Marshal would send as six-byte \u003c
 // escapes; the line is valid JSON either way and decodes to the same
 // strings.
 type replyWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	render []byte
+	buf    bytes.Buffer
+	enc    *json.Encoder
 }
 
 func newReplyWriter() *replyWriter {
@@ -343,6 +347,12 @@ func newReplyWriter() *replyWriter {
 // reading gets a bounded write deadline, so a drain is never hostage to
 // a dead peer's TCP window.
 func (w *replyWriter) write(c net.Conn, resp response) error {
+	if resp.query != nil {
+		// The alias is valid until the next reply re-renders the buffer;
+		// only the Encode below reads it.
+		w.render = resp.query.AppendTo(w.render[:0])
+		resp.Result = unsafe.String(unsafe.SliceData(w.render), len(w.render))
+	}
 	w.buf.Reset()
 	if err := w.enc.Encode(resp); err != nil {
 		return err
