@@ -526,11 +526,10 @@ func (r *Relation) AppendTo(dst []byte) []byte {
 	if order == nil {
 		order, _ = sortByKey(r.scheme, ts)
 	}
-	dst = append(dst, r.scheme.String()...)
-	names := r.scheme.AttrNames()
+	dst = r.scheme.AppendTo(dst)
 	for _, i := range order {
 		dst = append(dst, "\n  "...)
-		dst = ts[i].appendTo(dst, names)
+		dst = ts[i].appendTo(dst, r.scheme.Attrs)
 	}
 	return dst
 }

@@ -132,6 +132,21 @@ func TestRenderAllocs(t *testing.T) {
 	}
 }
 
+// TestRenderOneRowAllocs pins a point lookup's reply: a one-row result
+// renders into a reused buffer without allocating — the scheme header
+// and the tuple are appended, not formatted.
+func TestRenderOneRowAllocs(t *testing.T) {
+	one := personnel(t, 1)
+	row, err := NewRelationFromTuples(one.Scheme(), one.Tuples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := row.AppendTo(nil)
+	if allocs := testing.AllocsPerRun(20, func() { buf = row.AppendTo(buf[:0]) }); allocs != 0 {
+		t.Errorf("one-row Relation.AppendTo: %.0f allocations, want 0", allocs)
+	}
+}
+
 // personnel builds an n-tuple EMP in which every tuple has a stepped
 // salary and a department change, the shape of a scan result.
 func personnel(t testing.TB, n int) *Relation {

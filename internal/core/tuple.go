@@ -212,20 +212,21 @@ func (t *Tuple) Merge(o *Tuple) (*Tuple, error) {
 // order, e.g.
 // "⟨ls={[0,9]} DEPT=<{[0,9]},\"Toys\"> NAME=<{[0,9]},\"John\"> SAL={[0,4]→30000, [5,9]→34000}⟩".
 func (t *Tuple) String() string {
-	names := make([]string, 0, len(t.v))
+	attrs := make([]schema.Attribute, 0, len(t.v))
 	for a := range t.v {
-		names = append(names, a)
+		attrs = append(attrs, schema.Attribute{Name: a})
 	}
-	sort.Strings(names)
-	return string(t.appendTo(nil, names))
+	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
+	return string(t.appendTo(nil, attrs))
 }
 
-// appendTo appends the tuple's lifespan and the values of the named
-// attributes, in the order given, to dst.
-func (t *Tuple) appendTo(dst []byte, names []string) []byte {
+// appendTo appends the tuple's lifespan and the values of attrs, in the
+// order given, to dst.
+func (t *Tuple) appendTo(dst []byte, attrs []schema.Attribute) []byte {
 	dst = append(dst, "⟨ls="...)
 	dst = t.l.AppendTo(dst)
-	for _, a := range names {
+	for i := range attrs {
+		a := attrs[i].Name
 		dst = append(dst, ' ')
 		dst = append(dst, a...)
 		dst = append(dst, '=')

@@ -22,8 +22,10 @@ import (
 
 // analysis is one executed, profiled query — the data behind the
 // rendered EXPLAIN ANALYZE output, kept separate so tests can assert
-// on the numbers without parsing text.
+// on the numbers without parsing text. text is the canonical rendering
+// of the expression that ran.
 type analysis struct {
+	text string
 	plan *Plan
 	prof *profiler
 	sp   obs.Span
@@ -38,28 +40,30 @@ type analysis struct {
 // planning error: there is no naive fallback to attribute per-operator
 // numbers to.
 func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, error) {
+	q := &lifted{}
+	q.lift(src)
 	sp := obs.Begin()
-	e, err := hql.Parse(src)
+	e, err := hql.Parse(q.src)
 	if err != nil {
-		finishQuery(&sp, src, nil, nil, err)
+		finishQuery(&sp, q, nil, nil, err)
 		return nil, err
 	}
 	sp.Mark(obs.StageParse)
-	p, err := PlanQuery(e, env)
+	p, err := planLifted(e, env, q)
 	sp.Mark(obs.StagePlan)
 	if err != nil {
-		finishQuery(&sp, src, nil, nil, err)
+		finishQuery(&sp, q, nil, nil, err)
 		return nil, err
 	}
-	snap := pinPlan(ctx, p)
+	snap := pinPlan(ctx, p, q.params)
 	sp.Mark(obs.StagePin)
 	snap.prof = newProfiler()
 	res, err := p.run(snap, &sp)
-	finishQuery(&sp, "", p, snap, err)
+	finishQuery(&sp, q, p, snap, err)
 	if err != nil {
 		return nil, err
 	}
-	return &analysis{plan: p, prof: snap.prof, sp: sp, snap: snap, res: res}, nil
+	return &analysis{text: e.String(), plan: p, prof: snap.prof, sp: sp, snap: snap, res: res}, nil
 }
 
 // rootStats returns the root operator's measured execution.
@@ -86,7 +90,7 @@ func (a *analysis) selfTime(n node) time.Duration {
 // snapshot trailer lines.
 func (a *analysis) render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\n", a.plan.text)
+	fmt.Fprintf(&b, "query: %s\n", a.text)
 	a.plan.render(&b, a.snap, func(n node) {
 		// A successful run executes every node of the tree exactly once.
 		st := a.prof.ops[n]

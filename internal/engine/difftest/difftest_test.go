@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/chronon"
@@ -393,6 +394,92 @@ func TestDifferentialWriteInterleaved(t *testing.T) {
 		if m1 != m0 || h1-h0 != uint64(len(diffWorkers)) {
 			t.Errorf("%q after a write group: hits +%d misses +%d, want +%d / +0 — the cached plan did not survive the write",
 				q, h1-h0, m1-m0, len(diffWorkers))
+		}
+	}
+}
+
+// redraw returns a text of src's shape with other literals of the same
+// kinds: new names, departments, thresholds and times, and each
+// literal window shifted, keeping its length — and with it the side of
+// the cost crossing a law-3 plan is keyed on, which the window's width
+// alone prices.
+func redraw(rng *rand.Rand, src string) string {
+	shape, lits, ok := hql.Lift(src, nil, nil)
+	if !ok {
+		return src
+	}
+	out := make([]hql.Literal, len(lits))
+	for i, l := range lits {
+		text := l.Text
+		switch l.Kind {
+		case hql.LitInt:
+			if v, _ := l.Value(); v.AsInt() > 1000 || v.AsInt() < -1000 {
+				text = fmt.Sprint(24000 + 1000*rng.Intn(30))
+			} else {
+				text = fmt.Sprint(rng.Intn(220) - 10)
+			}
+		case hql.LitFloat:
+			text = fmt.Sprintf("%d.5", rng.Intn(100))
+		case hql.LitTime:
+			text = fmt.Sprintf("@%d", rng.Intn(220))
+		case hql.LitBool:
+			text = []string{"TRUE", "FALSE"}[rng.Intn(2)]
+		case hql.LitString:
+			if v, _ := l.Value(); strings.HasPrefix(v.AsString(), "emp") {
+				text = fmt.Sprintf("'emp%04d'", rng.Intn(80))
+			} else {
+				text = "'" + []string{"Toys", "Shoes", "Books", "Tools", "Music", "A", "B", "C"}[rng.Intn(8)] + "'"
+			}
+		case hql.LitLifespan:
+			L, err := lifespan.Parse(l.Text)
+			if err != nil {
+				break
+			}
+			d := chronon.Time(rng.Intn(81) - 40)
+			ivs := L.Intervals()
+			for j, iv := range ivs {
+				if iv.Lo != chronon.Min {
+					iv.Lo += d
+				}
+				if iv.Hi != chronon.Max {
+					iv.Hi += d
+				}
+				ivs[j] = iv
+			}
+			text = lifespan.New(ivs...).String()
+		}
+		out[i] = hql.Literal{Kind: l.Kind, Text: text}
+	}
+	return hql.Render(string(shape), out)
+}
+
+// TestDifferentialSharedShape is the harness's mode for plans keyed by
+// shape. Every golden and generated query runs against an empty plan
+// cache — its first run misses, and caches the plan the other degrees
+// hit — then three times with its literals redrawn (redraw). Every
+// variant must be served by the first text's plan, with no second
+// miss, and agree with the naive evaluator, error class included, byte
+// for byte at every degree.
+func TestDifferentialSharedShape(t *testing.T) {
+	st := diffStore(t, 5)
+	rng := rand.New(rand.NewSource(17))
+	queries := append([]string(nil), goldenQueries...)
+	for i := 0; i < 48; i++ {
+		queries = append(queries, generated(rng, i))
+	}
+	defer engine.ResetPlanCache()
+	for _, q := range queries {
+		engine.ResetPlanCache()
+		if !compareAll(t, st, q) {
+			t.Errorf("query failed to execute: %s", q)
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			v := redraw(rng, q)
+			compareAll(t, st, v)
+			if _, misses, _ := engine.PlanCacheStats(); misses != 1 {
+				t.Errorf("%q, drawn from %q: %d misses, want the one of the shape's first run", v, q, misses)
+			}
 		}
 	}
 }

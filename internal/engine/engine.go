@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/hql"
 	"repro/internal/obs"
@@ -14,53 +15,103 @@ func init() {
 	storage.IndexBuilder = BuildIndexes
 }
 
-// evalExpr is the one evaluation path behind Session.Query and
-// Session.Eval: consult the plan cache under the expression's
-// canonical rendering, else compile and cache — then pin a snapshot of
-// the plan's dependencies and execute against it. srcKey, when
-// non-empty, is additionally registered as an alias so the raw query
-// text hits before its next parse. An expression the planner cannot
-// compile falls back to the naive evaluator, which either runs it or
+// lifted is a query text as the plan cache sees it: the text, its shape
+// and literals (hql.Lift), and the parameters the literals decode to.
+// err is nil only when the text lexed and every literal decoded — only
+// then may it run on a plan. A Session keeps one and reuses its buffers
+// from query to query.
+type lifted struct {
+	src    string
+	shape  []byte
+	lits   []hql.Literal
+	params []param
+	err    error
+}
+
+var errNoLex = errors.New("engine: query text does not lex")
+
+func (q *lifted) lift(src string) {
+	q.src = src
+	var ok bool
+	q.shape, q.lits, ok = hql.Lift(src, q.shape[:0], q.lits[:0])
+	q.err = errNoLex
+	if ok {
+		q.params, q.err = decodeParams(q.lits, q.params[:0])
+	}
+}
+
+// text names the query for the slow log: its shape rendered with this
+// execution's literals, or the text as given when it did not lift.
+func (q *lifted) text() string {
+	if q.err != nil {
+		return q.src
+	}
+	return hql.Render(string(q.shape), q.lits)
+}
+
+// planLifted plans e, parsed from q's text, costed with q's literals:
+// the uncached path of EXPLAIN and EXPLAIN ANALYZE, which have no naive
+// fallback, so a literal that does not decode is their error.
+func planLifted(e hql.Expr, env hql.Env, q *lifted) (*Plan, error) {
+	if q.err != nil {
+		return nil, q.err
+	}
+	return planQuery(e, env, q.params)
+}
+
+// evalQuery is the one evaluation path behind Session.Query and
+// Session.Eval. A text whose shape has a cached plan fitting its
+// parameters runs on that plan at once: neither parser nor planner
+// runs. Any other text is parsed and planned — costed with its own
+// literals — and the plan cached under its shape, then run. An
+// expression the planner cannot compile, or whose literals do not
+// decode, falls back to the naive evaluator, which either runs it or
 // reports the definitive semantic error, so planning never changes
 // observable behavior — only speed.
 //
-// evalExpr owns the span it is handed: every path ends in finishQuery,
+// evalQuery owns the span it begins: every path ends in finishQuery,
 // so engine.queries / engine.query_total_ns count every query and the
 // slow log sees every outlier.
-func evalExpr(ctx context.Context, e hql.Expr, env hql.Env, srcKey string, sp *obs.Span) (hql.Result, error) {
-	key := astCacheKey(e)
+func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) {
+	sp := obs.Begin()
 	var p *Plan
-	if ent := planCache.lookup(key, env, true); ent != nil {
-		p = ent.plan
-		planCache.addKey(ent, srcKey)
-	} else {
-		var err error
-		if p, err = PlanQuery(e, env); err != nil {
-			sp.Mark(obs.StagePlan)
-			return evalFallback(ctx, e, env, key, sp)
-		}
-		planCache.store([]string{srcKey, key}, p)
+	if q.err == nil {
+		p = planCache.lookup(q.shape, env, q.params)
 	}
-	sp.Mark(obs.StagePlan)
-	snap := pinPlan(ctx, p)
+	if p == nil {
+		e, err := hql.Parse(q.src)
+		sp.Mark(obs.StageParse)
+		if err != nil {
+			finishQuery(&sp, q, nil, nil, err)
+			return hql.Result{}, err
+		}
+		mPlanMisses.Inc()
+		if q.err != nil {
+			return evalFallback(ctx, e, env, q, &sp)
+		}
+		p, err = planQuery(e, env, q.params)
+		sp.Mark(obs.StagePlan)
+		if err != nil {
+			return evalFallback(ctx, e, env, q, &sp)
+		}
+		planCache.store(string(q.shape), p)
+	}
+	snap := pinPlan(ctx, p, q.params)
+	// On a hit one mark covers lookup + pin: splitting them would buy a
+	// clock read for a sub-microsecond distinction.
 	sp.Mark(obs.StagePin)
-	return runPinned(p, snap, key, sp)
-}
-
-// runPinned executes p against its snapshot and closes the span.
-func runPinned(p *Plan, snap *Snapshot, key string, sp *obs.Span) (hql.Result, error) {
-	res, err := p.run(snap, sp)
-	finishQuery(sp, key, p, snap, err)
+	res, err := p.run(snap, &sp)
+	finishQuery(&sp, q, p, snap, err)
 	return res, err
 }
 
 // evalFallback runs an unplannable expression through the naive
 // evaluator and closes the span, so naive queries are counted and
 // slow-logged like planned ones.
-func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, key string, sp *obs.Span) (hql.Result, error) {
+func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, q *lifted, sp *obs.Span) (hql.Result, error) {
 	mNaiveFallback.Inc()
 	res, err := hql.EvalNaiveContext(ctx, e, env)
 	sp.Mark(obs.StageExecute)
-	finishQuery(sp, key, nil, nil, err)
+	finishQuery(sp, q, nil, nil, err)
 	return res, err
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -47,13 +46,12 @@ const stageHistFloor = 50 * time.Microsecond
 // finishQuery closes a query's span into the registry: the total and
 // (for non-trivial queries) per-stage histograms, the error and
 // epoch-age accounting, and — past the slow-log threshold — a full
-// slow-query record with normalized text, what ran against what (the
-// plan's text and the pinned name@version list), snapshot epoch and
-// stage breakdown. text is used only when p is nil (parse
-// errors, naive fallback); planned queries record the plan's canonical
-// text. A "src:"/"ast:" cache-key prefix on text is stripped lazily,
-// so hot callers can pass the key they already computed.
-func finishQuery(sp *obs.Span, text string, p *Plan, snap *Snapshot, err error) {
+// slow-query record naming what ran against what: the query's shape
+// rendered with this execution's literals (lifted.text), the pinned
+// name@version list, snapshot epoch and stage breakdown. The text is
+// rendered only for a query that qualifies, so the hot path pays
+// nothing for it.
+func finishQuery(sp *obs.Span, q *lifted, p *Plan, snap *Snapshot, err error) {
 	total := sp.Total()
 	mQueries.Inc()
 	if err != nil {
@@ -75,12 +73,9 @@ func finishQuery(sp *obs.Span, text string, p *Plan, snap *Snapshot, err error) 
 		}
 	}
 	if slowLog.Qualifies(total) {
-		fp := ""
+		text, fp := q.text(), ""
 		if p != nil {
-			text = p.text
-			fp = p.text + " @ " + snap.String()
-		} else {
-			text = strings.TrimPrefix(strings.TrimPrefix(text, "src:"), "ast:")
+			fp = text + " @ " + snap.String()
 		}
 		slowLog.Record(obs.SlowQuery{
 			Query: text, Fingerprint: fp, Epoch: epoch,

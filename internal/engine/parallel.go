@@ -114,13 +114,13 @@ func partitioned(b bound) bool {
 // parallelNote is the engage rule as EXPLAIN shows it: the suffix of an
 // eligible operator whose pinned input is in long enough to run
 // partitioned, with the prune window if one is known before execution.
-func parallelNote(in int, window *lsExpr) string {
+func (s *Snapshot) parallelNote(in int, window *lsExpr) string {
 	if in < int(parallelMinInput.Load()) {
 		return ""
 	}
 	d := fmt.Sprintf(", parallel (chunk=%d", parallelChunkSize())
-	if window.literal() && !window.isAll() {
-		d += fmt.Sprintf(", prune-window %s", window)
+	if window.static() && window != allTime {
+		d += ", prune-window " + window.render(s.params)
 	}
 	return d + ")"
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hql"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
 	"repro/internal/tfunc"
@@ -22,12 +23,14 @@ type cost struct {
 }
 
 // node is one operator of a physical plan. A plan is a pure shape over
-// schemes: operators, relation pointers, literal lifespans and sub-plans
-// for WHEN-valued lifespans. Everything that depends on data — scans,
-// index probes, lifespan sub-queries — happens in run, against the
-// query's pinned snapshot, so one plan executes against one consistent
-// database version no matter how many relations it touches or how
-// writers race it, and a cached plan stays correct across writes.
+// schemes: operators, relation pointers, parameter slots and sub-plans
+// for WHEN-valued lifespans. Everything that depends on data or on a
+// literal's value — scans, index probes, lifespan sub-queries, bound
+// constants — happens in run, against the query's pinned snapshot and
+// its parameters, so one plan executes against one consistent database
+// version no matter how many relations it touches or how writers race
+// it, and a cached plan stays correct across writes and serves every
+// text of its shape.
 // Parents, the plan root and the profiler reach a node through
 // Snapshot.run, never n.run directly. describe renders the node for
 // EXPLAIN against the same kind of pin (probing indexes for candidate
@@ -80,8 +83,8 @@ type tupleKernel func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error)
 
 // tupleOp is a per-tuple operator — the paper's T_L(r) = { t|L : t ∈ r }
 // shape. bind resolves it against one pinned snapshot, once per
-// execution on the query goroutine: lifespan parameters are evaluated,
-// indexes probed, the child run.
+// execution on the query goroutine: parameters are bound, lifespan
+// parameters evaluated, indexes probed, the child run.
 type tupleOp interface {
 	node
 	bind(s *Snapshot) (bound, error)
@@ -204,22 +207,40 @@ func filterKernel(c core.Condition, when, forAll bool, L lifespan.Lifespan) tupl
 // lifespan parameters
 
 // lsExpr is a lifespan-valued plan parameter — the algebra's second
-// sort, the L of TIME-SLICE and SELECT … DURING: a literal, the WHEN of
-// a sub-plan's result, or a set operation over two. Only literals are
-// known to the plan; everything else is evaluated per execution by
-// Snapshot.lifespanOf, against the same pin as the rest of the query.
+// sort, the L of TIME-SLICE and SELECT … DURING: a literal, read from
+// its parameter slot, the WHEN of a sub-plan's result, or a set
+// operation over two. Everything is evaluated per execution by
+// Snapshot.lifespanOf, against the same pin and parameters as the rest
+// of the query.
 type lsExpr struct {
-	lit  lifespan.Lifespan
+	slot int
 	when *whenNode
 	op   string // UNION, INTERSECT or MINUS over l and r
 	l, r *lsExpr
 }
 
 // allTime is the lifespan parameter of an operator without one.
-var allTime = &lsExpr{lit: lifespan.All()}
+var (
+	allTime = &lsExpr{}
+	allLS   = lifespan.All()
+)
 
-func (e *lsExpr) literal() bool { return e.when == nil && e.op == "" }
-func (e *lsExpr) isAll() bool   { return e.literal() && e.lit.Equal(lifespan.All()) }
+// static reports whether e is a function of the parameters alone, with
+// no WHEN sub-plan.
+func (e *lsExpr) static() bool {
+	return e.when == nil && (e.op == "" || e.l.static() && e.r.static())
+}
+
+// value evaluates a static e under ps.
+func (e *lsExpr) value(ps []param) lifespan.Lifespan {
+	switch {
+	case e == allTime:
+		return allLS
+	case e.op != "":
+		return lsApply(e.op, e.l.value(ps), e.r.value(ps))
+	}
+	return ps[e.slot].ls
+}
 
 // subplans appends e's WHEN sub-plans to out, left to right — the
 // order EXPLAIN prints them in below the operator they parameterise.
@@ -233,14 +254,16 @@ func (e *lsExpr) subplans(out []node) []node {
 	return out
 }
 
-func (e *lsExpr) String() string {
+// render prints e for EXPLAIN: a static part as the lifespan it binds
+// to under ps, a sub-plan as a reference to it.
+func (e *lsExpr) render(ps []param) string {
 	switch {
+	case e.static():
+		return e.value(ps).String()
 	case e.when != nil:
 		return "WHEN(sub-plan)"
-	case e.op != "":
-		return "(" + e.l.String() + " " + e.op + " " + e.r.String() + ")"
 	}
-	return e.lit.String()
+	return "(" + e.l.render(ps) + " " + e.op + " " + e.r.render(ps) + ")"
 }
 
 // lsApply combines two lifespans under one of lsExpr's operators.
@@ -254,7 +277,8 @@ func lsApply(op string, l, r lifespan.Lifespan) lifespan.Lifespan {
 	return l.Minus(r)
 }
 
-// lifespanOf evaluates e against the pin, running its sub-plans.
+// lifespanOf evaluates e against the pin and parameters, running its
+// sub-plans.
 func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
 	switch {
 	case e.when != nil:
@@ -267,7 +291,7 @@ func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
 			return lifespan.Lifespan{}, err
 		}
 		return core.When(r), nil
-	case e.op != "":
+	case e.op != "" && !e.static():
 		l, err := s.lifespanOf(e.l)
 		if err != nil {
 			return lifespan.Lifespan{}, err
@@ -278,7 +302,7 @@ func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
 		}
 		return lsApply(e.op, l, r), nil
 	}
-	return e.lit, nil
+	return e.value(s.params), nil
 }
 
 // whenNode roots a lifespan sub-plan: lifespanOf takes the WHEN of its
@@ -326,7 +350,7 @@ func (n *scanNode) describe(s *Snapshot) string {
 // empty unless child is a base scan — the partitionable shape.
 func (s *Snapshot) scanNote(child node, window *lsExpr) string {
 	if sc, ok := child.(*scanNode); ok {
-		return parallelNote(s.card(sc.rel), window)
+		return s.parallelNote(s.card(sc.rel), window)
 	}
 	return ""
 }
@@ -374,11 +398,11 @@ func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
 func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexTimeSliceNode) estimate() cost                 { return n.est }
 func (n *indexTimeSliceNode) describe(s *Snapshot) string {
-	d := fmt.Sprintf("index-time-slice %s at %s", n.name, n.at)
-	if !n.at.literal() {
+	d := fmt.Sprintf("index-time-slice %s at %s", n.name, n.at.render(s.params))
+	if !n.at.static() {
 		return d + " (interval index, probed at execution)"
 	}
-	cand, indexed, err := n.candidates(s, n.at.lit)
+	cand, indexed, err := n.candidates(s, n.at.value(s.params))
 	switch {
 	case err != nil:
 		return fmt.Sprintf("%s (%v)", d, err)
@@ -387,7 +411,7 @@ func (n *indexTimeSliceNode) describe(s *Snapshot) string {
 	default:
 		d += fmt.Sprintf(" (interval index: %d of %d tuples alive)", len(cand), s.card(n.rel))
 	}
-	return d + parallelNote(len(cand), n.at)
+	return d + s.parallelNote(len(cand), n.at)
 }
 
 // timeSliceNode restricts each tuple of its child to L — the form used
@@ -415,19 +439,19 @@ func (n *timeSliceNode) estimate() cost {
 	return cost{rows: c.rows, work: c.work + c.rows}
 }
 func (n *timeSliceNode) describe(s *Snapshot) string {
-	return fmt.Sprintf("time-slice at %s", n.at) + s.scanNote(n.child, n.at)
+	return "time-slice at " + n.at.render(s.params) + s.scanNote(n.child, n.at)
 }
 
 // ---------------------------------------------------------------------
 // selection
 
 // filterNode applies a SELECT-IF or SELECT-WHEN condition per child
-// tuple. sel is the condition's estimated selectivity —
-// statistics-derived over base relations, comparator defaults
-// otherwise.
+// tuple; its constants are bound from the parameters (bindCond). sel
+// is the condition's estimated selectivity — statistics-derived over
+// base relations, comparator defaults otherwise.
 type filterNode struct {
 	child  node
-	cond   core.Condition
+	cond   hql.CondExpr
 	when   bool
 	forAll bool
 	during *lsExpr
@@ -444,7 +468,7 @@ func (n *filterNode) bind(s *Snapshot) (bound, error) {
 	}
 	in, err := s.tuplesFrom(n.child)
 	_, overScan := n.child.(*scanNode)
-	b := bound{in: in, kernel: filterKernel(n.cond, n.when, n.forAll, L), partition: overScan}
+	b := bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params), n.when, n.forAll, L), partition: overScan}
 	if !n.forAll {
 		// ∀ keeps tuples whose scope is empty (vacuous truth), so only
 		// the existential and WHEN forms may skip what misses DURING.
@@ -462,7 +486,7 @@ func (n *filterNode) describe(s *Snapshot) string {
 	if n.forAll {
 		window = allTime
 	}
-	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), n.cond, duringSuffix(n.during)) +
+	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), bindCond(n.cond, s.params), s.duringSuffix(n.during)) +
 		s.scanNote(n.child, window)
 }
 
@@ -478,13 +502,13 @@ func (n *filterNode) describe(s *Snapshot) string {
 type indexSelectNode struct {
 	name   string
 	rel    *core.Relation
-	cond   core.Condition
+	cond   hql.CondExpr
 	when   bool
 	during *lsExpr
-	// eqAttr = eqVal is a required conjunct of cond; eqAttr is "" when
-	// it has none.
+	// eqAttr = the constant in slot eqSlot is a required conjunct of
+	// cond; eqAttr is "" when it has none.
 	eqAttr string
-	eqVal  value.Value
+	eqSlot int
 	est    cost
 }
 
@@ -505,11 +529,11 @@ func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) (cand []*
 	work := 2 * len(cand)
 	if n.eqAttr != "" {
 		p := newEqProbe(v, n.eqAttr)
-		if m := p.candidates(n.eqVal); len(m)+1 < work {
+		if m := p.candidates(s.params[n.eqSlot].v); len(m)+1 < work {
 			cand, eq, work = m, p, len(m)+1
 		}
 	}
-	if !n.during.isAll() {
+	if n.during != allTime {
 		// Tuples missing L have empty scope and vanish.
 		if m, ok := overlapping(v, L, work-2); ok {
 			return m, nil, true, nil
@@ -524,27 +548,27 @@ func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
 		return bound{}, err
 	}
 	cand, _, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: filterKernel(n.cond, n.when, false, L), window: L, windowed: true, partition: true}, err
+	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params), n.when, false, L), window: L, windowed: true, partition: true}, err
 }
 func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexSelectNode) estimate() cost                 { return n.est }
 func (n *indexSelectNode) describe(s *Snapshot) string {
-	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, n.cond, duringSuffix(n.during))
-	if !n.during.literal() {
+	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, bindCond(n.cond, s.params), s.duringSuffix(n.during))
+	if !n.during.static() {
 		return d + " (candidates priced at execution)"
 	}
-	cand, eq, interval, err := n.candidates(s, n.during.lit)
+	cand, eq, interval, err := n.candidates(s, n.during.value(s.params))
 	via := "pinned scan"
 	switch {
 	case err != nil:
 		return fmt.Sprintf("%s (%v)", d, err)
 	case interval:
-		via = fmt.Sprintf("interval-index during %s", n.during)
+		via = "interval-index during " + n.during.render(s.params)
 	case eq != nil:
 		via = eq.String()
 	}
 	return fmt.Sprintf("%s via %s (%d of %d candidates)", d, via, len(cand), s.card(n.rel)) +
-		parallelNote(len(cand), n.during)
+		s.parallelNote(len(cand), n.during)
 }
 
 func selKind(when, forAll bool) string {
@@ -558,11 +582,11 @@ func selKind(when, forAll bool) string {
 	}
 }
 
-func duringSuffix(e *lsExpr) string {
-	if e.isAll() {
+func (s *Snapshot) duringSuffix(e *lsExpr) string {
+	if e == allTime {
 		return ""
 	}
-	return " during " + e.String()
+	return " during " + e.render(s.params)
 }
 
 // ---------------------------------------------------------------------
@@ -705,13 +729,13 @@ func (n *indexJoinNode) describe(s *Snapshot) string {
 // operator — the planner's per-operator fallback. Children still run as
 // plans, so an indexed scan below a naive operator keeps its speedup.
 // ls is the operator's lifespan parameter (allTime for the operators
-// that take none).
+// that take none); apply and label read the execution's parameters.
 type opNode struct {
-	name  string
+	label func(ps []param) string
 	kids  []node
 	ls    *lsExpr
 	est   cost
-	apply func(rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error)
+	apply func(s *Snapshot, rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error)
 }
 
 func (n *opNode) scheme() *schema.Scheme { return nil }
@@ -737,12 +761,12 @@ func (n *opNode) run(s *Snapshot) (batch, error) {
 	if err := s.canceled(); err != nil {
 		return batch{}, err
 	}
-	r, err := n.apply(rels, L)
+	r, err := n.apply(s, rels, L)
 	return batch{rel: r}, err
 }
 func (n *opNode) estimate() cost { return n.est }
-func (n *opNode) describe(*Snapshot) string {
-	return n.name + " (naive)"
+func (n *opNode) describe(s *Snapshot) string {
+	return n.label(s.params) + " (naive)"
 }
 
 func logN(n int) float64 {

@@ -31,23 +31,24 @@ func init() {
 	})
 }
 
-// The plan cache memoizes compiled physical plans so repeated queries
-// skip parsing and planning. An entry is keyed by normalized query text
-// (the raw source via hql.NormalizeQuery, and the parsed expression's
-// canonical rendering, so textual and structural repeats both hit). A
-// plan holds no data, so writes do not invalidate it; it is fenced by
-// its dependencies' identity and size: each name must still resolve to
-// the relation the plan was compiled over (a swapped environment, e.g.
-// the CLI's \load, fails this and replans rather than serving results
-// from the old store), grown to no more than staleGrowth times the
-// cardinality it was costed at.
+// The plan cache memoizes compiled plans by query shape (hql.Lift), so
+// a text whose shape was seen before — the same query with other
+// literals — skips parsing and planning and runs with its own
+// parameters. A plan holds no data, so writes do not invalidate it; it
+// is fenced by its dependencies' identity and size: each name must
+// still resolve to the relation the plan was compiled over (a swapped
+// environment, e.g. the CLI's \load, fails this and replans rather than
+// serving results from the old store), grown to no more than
+// staleGrowth times the cardinality it was costed at.
 
-// cacheEntry is one cached plan with the keys it is registered under.
-// elem is nil once the entry has left the cache.
+// cacheEntry is one shape's cached plans: one, or — for a shape whose
+// law-3 order is keyed on its window (Plan.fits) — one per side of the
+// order's cost crossing, in plans[Plan.side]. elem is nil once the
+// entry has left the cache.
 type cacheEntry struct {
-	plan *Plan
-	keys []string
-	elem *list.Element
+	shape string
+	plans [2]*Plan
+	elem  *list.Element
 }
 
 type planCacheT struct {
@@ -56,114 +57,104 @@ type planCacheT struct {
 	lru     *list.List // of *cacheEntry; front = most recently used
 }
 
-// maxPlanCache bounds the cache: an LRU of compiled plans, whose
-// footprint tracks the distinct-query working set, not the database.
+// maxPlanCache bounds the cache: an LRU of query shapes, whose footprint
+// tracks the distinct-shape working set, not the database.
 const maxPlanCache = 256
 
 var planCache = &planCacheT{entries: make(map[string]*cacheEntry), lru: list.New()}
 
-// lookup returns the cached, still-valid entry under key (nil on a
-// miss), dropping an entry whose dependency fence fails. count controls
-// whether the hit/miss counters move — the raw-source alias lookup
-// passes false so one query never counts twice.
-func (pc *planCacheT) lookup(key string, env hql.Env, count bool) *cacheEntry {
+// plansFor returns shape's entry and its plans, moving it to the front
+// of the LRU when touch.
+func (pc *planCacheT) plansFor(shape []byte, touch bool) (*cacheEntry, [2]*Plan) {
 	pc.mu.Lock()
-	ent := pc.entries[key]
-	if ent != nil {
+	defer pc.mu.Unlock()
+	ent := pc.entries[string(shape)]
+	if ent == nil {
+		return nil, [2]*Plan{}
+	}
+	if touch {
 		pc.lru.MoveToFront(ent.elem)
 	}
-	pc.mu.Unlock()
-	if ent != nil && !ent.plan.valid(env) {
-		pc.mu.Lock()
-		pc.removeLocked(ent)
-		pc.mu.Unlock()
-		mPlanInvalidations.Inc()
-		ent = nil
-	}
-	if count {
-		if ent != nil {
-			mPlanHits.Inc()
-		} else {
-			mPlanMisses.Inc()
-		}
-	}
-	return ent
+	return ent, ent.plans
 }
 
-// peek reports whether a valid entry exists under key without touching
-// LRU order or the hit/miss counters — EXPLAIN's read-only probe.
-func (pc *planCacheT) peek(key string, env hql.Env) bool {
-	pc.mu.Lock()
-	ent, ok := pc.entries[key]
-	pc.mu.Unlock()
-	return ok && ent.plan.valid(env)
+// lookup returns the cached plan for shape that fits ps and still
+// validates against env — a hit, counted here — or nil. A plan whose
+// dependency fence fails is dropped.
+func (pc *planCacheT) lookup(shape []byte, env hql.Env, ps []param) *Plan {
+	ent, plans := pc.plansFor(shape, true)
+	for _, p := range plans {
+		if p == nil || !p.fits(ps) {
+			continue
+		}
+		if !p.valid(env) {
+			pc.mu.Lock()
+			pc.dropLocked(ent, p)
+			pc.mu.Unlock()
+			mPlanInvalidations.Inc()
+			return nil
+		}
+		mPlanHits.Inc()
+		return p
+	}
+	return nil
 }
 
-// store registers p under every non-empty key (replacing older entries
-// those keys pointed at — two goroutines racing one miss leave the
-// later plan) and evicts least-recently-used plans beyond the bound.
-func (pc *planCacheT) store(keys []string, p *Plan) {
-	ent := &cacheEntry{plan: p}
-	for _, k := range keys {
-		if k != "" {
-			ent.keys = append(ent.keys, k)
+// peek reports whether lookup would hit, without touching LRU order,
+// the counters or a stale plan — EXPLAIN's read-only probe.
+func (pc *planCacheT) peek(shape []byte, env hql.Env, ps []param) bool {
+	_, plans := pc.plansFor(shape, false)
+	for _, p := range plans {
+		if p != nil && p.fits(ps) && p.valid(env) {
+			return true
 		}
 	}
+	return false
+}
+
+// store caches p under shape — replacing the plan on its side, so two
+// goroutines racing one miss leave the later plan — and evicts
+// least-recently-used shapes beyond the bound.
+func (pc *planCacheT) store(shape string, p *Plan) {
 	mPlanStores.Inc()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	ent.elem = pc.lru.PushFront(ent)
-	for _, k := range ent.keys {
-		if old, ok := pc.entries[k]; ok && old != ent {
-			pc.removeLocked(old)
-		}
-		pc.entries[k] = ent
+	ent := pc.entries[shape]
+	if ent == nil {
+		ent = &cacheEntry{shape: shape}
+		ent.elem = pc.lru.PushFront(ent)
+		pc.entries[shape] = ent
+	} else {
+		pc.lru.MoveToFront(ent.elem)
 	}
+	ent.plans[p.side()] = p
 	for pc.lru.Len() > maxPlanCache {
 		pc.removeLocked(pc.lru.Back().Value.(*cacheEntry))
 		mPlanEvictions.Inc()
 	}
 }
 
-// maxAliasKeys bounds the spellings one entry may be registered under.
-// Without it, a stream of whitespace-variant spellings of one query
-// would grow the entries map without bound while the LRU stays at a
-// compliant length; past the cap, variant spellings still hit through
-// the canonical AST key after their parse.
-const maxAliasKeys = 8
-
-// addKey registers an additional alias key for a cached entry (e.g.
-// the raw-source spelling of a query first seen pre-parsed).
-func (pc *planCacheT) addKey(ent *cacheEntry, key string) {
-	if key == "" {
+// dropLocked removes plan p from ent, and ent from the cache once it
+// holds no plan.
+func (pc *planCacheT) dropLocked(ent *cacheEntry, p *Plan) {
+	if ent.elem == nil || ent.plans[p.side()] != p {
 		return
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if ent.elem == nil || len(ent.keys) >= maxAliasKeys || pc.entries[key] == ent {
-		return
+	if ent.plans[p.side()] = nil; ent.plans == [2]*Plan{} {
+		pc.removeLocked(ent)
 	}
-	if old, ok := pc.entries[key]; ok {
-		pc.removeLocked(old)
-	}
-	pc.entries[key] = ent
-	ent.keys = append(ent.keys, key)
 }
 
 func (pc *planCacheT) removeLocked(ent *cacheEntry) {
-	for _, k := range ent.keys {
-		if pc.entries[k] == ent {
-			delete(pc.entries, k)
-		}
+	if pc.entries[ent.shape] == ent { // not a successor after a reset
+		delete(pc.entries, ent.shape)
 	}
-	if ent.elem != nil {
-		pc.lru.Remove(ent.elem)
-		ent.elem = nil
-	}
+	pc.lru.Remove(ent.elem)
+	ent.elem = nil
 }
 
 // PlanCacheStats reports the cache's cumulative hit and miss counts and
-// its current size — a typed view over the registry counters
+// its current size in shapes — a typed view over the registry counters
 // engine.plancache.{hits,misses} plus the live entry count.
 func PlanCacheStats() (hits, misses uint64, entries int) {
 	planCache.mu.Lock()
@@ -174,11 +165,11 @@ func PlanCacheStats() (hits, misses uint64, entries int) {
 // InvalidateStalePlans drops every cached plan that no longer
 // validates against env — one of its dependencies resolves to a
 // different relation (a swapped store) or has outgrown its costing —
-// and reports how many entries were dropped. Entries whose
-// dependencies still resolve identically survive, so a store swap that
-// shares relations with its predecessor (or a reload of unrelated
-// relations) keeps the working set warm: the precise replacement for
-// clearing the cache wholesale on swap.
+// and reports how many plans were dropped. Plans whose dependencies
+// still resolve identically survive, so a store swap that shares
+// relations with its predecessor (or a reload of unrelated relations)
+// keeps the working set warm: the precise replacement for clearing the
+// cache wholesale on swap.
 func InvalidateStalePlans(env hql.Env) (dropped int) {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()
@@ -186,10 +177,12 @@ func InvalidateStalePlans(env hql.Env) (dropped int) {
 	for e := planCache.lru.Front(); e != nil; e = next {
 		next = e.Next()
 		ent := e.Value.(*cacheEntry)
-		if !ent.plan.valid(env) {
-			planCache.removeLocked(ent)
-			mPlanInvalidations.Inc()
-			dropped++
+		for _, p := range ent.plans {
+			if p != nil && !p.valid(env) {
+				planCache.dropLocked(ent, p)
+				mPlanInvalidations.Inc()
+				dropped++
+			}
 		}
 	}
 	return dropped
@@ -208,8 +201,3 @@ func ResetPlanCache() {
 	mPlanHits.Reset()
 	mPlanMisses.Reset()
 }
-
-// srcCacheKey / astCacheKey build the two key namespaces: normalized
-// raw source and canonical AST rendering.
-func srcCacheKey(src string) string { return "src:" + hql.NormalizeQuery(src) }
-func astCacheKey(e hql.Expr) string { return "ast:" + e.String() }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // swapStore builds a store with relations A and B holding one tuple
@@ -156,4 +157,49 @@ func TestCachedPlanSurvivesResyncAndEviction(t *testing.T) {
 	run("replanned", st, true)
 
 	run("another store under the same names", testStore(t, 92), false)
+}
+
+// TestLawChoiceKeyedBySide pins the one window-keyed choice: a law-3
+// shape caches one plan per side of its slice-vs-filter cost crossing.
+// A narrow window slices first, a wide one filters first; each is
+// planned once, later windows on the same side hit the plan for their
+// side, and every run matches the naive evaluator.
+func TestLawChoiceKeyedBySide(t *testing.T) {
+	ResetPlanCache()
+	defer ResetPlanCache()
+	st := storage.NewStore()
+	st.Put(workload.Personnel(workload.PersonnelConfig{
+		NumEmployees: 2000, HistoryLen: 200, ChangeEvery: 20, ReincarnationProb: 0.3, Seed: 1,
+	}))
+	const q = `TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT %s`
+	steps := []struct {
+		window string
+		hit    bool
+	}{
+		{"{[10,14]}", false}, // narrow: planned, slices first
+		{"{[0,199]}", false}, // wide: the other side, planned
+		{"{[60,66]}", true},
+		{"{[5,190]}", true},
+		{"{[10,14]}", true},
+	}
+	for _, s := range steps {
+		h0, m0, _ := PlanCacheStats()
+		compareQuery(t, st, fmt.Sprintf(q, s.window))
+		h1, m1, _ := PlanCacheStats()
+		if hit := h1 == h0+1 && m1 == m0; hit != s.hit {
+			t.Fatalf("window %s: hits +%d misses +%d, want hit=%v", s.window, h1-h0, m1-m0, s.hit)
+		}
+	}
+	planCache.mu.Lock()
+	entries, ent := planCache.lru.Len(), planCache.lru.Front().Value.(*cacheEntry)
+	planCache.mu.Unlock()
+	if entries != 1 {
+		t.Fatalf("%d cached shapes, want the one", entries)
+	}
+	if _, ok := ent.plans[1].root.(*filterNode); !ok {
+		t.Errorf("narrow-window plan is %T, want a filter over the sliced relation", ent.plans[1].root)
+	}
+	if _, ok := ent.plans[0].root.(*timeSliceNode); !ok {
+		t.Errorf("wide-window plan is %T, want a slice of the filtered relation", ent.plans[0].root)
+	}
 }

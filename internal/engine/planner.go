@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
@@ -15,19 +14,27 @@ import (
 	"repro/internal/value"
 )
 
-// Plan is a compiled query: a physical operator tree plus the result
-// sort of the original expression (relation, lifespan or snapshot),
-// the relations it depends on — the plan cache's validity fence — and
-// the statistics the planner consulted, for EXPLAIN. A plan holds no
-// tuples, index objects or evaluated lifespans, so a write to a
-// relation it reads does not outdate it.
+// Plan is a compiled query shape: a physical operator tree plus the
+// result sort of the original expression (relation, lifespan or
+// snapshot), the relations it depends on — the plan cache's validity
+// fence — and the statistics the planner consulted, for EXPLAIN. A plan
+// holds no tuples, index objects or evaluated lifespans, and reads every
+// literal from its slot, so a write to a relation it reads does not
+// outdate it, and every text of its shape runs on it with its own
+// parameters.
+//
+// Its choices are still costed with the literals of the text that
+// missed: a window's width moves row estimates, and with them any
+// choice made from them. One such choice is keyed: a plan's first
+// law-3 order (choice, see sliceChoice) serves only windows on the side
+// of its cost crossing it was priced on (fits).
 type Plan struct {
-	root  node
-	kind  planKind
-	at    chronon.Time // SNAPSHOT time
-	text  string
-	deps  []planDep
-	notes []string
+	root   node
+	kind   planKind
+	at     int // SNAPSHOT time slot
+	deps   []planDep
+	notes  []string
+	choice *sliceChoice
 }
 
 // planDep is one relation the plan depends on — resolved from the
@@ -55,17 +62,16 @@ const (
 	planSnapshot
 )
 
-// lowerCtx threads the environment through lowering while collecting
-// the plan's relation dependencies and the statistics notes EXPLAIN
-// reports.
+// lowerCtx threads the environment and the parameters being costed
+// with through lowering, while collecting the plan's relation
+// dependencies, the statistics notes EXPLAIN reports and its first
+// window-keyed law-3 choice.
 type lowerCtx struct {
-	env   hql.Env
-	deps  map[string]planDep
-	notes map[string]string
-}
-
-func newLowerCtx(env hql.Env) *lowerCtx {
-	return &lowerCtx{env: env, deps: make(map[string]planDep), notes: make(map[string]string)}
+	env    hql.Env
+	params []param
+	deps   map[string]planDep
+	notes  map[string]string
+	choice *sliceChoice
 }
 
 // scan records that the plan depends on relation r (resolved as name)
@@ -143,31 +149,58 @@ func (lc *lowerCtx) noteList() []string {
 	return out
 }
 
-// PlanQuery lowers a parsed HQL expression into a physical plan. An
-// error means the planner cannot (or should not) handle the expression;
-// callers fall back to the naive evaluator, which either runs it or
-// reports the definitive semantic error.
+// PlanQuery lowers a parsed HQL expression into a physical plan for
+// its shape, costed with its own literals. An error means the planner
+// cannot (or should not) handle the expression; callers fall back to
+// the naive evaluator, which either runs it or reports the definitive
+// semantic error.
 func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
-	p := &Plan{text: e.String()}
+	ps, err := astParams(e)
+	if err != nil {
+		return nil, err
+	}
+	return planQuery(e, env, ps)
+}
+
+// planQuery lowers e for its shape, costed with ps — the parameters
+// its own literals bind, indexed by the slots the parser numbered.
+func planQuery(e hql.Expr, env hql.Env, ps []param) (*Plan, error) {
+	p := &Plan{}
 	var src hql.Expr
 	switch n := e.(type) {
 	case *hql.WhenExpr:
 		p.kind, src = planWhen, n.Source
 	case *hql.SnapshotExpr:
 		p.kind, src = planSnapshot, n.Source
-		p.at = chronon.Time(n.At)
+		p.at = n.Slot
 	default:
 		p.kind, src = planRelation, e
 	}
-	lc := newLowerCtx(env)
-	root, err := lower(src, lc)
-	if err != nil {
+	lc := &lowerCtx{env: env, params: ps, deps: make(map[string]planDep), notes: make(map[string]string)}
+	var err error
+	if p.root, err = lower(src, lc); err != nil {
 		return nil, err
 	}
-	p.root = root
 	p.deps = lc.depList()
 	p.notes = lc.noteList()
+	p.choice = lc.choice
 	return p, nil
+}
+
+// fits reports whether ps's law-3 window falls on the side of the cost
+// crossing the plan's order was chosen for — every plan without a keyed
+// choice fits.
+func (p *Plan) fits(ps []param) bool {
+	return p.choice == nil || p.choice.slicedFirst(ps) == p.choice.sliced
+}
+
+// side is the plan's slot among its shape's cached plans: 1 when its
+// keyed law-3 choice slices first, else 0.
+func (p *Plan) side() int {
+	if p.choice != nil && p.choice.sliced {
+		return 1
+	}
+	return 0
 }
 
 // run executes the plan against the given pinned snapshot and wraps
@@ -185,13 +218,13 @@ func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 	if err != nil {
 		return hql.Result{}, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 	}
-	res, err := p.result(b)
+	res, err := p.result(b, s.params)
 	sp.Mark(obs.StageMaterialize)
 	return res, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 }
 
 // result materializes the root batch and wraps it in the query's sort.
-func (p *Plan) result(b batch) (hql.Result, error) {
+func (p *Plan) result(b batch, ps []param) (hql.Result, error) {
 	r, err := b.relation()
 	if err != nil {
 		return hql.Result{}, err
@@ -201,7 +234,7 @@ func (p *Plan) result(b batch) (hql.Result, error) {
 		ls := core.When(r)
 		return hql.Result{Lifespan: &ls}, nil
 	case planSnapshot:
-		snap, err := core.Snapshot(r, p.at)
+		snap, err := core.Snapshot(r, ps[p.at].time())
 		if err != nil {
 			return hql.Result{}, err
 		}
@@ -234,7 +267,7 @@ func (p *Plan) render(b *strings.Builder, s *Snapshot, actual func(n node)) {
 		b.WriteString("when (lifespan of result)\n")
 		depth = 1
 	case planSnapshot:
-		fmt.Fprintf(b, "snapshot at %s\n", p.at)
+		fmt.Fprintf(b, "snapshot at %s\n", s.params[p.at].time())
 		depth = 1
 	}
 	var visit func(n node, depth int)
@@ -342,7 +375,10 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 // before or after the filter keeps the same chronons) and keeps the
 // cheaper: slicing first lets the interval index prune what the filter
 // reads, filtering first keeps an equality's index probe. σ-IF does not
-// commute with slicing — its quantifier's scope would change.
+// commute with slicing — its quantifier's scope would change. Where the
+// sliced order's price moves with the window, the order is chosen by
+// the side of its cost crossing the window falls on (sliceChoice), and
+// the plan's first such choice keys it.
 func lowerStaticSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
 	at, err := lowerLS(n.At, lc)
 	if err != nil {
@@ -365,36 +401,91 @@ func lowerStaticSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
 		return nil, err
 	}
 	best := lowerTimeslice(filtered, at, lc)
-	if sliced, err := lowerSelect(sel, lowerTimeslice(child, at, lc), lc); err == nil && sliced.estimate().work < best.estimate().work {
-		best = sliced
+	sliced, err := lowerSelect(sel, lowerTimeslice(child, at, lc), lc)
+	if err != nil {
+		return best, nil
+	}
+	slicedFirst := sliced.estimate().work < best.estimate().work
+	if c := newSliceChoice(sliced, best.estimate().work, lc); c != nil {
+		slicedFirst = c.sliced
+		if lc.choice == nil {
+			lc.choice = c
+		}
+	}
+	if slicedFirst {
+		return sliced, nil
 	}
 	return best, nil
 }
 
+// sliceChoice is a law-3 order priced with its window's value. The
+// filtered order's price does not depend on the window. The sliced
+// order's grows with the k candidates the interval index yields for it,
+// each read twice (by the index, then by the filter above it), so the
+// two cost the same at one k — cross — and the order is the side of it
+// the window falls on.
+type sliceChoice struct {
+	at     *lsExpr // the sliced window, composed with an inner slice's
+	card   float64 // the indexed relation's cardinality and statistics, as priced
+	stats  RelStats
+	cross  float64
+	sliced bool // the side the plan's window fell on: slice first
+}
+
+// newSliceChoice prices a law-3 choice's crossing from the sliced
+// order's plan and the filtered order's work, or returns nil when the
+// sliced order's price does not move with the window — no interval
+// index probe under the filter: a source too small for one, or derived.
+func newSliceChoice(sliced node, filtered float64, lc *lowerCtx) *sliceChoice {
+	f, ok := sliced.(*filterNode)
+	if !ok {
+		return nil
+	}
+	its, ok := f.child.(*indexTimeSliceNode)
+	if !ok || !its.at.static() {
+		return nil
+	}
+	c := &sliceChoice{at: its.at, card: float64(lc.deps[its.name].card), stats: lc.relStats(its.name, its.rel)}
+	k := c.rows(lc.params)
+	c.cross = k + (filtered-sliced.estimate().work)/2
+	c.sliced = k < c.cross
+	return c
+}
+
+// rows is the candidate count the interval index is priced to yield for
+// the window ps binds, as lowerTimeslice prices it.
+func (c *sliceChoice) rows(ps []param) float64 {
+	return c.card * timesliceSelectivity(c.stats, c.at.value(ps))
+}
+
+// slicedFirst reports whether slicing first is the cheaper order for
+// the window ps binds.
+func (c *sliceChoice) slicedFirst(ps []param) bool { return c.rows(ps) < c.cross }
+
 // lowerTimeslice plans a static TIME-SLICE: the interval index over a
 // base relation big enough for one to pay (log n + k < n needs n > 2),
 // a per-tuple restrict over any other known scheme, the naive operator
-// otherwise. A literal slice of a literal slice is first composed into
+// otherwise. A static slice of a static slice is first composed into
 // one by Section 5's T_L1(T_L2(r)) = T_{L1∩L2}(r) (core's
-// TestLawTimesliceComposition) — one restriction, never more work than
-// two.
+// TestLawTimesliceComposition): L1∩L2 is intersected at bind, and the
+// tuples are restricted once — never more work than twice.
 func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
-	if at.literal() {
+	if at.static() {
 		switch c := child.(type) {
 		case *indexTimeSliceNode:
-			if c.at.literal() {
-				return lowerTimeslice(lc.scan(c.name, c.rel), &lsExpr{lit: at.lit.Intersect(c.at.lit)}, lc)
+			if c.at.static() {
+				return lowerTimeslice(lc.scan(c.name, c.rel), &lsExpr{op: "INTERSECT", l: at, r: c.at}, lc)
 			}
 		case *timeSliceNode:
-			if c.at.literal() {
-				return lowerTimeslice(c.child, &lsExpr{lit: at.lit.Intersect(c.at.lit)}, lc)
+			if c.at.static() {
+				return lowerTimeslice(c.child, &lsExpr{op: "INTERSECT", l: at, r: c.at}, lc)
 			}
 		}
 	}
 	if sc, ok := child.(*scanNode); ok && sc.card-int(logN(sc.card))-1 > 0 {
 		k := float64(sc.card)
-		if at.literal() {
-			k *= timesliceSelectivity(lc.relStats(sc.name, sc.rel), at.lit)
+		if at.static() {
+			k *= timesliceSelectivity(lc.relStats(sc.name, sc.rel), at.value(lc.params))
 		}
 		return &indexTimeSliceNode{name: sc.name, rel: sc.rel, at: at,
 			est: cost{rows: k, work: logN(sc.card) + k}}
@@ -402,21 +493,24 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 	if child.scheme() != nil {
 		return &timeSliceNode{child: child, at: at}
 	}
-	return naiveL("time-slice at "+at.String(), child, at, core.TimesliceStatic)
+	return naiveL(func(ps []param) string { return "time-slice at " + at.render(ps) }, child, at,
+		func(_ *Snapshot, r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
+			return core.TimesliceStatic(r, L)
+		})
 }
 
 // lowerSelect plans SELECT IF/WHEN over its planned source: an
 // index-select over a base relation where a required equality conjunct
 // or a DURING lifespan gives an index something to prune by, a
 // per-tuple filter otherwise, the naive operator when the child's
-// scheme is only known at execution time.
+// scheme is only known at execution time. Which of them is chosen
+// reads the condition's shape — attributes, comparators, constant
+// kinds — never a constant's value; the estimate still reads a static
+// DURING window, so a choice above it can move with the window.
 func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
-	cond, err := hql.BuildCond(n.Cond)
-	if err != nil {
-		return nil, err
-	}
 	during := allTime
 	if n.During != nil {
+		var err error
 		if during, err = lowerLS(n.During, lc); err != nil {
 			return nil, err
 		}
@@ -424,18 +518,20 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	forAll := !n.When && n.ForAll
 	cs := child.scheme()
 	if cs == nil {
-		return naiveSelect(n, cond, during, child), nil
+		return naiveSelect(n, during, child), nil
 	}
-	if err := core.CondCheck(cond, cs); err != nil {
+	if err := core.CondCheck(bindCond(n.Cond, lc.params), cs); err != nil {
 		return nil, err // surface via the naive evaluator's error path
 	}
 	// ∀ quantification keeps tuples whose scope is empty (vacuous truth),
 	// so no candidate pruning is sound for it.
 	sc, isScan := child.(*scanNode)
-	reqAttr, reqVal, hasReq := requiredEQ(n.Cond)
+	req, hasReq := requiredEQ(n.Cond)
+	reqAttr := ""
 	if hasReq {
+		reqAttr = req.Attr
 		a, has := cs.Attr(reqAttr)
-		hasReq = isScan && !forAll && has && a.Domain.Kind == reqVal.Kind()
+		hasReq = isScan && !forAll && has && a.Domain.Kind == req.Const.Kind()
 	}
 	// Selectivity: statistics-derived for base relations, comparator
 	// defaults for derived inputs whose distribution the catalog cannot
@@ -452,20 +548,20 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 		}
 	}
 	sel := condSelectivity(n.Cond, statsFor)
-	if !isScan || forAll || (!hasReq && during.isAll()) {
-		return &filterNode{child: child, cond: cond, when: n.When, forAll: forAll, during: during, sel: sel}, nil
+	if !isScan || forAll || (!hasReq && during == allTime) {
+		return &filterNode{child: child, cond: n.Cond, when: n.When, forAll: forAll, during: during, sel: sel}, nil
 	}
 	// Candidates: the equality's matches, the tuples overlapping a
-	// literal DURING, whichever the statistics say is fewer.
-	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: cond, when: n.When, during: during}
+	// static DURING, whichever the statistics say is fewer.
+	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: n.Cond, when: n.When, during: during}
 	k := float64(sc.card)
 	if hasReq {
-		isel.eqAttr, isel.eqVal = reqAttr, reqVal
+		isel.eqAttr, isel.eqSlot = reqAttr, req.Slot
 		as, _ := statsFor(reqAttr)
 		k = minf(k, as.EqMatches())
 	}
-	if during.literal() && !during.isAll() {
-		k = minf(k, float64(sc.card)*timesliceSelectivity(lc.relStats(sc.name, sc.rel), during.lit))
+	if during.static() && during != allTime {
+		k = minf(k, float64(sc.card)*timesliceSelectivity(lc.relStats(sc.name, sc.rel), during.value(lc.params)))
 	}
 	isel.est = cost{rows: k, work: k + 1}
 	return isel, nil
@@ -497,28 +593,26 @@ func baseRel(n node) (*core.Relation, string, bool) {
 // of the condition: the condition itself, or a conjunct of a (possibly
 // nested) AND. Tuples failing such an atom cannot satisfy the whole
 // condition, which is what makes index pruning on it sound.
-func requiredEQ(c hql.CondExpr) (string, value.Value, bool) {
-	if c.Pred != nil {
-		p := c.Pred
-		if p.Theta == value.EQ && p.OtherAttr == "" && p.Const.IsValid() {
-			return p.Attr, p.Const, true
-		}
-		return "", value.Value{}, false
+func requiredEQ(c hql.CondExpr) (*hql.PredExpr, bool) {
+	if p := c.Pred; p != nil {
+		return p, p.Theta == value.EQ && p.OtherAttr == ""
 	}
 	if c.Op == "AND" {
 		for _, k := range c.Kids {
-			if a, v, ok := requiredEQ(k); ok {
-				return a, v, true
+			if p, ok := requiredEQ(k); ok {
+				return p, true
 			}
 		}
 	}
-	return "", value.Value{}, false
+	return nil, false
 }
 
 // naiveSelect wraps the naive SELECT operators over a materialized child.
-func naiveSelect(n *hql.SelectExpr, cond core.Condition, during *lsExpr, child node) node {
-	name := fmt.Sprintf("select-%s %s", selKind(n.When, !n.When && n.ForAll), cond)
-	return naiveL(name, child, during, func(r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
+func naiveSelect(n *hql.SelectExpr, during *lsExpr, child node) node {
+	kind := selKind(n.When, !n.When && n.ForAll)
+	label := func(ps []param) string { return fmt.Sprintf("select-%s %s", kind, bindCond(n.Cond, ps)) }
+	return naiveL(label, child, during, func(s *Snapshot, r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
+		cond := bindCond(n.Cond, s.params)
 		if n.When {
 			return core.SelectWhenCond(r, cond, L)
 		}
@@ -697,24 +791,32 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsS
 
 // naive1 wraps a unary naive operator over a planned child.
 func naive1(name string, child node, apply func(*core.Relation) (*core.Relation, error)) *opNode {
-	return naiveL(name, child, allTime, func(r *core.Relation, _ lifespan.Lifespan) (*core.Relation, error) { return apply(r) })
+	return naiveL(named(name), child, allTime, func(_ *Snapshot, r *core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
+		return apply(r)
+	})
 }
 
-// naiveL wraps a unary naive operator that takes a lifespan parameter.
-func naiveL(name string, child node, ls *lsExpr, apply func(*core.Relation, lifespan.Lifespan) (*core.Relation, error)) *opNode {
+// naiveL wraps a unary naive operator that takes a lifespan parameter
+// or reads other parameters; label names it for EXPLAIN.
+func naiveL(label func([]param) string, child node, ls *lsExpr, apply func(*Snapshot, *core.Relation, lifespan.Lifespan) (*core.Relation, error)) *opNode {
 	c := child.estimate()
-	return &opNode{name: name, kids: []node{child}, ls: ls,
-		est:   cost{rows: c.rows, work: c.work + c.rows},
-		apply: func(rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error) { return apply(rels[0], L) }}
+	return &opNode{label: label, kids: []node{child}, ls: ls,
+		est: cost{rows: c.rows, work: c.work + c.rows},
+		apply: func(s *Snapshot, rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
+			return apply(s, rels[0], L)
+		}}
 }
 
 // naive2 wraps a binary naive operator over planned children.
 func naive2(name string, left, right node, est cost, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
-	return &opNode{name: name, kids: []node{left, right}, ls: allTime, est: est,
-		apply: func(rels []*core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
+	return &opNode{label: named(name), kids: []node{left, right}, ls: allTime, est: est,
+		apply: func(_ *Snapshot, rels []*core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
 			return apply(rels[0], rels[1])
 		}}
 }
+
+// named is the label of a naive operator whose name reads no parameter.
+func named(name string) func([]param) string { return func([]param) string { return name } }
 
 // keyKept reports whether a projection onto attrs retains every key
 // attribute of s — the precondition for tuple-at-a-time projection.
@@ -732,15 +834,14 @@ func keyKept(s *schema.Scheme, attrs []string) bool {
 }
 
 // lowerLS translates a lifespan-valued expression into a plan
-// parameter: literals (and set operations over literals) fold to a
-// constant; a WHEN sub-query becomes a sub-plan, recording its relation
-// dependencies on the plan, that every execution runs against its own
-// pin.
+// parameter: a literal becomes its slot, a set operation its operands,
+// combined at bind; a WHEN sub-query becomes a sub-plan, recording its
+// relation dependencies on the plan, that every execution runs against
+// its own pin.
 func lowerLS(e *hql.LSExpr, lc *lowerCtx) (*lsExpr, error) {
 	switch {
 	case e.Literal != "":
-		L, err := lifespan.Parse(e.Literal)
-		return &lsExpr{lit: L}, err
+		return &lsExpr{slot: e.Slot}, nil
 	case e.When != nil:
 		n, err := lower(e.When, lc)
 		return &lsExpr{when: &whenNode{child: n}}, err
@@ -757,9 +858,6 @@ func lowerLS(e *hql.LSExpr, lc *lowerCtx) (*lsExpr, error) {
 	r, err := lowerLS(e.Right, lc)
 	if err != nil {
 		return nil, err
-	}
-	if l.literal() && r.literal() {
-		return &lsExpr{lit: lsApply(e.Op, l.lit, r.lit)}, nil
 	}
 	return &lsExpr{op: e.Op, l: l, r: r}, nil
 }

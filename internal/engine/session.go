@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -109,6 +108,7 @@ type Session struct {
 	db     *DB
 	group  *core.WriteGroup
 	staged int
+	q      lifted // the current query text, its buffers reused
 }
 
 // DB returns the database this session was created from.
@@ -138,10 +138,12 @@ func (s *Session) begin(ctx context.Context) (context.Context, error) {
 
 // Query parses, plans and executes src under ctx, falling back to the
 // naive evaluator when the expression cannot be planned. A plan cached
-// under the query's normalized text short-circuits before the parser
-// runs, and stays cached across writes: a plan holds no data. Execution
-// is snapshot-isolated: every scan, index probe and WHEN sub-query of
-// the plan reads one pinned database state, however many relations it
+// under the query's shape — any earlier text differing only in
+// whitespace, keyword case or literal values — short-circuits both
+// parser and planner and runs with this text's literals, and stays
+// cached across writes: a plan holds no data. Execution is
+// snapshot-isolated: every scan, index probe and WHEN sub-query of the
+// plan reads one pinned database state, however many relations it
 // touches. Cancellation and deadlines abort execution with a typed
 // hrdmerr error (ErrCanceled / ErrDeadline) within one batch
 // (cancelBatch tuples) instead of running the scan to completion; a
@@ -157,61 +159,46 @@ func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
 	if err != nil {
 		return hql.Result{}, err
 	}
-	env := s.db.store
-	sp := obs.Begin()
-	srcKey := srcCacheKey(src)
-	if ent := planCache.lookup(srcKey, env, false); ent != nil {
-		mPlanHits.Inc()
-		snap := pinPlan(ctx, ent.plan)
-		// One mark covers lookup + pin: splitting them would buy a clock
-		// read for a sub-microsecond distinction.
-		sp.Mark(obs.StagePin)
-		return runPinned(ent.plan, snap, srcKey, &sp)
-	}
-	e, err := hql.Parse(src)
-	sp.Mark(obs.StageParse)
-	if err != nil {
-		finishQuery(&sp, srcKey, nil, nil, err)
-		return hql.Result{}, err
-	}
-	return evalExpr(ctx, e, env, srcKey, &sp)
+	s.q.lift(src)
+	return evalQuery(ctx, &s.q, s.db.store)
 }
 
-// Eval plans and executes an already-parsed expression — the AST-level
-// counterpart of Query for callers that parse once and run many times.
+// Eval runs an already-parsed expression — the AST-level counterpart of
+// Query for callers that parse once and run many times — exactly as
+// Query runs its canonical rendering, cached under that text's shape.
 // The expression is only read, never rewritten.
 func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
-	ctx, err := s.begin(ctx)
-	if err != nil {
-		return hql.Result{}, err
+	if err := ctx.Err(); err != nil {
+		return hql.Result{}, hrdmerr.FromContext(err)
 	}
-	sp := obs.Begin()
-	return evalExpr(ctx, e, s.db.store, "", &sp)
+	return s.Query(ctx, e.String())
 }
 
 // Explain parses and plans src and renders the chosen physical plan
 // without executing it. It pins a snapshot exactly as a run would and
-// each operator describes itself against that pin — index operators
-// probe their indexes to report the candidates a run would touch — but
-// no operator runs: a WHEN sub-query in an AT or DURING position prints
-// as a sub-plan below the operator it parameterises. The output ends
-// with the statistics the planner consulted, the pinned snapshot — the
-// database epoch plus each dependency at its pinned version — and the
-// query's plan-cache status (EXPLAIN itself neither reads from nor
-// populates the cache).
+// each operator describes itself against that pin and src's literals —
+// index operators probe their indexes to report the candidates a run
+// would touch — but no operator runs: a WHEN sub-query in an AT or
+// DURING position prints as a sub-plan below the operator it
+// parameterises. The output ends with the statistics the planner
+// consulted, the pinned snapshot — the database epoch plus each
+// dependency at its pinned version — and whether a plan for src's
+// shape is cached (EXPLAIN itself neither reads from nor populates the
+// cache).
 func (s *Session) Explain(src string) (string, error) {
 	env := s.db.store
+	s.q.lift(src)
 	e, err := hql.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	p, err := PlanQuery(e, env)
+	p, err := planLifted(e, env, &s.q)
 	if err != nil {
 		return "", err
 	}
-	snap := pinPlan(context.Background(), p)
+	snap := pinPlan(context.Background(), p, s.q.params)
 	status := "miss (first run compiles and caches the plan)"
-	if planCache.peek(astCacheKey(e), env) || planCache.peek(srcCacheKey(src), env) {
+	if planCache.peek(s.q.shape, env, s.q.params) {
 		status = "hit (repeated runs skip parse and plan)"
 	}
 	hits, misses, entries := PlanCacheStats()

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hql"
@@ -237,18 +239,95 @@ func TestDBLifecycle(t *testing.T) {
 }
 
 // TestSlowLogRecordsWhatRanAgainstWhat: a slow-log entry's fingerprint
-// names the plan that ran and the relation versions it was pinned at.
+// names the plan that ran and the relation versions it was pinned at,
+// and its text is the query that ran: two literals of one shape, the
+// second served by the first's cached plan, each log their own.
 func TestSlowLogRecordsWhatRanAgainstWhat(t *testing.T) {
 	prev := slowLog.Threshold()
 	slowLog.SetThreshold(0)
 	defer slowLog.SetThreshold(prev)
+	sess := sessionDB(t).NewSession()
+	for i, name := range []string{"emp0002", "emp0003"} {
+		h0, _, _ := PlanCacheStats()
+		if _, err := sess.Query(context.Background(), `SELECT WHEN NAME = '`+name+`' FROM EMP`); err != nil {
+			t.Fatal(err)
+		}
+		if h1, _, _ := PlanCacheStats(); i > 0 && h1 != h0+1 {
+			t.Fatalf("%s: not served by the shape's cached plan (hits %d -> %d)", name, h0, h1)
+		}
+		got := slowLog.Last(1)[0]
+		text := `SELECT WHEN NAME = "` + name + `" FROM EMP`
+		if got.Query != text || !strings.HasPrefix(got.Fingerprint, text+" @ epoch ") || !strings.HasSuffix(got.Fingerprint, "(EMP@20)") {
+			t.Fatalf("slow-log entry = %+v, want fingerprint %q @ epoch N (EMP@20)", got, text)
+		}
+	}
+}
+
+// TestSharedShapeConcurrentLiterals: eight sessions run one query shape
+// with eight keys at once, all through one cached plan, and each must
+// get its own row — a literal is bound per execution, never through the
+// plan they share. Run under -race by CI.
+func TestSharedShapeConcurrentLiterals(t *testing.T) {
+	ResetPlanCache()
+	defer ResetPlanCache()
 	db := sessionDB(t)
-	if _, err := db.NewSession().Query(context.Background(), `SELECT WHEN NAME = 'emp0002' FROM EMP`); err != nil {
+	if _, err := db.NewSession().Query(bg, `SELECT WHEN NAME = 'emp0000' FROM EMP`); err != nil {
 		t.Fatal(err)
 	}
-	got := slowLog.Last(1)[0]
-	const text = `SELECT WHEN NAME = "emp0002" FROM EMP`
-	if got.Query != text || !strings.HasPrefix(got.Fingerprint, text+" @ epoch ") || !strings.HasSuffix(got.Fingerprint, "(EMP@20)") {
-		t.Fatalf("slow-log entry = %+v, want fingerprint %q @ epoch N (EMP@20)", got, text)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, name := db.NewSession(), fmt.Sprintf("emp%04d", g)
+			for range 100 {
+				res, err := s.Query(bg, `SELECT WHEN NAME = '`+name+`' FROM EMP`)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.Relation.Cardinality() != 1 || !strings.Contains(res.Relation.String(), `"`+name+`"`) {
+					errs <- fmt.Errorf("%s: got\n%s", name, res.Relation)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, misses, _ := PlanCacheStats(); misses != 1 {
+		t.Errorf("%d misses, want the one that cached the shape's plan", misses)
+	}
+}
+
+// TestInvalidLiteralTakesMissPath: a literal that does not decode never
+// binds to its shape's cached plan; the text takes the miss path and
+// fails with the class it always had — a malformed lifespan semantic,
+// an out-of-range integer a parse error — and nothing more is cached.
+func TestInvalidLiteralTakesMissPath(t *testing.T) {
+	ResetPlanCache()
+	defer ResetPlanCache()
+	sess := sessionDB(t).NewSession()
+	for _, c := range []struct {
+		good, bad string
+		code      hrdmerr.Code
+	}{
+		{`TIMESLICE EMP AT {[0,9]}`, `TIMESLICE EMP AT {[9,x]}`, hrdmerr.CodeSemantic},
+		{`SELECT WHEN SAL = 1 FROM EMP`, `SELECT WHEN SAL = 99999999999999999999 FROM EMP`, hrdmerr.CodeParse},
+	} {
+		if _, err := sess.Query(bg, c.good); err != nil {
+			t.Fatal(err)
+		}
+		h0, _, n0 := PlanCacheStats()
+		if _, err := sess.Query(bg, c.bad); hrdmerr.CodeOf(err) != c.code {
+			t.Errorf("%s: error %v, want class %d", c.bad, err, c.code)
+		}
+		if h1, _, n1 := PlanCacheStats(); h1 != h0 || n1 != n0 {
+			t.Errorf("%s: hits %d -> %d, shapes %d -> %d; want neither to move", c.bad, h0, h1, n0, n1)
+		}
 	}
 }

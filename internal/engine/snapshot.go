@@ -28,6 +28,9 @@ type Snapshot struct {
 	// deps echoes the plan's dependency list (sorted by name) for
 	// rendering; EXPLAIN prints it after the plan.
 	deps []planDep
+	// params binds the plan's slots for this execution: the values of
+	// the literals of the text that runs (see params.go).
+	params []param
 	// prof, when non-nil, collects per-operator actuals for EXPLAIN
 	// ANALYZE; normal execution leaves it nil and pays one nil check
 	// per operator.
@@ -68,16 +71,17 @@ func (s *Snapshot) canceled() error {
 }
 
 // pinPlan captures a snapshot of p's dependency relations for one
-// execution under ctx. It cannot fail: a plan holds no data a writer
-// could have outdated between planning and the pin.
-func pinPlan(ctx context.Context, p *Plan) *Snapshot {
+// execution under ctx, binding its slots to ps. It cannot fail: a plan
+// holds no data a writer could have outdated between planning and the
+// pin.
+func pinPlan(ctx context.Context, p *Plan, ps []param) *Snapshot {
 	rels := make([]*core.Relation, len(p.deps))
 	for i, d := range p.deps {
 		rels[i] = d.rel
 	}
 	epoch, vers := core.Pin(rels...)
 	s := &Snapshot{Epoch: epoch, vers: make(map[*core.Relation]core.RelVersion, len(vers)), deps: p.deps,
-		workers: workersFrom(ctx)}
+		params: ps, workers: workersFrom(ctx)}
 	for i, d := range p.deps {
 		s.vers[d.rel] = vers[i]
 	}

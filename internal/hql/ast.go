@@ -2,6 +2,7 @@ package hql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/value"
@@ -89,24 +90,30 @@ type MaterializeExpr struct{ Source Expr }
 type WhenExpr struct{ Source Expr }
 
 // SnapshotExpr is SNAPSHOT expr AT time — relation to classical relation.
+// Slot is the time literal's slot (see PredExpr).
 type SnapshotExpr struct {
 	Source Expr
 	At     int64
+	Slot   int
 }
 
-// PredExpr is the selection criterion A θ rhs.
+// PredExpr is the selection criterion A θ rhs. Slot is the slot of a
+// constant's literal: its index, in source order, among the literals of
+// the parsed text — where Lift puts its value in the parameter vector.
 type PredExpr struct {
 	Attr  string
 	Theta value.Theta
 	// Exactly one of Const/OtherAttr is set.
 	Const     value.Value
 	OtherAttr string
+	Slot      int
 }
 
-// LSExpr is a lifespan-valued expression: a literal, WHEN expr, or a
-// set-theoretic combination.
+// LSExpr is a lifespan-valued expression: a literal (with its slot, see
+// PredExpr), WHEN expr, or a set-theoretic combination.
 type LSExpr struct {
 	Literal string // "{...}" when a literal
+	Slot    int
 	When    Expr   // WHEN sub-expression
 	Op      string // UNION, INTERSECT, MINUS combining Left and Right
 	Left    *LSExpr
@@ -160,7 +167,16 @@ func (e *TimesliceExpr) String() string {
 }
 
 func (e *BinaryExpr) String() string {
-	s := "(" + e.Left.String() + " " + e.Op + " " + e.Right.String()
+	left := e.Left.String()
+	switch e.Op {
+	case "UNION", "INTERSECT", "MINUS":
+		if endsInLifespan(e.Left) {
+			// Else the operator would continue the operand's lifespan:
+			// TIMESLICE R AT L UNION S parses as R sliced at L ∪ S.
+			left = "(" + left + ")"
+		}
+	}
+	s := "(" + left + " " + e.Op + " " + e.Right.String()
 	switch e.Op {
 	case "JOIN", "OUTERJOIN":
 		s += " ON " + e.AttrA + " " + e.Theta.String() + " " + e.AttrB
@@ -168,6 +184,24 @@ func (e *BinaryExpr) String() string {
 		s += " ON " + e.AttrA
 	}
 	return s + ")"
+}
+
+// endsInLifespan reports whether e's rendering ends with a lifespan
+// expression: a static TIME-SLICE, or a prefix operator over one.
+func endsInLifespan(e Expr) bool {
+	switch n := e.(type) {
+	case *TimesliceExpr:
+		return n.At != nil
+	case *SelectExpr:
+		return endsInLifespan(n.Source)
+	case *ProjectExpr:
+		return endsInLifespan(n.Source)
+	case *MaterializeExpr:
+		return endsInLifespan(n.Source)
+	case *WhenExpr:
+		return endsInLifespan(n.Source)
+	}
+	return false
 }
 
 func (e *RenameExpr) String() string {
@@ -185,9 +219,26 @@ func (e *SnapshotExpr) String() string {
 func (p PredExpr) String() string {
 	rhs := p.OtherAttr
 	if rhs == "" {
-		rhs = p.Const.String()
+		rhs = constLiteral(p.Const)
 	}
 	return p.Attr + " " + p.Theta.String() + " " + rhs
+}
+
+// constLiteral spells a constant as a literal of its own kind: a float
+// keeps a decimal point and a time its integer, where value.String
+// would print 1 and +inf, which lex as an integer and not at all.
+func constLiteral(v value.Value) string {
+	switch v.Kind() {
+	case value.KindFloat:
+		s := strconv.FormatFloat(v.AsFloat(), 'f', -1, 64)
+		if !strings.ContainsRune(s, '.') {
+			s += ".0"
+		}
+		return s
+	case value.KindTime:
+		return "@" + strconv.FormatInt(int64(v.AsTime()), 10)
+	}
+	return v.String()
 }
 
 func (l *LSExpr) String() string {

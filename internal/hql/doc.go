@@ -1,5 +1,6 @@
 // Package hql is the textual query language over the HRDM algebra:
-// parser, AST, query-text normalization (NormalizeQuery) and the naive
+// lexer, parser, AST, the lexer pass that splits a query text into its
+// shape and its literals (Lift, NormalizeQuery, Render) and the naive
 // reference evaluator (EvalNaive). It does not run queries for
 // applications — that is engine.Session's job, which parses with this
 // package, plans (applying the Section 5 laws where they pay), and
@@ -13,6 +14,7 @@
 //	PROJECT NAME, SAL FROM EMP
 //	TIMESLICE EMP AT {[0,9]}             -- static TIME-SLICE
 //	TIMESLICE EMP AT WHEN (SELECT WHEN SAL=30000 FROM EMP)
+//	TIMESLICE EMP AT ({[0,9]} UNION {[20,29]}) INTERSECT WHEN EMP
 //	TIMESLICE EMP BY REVIEW              -- dynamic TIME-SLICE
 //	EMP UNION EMP2, EMP UNIONMERGE EMP2, INTERSECT[MERGE], MINUS[MERGE]
 //	EMP TIMES DEPTREL                    -- Cartesian product
@@ -23,6 +25,18 @@
 //	MATERIALIZE EMP                      -- apply interpolators (Figure 9)
 //	WHEN EMP                             -- Ω, yields a lifespan
 //	SNAPSHOT EMP AT 7                    -- classical snapshot
+//
+// A selection's constant is a parameter of the query, not part of its
+// structure: SELECT WHEN NAME = 'emp0001' FROM EMP and the same query
+// on 'emp0002' are one σ-WHEN. Lift makes that concrete in one pass
+// over the text: the shape — tokens one blank apart, keywords
+// upper-cased, every value literal, literal lifespan and SNAPSHOT time
+// replaced by a marker of its kind ($i $f $s $t $L $b) — and the
+// literals in source order, the parameter vector. The parser numbers
+// the same literals the same way (each literal's Slot in the AST), so
+// a plan compiled from one text of a shape runs any other with that
+// text's literals bound to the slots. Render puts literals back into a
+// shape, as text that parses to the same AST.
 //
 // Evaluation is snapshot-isolated on every path: the engine pins a
 // verified snapshot per plan, and EvalNaive — the tree-walking

@@ -223,10 +223,6 @@ func evalRel(ctx context.Context, e Expr, env Env) (*core.Relation, error) {
 	return nil, fmt.Errorf("hql: unhandled expression %T", e)
 }
 
-// BuildCond converts a parsed condition tree to the algebra's
-// Condition; the planner lowers SELECT nodes through it.
-func BuildCond(c CondExpr) (core.Condition, error) { return buildCond(c) }
-
 // buildCond converts a parsed condition tree to the algebra's Condition.
 func buildCond(c CondExpr) (core.Condition, error) {
 	if c.Pred != nil {

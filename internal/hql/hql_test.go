@@ -305,6 +305,8 @@ func TestASTStringRoundTrip(t *testing.T) {
 		`SNAPSHOT EMP AT 7`,
 		`RENAME EMP AS b`,
 		`EMP UNIONMERGE EMP`,
+		`(TIMESLICE EMP AT {[0,9]}) UNION EMP`,
+		`(PROJECT NAME FROM TIMESLICE EMP AT {[0,9]}) INTERSECT EMP`,
 	}
 	for _, q := range queries {
 		e1, err := Parse(q)

@@ -27,10 +27,14 @@ const (
 )
 
 // token is one lexical unit with its source position (byte offset).
+// slot is a literal token's position among the literals of its query
+// text, counted from 0 in source order: the index of its value in the
+// parameter vector Lift emits beside the query's shape.
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
+	slot int
 }
 
 func (t token) String() string {
@@ -42,20 +46,45 @@ func (t token) String() string {
 	}
 }
 
-// keywords of the language, upper-cased. Identifiers matching these are
-// lexed as keywords (case-insensitive).
-var keywords = map[string]bool{
-	"SELECT": true, "IF": true, "WHEN": true, "FROM": true,
-	"FORALL": true, "EXISTS": true, "DURING": true,
-	"PROJECT": true, "TIMESLICE": true, "AT": true, "BY": true,
-	"UNION": true, "UNIONMERGE": true,
-	"INTERSECT": true, "INTERSECTMERGE": true,
-	"MINUS": true, "MINUSMERGE": true,
-	"TIMES": true, "JOIN": true, "NATJOIN": true, "TIMEJOIN": true,
-	"ON": true, "SNAPSHOT": true, "RENAME": true, "AS": true,
-	"OUTERJOIN": true, "MATERIALIZE": true,
-	"TRUE": true, "FALSE": true,
-	"AND": true, "OR": true, "NOT": true,
+// lit reports whether t is a literal, and of which kind: a number, a
+// string, a time, a lifespan, or the keyword TRUE or FALSE.
+func (t token) lit() (LitKind, bool) {
+	switch t.kind {
+	case tokInt:
+		return LitInt, true
+	case tokFloat:
+		return LitFloat, true
+	case tokString:
+		return LitString, true
+	case tokTime:
+		return LitTime, true
+	case tokLifespan:
+		return LitLifespan, true
+	case tokKeyword:
+		return LitBool, t.text == "TRUE" || t.text == "FALSE"
+	}
+	return 0, false
+}
+
+// isKeyword reports whether an upper-cased word is a keyword of the
+// language. Identifiers matching one are lexed as keywords
+// (case-insensitive).
+func isKeyword(w string) bool {
+	switch w {
+	case "SELECT", "IF", "WHEN", "FROM",
+		"FORALL", "EXISTS", "DURING",
+		"PROJECT", "TIMESLICE", "AT", "BY",
+		"UNION", "UNIONMERGE",
+		"INTERSECT", "INTERSECTMERGE",
+		"MINUS", "MINUSMERGE",
+		"TIMES", "JOIN", "NATJOIN", "TIMEJOIN",
+		"ON", "SNAPSHOT", "RENAME", "AS",
+		"OUTERJOIN", "MATERIALIZE",
+		"TRUE", "FALSE",
+		"AND", "OR", "NOT":
+		return true
+	}
+	return false
 }
 
 // lexer turns a query string into tokens.
@@ -64,14 +93,20 @@ type lexer struct {
 	pos int
 }
 
-// lex tokenizes the whole input.
+// lex tokenizes the whole input, numbering its literals in source
+// order.
 func lex(src string) ([]token, error) {
 	lx := &lexer{src: src}
 	var out []token
+	slots := 0
 	for {
 		t, err := lx.next()
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := t.lit(); ok {
+			t.slot = slots
+			slots++
 		}
 		out = append(out, t)
 		if t.kind == tokEOF {
@@ -80,22 +115,36 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-func (lx *lexer) errf(pos int, format string, args ...any) error {
-	return fmt.Errorf("hql: at offset %d: %s", pos, fmt.Sprintf(format, args...))
+// fail is next's error return: the offset of the token that does not
+// lex, and the error naming it.
+func (lx *lexer) fail(pos int, format string, args ...any) (token, error) {
+	return token{pos: pos}, fmt.Errorf("hql: at offset %d: %s", pos, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) next() (token, error) {
-	// Skip whitespace rune-wise (in step with NormalizeQuery): judging
-	// single bytes would skip the continuation bytes of multibyte runes
-	// that alias Latin-1 whitespace. Invalid bytes decode to RuneError,
-	// which is not a space, and fall through to the error below.
+// skipSpace skips whitespace as unicode.IsSpace defines it. An ASCII
+// byte is judged on its own; anything else rune-wise, since judging
+// single bytes would skip the continuation bytes of multibyte runes
+// that alias Latin-1 whitespace. Invalid bytes decode to RuneError,
+// which is not a space, and fail in next.
+func (lx *lexer) skipSpace() {
 	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if c != ' ' && (c < '\t' || c > '\r') {
+				return
+			}
+			lx.pos++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		if !unicode.IsSpace(r) {
-			break
+			return
 		}
 		lx.pos += size
 	}
+}
+
+func (lx *lexer) next() (token, error) {
+	lx.skipSpace()
 	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, pos: lx.pos}, nil
 	}
@@ -127,49 +176,28 @@ func (lx *lexer) next() (token, error) {
 				}
 			}
 		}
-		return token{}, lx.errf(start, "unterminated lifespan literal")
+		return lx.fail(start, "unterminated lifespan literal")
 	case c == '"' || c == '\'':
-		quote := c
-		i := lx.pos + 1
-		var sb strings.Builder
-		for i < len(lx.src) {
-			if lx.src[i] == '\\' && i+1 < len(lx.src) {
-				// Decode Go-style escape sequences (\n, \xHH, \uHHHH, …)
-				// so the canonical rendering of a string constant —
-				// strconv.Quote, which emits them for non-printable
-				// bytes — lexes back to the same value; the plan
-				// cache's AST keys depend on that round trip. Escapes
-				// strconv does not recognize keep the historical
-				// lenient meaning: the next byte, literally.
-				if ch, multibyte, tail, err := strconv.UnquoteChar(lx.src[i:], quote); err == nil {
-					if ch < 0x80 || !multibyte {
-						sb.WriteByte(byte(ch))
-					} else {
-						sb.WriteRune(ch)
-					}
-					i = len(lx.src) - len(tail)
-					continue
-				}
-				sb.WriteByte(lx.src[i+1])
-				i += 2
-				continue
-			}
-			if lx.src[i] == quote {
+		// A backslash escapes the byte after it; the later bytes of a
+		// longer escape sequence are digits, never a quote.
+		for i := lx.pos + 1; i < len(lx.src); i++ {
+			switch lx.src[i] {
+			case '\\':
+				i++
+			case c:
 				lx.pos = i + 1
-				return token{kind: tokString, text: sb.String(), pos: start}, nil
+				return token{kind: tokString, text: unescape(lx.src[start+1:i], c), pos: start}, nil
 			}
-			sb.WriteByte(lx.src[i])
-			i++
 		}
-		return token{}, lx.errf(start, "unterminated string literal")
+		return lx.fail(start, "unterminated string literal")
 	case c == '@':
 		lx.pos++
 		num, err := lx.number(start)
 		if err != nil {
-			return token{}, err
+			return num, err
 		}
 		if num.kind != tokInt {
-			return token{}, lx.errf(start, "time literal must be an integer")
+			return lx.fail(start, "time literal must be an integer")
 		}
 		return token{kind: tokTime, text: num.text, pos: start}, nil
 	case c == '=':
@@ -180,7 +208,7 @@ func (lx *lexer) next() (token, error) {
 			lx.pos += 2
 			return token{kind: tokTheta, text: "!=", pos: start}, nil
 		}
-		return token{}, lx.errf(start, "unexpected '!'")
+		return lx.fail(start, "unexpected '!'")
 	case c == '<':
 		if lx.pos+1 < len(lx.src) && (lx.src[lx.pos+1] == '=' || lx.src[lx.pos+1] == '>') {
 			t := lx.src[lx.pos : lx.pos+2]
@@ -202,18 +230,23 @@ func (lx *lexer) next() (token, error) {
 	case c == '-' || c >= '0' && c <= '9':
 		return lx.number(start)
 	case isIdentStart(c):
-		i := lx.pos
+		i, lower := lx.pos, false
 		for i < len(lx.src) && isIdentPart(lx.src[i]) {
+			lower = lower || lx.src[i] >= 'a' && lx.src[i] <= 'z'
 			i++
 		}
 		text := lx.src[lx.pos:i]
 		lx.pos = i
-		if keywords[strings.ToUpper(text)] {
-			return token{kind: tokKeyword, text: strings.ToUpper(text), pos: start}, nil
+		word := text
+		if lower {
+			word = strings.ToUpper(text)
+		}
+		if isKeyword(word) {
+			return token{kind: tokKeyword, text: word, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: text, pos: start}, nil
 	}
-	return token{}, lx.errf(start, "unexpected character %q", c)
+	return lx.fail(start, "unexpected character %q", c)
 }
 
 func (lx *lexer) number(start int) (token, error) {
@@ -236,11 +269,43 @@ func (lx *lexer) number(start int) (token, error) {
 		}
 	}
 	if digits == 0 {
-		return token{}, lx.errf(start, "malformed number")
+		return lx.fail(start, "malformed number")
 	}
 	text := lx.src[lx.pos:i]
 	lx.pos = i
 	return token{kind: kind, text: text, pos: start}, nil
+}
+
+// unescape decodes the body of a string literal quoted by quote. Go
+// escape sequences (\n, \xHH, \uHHHH, …) decode, so the canonical
+// rendering of a string constant — strconv.Quote, which emits them for
+// non-printable bytes — lexes back to the same value. An escape strconv
+// does not recognize keeps the historical lenient meaning: the next
+// byte, literally. A body without a backslash is returned as is.
+func unescape(body string, quote byte) string {
+	if strings.IndexByte(body, '\\') < 0 {
+		return body
+	}
+	var sb strings.Builder
+	for i := 0; i < len(body); {
+		if body[i] != '\\' || i+1 == len(body) {
+			sb.WriteByte(body[i])
+			i++
+			continue
+		}
+		if ch, multibyte, tail, err := strconv.UnquoteChar(body[i:], quote); err == nil {
+			if ch < 0x80 || !multibyte {
+				sb.WriteByte(byte(ch))
+			} else {
+				sb.WriteRune(ch)
+			}
+			i = len(body) - len(tail)
+			continue
+		}
+		sb.WriteByte(body[i+1])
+		i += 2
+	}
+	return sb.String()
 }
 
 func isIdentStart(c byte) bool {

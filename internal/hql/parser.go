@@ -284,7 +284,7 @@ func (p *parser) parseSnapshot() (Expr, error) {
 	if err != nil {
 		return nil, p.errf("bad time literal %q", t.text)
 	}
-	return &SnapshotExpr{Source: src, At: n}, nil
+	return &SnapshotExpr{Source: src, At: n, Slot: t.slot}, nil
 }
 
 func (p *parser) parseRename() (Expr, error) {
@@ -383,50 +383,25 @@ func (p *parser) parsePred() (PredExpr, error) {
 	}
 	t := p.peek()
 	pe := PredExpr{Attr: attr, Theta: th}
-	switch t.kind {
-	case tokIdent:
+	if t.kind == tokIdent {
 		p.advance()
 		pe.OtherAttr = t.text
-	case tokInt:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return PredExpr{}, p.errf("bad integer %q", t.text)
-		}
-		pe.Const = value.Int(n)
-	case tokFloat:
-		p.advance()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return PredExpr{}, p.errf("bad float %q", t.text)
-		}
-		pe.Const = value.Float(f)
-	case tokString:
-		p.advance()
-		pe.Const = value.String_(t.text)
-	case tokTime:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return PredExpr{}, p.errf("bad time %q", t.text)
-		}
-		pe.Const = value.TimeVal(chTime(n))
-	case tokKeyword:
-		switch t.text {
-		case "TRUE":
-			p.advance()
-			pe.Const = value.Bool(true)
-		case "FALSE":
-			p.advance()
-			pe.Const = value.Bool(false)
-		default:
-			return PredExpr{}, p.errf("expected a value or attribute, found %s", t)
-		}
-	default:
+		return pe, nil
+	}
+	k, ok := t.lit()
+	if !ok || k == LitLifespan {
 		return PredExpr{}, p.errf("expected a value or attribute, found %s", t)
 	}
+	p.advance()
+	if pe.Const, err = literalValue(k, t.text); err != nil {
+		return PredExpr{}, p.errf("bad %s %q", litNames[k], t.text)
+	}
+	pe.Slot = t.slot
 	return pe, nil
 }
+
+// litNames name the value literal kinds in parse errors.
+var litNames = [...]string{LitInt: "integer", LitFloat: "float", LitTime: "time"}
 
 // parseLS := lsPrimary ((UNION|INTERSECT|MINUS) lsPrimary)*
 func (p *parser) parseLS() (*LSExpr, error) {
@@ -445,12 +420,24 @@ func (p *parser) parseLS() (*LSExpr, error) {
 	return left, nil
 }
 
+// lsPrimary := LIFESPAN | WHEN unary | '(' parseLS ')'
 func (p *parser) parseLSPrimary() (*LSExpr, error) {
 	t := p.peek()
 	switch {
+	case t.kind == tokLParen:
+		p.advance()
+		ls, err := p.parseLS()
+		if err != nil {
+			return nil, err
+		}
+		if !p.at(tokRParen) {
+			return nil, p.errf("expected ) in lifespan, found %s", p.peek())
+		}
+		p.advance()
+		return ls, nil
 	case t.kind == tokLifespan:
 		p.advance()
-		return &LSExpr{Literal: t.text}, nil
+		return &LSExpr{Literal: t.text, Slot: t.slot}, nil
 	case t.kind == tokKeyword && t.text == "WHEN":
 		p.advance()
 		src, err := p.parseUnary()
@@ -459,7 +446,7 @@ func (p *parser) parseLSPrimary() (*LSExpr, error) {
 		}
 		return &LSExpr{When: src}, nil
 	}
-	return nil, p.errf("expected a lifespan literal or WHEN, found %s", t)
+	return nil, p.errf("expected a lifespan literal, WHEN or (, found %s", t)
 }
 
 func (p *parser) expectIdent(what string) (string, error) {

@@ -3,7 +3,6 @@ package schema
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/lifespan"
 	"repro/internal/value"
@@ -397,21 +396,28 @@ func (s *Scheme) Rename(prefix, name string) (*Scheme, error) {
 	return New(name, key, attrs...)
 }
 
-// String renders the scheme header, e.g.
+// String renders the scheme header; see AppendTo.
+func (s *Scheme) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the scheme header to dst, e.g.
 // "EMP(NAME* strings {[0,49]}, SAL integers step {[0,49]})", where * marks
 // key attributes.
-func (s *Scheme) String() string {
-	parts := make([]string, len(s.Attrs))
+func (s *Scheme) AppendTo(dst []byte) []byte {
+	dst = append(append(dst, s.Name...), '(')
 	for i, a := range s.Attrs {
-		star := ""
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, a.Name...)
 		if s.IsKey(a.Name) {
-			star = "*"
+			dst = append(dst, '*')
 		}
 		interp := a.Interp
 		if interp == "" {
 			interp = "discrete"
 		}
-		parts[i] = fmt.Sprintf("%s%s %s %s %s", a.Name, star, a.Domain.Name, interp, a.Lifespan)
+		dst = append(append(append(append(append(dst, ' '), a.Domain.Name...), ' '), interp...), ' ')
+		dst = a.Lifespan.AppendTo(dst)
 	}
-	return fmt.Sprintf("%s(%s)", s.Name, strings.Join(parts, ", "))
+	return append(dst, ')')
 }
