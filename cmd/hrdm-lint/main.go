@@ -1,7 +1,7 @@
 // Command hrdm-lint is the repository's multichecker: it runs the
 // custom invariant analyzers of internal/lint (snapshot pin
-// discipline, lock ordering, span accounting, key encoding, metric
-// naming) over the packages named on the command line, and optionally
+// discipline, lock ordering) over the packages named on the command
+// line, and optionally
 // chains the standard `go vet` suite as an extended pass.
 //
 // Exit status follows the go/analysis multichecker convention:

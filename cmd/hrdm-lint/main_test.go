@@ -33,8 +33,9 @@ func writeModule(t *testing.T, root string, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	// The module lives under the repro/ path prefix so Go's internal
-	// visibility rule lets it import the engine's internal packages.
-	gomod := fmt.Sprintf("module repro/lintfixture\n\ngo 1.24\n\nrequire repro v0.0.0\n\nreplace repro => %s\n", root)
+	// visibility rule lets it import the engine's internal packages, and
+	// under repro/cmd/ so pindiscipline's scope covers it.
+	gomod := fmt.Sprintf("module repro/cmd/lintfixture\n\ngo 1.24\n\nrequire repro v0.0.0\n\nreplace repro => %s\n", root)
 	files["go.mod"] = gomod
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -65,16 +66,11 @@ func TestIntegrationFindings(t *testing.T) {
 	dir := writeModule(t, root, map[string]string{
 		"main.go": `package main
 
-import (
-	"strings"
+import "repro/internal/core"
 
-	"repro/internal/obs"
-)
+func count(r *core.Relation) int { return len(r.Tuples()) }
 
-var m = obs.Default.Counter("Not.A.Valid.Name.Either.Way")
-
-func key(parts []string) string { return strings.Join(parts, "|") }
-
+//lint:allow nosuchanalyzer because reasons
 func main() {}
 `,
 	})
@@ -84,8 +80,8 @@ func main() {}
 		t.Fatalf("exit status = %d, want 1 (findings)\n%s", code, out)
 	}
 	for _, want := range []string{
-		"main.go:9:29: metricname:",
-		"main.go:11:42: rawkeyjoin:",
+		"main.go:5:47: pindiscipline:",
+		"main.go:7:1: allow:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -100,17 +96,16 @@ func TestIntegrationClean(t *testing.T) {
 	dir := writeModule(t, root, map[string]string{
 		"main.go": `package main
 
-import (
-	"strings"
+import "repro/internal/core"
 
-	"repro/internal/value"
-)
+func count(r *core.Relation) int {
+	_, vers := core.Pin(r)
+	return len(vers[0].Tuples())
+}
 
-func key(parts []string) string { return value.EncodeKey(parts) }
-
-func display(parts []string) string {
-	//lint:allow rawkeyjoin display-only rendering for a log line
-	return strings.Join(parts, "|")
+func live(r *core.Relation) int {
+	//lint:allow pindiscipline a deliberate live read, for a log line
+	return len(r.Tuples())
 }
 
 func main() {}
@@ -147,23 +142,26 @@ func callRun(t *testing.T, args ...string) (string, int) {
 	return string(outBytes) + string(errBytes), code
 }
 
-// TestListFlag pins the -list output: every analyzer, with its doc line.
+// TestListFlag pins the -list output: exactly the suite, in run order,
+// one analyzer with its doc line per row.
 func TestListFlag(t *testing.T) {
 	out, code := callRun(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list: exit %d\n%s", code, out)
 	}
-	for _, name := range []string{"allow", "pindiscipline", "lockorder", "spanonce", "rawkeyjoin", "metricname"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, ","), "allow,pindiscipline,lockorder"; got != want {
+		t.Errorf("-list names %s, want %s:\n%s", got, want, out)
 	}
 }
 
-// TestRunSubset runs a single analyzer over this package in-process;
+// TestRunSubset runs two analyzers over this package in-process;
 // the driver's own source is clean, so the subset run reports nothing.
 func TestRunSubset(t *testing.T) {
-	out, code := callRun(t, "-run", "rawkeyjoin,metricname", ".")
+	out, code := callRun(t, "-run", "pindiscipline,lockorder", ".")
 	if code != 0 {
 		t.Fatalf("subset run: exit %d\n%s", code, out)
 	}

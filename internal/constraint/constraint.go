@@ -26,7 +26,7 @@ func (v Violation) String() string { return v.Constraint + ": " + v.Detail }
 // are constant over their vls.
 func CheckKey(r *core.Relation) []Violation {
 	var out []Violation
-	seen := make(map[string]bool)
+	seen := make(map[value.Key]bool)
 	for _, t := range r.Tuples() {
 		parts := make([]string, len(r.Scheme().Key))
 		for i, k := range r.Scheme().Key {
@@ -42,7 +42,7 @@ func CheckKey(r *core.Relation) []Violation {
 		}
 		ks := value.EncodeKey(parts)
 		if seen[ks] {
-			out = append(out, Violation{Constraint: "key", Detail: "duplicate key " + ks})
+			out = append(out, Violation{Constraint: "key", Detail: "duplicate key " + ks.String()})
 		}
 		seen[ks] = true
 	}
@@ -67,7 +67,7 @@ func (fd FD) String() string {
 func CheckIntraStateFD(r *core.Relation, fd FD) []Violation {
 	var out []Violation
 	core.When(r).Each(func(s chronon.Time) bool {
-		index := make(map[string]string)
+		index := make(map[value.Key]value.Key)
 		for _, t := range r.Tuples() {
 			xs, ok := valuesAt(t, fd.X, s)
 			if !ok {
@@ -97,8 +97,8 @@ func CheckIntraStateFD(r *core.Relation, fd FD) []Violation {
 // version allows the floor to differ between times.
 func CheckTransStateFD(r *core.Relation, fd FD) []Violation {
 	var out []Violation
-	index := make(map[string]string)
-	when := make(map[string]chronon.Time)
+	index := make(map[value.Key]value.Key)
+	when := make(map[value.Key]chronon.Time)
 	core.When(r).Each(func(s chronon.Time) bool {
 		for _, t := range r.Tuples() {
 			xs, ok := valuesAt(t, fd.X, s)
@@ -125,12 +125,12 @@ func CheckTransStateFD(r *core.Relation, fd FD) []Violation {
 	return out
 }
 
-func valuesAt(t *core.Tuple, attrs []string, s chronon.Time) (string, bool) {
+func valuesAt(t *core.Tuple, attrs []string, s chronon.Time) (value.Key, bool) {
 	parts := make([]string, len(attrs))
 	for i, a := range attrs {
 		v, ok := t.At(a, s)
 		if !ok {
-			return "", false
+			return value.Key{}, false
 		}
 		parts[i] = v.String()
 	}
@@ -194,7 +194,6 @@ func keyOf(r *core.Relation, t *core.Tuple) string {
 	for i, k := range r.Scheme().Key {
 		parts[i] = t.KeyValue(k).String()
 	}
-	//lint:allow rawkeyjoin display-only rendering for Violation.Detail, never indexed
 	return strings.Join(parts, "|")
 }
 
@@ -243,16 +242,14 @@ func CheckRefIntegrity(child, parent *core.Relation, ri RefIntegrity) []Violatio
 		if !found {
 			out = append(out, Violation{
 				Constraint: "ref-integrity",
-				//lint:allow rawkeyjoin display-only rendering for Violation.Detail, never indexed
-				Detail: fmt.Sprintf("child %s references missing parent %s", keyOf(child, ct), strings.Join(keyVals, "|")),
+				Detail:     fmt.Sprintf("child %s references missing parent %s", keyOf(child, ct), strings.Join(keyVals, "|")),
 			})
 			continue
 		}
 		if !ct.Lifespan().SubsetOf(pt.Lifespan()) {
 			out = append(out, Violation{
 				Constraint: "ref-integrity",
-				//lint:allow rawkeyjoin display-only rendering for Violation.Detail, never indexed
-				Detail: fmt.Sprintf("child %s alive on %v but parent %s only on %v", keyOf(child, ct), ct.Lifespan(), strings.Join(keyVals, "|"), pt.Lifespan()),
+				Detail:     fmt.Sprintf("child %s alive on %v but parent %s only on %v", keyOf(child, ct), ct.Lifespan(), strings.Join(keyVals, "|"), pt.Lifespan()),
 			})
 		}
 	}

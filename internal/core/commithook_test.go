@@ -67,7 +67,7 @@ func TestCommitHookSeesStagedOps(t *testing.T) {
 			rels = append(rels, r.Scheme().Name)
 		}
 		g.Ops(func(r *Relation, tp *Tuple, merging bool) {
-			seen = append(seen, seenOp{rel: r.Scheme().Name, key: tp.keyString(r.scheme), merging: merging})
+			seen = append(seen, seenOp{rel: r.Scheme().Name, key: tp.key(r.scheme).String(), merging: merging})
 		})
 		// The hook runs pre-apply: the relations are still empty.
 		cardAtHook = len(a.tuples) + len(b.tuples)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/value"
 )
 
 // This file is the publication layer that gives multi-relation readers
@@ -118,10 +119,10 @@ func (v RelVersion) Cardinality() int { return len(v.tuples) }
 // Lookup resolves a key (one value per key attribute in scheme order,
 // canonical rendering) within the pinned version.
 func (v RelVersion) Lookup(keyVals ...string) (*Tuple, bool) {
-	return v.lookupKS(encodeKey(keyVals))
+	return v.lookupKS(value.EncodeKey(keyVals))
 }
 
-func (v RelVersion) lookupKS(ks string) (*Tuple, bool) {
+func (v RelVersion) lookupKS(ks value.Key) (*Tuple, bool) {
 	i, ok := v.rel.keyPos(ks)
 	if !ok || i >= len(v.tuples) {
 		return nil, false
@@ -135,7 +136,7 @@ func (v RelVersion) lookupKS(ks string) (*Tuple, bool) {
 // did not exist at the pin. Index probes against live structures use
 // it to restrict their candidates to the pinned state.
 func (v RelVersion) Resolve(t *Tuple) (*Tuple, bool) {
-	return v.lookupKS(t.keyString(v.rel.scheme))
+	return v.lookupKS(t.key(v.rel.scheme))
 }
 
 // View wraps the pinned version as a read-only Relation, so the naive

@@ -87,7 +87,7 @@ func TestOuterJoinEquivalentToSelectIfOfProduct(t *testing.T) {
 	for _, tp := range outer.Tuples() {
 		u, ok := viaIf.lookupTuple(tp)
 		if !ok {
-			t.Fatalf("pair %s missing from σ-IF route", tp.keyString(outer.Scheme()))
+			t.Fatalf("pair %s missing from σ-IF route", tp.key(outer.Scheme()))
 		}
 		if !tp.Lifespan().Equal(u.Lifespan()) {
 			t.Errorf("lifespan mismatch: %v vs %v", tp.Lifespan(), u.Lifespan())

@@ -234,10 +234,10 @@ func TestJoinEquivalenceToSelectWhenOfProduct(t *testing.T) {
 	for _, tp := range viaJoin.Tuples() {
 		u, ok := viaProduct.lookupTuple(tp)
 		if !ok {
-			t.Fatalf("pair %s missing from product route", tp.keyString(viaJoin.Scheme()))
+			t.Fatalf("pair %s missing from product route", tp.key(viaJoin.Scheme()))
 		}
 		if !tp.Lifespan().Equal(u.Lifespan()) {
-			t.Errorf("lifespan mismatch for %s: %v vs %v", tp.keyString(viaJoin.Scheme()), tp.Lifespan(), u.Lifespan())
+			t.Errorf("lifespan mismatch for %s: %v vs %v", tp.key(viaJoin.Scheme()), tp.Lifespan(), u.Lifespan())
 		}
 	}
 }

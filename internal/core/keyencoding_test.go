@@ -34,13 +34,13 @@ func TestEncodeKeyInjective(t *testing.T) {
 		{{``, `|`}, {`|`, ``}},           // empty parts
 	}
 	for _, c := range collisions {
-		if encodeKey(c[0]) == encodeKey(c[1]) {
-			t.Errorf("encodeKey%v and encodeKey%v collide: %q", c[0], c[1], encodeKey(c[0]))
+		if value.EncodeKey(c[0]) == value.EncodeKey(c[1]) {
+			t.Errorf("EncodeKey%v and EncodeKey%v collide: %q", c[0], c[1], value.EncodeKey(c[0]))
 		}
 	}
 	// Same parts must keep encoding equal (determinism).
-	if encodeKey([]string{`a|b`, `c`}) != encodeKey([]string{`a|b`, `c`}) {
-		t.Fatal("encodeKey is not deterministic")
+	if value.EncodeKey([]string{`a|b`, `c`}) != value.EncodeKey([]string{`a|b`, `c`}) {
+		t.Fatal("EncodeKey is not deterministic")
 	}
 }
 

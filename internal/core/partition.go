@@ -108,7 +108,7 @@ func PartitionSlice(ts []*Tuple, chunk int) []Partition {
 func NewRelationFromTuples(s *schema.Scheme, ts []*Tuple) (*Relation, error) {
 	order, dup := sortByKey(s, ts)
 	if dup >= 0 {
-		return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ts[dup].keyString(s))
+		return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ts[dup].key(s))
 	}
 	return &Relation{scheme: s, id: relIDs.Add(1), tuples: ts, order: order, version: 1}, nil
 }

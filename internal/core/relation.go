@@ -10,6 +10,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // Relation is a historical relation r on scheme R: "a finite set of
@@ -53,8 +54,8 @@ type Relation struct {
 	tuples []*Tuple
 	// byKey is nil until keyIndexLocked builds it (NewRelationFromTuples
 	// relations only).
-	byKey map[string]int
-	// order lists tuple positions in keyString order; non-nil only in a
+	byKey map[value.Key]int
+	// order lists tuple positions in key order; non-nil only in a
 	// NewRelationFromTuples relation not yet mutated.
 	order []int32
 	// version counts mutations (Insert/InsertMerging); external index
@@ -138,7 +139,7 @@ var relIDs atomic.Uint64
 
 // NewRelation returns an empty relation on scheme r.
 func NewRelation(r *schema.Scheme) *Relation {
-	return &Relation{scheme: r, byKey: make(map[string]int), id: relIDs.Add(1)}
+	return &Relation{scheme: r, byKey: make(map[value.Key]int), id: relIDs.Add(1)}
 }
 
 // Scheme returns the relation's scheme R.
@@ -213,7 +214,7 @@ func (r *Relation) Insert(t *Tuple) error {
 	if r.origin != nil {
 		return errFrozen(r)
 	}
-	ks := t.keyString(r.scheme)
+	ks := t.key(r.scheme)
 	pub := r.beginPublish()
 	r.mu.Lock()
 	c, err := r.insertLocked(ks, t)
@@ -242,14 +243,14 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	kss := make([]string, len(ts))
+	kss := make([]value.Key, len(ts))
 	for i, t := range ts {
-		kss[i] = t.keyString(r.scheme)
+		kss[i] = t.key(r.scheme)
 	}
 	pub := r.beginPublish()
 	r.mu.Lock()
 	byKey := r.keyIndexLocked()
-	inBatch := make(map[string]bool, len(kss))
+	inBatch := make(map[value.Key]bool, len(kss))
 	for _, ks := range kss {
 		if _, dup := byKey[ks]; dup || inBatch[ks] {
 			r.mu.Unlock()
@@ -281,7 +282,7 @@ func errFrozen(r *Relation) error {
 
 // insertLocked appends t under the write lock and returns the Change to
 // deliver after release.
-func (r *Relation) insertLocked(ks string, t *Tuple) (Change, error) {
+func (r *Relation) insertLocked(ks value.Key, t *Tuple) (Change, error) {
 	byKey := r.keyIndexLocked()
 	if _, dup := byKey[ks]; dup {
 		return Change{}, fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
@@ -306,11 +307,11 @@ func (r *Relation) mutatedLocked() {
 // keyIndexLocked returns byKey, building it from the tuples if this is
 // the first keyed operation on a NewRelationFromTuples relation. The
 // caller holds the write lock.
-func (r *Relation) keyIndexLocked() map[string]int {
+func (r *Relation) keyIndexLocked() map[value.Key]int {
 	if r.byKey == nil {
-		r.byKey = make(map[string]int, len(r.tuples))
+		r.byKey = make(map[value.Key]int, len(r.tuples))
 		for i, t := range r.tuples {
-			r.byKey[t.keyString(r.scheme)] = i
+			r.byKey[t.key(r.scheme)] = i
 		}
 	}
 	return r.byKey
@@ -365,7 +366,7 @@ func (r *Relation) InsertMerging(t *Tuple) error {
 	if r.origin != nil {
 		return errFrozen(r)
 	}
-	ks := t.keyString(r.scheme)
+	ks := t.key(r.scheme)
 	pub := r.beginPublish()
 	r.mu.Lock()
 	i, dup := r.keyIndexLocked()[ks]
@@ -416,19 +417,19 @@ func (r *Relation) InsertMerging(t *Tuple) error {
 // with the same collision-free encoding the relation indexes by, so a
 // key value containing the separator cannot alias a different key.
 func (r *Relation) Lookup(keyVals ...string) (*Tuple, bool) {
-	return r.lookupKS(encodeKey(keyVals))
+	return r.lookupKS(value.EncodeKey(keyVals))
 }
 
 // lookupTuple finds the relation's tuple sharing o's key values.
 func (r *Relation) lookupTuple(o *Tuple) (*Tuple, bool) {
-	return r.lookupKS(o.keyString(r.scheme))
+	return r.lookupKS(o.key(r.scheme))
 }
 
-// lookupKS resolves a canonical key string to the tuple holding it —
+// lookupKS resolves a canonical key to the tuple holding it —
 // in the pinned prefix for frozen views, in live state otherwise. The
 // live path holds the read lock across map lookup and tuple fetch: a
 // concurrent merge may overwrite the slot in place.
-func (r *Relation) lookupKS(ks string) (*Tuple, bool) {
+func (r *Relation) lookupKS(ks value.Key) (*Tuple, bool) {
 	if r.origin != nil {
 		i, ok := r.keyPos(ks)
 		if !ok {
@@ -445,11 +446,11 @@ func (r *Relation) lookupKS(ks string) (*Tuple, bool) {
 	return r.tuples[i], true
 }
 
-// keyPos resolves a canonical key string to its tuple position. Frozen
+// keyPos resolves a canonical key to its tuple position. Frozen
 // views delegate to their origin's live key map and bound the answer
 // by the pinned prefix: keys are never deleted and a merge keeps its
 // slot, so positions are exact for every older version.
-func (r *Relation) keyPos(ks string) (int, bool) {
+func (r *Relation) keyPos(ks value.Key) (int, bool) {
 	if r.origin != nil {
 		i, ok := r.origin.keyPos(ks)
 		if !ok || i >= len(r.tuples) {
@@ -507,7 +508,7 @@ func (r *Relation) String() string { return string(r.AppendTo(nil)) }
 
 // AppendTo appends the relation's rendering to dst: the scheme header,
 // then one line per tuple with its values in scheme order. Tuples
-// appear in canonical key order — ascending by keyString, the escaped
+// appear in canonical key order — ascending by key, the escaped
 // encoding relations index by, compared bytewise — so a rendering does
 // not depend on insertion order. A NewRelationFromTuples relation
 // prints from the order it stored; any other is sorted by sortByKey.
@@ -539,11 +540,11 @@ func (r *Relation) AppendTo(dst []byte) []byte {
 var keyScratch = sync.Pool{New: func() any { return new(keyBuf) }}
 
 type keyBuf struct {
-	keys []byte   // every tuple's keyString, concatenated
+	keys []byte   // every tuple's key, concatenated
 	offs []uint32 // tuple i's key is keys[offs[i]:offs[i+1]]
 }
 
-// sortByKey returns the positions of ts in ascending keyString order,
+// sortByKey returns the positions of ts in ascending key order,
 // compared bytewise, and the position of a tuple whose key another
 // tuple shares (-1 when every key is distinct): duplicates sort next to
 // each other. Each key is encoded once, into one pooled buffer. It is
@@ -576,9 +577,9 @@ func sortByKey(s *schema.Scheme, ts []*Tuple) (order []int32, dup int) {
 // rather than on every construction for performance.
 func (r *Relation) checkInvariants() error {
 	ts := r.Tuples()
-	seen := make(map[string]bool, len(ts))
+	seen := make(map[value.Key]bool, len(ts))
 	for _, t := range ts {
-		ks := t.keyString(r.scheme)
+		ks := t.key(r.scheme)
 		if seen[ks] {
 			return fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
 		}

@@ -33,7 +33,7 @@ func Union(r1, r2 *Relation) (*Relation, error) {
 		if prev, ok := out.lookupTuple(t); ok {
 			if !prev.Equal(t) {
 				return nil, fmt.Errorf("core: union: key %s present in both operands with different histories; use UnionMerge",
-					t.keyString(rs))
+					t.key(rs))
 			}
 			continue
 		}
@@ -110,7 +110,7 @@ func UnionMerge(r1, r2 *Relation) (*Relation, error) {
 			continue
 		}
 		if !t1.Mergable(t2, rs) {
-			return nil, fmt.Errorf("core: union-merge: key %s has contradicting histories", t1.keyString(rs))
+			return nil, fmt.Errorf("core: union-merge: key %s has contradicting histories", t1.key(rs))
 		}
 		m, err := t1.Merge(t2)
 		if err != nil {

@@ -111,28 +111,25 @@ func (t *Tuple) KeyValue(k string) value.Value {
 	return v
 }
 
-// keyString builds a canonical string of the tuple's key values in the
-// scheme's key order, for relation indexing.
-func (t *Tuple) keyString(r *schema.Scheme) string {
-	var buf [64]byte
-	return string(t.appendKey(buf[:0], r))
+// key returns the tuple's key values, in the scheme's key order, as the
+// value.Key relations index by.
+func (t *Tuple) key(r *schema.Scheme) value.Key {
+	var buf [4]value.Value
+	vs := buf[:0]
+	for _, k := range r.Key {
+		vs = append(vs, t.KeyValue(k))
+	}
+	return value.KeyOf(vs...)
 }
 
-// appendKey appends the tuple's keyString to dst: encodeKey of the key
-// values' renderings, written without building them as strings.
+// appendKey appends the bytes of the tuple's key to dst, for sorting
+// many keys in one buffer.
 func (t *Tuple) appendKey(dst []byte, r *schema.Scheme) []byte {
 	for i, k := range r.Key {
 		dst = value.AppendKeyPart(dst, i, t.KeyValue(k))
 	}
 	return dst
 }
-
-// encodeKey combines the canonical renderings of a tuple's key values
-// into the collision-free index string of value.EncodeKey (escaped
-// parts joined with '|', injective even when a key value contains the
-// separator). Relation.byKey and Relation.Lookup both index through
-// this function.
-func encodeKey(parts []string) string { return value.EncodeKey(parts) }
 
 // restrict returns t|L: the tuple with lifespan t.l ∩ L and every value
 // restricted accordingly. Returns nil when the restricted lifespan is

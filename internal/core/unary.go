@@ -92,7 +92,7 @@ func constantSegments(t *Tuple, attrs []string, joint lifespan.Lifespan) []segme
 		})
 	}
 	var segs []segment
-	byKey := make(map[string]int)
+	byKey := make(map[value.Key]int)
 	for _, iv := range joint.Intervals() {
 		lo := iv.Lo
 		for lo <= iv.Hi {
@@ -103,13 +103,10 @@ func constantSegments(t *Tuple, attrs []string, joint lifespan.Lifespan) []segme
 				}
 			}
 			vals := make([]value.Value, len(attrs))
-			keyParts := make([]string, len(attrs))
 			for i, a := range attrs {
-				v, _ := t.At(a, lo)
-				vals[i] = v
-				keyParts[i] = v.String()
+				vals[i], _ = t.At(a, lo)
 			}
-			k := encodeKey(keyParts)
+			k := value.KeyOf(vals...)
 			piece := lifespan.Interval(lo, hi)
 			if i, ok := byKey[k]; ok {
 				segs[i].ls = segs[i].ls.Union(piece)

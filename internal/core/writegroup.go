@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/value"
 )
 
 // Write-group metrics: committed/aborted group counts and the size
@@ -131,11 +132,11 @@ func unlockRelations(sorted []*Relation) {
 
 // groupApply is one relation's validated outcome, computed under the
 // relation's lock before anything mutates: the tuples to append (with
-// their canonical key strings) and the live slots to overwrite.
+// their canonical keys) and the live slots to overwrite.
 type groupApply struct {
 	rel      *Relation
 	appended []*Tuple
-	keys     []string
+	keys     []value.Key
 	merges   []MergeStep
 }
 
@@ -238,11 +239,11 @@ func (g *WriteGroup) Commit() error {
 // group.
 func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 	ap := groupApply{rel: r}
-	pendingIdx := make(map[string]int, len(ops)) // key → index into ap.appended
-	mergeIdx := make(map[int]int)                // live slot → index into ap.merges
+	pendingIdx := make(map[value.Key]int, len(ops)) // key → index into ap.appended
+	mergeIdx := make(map[int]int)                   // live slot → index into ap.merges
 	byKey := r.keyIndexLocked()
 	for _, op := range ops {
-		ks := op.tuple.keyString(r.scheme)
+		ks := op.tuple.key(r.scheme)
 		if j, ok := pendingIdx[ks]; ok {
 			// Collides with a tuple appended earlier in this group.
 			if !op.merging {
@@ -284,7 +285,7 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 
 // mergeInto merges t into the existing history cur, surfacing the same
 // contradiction error InsertMerging reports.
-func mergeInto(r *Relation, ks string, cur, t *Tuple) (*Tuple, error) {
+func mergeInto(r *Relation, ks value.Key, cur, t *Tuple) (*Tuple, error) {
 	if !cur.Mergable(t, r.scheme) {
 		return nil, fmt.Errorf("core: relation %s: tuple with key %s contradicts existing history", r.scheme.Name, ks)
 	}

@@ -29,16 +29,16 @@ type Row struct {
 type Relation struct {
 	scheme *Scheme
 	clock  chronon.Interval
-	// rows maps the canonical key string to the object's dense timeline.
-	rows map[string][]Row
-	keys []string // insertion order, for deterministic iteration
+	// rows maps the canonical key to the object's dense timeline.
+	rows map[value.Key][]Row
+	keys []value.Key // insertion order, for deterministic iteration
 }
 
 // NewRelation returns an empty cube relation with the given database
 // clock range; every recorded object carries a row for every chronon of
 // this range.
 func NewRelation(s *Scheme, clock chronon.Interval) *Relation {
-	return &Relation{scheme: s, clock: clock, rows: make(map[string][]Row)}
+	return &Relation{scheme: s, clock: clock, rows: make(map[value.Key][]Row)}
 }
 
 // Scheme returns the cube's scheme.
@@ -56,14 +56,6 @@ func (r *Relation) NumRows() int {
 	return len(r.keys) * int(r.clock.Duration())
 }
 
-func keyString(vals []value.Value, numKey int) string {
-	parts := make([]string, numKey)
-	for i := 0; i < numKey; i++ {
-		parts[i] = vals[i].String()
-	}
-	return value.EncodeKey(parts)
-}
-
 // RecordState writes the object's state at time t: a full row with
 // EXISTS? = true. Vals must follow scheme attribute order. Times outside
 // the clock range are an error.
@@ -74,7 +66,7 @@ func (r *Relation) RecordState(t chronon.Time, vals []value.Value) error {
 	if !r.clock.Contains(t) {
 		return fmt.Errorf("cube: time %v outside clock %v", t, r.clock)
 	}
-	k := keyString(vals, r.scheme.NumKey)
+	k := value.KeyOf(vals[:r.scheme.NumKey]...)
 	tl, ok := r.rows[k]
 	if !ok {
 		// Allocate the object's dense timeline: one row per chronon, all
@@ -96,7 +88,7 @@ func (r *Relation) RecordState(t chronon.Time, vals []value.Value) error {
 // The cube must scan the object's entire timeline to skip EXISTS?=false
 // slices.
 func (r *Relation) KeyHistory(keyVals ...value.Value) []Row {
-	k := keyString(keyVals, len(keyVals))
+	k := value.KeyOf(keyVals...)
 	tl, ok := r.rows[k]
 	if !ok {
 		return nil

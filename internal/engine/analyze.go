@@ -38,32 +38,37 @@ type analysis struct {
 // — the same operator code as an unprofiled query; the profiler only
 // observes. Expressions the planner cannot compile surface their
 // planning error: there is no naive fallback to attribute per-operator
-// numbers to.
+// numbers to. Like evalQuery, it closes its span at one finishQuery.
 func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, error) {
 	q := &lifted{}
 	q.lift(src)
 	sp := obs.Begin()
+	a, p, snap, err := runAnalyzed(ctx, q, env, &sp)
+	finishQuery(&sp, q, p, snap, err)
+	return a, err
+}
+
+// runAnalyzed does analyzeQuery's work, marking each stage on sp, and
+// returns the plan and snapshot it ran on (nil where it stopped short).
+func runAnalyzed(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (*analysis, *Plan, *Snapshot, error) {
 	e, err := hql.Parse(q.src)
-	if err != nil {
-		finishQuery(&sp, q, nil, nil, err)
-		return nil, err
-	}
 	sp.Mark(obs.StageParse)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	p, err := planLifted(e, env, q)
 	sp.Mark(obs.StagePlan)
 	if err != nil {
-		finishQuery(&sp, q, nil, nil, err)
-		return nil, err
+		return nil, nil, nil, err
 	}
 	snap := pinPlan(ctx, p, q.params)
 	sp.Mark(obs.StagePin)
 	snap.prof = newProfiler()
-	res, err := p.run(snap, &sp)
-	finishQuery(&sp, q, p, snap, err)
+	res, err := p.run(snap, sp)
 	if err != nil {
-		return nil, err
+		return nil, p, snap, err
 	}
-	return &analysis{text: e.String(), plan: p, prof: snap.prof, sp: sp, snap: snap, res: res}, nil
+	return &analysis{text: e.String(), plan: p, prof: snap.prof, sp: *sp, snap: snap, res: res}, p, snap, nil
 }
 
 // rootStats returns the root operator's measured execution.

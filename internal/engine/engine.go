@@ -69,11 +69,21 @@ func planLifted(e hql.Expr, env hql.Env, q *lifted) (*Plan, error) {
 // reports the definitive semantic error, so planning never changes
 // observable behavior — only speed.
 //
-// evalQuery owns the span it begins: every path ends in finishQuery,
-// so engine.queries / engine.query_total_ns count every query and the
-// slow log sees every outlier.
+// evalQuery owns the span it begins and closes it at its one
+// finishQuery, whichever way runQuery returned: engine.queries and
+// engine.query_total_ns count every query once, and the slow log sees
+// every outlier.
 func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) {
 	sp := obs.Begin()
+	res, p, snap, err := runQuery(ctx, q, env, &sp)
+	finishQuery(&sp, q, p, snap, err)
+	return res, err
+}
+
+// runQuery does evalQuery's work, marking each stage on sp, and returns
+// the plan and snapshot it ran on (nil for a parse error or the naive
+// fallback).
+func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
 	var p *Plan
 	if q.err == nil {
 		p = planCache.lookup(q.shape, env, q.params)
@@ -82,17 +92,16 @@ func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) 
 		e, err := hql.Parse(q.src)
 		sp.Mark(obs.StageParse)
 		if err != nil {
-			finishQuery(&sp, q, nil, nil, err)
-			return hql.Result{}, err
+			return hql.Result{}, nil, nil, err
 		}
 		mPlanMisses.Inc()
 		if q.err != nil {
-			return evalFallback(ctx, e, env, q, &sp)
+			return evalFallback(ctx, e, env, sp)
 		}
 		p, err = planQuery(e, env, q.params)
 		sp.Mark(obs.StagePlan)
 		if err != nil {
-			return evalFallback(ctx, e, env, q, &sp)
+			return evalFallback(ctx, e, env, sp)
 		}
 		planCache.store(string(q.shape), p)
 	}
@@ -100,18 +109,16 @@ func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) 
 	// On a hit one mark covers lookup + pin: splitting them would buy a
 	// clock read for a sub-microsecond distinction.
 	sp.Mark(obs.StagePin)
-	res, err := p.run(snap, &sp)
-	finishQuery(&sp, q, p, snap, err)
-	return res, err
+	res, err := p.run(snap, sp)
+	return res, p, snap, err
 }
 
 // evalFallback runs an unplannable expression through the naive
-// evaluator and closes the span, so naive queries are counted and
-// slow-logged like planned ones.
-func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, q *lifted, sp *obs.Span) (hql.Result, error) {
+// evaluator, so naive queries are timed, counted and slow-logged like
+// planned ones.
+func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
 	mNaiveFallback.Inc()
 	res, err := hql.EvalNaiveContext(ctx, e, env)
 	sp.Mark(obs.StageExecute)
-	finishQuery(sp, q, nil, nil, err)
-	return res, err
+	return res, nil, nil, err
 }

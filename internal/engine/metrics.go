@@ -25,8 +25,8 @@ var (
 // stageHist holds one histogram per lifecycle stage, indexed by the
 // obs.Stage constants. The names are spelled out (rather than derived
 // from obs.StageName at init) so the full metric catalog is greppable
-// and auditable against docs/OBSERVABILITY.md — the metricname analyzer
-// enforces exactly this.
+// and auditable against docs/OBSERVABILITY.md, which the root
+// TestMetricCatalogMatchesDocs checks name by name.
 var stageHist = [obs.NumStages]*obs.Histogram{
 	obs.StageParse:       obs.Default.Histogram("engine.stage.parse_ns"),
 	obs.StagePlan:        obs.Default.Histogram("engine.stage.plan_ns"),
@@ -50,7 +50,8 @@ const stageHistFloor = 50 * time.Microsecond
 // rendered with this execution's literals (lifted.text), the pinned
 // name@version list, snapshot epoch and stage breakdown. The text is
 // rendered only for a query that qualifies, so the hot path pays
-// nothing for it.
+// nothing for it. Its two callers, evalQuery and analyzeQuery, call it
+// once each, straight after the call that did the query's work.
 func finishQuery(sp *obs.Span, q *lifted, p *Plan, snap *Snapshot, err error) {
 	total := sp.Total()
 	mQueries.Inc()

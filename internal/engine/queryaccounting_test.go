@@ -1,0 +1,103 @@
+package engine
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// TestEveryQueryPathCountsOnce: whichever way a query leaves the engine
+// — a plan-cache hit or miss, a parse error, a naive fallback, an
+// execution error, a cancellation mid-scan, or any exit of EXPLAIN
+// ANALYZE — it closes its span exactly once. It adds 1 to
+// engine.queries and one engine.query_total_ns observation, with a
+// total above zero that its stages add up to. The slow log, at a zero
+// threshold, records that one span's total and stages. A context
+// already done when the call begins adds nothing.
+func TestEveryQueryPathCountsOnce(t *testing.T) {
+	ResetPlanCache()
+	t.Cleanup(ResetPlanCache)
+	threshold := slowLog.Threshold()
+	slowLog.SetThreshold(0)
+	t.Cleanup(func() { slowLog.SetThreshold(threshold) })
+
+	demo := storage.NewStore()
+	if err := demo.MergeStore(workload.Demo()); err != nil {
+		t.Fatal(err)
+	}
+	big := bigEMP()
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	query := func(st *storage.Store, ctx context.Context, src string) func() error {
+		return func() error { _, err := sess(st).Query(ctx, src); return err }
+	}
+	analyze := func(st *storage.Store, ctx context.Context, src string) func() error {
+		return func() error { _, err := sess(st).ExplainAnalyze(ctx, src); return err }
+	}
+	const key = `SELECT WHEN NAME = 'John' FROM EMP`
+	if err := query(demo, bg, key)(); err != nil { // the hit case's plan
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		run     func() error
+		queries uint64 // engine.queries delta
+		wantErr bool
+		hits    uint64 // engine.plancache.hits delta
+		naive   uint64 // engine.naive_fallbacks delta
+	}{
+		{"query/hit", query(demo, bg, key), 1, false, 1, 0},
+		{"query/miss", query(demo, bg, `TIMESLICE EMP AT {[0,9]}`), 1, false, 0, 0},
+		{"query/parse-error", query(demo, bg, `THIS IS NOT HQL`), 1, true, 0, 0},
+		{"query/lift-failure", query(demo, bg, `TIMESLICE EMP AT {[9,x]}`), 1, true, 0, 1},
+		{"query/unplannable", query(demo, bg, `NOSUCHREL`), 1, true, 0, 1},
+		{"query/execution-error", query(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, true, 0, 0},
+		{"query/canceled-mid-scan", query(big, newFlipCtx(2), `SELECT WHEN SAL > 0 FROM EMP`), 1, true, 0, 0},
+		{"query/already-canceled", query(demo, done, key), 0, true, 0, 0},
+		{"analyze/success", analyze(demo, bg, key), 1, false, 0, 0},
+		{"analyze/parse-error", analyze(demo, bg, `THIS IS NOT HQL`), 1, true, 0, 0},
+		{"analyze/plan-error", analyze(demo, bg, `NOSUCHREL`), 1, true, 0, 0},
+		{"analyze/execution-error", analyze(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, true, 0, 0},
+		{"analyze/already-canceled", analyze(demo, done, key), 0, true, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before, recorded := obs.Default.Snapshot(), slowLog.Recorded()
+			err := c.run()
+			after := obs.Default.Snapshot()
+			if (err != nil) != c.wantErr {
+				t.Errorf("error %v, want error %v", err, c.wantErr)
+			}
+			delta := after.CounterDelta(before)
+			if delta["engine.plancache.hits"] != c.hits || delta["engine.naive_fallbacks"] != c.naive {
+				t.Errorf("%d plan-cache hits, %d naive fallbacks; want %d, %d — the case takes another path",
+					delta["engine.plancache.hits"], delta["engine.naive_fallbacks"], c.hits, c.naive)
+			}
+			hb, ha := before.Histograms["engine.query_total_ns"], after.Histograms["engine.query_total_ns"]
+			if got := delta["engine.queries"]; got != c.queries {
+				t.Errorf("engine.queries +%d, want +%d", got, c.queries)
+			}
+			if got := ha.Count - hb.Count; got != c.queries {
+				t.Errorf("engine.query_total_ns +%d observations, want +%d", got, c.queries)
+			}
+			if got := slowLog.Recorded() - recorded; got != c.queries {
+				t.Errorf("%d slow-log records, want %d", got, c.queries)
+			}
+			if c.queries == 0 || t.Failed() {
+				return
+			}
+			rec := slowLog.Last(1)[0]
+			var stages int64
+			for _, st := range rec.Stages {
+				stages += st.Ns
+			}
+			if rec.TotalNs <= 0 || stages != rec.TotalNs || ha.Sum-hb.Sum != rec.TotalNs {
+				t.Errorf("total %d ns, stages sum to %d ns, histogram sum +%d ns; want one positive total all three agree on",
+					rec.TotalNs, stages, ha.Sum-hb.Sum)
+			}
+		})
+	}
+}

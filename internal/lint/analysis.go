@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -132,10 +131,15 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether f is the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(f *types.Func, pkgPath, name string) bool {
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name && f.Type().(*types.Signature).Recv() == nil
+// walkChildren visits the direct children of n.
+func walkChildren(n ast.Node, f func(ast.Node)) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == nil || c == n {
+			return c == n
+		}
+		f(c)
+		return false
+	})
 }
 
 // isMethodOn reports whether f is the method pkgPath.typeName.name
@@ -163,14 +167,4 @@ func isNamed(t types.Type, pkgPath, typeName string) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == typeName
-}
-
-// constString returns the compile-time constant string value of e, if
-// it has one.
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

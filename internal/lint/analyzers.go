@@ -8,9 +8,6 @@ func All() []*Analyzer {
 		AllowAnalyzer,
 		Pindiscipline,
 		Lockorder,
-		Spanonce,
-		Rawkeyjoin,
-		Metricname,
 	}
 }
 
@@ -20,9 +17,6 @@ func All() []*Analyzer {
 var knownAnalyzers = map[string]bool{
 	Pindiscipline.Name: true,
 	Lockorder.Name:     true,
-	Spanonce.Name:      true,
-	Rawkeyjoin.Name:    true,
-	Metricname.Name:    true,
 }
 
 // ByName resolves one analyzer, for the driver's -run flag.

@@ -1,9 +1,10 @@
 // Package lint implements hrdm-lint: purpose-built static analyzers
-// that mechanically enforce the engine's snapshot, locking, key
-// encoding and observability invariants — the rules docs/ARCHITECTURE.md
-// states in prose and the race suites catch only probabilistically.
-// Each analyzer fails CI on the exact line that breaks its rule, the
-// way go vet fails on a malformed printf verb.
+// that mechanically enforce the engine's snapshot and locking
+// invariants — the rules docs/ARCHITECTURE.md states in prose and the
+// race suites catch only probabilistically. Each analyzer fails CI on
+// the exact line that breaks its rule, the way go vet fails on a
+// malformed printf verb. The other invariants it once checked now hold
+// by construction (docs/LINTING.md says where each lives).
 //
 // The package would normally build on golang.org/x/tools/go/analysis;
 // this module carries no external dependencies, so it ships a small
@@ -20,13 +21,6 @@
 //     through a pinned snapshot, never raw *core.Relation accessors.
 //   - lockorder: a function locking two or more Relation mutexes must
 //     go through the canonical id-ordered helper WriteGroup.Commit uses.
-//   - spanonce: an obs.Span begun on a path is closed (or handed off)
-//     exactly once on every return path.
-//   - rawkeyjoin: composite key strings are built by value.EncodeKey,
-//     never by hand-joining parts with "|".
-//   - metricname: registry metric names are compile-time constants
-//     matching the layer.subsystem.name convention of
-//     docs/OBSERVABILITY.md.
 //
 // A finding on a legitimately exempt line is silenced by the preceding
 // comment `//lint:allow <analyzer> <reason>`; an annotation without a

@@ -20,27 +20,15 @@ func TestLockorder(t *testing.T) {
 	linttest.Run(t, lint.Lockorder, "./testdata/src/lockorder")
 }
 
-func TestSpanonce(t *testing.T) {
-	linttest.Run(t, lint.Spanonce, "./testdata/src/spanonce")
-}
-
-func TestRawkeyjoin(t *testing.T) {
-	linttest.Run(t, lint.Rawkeyjoin, "./testdata/src/rawkeyjoin")
-}
-
-func TestMetricname(t *testing.T) {
-	linttest.Run(t, lint.Metricname, "./testdata/src/metricname")
-}
-
 func TestAllowValidation(t *testing.T) {
 	linttest.Run(t, lint.AllowAnalyzer, "./testdata/src/allow")
 }
 
 // TestSuiteCleanOnTree is the enforcement backstop: the full analyzer
 // suite over the repository's own packages must be silent. Reverting
-// any of the fixes this suite guards (the EncodeKey'd tuple keys, the
-// ordered lock helper, the span accounting on error paths) turns this
-// red at the offending line.
+// any of the fixes this suite guards (the pinned reads of the query
+// layers, the ordered lock helper) turns this red at the offending
+// line.
 func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

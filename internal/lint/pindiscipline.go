@@ -8,11 +8,7 @@ import (
 // corePkg is the package whose types the analyzers key on. Fixture
 // packages under testdata import the real thing, so the type-based
 // matching is identical in tests and in CI.
-const (
-	corePkg  = "repro/internal/core"
-	obsPkg   = "repro/internal/obs"
-	valuePkg = "repro/internal/value"
-)
+const corePkg = "repro/internal/core"
 
 // rawReadMethods are the *core.Relation accessors that hand out tuple
 // state from the live relation. Inside the query layers they bypass

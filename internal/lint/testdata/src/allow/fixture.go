@@ -4,7 +4,7 @@
 // expectations hang.
 package allow
 
-//lint:allow rawkeyjoin // want `carries no reason`
+//lint:allow lockorder // want `carries no reason`
 var missingReason = 1
 
 //lint:allow nosuchanalyzer because reasons // want `unknown analyzer "nosuchanalyzer"`
@@ -13,5 +13,5 @@ var unknownName = 2
 //lint:allow // want `names no analyzer`
 var nameless = 3
 
-//lint:allow metricname a well-formed exemption with its justification recorded
+//lint:allow pindiscipline a well-formed exemption with its justification recorded
 var wellFormed = 4

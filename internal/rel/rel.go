@@ -58,28 +58,22 @@ func (s *Scheme) Index(a string) int {
 // scheme order.
 type Tuple []value.Value
 
-// key renders the canonical duplicate-detection string for the whole
-// tuple (classical relations are sets: full-tuple identity). The
-// encoding escapes separators so tuples that differ only in where a
-// "|" falls inside a string value do not collide.
-func (t Tuple) key() string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.String()
-	}
-	return value.EncodeKey(parts)
-}
+// key is the canonical duplicate-detection key of the whole tuple
+// (classical relations are sets: full-tuple identity). The encoding
+// escapes separators so tuples that differ only in where a "|" falls
+// inside a string value do not collide.
+func (t Tuple) key() value.Key { return value.KeyOf(t...) }
 
 // Relation is a classical relation: a set of tuples on a scheme.
 type Relation struct {
 	scheme *Scheme
 	tuples []Tuple
-	index  map[string]bool
+	index  map[value.Key]bool
 }
 
 // NewRelation returns an empty relation on s.
 func NewRelation(s *Scheme) *Relation {
-	return &Relation{scheme: s, index: make(map[string]bool)}
+	return &Relation{scheme: s, index: make(map[value.Key]bool)}
 }
 
 // Scheme returns the relation's scheme.
@@ -144,7 +138,7 @@ func (r *Relation) String() string {
 	var b strings.Builder
 	b.WriteString(r.scheme.Name + "(" + strings.Join(r.scheme.Attrs, ", ") + ")")
 	sorted := append([]Tuple(nil), r.tuples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key() < sorted[j].key() })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key().String() < sorted[j].key().String() })
 	for _, t := range sorted {
 		parts := make([]string, len(t))
 		for i, v := range t {

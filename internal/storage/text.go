@@ -49,7 +49,7 @@ func ParseText(r io.Reader) (*Store, error) {
 		curRel     *core.Relation
 		curBuilder *core.TupleBuilder
 		pending    []*core.Tuple
-		seenKeys   map[string]bool
+		seenKeys   map[value.Key]bool
 		lineNo     int
 	)
 	// Every relation section stages its tuples into one write group,
@@ -68,7 +68,7 @@ func ParseText(r io.Reader) (*Store, error) {
 		}
 		curScheme = s
 		curRel = core.NewRelation(s)
-		seenKeys = make(map[string]bool)
+		seenKeys = make(map[value.Key]bool)
 		st.Put(curRel)
 		return nil
 	}

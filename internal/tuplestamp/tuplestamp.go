@@ -28,13 +28,13 @@ type Version struct {
 // key, each group sorted by From and pairwise disjoint.
 type Relation struct {
 	scheme   *Scheme
-	versions map[string][]Version
-	keys     []string
+	versions map[value.Key][]Version
+	keys     []value.Key
 }
 
 // NewRelation returns an empty relation.
 func NewRelation(s *Scheme) *Relation {
-	return &Relation{scheme: s, versions: make(map[string][]Version)}
+	return &Relation{scheme: s, versions: make(map[value.Key][]Version)}
 }
 
 // Scheme returns the relation's scheme.
@@ -53,14 +53,6 @@ func (r *Relation) NumVersions() int {
 	return n
 }
 
-func keyString(vals []value.Value, numKey int) string {
-	parts := make([]string, numKey)
-	for i := 0; i < numKey; i++ {
-		parts[i] = vals[i].String()
-	}
-	return value.EncodeKey(parts)
-}
-
 // Append records a version. Versions of one object must not overlap;
 // appends may arrive in any order.
 func (r *Relation) Append(from, to chronon.Time, vals []value.Value) error {
@@ -70,7 +62,7 @@ func (r *Relation) Append(from, to chronon.Time, vals []value.Value) error {
 	if from > to {
 		return fmt.Errorf("tuplestamp: inverted interval [%v,%v]", from, to)
 	}
-	k := keyString(vals, r.scheme.NumKey)
+	k := value.KeyOf(vals[:r.scheme.NumKey]...)
 	vs := r.versions[k]
 	nv := Version{From: from, To: to, Vals: append([]value.Value(nil), vals...)}
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].From >= from })
@@ -95,7 +87,7 @@ func (r *Relation) Append(from, to chronon.Time, vals []value.Value) error {
 // KeyHistory returns the object's versions in time order — direct group
 // access, like HRDM's per-object tuple but with one version per change.
 func (r *Relation) KeyHistory(keyVals ...value.Value) []Version {
-	return r.versions[keyString(keyVals, len(keyVals))]
+	return r.versions[value.KeyOf(keyVals...)]
 }
 
 // SnapshotAt returns the versions valid at t: a binary search per object.
@@ -143,7 +135,7 @@ func (r *Relation) When(attr string, th value.Theta, v value.Value) (lifespan.Li
 // Lifespan returns the union of all version intervals of the object —
 // the derived equivalent of HRDM's tuple lifespan.
 func (r *Relation) Lifespan(keyVals ...value.Value) lifespan.Lifespan {
-	vs := r.versions[keyString(keyVals, len(keyVals))]
+	vs := r.versions[value.KeyOf(keyVals...)]
 	ivs := make([]chronon.Interval, len(vs))
 	for i, ver := range vs {
 		ivs[i] = chronon.NewInterval(ver.From, ver.To)

@@ -1,15 +1,23 @@
 package value
 
+// Key is an encoded composite key: the injective form EncodeKey gives
+// a key's parts. Its one field is unexported, so outside this package a
+// Key comes only from EncodeKey or KeyOf — a map keyed by Key cannot
+// hold a hand-joined string. Every representation that indexes
+// composite keys — core relations, the constraint checks, and the cube,
+// rel and tuplestamp baselines — keys its maps by Key, so their keys
+// agree and stay collision-free.
+type Key struct{ s string }
+
+// String returns the encoded form, for messages and ordering.
+func (k Key) String() string { return k.s }
+
 // EncodeKey combines the canonical renderings of a multi-attribute key
-// into one index string. Each part is escaped ('\' → `\\`, '|' → `\|`)
-// before the parts are joined with '|', so the encoding is injective: a
-// part containing the separator can never alias a different split,
-// e.g. ("a|b","c") vs ("a","b|c"). Every representation that indexes
-// composite keys by string — core relations, and the cube and
-// tuplestamp storage baselines — must encode through this function or
-// AppendKeyPart so their canonical key strings agree and stay
-// collision-free.
-func EncodeKey(parts []string) string {
+// into one Key. Each part is escaped ('\' → `\\`, '|' → `\|`) before
+// the parts are joined with '|', so the encoding is injective: a part
+// containing the separator can never alias a different split, e.g.
+// ("a|b","c") vs ("a","b|c").
+func EncodeKey(parts []string) Key {
 	n := 0
 	for _, p := range parts {
 		n += len(p) + 1
@@ -22,7 +30,18 @@ func EncodeKey(parts []string) string {
 		start := len(b)
 		b = escapeKeyPart(append(b, p...), start)
 	}
-	return string(b)
+	return Key{string(b)}
+}
+
+// KeyOf is EncodeKey of the values' renderings, encoded without
+// building them as strings.
+func KeyOf(vs ...Value) Key {
+	var buf [64]byte
+	b := buf[:0]
+	for i, v := range vs {
+		b = AppendKeyPart(b, i, v)
+	}
+	return Key{string(b)}
 }
 
 // AppendKeyPart appends part i of an EncodeKey string whose part is

@@ -217,7 +217,8 @@ func TestCompareProperties(t *testing.T) {
 }
 
 // TestAppendKeyPart checks that appending key values part by part, after
-// an unrelated prefix, yields exactly EncodeKey of their renderings.
+// an unrelated prefix, yields exactly EncodeKey of their renderings, and
+// that KeyOf builds that same Key.
 func TestAppendKeyPart(t *testing.T) {
 	keys := [][]Value{
 		{String_("plain")},
@@ -233,8 +234,11 @@ func TestAppendKeyPart(t *testing.T) {
 			parts[i] = v.String()
 			dst = AppendKeyPart(dst, i, v)
 		}
-		if got, want := string(dst), "prefix|\\"+EncodeKey(parts); got != want {
+		if got, want := string(dst), "prefix|\\"+EncodeKey(parts).String(); got != want {
 			t.Errorf("AppendKeyPart %v = %q, want %q", vals, got, want)
+		}
+		if got, want := KeyOf(vals...), EncodeKey(parts); got != want {
+			t.Errorf("KeyOf %v = %q, want %q", vals, got, want)
 		}
 	}
 }

@@ -28,11 +28,19 @@ var catalogDocs = []string{"docs/OBSERVABILITY.md", "docs/DURABILITY.md", "docs/
 
 var backticked = regexp.MustCompile("`([^`]+)`")
 
+// metricNameRE is the layer.subsystem.name convention of
+// docs/OBSERVABILITY.md: two to four lowercase dot-separated segments,
+// each [a-z][a-z0-9_]*. Examples: core.epoch, engine.queries,
+// engine.stage.parse_ns, core.publish.pin_wait_ns.
+var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){1,3}$`)
+
 // TestMetricCatalogMatchesDocs: after one durable server round trip —
 // a query, an EXPLAIN ANALYZE, a committed write group and the
-// checkpoint of a drain — every metric in obs.Default is documented in
-// a metric table of catalogDocs, and every name those tables document
-// is registered.
+// checkpoint of a drain — every metric in obs.Default follows the
+// layer.subsystem.name convention and is documented in a metric table
+// of catalogDocs, and every name those tables document is registered.
+// Registration and docs agreeing in both directions is what makes the
+// catalog auditable, however a name is spelled in the code.
 func TestMetricCatalogMatchesDocs(t *testing.T) {
 	st, _, err := storage.OpenDurable(t.TempDir())
 	if err != nil {
@@ -97,6 +105,9 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 		}
 	}
 	for _, name := range slices.Sorted(maps.Keys(registered)) {
+		if !metricNameRE.MatchString(name) {
+			t.Errorf("metric %s does not follow the layer.subsystem.name convention of docs/OBSERVABILITY.md", name)
+		}
 		if documented[name] == "" {
 			t.Errorf("metric %s is registered but in no metric table of %s", name, strings.Join(catalogDocs, ", "))
 		}
