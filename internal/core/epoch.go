@@ -36,8 +36,8 @@ import (
 //
 // The polarity (writers shared, pins exclusive) is what makes
 // PinAtomic deadlock-free: a writer blocked on the publish lock holds
-// no other lock, so a pinner may freely read relation state (plan a
-// query, build an index) while it holds publishes out.
+// no other lock, so a pinner may freely read state (a store's WAL
+// position) while it holds publishes out.
 
 // publish is the process-wide publication lock; epoch counts
 // publications. The epoch only moves under publish.mu (shared side),
@@ -160,11 +160,11 @@ func Pin(rels ...*Relation) (epoch uint64, vers []RelVersion) {
 }
 
 // PinAtomic runs prepare while publications are excluded and then pins
-// the relations it returns, all under one critical section. A query
-// engine uses it as the cannot-fail fallback when optimistic
-// plan-then-pin keeps losing races to writers: planning inside the
-// section is safe because blocked writers hold no relation locks.
-// A prepare error aborts the pin and is returned as-is.
+// the relations it returns, all under one critical section. Its caller,
+// storage's checkpoint cut (Store.pinAll), reads the WAL sequence
+// number inside the section, so the LSN matches the pinned tuple state
+// exactly: blocked writers hold no relation locks. A prepare error
+// aborts the pin and is returned as-is.
 func PinAtomic(prepare func() ([]*Relation, error)) (epoch uint64, vers []RelVersion, err error) {
 	lockPublishExclusive()
 	defer publish.mu.Unlock()

@@ -33,12 +33,12 @@ type analysis struct {
 	res  hql.Result
 }
 
-// analyzeQuery is the execution half of Session.ExplainAnalyze: plan,
-// pin and run like any query, with a profiler attached to the snapshot
-// — the same operator code as an unprofiled query; the profiler only
-// observes. Expressions the planner cannot compile surface their
-// planning error: there is no naive fallback to attribute per-operator
-// numbers to. Like evalQuery, it closes its span at one finishQuery.
+// analyzeQuery is the execution half of Session.ExplainAnalyze:
+// compile, pin and run like any query, with a profiler attached to the
+// snapshot — the same operator code as an unprofiled query; the
+// profiler only observes. A text that does not compile fails with the
+// error, and the class, Query gives it. Like evalQuery, it closes its
+// span at one finishQuery.
 func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, error) {
 	q := &lifted{}
 	q.lift(src)
@@ -51,13 +51,7 @@ func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, erro
 // runAnalyzed does analyzeQuery's work, marking each stage on sp, and
 // returns the plan and snapshot it ran on (nil where it stopped short).
 func runAnalyzed(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (*analysis, *Plan, *Snapshot, error) {
-	e, err := hql.Parse(q.src)
-	sp.Mark(obs.StageParse)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, err := planLifted(e, env, q)
-	sp.Mark(obs.StagePlan)
+	e, p, err := compile(q, env, sp)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -136,7 +136,7 @@ func compareAll(t *testing.T, st *storage.Store, src string) bool {
 		return false
 	}
 	ctx := context.Background()
-	nRes, nErr := hql.EvalNaiveContext(ctx, e, st)
+	nRes, nErr := hql.EvalNaive(e, st)
 	var baseline string
 	sess := engine.OpenDB(st).NewSession()
 	for _, w := range diffWorkers {

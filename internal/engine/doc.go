@@ -8,8 +8,8 @@
 // over [t1,t2] in O(log n + k)), key/attribute hash indexes over the
 // constant-valued functions the paper's CD domains guarantee, a
 // cost-aware planner that lowers parsed HQL expressions into physical
-// plans with selection and time-slice pushdown (falling back to the
-// naive evaluator wherever no index applies), per-relation
+// plans with selection and time-slice pushdown (core's linear-scan
+// operators wherever no index applies), per-relation
 // statistics feeding the planner's selectivity and join estimates, and
 // a plan cache that lets repeated queries skip parse and plan entirely.
 // Indexes absorb single-tuple inserts, merges and coalesced batches
@@ -24,8 +24,8 @@
 // One way in: a DB wraps a store and hands out Sessions, and a
 // Session's Query / Eval / Explain / ExplainAnalyze are the only ways
 // to run a query (internal/hql keeps the parser and the naive
-// reference evaluator, hql.EvalNaive, which the engine falls back to
-// and is property-tested against over randomized workloads). One way
+// reference evaluator, the oracle the engine is property-tested
+// against over randomized workloads). One way
 // to execute: every plan node has a single method, run, returning its
 // whole result as a batch; a per-tuple operator (time-slice, select,
 // project, index join) binds to the pin as an input set plus a kernel,

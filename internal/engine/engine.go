@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/hql"
+	"repro/internal/hrdmerr"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -49,25 +50,11 @@ func (q *lifted) text() string {
 	return hql.Render(string(q.shape), q.lits)
 }
 
-// planLifted plans e, parsed from q's text, costed with q's literals:
-// the uncached path of EXPLAIN and EXPLAIN ANALYZE, which have no naive
-// fallback, so a literal that does not decode is their error.
-func planLifted(e hql.Expr, env hql.Env, q *lifted) (*Plan, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	return planQuery(e, env, q.params)
-}
-
 // evalQuery is the one evaluation path behind Session.Query and
 // Session.Eval. A text whose shape has a cached plan fitting its
 // parameters runs on that plan at once: neither parser nor planner
-// runs. Any other text is parsed and planned — costed with its own
-// literals — and the plan cached under its shape, then run. An
-// expression the planner cannot compile, or whose literals do not
-// decode, falls back to the naive evaluator, which either runs it or
-// reports the definitive semantic error, so planning never changes
-// observable behavior — only speed.
+// runs. Any other text is compiled — parsed and planned, costed with
+// its own literals — and the plan cached under its shape, then run.
 //
 // evalQuery owns the span it begins and closes it at its one
 // finishQuery, whichever way runQuery returned: engine.queries and
@@ -81,28 +68,21 @@ func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) 
 }
 
 // runQuery does evalQuery's work, marking each stage on sp, and returns
-// the plan and snapshot it ran on (nil for a parse error or the naive
-// fallback).
+// the plan and snapshot it ran on (nil for a text that did not compile).
 func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
 	var p *Plan
 	if q.err == nil {
 		p = planCache.lookup(q.shape, env, q.params)
 	}
 	if p == nil {
-		e, err := hql.Parse(q.src)
-		sp.Mark(obs.StageParse)
+		e, fresh, err := compile(q, env, sp)
+		if e != nil { // it parsed: a miss (parse errors count neither)
+			mPlanMisses.Inc()
+		}
 		if err != nil {
 			return hql.Result{}, nil, nil, err
 		}
-		mPlanMisses.Inc()
-		if q.err != nil {
-			return evalFallback(ctx, e, env, sp)
-		}
-		p, err = planQuery(e, env, q.params)
-		sp.Mark(obs.StagePlan)
-		if err != nil {
-			return evalFallback(ctx, e, env, sp)
-		}
+		p = fresh
 		planCache.store(string(q.shape), p)
 	}
 	snap := pinPlan(ctx, p, q.params)
@@ -113,12 +93,24 @@ func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Re
 	return res, p, snap, err
 }
 
-// evalFallback runs an unplannable expression through the naive
-// evaluator, so naive queries are timed, counted and slow-logged like
-// planned ones.
-func evalFallback(ctx context.Context, e hql.Expr, env hql.Env, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
-	mNaiveFallback.Inc()
-	res, err := hql.EvalNaiveContext(ctx, e, env)
-	sp.Mark(obs.StageExecute)
-	return res, nil, nil, err
+// compile is the one place a query text becomes a plan — for a cache
+// miss, EXPLAIN and EXPLAIN ANALYZE alike. It parses q's text, marking
+// parse on sp, rejects a literal that did not decode, and plans the
+// expression costed with q's literals, marking plan. Its errors are
+// classified once, here: a syntax error is a parse error; an
+// undecodable literal or an expression the planner refuses (an
+// unknown relation) is semantic, as the naive evaluator classifies it.
+// e is nil only for a parse error.
+func compile(q *lifted, env hql.Env, sp *obs.Span) (e hql.Expr, p *Plan, err error) {
+	e, err = hql.Parse(q.src)
+	sp.Mark(obs.StageParse)
+	if err != nil {
+		return nil, nil, err
+	}
+	if q.err != nil {
+		return e, nil, hrdmerr.Wrap(hrdmerr.CodeSemantic, q.err)
+	}
+	p, err = planQuery(e, env, q.params)
+	sp.Mark(obs.StagePlan)
+	return e, p, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 }

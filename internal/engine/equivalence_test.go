@@ -109,7 +109,7 @@ func compareQuery(t *testing.T, env *storage.Store, q string) {
 // TestEquivalenceFixedBattery runs a hand-picked battery covering every
 // plan node: index time-slice, index selects (key, attribute, interval),
 // streaming filters/projections, index lookup joins, and the naive
-// fallbacks.
+// operators.
 func TestEquivalenceFixedBattery(t *testing.T) {
 	st := testStore(t, 1)
 	queries := []string{

@@ -13,13 +13,12 @@ import (
 // atomic adds per query (see BenchmarkRunCachedKeyEq, which locks the
 // cached-plan path the instrumentation must not tax).
 var (
-	mQueries       = obs.Default.Counter("engine.queries")
-	mQueryErrors   = obs.Default.Counter("engine.query_errors")
-	mNaiveFallback = obs.Default.Counter("engine.naive_fallbacks")
-	mSlowRecorded  = obs.Default.Counter("engine.slowlog.recorded")
-	mQueryTotal    = obs.Default.Histogram("engine.query_total_ns")
-	mEpochAge      = obs.Default.Histogram("engine.snapshot.epoch_age")
-	slowLog        = obs.Default.SlowLog()
+	mQueries      = obs.Default.Counter("engine.queries")
+	mQueryErrors  = obs.Default.Counter("engine.query_errors")
+	mSlowRecorded = obs.Default.Counter("engine.slowlog.recorded")
+	mQueryTotal   = obs.Default.Histogram("engine.query_total_ns")
+	mEpochAge     = obs.Default.Histogram("engine.snapshot.epoch_age")
+	slowLog       = obs.Default.SlowLog()
 )
 
 // stageHist holds one histogram per lifecycle stage, indexed by the

@@ -34,7 +34,7 @@ type cost struct {
 // Parents, the plan root and the profiler reach a node through
 // Snapshot.run, never n.run directly. describe renders the node for
 // EXPLAIN against the same kind of pin (probing indexes for candidate
-// counts, never running a sub-plan). opNode (the naive fallback) only
+// counts, never running a sub-plan). opNode (a naive operator) only
 // knows its scheme at execution time and reports nil from scheme.
 type node interface {
 	scheme() *schema.Scheme
@@ -723,11 +723,11 @@ func (n *indexJoinNode) describe(s *Snapshot) string {
 }
 
 // ---------------------------------------------------------------------
-// naive fallback
+// naive operators
 
-// opNode materializes its children and applies one naive algebra
-// operator — the planner's per-operator fallback. Children still run as
-// plans, so an indexed scan below a naive operator keeps its speedup.
+// opNode materializes its children and applies one of core's
+// linear-scan algebra operators. Children still run as plans, so an
+// indexed scan below a naive operator keeps its speedup.
 // ls is the operator's lifespan parameter (allTime for the operators
 // that take none); apply and label read the execution's parameters.
 type opNode struct {

@@ -151,9 +151,8 @@ func (lc *lowerCtx) noteList() []string {
 
 // PlanQuery lowers a parsed HQL expression into a physical plan for
 // its shape, costed with its own literals. An error means the planner
-// cannot (or should not) handle the expression; callers fall back to
-// the naive evaluator, which either runs it or reports the definitive
-// semantic error.
+// refuses the expression: an unknown relation or operator, or a
+// literal that does not decode.
 func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 	ps, err := astParams(e)
 	if err != nil {

@@ -4,15 +4,17 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/hrdmerr"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 // TestEveryQueryPathCountsOnce: whichever way a query leaves the engine
-// — a plan-cache hit or miss, a parse error, a naive fallback, an
-// execution error, a cancellation mid-scan, or any exit of EXPLAIN
-// ANALYZE — it closes its span exactly once. It adds 1 to
+// — a plan-cache hit or miss, a parse error, a text that does not
+// compile, an execution error, a cancellation mid-scan, or any exit of
+// EXPLAIN ANALYZE — it closes its span exactly once, with the error
+// class the case pins. It adds 1 to
 // engine.queries and one engine.query_total_ns observation, with a
 // total above zero that its stages add up to. The slow log, at a zero
 // threshold, records that one span's total and stages. A context
@@ -42,39 +44,38 @@ func TestEveryQueryPathCountsOnce(t *testing.T) {
 	if err := query(demo, bg, key)(); err != nil { // the hit case's plan
 		t.Fatal(err)
 	}
+	const none, parse, semantic, canceled = 0, hrdmerr.CodeParse, hrdmerr.CodeSemantic, hrdmerr.CodeCanceled
 	for _, c := range []struct {
 		name    string
 		run     func() error
-		queries uint64 // engine.queries delta
-		wantErr bool
-		hits    uint64 // engine.plancache.hits delta
-		naive   uint64 // engine.naive_fallbacks delta
+		queries uint64       // engine.queries delta
+		class   hrdmerr.Code // the error's class; none for success
+		hits    uint64       // engine.plancache.hits delta
 	}{
-		{"query/hit", query(demo, bg, key), 1, false, 1, 0},
-		{"query/miss", query(demo, bg, `TIMESLICE EMP AT {[0,9]}`), 1, false, 0, 0},
-		{"query/parse-error", query(demo, bg, `THIS IS NOT HQL`), 1, true, 0, 0},
-		{"query/lift-failure", query(demo, bg, `TIMESLICE EMP AT {[9,x]}`), 1, true, 0, 1},
-		{"query/unplannable", query(demo, bg, `NOSUCHREL`), 1, true, 0, 1},
-		{"query/execution-error", query(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, true, 0, 0},
-		{"query/canceled-mid-scan", query(big, newFlipCtx(2), `SELECT WHEN SAL > 0 FROM EMP`), 1, true, 0, 0},
-		{"query/already-canceled", query(demo, done, key), 0, true, 0, 0},
-		{"analyze/success", analyze(demo, bg, key), 1, false, 0, 0},
-		{"analyze/parse-error", analyze(demo, bg, `THIS IS NOT HQL`), 1, true, 0, 0},
-		{"analyze/plan-error", analyze(demo, bg, `NOSUCHREL`), 1, true, 0, 0},
-		{"analyze/execution-error", analyze(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, true, 0, 0},
-		{"analyze/already-canceled", analyze(demo, done, key), 0, true, 0, 0},
+		{"query/hit", query(demo, bg, key), 1, none, 1},
+		{"query/miss", query(demo, bg, `TIMESLICE EMP AT {[0,9]}`), 1, none, 0},
+		{"query/parse-error", query(demo, bg, `THIS IS NOT HQL`), 1, parse, 0},
+		{"query/lift-failure", query(demo, bg, `TIMESLICE EMP AT {[9,x]}`), 1, semantic, 0},
+		{"query/unplannable", query(demo, bg, `NOSUCHREL`), 1, semantic, 0},
+		{"query/execution-error", query(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, semantic, 0},
+		{"query/canceled-mid-scan", query(big, newFlipCtx(2), `SELECT WHEN SAL > 0 FROM EMP`), 1, canceled, 0},
+		{"query/already-canceled", query(demo, done, key), 0, canceled, 0},
+		{"analyze/success", analyze(demo, bg, key), 1, none, 0},
+		{"analyze/parse-error", analyze(demo, bg, `THIS IS NOT HQL`), 1, parse, 0},
+		{"analyze/plan-error", analyze(demo, bg, `NOSUCHREL`), 1, semantic, 0},
+		{"analyze/execution-error", analyze(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, semantic, 0},
+		{"analyze/already-canceled", analyze(demo, done, key), 0, canceled, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before, recorded := obs.Default.Snapshot(), slowLog.Recorded()
 			err := c.run()
 			after := obs.Default.Snapshot()
-			if (err != nil) != c.wantErr {
-				t.Errorf("error %v, want error %v", err, c.wantErr)
+			if got := hrdmerr.CodeOf(err); got != c.class {
+				t.Errorf("error %v of class %d, want class %d", err, got, c.class)
 			}
 			delta := after.CounterDelta(before)
-			if delta["engine.plancache.hits"] != c.hits || delta["engine.naive_fallbacks"] != c.naive {
-				t.Errorf("%d plan-cache hits, %d naive fallbacks; want %d, %d — the case takes another path",
-					delta["engine.plancache.hits"], delta["engine.naive_fallbacks"], c.hits, c.naive)
+			if got := delta["engine.plancache.hits"]; got != c.hits {
+				t.Errorf("%d plan-cache hits, want %d — the case takes another path", got, c.hits)
 			}
 			hb, ha := before.Histograms["engine.query_total_ns"], after.Histograms["engine.query_total_ns"]
 			if got := delta["engine.queries"]; got != c.queries {

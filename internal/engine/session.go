@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -136,12 +137,12 @@ func (s *Session) begin(ctx context.Context) (context.Context, error) {
 	return s.withDBWorkers(ctx), nil
 }
 
-// Query parses, plans and executes src under ctx, falling back to the
-// naive evaluator when the expression cannot be planned. A plan cached
-// under the query's shape — any earlier text differing only in
-// whitespace, keyword case or literal values — short-circuits both
-// parser and planner and runs with this text's literals, and stays
-// cached across writes: a plan holds no data. Execution is
+// Query parses, plans and executes src under ctx; a text that does not
+// compile fails with a parse or semantic error. A plan cached under the
+// query's shape — any earlier text differing only in whitespace,
+// keyword case or literal values — short-circuits both parser and
+// planner and runs with this text's literals, and stays cached across
+// writes: a plan holds no data. Execution is
 // snapshot-isolated: every scan, index probe and WHEN sub-query of the
 // plan reads one pinned database state, however many relations it
 // touches. Cancellation and deadlines abort execution with a typed
@@ -188,11 +189,8 @@ func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 func (s *Session) Explain(src string) (string, error) {
 	env := s.db.store
 	s.q.lift(src)
-	e, err := hql.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	p, err := planLifted(e, env, &s.q)
+	sp := obs.Begin() // EXPLAIN records no span: compile's marks are dropped
+	e, p, err := compile(&s.q, env, &sp)
 	if err != nil {
 		return "", err
 	}

@@ -48,10 +48,8 @@ func TestSessionQuery(t *testing.T) {
 }
 
 // TestSessionQueryTypedErrors: parse failures come back as ErrParse
-// through the session, canceled contexts as ErrCanceled, and an
-// operator of a compiled plan failing at execution as ErrSemantic — the
-// class the naive evaluator gives the same failure — on the query and
-// the EXPLAIN ANALYZE paths alike.
+// through the session and canceled contexts as ErrCanceled. The other
+// classes are TestErrorClassSameFromEveryEntryPoint's.
 func TestSessionQueryTypedErrors(t *testing.T) {
 	sess := sessionDB(t).NewSession()
 	if _, err := sess.Query(context.Background(), `SELECT garbage !!`); !errors.Is(err, hrdmerr.ErrParse) {
@@ -62,17 +60,58 @@ func TestSessionQueryTypedErrors(t *testing.T) {
 	if _, err := sess.Query(ctx, `EMP`); !errors.Is(err, hrdmerr.ErrCanceled) {
 		t.Fatalf("canceled query error = %v, want ErrCanceled", err)
 	}
-	sess = OpenDB(workload.Demo()).NewSession()
-	for _, q := range []string{
-		`EMP UNIONMERGE DEPTREL`,
-		`EMP JOIN DEPTREL ON NOPE = DNAME`,
-		`TIMESLICE EMP BY NOPE`,
-	} {
-		if _, err := sess.Query(bg, q); hrdmerr.CodeOf(err) != hrdmerr.CodeSemantic {
-			t.Errorf("query %q error = %v, want semantic", q, err)
+}
+
+// TestErrorClassSameFromEveryEntryPoint: a text that fails does so with
+// one class whichever entry point runs it — Query, Explain, EXPLAIN
+// ANALYZE, and the naive evaluator the engine is tested against. A
+// text the planner refuses or whose literal does not decode is
+// semantic, never internal; a syntax error is a parse error; an
+// operator of a compiled plan failing at execution is semantic, and
+// Explain, which runs no operator, succeeds on it.
+func TestErrorClassSameFromEveryEntryPoint(t *testing.T) {
+	sess := OpenDB(workload.Demo()).NewSession()
+	naive := func(src string) error {
+		e, err := hql.Parse(src)
+		if err == nil {
+			_, err = hql.EvalNaive(e, workload.Demo())
 		}
-		if _, err := sess.ExplainAnalyze(bg, q); hrdmerr.CodeOf(err) != hrdmerr.CodeSemantic {
-			t.Errorf("explain analyze %q error = %v, want semantic", q, err)
+		return err
+	}
+	for _, c := range []struct {
+		src      string
+		class    hrdmerr.Code
+		compiles bool // Explain succeeds: the text fails only when run
+	}{
+		{`NOSUCHREL`, hrdmerr.CodeSemantic, false},
+		{`EMP JOIN NOSUCHREL ON DEPT = GRP`, hrdmerr.CodeSemantic, false},
+		{`TIMESLICE EMP AT WHEN (SELECT WHEN DEPT = 'x' FROM NOSUCHREL)`, hrdmerr.CodeSemantic, false},
+		{`TIMESLICE EMP AT {[9,x]}`, hrdmerr.CodeSemantic, false},
+		{`SELECT WHEN SAL = 99999999999999999999999 FROM EMP`, hrdmerr.CodeParse, false},
+		{`EMP UNIONMERGE DEPTREL`, hrdmerr.CodeSemantic, true},
+		{`EMP JOIN DEPTREL ON NOPE = DNAME`, hrdmerr.CodeSemantic, true},
+		{`TIMESLICE EMP BY NOPE`, hrdmerr.CodeSemantic, true},
+	} {
+		_, qErr := sess.Query(bg, c.src)
+		_, xErr := sess.Explain(c.src)
+		_, aErr := sess.ExplainAnalyze(bg, c.src)
+		explain := c.class
+		if c.compiles {
+			explain = 0
+		}
+		for _, ep := range []struct {
+			name  string
+			err   error
+			class hrdmerr.Code // 0: no error
+		}{
+			{"Query", qErr, c.class},
+			{"Explain", xErr, explain},
+			{"ExplainAnalyze", aErr, c.class},
+			{"EvalNaive", naive(c.src), c.class},
+		} {
+			if got := hrdmerr.CodeOf(ep.err); got != ep.class {
+				t.Errorf("%s(%q) = %v (class %d); want class %d", ep.name, c.src, ep.err, got, ep.class)
+			}
 		}
 	}
 }

@@ -37,9 +37,9 @@ func sessionRun(ctx context.Context, st *storage.Store) func(string) (hql.Result
 	return func(q string) (hql.Result, error) { return sess(st).Query(ctx, q) }
 }
 
-// naiveRun evaluates through hql.EvalNaive — the planner's fallback,
-// which pins its own consistent cut — called directly so no physical
-// plan can mask a hole in the naive path.
+// naiveRun evaluates through hql.EvalNaive — the oracle, which pins its
+// own consistent cut — called directly so no physical plan can mask a
+// hole in the naive path.
 func naiveRun(st *storage.Store) func(string) (hql.Result, error) {
 	return func(q string) (hql.Result, error) {
 		e, err := hql.Parse(q)
@@ -193,9 +193,9 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 }
 
 // TestWriteGroupNaiveFallbackAtomicity drives the same torn-group
-// detector through hql's naive evaluator — the planner's fallback —
-// which since the snapshot-complete work pins its own consistent cut
-// instead of reading live state. Run under -race.
+// detector through hql's naive evaluator — the oracle every planned
+// query is compared with — which since the snapshot-complete work pins
+// its own consistent cut instead of reading live state. Run under -race.
 func TestWriteGroupNaiveFallbackAtomicity(t *testing.T) {
 	sa, sb := raceScheme("A"), raceScheme("B")
 	a, b := core.NewRelation(sa), core.NewRelation(sb)

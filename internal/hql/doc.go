@@ -3,9 +3,10 @@
 // shape and its literals (Lift, NormalizeQuery, Render) and the naive
 // reference evaluator (EvalNaive). It does not run queries for
 // applications — that is engine.Session's job, which parses with this
-// package, plans (applying the Section 5 laws where they pay), and
-// falls back to EvalNaive for what it cannot plan. Every operator of
-// the paper's algebra is reachable:
+// package and plans (applying the Section 5 laws where they pay).
+// EvalNaive is the oracle the engine is tested against, never a path a
+// served query takes. Every operator of the paper's algebra is
+// reachable:
 //
 //	SELECT IF SAL >= 30000 FORALL DURING {[0,9]} FROM EMP
 //	SELECT WHEN SAL = 30000 FROM EMP
@@ -40,8 +41,7 @@
 //
 // Evaluation is snapshot-isolated on every path: the engine pins a
 // verified snapshot per plan, and EvalNaive — the tree-walking
-// reference evaluator and the engine's fallback — pins its own
-// consistent cut of every referenced relation (pinenv.go) before
-// walking, so even unplannable multi-relation queries read one
-// database state while writers race.
+// reference evaluator — pins its own consistent cut of every
+// referenced relation (pinenv.go) before walking, so the oracle reads
+// one database state while writers race.
 package hql

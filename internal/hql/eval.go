@@ -1,7 +1,6 @@
 package hql
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/chronon"
@@ -48,11 +47,11 @@ func (r Result) AppendTo(dst []byte) []byte {
 
 // EvalNaive evaluates a parsed expression with the direct tree-walking
 // evaluator — every operator a linear scan, exactly the paper's
-// definitional semantics. It is the reference implementation the
-// engine's indexed plans are property-tested against, and the engine's
-// fallback for expressions its planner cannot compile; it and
-// EvalNaiveContext are this package's only evaluation entry points
-// (queries run through engine.Session).
+// definitional semantics. It is the oracle the engine's plans are
+// property-tested against and this package's only evaluation entry
+// point; applications query through engine.Session. Its errors are
+// classified: semantic failures (unknown relation, sort mismatch)
+// match hrdmerr.ErrSemantic.
 //
 // Like the engine's physical plans, naive evaluation is
 // snapshot-isolated: every base relation the expression references is
@@ -61,37 +60,27 @@ func (r Result) AppendTo(dst []byte) []byte {
 // racing a writer therefore reads one consistent database state on the
 // naive path exactly as it does on the planned path.
 func EvalNaive(e Expr, env Env) (Result, error) {
-	return EvalNaiveContext(context.Background(), e, env)
-}
-
-// EvalNaiveContext is EvalNaive under a context: the walk checks for
-// cancellation at every operator node, so a canceled or deadline-
-// expired query aborts between operators with a typed error. Errors
-// leaving the naive evaluator are classified — semantic failures
-// (unknown relation, sort mismatch) match hrdmerr.ErrSemantic,
-// cancellation matches ErrCanceled/ErrDeadline.
-func EvalNaiveContext(ctx context.Context, e Expr, env Env) (Result, error) {
 	env, err := pinExprEnv(e, env)
 	if err != nil {
 		return Result{}, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 	}
-	res, err := evalNaivePinned(ctx, e, env)
+	res, err := evalNaivePinned(e, env)
 	return res, hrdmerr.Wrap(hrdmerr.CodeSemantic, err)
 }
 
 // evalNaivePinned is the tree walk itself, over an environment whose
 // relations are already one consistent cut.
-func evalNaivePinned(ctx context.Context, e Expr, env Env) (Result, error) {
+func evalNaivePinned(e Expr, env Env) (Result, error) {
 	switch n := e.(type) {
 	case *WhenExpr:
-		r, err := evalRel(ctx, n.Source, env)
+		r, err := evalRel(n.Source, env)
 		if err != nil {
 			return Result{}, err
 		}
 		ls := core.When(r)
 		return Result{Lifespan: &ls}, nil
 	case *SnapshotExpr:
-		r, err := evalRel(ctx, n.Source, env)
+		r, err := evalRel(n.Source, env)
 		if err != nil {
 			return Result{}, err
 		}
@@ -101,7 +90,7 @@ func evalNaivePinned(ctx context.Context, e Expr, env Env) (Result, error) {
 		}
 		return Result{Snapshot: snap}, nil
 	default:
-		r, err := evalRel(ctx, e, env)
+		r, err := evalRel(e, env)
 		if err != nil {
 			return Result{}, err
 		}
@@ -109,15 +98,8 @@ func evalNaivePinned(ctx context.Context, e Expr, env Env) (Result, error) {
 	}
 }
 
-// evalRel evaluates a relation-valued expression. The cancellation
-// check at entry runs once per operator node: each operator is a full
-// scan in the naive evaluator, so per-node is the natural abort
-// granularity here (the engine's plans abort finer, at tuple-batch
-// boundaries).
-func evalRel(ctx context.Context, e Expr, env Env) (*core.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, hrdmerr.FromContext(err)
-	}
+// evalRel evaluates a relation-valued expression.
+func evalRel(e Expr, env Env) (*core.Relation, error) {
 	switch n := e.(type) {
 	case *RelName:
 		r, ok := env.Get(n.Name)
@@ -126,13 +108,13 @@ func evalRel(ctx context.Context, e Expr, env Env) (*core.Relation, error) {
 		}
 		return r, nil
 	case *SelectExpr:
-		src, err := evalRel(ctx, n.Source, env)
+		src, err := evalRel(n.Source, env)
 		if err != nil {
 			return nil, err
 		}
 		L := lifespan.All()
 		if n.During != nil {
-			L, err = evalLS(ctx, n.During, env)
+			L, err = evalLS(n.During, env)
 			if err != nil {
 				return nil, err
 			}
@@ -150,42 +132,42 @@ func evalRel(ctx context.Context, e Expr, env Env) (*core.Relation, error) {
 		}
 		return core.SelectIfCond(src, cond, q, L)
 	case *ProjectExpr:
-		src, err := evalRel(ctx, n.Source, env)
+		src, err := evalRel(n.Source, env)
 		if err != nil {
 			return nil, err
 		}
 		return core.Project(src, n.Attrs...)
 	case *TimesliceExpr:
-		src, err := evalRel(ctx, n.Source, env)
+		src, err := evalRel(n.Source, env)
 		if err != nil {
 			return nil, err
 		}
 		if n.By != "" {
 			return core.TimesliceDynamic(src, n.By)
 		}
-		L, err := evalLS(ctx, n.At, env)
+		L, err := evalLS(n.At, env)
 		if err != nil {
 			return nil, err
 		}
 		return core.TimesliceStatic(src, L)
 	case *RenameExpr:
-		src, err := evalRel(ctx, n.Source, env)
+		src, err := evalRel(n.Source, env)
 		if err != nil {
 			return nil, err
 		}
 		return src.Rename(n.Prefix)
 	case *MaterializeExpr:
-		src, err := evalRel(ctx, n.Source, env)
+		src, err := evalRel(n.Source, env)
 		if err != nil {
 			return nil, err
 		}
 		return core.Materialize(src)
 	case *BinaryExpr:
-		left, err := evalRel(ctx, n.Left, env)
+		left, err := evalRel(n.Left, env)
 		if err != nil {
 			return nil, err
 		}
-		right, err := evalRel(ctx, n.Right, env)
+		right, err := evalRel(n.Right, env)
 		if err != nil {
 			return nil, err
 		}
@@ -249,22 +231,22 @@ func buildCond(c CondExpr) (core.Condition, error) {
 }
 
 // evalLS evaluates a lifespan-valued expression.
-func evalLS(ctx context.Context, e *LSExpr, env Env) (lifespan.Lifespan, error) {
+func evalLS(e *LSExpr, env Env) (lifespan.Lifespan, error) {
 	switch {
 	case e.Literal != "":
 		return lifespan.Parse(e.Literal)
 	case e.When != nil:
-		r, err := evalRel(ctx, e.When, env)
+		r, err := evalRel(e.When, env)
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}
 		return core.When(r), nil
 	default:
-		l, err := evalLS(ctx, e.Left, env)
+		l, err := evalLS(e.Left, env)
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}
-		r, err := evalLS(ctx, e.Right, env)
+		r, err := evalLS(e.Right, env)
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}

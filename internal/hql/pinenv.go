@@ -11,8 +11,8 @@ import (
 // query touching two relations could observe relation A before a
 // writer's publication and relation B after it — the exact anomaly the
 // engine's planned path already excludes by pinning. pinExprEnv closes
-// the gap for the naive path (and with it the planner's fallback): it
-// collects every base relation the expression references, captures one
+// the gap, so the oracle stays exact under racing writers: it collects
+// every base relation the expression references, captures one
 // core.Pin cut of all of them, and wraps the frozen views in an Env,
 // so the whole walk — including WHEN sub-queries in lifespan
 // positions — reads one consistent database state.

@@ -14,8 +14,8 @@ import (
 // normalizer and the naive reference evaluator — not a way
 // to run queries. Anything exported that produces a Result (a function
 // returning one, or a hook type whose implementations would) is an
-// evaluation entry point, and exactly two may exist: EvalNaive and
-// EvalNaiveContext. Applications query through engine.Session.
+// evaluation entry point, and exactly one may exist: EvalNaive, the
+// oracle. Applications query through engine.Session.
 func TestEvaluationSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -57,7 +57,7 @@ func TestEvaluationSurface(t *testing.T) {
 		}
 	}
 	sort.Strings(got)
-	if want := "EvalNaive EvalNaiveContext"; strings.Join(got, " ") != want {
+	if want := "EvalNaive"; strings.Join(got, " ") != want {
 		t.Fatalf("exported evaluation surface = %v, want [%s]", got, want)
 	}
 }

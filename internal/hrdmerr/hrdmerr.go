@@ -31,9 +31,8 @@ const (
 	CodeInternal Code = 1
 	// CodeParse: the query text does not lex or parse as HQL.
 	CodeParse Code = 2
-	// CodePlan: the planner rejected an expression it was explicitly
-	// asked to compile (EXPLAIN of an unplannable query); ordinary
-	// execution falls back to the naive evaluator instead.
+	// CodePlan: reserved; no current path returns it. A text the
+	// planner refuses is semantic, from every entry point.
 	CodePlan Code = 3
 	// CodeSemantic: the query parsed but cannot be evaluated — unknown
 	// relation, sort mismatch, malformed condition.

@@ -145,6 +145,10 @@ func TestServerProtocol(t *testing.T) {
 		// evaluator classifies the same query.
 		{request{Op: "query", Q: `EMP UNIONMERGE DEPTREL`}, hrdmerr.CodeSemantic},
 		{request{Op: "explain", Q: `EMP UNIONMERGE DEPTREL`, Analyze: true}, hrdmerr.CodeSemantic},
+		// Refused by the planner, or a literal that does not decode:
+		// semantic from EXPLAIN too, as from query.
+		{request{Op: "explain", Q: `NOSUCHREL`}, hrdmerr.CodeSemantic},
+		{request{Op: "explain", Q: `TIMESLICE EMP AT {[9,x]}`, Analyze: true}, hrdmerr.CodeSemantic},
 		{request{Op: "nope"}, hrdmerr.CodeBadRequest},
 		{request{Op: "commit"}, hrdmerr.CodeState},
 		{request{Op: "stage", Rel: "EMP", Tuple: "x"}, hrdmerr.CodeState},
