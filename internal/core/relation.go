@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -503,16 +501,20 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
-// String renders the relation; see AppendTo.
-func (r *Relation) String() string { return string(r.AppendTo(nil)) }
+// String renders the relation; see AppendForm.
+func (r *Relation) String() string { return string(r.AppendForm(nil, value.Text)) }
 
-// AppendTo appends the relation's rendering to dst: the scheme header,
-// then one line per tuple with its values in scheme order. Tuples
-// appear in canonical key order — ascending by key, the escaped
-// encoding relations index by, compared bytewise — so a rendering does
-// not depend on insertion order. A NewRelationFromTuples relation
-// prints from the order it stored; any other is sorted by sortByKey.
-func (r *Relation) AppendTo(dst []byte) []byte {
+// AppendTo appends the relation's String rendering to dst.
+func (r *Relation) AppendTo(dst []byte) []byte { return r.AppendForm(dst, value.Text) }
+
+// AppendForm appends the relation's rendering to dst in form f: the
+// scheme header, then one line per tuple with its values in scheme
+// order. Tuples appear in canonical key order — ascending by key, the
+// escaped encoding relations index by, compared bytewise — so a
+// rendering does not depend on insertion order. A NewRelationFromTuples
+// relation prints from the order it stored; any other is sorted by
+// sortByKey.
+func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
 	var ts []*Tuple
 	var order []int32
 	if r.origin != nil {
@@ -527,49 +529,20 @@ func (r *Relation) AppendTo(dst []byte) []byte {
 	if order == nil {
 		order, _ = sortByKey(r.scheme, ts)
 	}
-	dst = r.scheme.AppendTo(dst)
+	dst = r.scheme.AppendForm(dst, f)
 	for _, i := range order {
-		dst = append(dst, "\n  "...)
-		dst = ts[i].appendTo(dst, r.scheme.Attrs)
+		dst = append(f.Newline(dst), "  "...)
+		dst = ts[i].appendTo(dst, r.scheme.Attrs, f)
 	}
 	return dst
 }
 
-// keyScratch recycles sortByKey's key buffer and offsets, so sorting a
-// result by key allocates only the order it returns.
-var keyScratch = sync.Pool{New: func() any { return new(keyBuf) }}
-
-type keyBuf struct {
-	keys []byte   // every tuple's key, concatenated
-	offs []uint32 // tuple i's key is keys[offs[i]:offs[i+1]]
-}
-
-// sortByKey returns the positions of ts in ascending key order,
-// compared bytewise, and the position of a tuple whose key another
-// tuple shares (-1 when every key is distinct): duplicates sort next to
-// each other. Each key is encoded once, into one pooled buffer. It is
-// the one encode-and-sort both NewRelationFromTuples and rendering use.
+// sortByKey returns the positions of ts in ascending key order and the
+// position of a tuple whose key another tuple shares (-1 when every key
+// is distinct); see value.SortByKey. It is the one encode-and-sort both
+// NewRelationFromTuples and rendering use.
 func sortByKey(s *schema.Scheme, ts []*Tuple) (order []int32, dup int) {
-	kb := keyScratch.Get().(*keyBuf)
-	defer keyScratch.Put(kb)
-	keys, offs := kb.keys[:0], append(kb.offs[:0], 0)
-	for _, t := range ts {
-		keys = t.appendKey(keys, s)
-		offs = append(offs, uint32(len(keys)))
-	}
-	kb.keys, kb.offs = keys, offs
-	key := func(i int32) []byte { return keys[offs[i]:offs[i+1]] }
-	order = make([]int32, len(ts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
-	for i := 1; i < len(order); i++ {
-		if bytes.Equal(key(order[i-1]), key(order[i])) {
-			return order, int(order[i])
-		}
-	}
-	return order, -1
+	return value.SortByKey(len(ts), func(dst []byte, i int) []byte { return ts[i].appendKey(dst, s) })
 }
 
 // checkInvariants verifies the paper's structural conditions for every

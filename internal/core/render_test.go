@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -73,29 +74,90 @@ func kindsRelation(t testing.TB) *Relation {
 	return r
 }
 
-// renderings lists every golden entry as (name, rendering) pairs.
-func renderings(t testing.TB) [][2]string {
+// renderings lists every golden entry as (name, rendering, wire form)
+// triples: the rendering is String, the wire form the same value
+// rendered in value.Wire form.
+func renderings(t testing.TB) [][3]string {
 	t.Helper()
 	kinds := kindsRelation(t)
+	emp := empRelation(t)
 	empty := NewRelation(empScheme())
-	out := [][2]string{
-		{"Relation KINDS", kinds.String()},
-		{"Relation EMP", empRelation(t).String()},
-		{"Relation empty", empty.String()},
+	out := [][3]string{
+		{"Relation KINDS", kinds.String(), string(kinds.AppendForm(nil, value.Wire))},
+		{"Relation EMP", emp.String(), string(emp.AppendForm(nil, value.Wire))},
+		{"Relation empty", empty.String(), string(empty.AppendForm(nil, value.Wire))},
 	}
 	for _, tu := range kinds.Tuples() {
-		out = append(out, [2]string{"Tuple " + tu.KeyValue("K").String(), tu.String()})
+		out = append(out, [3]string{"Tuple " + tu.KeyValue("K").String(), tu.String(), string(tu.appendByName(nil, value.Wire))})
 	}
 	mixed := (&tfunc.Builder{}).Set(0, 4, value.Int(1)).Set(5, 9, value.Float(1)).Build()
 	stepped := (&tfunc.Builder{}).Set(chronon.Min, 0, value.Int(1)).SetAt(3, value.Int(2)).Build()
+	// A lifespan has one form: it renders only digits, signs and brackets.
+	emptyLS, unbounded := lifespan.Empty().String(), lifespan.New(chronon.NewInterval(chronon.Min, chronon.Max)).String()
 	out = append(out,
-		[2]string{"Lifespan empty", lifespan.Empty().String()},
-		[2]string{"Lifespan unbounded", lifespan.New(chronon.NewInterval(chronon.Min, chronon.Max)).String()},
-		[2]string{"Func nowhere-defined", tfunc.Func{}.String()},
-		[2]string{"Func stepped", stepped.String()},
-		[2]string{"Func constant int 1 then float 1", mixed.String()},
+		[3]string{"Lifespan empty", emptyLS, emptyLS},
+		[3]string{"Lifespan unbounded", unbounded, unbounded},
+		[3]string{"Func nowhere-defined", tfunc.Func{}.String(), string(tfunc.Func{}.AppendForm(nil, value.Wire))},
+		[3]string{"Func stepped", stepped.String(), string(stepped.AppendForm(nil, value.Wire))},
+		[3]string{"Func constant int 1 then float 1", mixed.String(), string(mixed.AppendForm(nil, value.Wire))},
 	)
 	return out
+}
+
+// jsonBody is what encoding/json, HTML escaping off, writes between the
+// quotes when it encodes s.
+func jsonBody(t testing.TB, s string) string {
+	t.Helper()
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	line := b.String() // "…"\n
+	return line[1 : len(line)-2]
+}
+
+// TestWireFormIsJSONOfText: on every golden entry, the value.Wire
+// rendering is exactly what encoding/json (HTML escaping off) makes of
+// the String rendering, so a result rendered in wire form can be
+// appended into a JSON reply line as it is.
+func TestWireFormIsJSONOfText(t *testing.T) {
+	for _, e := range renderings(t) {
+		if want := jsonBody(t, e[1]); e[2] != want {
+			t.Errorf("%s: wire form\n%s\nwant the JSON encoding of its String\n%s", e[0], e[2], want)
+		}
+	}
+}
+
+// FuzzWireForm: for an arbitrary string, held as a key and as a
+// stepped value in a two-row relation, the relation's wire form is the
+// JSON encoding of its text form, and value.Wire.Escape of the string
+// is the JSON encoding of the string. The seeds are the kindsRelation
+// strings that need escaping in one form or the other.
+func FuzzWireForm(f *testing.F) {
+	for _, s := range []string{"plain", `quote"back\slash`, "pipe|amp&<tag>", "ünï☃ tab\t nul\x00 ls\u2028", "ps\u2029 cr\r bs\b ff\f del\x7f", "bad\xffutf8\xc3", ""} {
+		f.Add(s)
+	}
+	s := empScheme()
+	f.Fuzz(func(t *testing.T, str string) {
+		r := NewRelation(s)
+		r.MustInsert(NewTupleBuilder(s, lifespan.Interval(0, 9)).
+			Key("NAME", value.String_(str)).
+			Set("DEPT", 0, 4, value.String_(str)).
+			Set("DEPT", 5, 9, value.String_(str+"x")).
+			MustBuild())
+		r.MustInsert(NewTupleBuilder(s, lifespan.Interval(0, 9)).
+			Key("NAME", value.String_(str+"|")).
+			SetConst("SAL", value.Int(1)).
+			MustBuild())
+		if got, want := string(r.AppendForm(nil, value.Wire)), jsonBody(t, r.String()); got != want {
+			t.Errorf("%q: wire form\n%s\nwant\n%s", str, got, want)
+		}
+		if got, want := string(value.Wire.Escape(nil, str)), jsonBody(t, str); got != want {
+			t.Errorf("Escape(%q) = %s, want %s", str, got, want)
+		}
+	})
 }
 
 // TestRenderGolden freezes Relation.String and Tuple.String byte for

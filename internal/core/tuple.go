@@ -208,26 +208,28 @@ func (t *Tuple) Merge(o *Tuple) (*Tuple, error) {
 // String renders the tuple's lifespan and values in attribute-name
 // order, e.g.
 // "⟨ls={[0,9]} DEPT=<{[0,9]},\"Toys\"> NAME=<{[0,9]},\"John\"> SAL={[0,4]→30000, [5,9]→34000}⟩".
-func (t *Tuple) String() string {
+func (t *Tuple) String() string { return string(t.appendByName(nil, value.Text)) }
+
+// appendByName appends the tuple in form f with its values in
+// attribute-name order.
+func (t *Tuple) appendByName(dst []byte, f value.Form) []byte {
 	attrs := make([]schema.Attribute, 0, len(t.v))
 	for a := range t.v {
 		attrs = append(attrs, schema.Attribute{Name: a})
 	}
 	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
-	return string(t.appendTo(nil, attrs))
+	return t.appendTo(dst, attrs, f)
 }
 
 // appendTo appends the tuple's lifespan and the values of attrs, in the
-// order given, to dst.
-func (t *Tuple) appendTo(dst []byte, attrs []schema.Attribute) []byte {
+// order given, to dst in form f.
+func (t *Tuple) appendTo(dst []byte, attrs []schema.Attribute, f value.Form) []byte {
 	dst = append(dst, "⟨ls="...)
 	dst = t.l.AppendTo(dst)
 	for i := range attrs {
 		a := attrs[i].Name
-		dst = append(dst, ' ')
-		dst = append(dst, a...)
-		dst = append(dst, '=')
-		dst = t.v[a].AppendTo(dst)
+		dst = append(f.Escape(append(dst, ' '), a), '=')
+		dst = t.v[a].AppendForm(dst, f)
 	}
 	return append(dst, "⟩"...)
 }

@@ -28,19 +28,19 @@ type Result struct {
 	Snapshot *rel.Relation
 }
 
-// String renders whichever sort the result carries; see AppendTo.
-func (r Result) String() string { return string(r.AppendTo(nil)) }
+// String renders whichever sort the result carries; see AppendForm.
+func (r Result) String() string { return string(r.AppendForm(nil, value.Text)) }
 
-// AppendTo appends the rendering of whichever sort the result carries
-// to dst.
-func (r Result) AppendTo(dst []byte) []byte {
+// AppendForm appends the rendering of whichever sort the result carries
+// to dst in form f. A lifespan renders the same in both forms.
+func (r Result) AppendForm(dst []byte, f value.Form) []byte {
 	switch {
 	case r.Relation != nil:
-		return r.Relation.AppendTo(dst)
+		return r.Relation.AppendForm(dst, f)
 	case r.Lifespan != nil:
 		return r.Lifespan.AppendTo(dst)
 	case r.Snapshot != nil:
-		return append(dst, r.Snapshot.String()...)
+		return r.Snapshot.AppendForm(dst, f)
 	}
 	return append(dst, "<empty result>"...)
 }

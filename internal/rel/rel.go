@@ -2,8 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/value"
 )
@@ -133,20 +131,40 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
-// String renders the relation with a header row, in canonical order.
-func (r *Relation) String() string {
-	var b strings.Builder
-	b.WriteString(r.scheme.Name + "(" + strings.Join(r.scheme.Attrs, ", ") + ")")
-	sorted := append([]Tuple(nil), r.tuples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key().String() < sorted[j].key().String() })
-	for _, t := range sorted {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = v.String()
+// String renders the relation; see AppendForm.
+func (r *Relation) String() string { return string(r.AppendForm(nil, value.Text)) }
+
+// AppendForm appends the relation's rendering to dst in form f: a
+// header row, then one row per tuple in canonical order — ascending by
+// the tuple's key, compared bytewise. Each key is encoded once, before
+// the sort (value.SortByKey).
+func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
+	dst = append(f.Escape(dst, r.scheme.Name), '(')
+	for i, a := range r.scheme.Attrs {
+		if i > 0 {
+			dst = append(dst, ", "...)
 		}
-		b.WriteString("\n  (" + strings.Join(parts, ", ") + ")")
+		dst = f.Escape(dst, a)
 	}
-	return b.String()
+	dst = append(dst, ')')
+
+	order, _ := value.SortByKey(len(r.tuples), func(key []byte, i int) []byte {
+		for j, v := range r.tuples[i] {
+			key = value.AppendKeyPart(key, j, v)
+		}
+		return key
+	})
+	for _, i := range order {
+		dst = append(f.Newline(dst), "  ("...)
+		for j, v := range r.tuples[i] {
+			if j > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = v.AppendForm(dst, f)
+		}
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 // Union returns r ∪ o for union-compatible relations.

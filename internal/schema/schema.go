@@ -396,19 +396,19 @@ func (s *Scheme) Rename(prefix, name string) (*Scheme, error) {
 	return New(name, key, attrs...)
 }
 
-// String renders the scheme header; see AppendTo.
-func (s *Scheme) String() string { return string(s.AppendTo(nil)) }
+// String renders the scheme header; see AppendForm.
+func (s *Scheme) String() string { return string(s.AppendForm(nil, value.Text)) }
 
-// AppendTo appends the scheme header to dst, e.g.
+// AppendForm appends the scheme header to dst in form f, e.g.
 // "EMP(NAME* strings {[0,49]}, SAL integers step {[0,49]})", where * marks
-// key attributes.
-func (s *Scheme) AppendTo(dst []byte) []byte {
-	dst = append(append(dst, s.Name...), '(')
+// key attributes. Names are written through f.Escape.
+func (s *Scheme) AppendForm(dst []byte, f value.Form) []byte {
+	dst = append(f.Escape(dst, s.Name), '(')
 	for i, a := range s.Attrs {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		dst = append(dst, a.Name...)
+		dst = f.Escape(dst, a.Name)
 		if s.IsKey(a.Name) {
 			dst = append(dst, '*')
 		}
@@ -416,8 +416,8 @@ func (s *Scheme) AppendTo(dst []byte) []byte {
 		if interp == "" {
 			interp = "discrete"
 		}
-		dst = append(append(append(append(append(dst, ' '), a.Domain.Name...), ' '), interp...), ' ')
-		dst = a.Lifespan.AppendTo(dst)
+		dst = f.Escape(append(f.Escape(append(dst, ' '), a.Domain.Name), ' '), interp)
+		dst = a.Lifespan.AppendTo(append(dst, ' '))
 	}
 	return append(dst, ')')
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/hrdmerr"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -196,6 +197,121 @@ func TestReplyAllocsIndependentOfResultSize(t *testing.T) {
 	small := allocs(`SELECT IF NAME = "emp0007" FROM EMP`)
 	if large > small {
 		t.Errorf("reply encoding: %.0f allocations for 1 816 rows, %.0f for one row; want no growth with result size", large, small)
+	}
+}
+
+// TestAppendResponseMatchesEncoder: appendResponse writes, for every
+// op's success reply and every wire error code, the line json.Encoder
+// (HTML escaping off) writes for the same response — the same field
+// order, the same omitempty rules, the metrics payload compacted. A
+// query reply's result, rendered by appendResponse in wire form, is
+// given to the encoder as its String rendering. Error messages carry
+// quotes, backslashes, newlines, control bytes, invalid UTF-8 and
+// U+2028/U+2029.
+func TestAppendResponseMatchesEncoder(t *testing.T) {
+	srv := New(engine.OpenDB(workload.Demo()), Config{})
+	sess := srv.db.NewSession()
+	type step struct {
+		name string
+		req  request
+	}
+	var cases []struct {
+		name string
+		resp response
+	}
+	add := func(name string, resp response) {
+		cases = append(cases, struct {
+			name string
+			resp response
+		}{name, resp})
+	}
+	for _, st := range []step{
+		{"ping", request{Op: "ping"}},
+		{"begin_group", request{Op: "begin_group"}},
+		{"stage", request{Op: "stage", Rel: "EMP", Tuple: `tuple {[20,29]}; NAME = "R&D \"q\" back\\slash <lead> ünï" @ {[20,29]}; SAL = 50000 @ {[20,29]}`}},
+		{"commit", request{Op: "commit"}},
+		{"begin_group then abort", request{Op: "begin_group"}},
+		{"abort", request{Op: "abort"}},
+		{"query relation", request{Op: "query", Q: `SELECT WHEN SAL > 0 FROM EMP`}},
+		{"query one row", request{Op: "query", Q: `SELECT IF NAME = "John" FROM EMP`}},
+		{"query empty relation", request{Op: "query", Q: `SELECT WHEN SAL < 0 FROM EMP`}},
+		{"query lifespan", request{Op: "query", Q: `WHEN EMP`}},
+		{"query snapshot", request{Op: "query", Q: `SNAPSHOT EMP AT 25`}},
+		{"explain", request{Op: "explain", Q: `EMP JOIN DEPTREL ON DEPT = DNAME`}},
+		{"explain analyze", request{Op: "explain", Q: `EMP JOIN DEPTREL ON DEPT = DNAME`, Analyze: true}},
+		{"metrics", request{Op: "metrics"}},
+		{"unknown op", request{Op: "no\"such\nop"}},
+	} {
+		resp := srv.handle(sess, st.req)
+		if !resp.OK && st.name != "unknown op" {
+			t.Fatalf("%s: %+v", st.name, resp.Error)
+		}
+		add(st.name, resp)
+	}
+	msgs := []string{
+		"plain message",
+		`quote " and backslash \`,
+		"line one\nline two\r\n\ttabbed",
+		"control \x00\x01\x08\x0c\x1f\x7f bytes",
+		"invalid \xff\xfe utf-8 \xc3",
+		"separators \u2028 and \u2029, markup <&>, ünï☃",
+	}
+	for code := hrdmerr.CodeInternal; code <= hrdmerr.CodeBadRequest; code++ {
+		for _, msg := range msgs {
+			add(fmt.Sprintf("error %d %q", code, msg), errResponse(hrdmerr.New(code, "%s", msg)))
+		}
+	}
+	add("metrics, indented payload", response{OK: true, Metrics: json.RawMessage("{\n  \"a\": [1, 2],\n  \"b\": \"x y\"\n}\n")})
+	add("zero response", response{})
+
+	for _, c := range cases {
+		got, err := appendResponse(nil, c.resp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		enc := c.resp
+		if enc.query != nil {
+			enc.Result = enc.query.String()
+		}
+		var want strings.Builder
+		e := json.NewEncoder(&want)
+		e.SetEscapeHTML(false)
+		if err := e.Encode(enc); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if string(got) != want.String() {
+			t.Errorf("%s: appendResponse\n%s\nwant json.Encoder's\n%s", c.name, got, want.String())
+		}
+	}
+}
+
+// TestSnapshotRenderAllocsIndependentOfRows: a SNAPSHOT result renders
+// into a reused buffer with a number of allocations that does not grow
+// with its row count, in either form — each key is encoded once, into
+// recycled scratch, and the rows are appended.
+func TestSnapshotRenderAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sess := personnelDB().NewSession()
+	for _, f := range []value.Form{value.Text, value.Wire} {
+		var buf []byte
+		allocs := func(q string) (float64, int) {
+			res, err := sess.Query(context.Background(), q)
+			if err != nil || res.Snapshot == nil {
+				t.Fatalf("%s: %v, %+v", q, err, res)
+			}
+			buf = res.AppendForm(buf[:0], f) // warms the buffer
+			return testing.AllocsPerRun(10, func() { buf = res.AppendForm(buf[:0], f) }), res.Snapshot.Cardinality()
+		}
+		large, n := allocs(`SNAPSHOT EMP AT 150`)
+		small, m := allocs(`SNAPSHOT EMP AT 7`)
+		if n <= m {
+			t.Fatalf("snapshots of %d and %d rows, want the first larger", n, m)
+		}
+		if large > small {
+			t.Errorf("form %d: %.0f allocations for %d rows, %.0f for %d; want no growth with row count", f, large, n, small, m)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/hrdmerr"
@@ -32,8 +31,9 @@ var (
 	mDrainedClean  = obs.Default.Counter("server.drains_clean")
 	mDrainedForced = obs.Default.Counter("server.drains_forced")
 	// mRenderNs times a query reply from the start of result rendering
-	// to the end of its JSON encoding — the serving cost that grows
-	// with the result, before the socket write.
+	// to the end of its reply line — rendering, escaping and envelope in
+	// one pass, the serving cost that grows with the result, before the
+	// socket write.
 	mRenderNs = obs.Default.Histogram("server.render_ns")
 )
 
@@ -323,45 +323,30 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 	}
 }
 
-// replyWriter encodes one connection's response lines into a buffer it
-// reuses across replies. A query reply's result is rendered into a
-// second reused buffer, which the encoder reads through a string alias
-// rather than a copy. HTML escaping is off: renderings are full of
-// '<' and '>', which json.Marshal would send as six-byte \u003c
-// escapes; the line is valid JSON either way and decodes to the same
-// strings.
-type replyWriter struct {
-	render []byte
-	buf    bytes.Buffer
-	enc    *json.Encoder
-}
+// replyWriter writes one connection's reply lines from one buffer it
+// reuses across replies. appendResponse builds each line there, a
+// query's result rendered and JSON-escaped in the same pass, so a reply
+// is held once and its bytes are scanned once before the socket write.
+// HTML escaping is off: renderings are full of '<' and '>', which
+// json.Marshal would send as six-byte \u003c escapes; the line is valid
+// JSON either way and decodes to the same strings.
+type replyWriter struct{ buf []byte }
 
-func newReplyWriter() *replyWriter {
-	w := &replyWriter{}
-	w.enc = json.NewEncoder(&w.buf)
-	w.enc.SetEscapeHTML(false)
-	return w
-}
+func newReplyWriter() *replyWriter { return &replyWriter{} }
 
-// write encodes resp as one line and sends it. A client that stopped
-// reading gets a bounded write deadline, so a drain is never hostage to
-// a dead peer's TCP window.
+// write sends resp as one line. A client that stopped reading gets a
+// bounded write deadline, so a drain is never hostage to a dead peer's
+// TCP window.
 func (w *replyWriter) write(c net.Conn, resp response) error {
-	if resp.query != nil {
-		// The alias is valid until the next reply re-renders the buffer;
-		// only the Encode below reads it.
-		w.render = resp.query.AppendTo(w.render[:0])
-		resp.Result = unsafe.String(unsafe.SliceData(w.render), len(w.render))
-	}
-	w.buf.Reset()
-	if err := w.enc.Encode(resp); err != nil {
+	var err error
+	if w.buf, err = appendResponse(w.buf[:0], resp); err != nil {
 		return err
 	}
 	if !resp.rendering.IsZero() {
 		mRenderNs.ObserveSince(resp.rendering)
 	}
 	c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err := c.Write(w.buf.Bytes())
+	_, err = c.Write(w.buf)
 	return err
 }
 

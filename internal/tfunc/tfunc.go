@@ -353,9 +353,10 @@ func (f Func) Steps(fn func(iv chronon.Interval, v value.Value) bool) {
 // "{[1,5]→30000, [6,9]→34000}". Constant functions render as the paper's
 // <lifespan,value> pair suggestion, e.g. "<{[1,9]},Codd>", whose
 // lifespan is Domain(f). The nowhere-defined function renders as "{}".
-func (f Func) String() string { return string(f.AppendTo(nil)) }
+func (f Func) String() string { return string(f.AppendForm(nil, value.Text)) }
 
-// AppendTo appends the String form of f to dst and returns the result.
+// AppendForm appends the rendering of f in form fm to dst and returns
+// the result; only its values differ between the forms.
 //
 // A constant function's lifespan is printed from its steps without
 // building Domain(): canonical form merges adjacent steps with equal
@@ -364,7 +365,7 @@ func (f Func) String() string { return string(f.AppendTo(nil)) }
 // steps holding numerically equal values of different kinds (1 and
 // 1.0), which IsConstant accepts and canonical keeps apart; the run
 // loop below coalesces those, so the output is Domain(f) in every case.
-func (f Func) AppendTo(dst []byte) []byte {
+func (f Func) AppendForm(dst []byte, fm value.Form) []byte {
 	if f.IsNowhereDefined() {
 		return append(dst, "{}"...)
 	}
@@ -381,7 +382,7 @@ func (f Func) AppendTo(dst []byte) []byte {
 			}
 		}
 		dst = append(dst, "},"...)
-		dst = f.steps[0].V.AppendTo(dst)
+		dst = f.steps[0].V.AppendForm(dst, fm)
 		return append(dst, '>')
 	}
 	dst = append(dst, '{')
@@ -391,7 +392,7 @@ func (f Func) AppendTo(dst []byte) []byte {
 		}
 		dst = s.Iv.AppendTo(dst)
 		dst = append(dst, "→"...)
-		dst = s.V.AppendTo(dst)
+		dst = s.V.AppendForm(dst, fm)
 	}
 	return append(dst, '}')
 }

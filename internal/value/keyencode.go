@@ -1,5 +1,11 @@
 package value
 
+import (
+	"bytes"
+	"slices"
+	"sync"
+)
+
 // Key is an encoded composite key: the injective form EncodeKey gives
 // a key's parts. Its one field is unexported, so outside this package a
 // Key comes only from EncodeKey or KeyOf — a map keyed by Key cannot
@@ -28,7 +34,7 @@ func EncodeKey(parts []string) Key {
 			b = append(b, '|')
 		}
 		start := len(b)
-		b = escapeKeyPart(append(b, p...), start)
+		b = backslashBefore(append(b, p...), start, '\\', '|')
 	}
 	return Key{string(b)}
 }
@@ -53,31 +59,42 @@ func AppendKeyPart(dst []byte, i int, v Value) []byte {
 		dst = append(dst, '|')
 	}
 	start := len(dst)
-	return escapeKeyPart(v.AppendTo(dst), start)
+	return backslashBefore(v.AppendTo(dst), start, '\\', '|')
 }
 
-// escapeKeyPart escapes every '\' and '|' of b[start:] in place,
-// shifting the tail right from the end so no second buffer is needed.
-func escapeKeyPart(b []byte, start int) []byte {
-	n := 0
-	for _, c := range b[start:] {
-		if c == '\\' || c == '|' {
-			n++
+// keyScratch recycles SortByKey's key buffer and offsets, so sorting by
+// key allocates only the order it returns.
+var keyScratch = sync.Pool{New: func() any { return new(keyBuf) }}
+
+type keyBuf struct {
+	keys []byte   // every item's key, concatenated
+	offs []uint32 // item i's key is keys[offs[i]:offs[i+1]]
+}
+
+// SortByKey returns the positions 0…n-1 in ascending order of their
+// keys, compared bytewise, and the position of an item whose key
+// another item shares (-1 when every key is distinct): duplicates sort
+// next to each other. appendKey appends item i's encoded key to dst;
+// each key is encoded once, into one pooled buffer.
+func SortByKey(n int, appendKey func(dst []byte, i int) []byte) (order []int32, dup int) {
+	kb := keyScratch.Get().(*keyBuf)
+	defer keyScratch.Put(kb)
+	keys, offs := kb.keys[:0], append(kb.offs[:0], 0)
+	for i := 0; i < n; i++ {
+		keys = appendKey(keys, i)
+		offs = append(offs, uint32(len(keys)))
+	}
+	kb.keys, kb.offs = keys, offs
+	key := func(i int32) []byte { return keys[offs[i]:offs[i+1]] }
+	order = make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+	for i := 1; i < len(order); i++ {
+		if bytes.Equal(key(order[i-1]), key(order[i])) {
+			return order, int(order[i])
 		}
 	}
-	if n == 0 {
-		return b
-	}
-	end := len(b)
-	b = append(b, make([]byte, n)...)
-	j := len(b)
-	for i := end - 1; i >= start; i-- {
-		j--
-		b[j] = b[i]
-		if b[i] == '\\' || b[i] == '|' {
-			j--
-			b[j] = '\\'
-		}
-	}
-	return b
+	return order, -1
 }

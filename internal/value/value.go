@@ -2,7 +2,6 @@ package value
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"repro/internal/chronon"
@@ -186,16 +185,19 @@ func cmp[T int64 | float64](a, b T) int {
 func (v Value) String() string { return string(v.AppendTo(nil)) }
 
 // AppendTo appends the String form of v to dst and returns the result.
-func (v Value) AppendTo(dst []byte) []byte {
+func (v Value) AppendTo(dst []byte) []byte { return v.AppendForm(dst, Text) }
+
+// AppendForm appends v's rendering in form f to dst. Only a string
+// differs between the forms: it is quoted as strconv.Quote does, and in
+// Wire form the quote's '"' and '\' bytes are backslashed.
+func (v Value) AppendForm(dst []byte, f Form) []byte {
 	switch v.kind {
 	case KindInt:
 		return strconv.AppendInt(dst, v.n, 10)
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindString:
-		// AppendQuote grows a short dst to exactly the quoted size,
-		// which copies a long buffer on every call; grow it first.
-		return strconv.AppendQuote(slices.Grow(dst, len(v.s)+2), v.s)
+		return f.appendQuoted(dst, v.s)
 	case KindBool:
 		return strconv.AppendBool(dst, v.n != 0)
 	case KindTime:
