@@ -25,8 +25,9 @@ type Condition interface {
 	// predicate false, so negation can resurrect those times — matching
 	// a closed-world reading of "the attribute does not equal a then".
 	when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error)
-	// check validates attribute references against a scheme.
-	check(s *schema.Scheme) error
+	// bind validates attribute references against a scheme and returns
+	// the condition with every predicate bound to it (Predicate.Bind).
+	bind(s *schema.Scheme) (Condition, error)
 }
 
 // Atom wraps a simple predicate as a condition.
@@ -65,7 +66,9 @@ func (a Atom) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error)
 	return a.Pred.when(t, scope)
 }
 
-func (a Atom) check(s *schema.Scheme) error { return checkPredicate(s, a.Pred) }
+func (a Atom) bind(s *schema.Scheme) (Condition, error) {
+	return Atom{Pred: a.Pred.Bind(s)}, checkPredicate(s, a.Pred)
+}
 
 func (c And) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	acc := scope
@@ -82,7 +85,10 @@ func (c And) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) 
 	return acc, nil
 }
 
-func (c And) check(s *schema.Scheme) error { return checkKids(s, c.Kids) }
+func (c And) bind(s *schema.Scheme) (Condition, error) {
+	kids, err := bindKids(s, c.Kids)
+	return And{Kids: kids}, err
+}
 
 func (c Or) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	acc := lifespan.Empty()
@@ -96,7 +102,10 @@ func (c Or) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	return acc.Intersect(scope), nil
 }
 
-func (c Or) check(s *schema.Scheme) error { return checkKids(s, c.Kids) }
+func (c Or) bind(s *schema.Scheme) (Condition, error) {
+	kids, err := bindKids(s, c.Kids)
+	return Or{Kids: kids}, err
+}
 
 func (c Not) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	w, err := c.Kid.when(t, scope)
@@ -106,25 +115,31 @@ func (c Not) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) 
 	return scope.Minus(w), nil
 }
 
-func (c Not) check(s *schema.Scheme) error { return c.Kid.check(s) }
+func (c Not) bind(s *schema.Scheme) (Condition, error) {
+	kid, err := c.Kid.bind(s)
+	return Not{Kid: kid}, err
+}
 
-func checkKids(s *schema.Scheme, kids []Condition) error {
+func bindKids(s *schema.Scheme, kids []Condition) ([]Condition, error) {
 	if len(kids) == 0 {
-		return fmt.Errorf("core: empty boolean combination")
+		return nil, fmt.Errorf("core: empty boolean combination")
 	}
-	for _, k := range kids {
-		if err := k.check(s); err != nil {
-			return err
+	out := make([]Condition, len(kids))
+	for i, k := range kids {
+		var err error
+		if out[i], err = k.bind(s); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // SelectIfCond is SELECT-IF generalized to condition trees: the tuple
 // passes whole if the condition holds at some (∃) or every (∀) time of
 // L ∩ t.l.
 func SelectIfCond(r *Relation, c Condition, q Quantifier, L lifespan.Lifespan) (*Relation, error) {
-	if err := c.check(r.scheme); err != nil {
+	c, err := c.bind(r.scheme)
+	if err != nil {
 		return nil, err
 	}
 	out := NewRelation(r.scheme)
@@ -152,23 +167,15 @@ func SelectIfCond(r *Relation, c Condition, q Quantifier, L lifespan.Lifespan) (
 // SelectWhenCond is SELECT-WHEN generalized to condition trees: each
 // tuple shrinks to exactly the times the condition holds.
 func SelectWhenCond(r *Relation, c Condition, L lifespan.Lifespan) (*Relation, error) {
-	if err := c.check(r.scheme); err != nil {
+	c, err := c.bind(r.scheme)
+	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(r.scheme)
-	for _, t := range r.Tuples() {
-		scope := t.l.Intersect(L)
-		holds, err := c.when(t, scope)
+	return restrictEach(r, func(t *Tuple) (lifespan.Lifespan, error) {
+		holds, err := c.when(t, t.l.Intersect(L))
 		if err != nil {
-			return nil, fmt.Errorf("core: select-when %s: %w", c, err)
+			return holds, fmt.Errorf("core: select-when %s: %w", c, err)
 		}
-		nt := t.restrict(holds)
-		if nt == nil {
-			continue
-		}
-		if err := out.Insert(nt); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return holds, nil
+	})
 }

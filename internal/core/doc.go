@@ -5,7 +5,11 @@
 // A historical tuple t on scheme R is an ordered pair t = ⟨v, l⟩ where
 // t.l is the tuple's lifespan and t.v assigns to each attribute A ∈ R a
 // partial temporal function into DOM(A) defined on t.l ∩ ALS(A,R)
-// (Section 3). A historical relation is a finite set of such tuples whose
+// (Section 3). t.v is held positionally, one function per attribute in
+// the scheme's attribute order, and a relation holds only tuples laid
+// out in its own order; the set operators re-lay an operand whose scheme
+// lists the same attributes in another order, sharing the functions.
+// A historical relation is a finite set of such tuples whose
 // key values are pairwise distinct at every pair of time points. The
 // algebra over these structures (Section 4) comprises the set-theoretic
 // operators and their object-based variants, PROJECT, SELECT-IF,

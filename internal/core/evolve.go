@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
@@ -67,11 +68,7 @@ func AddAttribute(r *Relation, a schema.Attribute) (*Relation, error) {
 	}
 	out := NewRelation(ns)
 	for _, t := range r.Tuples() {
-		nv := make(map[string]tfunc.Func, len(t.v))
-		for n, f := range t.v {
-			nv[n] = f
-		}
-		nt, err := NewTuple(ns, t.l, nv)
+		nt, err := NewTuple(ns, t.l, append(t.v[:len(t.v):len(t.v)], tfunc.Func{}))
 		if err != nil {
 			return nil, err
 		}
@@ -110,18 +107,12 @@ func rewriteAttrLifespan(r *Relation, attr string, newLS lifespan.Lifespan) (*Re
 		return nil, err
 	}
 	out := NewRelation(ns)
+	at := ns.Index(attr)
 	for _, t := range r.Tuples() {
-		nv := make(map[string]tfunc.Func, len(t.v))
-		for n, f := range t.v {
-			if n == attr {
-				f = f.Restrict(t.l.Intersect(newLS))
-			}
-			nv[n] = f
-		}
+		nv := slices.Clone(t.v)
+		nv[at] = nv[at].Restrict(t.l.Intersect(newLS))
 		// Keys may need extending over a grown scheme lifespan.
-		for _, k := range ns.Key {
-			nv[k] = extendConstant(nv[k], t.l.Intersect(ns.ALS(k)))
-		}
+		extendKeys(ns, nv, t.l)
 		nt, err := NewTuple(ns, t.l, nv)
 		if err != nil {
 			return nil, fmt.Errorf("core: evolve %s: %w", attr, err)
@@ -139,7 +130,8 @@ func rewriteAttrLifespan(r *Relation, attr string, newLS lifespan.Lifespan) (*Re
 // model "the salary changed at t". The updated period must lie within
 // the attribute's ALS.
 func UpdateValue(r *Relation, keyVals []string, attr string, from, to chronon.Time, v tfunc.Func) (*Relation, error) {
-	if _, ok := r.scheme.Attr(attr); !ok {
+	at := r.scheme.Index(attr)
+	if at < 0 {
 		return nil, fmt.Errorf("core: update: unknown attribute %s", attr)
 	}
 	old, ok := r.Lookup(keyVals...)
@@ -151,13 +143,10 @@ func UpdateValue(r *Relation, keyVals []string, attr string, from, to chronon.Ti
 		return nil, fmt.Errorf("core: update: period %v outside ALS(%s) = %v", period, attr, r.scheme.ALS(attr))
 	}
 	nl := old.l.Union(period)
-	nv := make(map[string]tfunc.Func, len(old.v))
-	for n, f := range old.v {
-		nv[n] = f
-	}
+	nv := slices.Clone(old.v)
 	// Layer the new value over the old via a builder.
 	var b tfunc.Builder
-	old.v[attr].Steps(func(iv chronon.Interval, val value.Value) bool {
+	old.v[at].Steps(func(iv chronon.Interval, val value.Value) bool {
 		b.Set(iv.Lo, iv.Hi, val)
 		return true
 	})
@@ -165,10 +154,8 @@ func UpdateValue(r *Relation, keyVals []string, attr string, from, to chronon.Ti
 		b.Set(iv.Lo, iv.Hi, val)
 		return true
 	})
-	nv[attr] = b.Build()
-	for _, k := range r.scheme.Key {
-		nv[k] = extendConstant(nv[k], nl.Intersect(r.scheme.ALS(k)))
-	}
+	nv[at] = b.Build()
+	extendKeys(r.scheme, nv, nl)
 	nt, err := NewTuple(r.scheme, nl, nv)
 	if err != nil {
 		return nil, fmt.Errorf("core: update: %w", err)

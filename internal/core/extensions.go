@@ -29,55 +29,7 @@ import (
 // is exactly the agreement times and which therefore never contains
 // nulls.
 func ThetaJoinOuter(r1, r2 *Relation, attrA string, th value.Theta, attrB string) (*Relation, error) {
-	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: outer theta-join: schemes share attributes; rename first")
-	}
-	if !r1.scheme.HasAttr(attrA) {
-		return nil, fmt.Errorf("core: outer theta-join: %s not in %s", attrA, r1.scheme.Name)
-	}
-	if !r2.scheme.HasAttr(attrB) {
-		return nil, fmt.Errorf("core: outer theta-join: %s not in %s", attrB, r2.scheme.Name)
-	}
-	rs, err := joinScheme(r1, r2)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(rs)
-	ts2 := r2.Tuples()
-	for _, t1 := range r1.Tuples() {
-		f1 := t1.Value(attrA)
-		if f1.IsNowhereDefined() {
-			continue
-		}
-		for _, t2 := range ts2 {
-			holds, err := thetaTimes(f1, t2.Value(attrB), th)
-			if err != nil {
-				return nil, fmt.Errorf("core: outer theta-join: %w", err)
-			}
-			if holds.IsEmpty() {
-				continue // SELECT-IF ∃: no shared satisfying time, no pair
-			}
-			nl := t1.l.Union(t2.l)
-			nv := make(map[string]tfunc.Func, len(t1.v)+len(t2.v))
-			for a, f := range t1.v {
-				nv[a] = f
-			}
-			for a, f := range t2.v {
-				nv[a] = f
-			}
-			for _, k := range rs.Key {
-				nv[k] = extendConstant(nv[k], nl.Intersect(rs.ALS(k)))
-			}
-			nt, err := NewTuple(rs, nl, nv)
-			if err != nil {
-				return nil, fmt.Errorf("core: outer theta-join: %w", err)
-			}
-			if err := out.Insert(nt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	return thetaJoin(r1, r2, attrA, th, attrB, true)
 }
 
 // Materialize lifts a relation from the representation level to the model
@@ -91,18 +43,13 @@ func ThetaJoinOuter(r1, r2 *Relation, attrA string, th value.Theta, attrB string
 func Materialize(r *Relation) (*Relation, error) {
 	out := NewRelation(r.scheme)
 	for _, t := range r.Tuples() {
-		nv := make(map[string]tfunc.Func, len(t.v))
-		for _, a := range r.scheme.Attrs {
-			f := t.v[a.Name]
+		nv := make([]tfunc.Func, len(t.v))
+		for i, a := range r.scheme.Attrs {
+			f := t.v[i]
 			if f.IsNowhereDefined() {
-				nv[a.Name] = f
 				continue
 			}
-			interp := a.Interp
-			if interp == "" {
-				interp = "discrete"
-			}
-			ip, err := tfunc.ByName(interp)
+			ip, err := tfunc.ByName(a.Interp)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +58,7 @@ func Materialize(r *Relation) (*Relation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: materialize %s.%s: %w", r.scheme.Name, a.Name, err)
 			}
-			nv[a.Name] = total
+			nv[i] = total
 		}
 		nt, err := NewTuple(r.scheme, t.l, nv)
 		if err != nil {
@@ -131,8 +78,8 @@ func Materialize(r *Relation) (*Relation, error) {
 func CoalesceValueLifespans(r *Relation) map[string]int {
 	out := make(map[string]int, len(r.scheme.Attrs))
 	for _, t := range r.Tuples() {
-		for _, a := range r.scheme.Attrs {
-			out[a.Name] += t.v[a.Name].NumSteps()
+		for i, a := range r.scheme.Attrs {
+			out[a.Name] += t.v[i].NumSteps()
 		}
 	}
 	return out
@@ -144,17 +91,11 @@ func EquiJoinOuter(r1, r2 *Relation, attrA, attrB string) (*Relation, error) {
 	return ThetaJoinOuter(r1, r2, attrA, value.EQ, attrB)
 }
 
-// lifespanOfNulls returns, for a joined tuple, the set of times at which
+// NullLifespan returns, for a joined tuple, the set of times at which
 // the named attribute is null — in the tuple's lifespan and the
 // attribute's ALS but with no value. This is the paper's closing
 // observation made queryable: outer joins introduce nulls, inner joins do
 // not.
-func lifespanOfNulls(r *Relation, t *Tuple, attr string) lifespan.Lifespan {
-	vls := t.VLS(r.scheme, attr)
-	return vls.Minus(t.v[attr].Domain())
-}
-
-// NullLifespan is the exported form of lifespanOfNulls.
 func NullLifespan(r *Relation, t *Tuple, attr string) lifespan.Lifespan {
-	return lifespanOfNulls(r, t, attr)
+	return t.VLS(r.scheme, attr).Minus(t.Value(attr).Domain())
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"repro/internal/lifespan"
 	"repro/internal/schema"
-	"repro/internal/value"
+	"repro/internal/tfunc"
 )
 
 // This file exports the per-tuple kernels of the algebra. The
@@ -28,16 +28,18 @@ func CondWhen(c Condition, t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan
 
 // CondCheck validates a condition's attribute references against a
 // scheme before a plan begins streaming tuples through it.
-func CondCheck(c Condition, s *schema.Scheme) error { return c.check(s) }
+func CondCheck(c Condition, s *schema.Scheme) error {
+	_, err := c.bind(s)
+	return err
+}
 
-// JoinPair is the per-pair θ-join kernel: it computes the agreement
-// lifespan of t1(attrA) θ t2(attrB) and, if non-empty, the concatenated
-// tuple on the join scheme rs. Returns (nil, nil) when the pair does not
-// join. Index lookup joins call this once per surviving candidate pair.
-func JoinPair(rs *schema.Scheme, t1, t2 *Tuple, attrA string, th value.Theta, attrB string) (*Tuple, error) {
-	nl, err := thetaTimes(t1.Value(attrA), t2.Value(attrB), th)
-	if err != nil {
-		return nil, err
+// ProjectTuple is π's per-tuple step when the projection keeps the
+// key: the tuple on rs whose i-th value is t's value at position pos[i]
+// of t's scheme, over t's lifespan.
+func ProjectTuple(rs *schema.Scheme, t *Tuple, pos []int) (*Tuple, error) {
+	nv := make([]tfunc.Func, len(pos))
+	for i, p := range pos {
+		nv[i] = t.v[p]
 	}
-	return concatTuple(rs, t1, t2, nl)
+	return NewTuple(rs, t.l, nv)
 }

@@ -15,28 +15,74 @@ func joinScheme(r1, r2 *Relation) (*schema.Scheme, error) {
 	return schema.ConcatScheme(r1.scheme, r2.scheme, r1.scheme.Name+"⋈"+r2.scheme.Name)
 }
 
-// concatTuple builds the joined tuple over lifespan nl: t1's attributes
-// and t2's attributes, all restricted to nl, with constant keys extended
-// to cover their vls in the result scheme. Shared attributes (natural
-// join) take t1's restriction — the definitions guarantee t1 and t2 agree
-// on them over nl. Returns nil if nl is empty.
-func concatTuple(rs *schema.Scheme, t1, t2 *Tuple, nl lifespan.Lifespan) (*Tuple, error) {
+// concat lays out the tuples of a join scheme rs built by ConcatScheme
+// from operand schemes s1 and s2: t1's values keep their positions,
+// and the attributes of s2 that s1 lacks follow, read from t2 at tail.
+// Positions are resolved once per operator, never per pair.
+type concat struct {
+	rs   *schema.Scheme
+	tail []int
+}
+
+func newConcat(rs, s1, s2 *schema.Scheme) concat {
+	c := concat{rs: rs, tail: make([]int, 0, len(rs.Attrs)-len(s1.Attrs))}
+	for _, a := range rs.Attrs[len(s1.Attrs):] {
+		c.tail = append(c.tail, s2.Index(a.Name))
+	}
+	return c
+}
+
+// pair builds the joined tuple over lifespan nl from t1's and t2's
+// values — each restricted to nl when restrict is set — with constant
+// keys extended to cover their vls in rs. Shared attributes (natural
+// join) take t1's value: the definitions guarantee t1 and t2 agree on
+// them over nl. Returns nil if nl is empty.
+func (c concat) pair(t1, t2 *Tuple, nl lifespan.Lifespan, restrict bool) (*Tuple, error) {
 	if nl.IsEmpty() {
 		return nil, nil
 	}
-	nv := make(map[string]tfunc.Func, len(t1.v)+len(t2.v))
-	for a, f := range t2.v {
-		nv[a] = f.Restrict(nl)
+	nv := append(make([]tfunc.Func, 0, len(c.rs.Attrs)), t1.v...)
+	for _, i := range c.tail {
+		nv = append(nv, t2.v[i])
 	}
-	for a, f := range t1.v {
-		nv[a] = f.Restrict(nl)
+	if restrict {
+		tfunc.RestrictAll(nv, nl)
 	}
-	// Keys of both operands identify the joined object; their constant
-	// values must cover the joined tuple's whole key vls.
-	for _, k := range rs.Key {
-		nv[k] = extendConstant(nv[k], nl.Intersect(rs.ALS(k)))
+	extendKeys(c.rs, nv, nl)
+	return NewTuple(c.rs, nl, nv)
+}
+
+// Joiner is the per-pair θ-join kernel for operands on s1 and s2, with
+// every attribute position resolved once: Pair computes the agreement
+// lifespan of t1(A) θ t2(B) and, if non-empty, the concatenated tuple
+// on the join scheme. ThetaJoin runs it over every pair; index lookup
+// joins run it once per surviving candidate pair.
+type Joiner struct {
+	c     concat
+	a, b  int
+	th    value.Theta
+	outer bool // ThetaJoinOuter's kernel
+}
+
+// NewJoiner returns the θ-join kernel of attrA θ attrB for operands on
+// s1 and s2, joined on rs = ConcatScheme(s1, s2).
+func NewJoiner(rs, s1, s2 *schema.Scheme, attrA string, th value.Theta, attrB string) Joiner {
+	return Joiner{c: newConcat(rs, s1, s2), a: s1.Index(attrA), b: s2.Index(attrB), th: th}
+}
+
+// Pair joins t1 (on s1) with t2 (on s2). Returns (nil, nil) when the
+// pair does not join.
+func (j Joiner) Pair(t1, t2 *Tuple) (*Tuple, error) {
+	nl, err := thetaTimes(t1.ValueAt(j.a), t2.ValueAt(j.b), j.th)
+	if err != nil || nl.IsEmpty() {
+		return nil, err
 	}
-	return NewTuple(rs, nl, nv)
+	if j.outer {
+		// Some shared time satisfies θ (SELECT-IF ∃): the pair spans
+		// both lifespans, its values unrestricted.
+		return j.c.pair(t1, t2, t1.l.Union(t2.l), false)
+	}
+	return j.c.pair(t1, t2, nl, true)
 }
 
 // ThetaJoin implements r1 JOIN r2 [A θ B] (Section 4.6):
@@ -51,40 +97,53 @@ func concatTuple(rs *schema.Scheme, t1, t2 *Tuple, nl lifespan.Lifespan) (*Tuple
 // and thus no nulls result". Operand schemes must have disjoint
 // attribute sets (rename first if needed).
 func ThetaJoin(r1, r2 *Relation, attrA string, th value.Theta, attrB string) (*Relation, error) {
+	return thetaJoin(r1, r2, attrA, th, attrB, false)
+}
+
+// thetaJoin runs the θ-join kernel over every pair of tuples: the inner
+// join, or ThetaJoinOuter's join over the union of the lifespans.
+func thetaJoin(r1, r2 *Relation, attrA string, th value.Theta, attrB string, outer bool) (*Relation, error) {
+	op := "theta-join"
+	if outer {
+		op = "outer theta-join"
+	}
 	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: theta-join: schemes share attributes; rename first")
+		return nil, fmt.Errorf("core: %s: schemes share attributes; rename first", op)
 	}
 	if !r1.scheme.HasAttr(attrA) {
-		return nil, fmt.Errorf("core: theta-join: %s not in %s", attrA, r1.scheme.Name)
+		return nil, fmt.Errorf("core: %s: %s not in %s", op, attrA, r1.scheme.Name)
 	}
 	if !r2.scheme.HasAttr(attrB) {
-		return nil, fmt.Errorf("core: theta-join: %s not in %s", attrB, r2.scheme.Name)
+		return nil, fmt.Errorf("core: %s: %s not in %s", op, attrB, r2.scheme.Name)
 	}
 	rs, err := joinScheme(r1, r2)
 	if err != nil {
 		return nil, err
 	}
+	j := NewJoiner(rs, r1.scheme, r2.scheme, attrA, th, attrB)
+	j.outer = outer
+	return joinEach(op, r1, r2, rs, false, j.Pair)
+}
+
+// joinEach builds the relation on rs of every tuple pair returns for a
+// pair of r1 and r2 tuples (nil when the pair does not join), merging
+// results that share a key when merge is set; op names the operator in
+// errors.
+func joinEach(op string, r1, r2 *Relation, rs *schema.Scheme, merge bool, pair func(t1, t2 *Tuple) (*Tuple, error)) (*Relation, error) {
 	out := NewRelation(rs)
+	insert := out.Insert
+	if merge {
+		insert = out.InsertMerging
+	}
 	ts2 := r2.Tuples()
 	for _, t1 := range r1.Tuples() {
-		f1 := t1.Value(attrA)
-		if f1.IsNowhereDefined() {
-			continue
-		}
 		for _, t2 := range ts2 {
-			nl, err := thetaTimes(f1, t2.Value(attrB), th)
+			nt, err := pair(t1, t2)
+			if err == nil && nt != nil {
+				err = insert(nt)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("core: theta-join: %w", err)
-			}
-			nt, err := concatTuple(rs, t1, t2, nl)
-			if err != nil {
-				return nil, fmt.Errorf("core: theta-join: %w", err)
-			}
-			if nt == nil {
-				continue
-			}
-			if err := out.Insert(nt); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("core: %s: %w", op, err)
 			}
 		}
 	}
@@ -148,33 +207,26 @@ func NaturalJoin(r1, r2 *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rs)
-	ts2 := r2.Tuples()
-	for _, t1 := range r1.Tuples() {
-		for _, t2 := range ts2 {
-			// Agreement lifespan: times where every common attribute is
-			// defined in both and equal.
-			nl := t1.l.Intersect(t2.l)
-			for _, x := range common {
-				agree, err := thetaTimes(t1.Value(x), t2.Value(x), value.EQ)
-				if err != nil {
-					return nil, fmt.Errorf("core: natural-join: %w", err)
-				}
-				nl = nl.Intersect(agree)
-			}
-			nt, err := concatTuple(rs, t1, t2, nl)
-			if err != nil {
-				return nil, fmt.Errorf("core: natural-join: %w", err)
-			}
-			if nt == nil {
-				continue
-			}
-			if err := out.InsertMerging(nt); err != nil {
-				return nil, fmt.Errorf("core: natural-join: %w", err)
-			}
-		}
+	c := newConcat(rs, r1.scheme, r2.scheme)
+	// The common attributes' positions in each operand, which need not
+	// list them in the same order.
+	pos := make([][2]int, len(common))
+	for i, x := range common {
+		pos[i] = [2]int{r1.scheme.Index(x), r2.scheme.Index(x)}
 	}
-	return out, nil
+	return joinEach("natural-join", r1, r2, rs, true, func(t1, t2 *Tuple) (*Tuple, error) {
+		// Agreement lifespan: times where every common attribute is
+		// defined in both and equal.
+		nl := t1.l.Intersect(t2.l)
+		for _, p := range pos {
+			agree, err := thetaTimes(t1.v[p[0]], t2.v[p[1]], value.EQ)
+			if err != nil {
+				return nil, err
+			}
+			nl = nl.Intersect(agree)
+		}
+		return c.pair(t1, t2, nl, true)
+	})
 }
 
 // TimeJoin implements r1 [@A] r2 (Section 4.6), defined for a time-valued
@@ -199,29 +251,17 @@ func TimeJoin(r1, r2 *Relation, attr string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rs)
-	ts2 := r2.Tuples()
-	for _, t1 := range r1.Tuples() {
-		img, err := t1.Value(attr).TimeImage()
-		if err != nil {
-			return nil, fmt.Errorf("core: time-join: %w", err)
-		}
-		if img.IsEmpty() {
-			continue
-		}
-		for _, t2 := range ts2 {
-			nl := img.Intersect(t1.l).Intersect(t2.l)
-			nt, err := concatTuple(rs, t1, t2, nl)
-			if err != nil {
-				return nil, fmt.Errorf("core: time-join: %w", err)
-			}
-			if nt == nil {
-				continue
-			}
-			if err := out.Insert(nt); err != nil {
+	c, at := newConcat(rs, r1.scheme, r2.scheme), r1.scheme.Index(attr)
+	var last *Tuple // the r1 tuple img is the image of
+	var img lifespan.Lifespan
+	return joinEach("time-join", r1, r2, rs, false, func(t1, t2 *Tuple) (*Tuple, error) {
+		if t1 != last {
+			var err error
+			if img, err = t1.v[at].TimeImage(); err != nil {
 				return nil, err
 			}
+			last = t1
 		}
-	}
-	return out, nil
+		return c.pair(t1, t2, img.Intersect(t1.l).Intersect(t2.l), true)
+	})
 }

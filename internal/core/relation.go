@@ -208,14 +208,29 @@ func (r *Relation) Unobserve(o Observer) {
 }
 
 // Insert adds a tuple, enforcing the key-disjointness condition.
-func (r *Relation) Insert(t *Tuple) error {
+func (r *Relation) Insert(t *Tuple) error { return r.insert(t, false) }
+
+// insert adds t, merging it into the tuple holding its key when merging
+// is set (InsertMerging).
+func (r *Relation) insert(t *Tuple, merging bool) error {
 	if r.origin != nil {
 		return errFrozen(r)
 	}
-	ks := t.key(r.scheme)
+	ks, err := r.keyOf(t)
+	if err != nil {
+		return err
+	}
 	pub := r.beginPublish()
 	r.mu.Lock()
-	c, err := r.insertLocked(ks, t)
+	var c Change
+	switch i, dup := r.keyIndexLocked()[ks]; {
+	case dup && merging:
+		c, err = r.mergeLocked(i, ks, t)
+	case dup:
+		err = fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
+	default:
+		c = r.insertLocked(ks, t)
+	}
 	obs := r.observers
 	r.mu.Unlock()
 	r.endPublish(pub, err == nil)
@@ -243,7 +258,10 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	}
 	kss := make([]value.Key, len(ts))
 	for i, t := range ts {
-		kss[i] = t.key(r.scheme)
+		var err error
+		if kss[i], err = r.keyOf(t); err != nil {
+			return err
+		}
 	}
 	pub := r.beginPublish()
 	r.mu.Lock()
@@ -273,25 +291,31 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	return nil
 }
 
+// keyOf returns t's key in r. A relation holds only tuples laid out in
+// its own attribute order, so a tuple whose scheme orders the
+// attributes differently is refused.
+func (r *Relation) keyOf(t *Tuple) (value.Key, error) {
+	if !t.s.SameOrder(r.scheme) {
+		return value.Key{}, fmt.Errorf("core: relation %s: tuple on %s is not laid out in its attribute order", r.scheme.Name, t.s.Name)
+	}
+	return t.key(r.scheme), nil
+}
+
 // errFrozen reports a mutation attempt on a pinned-snapshot view.
 func errFrozen(r *Relation) error {
 	return fmt.Errorf("core: relation %s: frozen snapshot view is read-only", r.scheme.Name)
 }
 
-// insertLocked appends t under the write lock and returns the Change to
-// deliver after release.
-func (r *Relation) insertLocked(ks value.Key, t *Tuple) (Change, error) {
-	byKey := r.keyIndexLocked()
-	if _, dup := byKey[ks]; dup {
-		return Change{}, fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
-	}
+// insertLocked appends t, whose key ks no tuple holds, under the write
+// lock and returns the Change to deliver after release.
+func (r *Relation) insertLocked(ks value.Key, t *Tuple) Change {
 	pos := len(r.tuples)
-	byKey[ks] = pos
+	r.byKey[ks] = pos
 	// Appending is snapshot-safe without copying: outstanding snapshots
 	// cover only the prefix [0,pos).
 	r.tuples = append(r.tuples, t)
 	r.mutatedLocked()
-	return Change{Kind: ChangeInsert, Pos: pos, New: t, Version: r.version}, nil
+	return Change{Kind: ChangeInsert, Pos: pos, New: t, Version: r.version}
 }
 
 // mutatedLocked records a mutation under the write lock: the version
@@ -360,36 +384,16 @@ func (r *Relation) MustInsert(t *Tuple) {
 // mergable, the two are merged (t + t'), mirroring history-building
 // updates. If the existing tuple contradicts the new one, an error is
 // returned.
-func (r *Relation) InsertMerging(t *Tuple) error {
-	if r.origin != nil {
-		return errFrozen(r)
-	}
-	ks := t.key(r.scheme)
-	pub := r.beginPublish()
-	r.mu.Lock()
-	i, dup := r.keyIndexLocked()[ks]
-	if !dup {
-		c, err := r.insertLocked(ks, t)
-		obs := r.observers
-		r.mu.Unlock()
-		r.endPublish(pub, err == nil)
-		if err != nil {
-			return err
-		}
-		notify(obs, r, c)
-		return nil
-	}
+func (r *Relation) InsertMerging(t *Tuple) error { return r.insert(t, true) }
+
+// mergeLocked replaces the tuple at i, which holds t's key ks, with its
+// merge with t under the write lock, and returns the Change to deliver
+// after release.
+func (r *Relation) mergeLocked(i int, ks value.Key, t *Tuple) (Change, error) {
 	old := r.tuples[i]
-	if !old.Mergable(t, r.scheme) {
-		r.mu.Unlock()
-		r.endPublish(pub, false)
-		return fmt.Errorf("core: relation %s: tuple with key %s contradicts existing history", r.scheme.Name, ks)
-	}
-	m, err := old.Merge(t)
+	m, err := mergeInto(r, ks, old, t)
 	if err != nil {
-		r.mu.Unlock()
-		r.endPublish(pub, false)
-		return err
+		return Change{}, err
 	}
 	// A merge overwrites a slot an outstanding snapshot may cover; copy
 	// the slice first so snapshots stay immutable. The flag clears after
@@ -401,12 +405,7 @@ func (r *Relation) InsertMerging(t *Tuple) error {
 	}
 	r.tuples[i] = m
 	r.mutatedLocked()
-	c := Change{Kind: ChangeMerge, Pos: i, Old: old, New: m, Version: r.version}
-	obs := r.observers
-	r.mu.Unlock()
-	r.endPublish(pub, true)
-	notify(obs, r, c)
-	return nil
+	return Change{Kind: ChangeMerge, Pos: i, Old: old, New: m, Version: r.version}, nil
 }
 
 // Lookup returns the tuple whose key matches the given key values, one
@@ -418,7 +417,8 @@ func (r *Relation) Lookup(keyVals ...string) (*Tuple, bool) {
 	return r.lookupKS(value.EncodeKey(keyVals))
 }
 
-// lookupTuple finds the relation's tuple sharing o's key values.
+// lookupTuple finds the relation's tuple sharing o's key values; o
+// must be laid out in r's attribute order.
 func (r *Relation) lookupTuple(o *Tuple) (*Tuple, bool) {
 	return r.lookupKS(o.key(r.scheme))
 }
@@ -483,13 +483,15 @@ func (r *Relation) Lifespan() lifespan.Lifespan {
 }
 
 // Equal reports set equality of two relations: same scheme attributes and
-// an equal tuple for every key, independent of insertion order.
+// an equal tuple for every key, independent of insertion order and of
+// the order each scheme lists its attributes in.
 func (r *Relation) Equal(o *Relation) bool {
-	ts, os := r.Tuples(), o.Tuples()
-	if len(ts) != len(os) {
+	if !r.scheme.SameAttrs(o.scheme) {
 		return false
 	}
-	if !r.scheme.SameAttrs(o.scheme) {
+	o, err := relay(o, r.scheme)
+	ts, os := r.Tuples(), o.Tuples()
+	if err != nil || len(ts) != len(os) {
 		return false
 	}
 	for _, t := range ts {
@@ -532,7 +534,7 @@ func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
 	dst = r.scheme.AppendForm(dst, f)
 	for _, i := range order {
 		dst = append(f.Newline(dst), "  "...)
-		dst = ts[i].appendTo(dst, r.scheme.Attrs, f)
+		dst = ts[i].appendTo(dst, nil, f)
 	}
 	return dst
 }
@@ -560,8 +562,8 @@ func (r *Relation) checkInvariants() error {
 		if t.l.IsEmpty() {
 			return fmt.Errorf("core: relation %s: tuple %s has empty lifespan", r.scheme.Name, ks)
 		}
-		for _, a := range r.scheme.Attrs {
-			f := t.v[a.Name]
+		for i, a := range r.scheme.Attrs {
+			f := t.v[i]
 			vls := t.VLS(r.scheme, a.Name)
 			if !f.DomainSubsetOf(vls) {
 				return fmt.Errorf("core: relation %s: tuple %s: %s defined outside vls", r.scheme.Name, ks, a.Name)

@@ -23,6 +23,9 @@ func Union(r1, r2 *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r2, err = relay(r2, r1.scheme); err != nil {
+		return nil, err
+	}
 	out := NewRelation(rs)
 	for _, t := range r1.Tuples() {
 		if err := out.Insert(t); err != nil {
@@ -51,6 +54,9 @@ func Intersect(r1, r2 *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r2, err = relay(r2, r1.scheme); err != nil {
+		return nil, err
+	}
 	out := NewRelation(rs)
 	for _, t := range r1.Tuples() {
 		u, ok := r2.lookupTuple(t)
@@ -68,6 +74,10 @@ func Intersect(r1, r2 *Relation) (*Relation, error) {
 func Diff(r1, r2 *Relation) (*Relation, error) {
 	if !r1.scheme.UnionCompatible(r2.scheme) {
 		return nil, fmt.Errorf("core: diff: %s and %s are not union-compatible", r1.scheme.Name, r2.scheme.Name)
+	}
+	r2, err := relay(r2, r1.scheme)
+	if err != nil {
+		return nil, err
 	}
 	out := NewRelation(r1.scheme)
 	for _, t := range r1.Tuples() {
@@ -97,6 +107,9 @@ func UnionMerge(r1, r2 *Relation) (*Relation, error) {
 	}
 	rs, err := schema.UnionScheme(r1.scheme, r2.scheme, r1.scheme.Name)
 	if err != nil {
+		return nil, err
+	}
+	if r2, err = relay(r2, r1.scheme); err != nil {
 		return nil, err
 	}
 	out := NewRelation(rs)
@@ -145,6 +158,9 @@ func IntersectMerge(r1, r2 *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r2, err = relay(r2, r1.scheme); err != nil {
+		return nil, err
+	}
 	out := NewRelation(rs)
 	for _, t1 := range r1.Tuples() {
 		t2, ok := r2.lookupTuple(t1)
@@ -173,6 +189,10 @@ func IntersectMerge(r1, r2 *Relation) (*Relation, error) {
 func DiffMerge(r1, r2 *Relation) (*Relation, error) {
 	if !r1.scheme.MergeCompatible(r2.scheme) {
 		return nil, fmt.Errorf("core: diff-merge: %s and %s are not merge-compatible", r1.scheme.Name, r2.scheme.Name)
+	}
+	r2, err := relay(r2, r1.scheme)
+	if err != nil {
+		return nil, err
 	}
 	out := NewRelation(r1.scheme)
 	for _, t1 := range r1.Tuples() {
@@ -212,38 +232,47 @@ func Product(r1, r2 *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rs)
-	ts2 := r2.Tuples()
-	for _, t1 := range r1.Tuples() {
-		for _, t2 := range ts2 {
-			nl := t1.l.Union(t2.l)
-			nv := make(map[string]tfunc.Func, len(t1.v)+len(t2.v))
-			for a, f := range t1.v {
-				nv[a] = f
-			}
-			for a, f := range t2.v {
-				nv[a] = f
-			}
-			// Key values must cover the combined lifespan: extend each
-			// side's constant keys over the union lifespan (their constant
-			// value identifies the object at all times; the paper's nulls
-			// concern non-key values).
-			for _, k := range r1.scheme.Key {
-				nv[k] = extendConstant(nv[k], nl.Intersect(rs.ALS(k)))
-			}
-			for _, k := range r2.scheme.Key {
-				nv[k] = extendConstant(nv[k], nl.Intersect(rs.ALS(k)))
-			}
-			nt, err := NewTuple(rs, nl, nv)
-			if err != nil {
-				return nil, fmt.Errorf("core: product: %w", err)
-			}
-			if err := out.Insert(nt); err != nil {
-				return nil, err
-			}
-		}
+	c := newConcat(rs, r1.scheme, r2.scheme)
+	return joinEach("product", r1, r2, rs, false, func(t1, t2 *Tuple) (*Tuple, error) {
+		// Values stay unrestricted; key values must cover the combined
+		// lifespan, so each side's constant keys extend over the union
+		// lifespan (their constant value identifies the object at all
+		// times; the paper's nulls concern non-key values).
+		return c.pair(t1, t2, t1.l.Union(t2.l), false)
+	})
+}
+
+// relay returns r with its tuples laid out in the attribute order of s,
+// whose attributes r's scheme shares: r itself when its scheme already
+// lists them in that order, and otherwise a relation on r's scheme
+// re-listed in s's order, each tuple a new header over a permuted value
+// slice that shares the functions themselves.
+func relay(r *Relation, s *schema.Scheme) (*Relation, error) {
+	if r.scheme.SameOrder(s) {
+		return r, nil
 	}
-	return out, nil
+	ns, pos, err := r.scheme.InOrderOf(s)
+	if err != nil {
+		return nil, err
+	}
+	ts := r.Tuples()
+	out := make([]*Tuple, len(ts))
+	for i, t := range ts {
+		nv := make([]tfunc.Func, len(pos))
+		for j, p := range pos {
+			nv[j] = t.v[p]
+		}
+		out[i] = &Tuple{l: t.l, s: ns, v: nv}
+	}
+	return NewRelationFromTuples(ns, out)
+}
+
+// extendKeys widens each key value of nv, a tuple's values on s, to its
+// vls over lifespan l.
+func extendKeys(s *schema.Scheme, nv []tfunc.Func, l lifespan.Lifespan) {
+	for _, k := range s.KeyIndex() {
+		nv[k] = extendConstant(nv[k], l.Intersect(s.Attrs[k].Lifespan))
+	}
 }
 
 // extendConstant widens a constant function to cover ls. A function

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/rel"
-	"repro/internal/tfunc"
 	"repro/internal/value"
 )
 
@@ -23,10 +22,12 @@ import (
 func Snapshot(r *Relation, s chronon.Time) (*rel.Relation, error) {
 	var attrs []string
 	var doms []value.Domain
-	for _, a := range r.scheme.Attrs {
+	var pos []int
+	for i, a := range r.scheme.Attrs {
 		if a.Lifespan.Contains(s) {
 			attrs = append(attrs, a.Name)
 			doms = append(doms, a.Domain)
+			pos = append(pos, i)
 		}
 	}
 	if len(attrs) == 0 {
@@ -51,8 +52,8 @@ func Snapshot(r *Relation, s chronon.Time) (*rel.Relation, error) {
 		}
 		nt := make(rel.Tuple, len(attrs))
 		complete := true
-		for i, a := range attrs {
-			v, ok := t.At(a, s)
+		for i, p := range pos {
+			v, ok := t.v[p].At(s)
 			if !ok {
 				complete = false
 				break
@@ -77,19 +78,12 @@ func (r *Relation) Rename(prefix string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rs)
-	for _, t := range r.Tuples() {
-		m := make(map[string]tfunc.Func, len(t.v))
-		for a, f := range t.v {
-			m[prefix+"."+a] = f
-		}
-		nt, err := NewTuple(rs, t.l, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Insert(nt); err != nil {
-			return nil, err
-		}
+	// Renaming moves no value: each tuple gets a new header, naming its
+	// positions by rs, over the shared value slice.
+	ts := r.Tuples()
+	out := make([]*Tuple, len(ts))
+	for i, t := range ts {
+		out[i] = &Tuple{l: t.l, s: rs, v: t.v}
 	}
-	return out, nil
+	return NewRelationFromTuples(rs, out)
 }

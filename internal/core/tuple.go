@@ -11,13 +11,17 @@ import (
 	"repro/internal/value"
 )
 
-// Tuple is a historical tuple t = ⟨v, l⟩ on some scheme. Tuples are
+// Tuple is a historical tuple t = ⟨v, l⟩ on some scheme. t.v is held
+// positionally: v[i] is the temporal function of the scheme's i-th
+// attribute, and s is the scheme that names the positions. Tuples are
 // immutable once built; the algebra derives new tuples rather than
-// mutating. Construct with TupleBuilder or NewTuple so the paper's
-// structural conditions hold by construction.
+// mutating, and a derived tuple may share its value slice with its
+// source (Rename). Construct with TupleBuilder or NewTuple so the
+// paper's structural conditions hold by construction.
 type Tuple struct {
 	l lifespan.Lifespan
-	v map[string]tfunc.Func
+	s *schema.Scheme
+	v []tfunc.Func
 }
 
 // Lifespan returns t.l, "the periods of time during which the tuple
@@ -26,13 +30,24 @@ func (t *Tuple) Lifespan() lifespan.Lifespan { return t.l }
 
 // Value returns t(A), the temporal function that is the tuple's value
 // for attribute A. Unknown attributes yield the nowhere-defined function.
-func (t *Tuple) Value(attr string) tfunc.Func { return t.v[attr] }
+func (t *Tuple) Value(attr string) tfunc.Func { return t.ValueAt(t.s.Index(attr)) }
+
+// ValueAt returns the value at position i of the tuple's scheme order —
+// the by-position form of Value, for callers that resolve an
+// attribute's position once per scheme (schema.Scheme.Index). A
+// negative i yields the nowhere-defined function.
+func (t *Tuple) ValueAt(i int) tfunc.Func {
+	if i < 0 {
+		return tfunc.Func{}
+	}
+	return t.v[i]
+}
 
 // At returns t(A)(s), the value of attribute A at time s; the boolean is
 // false where the function is undefined ("the attribute is not relevant
 // at such times, and thus does not exist").
 func (t *Tuple) At(attr string, s chronon.Time) (value.Value, bool) {
-	return t.v[attr].At(s)
+	return t.Value(attr).At(s)
 }
 
 // VLS computes vls(t,A,R) = t.l ∩ ALS(A,R): "the set of times over which
@@ -53,71 +68,69 @@ func (t *Tuple) VLSSet(r *schema.Scheme, attrs []string) lifespan.Lifespan {
 }
 
 // NewTuple validates and builds a tuple on scheme r from a lifespan and
-// per-attribute temporal functions. It enforces the paper's conditions:
+// one temporal function per attribute of r, in r's attribute order
+// (vals[i] is the value of r.Attrs[i]; the zero Func is the
+// nowhere-defined function). The tuple adopts vals: the caller must not
+// modify it afterwards. It enforces the paper's conditions:
 //
-//  1. every scheme attribute has an entry in vals (possibly the
+//  1. every scheme attribute has exactly one value (possibly the
 //     nowhere-defined function, for attributes whose vls is empty);
-//  2. no extraneous attributes;
-//  3. each value's kind matches VD(A);
-//  4. each value's domain ⊆ t.l ∩ ALS(A,R) = vls(t,A,R);
-//  5. key attribute values are constant functions (DOM(Ai) ∈ CD) defined
+//  2. each value's kind matches VD(A);
+//  3. each value's domain ⊆ t.l ∩ ALS(A,R) = vls(t,A,R);
+//  4. key attribute values are constant functions (DOM(Ai) ∈ CD) defined
 //     on all of vls — a key that is absent or varies cannot identify the
 //     object across its lifespan.
-func NewTuple(r *schema.Scheme, ls lifespan.Lifespan, vals map[string]tfunc.Func) (*Tuple, error) {
+func NewTuple(r *schema.Scheme, ls lifespan.Lifespan, vals []tfunc.Func) (*Tuple, error) {
 	if ls.IsEmpty() {
 		return nil, fmt.Errorf("core: tuple on %s with empty lifespan", r.Name)
 	}
-	for name := range vals {
-		if !r.HasAttr(name) {
-			return nil, fmt.Errorf("core: tuple on %s: unknown attribute %s", r.Name, name)
-		}
+	if len(vals) != len(r.Attrs) {
+		return nil, fmt.Errorf("core: tuple on %s: %d values for %d attributes", r.Name, len(vals), len(r.Attrs))
 	}
 	// Every check below runs without allocating: vls is usually ls or
 	// the attribute lifespan itself, and the domain tests walk steps.
-	t := &Tuple{l: ls, v: make(map[string]tfunc.Func, len(r.Attrs))}
-	for _, a := range r.Attrs {
-		f := vals[a.Name]
-		vls := ls.Intersect(a.Lifespan)
-		if !f.DomainSubsetOf(vls) {
+	for i, a := range r.Attrs {
+		f := vals[i]
+		if !f.DomainSubsetOf(ls.Intersect(a.Lifespan)) {
 			return nil, fmt.Errorf("core: tuple on %s: value of %s defined on %v outside vls %v",
-				r.Name, a.Name, f.Domain(), vls)
+				r.Name, a.Name, f.Domain(), ls.Intersect(a.Lifespan))
 		}
-		for i := range f.NumSteps() {
-			if _, v := f.StepAt(i); !a.Domain.Contains(v) {
+		for j := range f.NumSteps() {
+			if _, v := f.StepAt(j); !a.Domain.Contains(v) {
 				return nil, fmt.Errorf("core: tuple on %s: value of %s outside domain %s",
 					r.Name, a.Name, a.Domain.Name)
 			}
 		}
-		if r.IsKey(a.Name) {
-			if !f.IsConstant() || f.IsNowhereDefined() {
-				return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be a constant-valued function", r.Name, a.Name)
-			}
-			if !f.DomainEqual(vls) {
-				return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be defined on all of vls %v, got %v",
-					r.Name, a.Name, vls, f.Domain())
-			}
-		}
-		t.v[a.Name] = f
 	}
-	return t, nil
+	for _, i := range r.KeyIndex() {
+		f, a := vals[i], r.Attrs[i]
+		if !f.IsConstant() || f.IsNowhereDefined() {
+			return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be a constant-valued function", r.Name, a.Name)
+		}
+		if vls := ls.Intersect(a.Lifespan); !f.DomainEqual(vls) {
+			return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be defined on all of vls %v, got %v",
+				r.Name, a.Name, vls, f.Domain())
+		}
+	}
+	return &Tuple{l: ls, s: r, v: vals}, nil
 }
 
 // KeyValue returns the tuple's (constant) value for key attribute k.
-func (t *Tuple) KeyValue(k string) value.Value {
-	v, ok := t.v[k].ConstantValue()
-	if !ok {
-		return value.Value{}
-	}
+func (t *Tuple) KeyValue(k string) value.Value { return t.keyAt(t.s.Index(k)) }
+
+// keyAt returns the constant value at position i.
+func (t *Tuple) keyAt(i int) value.Value {
+	v, _ := t.ValueAt(i).ConstantValue()
 	return v
 }
 
 // key returns the tuple's key values, in the scheme's key order, as the
-// value.Key relations index by.
+// value.Key relations index by. t must be laid out in r's order.
 func (t *Tuple) key(r *schema.Scheme) value.Key {
 	var buf [4]value.Value
 	vs := buf[:0]
-	for _, k := range r.Key {
-		vs = append(vs, t.KeyValue(k))
+	for _, i := range r.KeyIndex() {
+		vs = append(vs, t.keyAt(i))
 	}
 	return value.KeyOf(vs...)
 }
@@ -125,8 +138,8 @@ func (t *Tuple) key(r *schema.Scheme) value.Key {
 // appendKey appends the bytes of the tuple's key to dst, for sorting
 // many keys in one buffer.
 func (t *Tuple) appendKey(dst []byte, r *schema.Scheme) []byte {
-	for i, k := range r.Key {
-		dst = value.AppendKeyPart(dst, i, t.KeyValue(k))
+	for n, i := range r.KeyIndex() {
+		dst = value.AppendKeyPart(dst, n, t.keyAt(i))
 	}
 	return dst
 }
@@ -142,22 +155,27 @@ func (t *Tuple) restrict(l lifespan.Lifespan) *Tuple {
 	if nl.IsEmpty() {
 		return nil
 	}
-	nv := make(map[string]tfunc.Func, len(t.v))
-	for a, f := range t.v {
-		nv[a] = f.Restrict(nl)
-	}
-	return &Tuple{l: nl, v: nv}
+	nv := append([]tfunc.Func(nil), t.v...)
+	tfunc.RestrictAll(nv, nl)
+	return &Tuple{l: nl, s: t.s, v: nv}
 }
 
 // Equal reports structural equality of two tuples: same lifespan and
-// extensionally equal value functions per attribute.
+// extensionally equal value functions per attribute, matched by name
+// when the two schemes order their attributes differently.
 func (t *Tuple) Equal(o *Tuple) bool {
 	if !t.l.Equal(o.l) || len(t.v) != len(o.v) {
 		return false
 	}
-	for a, f := range t.v {
-		g, ok := o.v[a]
-		if !ok || !f.Equal(g) {
+	same := t.s.SameOrder(o.s)
+	for i, f := range t.v {
+		j := i
+		if !same {
+			if j = o.s.Index(t.s.Attrs[i].Name); j < 0 {
+				return false
+			}
+		}
+		if !f.Equal(o.v[j]) {
 			return false
 		}
 	}
@@ -165,15 +183,15 @@ func (t *Tuple) Equal(o *Tuple) bool {
 }
 
 // Mergable implements the paper's mergability test for tuples t1, t2 on
-// merge-compatible schemes:
+// merge-compatible schemes, both laid out in r's attribute order:
 //
 //  2. ∀s ∈ t1.l ∀s' ∈ t2.l  t1.v(K1)(s) = t2.v(K2)(s')  (same key value)
 //  3. ∀A ∈ A1 ∀s ∈ (t1.l ∩ t2.l)  t1.v(A)(s) = t2.v(A)(s)  (no contradiction)
 //
 // Key constancy reduces condition 2 to comparing the constant key values.
 func (t *Tuple) Mergable(o *Tuple, r *schema.Scheme) bool {
-	for _, k := range r.Key {
-		if !t.KeyValue(k).Equal(o.KeyValue(k)) {
+	for _, i := range r.KeyIndex() {
+		if !t.keyAt(i).Equal(o.keyAt(i)) {
 			return false
 		}
 	}
@@ -181,8 +199,8 @@ func (t *Tuple) Mergable(o *Tuple, r *schema.Scheme) bool {
 	if shared.IsEmpty() {
 		return true
 	}
-	for _, a := range r.Attrs {
-		if !t.v[a.Name].Restrict(shared).Equal(o.v[a.Name].Restrict(shared)) {
+	for i, f := range t.v {
+		if !f.Restrict(shared).Equal(o.v[i].Restrict(shared)) {
 			return false
 		}
 	}
@@ -190,19 +208,22 @@ func (t *Tuple) Mergable(o *Tuple, r *schema.Scheme) bool {
 }
 
 // Merge computes t1 + t2: "(t1+t2).l = t1.l ∪ t2.l and (t1+t2).v(A) =
-// t1.v(A) ∪ t2.v(A) for all A ∈ A1". Callers must have established
-// mergability; Merge returns an error on contradiction as a safeguard.
+// t1.v(A) ∪ t2.v(A) for all A ∈ A1". Both tuples must be laid out in the
+// same attribute order, and callers must have established mergability;
+// Merge returns an error on contradiction as a safeguard.
 func (t *Tuple) Merge(o *Tuple) (*Tuple, error) {
-	nl := t.l.Union(o.l)
-	nv := make(map[string]tfunc.Func, len(t.v))
-	for a, f := range t.v {
-		m, err := f.Merge(o.v[a])
-		if err != nil {
-			return nil, fmt.Errorf("core: merge of attribute %s: %w", a, err)
-		}
-		nv[a] = m
+	if !t.s.SameOrder(o.s) {
+		return nil, fmt.Errorf("core: merge: %s and %s order their attributes differently", t.s.Name, o.s.Name)
 	}
-	return &Tuple{l: nl, v: nv}, nil
+	nv := make([]tfunc.Func, len(t.v))
+	for i, f := range t.v {
+		m, err := f.Merge(o.v[i])
+		if err != nil {
+			return nil, fmt.Errorf("core: merge of attribute %s: %w", t.s.Attrs[i].Name, err)
+		}
+		nv[i] = m
+	}
+	return &Tuple{l: t.l.Union(o.l), s: t.s, v: nv}, nil
 }
 
 // String renders the tuple's lifespan and values in attribute-name
@@ -213,52 +234,49 @@ func (t *Tuple) String() string { return string(t.appendByName(nil, value.Text))
 // appendByName appends the tuple in form f with its values in
 // attribute-name order.
 func (t *Tuple) appendByName(dst []byte, f value.Form) []byte {
-	attrs := make([]schema.Attribute, 0, len(t.v))
-	for a := range t.v {
-		attrs = append(attrs, schema.Attribute{Name: a})
+	pos := make([]int, len(t.v))
+	for i := range pos {
+		pos[i] = i
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
-	return t.appendTo(dst, attrs, f)
+	sort.Slice(pos, func(i, j int) bool { return t.s.Attrs[pos[i]].Name < t.s.Attrs[pos[j]].Name })
+	return t.appendTo(dst, pos, f)
 }
 
-// appendTo appends the tuple's lifespan and the values of attrs, in the
-// order given, to dst in form f.
-func (t *Tuple) appendTo(dst []byte, attrs []schema.Attribute, f value.Form) []byte {
-	dst = append(dst, "⟨ls="...)
-	dst = t.l.AppendTo(dst)
-	for i := range attrs {
-		a := attrs[i].Name
-		dst = append(f.Escape(append(dst, ' '), a), '=')
-		dst = t.v[a].AppendForm(dst, f)
+// appendTo appends the tuple's lifespan and its values, named by its
+// scheme, to dst in form f: in the order of the positions pos, or in
+// scheme order when pos is nil.
+func (t *Tuple) appendTo(dst []byte, pos []int, f value.Form) []byte {
+	dst = t.l.AppendTo(append(dst, "⟨ls="...))
+	for i := range t.v {
+		if pos != nil {
+			i = pos[i]
+		}
+		dst = append(f.Escape(append(dst, ' '), t.s.Attrs[i].Name), '=')
+		dst = t.v[i].AppendForm(dst, f)
 	}
 	return append(dst, "⟩"...)
 }
 
-// TupleBuilder assembles a tuple attribute by attribute. It is the
-// ergonomic construction path used by examples, generators and tests.
+// TupleBuilder assembles a tuple attribute by attribute, by name. It
+// is the ergonomic construction path used by examples, generators,
+// tests and the text format's parser.
 type TupleBuilder struct {
 	r    *schema.Scheme
 	ls   lifespan.Lifespan
-	vals map[string]*tfunc.Builder
+	vals []tfunc.Builder // one per attribute, in scheme order
 	errs []error
 }
 
 // NewTupleBuilder starts a tuple on scheme r with lifespan ls.
 func NewTupleBuilder(r *schema.Scheme, ls lifespan.Lifespan) *TupleBuilder {
-	return &TupleBuilder{r: r, ls: ls, vals: make(map[string]*tfunc.Builder)}
+	return &TupleBuilder{r: r, ls: ls, vals: make([]tfunc.Builder, len(r.Attrs))}
 }
 
 // Key sets a key attribute to the constant v over the whole vls of the
 // attribute (key values must cover the tuple's lifespan).
 func (b *TupleBuilder) Key(attr string, v value.Value) *TupleBuilder {
-	a, ok := b.r.Attr(attr)
-	if !ok {
-		b.errs = append(b.errs, fmt.Errorf("core: unknown attribute %s", attr))
-		return b
-	}
-	vls := b.ls.Intersect(a.Lifespan)
 	fb := b.builderFor(attr)
-	for _, iv := range vls.Intervals() {
+	for _, iv := range b.ls.Intersect(b.r.ALS(attr)).Intervals() {
 		fb.Set(iv.Lo, iv.Hi, v)
 	}
 	return b
@@ -282,13 +300,15 @@ func (b *TupleBuilder) SetConst(attr string, v value.Value) *TupleBuilder {
 	return b.Key(attr, v) // same mechanics; key-ness checked at Build
 }
 
+// builderFor returns the value builder of attr, recording an error (and
+// returning a builder nothing reads) when the scheme lacks attr.
 func (b *TupleBuilder) builderFor(attr string) *tfunc.Builder {
-	fb, ok := b.vals[attr]
-	if !ok {
-		fb = &tfunc.Builder{}
-		b.vals[attr] = fb
+	i := b.r.Index(attr)
+	if i < 0 {
+		b.errs = append(b.errs, fmt.Errorf("core: tuple on %s: unknown attribute %s", b.r.Name, attr))
+		return new(tfunc.Builder)
 	}
-	return fb
+	return &b.vals[i]
 }
 
 // Build validates and returns the tuple.
@@ -296,9 +316,9 @@ func (b *TupleBuilder) Build() (*Tuple, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	vals := make(map[string]tfunc.Func, len(b.vals))
-	for a, fb := range b.vals {
-		vals[a] = fb.Build()
+	vals := make([]tfunc.Func, len(b.vals))
+	for i := range b.vals {
+		vals[i] = b.vals[i].Build()
 	}
 	return NewTuple(b.r, b.ls, vals)
 }

@@ -17,45 +17,48 @@ func TestNewTupleValidation(t *testing.T) {
 	sal := tfunc.Constant(full, value.Int(30000))
 
 	// Valid tuple.
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": key, "SAL": sal}); err != nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{key, sal, {}}); err != nil {
 		t.Fatalf("valid tuple rejected: %v", err)
 	}
 	// Empty lifespan.
 	if _, err := NewTuple(s, lifespan.Empty(), nil); err == nil {
 		t.Error("empty lifespan must fail")
 	}
-	// Unknown attribute.
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": key, "XYZ": sal}); err == nil {
-		t.Error("unknown attribute must fail")
+	// A value for an attribute the scheme lacks, or one missing.
+	if _, err := NewTuple(s, full, []tfunc.Func{key, sal, {}, sal}); err == nil {
+		t.Error("extra value must fail")
+	}
+	if _, err := NewTuple(s, full, []tfunc.Func{key, sal}); err == nil {
+		t.Error("missing value must fail")
 	}
 	// Value outside vls.
 	wide := tfunc.Constant(ls("{[0,50]}"), value.Int(1))
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": key, "SAL": wide}); err == nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{key, wide, {}}); err == nil {
 		t.Error("value outside tuple lifespan must fail")
 	}
 	// Value outside domain.
 	badKind := tfunc.Constant(full, value.String_("notanint"))
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": key, "SAL": badKind}); err == nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{key, badKind, {}}); err == nil {
 		t.Error("value outside attribute domain must fail")
 	}
 	// Non-constant key.
 	varying := (&tfunc.Builder{}).
 		Set(0, 4, value.String_("John")).
 		Set(5, 9, value.String_("Johnny")).Build()
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": varying, "SAL": sal}); err == nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{varying, sal, {}}); err == nil {
 		t.Error("varying key must fail (DOM(K) ∈ CD)")
 	}
 	// Key not covering vls.
 	partialKey := tfunc.Constant(ls("{[0,4]}"), value.String_("John"))
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": partialKey, "SAL": sal}); err == nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{partialKey, sal, {}}); err == nil {
 		t.Error("key undefined over part of vls must fail")
 	}
 	// Missing non-key attribute is fine (nowhere-defined value).
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"NAME": key}); err != nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{key, {}, {}}); err != nil {
 		t.Errorf("missing non-key value should default to nowhere-defined: %v", err)
 	}
 	// Missing key attribute is not fine.
-	if _, err := NewTuple(s, full, map[string]tfunc.Func{"SAL": sal}); err == nil {
+	if _, err := NewTuple(s, full, []tfunc.Func{{}, sal, {}}); err == nil {
 		t.Error("missing key must fail")
 	}
 }
@@ -310,16 +313,12 @@ func TestRestrictSharesCoveredTuple(t *testing.T) {
 }
 
 // TestNewTupleChecksAllocateNothing checks that NewTuple allocates only
-// the tuple and its value map: every structural check is free.
+// the tuple: every structural check is free.
 func TestNewTupleChecksAllocateNothing(t *testing.T) {
 	for _, tp := range empRelation(t).Tuples() {
 		s, vals := empScheme(), tp.v
 		base := testing.AllocsPerRun(100, func() {
-			v := make(map[string]tfunc.Func, len(s.Attrs))
-			for a, f := range vals {
-				v[a] = f
-			}
-			tupleSink = &Tuple{l: tp.l, v: v}
+			tupleSink = &Tuple{l: tp.l, s: s, v: vals}
 		})
 		n := testing.AllocsPerRun(100, func() {
 			var err error
@@ -328,7 +327,7 @@ func TestNewTupleChecksAllocateNothing(t *testing.T) {
 			}
 		})
 		if n != base {
-			t.Errorf("NewTuple(%v): %.0f allocations, want %.0f (tuple and map)", tp, n, base)
+			t.Errorf("NewTuple(%v): %.0f allocations, want %.0f (the tuple)", tp, n, base)
 		}
 	}
 }

@@ -28,14 +28,14 @@ func Project(r *Relation, attrs ...string) (*Relation, error) {
 		return nil, err
 	}
 	out := NewRelation(rs)
-	keyKept := sameKey(rs.Key, r.scheme.Key)
+	keyKept := rs.SameKey(r.scheme)
+	pos := make([]int, len(attrs))
+	for i, a := range attrs {
+		pos[i] = r.scheme.Index(a)
+	}
 	for _, t := range r.Tuples() {
 		if keyKept {
-			nv := make(map[string]tfunc.Func, len(attrs))
-			for _, a := range attrs {
-				nv[a] = t.v[a]
-			}
-			nt, err := NewTuple(rs, t.l, nv)
+			nt, err := ProjectTuple(rs, t, pos)
 			if err != nil {
 				return nil, fmt.Errorf("core: project: %w", err)
 			}
@@ -48,16 +48,16 @@ func Project(r *Relation, attrs ...string) (*Relation, error) {
 		// where every projected attribute is defined (no partial
 		// sub-tuples, matching the classical model's lack of nulls).
 		joint := t.l
-		for _, a := range attrs {
-			joint = joint.Intersect(t.v[a].Domain())
+		for _, p := range pos {
+			joint = joint.Intersect(t.v[p].Domain())
 		}
 		if joint.IsEmpty() {
 			continue
 		}
-		for _, seg := range constantSegments(t, attrs, joint) {
-			nv := make(map[string]tfunc.Func, len(attrs))
-			for i, a := range attrs {
-				nv[a] = tfunc.Constant(seg.ls, seg.vals[i])
+		for _, seg := range constantSegments(t, pos, joint) {
+			nv := make([]tfunc.Func, len(pos))
+			for i := range pos {
+				nv[i] = tfunc.Constant(seg.ls, seg.vals[i])
 			}
 			nt, err := NewTuple(rs, seg.ls, nv)
 			if err != nil {
@@ -81,12 +81,12 @@ type segment struct {
 }
 
 // constantSegments partitions joint into value-constant pieces of the
-// projected attributes, grouping equal combinations.
-func constantSegments(t *Tuple, attrs []string, joint lifespan.Lifespan) []segment {
+// projected attributes, at positions pos, grouping equal combinations.
+func constantSegments(t *Tuple, pos []int, joint lifespan.Lifespan) []segment {
 	// Breakpoints: the start of every step of every projected attribute.
 	breakSet := make(map[chronon.Time]bool)
-	for _, a := range attrs {
-		t.v[a].Steps(func(iv chronon.Interval, _ value.Value) bool {
+	for _, p := range pos {
+		t.v[p].Steps(func(iv chronon.Interval, _ value.Value) bool {
 			breakSet[iv.Lo] = true
 			return true
 		})
@@ -102,9 +102,9 @@ func constantSegments(t *Tuple, attrs []string, joint lifespan.Lifespan) []segme
 					hi = b - 1
 				}
 			}
-			vals := make([]value.Value, len(attrs))
-			for i, a := range attrs {
-				vals[i], _ = t.At(a, lo)
+			vals := make([]value.Value, len(pos))
+			for i, p := range pos {
+				vals[i], _ = t.v[p].At(lo)
 			}
 			k := value.KeyOf(vals...)
 			piece := lifespan.Interval(lo, hi)
@@ -118,22 +118,6 @@ func constantSegments(t *Tuple, attrs []string, joint lifespan.Lifespan) []segme
 		}
 	}
 	return segs
-}
-
-func sameKey(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := make(map[string]bool, len(a))
-	for _, x := range a {
-		m[x] = true
-	}
-	for _, x := range b {
-		if !m[x] {
-			return false
-		}
-	}
-	return true
 }
 
 // Quantifier selects between the existential and universal readings of a
@@ -164,6 +148,30 @@ type Predicate struct {
 	Theta     value.Theta
 	Const     value.Value
 	OtherAttr string // non-empty when the RHS is an attribute
+	// on is the scheme Bind resolved the positions at (Attr's) and
+	// other (OtherAttr's) in; an unbound predicate binds to each
+	// tuple's own scheme as it evaluates.
+	on        *schema.Scheme
+	at, other int
+}
+
+// Bind returns p with its attributes' positions in s resolved once, so
+// that evaluating it over the tuples of a relation on s reads their
+// values by position. Bind(nil) returns p unbound.
+func (p Predicate) Bind(s *schema.Scheme) Predicate {
+	if s != nil {
+		p.on, p.at, p.other = s, s.Index(p.Attr), s.Index(p.OtherAttr)
+	}
+	return p
+}
+
+// operands returns t(Attr) and t(OtherAttr), the latter nowhere-defined
+// when the RHS is a constant.
+func (p Predicate) operands(t *Tuple) (tfunc.Func, tfunc.Func) {
+	if p.on == nil {
+		p = p.Bind(t.s)
+	}
+	return t.ValueAt(p.at), t.ValueAt(p.other)
 }
 
 // String renders the predicate, e.g. "SAL=30000" or "MGR=NAME".
@@ -179,13 +187,14 @@ func (p Predicate) String() string {
 // an attribute undefined at s is false there (the object has no value to
 // satisfy it with).
 func (p Predicate) holdsAt(t *Tuple, s chronon.Time) (bool, error) {
-	lv, ok := t.At(p.Attr, s)
+	f, g := p.operands(t)
+	lv, ok := f.At(s)
 	if !ok {
 		return false, nil
 	}
 	rv := p.Const
 	if p.OtherAttr != "" {
-		rv, ok = t.At(p.OtherAttr, s)
+		rv, ok = g.At(s)
 		if !ok {
 			return false, nil
 		}
@@ -199,9 +208,10 @@ func (p Predicate) holdsAt(t *Tuple, s chronon.Time) (bool, error) {
 // build the lifespan directly; when every step satisfies and the steps
 // cover scope, the answer is scope itself.
 func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
-	f := t.Value(p.Attr).Restrict(scope)
+	f, g := p.operands(t)
+	f = f.Restrict(scope)
 	if p.OtherAttr != "" {
-		return thetaTimes(f, t.Value(p.OtherAttr).Restrict(scope), p.Theta)
+		return thetaTimes(f, g.Restrict(scope), p.Theta)
 	}
 	// Constant RHS: each step satisfies or fails as a whole. Nothing is
 	// built while every step so far satisfies.
@@ -244,31 +254,7 @@ func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, e
 // t is returned, and its lifespan is unchanged." Pass lifespan.All() for
 // L = T (then s ∈ (L ∩ t.l) ≡ s ∈ t.l).
 func SelectIf(r *Relation, p Predicate, q Quantifier, L lifespan.Lifespan) (*Relation, error) {
-	if err := checkPredicate(r.scheme, p); err != nil {
-		return nil, err
-	}
-	out := NewRelation(r.scheme)
-	for _, t := range r.Tuples() {
-		scope := t.l.Intersect(L)
-		holds, err := p.when(t, scope)
-		if err != nil {
-			return nil, fmt.Errorf("core: select-if %s: %w", p, err)
-		}
-		var keep bool
-		if q == Exists {
-			keep = !holds.IsEmpty()
-		} else {
-			// ∀ quantification over an empty scope is vacuously true, in
-			// line with bounded quantification Q(s ∈ S).
-			keep = scope.Minus(holds).IsEmpty()
-		}
-		if keep {
-			if err := out.Insert(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	return SelectIfCond(r, Atom{Pred: p}, q, L)
 }
 
 // SelectWhen implements σ-WHEN(A θ a, L)(r) (Section 4.3): "if the
@@ -282,25 +268,7 @@ func SelectIf(r *Relation, p Predicate, q Quantifier, L lifespan.Lifespan) (*Rel
 // for John restricted to just those times when John earned 30K; compose
 // two SelectWhen calls to express the conjunction.
 func SelectWhen(r *Relation, p Predicate, L lifespan.Lifespan) (*Relation, error) {
-	if err := checkPredicate(r.scheme, p); err != nil {
-		return nil, err
-	}
-	out := NewRelation(r.scheme)
-	for _, t := range r.Tuples() {
-		scope := t.l.Intersect(L)
-		holds, err := p.when(t, scope)
-		if err != nil {
-			return nil, fmt.Errorf("core: select-when %s: %w", p, err)
-		}
-		nt := t.restrict(holds)
-		if nt == nil {
-			continue
-		}
-		if err := out.Insert(nt); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return SelectWhenCond(r, Atom{Pred: p}, L)
 }
 
 func checkPredicate(s *schema.Scheme, p Predicate) error {
@@ -324,14 +292,22 @@ func checkPredicate(s *schema.Scheme, p Predicate) error {
 // Each tuple is restricted to the externally specified lifespan L; tuples
 // whose lifespans miss L entirely vanish.
 func TimesliceStatic(r *Relation, L lifespan.Lifespan) (*Relation, error) {
+	return restrictEach(r, func(*Tuple) (lifespan.Lifespan, error) { return L, nil })
+}
+
+// restrictEach returns r with each tuple t restricted to the lifespan
+// at(t), dropping the tuples nothing survives of.
+func restrictEach(r *Relation, at func(t *Tuple) (lifespan.Lifespan, error)) (*Relation, error) {
 	out := NewRelation(r.scheme)
 	for _, t := range r.Tuples() {
-		nt := t.restrict(L)
-		if nt == nil {
-			continue
-		}
-		if err := out.Insert(nt); err != nil {
+		l, err := at(t)
+		if err != nil {
 			return nil, err
+		}
+		if nt := t.restrict(l); nt != nil {
+			if err := out.Insert(nt); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -354,21 +330,14 @@ func TimesliceDynamic(r *Relation, attr string) (*Relation, error) {
 		return nil, fmt.Errorf("core: dynamic timeslice: attribute %s is %s-valued, not time-valued",
 			attr, a.Domain.Kind)
 	}
-	out := NewRelation(r.scheme)
-	for _, t := range r.Tuples() {
-		img, err := t.Value(attr).TimeImage()
+	at := r.scheme.Index(attr)
+	return restrictEach(r, func(t *Tuple) (lifespan.Lifespan, error) {
+		img, err := t.v[at].TimeImage()
 		if err != nil {
-			return nil, fmt.Errorf("core: dynamic timeslice: %w", err)
+			return img, fmt.Errorf("core: dynamic timeslice: %w", err)
 		}
-		nt := t.restrict(img)
-		if nt == nil {
-			continue
-		}
-		if err := out.Insert(nt); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return img, nil
+	})
 }
 
 // When implements the WHEN operator Ω(r) = LS(r) (Section 4.5): the only

@@ -243,7 +243,10 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 	mergeIdx := make(map[int]int)                   // live slot → index into ap.merges
 	byKey := r.keyIndexLocked()
 	for _, op := range ops {
-		ks := op.tuple.key(r.scheme)
+		ks, err := r.keyOf(op.tuple)
+		if err != nil {
+			return ap, err
+		}
 		if j, ok := pendingIdx[ks]; ok {
 			// Collides with a tuple appended earlier in this group.
 			if !op.merging {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -27,6 +28,7 @@ import (
 // stable snapshots (appends extend behind them, removals copy first).
 type AttrIndex struct {
 	attr string
+	pos  int // attr's position in the relation's scheme
 
 	mu      sync.RWMutex
 	byVal   map[string][]*core.Tuple
@@ -38,13 +40,14 @@ type AttrIndex struct {
 // NewAttrIndex builds the index over r's tuples for the named attribute.
 func NewAttrIndex(r *core.Relation, attr string) *AttrIndex {
 	//lint:allow pindiscipline index builds read the live relation by design; execution maps probes back to the pin (eqProbe)
-	return newAttrIndexFrom(r.Tuples(), attr)
+	return newAttrIndexFrom(r.Scheme(), r.Tuples(), attr)
 }
 
-// newAttrIndexFrom builds the index from a stable tuple snapshot.
-func newAttrIndexFrom(ts []*core.Tuple, attr string) *AttrIndex {
+// newAttrIndexFrom builds the index from a stable snapshot of the
+// tuples of a relation on s.
+func newAttrIndexFrom(s *schema.Scheme, ts []*core.Tuple, attr string) *AttrIndex {
 	idxMetrics.attrBuilds.Inc()
-	ix := &AttrIndex{attr: attr, byVal: make(map[string][]*core.Tuple)}
+	ix := &AttrIndex{attr: attr, pos: s.Index(attr), byVal: make(map[string][]*core.Tuple)}
 	for _, t := range ts {
 		ix.addLocked(t)
 	}
@@ -78,7 +81,7 @@ func (ix *AttrIndex) Replace(old, new *core.Tuple) {
 
 func (ix *AttrIndex) addLocked(t *core.Tuple) {
 	ix.total++
-	f := t.Value(ix.attr)
+	f := t.ValueAt(ix.pos)
 	switch {
 	case f.IsNowhereDefined():
 		ix.absent++
@@ -95,7 +98,7 @@ func (ix *AttrIndex) addLocked(t *core.Tuple) {
 
 func (ix *AttrIndex) removeLocked(t *core.Tuple) {
 	ix.total--
-	f := t.Value(ix.attr)
+	f := t.ValueAt(ix.pos)
 	switch {
 	case f.IsNowhereDefined():
 		ix.absent--

@@ -170,7 +170,7 @@ func (x *RelIndexes) freshSnapshotLocked() []*core.Tuple {
 				x.interval = newIntervalIndexFrom(ts)
 			}
 			for name := range x.attrs {
-				x.attrs[name] = newAttrIndexFrom(ts, name)
+				x.attrs[name] = newAttrIndexFrom(x.rel.Scheme(), ts, name)
 			}
 		}
 		x.version = v
@@ -200,7 +200,7 @@ func (x *RelIndexes) Attr(name string) *AttrIndex {
 	ts := x.freshSnapshotLocked()
 	ix, ok := x.attrs[name]
 	if !ok {
-		ix = newAttrIndexFrom(ts, name)
+		ix = newAttrIndexFrom(x.rel.Scheme(), ts, name)
 		x.attrs[name] = ix
 	}
 	return ix

@@ -123,6 +123,18 @@ var goldenQueries = []string{
 	`SELECT IF DEPT = 'Toys' FORALL FROM ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]}))`,
 	`SELECT WHEN SAL > 30000 FROM ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]}))`,
 	`SELECT WHEN SAL > 30000 FROM ((TIMESLICE EMP AT {[0,99]}) INTERSECTMERGE (TIMESLICE EMP AT {[100,199]}))`,
+	// The plain set operators, the product, and the natural, time and
+	// outer joins; and union-compatible operands that list the same
+	// attributes in different orders.
+	`(SELECT IF SAL > 30000 EXISTS FROM EMP) UNION (SELECT IF DEPT = 'Toys' EXISTS FROM EMP)`,
+	`(SELECT IF SAL > 30000 EXISTS FROM EMP) INTERSECT (SELECT IF DEPT = 'Toys' EXISTS FROM EMP)`,
+	`EMP MINUS (SELECT IF DEPT = 'Toys' EXISTS FROM EMP)`,
+	`REF TIMES (RENAME REF AS b)`,
+	`EMP NATJOIN (PROJECT DEPT, NAME FROM (TIMESLICE EMP AT {[40,120]}))`,
+	`STOCK TIMEJOIN REF ON EX_DIV`,
+	`EMP OUTERJOIN REF ON NAME = RNAME`,
+	`(PROJECT NAME, DEPT FROM EMP) UNION (PROJECT DEPT, NAME FROM EMP)`,
+	`(PROJECT NAME, DEPT FROM EMP) MINUSMERGE (PROJECT DEPT, NAME FROM (TIMESLICE EMP AT {[50,150]}))`,
 }
 
 // compareAll runs src through the naive evaluator and the engine at

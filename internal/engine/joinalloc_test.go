@@ -1,0 +1,57 @@
+//go:build !race
+
+// The race detector changes what the runtime allocates (and pools drop
+// items at random under it), so allocation bounds hold only without it:
+// this file builds only without -race.
+
+package engine
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/hql"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// TestJoinAllocsPerPair bounds what one joined pair of an index lookup
+// join allocates, on BenchmarkParallelDegree's data and its EMP JOIN
+// REF ON DEPT = GRP: at most 8 allocations per result tuple, the probes
+// of the streamed EMP tuples and the query's fixed cost included. A pair costs its
+// agreement lifespan, its value slice, one shared allocation for the
+// restricted values' steps and the tuple header; building each joined
+// tuple's values as a map costs about 10.
+func TestJoinAllocsPerPair(t *testing.T) {
+	const n, maxPerPair = 8000, 8
+	st := storage.NewStore()
+	st.Put(workload.Personnel(workload.PersonnelConfig{
+		NumEmployees: n, HistoryLen: 100000, ChangeEvery: 25,
+		ReincarnationProb: 0.2, MaxTenure: 40, Seed: 31,
+	}))
+	st.Put(groupRef(n / 16))
+	s := sess(st)
+	e, err := hql.Parse(`EMP JOIN REF ON DEPT = GRP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := WithWorkers(context.Background(), 1)
+	r, err := s.Eval(ctx, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := r.Relation.Cardinality()
+	if pairs < 1000 {
+		t.Fatalf("only %d joined pairs; the bound needs a join with output", pairs)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.Eval(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(pairs)
+	t.Logf("%d pairs, %.0f allocations per query, %.2f per pair", pairs, allocs, per)
+	if per > maxPerPair {
+		t.Errorf("%.2f allocations per joined pair, want at most %d", per, maxPerPair)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/lifespan"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -67,18 +68,20 @@ func astParams(e hql.Expr) ([]param, error) {
 }
 
 // bindCond builds the algebra's condition for one execution: the parsed
-// condition's shape, each constant read from its slot in ps.
-func bindCond(c hql.CondExpr, ps []param) core.Condition {
+// condition's shape, each constant read from its slot in ps, and each
+// predicate bound to the scheme of the tuples it will read (unbound when
+// s is nil: a rendering, or a core operator that binds it itself).
+func bindCond(c hql.CondExpr, ps []param, s *schema.Scheme) core.Condition {
 	if p := c.Pred; p != nil {
 		pred := core.Predicate{Attr: p.Attr, Theta: p.Theta, OtherAttr: p.OtherAttr}
 		if p.OtherAttr == "" {
 			pred.Const = ps[p.Slot].v
 		}
-		return core.Atom{Pred: pred}
+		return core.Atom{Pred: pred.Bind(s)}
 	}
 	kids := make([]core.Condition, len(c.Kids))
 	for i, k := range c.Kids {
-		kids[i] = bindCond(k, ps)
+		kids[i] = bindCond(k, ps, s)
 	}
 	switch c.Op {
 	case "AND":

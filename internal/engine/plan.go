@@ -9,8 +9,6 @@ import (
 	"repro/internal/hql"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
-	"repro/internal/tfunc"
-	"repro/internal/value"
 )
 
 // cost is the planner's currency: estimated result cardinality and
@@ -468,7 +466,7 @@ func (n *filterNode) bind(s *Snapshot) (bound, error) {
 	}
 	in, err := s.tuplesFrom(n.child)
 	_, overScan := n.child.(*scanNode)
-	b := bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params), n.when, n.forAll, L), partition: overScan}
+	b := bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params, n.child.scheme()), n.when, n.forAll, L), partition: overScan}
 	if !n.forAll {
 		// ∀ keeps tuples whose scope is empty (vacuous truth), so only
 		// the existential and WHEN forms may skip what misses DURING.
@@ -486,7 +484,7 @@ func (n *filterNode) describe(s *Snapshot) string {
 	if n.forAll {
 		window = allTime
 	}
-	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), bindCond(n.cond, s.params), s.duringSuffix(n.during)) +
+	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), bindCond(n.cond, s.params, nil), s.duringSuffix(n.during)) +
 		s.scanNote(n.child, window)
 }
 
@@ -548,12 +546,12 @@ func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
 		return bound{}, err
 	}
 	cand, _, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params), n.when, false, L), window: L, windowed: true, partition: true}, err
+	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), window: L, windowed: true, partition: true}, err
 }
 func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexSelectNode) estimate() cost                 { return n.est }
 func (n *indexSelectNode) describe(s *Snapshot) string {
-	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, bindCond(n.cond, s.params), s.duringSuffix(n.during))
+	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, bindCond(n.cond, s.params, nil), s.duringSuffix(n.during))
 	if !n.during.static() {
 		return d + " (candidates priced at execution)"
 	}
@@ -599,6 +597,7 @@ func (s *Snapshot) duringSuffix(e *lsExpr) string {
 type projectNode struct {
 	child node
 	attrs []string
+	pos   []int // attrs' positions in the child's scheme
 	rs    *schema.Scheme
 }
 
@@ -607,11 +606,7 @@ func (n *projectNode) children() []node       { return []node{n.child} }
 func (n *projectNode) bind(s *Snapshot) (bound, error) {
 	in, err := s.tuplesFrom(n.child)
 	return bound{in: in, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-		nv := make(map[string]tfunc.Func, len(n.attrs))
-		for _, a := range n.attrs {
-			nv[a] = t.Value(a)
-		}
-		nt, err := core.NewTuple(n.rs, t.Lifespan(), nv)
+		nt, err := core.ProjectTuple(n.rs, t, n.pos)
 		if err != nil {
 			return out, err
 		}
@@ -645,7 +640,9 @@ type indexJoinNode struct {
 	indexedName  string
 	indexedAttr  string
 	rs           *schema.Scheme
-	leftIsStream bool // stream side is r1 of the result scheme
+	join         core.Joiner // the pair kernel, r1 and r2 in result-scheme order
+	streamPos    int         // streamAttr's position in the stream's scheme
+	leftIsStream bool        // stream side is r1 of the result scheme
 	avgBucket    float64
 }
 
@@ -654,7 +651,7 @@ func (n *indexJoinNode) children() []node       { return []node{n.stream} }
 
 // bind streams the child and joins each tuple against its probed
 // candidates — found through the pin (eqProbe), and re-checked by
-// JoinPair, so the probe's superset is exact.
+// the pair kernel, so the probe's superset is exact.
 func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 	v, err := s.pinned(n.indexed)
 	if err != nil {
@@ -664,7 +661,7 @@ func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 	p := newEqProbe(v, n.indexedAttr)
 	_, overScan := n.stream.(*scanNode)
 	return bound{in: in, partition: overScan, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-		f := t.Value(n.streamAttr)
+		f := t.ValueAt(n.streamPos)
 		if f.IsNowhereDefined() {
 			return out, nil
 		}
@@ -682,12 +679,10 @@ func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 		}
 		for _, o := range cand {
 			t1, t2 := t, o
-			a, b := n.streamAttr, n.indexedAttr
 			if !n.leftIsStream {
 				t1, t2 = o, t
-				a, b = n.indexedAttr, n.streamAttr
 			}
-			nt, err := core.JoinPair(n.rs, t1, t2, a, value.EQ, b)
+			nt, err := n.join.Pair(t1, t2)
 			if err != nil {
 				return out, err
 			}

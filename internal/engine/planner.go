@@ -337,7 +337,11 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		if cs := child.scheme(); cs != nil && keyKept(cs, n.Attrs) {
 			rs, err := schema.ProjectScheme(cs, n.Attrs, cs.Name)
 			if err == nil {
-				return &projectNode{child: child, attrs: n.Attrs, rs: rs}, nil
+				pos := make([]int, len(n.Attrs))
+				for i, a := range n.Attrs {
+					pos[i] = cs.Index(a)
+				}
+				return &projectNode{child: child, attrs: n.Attrs, pos: pos, rs: rs}, nil
 			}
 		}
 		return naive1("project "+strings.Join(n.Attrs, ", "), child, func(r *core.Relation) (*core.Relation, error) {
@@ -519,7 +523,7 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	if cs == nil {
 		return naiveSelect(n, during, child), nil
 	}
-	if err := core.CondCheck(bindCond(n.Cond, lc.params), cs); err != nil {
+	if err := core.CondCheck(bindCond(n.Cond, lc.params, nil), cs); err != nil {
 		return nil, err // surface via the naive evaluator's error path
 	}
 	// ∀ quantification keeps tuples whose scope is empty (vacuous truth),
@@ -609,9 +613,9 @@ func requiredEQ(c hql.CondExpr) (*hql.PredExpr, bool) {
 // naiveSelect wraps the naive SELECT operators over a materialized child.
 func naiveSelect(n *hql.SelectExpr, during *lsExpr, child node) node {
 	kind := selKind(n.When, !n.When && n.ForAll)
-	label := func(ps []param) string { return fmt.Sprintf("select-%s %s", kind, bindCond(n.Cond, ps)) }
+	label := func(ps []param) string { return fmt.Sprintf("select-%s %s", kind, bindCond(n.Cond, ps, nil)) }
 	return naiveL(label, child, during, func(s *Snapshot, r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
-		cond := bindCond(n.Cond, s.params)
+		cond := bindCond(n.Cond, s.params, nil)
 		if n.When {
 			return core.SelectWhenCond(r, cond, L)
 		}
@@ -764,9 +768,9 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsS
 	if !ok1 || !ok2 || sa.Domain.Kind != ia.Domain.Kind {
 		return nil
 	}
-	ls, rs := ss, is
+	ls, rs, la, ra := ss, is, streamAttr, idxAttr
 	if !leftIsStream {
-		ls, rs = is, ss
+		ls, rs, la, ra = is, ss, idxAttr, streamAttr
 	}
 	joined, err := schema.ConcatScheme(ls, rs, ls.Name+"⋈"+rs.Name)
 	if err != nil {
@@ -774,7 +778,8 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsS
 	}
 	j := &indexJoinNode{stream: stream, streamAttr: streamAttr,
 		indexed: sc.rel, indexedName: sc.name, indexedAttr: idxAttr,
-		rs: joined, leftIsStream: leftIsStream, avgBucket: 1}
+		rs: joined, join: core.NewJoiner(joined, ls, rs, la, value.EQ, ra), streamPos: ss.Index(streamAttr),
+		leftIsStream: leftIsStream, avgBucket: 1}
 	if key := is.Key; len(key) != 1 || key[0] != idxAttr {
 		// Not the key, whose canonical-key map the relation already
 		// maintains: price the attribute index. Building it here is an

@@ -35,11 +35,16 @@ func (a Attribute) TimeValued() bool { return a.Domain.Kind == value.KindTime }
 // Scheme is a relation scheme R = ⟨A, K, ALS, DOM⟩. A and the ALS/DOM
 // assignments are folded into the ordered Attrs slice; Key lists the
 // names in K. Attribute order is definition order and is preserved by
-// the algebra so printed relations are stable.
+// the algebra so printed relations are stable. A tuple on the scheme
+// holds its values in Attrs order, so a position from Index addresses
+// the same attribute in every tuple of a relation on the scheme.
 type Scheme struct {
 	Name  string
 	Attrs []Attribute
 	Key   []string
+	// keyPos holds the positions in Attrs of the names in Key, in Key
+	// order, resolved once by New.
+	keyPos []int
 }
 
 // New validates and returns a scheme. It enforces the paper's structural
@@ -84,11 +89,11 @@ func New(name string, key []string, attrs ...Attribute) (*Scheme, error) {
 			return nil, fmt.Errorf("schema: scheme %s: key attribute %s not in scheme", name, k)
 		}
 	}
-	s := &Scheme{Name: name, Attrs: attrs, Key: append([]string(nil), key...)}
+	s := &Scheme{Name: name, Attrs: attrs, Key: append([]string(nil), key...), keyPos: make([]int, len(key))}
 	ls := s.Lifespan()
-	for _, k := range key {
-		ka, _ := s.Attr(k)
-		if !ka.Lifespan.Equal(ls) {
+	for i, k := range key {
+		s.keyPos[i] = s.Index(k)
+		if ka := attrs[s.keyPos[i]]; !ka.Lifespan.Equal(ls) {
 			return nil, fmt.Errorf("schema: scheme %s: key attribute %s lifespan %v differs from scheme lifespan %v",
 				name, k, ka.Lifespan, ls)
 		}
@@ -105,21 +110,42 @@ func MustNew(name string, key []string, attrs ...Attribute) *Scheme {
 	return s
 }
 
+// Index returns the position of the named attribute in Attrs — its
+// value's position in every tuple on the scheme — or -1 if the scheme
+// does not define it.
+func (s *Scheme) Index(name string) int { return indexAttr(s.Attrs, name) }
+
+// KeyIndex returns the positions in Attrs of the key attributes, in Key
+// order. Callers must not modify the slice.
+func (s *Scheme) KeyIndex() []int { return s.keyPos }
+
+// SameOrder reports whether o lists the same attribute names as s at
+// every position, so a tuple laid out for one is laid out for the other.
+func (s *Scheme) SameOrder(o *Scheme) bool {
+	if s == o {
+		return true
+	}
+	if len(s.Attrs) != len(o.Attrs) {
+		return false
+	}
+	for i := range s.Attrs {
+		if s.Attrs[i].Name != o.Attrs[i].Name {
+			return false
+		}
+	}
+	return true
+}
+
 // Attr returns the named attribute.
 func (s *Scheme) Attr(name string) (Attribute, bool) {
-	for _, a := range s.Attrs {
-		if a.Name == name {
-			return a, true
-		}
+	if i := s.Index(name); i >= 0 {
+		return s.Attrs[i], true
 	}
 	return Attribute{}, false
 }
 
 // HasAttr reports whether the scheme defines the named attribute.
-func (s *Scheme) HasAttr(name string) bool {
-	_, ok := s.Attr(name)
-	return ok
-}
+func (s *Scheme) HasAttr(name string) bool { return s.Index(name) >= 0 }
 
 // AttrNames returns the attribute names in scheme order.
 func (s *Scheme) AttrNames() []string {
@@ -369,6 +395,27 @@ func ConcatScheme(a, b *Scheme, name string) (*Scheme, error) {
 		}
 	}
 	return New(name, key, attrs...)
+}
+
+// InOrderOf returns s with its attributes listed in o's attribute
+// order, and pos, where pos[i] is the position in s of o's i-th
+// attribute: the scheme and permutation that re-lay the tuples of a
+// relation on s beside those of one on o. The two schemes must have
+// the same attribute names.
+func (s *Scheme) InOrderOf(o *Scheme) (*Scheme, []int, error) {
+	if len(s.Attrs) != len(o.Attrs) {
+		return nil, nil, fmt.Errorf("schema: %s and %s have different attributes", s.Name, o.Name)
+	}
+	attrs := make([]Attribute, len(o.Attrs))
+	pos := make([]int, len(o.Attrs))
+	for i, a := range o.Attrs {
+		if pos[i] = s.Index(a.Name); pos[i] < 0 {
+			return nil, nil, fmt.Errorf("schema: %s has no attribute %s", s.Name, a.Name)
+		}
+		attrs[i] = s.Attrs[pos[i]]
+	}
+	ns, err := New(s.Name, s.Key, attrs...)
+	return ns, pos, err
 }
 
 func indexAttr(attrs []Attribute, name string) int {

@@ -50,8 +50,8 @@ func encodePinned(bw *errWriter, v core.RelVersion) {
 	bw.u32(uint32(len(tuples)))
 	for _, t := range tuples {
 		encodeLifespan(bw, t.Lifespan())
-		for _, a := range s.Attrs {
-			encodeFunc(bw, t.Value(a.Name))
+		for i := range s.Attrs {
+			encodeFunc(bw, t.ValueAt(i))
 		}
 	}
 }
@@ -91,9 +91,9 @@ func Decode(rd io.Reader) (*core.Relation, error) {
 	ts := make([]*core.Tuple, 0, int(min(n, 1024)))
 	for i := uint32(0); i < n; i++ {
 		ls := decodeLifespan(br)
-		vals := make(map[string]tfunc.Func, len(s.Attrs))
-		for _, a := range s.Attrs {
-			vals[a.Name] = decodeFunc(br)
+		vals := make([]tfunc.Func, len(s.Attrs))
+		for j := range vals {
+			vals[j] = decodeFunc(br)
 		}
 		if br.err != nil {
 			return nil, br.err

@@ -1,0 +1,71 @@
+//go:build !race
+
+// The race detector instruments every allocation and keeps shadow
+// memory beside the heap, so live-heap figures under -race measure the
+// detector: this file builds only without it.
+
+package storage
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/lifespan"
+	"repro/internal/schema"
+	"repro/internal/value"
+)
+
+// TestTupleFootprint bounds the live heap a stored tuple costs. It
+// decodes 20 000 tuples of a two-attribute shape — a distinct string
+// key K and an integer step V over a one-interval lifespan — from a
+// snapshot, the way a store is loaded, and requires at most 320 bytes
+// live per tuple after a collection: the tuple header, its value slice,
+// the functions' steps, the key string and the relation's slot and key
+// map entry. A tuple holding its values in a map per tuple measures
+// about 555 bytes here.
+func TestTupleFootprint(t *testing.T) {
+	const n, maxPerTuple = 20000, 320
+	full := lifespan.Interval(0, 999)
+	s := schema.MustNew("AB", []string{"K"},
+		schema.Attribute{Name: "K", Domain: value.Strings, Lifespan: full},
+		schema.Attribute{Name: "V", Domain: value.Ints, Lifespan: full, Interp: "step"},
+	)
+	src := core.NewRelation(s)
+	ts := make([]*core.Tuple, n)
+	for i := range ts {
+		ts[i] = core.NewTupleBuilder(s, lifespan.Interval(0, 9)).
+			Key("K", value.String_(fmt.Sprintf("p%06d", i))).
+			Set("V", 0, 9, value.Int(int64(i%10))).
+			MustBuild()
+	}
+	if err := src.InsertBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeBytes(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, ts = nil, nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := DecodeBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if r.Cardinality() != n {
+		t.Fatalf("decoded %d tuples, want %d", r.Cardinality(), n)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d B live per tuple", per)
+	if per > maxPerTuple {
+		t.Errorf("%d B live per decoded tuple, want at most %d", per, maxPerTuple)
+	}
+	runtime.KeepAlive(r)
+}

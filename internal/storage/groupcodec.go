@@ -64,8 +64,8 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 			}
 			w.u8(flags)
 			encodeLifespan(w, op.t.Lifespan())
-			for _, a := range s.Attrs {
-				encodeFunc(w, op.t.Value(a.Name))
+			for i := range s.Attrs {
+				encodeFunc(w, op.t.ValueAt(i))
 			}
 		}
 	}
@@ -113,9 +113,9 @@ func (s *Store) applyGroupPayload(payload []byte) (int, error) {
 		for j := uint32(0); j < nOps; j++ {
 			flags := r.u8()
 			ls := decodeLifespan(r)
-			vals := make(map[string]tfunc.Func, len(sch.Attrs))
-			for _, a := range sch.Attrs {
-				vals[a.Name] = decodeFunc(r)
+			vals := make([]tfunc.Func, len(sch.Attrs))
+			for k := range vals {
+				vals[k] = decodeFunc(r)
 			}
 			if r.err != nil {
 				return 0, r.err

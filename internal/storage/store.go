@@ -338,8 +338,8 @@ func SizeBytes(r *core.Relation) int64 {
 	var total int64
 	for _, t := range vers[0].Tuples() {
 		total += int64(t.Lifespan().NumIntervals()) * 16
-		for _, a := range r.Scheme().Attrs {
-			f := t.Value(a.Name)
+		for i := range r.Scheme().Attrs {
+			f := t.ValueAt(i)
 			f.Steps(func(_ chronon.Interval, v value.Value) bool {
 				total += 16
 				if v.Kind() == value.KindString {

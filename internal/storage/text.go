@@ -366,8 +366,8 @@ func DumpText(w io.Writer, st *Store) error {
 		}
 		for _, t := range rv.Tuples() {
 			tw.printf("tuple %s\n", t.Lifespan())
-			for _, a := range s.Attrs {
-				t.Value(a.Name).Steps(func(iv chronon.Interval, v value.Value) bool {
+			for i, a := range s.Attrs {
+				t.ValueAt(i).Steps(func(iv chronon.Interval, v value.Value) bool {
 					tw.printf("  %s = %s @ %s\n", a.Name, renderValue(v), lifespan.New(iv))
 					return tw.err == nil
 				})

@@ -137,11 +137,11 @@ func (Linear) Interpolate(f Func, target lifespan.Lifespan) (Func, error) {
 	return b.Build().Restrict(target), nil
 }
 
-// ByName returns the named interpolator. Recognized names: "discrete",
-// "step", "linear".
+// ByName returns the named interpolator. Recognized names: "discrete"
+// (also the empty name, an attribute's default), "step", "linear".
 func ByName(name string) (Interpolator, error) {
 	switch name {
-	case "discrete":
+	case "discrete", "":
 		return Discrete{}, nil
 	case "step":
 		return StepWise{}, nil

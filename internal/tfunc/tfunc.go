@@ -200,35 +200,80 @@ func (f Func) StepAt(i int) (iv chronon.Interval, v value.Value) {
 // without canonical's sort and merge. The overlap check per appended
 // piece still guards that argument.
 func (f Func) Restrict(l lifespan.Lifespan) Func {
-	if f.IsNowhereDefined() || l.IsEmpty() {
-		return Func{}
+	g, _ := f.restrictInto(nil, l)
+	return g
+}
+
+// RestrictAll replaces each function of fs with its restriction to l,
+// as Restrict computes it, the restricted functions sharing one
+// allocation of steps: the values of a tuple restricted together cost
+// one allocation, not one per value. Functions l covers stay as they
+// are.
+func RestrictAll(fs []Func, l lifespan.Lifespan) {
+	n := 0
+	for _, f := range fs {
+		if !f.IsNowhereDefined() && !f.DomainSubsetOf(l) {
+			n += f.restrictCap(l)
+		}
 	}
-	if f.DomainSubsetOf(l) {
-		return f
+	var buf []step
+	if n > 0 {
+		buf = make([]step, 0, n)
 	}
-	// L's intervals that can meet f lie in [lo,hi); at most one piece per
-	// step plus one per extra interval cut out of the steps survives.
+	for i := range fs {
+		fs[i], buf = fs[i].restrictInto(buf, l)
+	}
+}
+
+// restrictSpan returns [lo,hi), the indexes of l's intervals that can
+// meet f's steps.
+func (f Func) restrictSpan(l lifespan.Lifespan) (lo, hi int) {
 	n := l.NumIntervals()
 	first, last := f.steps[0].Iv.Lo, f.steps[len(f.steps)-1].Iv.Hi
-	lo := sort.Search(n, func(k int) bool { return l.IntervalAt(k).Hi >= first })
-	hi := sort.Search(n, func(k int) bool { return l.IntervalAt(k).Lo > last })
-	var out []step
-	j := lo
+	lo = sort.Search(n, func(k int) bool { return l.IntervalAt(k).Hi >= first })
+	hi = sort.Search(n, func(k int) bool { return l.IntervalAt(k).Lo > last })
+	return lo, hi
+}
+
+// restrictCap bounds the steps of f|l: at most one piece per step plus
+// one per extra interval of l cut out of the steps.
+func (f Func) restrictCap(l lifespan.Lifespan) int {
+	lo, hi := f.restrictSpan(l)
+	return len(f.steps) + hi - lo - 1
+}
+
+// restrictInto computes f|l with its steps appended to buf — allocated,
+// sized for f alone, at the first piece when buf is nil — and returns
+// it with buf extended.
+func (f Func) restrictInto(buf []step, l lifespan.Lifespan) (Func, []step) {
+	if f.IsNowhereDefined() || l.IsEmpty() {
+		return Func{}, buf
+	}
+	if f.DomainSubsetOf(l) {
+		return f, buf
+	}
+	lo, hi := f.restrictSpan(l)
+	start, j := len(buf), lo
 	for _, s := range f.steps {
 		for j < hi && l.IntervalAt(j).Hi < s.Iv.Lo {
 			j++
 		}
 		for k := j; k < hi && l.IntervalAt(k).Lo <= s.Iv.Hi; k++ {
 			piece := s.Iv.Intersect(l.IntervalAt(k))
-			if out == nil {
-				out = make([]step, 0, len(f.steps)+hi-lo-1)
-			} else if prev := out[len(out)-1].Iv; piece.Lo <= prev.Hi {
-				panic(fmt.Sprintf("tfunc: overlapping steps %v and %v", prev, piece))
+			if buf == nil {
+				buf = make([]step, 0, len(f.steps)+hi-lo-1)
+			} else if len(buf) > start {
+				if prev := buf[len(buf)-1].Iv; piece.Lo <= prev.Hi {
+					panic(fmt.Sprintf("tfunc: overlapping steps %v and %v", prev, piece))
+				}
 			}
-			out = append(out, step{Iv: piece, V: s.V})
+			buf = append(buf, step{Iv: piece, V: s.V})
 		}
 	}
-	return Func{steps: out}
+	if len(buf) == start {
+		return Func{}, buf
+	}
+	return Func{steps: buf[start:len(buf):len(buf)]}, buf
 }
 
 // Merge returns the union t1.v(A) ∪ t2.v(A) of two compatible partial

@@ -525,3 +525,29 @@ func TestRestrictCoveredAllocatesNothing(t *testing.T) {
 		t.Errorf("a clipping restriction allocates %.0f times, want once", n)
 	}
 }
+
+// TestRestrictAllMatchesRestrict checks RestrictAll against Restrict of
+// each function, on functions the fuzz decoders build from every
+// combination of a few specs and lifespans, and that the whole set
+// restricts in at most one allocation.
+func TestRestrictAllMatchesRestrict(t *testing.T) {
+	specs := [][]byte{{0, 4, 1, 5, 4, 5}, {0, 7, 1, 8, 7, 2, 16, 3, 1}, {}, {3, 2, 0}, {1, 30, 2, 2, 9, 1}}
+	for _, m := range []uint64{0, 0xffff, 0x0f0f0f, 0xf0f0f0f0, ^uint64(0)} {
+		l := fuzzLS(m)
+		fs := make([]Func, len(specs))
+		for i, spec := range specs {
+			fs[i] = fuzzFunc(spec)
+		}
+		got := append([]Func(nil), fs...)
+		RestrictAll(got, l)
+		for i, f := range fs {
+			if want := f.Restrict(l); !got[i].Equal(want) || !isCanonical(got[i]) {
+				t.Errorf("RestrictAll: %v|%v = %v, want %v", f, l, got[i], want)
+			}
+		}
+		buf := make([]Func, len(fs))
+		if n := testing.AllocsPerRun(100, func() { copy(buf, fs); RestrictAll(buf, l) }); n > 1 {
+			t.Errorf("RestrictAll to %v: %.0f allocations, want at most 1", l, n)
+		}
+	}
+}
