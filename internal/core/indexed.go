@@ -43,3 +43,8 @@ func ProjectTuple(rs *schema.Scheme, t *Tuple, pos []int) (*Tuple, error) {
 	}
 	return NewTuple(rs, t.l, nv)
 }
+
+// Renamed is RENAME's per-tuple step: t on rs, a renaming of t's
+// scheme (schema.Scheme.Rename) — a new header naming t's positions by
+// rs over its shared value slice, moving no value.
+func (t *Tuple) Renamed(rs *schema.Scheme) *Tuple { return &Tuple{l: t.l, s: rs, v: t.v} }

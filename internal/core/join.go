@@ -9,12 +9,6 @@ import (
 	"repro/internal/value"
 )
 
-// joinScheme builds R3 = <A1 ∪ A2, K1 ∪ K2, ALS1 ∪ ALS2, DOM1 ∪ DOM2>,
-// the result scheme of every JOIN flavor (Section 4.6).
-func joinScheme(r1, r2 *Relation) (*schema.Scheme, error) {
-	return schema.ConcatScheme(r1.scheme, r2.scheme, r1.scheme.Name+"⋈"+r2.scheme.Name)
-}
-
 // concat lays out the tuples of a join scheme rs built by ConcatScheme
 // from operand schemes s1 and s2: t1's values keep their positions,
 // and the attributes of s2 that s1 lacks follow, read from t2 at tail.
@@ -107,16 +101,7 @@ func thetaJoin(r1, r2 *Relation, attrA string, th value.Theta, attrB string, out
 	if outer {
 		op = "outer theta-join"
 	}
-	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: %s: schemes share attributes; rename first", op)
-	}
-	if !r1.scheme.HasAttr(attrA) {
-		return nil, fmt.Errorf("core: %s: %s not in %s", op, attrA, r1.scheme.Name)
-	}
-	if !r2.scheme.HasAttr(attrB) {
-		return nil, fmt.Errorf("core: %s: %s not in %s", op, attrB, r2.scheme.Name)
-	}
-	rs, err := joinScheme(r1, r2)
+	rs, err := schema.JoinScheme(r1.scheme, r2.scheme, attrA, attrB)
 	if err != nil {
 		return nil, err
 	}
@@ -198,18 +183,14 @@ func EquiJoin(r1, r2 *Relation, attrA, attrB string) (*Relation, error) {
 // "The natural join is just a projection of the equijoin": shared
 // attributes appear once in the result.
 func NaturalJoin(r1, r2 *Relation) (*Relation, error) {
-	common := r1.scheme.CommonAttrs(r2.scheme)
-	if len(common) == 0 {
-		return nil, fmt.Errorf("core: natural-join: %s and %s share no attributes",
-			r1.scheme.Name, r2.scheme.Name)
-	}
-	rs, err := joinScheme(r1, r2)
+	rs, err := schema.NaturalJoinScheme(r1.scheme, r2.scheme)
 	if err != nil {
 		return nil, err
 	}
 	c := newConcat(rs, r1.scheme, r2.scheme)
 	// The common attributes' positions in each operand, which need not
 	// list them in the same order.
+	common := r1.scheme.CommonAttrs(r2.scheme)
 	pos := make([][2]int, len(common))
 	for i, x := range common {
 		pos[i] = [2]int{r1.scheme.Index(x), r2.scheme.Index(x)}
@@ -236,18 +217,7 @@ func NaturalJoin(r1, r2 *Relation) (*Relation, error) {
 // r1 tuple and each r2 tuple, and the pair joins over the intersection of
 // the sliced lifespans.
 func TimeJoin(r1, r2 *Relation, attr string) (*Relation, error) {
-	a, ok := r1.scheme.Attr(attr)
-	if !ok {
-		return nil, fmt.Errorf("core: time-join: unknown attribute %s", attr)
-	}
-	if !a.TimeValued() {
-		return nil, fmt.Errorf("core: time-join: attribute %s is %s-valued, not time-valued",
-			attr, a.Domain.Kind)
-	}
-	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: time-join: schemes share attributes; rename first")
-	}
-	rs, err := joinScheme(r1, r2)
+	rs, err := schema.TimeJoinScheme(r1.scheme, r2.scheme, attr)
 	if err != nil {
 		return nil, err
 	}

@@ -19,14 +19,10 @@ import (
 // violating the key condition — that case is reported as an error, and
 // UnionMerge is the object-respecting alternative.
 func Union(r1, r2 *Relation) (*Relation, error) {
-	rs, err := schema.UnionScheme(r1.scheme, r2.scheme, r1.scheme.Name)
+	out, r2, err := setOp(r1, r2, schema.UnionScheme, false)
 	if err != nil {
 		return nil, err
 	}
-	if r2, err = relay(r2, r1.scheme); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rs)
 	for _, t := range r1.Tuples() {
 		if err := out.Insert(t); err != nil {
 			return nil, err
@@ -36,7 +32,7 @@ func Union(r1, r2 *Relation) (*Relation, error) {
 		if prev, ok := out.lookupTuple(t); ok {
 			if !prev.Equal(t) {
 				return nil, fmt.Errorf("core: union: key %s present in both operands with different histories; use UnionMerge",
-					t.key(rs))
+					t.key(out.scheme))
 			}
 			continue
 		}
@@ -50,14 +46,10 @@ func Union(r1, r2 *Relation) (*Relation, error) {
 // Intersect implements r1 ∩ r2 (Section 4.1): tuples present, as whole
 // historical objects with identical histories, in both operands.
 func Intersect(r1, r2 *Relation) (*Relation, error) {
-	rs, err := schema.IntersectScheme(r1.scheme, r2.scheme, r1.scheme.Name)
+	out, r2, err := setOp(r1, r2, schema.IntersectScheme, false)
 	if err != nil {
 		return nil, err
 	}
-	if r2, err = relay(r2, r1.scheme); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rs)
 	for _, t := range r1.Tuples() {
 		u, ok := r2.lookupTuple(t)
 		if ok && t.Equal(u) {
@@ -72,14 +64,10 @@ func Intersect(r1, r2 *Relation) (*Relation, error) {
 // Diff implements r1 − r2 (Section 4.1): { t on R1 | t ∈ r1 and t ∉ r2 },
 // with tuple membership meaning an identical historical tuple.
 func Diff(r1, r2 *Relation) (*Relation, error) {
-	if !r1.scheme.UnionCompatible(r2.scheme) {
-		return nil, fmt.Errorf("core: diff: %s and %s are not union-compatible", r1.scheme.Name, r2.scheme.Name)
-	}
-	r2, err := relay(r2, r1.scheme)
+	out, r2, err := setOp(r1, r2, schema.DiffScheme, false)
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(r1.scheme)
 	for _, t := range r1.Tuples() {
 		if u, ok := r2.lookupTuple(t); ok && t.Equal(u) {
 			continue
@@ -102,17 +90,10 @@ func Diff(r1, r2 *Relation) (*Relation, error) {
 // merge-compatible (same attributes, domains, and key). Matched tuples
 // that are not mergable (contradicting histories) are an error.
 func UnionMerge(r1, r2 *Relation) (*Relation, error) {
-	if !r1.scheme.MergeCompatible(r2.scheme) {
-		return nil, fmt.Errorf("core: union-merge: %s and %s are not merge-compatible", r1.scheme.Name, r2.scheme.Name)
-	}
-	rs, err := schema.UnionScheme(r1.scheme, r2.scheme, r1.scheme.Name)
+	out, r2, err := setOp(r1, r2, schema.UnionScheme, true)
 	if err != nil {
 		return nil, err
 	}
-	if r2, err = relay(r2, r1.scheme); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rs)
 	for _, t1 := range r1.Tuples() {
 		t2, ok := r2.lookupTuple(t1)
 		if !ok {
@@ -122,8 +103,8 @@ func UnionMerge(r1, r2 *Relation) (*Relation, error) {
 			}
 			continue
 		}
-		if !t1.Mergable(t2, rs) {
-			return nil, fmt.Errorf("core: union-merge: key %s has contradicting histories", t1.key(rs))
+		if !t1.Mergable(t2, out.scheme) {
+			return nil, fmt.Errorf("core: union-merge: key %s has contradicting histories", t1.key(out.scheme))
 		}
 		m, err := t1.Merge(t2)
 		if err != nil {
@@ -151,17 +132,10 @@ func UnionMerge(r1, r2 *Relation) (*Relation, error) {
 // The result holds each shared object over the times both operands agree
 // on it; objects whose lifespans do not intersect contribute nothing.
 func IntersectMerge(r1, r2 *Relation) (*Relation, error) {
-	if !r1.scheme.MergeCompatible(r2.scheme) {
-		return nil, fmt.Errorf("core: intersect-merge: %s and %s are not merge-compatible", r1.scheme.Name, r2.scheme.Name)
-	}
-	rs, err := schema.IntersectScheme(r1.scheme, r2.scheme, r1.scheme.Name)
+	out, r2, err := setOp(r1, r2, schema.IntersectScheme, true)
 	if err != nil {
 		return nil, err
 	}
-	if r2, err = relay(r2, r1.scheme); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rs)
 	for _, t1 := range r1.Tuples() {
 		t2, ok := r2.lookupTuple(t1)
 		if !ok || !t1.Mergable(t2, r1.scheme) {
@@ -187,14 +161,10 @@ func IntersectMerge(r1, r2 *Relation) (*Relation, error) {
 // Each object keeps the part of its history not covered by r2. Objects
 // wholly covered (t1.l ⊆ t2.l) vanish.
 func DiffMerge(r1, r2 *Relation) (*Relation, error) {
-	if !r1.scheme.MergeCompatible(r2.scheme) {
-		return nil, fmt.Errorf("core: diff-merge: %s and %s are not merge-compatible", r1.scheme.Name, r2.scheme.Name)
-	}
-	r2, err := relay(r2, r1.scheme)
+	out, r2, err := setOp(r1, r2, schema.DiffScheme, true)
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(r1.scheme)
 	for _, t1 := range r1.Tuples() {
 		t2, ok := r2.lookupTuple(t1)
 		if !ok || !t1.Mergable(t2, r1.scheme) {
@@ -224,11 +194,7 @@ func DiffMerge(r1, r2 *Relation) (*Relation, error) {
 // null values": t.l = t1.l ∪ t2.l, with each side's attribute values
 // defined only on that side's original vls (undefined — null — elsewhere).
 func Product(r1, r2 *Relation) (*Relation, error) {
-	if !r1.scheme.DisjointAttrs(r2.scheme) {
-		return nil, fmt.Errorf("core: product: schemes %s and %s share attributes; rename first",
-			r1.scheme.Name, r2.scheme.Name)
-	}
-	rs, err := schema.ConcatScheme(r1.scheme, r2.scheme, r1.scheme.Name+"x"+r2.scheme.Name)
+	rs, err := schema.ProductScheme(r1.scheme, r2.scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -240,6 +206,18 @@ func Product(r1, r2 *Relation) (*Relation, error) {
 		// times; the paper's nulls concern non-key values).
 		return c.pair(t1, t2, t1.l.Union(t2.l), false)
 	})
+}
+
+// setOp begins a set operator over r1 and r2, whose result scheme rule
+// gives (merge for the object-based form): it returns the empty result
+// on that scheme and r2 laid out in r1's attribute order.
+func setOp(r1, r2 *Relation, rule func(a, b *schema.Scheme, merge bool) (*schema.Scheme, error), merge bool) (*Relation, *Relation, error) {
+	rs, err := rule(r1.scheme, r2.scheme, merge)
+	if err != nil {
+		return nil, nil, err
+	}
+	r2, err = relay(r2, r1.scheme)
+	return NewRelation(rs), r2, err
 }
 
 // relay returns r with its tuples laid out in the attribute order of s,

@@ -74,16 +74,14 @@ func Snapshot(r *Relation, s chronon.Time) (*rel.Relation, error) {
 // used to disambiguate operands before Product, ThetaJoin and TimeJoin
 // when schemes share attribute names.
 func (r *Relation) Rename(prefix string) (*Relation, error) {
-	rs, err := r.scheme.Rename(prefix, prefix+"_"+r.scheme.Name)
+	rs, err := r.scheme.Rename(prefix)
 	if err != nil {
 		return nil, err
 	}
-	// Renaming moves no value: each tuple gets a new header, naming its
-	// positions by rs, over the shared value slice.
 	ts := r.Tuples()
 	out := make([]*Tuple, len(ts))
 	for i, t := range ts {
-		out[i] = &Tuple{l: t.l, s: rs, v: t.v}
+		out[i] = t.Renamed(rs)
 	}
 	return NewRelationFromTuples(rs, out)
 }

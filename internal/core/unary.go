@@ -322,15 +322,10 @@ func restrictEach(r *Relation, at func(t *Tuple) (lifespan.Lifespan, error)) (*R
 // determined by the image of the value of a specified attribute for that
 // tuple" — each tuple supplies its own slicing lifespan.
 func TimesliceDynamic(r *Relation, attr string) (*Relation, error) {
-	a, ok := r.scheme.Attr(attr)
-	if !ok {
-		return nil, fmt.Errorf("core: dynamic timeslice: unknown attribute %s", attr)
+	at, err := r.scheme.TimeIndex(attr)
+	if err != nil {
+		return nil, err
 	}
-	if !a.TimeValued() {
-		return nil, fmt.Errorf("core: dynamic timeslice: attribute %s is %s-valued, not time-valued",
-			attr, a.Domain.Kind)
-	}
-	at := r.scheme.Index(attr)
 	return restrictEach(r, func(t *Tuple) (lifespan.Lifespan, error) {
 		img, err := t.v[at].TimeImage()
 		if err != nil {

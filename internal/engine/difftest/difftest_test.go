@@ -135,6 +135,13 @@ var goldenQueries = []string{
 	`EMP OUTERJOIN REF ON NAME = RNAME`,
 	`(PROJECT NAME, DEPT FROM EMP) UNION (PROJECT DEPT, NAME FROM EMP)`,
 	`(PROJECT NAME, DEPT FROM EMP) MINUSMERGE (PROJECT DEPT, NAME FROM (TIMESLICE EMP AT {[50,150]}))`,
+	// Per-tuple operators over a RENAME, a product, a time-join and an
+	// object-based union.
+	`SELECT WHEN b.SAL > 30000 FROM (RENAME EMP AS b)`,
+	`PROJECT b.NAME, b.SAL FROM (RENAME EMP AS b)`,
+	`TIMESLICE (REF TIMES (RENAME REF AS b)) AT {[20,80]}`,
+	`SELECT WHEN GRP = 'A' FROM (STOCK TIMEJOIN REF ON EX_DIV)`,
+	`TIMESLICE ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]})) AT {[50,150]}`,
 }
 
 // compareAll runs src through the naive evaluator and the engine at

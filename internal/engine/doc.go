@@ -23,14 +23,14 @@
 //
 // One way in: a DB wraps a store and hands out Sessions, and a
 // Session's Query / Eval / Explain / ExplainAnalyze are the only ways
-// to run a query (internal/hql keeps the parser and the naive
-// reference evaluator, the oracle the engine is property-tested
-// against over randomized workloads). One way
-// to execute: every plan node has a single method, run, returning its
-// whole result as a batch; a per-tuple operator (time-slice, select,
-// project, index join) binds to the pin as an input set plus a kernel,
-// and one loop applies a kernel to an input slice either sequentially
-// or over core.PartitionSlice chunks on the worker pool. Batches become
+// to run a query (internal/hql keeps the parser and the naive reference
+// evaluator, the oracle the engine is property-tested against over
+// randomized workloads). One way to execute: every plan node has a
+// single method, run, returning its whole result as a batch; a
+// per-tuple operator (time-slice, select, project, rename, index join)
+// binds to the pin as an input set plus a kernel, and one loop applies
+// a kernel to an input slice either sequentially or over
+// core.PartitionSlice chunks on the worker pool. Batches become
 // relations in exactly one place (batch.relation: the plan root, the
 // inputs of naive operators and lifespan sub-plans).
 //

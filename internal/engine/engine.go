@@ -98,8 +98,8 @@ func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Re
 // parse on sp, rejects a literal that did not decode, and plans the
 // expression costed with q's literals, marking plan. Its errors are
 // classified once, here: a syntax error is a parse error; an
-// undecodable literal or an expression the planner refuses (an
-// unknown relation) is semantic, as the naive evaluator classifies it.
+// undecodable literal, an unknown relation or an ill-typed operator
+// is semantic, as the naive evaluator classifies it.
 // e is nil only for a parse error.
 func compile(q *lifted, env hql.Env, sp *obs.Span) (e hql.Expr, p *Plan, err error) {
 	e, err = hql.Parse(q.src)

@@ -76,7 +76,7 @@ func TestPlanLawShapes(t *testing.T) {
 		{`PROJECT NAME, SAL FROM (TIMESLICE EMP AT {[10,14]})`,
 			[]string{"project NAME, SAL (key kept)", "  index-time-slice EMP at {[10,14]}"}},
 		{`SELECT WHEN SAL = 30000 FROM ((TIMESLICE EMP AT {[0,4]}) UNIONMERGE (TIMESLICE EMP AT {[5,199]}))`,
-			[]string{"select-when SAL=30000 (naive)", "  unionmerge (naive)"}},
+			[]string{"filter when SAL=30000", "  unionmerge (naive)"}},
 	}
 	for _, c := range cases {
 		out, err := sess(st).Explain(c.query)

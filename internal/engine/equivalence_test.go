@@ -69,7 +69,9 @@ func testStore(tb testing.TB, seed int64) *storage.Store {
 // compareQuery runs one query through the naive evaluator and the
 // engine and requires identical outcomes — same error presence, and for
 // successes an Equal relation/lifespan/snapshot AND an identical
-// canonical rendering (byte-for-byte).
+// canonical rendering (byte-for-byte). It also walks the query's plan:
+// every node knows its scheme, and a relation-valued root's renders as
+// the result's does.
 func compareQuery(t *testing.T, env *storage.Store, q string) {
 	t.Helper()
 	e, err := hql.Parse(q)
@@ -83,6 +85,23 @@ func compareQuery(t *testing.T, env *storage.Store, q string) {
 	}
 	if nErr != nil {
 		return
+	}
+	p, err := PlanQuery(e, env)
+	if err != nil {
+		t.Fatalf("%q: plan: %v", q, err)
+	}
+	var walk func(n node)
+	walk = func(n node) {
+		if n.scheme() == nil {
+			t.Fatalf("%q: %T has no scheme", q, n)
+		}
+		for _, k := range n.children() {
+			walk(k)
+		}
+	}
+	walk(p.root)
+	if r := gRes.Relation; r != nil && p.root.scheme().String() != r.Scheme().String() {
+		t.Fatalf("%q: plan scheme %s, result scheme %s", q, p.root.scheme(), r.Scheme())
 	}
 	switch {
 	case nRes.Relation != nil:
@@ -108,7 +127,7 @@ func compareQuery(t *testing.T, env *storage.Store, q string) {
 
 // TestEquivalenceFixedBattery runs a hand-picked battery covering every
 // plan node: index time-slice, index selects (key, attribute, interval),
-// streaming filters/projections, index lookup joins, and the naive
+// streaming filters/projections/renames, index lookup joins, and the naive
 // operators.
 func TestEquivalenceFixedBattery(t *testing.T) {
 	st := testStore(t, 1)
@@ -154,6 +173,13 @@ func TestEquivalenceFixedBattery(t *testing.T) {
 		`MATERIALIZE (TIMESLICE STOCK AT {[10,20]})`,
 		`RENAME EMP AS e`,
 		`EMP NATJOIN EMP`,
+		`SELECT WHEN b.SAL > 30000 FROM (RENAME EMP AS b)`,
+		`PROJECT b.NAME, b.SAL FROM (RENAME EMP AS b)`,
+		`TIMESLICE (REF TIMES (RENAME REF AS b)) AT {[20,80]}`,
+		`SELECT WHEN GRP = 'A' FROM (STOCK TIMEJOIN REF ON EX_DIV)`,
+		`TIMESLICE ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]})) AT {[50,150]}`,
+		`(RENAME REF AS b) JOIN EMP ON b.RNAME = NAME`,
+		`((TIMESLICE EMP AT {[0,80]}) UNIONMERGE (TIMESLICE EMP AT {[60,199]})) JOIN REF ON NAME = RNAME`,
 	}
 	for _, q := range queries {
 		compareQuery(t, st, q)

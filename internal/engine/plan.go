@@ -32,8 +32,9 @@ type cost struct {
 // Parents, the plan root and the profiler reach a node through
 // Snapshot.run, never n.run directly. describe renders the node for
 // EXPLAIN against the same kind of pin (probing indexes for candidate
-// counts, never running a sub-plan). opNode (a naive operator) only
-// knows its scheme at execution time and reports nil from scheme.
+// counts, never running a sub-plan). scheme, never nil, is the node's
+// result scheme, derived at lowering from its children's by the
+// algebra's rules (internal/schema).
 type node interface {
 	scheme() *schema.Scheme
 	run(s *Snapshot) (batch, error)
@@ -42,13 +43,12 @@ type node interface {
 	children() []node
 }
 
-// batch is a node's complete result: a tuple slice on a scheme, or —
-// for a scan's O(1) pinned view and a naive operator's output — an
-// already-built relation.
+// batch is a node's complete result: a tuple slice on the node's
+// scheme, or — for a scan's O(1) pinned view and a naive operator's
+// output — an already-built relation.
 type batch struct {
-	scheme *schema.Scheme
-	ts     []*core.Tuple
-	rel    *core.Relation
+	ts  []*core.Tuple
+	rel *core.Relation
 }
 
 func (b batch) tuples() []*core.Tuple {
@@ -59,17 +59,17 @@ func (b batch) tuples() []*core.Tuple {
 	return b.ts
 }
 
-// relation is the engine's one materialization sink: the plan root, the
-// inputs of naive operators and lifespan sub-plans turn a tuple batch
-// into a relation here, in one pass that sorts the batch by key and
-// allocates nothing per tuple (core.NewRelationFromTuples). Kernels
+// relation is the engine's one materialization sink: the plan root,
+// naive operators' inputs and lifespan sub-plans turn a node's batch,
+// on its scheme s, into a relation here, in one pass that sorts by key
+// and allocates nothing per tuple (core.NewRelationFromTuples). Kernels
 // keep each input tuple's unique constant key (joins concatenate two),
 // so the construction cannot hit a duplicate; it still verifies.
-func (b batch) relation() (*core.Relation, error) {
+func (b batch) relation(s *schema.Scheme) (*core.Relation, error) {
 	if b.rel != nil {
 		return b.rel, nil
 	}
-	return core.NewRelationFromTuples(b.scheme, b.ts)
+	return core.NewRelationFromTuples(s, b.ts)
 }
 
 // tupleKernel is one operator's per-tuple work: it appends t's results
@@ -159,7 +159,7 @@ func (s *Snapshot) runOp(op tupleOp) (batch, error) {
 	} else {
 		out, err = s.apply(b.kernel, b.in, make([]*core.Tuple, 0, len(b.in)))
 	}
-	return batch{scheme: op.scheme(), ts: out}, err
+	return batch{ts: out}, err
 }
 
 // restrictKernel is TIME-SLICE's per-tuple step: t|L, dropped when
@@ -284,7 +284,7 @@ func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}
-		r, err := b.relation()
+		r, err := b.relation(e.when.scheme())
 		if err != nil {
 			return lifespan.Lifespan{}, err
 		}
@@ -432,10 +432,7 @@ func (n *timeSliceNode) bind(s *Snapshot) (bound, error) {
 	return bound{in: in, kernel: restrictKernel(L), window: L, windowed: true, partition: overScan}, err
 }
 func (n *timeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *timeSliceNode) estimate() cost {
-	c := n.child.estimate()
-	return cost{rows: c.rows, work: c.work + c.rows}
-}
+func (n *timeSliceNode) estimate() cost                 { return perTuple(n.child) }
 func (n *timeSliceNode) describe(s *Snapshot) string {
 	return "time-slice at " + n.at.render(s.params) + s.scanNote(n.child, n.at)
 }
@@ -614,13 +611,33 @@ func (n *projectNode) bind(s *Snapshot) (bound, error) {
 	}}, err
 }
 func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *projectNode) estimate() cost {
-	c := n.child.estimate()
-	return cost{rows: c.rows, work: c.work + c.rows}
-}
+func (n *projectNode) estimate() cost                 { return perTuple(n.child) }
 func (n *projectNode) describe(*Snapshot) string {
 	return "project " + strings.Join(n.attrs, ", ") + " (key kept)"
 }
+
+// ---------------------------------------------------------------------
+// rename
+
+// renameNode is RENAME tuple-at-a-time: each child tuple under a new
+// header on the renamed scheme, over its shared value slice.
+type renameNode struct {
+	child  node
+	prefix string
+	rs     *schema.Scheme
+}
+
+func (n *renameNode) scheme() *schema.Scheme { return n.rs }
+func (n *renameNode) children() []node       { return []node{n.child} }
+func (n *renameNode) bind(s *Snapshot) (bound, error) {
+	in, err := s.tuplesFrom(n.child)
+	return bound{in: in, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+		return append(out, t.Renamed(n.rs)), nil
+	}}, err
+}
+func (n *renameNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
+func (n *renameNode) estimate() cost                 { return perTuple(n.child) }
+func (n *renameNode) describe(*Snapshot) string      { return "rename as " + n.prefix }
 
 // ---------------------------------------------------------------------
 // join
@@ -721,22 +738,21 @@ func (n *indexJoinNode) describe(s *Snapshot) string {
 // naive operators
 
 // opNode materializes its children and applies one of core's
-// linear-scan algebra operators. Children still run as plans, so an
-// indexed scan below a naive operator keeps its speedup.
-// ls is the operator's lifespan parameter (allTime for the operators
-// that take none); apply and label read the execution's parameters.
+// linear-scan algebra operators — the set operators, the joins other
+// than the indexed equijoin, a key-dropping projection, dynamic
+// TIME-SLICE and MATERIALIZE. Children still run as plans, so an
+// indexed scan below a naive operator keeps its speedup. rs is the
+// result scheme the operator derives from its operands' schemes.
 type opNode struct {
-	label func(ps []param) string
+	label string
 	kids  []node
-	ls    *lsExpr
+	rs    *schema.Scheme
 	est   cost
-	apply func(s *Snapshot, rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error)
+	apply func(rels []*core.Relation) (*core.Relation, error)
 }
 
-func (n *opNode) scheme() *schema.Scheme { return nil }
-func (n *opNode) children() []node {
-	return n.ls.subplans(n.kids[:len(n.kids):len(n.kids)]) // capped: appending a sub-plan copies
-}
+func (n *opNode) scheme() *schema.Scheme { return n.rs }
+func (n *opNode) children() []node       { return n.kids }
 func (n *opNode) run(s *Snapshot) (batch, error) {
 	rels := make([]*core.Relation, len(n.kids))
 	for i, k := range n.kids {
@@ -744,24 +760,24 @@ func (n *opNode) run(s *Snapshot) (batch, error) {
 		if err != nil {
 			return batch{}, err
 		}
-		if rels[i], err = b.relation(); err != nil {
+		if rels[i], err = b.relation(k.scheme()); err != nil {
 			return batch{}, err
 		}
-	}
-	L, err := s.lifespanOf(n.ls)
-	if err != nil {
-		return batch{}, err
 	}
 	// A naive operator is one uninterruptible batch; check before it.
 	if err := s.canceled(); err != nil {
 		return batch{}, err
 	}
-	r, err := n.apply(s, rels, L)
+	r, err := n.apply(rels)
 	return batch{rel: r}, err
 }
-func (n *opNode) estimate() cost { return n.est }
-func (n *opNode) describe(s *Snapshot) string {
-	return n.label(s.params) + " (naive)"
+func (n *opNode) estimate() cost            { return n.est }
+func (n *opNode) describe(*Snapshot) string { return n.label + " (naive)" }
+
+// perTuple estimates an operator that keeps and touches each child row once.
+func perTuple(child node) cost {
+	c := child.estimate()
+	return cost{rows: c.rows, work: c.work + c.rows}
 }
 
 func logN(n int) float64 {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
-	"repro/internal/lifespan"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -151,8 +150,8 @@ func (lc *lowerCtx) noteList() []string {
 
 // PlanQuery lowers a parsed HQL expression into a physical plan for
 // its shape, costed with its own literals. An error means the planner
-// refuses the expression: an unknown relation or operator, or a
-// literal that does not decode.
+// refuses the expression: an unknown relation or operator, a literal
+// that does not decode, or an operator its operands' schemes refuse.
 func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 	ps, err := astParams(e)
 	if err != nil {
@@ -208,9 +207,9 @@ func (p *Plan) side() int {
 // a snapshot of the plan's dependencies first. sp receives the execute
 // mark when the operator tree's root batch returns and the materialize
 // mark after the sink has built the result relation (and, for WHEN and
-// SNAPSHOT queries, derived the result from it). Its errors are
-// classified as the naive evaluator classifies the same failure —
-// semantic, unless cancellation or a deadline already classified them.
+// SNAPSHOT queries, derived the result from it). What fails here
+// depends on the data — compile caught every scheme error — and is
+// semantic, unless cancellation or a deadline classified it first.
 func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 	b, err := s.run(p.root)
 	sp.Mark(obs.StageExecute)
@@ -224,7 +223,7 @@ func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 
 // result materializes the root batch and wraps it in the query's sort.
 func (p *Plan) result(b batch, ps []param) (hql.Result, error) {
-	r, err := b.relation()
+	r, err := b.relation(p.root.scheme())
 	if err != nil {
 		return hql.Result{}, err
 	}
@@ -318,7 +317,10 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return naive1("dynamic-time-slice by "+n.By, child, func(r *core.Relation) (*core.Relation, error) {
+		if _, err := child.scheme().TimeIndex(n.By); err != nil {
+			return nil, err
+		}
+		return naive1("dynamic-time-slice by "+n.By, child, child.scheme(), func(r *core.Relation) (*core.Relation, error) {
 			return core.TimesliceDynamic(r, n.By)
 		}), nil
 
@@ -334,35 +336,39 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cs := child.scheme(); cs != nil && keyKept(cs, n.Attrs) {
-			rs, err := schema.ProjectScheme(cs, n.Attrs, cs.Name)
-			if err == nil {
-				pos := make([]int, len(n.Attrs))
-				for i, a := range n.Attrs {
-					pos[i] = cs.Index(a)
-				}
-				return &projectNode{child: child, attrs: n.Attrs, pos: pos, rs: rs}, nil
-			}
+		cs := child.scheme()
+		rs, err := schema.ProjectScheme(cs, n.Attrs, cs.Name)
+		if err != nil {
+			return nil, err
 		}
-		return naive1("project "+strings.Join(n.Attrs, ", "), child, func(r *core.Relation) (*core.Relation, error) {
-			return core.Project(r, n.Attrs...)
-		}), nil
+		if !rs.SameKey(cs) {
+			return naive1("project "+strings.Join(n.Attrs, ", "), child, rs, func(r *core.Relation) (*core.Relation, error) {
+				return core.Project(r, n.Attrs...)
+			}), nil
+		}
+		pos := make([]int, len(n.Attrs))
+		for i, a := range n.Attrs {
+			pos[i] = cs.Index(a)
+		}
+		return &projectNode{child: child, attrs: n.Attrs, pos: pos, rs: rs}, nil
 
 	case *hql.RenameExpr:
 		child, err := lower(n.Source, lc)
 		if err != nil {
 			return nil, err
 		}
-		return naive1("rename as "+n.Prefix, child, func(r *core.Relation) (*core.Relation, error) {
-			return r.Rename(n.Prefix)
-		}), nil
+		rs, err := child.scheme().Rename(n.Prefix)
+		if err != nil {
+			return nil, err
+		}
+		return &renameNode{child: child, prefix: n.Prefix, rs: rs}, nil
 
 	case *hql.MaterializeExpr:
 		child, err := lower(n.Source, lc)
 		if err != nil {
 			return nil, err
 		}
-		return naive1("materialize", child, core.Materialize), nil
+		return naive1("materialize", child, child.scheme(), core.Materialize), nil
 
 	case *hql.BinaryExpr:
 		return lowerBinary(n, lc)
@@ -404,10 +410,8 @@ func lowerStaticSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
 		return nil, err
 	}
 	best := lowerTimeslice(filtered, at, lc)
-	sliced, err := lowerSelect(sel, lowerTimeslice(child, at, lc), lc)
-	if err != nil {
-		return best, nil
-	}
+	// The slice keeps child's scheme, which filtered's condition passed.
+	sliced, _ := lowerSelect(sel, lowerTimeslice(child, at, lc), lc)
 	slicedFirst := sliced.estimate().work < best.estimate().work
 	if c := newSliceChoice(sliced, best.estimate().work, lc); c != nil {
 		slicedFirst = c.sliced
@@ -467,11 +471,11 @@ func (c *sliceChoice) slicedFirst(ps []param) bool { return c.rows(ps) < c.cross
 
 // lowerTimeslice plans a static TIME-SLICE: the interval index over a
 // base relation big enough for one to pay (log n + k < n needs n > 2),
-// a per-tuple restrict over any other known scheme, the naive operator
-// otherwise. A static slice of a static slice is first composed into
-// one by Section 5's T_L1(T_L2(r)) = T_{L1∩L2}(r) (core's
-// TestLawTimesliceComposition): L1∩L2 is intersected at bind, and the
-// tuples are restricted once — never more work than twice.
+// a per-tuple restrict over any other input. A static slice of a static
+// slice is first composed into one by Section 5's T_L1(T_L2(r)) =
+// T_{L1∩L2}(r) (core's TestLawTimesliceComposition): L1∩L2 is
+// intersected at bind, and the tuples are restricted once — never more
+// work than twice.
 func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 	if at.static() {
 		switch c := child.(type) {
@@ -493,20 +497,14 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 		return &indexTimeSliceNode{name: sc.name, rel: sc.rel, at: at,
 			est: cost{rows: k, work: logN(sc.card) + k}}
 	}
-	if child.scheme() != nil {
-		return &timeSliceNode{child: child, at: at}
-	}
-	return naiveL(func(ps []param) string { return "time-slice at " + at.render(ps) }, child, at,
-		func(_ *Snapshot, r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
-			return core.TimesliceStatic(r, L)
-		})
+	return &timeSliceNode{child: child, at: at}
 }
 
 // lowerSelect plans SELECT IF/WHEN over its planned source: an
 // index-select over a base relation where a required equality conjunct
 // or a DURING lifespan gives an index something to prune by, a
-// per-tuple filter otherwise, the naive operator when the child's
-// scheme is only known at execution time. Which of them is chosen
+// per-tuple filter otherwise. A condition naming an attribute the
+// child's scheme lacks is refused here. Which of them is chosen
 // reads the condition's shape — attributes, comparators, constant
 // kinds — never a constant's value; the estimate still reads a static
 // DURING window, so a choice above it can move with the window.
@@ -520,11 +518,8 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	}
 	forAll := !n.When && n.ForAll
 	cs := child.scheme()
-	if cs == nil {
-		return naiveSelect(n, during, child), nil
-	}
 	if err := core.CondCheck(bindCond(n.Cond, lc.params, nil), cs); err != nil {
-		return nil, err // surface via the naive evaluator's error path
+		return nil, err
 	}
 	// ∀ quantification keeps tuples whose scope is empty (vacuous truth),
 	// so no candidate pruning is sound for it.
@@ -533,8 +528,8 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	reqAttr := ""
 	if hasReq {
 		reqAttr = req.Attr
-		a, has := cs.Attr(reqAttr)
-		hasReq = isScan && !forAll && has && a.Domain.Kind == req.Const.Kind()
+		a, _ := cs.Attr(reqAttr)
+		hasReq = isScan && !forAll && a.Domain.Kind == req.Const.Kind()
 	}
 	// Selectivity: statistics-derived for base relations, comparator
 	// defaults for derived inputs whose distribution the catalog cannot
@@ -544,9 +539,6 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	var statsFor func(attr string) (AttrStats, bool)
 	if rel, rname, ok := baseRel(child); ok {
 		statsFor = func(attr string) (AttrStats, bool) {
-			if !rel.Scheme().HasAttr(attr) {
-				return AttrStats{}, false
-			}
 			return lc.attrStatsCheap(rname, rel, attr, hasReq && attr == reqAttr)
 		}
 	}
@@ -610,28 +602,13 @@ func requiredEQ(c hql.CondExpr) (*hql.PredExpr, bool) {
 	return nil, false
 }
 
-// naiveSelect wraps the naive SELECT operators over a materialized child.
-func naiveSelect(n *hql.SelectExpr, during *lsExpr, child node) node {
-	kind := selKind(n.When, !n.When && n.ForAll)
-	label := func(ps []param) string { return fmt.Sprintf("select-%s %s", kind, bindCond(n.Cond, ps, nil)) }
-	return naiveL(label, child, during, func(s *Snapshot, r *core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
-		cond := bindCond(n.Cond, s.params, nil)
-		if n.When {
-			return core.SelectWhenCond(r, cond, L)
-		}
-		q := core.Exists
-		if n.ForAll {
-			q = core.ForAll
-		}
-		return core.SelectIfCond(r, cond, q, L)
-	})
-}
-
 // lowerBinary plans the set operators, product and the join family. The
-// equijoin gets the index treatment; everything else wraps the naive
-// operator over planned children. Output estimates use the algebraic
-// bounds of the set operators and statistics-derived join selectivities
-// in place of fixed guesses.
+// operands' schemes decide the result's by the algebra's rules
+// (internal/schema), so an ill-typed pair is refused here. The equijoin
+// gets the index treatment; everything else wraps the naive operator
+// over planned children. Output estimates use the algebraic bounds of
+// the set operators and statistics-derived join selectivities in place
+// of fixed guesses.
 func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 	left, err := lower(n.Left, lc)
 	if err != nil {
@@ -641,71 +618,87 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.Op == "JOIN" && n.Theta == value.EQ {
-		return lowerEquiJoin(n, left, right, lc), nil
-	}
+	ls, rs := left.scheme(), right.scheme()
 	le, re := left.estimate(), right.estimate()
 	est := cost{rows: le.rows + re.rows, work: le.work + re.work + le.rows + re.rows}
-	var apply func(l, r *core.Relation) (*core.Relation, error)
+	pairs := cost{rows: le.rows * re.rows * defaultCmpSel, work: le.work + re.work + le.rows*re.rows}
+	merge := strings.HasSuffix(n.Op, "MERGE")
+	var (
+		s     *schema.Scheme
+		apply func(l, r *core.Relation) (*core.Relation, error)
+	)
 	name := strings.ToLower(n.Op)
 	switch n.Op {
-	case "UNION":
+	case "UNION", "UNIONMERGE":
+		s, err = schema.UnionScheme(ls, rs, merge)
 		apply = core.Union
-	case "UNIONMERGE":
-		apply = core.UnionMerge
+		if merge {
+			apply = core.UnionMerge
+		}
 	case "INTERSECT", "INTERSECTMERGE":
+		s, err = schema.IntersectScheme(ls, rs, merge)
 		// An intersection is bounded by its smaller operand, not the sum
 		// — pricing it as l+r mis-ranked index joins against it.
 		est.rows = minf(le.rows, re.rows)
 		apply = core.Intersect
-		if n.Op == "INTERSECTMERGE" {
+		if merge {
 			apply = core.IntersectMerge
 		}
 	case "MINUS", "MINUSMERGE":
+		s, err = schema.DiffScheme(ls, rs, merge)
 		// A difference returns at most its left operand.
 		est.rows = le.rows
 		apply = core.Diff
-		if n.Op == "MINUSMERGE" {
+		if merge {
 			apply = core.DiffMerge
 		}
 	case "TIMES":
+		s, err = schema.ProductScheme(ls, rs)
 		apply = core.Product
-		est = cost{rows: le.rows * re.rows, work: le.work + re.work + le.rows*re.rows}
+		est = cost{rows: le.rows * re.rows, work: pairs.work}
 	case "JOIN":
+		if s, err = schema.JoinScheme(ls, rs, n.AttrA, n.AttrB); err == nil && n.Theta == value.EQ {
+			return lowerEquiJoin(n, left, right, s, lc), nil
+		}
 		th := n.Theta
 		name = fmt.Sprintf("theta-join %s %s %s", n.AttrA, th, n.AttrB)
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.ThetaJoin(l, r, n.AttrA, th, n.AttrB)
 		}
-		est = cost{rows: le.rows * re.rows * defaultCmpSel, work: le.work + re.work + le.rows*re.rows}
+		est = pairs
 	case "OUTERJOIN":
+		s, err = schema.JoinScheme(ls, rs, n.AttrA, n.AttrB)
 		th := n.Theta
 		name = fmt.Sprintf("outer-join %s %s %s", n.AttrA, th, n.AttrB)
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.ThetaJoinOuter(l, r, n.AttrA, th, n.AttrB)
 		}
-		sel := defaultCmpSel
-		if th == value.EQ {
-			sel = equiJoinSelectivity(n, left, right, lc)
+		est = pairs
+		if th == value.EQ && err == nil {
+			est.rows = le.rows * re.rows * equiJoinSelectivity(n, left, right, lc)
 		}
-		est = cost{rows: le.rows * re.rows * sel, work: le.work + re.work + le.rows*re.rows}
 	case "NATJOIN":
+		s, err = schema.NaturalJoinScheme(ls, rs)
 		name = "natural-join"
 		apply = core.NaturalJoin
 		// Natural joins here share key attributes, so output is bounded
 		// by key containment: about the larger operand, not half the
 		// cross product.
-		est = cost{rows: maxf(le.rows, re.rows), work: le.work + re.work + le.rows*re.rows}
+		est = cost{rows: maxf(le.rows, re.rows), work: pairs.work}
 	case "TIMEJOIN":
+		s, err = schema.TimeJoinScheme(ls, rs, n.AttrA)
 		name = "time-join @" + n.AttrA
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.TimeJoin(l, r, n.AttrA)
 		}
-		est = cost{rows: le.rows * re.rows * defaultCmpSel, work: le.work + re.work + le.rows*re.rows}
+		est = pairs
 	default:
 		return nil, fmt.Errorf("engine: unknown operator %s", n.Op)
 	}
-	return naive2(name, left, right, est, apply), nil
+	if err != nil {
+		return nil, err
+	}
+	return naive2(name, left, right, s, est, apply), nil
 }
 
 // equiJoinSelectivity estimates the fraction of the cross product an
@@ -715,12 +708,12 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 // forces an index build), and the comparator default otherwise.
 func equiJoinSelectivity(n *hql.BinaryExpr, left, right node, lc *lowerCtx) float64 {
 	d := 0.0
-	if rel, name, ok := baseRel(left); ok && rel.Scheme().HasAttr(n.AttrA) {
+	if rel, name, ok := baseRel(left); ok {
 		if as, ok := lc.attrStatsCheap(name, rel, n.AttrA, false); ok {
 			d = maxf(d, float64(as.Distinct))
 		}
 	}
-	if rel, name, ok := baseRel(right); ok && rel.Scheme().HasAttr(n.AttrB) {
+	if rel, name, ok := baseRel(right); ok {
 		if as, ok := lc.attrStatsCheap(name, rel, n.AttrB, false); ok {
 			d = maxf(d, float64(as.Distinct))
 		}
@@ -734,47 +727,40 @@ func equiJoinSelectivity(n *hql.BinaryExpr, left, right node, lc *lowerCtx) floa
 // lowerEquiJoin prices three physical forms of r1 JOIN r2 [A = B] — the
 // naive nested loop, streaming the left side against an index on the
 // right, and the mirror image — and picks the cheapest eligible one.
-func lowerEquiJoin(n *hql.BinaryExpr, left, right node, lc *lowerCtx) node {
+// rs is the join's result scheme.
+func lowerEquiJoin(n *hql.BinaryExpr, left, right node, rs *schema.Scheme, lc *lowerCtx) node {
 	le, re := left.estimate(), right.estimate()
 	sel := equiJoinSelectivity(n, left, right, lc)
-	best := node(naive2(fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB), left, right,
+	best := node(naive2(fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB), left, right, rs,
 		cost{rows: le.rows * re.rows * sel, work: le.work + re.work + le.rows*re.rows},
 		func(l, r *core.Relation) (*core.Relation, error) { return core.EquiJoin(l, r, n.AttrA, n.AttrB) }))
-	if j := indexJoin(left, n.AttrA, right, n.AttrB, true); j != nil && j.estimate().work < best.estimate().work {
+	if j := indexJoin(left, n.AttrA, right, n.AttrB, rs, true); j != nil && j.estimate().work < best.estimate().work {
 		best = j
 	}
-	if j := indexJoin(right, n.AttrB, left, n.AttrA, false); j != nil && j.estimate().work < best.estimate().work {
+	if j := indexJoin(right, n.AttrB, left, n.AttrA, rs, false); j != nil && j.estimate().work < best.estimate().work {
 		best = j
 	}
 	return best
 }
 
 // indexJoin builds an index-lookup-join candidate with stream as the
-// streamed side and idx as the indexed side, or nil when the shape is
-// ineligible (non-base indexed side, unknown stream scheme, shared
-// attributes, mismatched value kinds).
-func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsStream bool) *indexJoinNode {
+// streamed side and idx as the indexed side of the join on scheme
+// joined, or nil when the shape is ineligible (non-base indexed side,
+// mismatched value kinds).
+func indexJoin(stream node, streamAttr string, idx node, idxAttr string, joined *schema.Scheme, leftIsStream bool) *indexJoinNode {
 	sc, ok := idx.(*scanNode)
 	if !ok {
 		return nil
 	}
-	ss := stream.scheme()
-	is := sc.rel.Scheme()
-	if ss == nil || !ss.DisjointAttrs(is) {
-		return nil
-	}
-	sa, ok1 := ss.Attr(streamAttr)
-	ia, ok2 := is.Attr(idxAttr)
-	if !ok1 || !ok2 || sa.Domain.Kind != ia.Domain.Kind {
+	ss, is := stream.scheme(), sc.rel.Scheme()
+	sa, _ := ss.Attr(streamAttr)
+	ia, _ := is.Attr(idxAttr)
+	if sa.Domain.Kind != ia.Domain.Kind {
 		return nil
 	}
 	ls, rs, la, ra := ss, is, streamAttr, idxAttr
 	if !leftIsStream {
 		ls, rs, la, ra = is, ss, idxAttr, streamAttr
-	}
-	joined, err := schema.ConcatScheme(ls, rs, ls.Name+"⋈"+rs.Name)
-	if err != nil {
-		return nil
 	}
 	j := &indexJoinNode{stream: stream, streamAttr: streamAttr,
 		indexed: sc.rel, indexedName: sc.name, indexedAttr: idxAttr,
@@ -793,48 +779,18 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, leftIsS
 	return j
 }
 
-// naive1 wraps a unary naive operator over a planned child.
-func naive1(name string, child node, apply func(*core.Relation) (*core.Relation, error)) *opNode {
-	return naiveL(named(name), child, allTime, func(_ *Snapshot, r *core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
-		return apply(r)
-	})
+// naive1 wraps a unary naive operator over a planned child; rs is its
+// result scheme.
+func naive1(label string, child node, rs *schema.Scheme, apply func(*core.Relation) (*core.Relation, error)) *opNode {
+	return &opNode{label: label, kids: []node{child}, rs: rs, est: perTuple(child),
+		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0]) }}
 }
 
-// naiveL wraps a unary naive operator that takes a lifespan parameter
-// or reads other parameters; label names it for EXPLAIN.
-func naiveL(label func([]param) string, child node, ls *lsExpr, apply func(*Snapshot, *core.Relation, lifespan.Lifespan) (*core.Relation, error)) *opNode {
-	c := child.estimate()
-	return &opNode{label: label, kids: []node{child}, ls: ls,
-		est: cost{rows: c.rows, work: c.work + c.rows},
-		apply: func(s *Snapshot, rels []*core.Relation, L lifespan.Lifespan) (*core.Relation, error) {
-			return apply(s, rels[0], L)
-		}}
-}
-
-// naive2 wraps a binary naive operator over planned children.
-func naive2(name string, left, right node, est cost, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
-	return &opNode{label: named(name), kids: []node{left, right}, ls: allTime, est: est,
-		apply: func(_ *Snapshot, rels []*core.Relation, _ lifespan.Lifespan) (*core.Relation, error) {
-			return apply(rels[0], rels[1])
-		}}
-}
-
-// named is the label of a naive operator whose name reads no parameter.
-func named(name string) func([]param) string { return func([]param) string { return name } }
-
-// keyKept reports whether a projection onto attrs retains every key
-// attribute of s — the precondition for tuple-at-a-time projection.
-func keyKept(s *schema.Scheme, attrs []string) bool {
-	have := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		have[a] = true
-	}
-	for _, k := range s.Key {
-		if !have[k] {
-			return false
-		}
-	}
-	return true
+// naive2 wraps a binary naive operator over planned children; rs is its
+// result scheme.
+func naive2(label string, left, right node, rs *schema.Scheme, est cost, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
+	return &opNode{label: label, kids: []node{left, right}, rs: rs, est: est,
+		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0], rels[1]) }}
 }
 
 // lowerLS translates a lifespan-valued expression into a plan

@@ -57,13 +57,13 @@ func TestEveryQueryPathCountsOnce(t *testing.T) {
 		{"query/parse-error", query(demo, bg, `THIS IS NOT HQL`), 1, parse, 0},
 		{"query/lift-failure", query(demo, bg, `TIMESLICE EMP AT {[9,x]}`), 1, semantic, 0},
 		{"query/unplannable", query(demo, bg, `NOSUCHREL`), 1, semantic, 0},
-		{"query/execution-error", query(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, semantic, 0},
+		{"query/execution-error", query(demo, bg, `EMP UNION (TIMESLICE EMP AT {[0,9]})`), 1, semantic, 0},
 		{"query/canceled-mid-scan", query(big, newFlipCtx(2), `SELECT WHEN SAL > 0 FROM EMP`), 1, canceled, 0},
 		{"query/already-canceled", query(demo, done, key), 0, canceled, 0},
 		{"analyze/success", analyze(demo, bg, key), 1, none, 0},
 		{"analyze/parse-error", analyze(demo, bg, `THIS IS NOT HQL`), 1, parse, 0},
 		{"analyze/plan-error", analyze(demo, bg, `NOSUCHREL`), 1, semantic, 0},
-		{"analyze/execution-error", analyze(demo, bg, `EMP UNIONMERGE DEPTREL`), 1, semantic, 0},
+		{"analyze/execution-error", analyze(demo, bg, `EMP UNION (TIMESLICE EMP AT {[0,9]})`), 1, semantic, 0},
 		{"analyze/already-canceled", analyze(demo, done, key), 0, canceled, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {

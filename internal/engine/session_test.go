@@ -64,11 +64,12 @@ func TestSessionQueryTypedErrors(t *testing.T) {
 
 // TestErrorClassSameFromEveryEntryPoint: a text that fails does so with
 // one class whichever entry point runs it — Query, Explain, EXPLAIN
-// ANALYZE, and the naive evaluator the engine is tested against. A
-// text the planner refuses or whose literal does not decode is
-// semantic, never internal; a syntax error is a parse error; an
-// operator of a compiled plan failing at execution is semantic, and
-// Explain, which runs no operator, succeeds on it.
+// ANALYZE, and the naive evaluator the engine is tested against — and
+// fails in compile, so the plan cache keeps nothing for it. A syntax
+// error is a parse error; an unknown relation, a literal that does not
+// decode, and an ill-typed operator (operands its scheme rule refuses,
+// an attribute its operand's scheme lacks) are semantic, never
+// internal. msg, when set, is a substring of every entry point's error.
 func TestErrorClassSameFromEveryEntryPoint(t *testing.T) {
 	sess := OpenDB(workload.Demo()).NewSession()
 	naive := func(src string) error {
@@ -79,39 +80,47 @@ func TestErrorClassSameFromEveryEntryPoint(t *testing.T) {
 		return err
 	}
 	for _, c := range []struct {
-		src      string
-		class    hrdmerr.Code
-		compiles bool // Explain succeeds: the text fails only when run
+		src   string
+		class hrdmerr.Code
+		msg   string
 	}{
-		{`NOSUCHREL`, hrdmerr.CodeSemantic, false},
-		{`EMP JOIN NOSUCHREL ON DEPT = GRP`, hrdmerr.CodeSemantic, false},
-		{`TIMESLICE EMP AT WHEN (SELECT WHEN DEPT = 'x' FROM NOSUCHREL)`, hrdmerr.CodeSemantic, false},
-		{`TIMESLICE EMP AT {[9,x]}`, hrdmerr.CodeSemantic, false},
-		{`SELECT WHEN SAL = 99999999999999999999999 FROM EMP`, hrdmerr.CodeParse, false},
-		{`EMP UNIONMERGE DEPTREL`, hrdmerr.CodeSemantic, true},
-		{`EMP JOIN DEPTREL ON NOPE = DNAME`, hrdmerr.CodeSemantic, true},
-		{`TIMESLICE EMP BY NOPE`, hrdmerr.CodeSemantic, true},
+		{`NOSUCHREL`, hrdmerr.CodeSemantic, ""},
+		{`EMP JOIN NOSUCHREL ON DEPT = GRP`, hrdmerr.CodeSemantic, ""},
+		{`TIMESLICE EMP AT WHEN (SELECT WHEN DEPT = 'x' FROM NOSUCHREL)`, hrdmerr.CodeSemantic, ""},
+		{`TIMESLICE EMP AT {[9,x]}`, hrdmerr.CodeSemantic, ""},
+		{`SELECT WHEN SAL = 99999999999999999999999 FROM EMP`, hrdmerr.CodeParse, ""},
+		{`EMP UNIONMERGE DEPTREL`, hrdmerr.CodeSemantic, ""},
+		{`EMP JOIN DEPTREL ON NOPE = DNAME`, hrdmerr.CodeSemantic, ""},
+		{`TIMESLICE EMP BY NOPE`, hrdmerr.CodeSemantic, ""},
+		{`EMP TIMES EMP`, hrdmerr.CodeSemantic, ""},
+		{`EMP UNION (PROJECT NAME FROM EMP)`, hrdmerr.CodeSemantic,
+			"EMP(NAME* strings discrete {[0,99]}, SAL integers step {[0,99]}, DEPT strings step {[0,99]}) and " +
+				"EMP(NAME* strings discrete {[0,99]}) are not union-compatible"},
+		{`PROJECT NOPE FROM EMP`, hrdmerr.CodeSemantic, ""},
+		{`SELECT WHEN NOPE = 'x' FROM (EMP UNION EMP)`, hrdmerr.CodeSemantic, ""},
+		{`SELECT WHEN NOPE = 'x' FROM (RENAME EMP AS b)`, hrdmerr.CodeSemantic, ""},
 	} {
+		stores := mPlanStores.Load()
 		_, qErr := sess.Query(bg, c.src)
 		_, xErr := sess.Explain(c.src)
 		_, aErr := sess.ExplainAnalyze(bg, c.src)
-		explain := c.class
-		if c.compiles {
-			explain = 0
-		}
 		for _, ep := range []struct {
-			name  string
-			err   error
-			class hrdmerr.Code // 0: no error
+			name string
+			err  error
 		}{
-			{"Query", qErr, c.class},
-			{"Explain", xErr, explain},
-			{"ExplainAnalyze", aErr, c.class},
-			{"EvalNaive", naive(c.src), c.class},
+			{"Query", qErr},
+			{"Explain", xErr},
+			{"ExplainAnalyze", aErr},
+			{"EvalNaive", naive(c.src)},
 		} {
-			if got := hrdmerr.CodeOf(ep.err); got != ep.class {
-				t.Errorf("%s(%q) = %v (class %d); want class %d", ep.name, c.src, ep.err, got, ep.class)
+			if got := hrdmerr.CodeOf(ep.err); got != c.class {
+				t.Errorf("%s(%q) = %v (class %d); want class %d", ep.name, c.src, ep.err, got, c.class)
+			} else if !strings.Contains(ep.err.Error(), c.msg) {
+				t.Errorf("%s(%q) = %v; want it to contain %q", ep.name, c.src, ep.err, c.msg)
 			}
+		}
+		if got := mPlanStores.Load(); got != stores {
+			t.Errorf("%q: engine.plancache.stores %d -> %d; want no plan cached", c.src, stores, got)
 		}
 	}
 }

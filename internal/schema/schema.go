@@ -220,10 +220,6 @@ func (s *Scheme) SameKey(o *Scheme) bool {
 	return true
 }
 
-// UnionCompatible reports the paper's union-compatibility: same
-// attributes with the same domains.
-func (s *Scheme) UnionCompatible(o *Scheme) bool { return s.SameAttrs(o) }
-
 // MergeCompatible reports the paper's merge-compatibility, "stricter than
 // union-compatibility, by requiring the same key": A1 = A2, K1 = K2, and
 // DOM1 = DOM2.
@@ -272,37 +268,119 @@ func combineALS(a, b *Scheme, f func(x, y lifespan.Lifespan) lifespan.Lifespan) 
 	return out
 }
 
-// UnionScheme builds the result scheme of the union operators: per the
-// paper, R3 = <A1, K1, ALS1 ∪ ALS2, DOM1>.
-func UnionScheme(a, b *Scheme, name string) (*Scheme, error) {
-	if !a.UnionCompatible(b) {
-		return nil, fmt.Errorf("schema: %s and %s are not union-compatible", a.Name, b.Name)
-	}
-	als := combineALS(a, b, lifespan.Lifespan.Union)
-	attrs := make([]Attribute, len(a.Attrs))
-	for i, at := range a.Attrs {
-		at.Lifespan = als[at.Name]
-		attrs[i] = at
-	}
-	return New(name, a.Key, attrs...)
+// UnionScheme builds the result scheme of r1 ∪ r2, or of r1 ∪o r2 when
+// merge is set: per the paper, R3 = <A1, K1, ALS1 ∪ ALS2, DOM1>. Each
+// operator's result scheme is stated once, here, for core's operators
+// and the engine's planner alike.
+func UnionScheme(a, b *Scheme, merge bool) (*Scheme, error) {
+	return combined(a, b, merge, lifespan.Lifespan.Union)
 }
 
-// IntersectScheme builds the result scheme of the intersection operators:
-// R3 = <A1, K1, ALS1 ∩ ALS2, DOM1>. The intersection of the ALS
-// assignments can empty an attribute's lifespan, which the paper's
-// structural conditions forbid; that case is an error reported to the
-// caller ("the schemas never coexist").
-func IntersectScheme(a, b *Scheme, name string) (*Scheme, error) {
-	if !a.UnionCompatible(b) {
-		return nil, fmt.Errorf("schema: %s and %s are not union-compatible", a.Name, b.Name)
+// IntersectScheme builds the result scheme of r1 ∩ r2, or of r1 ∩o r2
+// when merge is set: R3 = <A1, K1, ALS1 ∩ ALS2, DOM1>. The intersection
+// of the ALS assignments can empty an attribute's lifespan, which the
+// paper's structural conditions forbid; that case is an error reported
+// to the caller ("the schemas never coexist").
+func IntersectScheme(a, b *Scheme, merge bool) (*Scheme, error) {
+	return combined(a, b, merge, lifespan.Lifespan.Intersect)
+}
+
+// DiffScheme returns the result scheme of r1 − r2, or of r1 −o r2 when
+// merge is set: R1.
+func DiffScheme(a, b *Scheme, merge bool) (*Scheme, error) {
+	return a, compatible(a, b, merge)
+}
+
+// compatible checks the set operators' precondition: union-compatible
+// operands, merge-compatible ones for the object-based forms.
+func compatible(a, b *Scheme, merge bool) error {
+	switch {
+	case merge && !a.MergeCompatible(b):
+		return fmt.Errorf("schema: %s and %s are not merge-compatible", a, b)
+	case !a.SameAttrs(b):
+		return fmt.Errorf("schema: %s and %s are not union-compatible", a, b)
 	}
-	als := combineALS(a, b, lifespan.Lifespan.Intersect)
+	return nil
+}
+
+// combined builds <A1, K1, f(ALS1, ALS2), DOM1> for compatible a and b.
+func combined(a, b *Scheme, merge bool, f func(x, y lifespan.Lifespan) lifespan.Lifespan) (*Scheme, error) {
+	if err := compatible(a, b, merge); err != nil {
+		return nil, err
+	}
+	als := combineALS(a, b, f)
 	attrs := make([]Attribute, len(a.Attrs))
 	for i, at := range a.Attrs {
 		at.Lifespan = als[at.Name]
 		attrs[i] = at
 	}
-	return New(name, a.Key, attrs...)
+	return New(a.Name, a.Key, attrs...)
+}
+
+// ProductScheme builds the result scheme of the Cartesian product
+// r1 × r2, whose operands must share no attribute.
+func ProductScheme(a, b *Scheme) (*Scheme, error) {
+	if err := disjoint(a, b); err != nil {
+		return nil, err
+	}
+	return ConcatScheme(a, b, a.Name+"x"+b.Name)
+}
+
+// JoinScheme builds the result scheme of the θ-join, the equijoin and
+// the outer θ-join r1 [A θ B] r2, whose operands share no attribute, A
+// an attribute of r1 and B one of r2. How A's and B's values compare
+// across domain kinds is left to each pair (value.Theta.Apply).
+func JoinScheme(a, b *Scheme, attrA, attrB string) (*Scheme, error) {
+	if err := disjoint(a, b); err != nil {
+		return nil, err
+	}
+	if !a.HasAttr(attrA) {
+		return nil, fmt.Errorf("schema: join attribute %s not in %s", attrA, a)
+	}
+	if !b.HasAttr(attrB) {
+		return nil, fmt.Errorf("schema: join attribute %s not in %s", attrB, b)
+	}
+	return ConcatScheme(a, b, a.Name+"⋈"+b.Name)
+}
+
+// NaturalJoinScheme builds the result scheme of r1 NATURAL-JOIN r2,
+// whose operands must share an attribute.
+func NaturalJoinScheme(a, b *Scheme) (*Scheme, error) {
+	if len(a.CommonAttrs(b)) == 0 {
+		return nil, fmt.Errorf("schema: natural join: %s and %s share no attributes", a, b)
+	}
+	return ConcatScheme(a, b, a.Name+"⋈"+b.Name)
+}
+
+// TimeJoinScheme builds the result scheme of r1 [@A] r2: A is a
+// time-valued attribute of r1, and the operands share no attribute.
+func TimeJoinScheme(a, b *Scheme, attr string) (*Scheme, error) {
+	if _, err := a.TimeIndex(attr); err != nil {
+		return nil, err
+	}
+	if err := disjoint(a, b); err != nil {
+		return nil, err
+	}
+	return ConcatScheme(a, b, a.Name+"⋈"+b.Name)
+}
+
+// TimeIndex returns the position of the time-valued attribute name —
+// whose image slices a tuple in dynamic TIME-SLICE and TIME-JOIN — or
+// an error when s lacks it or it is not time-valued.
+func (s *Scheme) TimeIndex(name string) (int, error) {
+	i := s.Index(name)
+	if i < 0 || !s.Attrs[i].TimeValued() {
+		return i, fmt.Errorf("schema: %s has no time-valued attribute %s", s, name)
+	}
+	return i, nil
+}
+
+// disjoint checks the product's and the θ-joins' precondition.
+func disjoint(a, b *Scheme) error {
+	if !a.DisjointAttrs(b) {
+		return fmt.Errorf("schema: %s and %s share attributes; rename first", a, b)
+	}
+	return nil
 }
 
 // ProjectScheme builds the scheme for π_X(r). Every name in x must be a
@@ -427,10 +505,11 @@ func indexAttr(attrs []Attribute, name string) int {
 	return -1
 }
 
-// Rename returns a copy of the scheme with every attribute prefixed
-// "prefix.", preserving key membership. Used to disambiguate before
-// products/θ-joins of relations sharing attribute names.
-func (s *Scheme) Rename(prefix, name string) (*Scheme, error) {
+// Rename returns the scheme of RENAME s AS prefix: a copy named
+// "prefix_" + s.Name with every attribute prefixed "prefix.",
+// preserving key membership. Used to disambiguate before products and
+// θ-joins of relations sharing attribute names.
+func (s *Scheme) Rename(prefix string) (*Scheme, error) {
 	attrs := make([]Attribute, len(s.Attrs))
 	for i, a := range s.Attrs {
 		a.Name = prefix + "." + a.Name
@@ -440,7 +519,7 @@ func (s *Scheme) Rename(prefix, name string) (*Scheme, error) {
 	for i, k := range s.Key {
 		key[i] = prefix + "." + k
 	}
-	return New(name, key, attrs...)
+	return New(prefix+"_"+s.Name, key, attrs...)
 }
 
 // String renders the scheme header; see AppendForm.

@@ -126,7 +126,7 @@ func TestCompatibilityPredicates(t *testing.T) {
 		Attribute{Name: "NAME", Domain: value.Strings, Lifespan: ls("{[50,99]}")},
 		Attribute{Name: "SAL", Domain: value.Ints, Lifespan: ls("{[50,99]}"), Interp: "step"},
 	)
-	if !a.UnionCompatible(b) {
+	if !a.SameAttrs(b) {
 		t.Error("same attrs+domains must be union-compatible (order-insensitive)")
 	}
 	if !a.MergeCompatible(b) {
@@ -137,7 +137,7 @@ func TestCompatibilityPredicates(t *testing.T) {
 		Attribute{Name: "SAL", Domain: value.Ints, Lifespan: ls("{[0,49]}")},
 		Attribute{Name: "DEPT", Domain: value.Strings, Lifespan: ls("{[0,49]}")},
 	)
-	if !a.UnionCompatible(c) {
+	if !a.SameAttrs(c) {
 		t.Error("different key does not break union-compatibility")
 	}
 	if a.MergeCompatible(c) {
@@ -148,7 +148,7 @@ func TestCompatibilityPredicates(t *testing.T) {
 		Attribute{Name: "SAL", Domain: value.Floats, Lifespan: ls("{[0,49]}")},
 		Attribute{Name: "DEPT", Domain: value.Strings, Lifespan: ls("{[0,49]}")},
 	)
-	if a.UnionCompatible(d) {
+	if a.SameAttrs(d) {
 		t.Error("different domain for SAL breaks union-compatibility")
 	}
 }
@@ -181,14 +181,14 @@ func TestUnionIntersectScheme(t *testing.T) {
 		Attribute{Name: "SAL", Domain: value.Ints, Lifespan: ls("{[30,99]}"), Interp: "step"},
 		Attribute{Name: "DEPT", Domain: value.Strings, Lifespan: ls("{[30,99]}"), Interp: "step"},
 	)
-	u, err := UnionScheme(a, b, "U")
+	u, err := UnionScheme(a, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !u.ALS("SAL").Equal(ls("{[0,99]}")) {
 		t.Errorf("union ALS = %v", u.ALS("SAL"))
 	}
-	i, err := IntersectScheme(a, b, "I")
+	i, err := IntersectScheme(a, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +201,58 @@ func TestUnionIntersectScheme(t *testing.T) {
 		Attribute{Name: "SAL", Domain: value.Ints, Lifespan: ls("{[500,600]}")},
 		Attribute{Name: "DEPT", Domain: value.Strings, Lifespan: ls("{[500,600]}")},
 	)
-	if _, err := IntersectScheme(a, far, "X"); err == nil {
+	if _, err := IntersectScheme(a, far, false); err == nil {
 		t.Error("disjoint ALS intersection must fail")
 	}
 	// Incompatible schemes fail.
 	other := MustNew("O", []string{"X"},
 		Attribute{Name: "X", Domain: value.Ints, Lifespan: ls("{[0,9]}")})
-	if _, err := UnionScheme(a, other, "U2"); err == nil {
+	if _, err := UnionScheme(a, other, false); err == nil {
 		t.Error("union of incompatible schemes must fail")
+	}
+}
+
+// TestOperatorSchemeRules: each operator's result-scheme rule accepts
+// well-typed operands, names the result as the operators always have,
+// and refuses ill-typed ones with an error naming what is wrong.
+func TestOperatorSchemeRules(t *testing.T) {
+	emp := empScheme(t)
+	rekeyed := MustNew("EMP3", []string{"SAL"}, emp.Attrs...)
+	dept := MustNew("DEPTREL", []string{"DNAME"},
+		Attribute{Name: "DNAME", Domain: value.Strings, Lifespan: ls("{[0,49]}")},
+		Attribute{Name: "OPENED", Domain: value.Times, Lifespan: ls("{[0,49]}")})
+	ok := func(s *Scheme, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return s.Name, nil
+	}
+	for _, c := range []struct {
+		name     string
+		got      func() (string, error)
+		want     string // the result's name
+		wantFail string // or a substring of the error
+	}{
+		{"union", func() (string, error) { return ok(UnionScheme(emp, rekeyed, false)) }, "EMP", ""},
+		{"union-merge, other key", func() (string, error) { return ok(UnionScheme(emp, rekeyed, true)) }, "", "not merge-compatible"},
+		{"diff", func() (string, error) { return ok(DiffScheme(emp, rekeyed, false)) }, "EMP", ""},
+		{"diff, other attributes", func() (string, error) { return ok(DiffScheme(emp, dept, false)) }, "", "not union-compatible"},
+		{"product", func() (string, error) { return ok(ProductScheme(emp, dept)) }, "EMPxDEPTREL", ""},
+		{"product, shared attributes", func() (string, error) { return ok(ProductScheme(emp, emp)) }, "", "share attributes"},
+		{"join", func() (string, error) { return ok(JoinScheme(emp, dept, "DEPT", "DNAME")) }, "EMP⋈DEPTREL", ""},
+		{"join, unknown attribute", func() (string, error) { return ok(JoinScheme(emp, dept, "DEPT", "NOPE")) }, "", "join attribute NOPE"},
+		{"natural join", func() (string, error) { return ok(NaturalJoinScheme(emp, rekeyed)) }, "EMP⋈EMP3", ""},
+		{"natural join, nothing shared", func() (string, error) { return ok(NaturalJoinScheme(emp, dept)) }, "", "share no attributes"},
+		{"time join", func() (string, error) { return ok(TimeJoinScheme(dept, emp, "OPENED")) }, "DEPTREL⋈EMP", ""},
+		{"time join, not time-valued", func() (string, error) { return ok(TimeJoinScheme(dept, emp, "DNAME")) }, "", "no time-valued attribute DNAME"},
+	} {
+		got, err := c.got()
+		if c.wantFail == "" && (err != nil || got != c.want) {
+			t.Errorf("%s: (%q, %v), want a scheme named %q", c.name, got, err, c.want)
+		}
+		if c.wantFail != "" && (err == nil || !strings.Contains(err.Error(), c.wantFail)) {
+			t.Errorf("%s: (%q, %v), want an error containing %q", c.name, got, err, c.wantFail)
+		}
 	}
 }
 
@@ -282,11 +326,11 @@ func TestConcatScheme(t *testing.T) {
 
 func TestRename(t *testing.T) {
 	s := empScheme(t)
-	r, err := s.Rename("e", "E")
+	r, err := s.Rename("e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasAttr("e.NAME") || !r.IsKey("e.NAME") || r.HasAttr("NAME") {
+	if r.Name != "e_EMP" || !r.HasAttr("e.NAME") || !r.IsKey("e.NAME") || r.HasAttr("NAME") {
 		t.Errorf("rename produced %v (key %v)", r.AttrNames(), r.Key)
 	}
 }

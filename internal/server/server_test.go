@@ -143,10 +143,13 @@ func TestServerProtocol(t *testing.T) {
 		{request{Op: "query", Q: `SELECT !! garbage`}, hrdmerr.CodeParse},
 		// Planned, then failing in an operator: semantic, as the naive
 		// evaluator classifies the same query.
+		{request{Op: "query", Q: `EMP UNION (TIMESLICE EMP AT {[0,9]})`}, hrdmerr.CodeSemantic},
+		// Refused by compile — operands their operator's scheme rule
+		// refuses, an unknown relation, a literal that does not decode:
+		// semantic from EXPLAIN too, as from query.
 		{request{Op: "query", Q: `EMP UNIONMERGE DEPTREL`}, hrdmerr.CodeSemantic},
 		{request{Op: "explain", Q: `EMP UNIONMERGE DEPTREL`, Analyze: true}, hrdmerr.CodeSemantic},
-		// Refused by the planner, or a literal that does not decode:
-		// semantic from EXPLAIN too, as from query.
+		{request{Op: "explain", Q: `EMP TIMES EMP`}, hrdmerr.CodeSemantic},
 		{request{Op: "explain", Q: `NOSUCHREL`}, hrdmerr.CodeSemantic},
 		{request{Op: "explain", Q: `TIMESLICE EMP AT {[9,x]}`, Analyze: true}, hrdmerr.CodeSemantic},
 		{request{Op: "nope"}, hrdmerr.CodeBadRequest},
