@@ -196,7 +196,7 @@ func main() {
 			if err := db.Checkpoint(); err != nil {
 				fmt.Println("  error:", err)
 			} else {
-				fmt.Println("  checkpointed", st.Dir(), "(snapshot written, log truncated)")
+				fmt.Println("  checkpointed", st.Dir(), "(snapshot current, log truncated)")
 			}
 		case strings.HasPrefix(line, `\save `):
 			path := strings.TrimSpace(line[6:])

@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hrdmerr"
 	"repro/internal/lifespan"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -356,6 +357,45 @@ func (tc *tclient) tornCut() (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// TestDrainWritesOneSnapshot: draining a durable server that committed
+// a group — Shutdown's checkpoint, then the DB's Close, as hrdm-server
+// does on SIGTERM — writes the snapshot once, not once per call.
+func TestDrainWritesOneSnapshot(t *testing.T) {
+	st, _, err := storage.OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.MergeStore(workload.Demo()); err != nil {
+		t.Fatal(err)
+	}
+	db := engine.OpenDB(st)
+	srv := New(db, Config{})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	tc := dialT(t, srv.Addr())
+	for _, req := range []request{
+		{Op: "begin_group"},
+		{Op: "stage", Rel: "EMP", Tuple: `tuple {[20,29]}; NAME = "Zoe" @ {[20,29]}`},
+		{Op: "commit"},
+	} {
+		if resp := tc.do(t, req); !resp.OK {
+			t.Fatalf("%s = %+v", req.Op, resp)
+		}
+	}
+	written := obs.Default.Counter("storage.checkpoint.count")
+	before := written.Load()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := written.Load() - before; got != 1 {
+		t.Fatalf("drain wrote %d snapshots, want 1", got)
+	}
 }
 
 // pairedStore is the detector's fixture: two empty relations A and B

@@ -107,9 +107,9 @@ func dTuple2(r *core.Relation, name string, sal int64) *core.Tuple {
 		MustBuild()
 }
 
-// TestSaveRoundTripsVersion2: Save writes the v2 header (with an LSN
-// slot) and Load reads it back; plain stores carry LSN 0.
-func TestSaveRoundTripsVersion2(t *testing.T) {
+// TestSaveRoundTripsHeader: Save writes the header's LSN slot and
+// Load reads it back; plain stores carry LSN 0.
+func TestSaveRoundTripsHeader(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.hrdm")
 	st := NewStore()
@@ -127,7 +127,7 @@ func TestSaveRoundTripsVersion2(t *testing.T) {
 	orig, _ := st.Get("EMP")
 	got, _ := back.Get("EMP")
 	if !got.Equal(orig) {
-		t.Fatal("v2 round trip lost data")
+		t.Fatal("round trip lost data")
 	}
 }
 

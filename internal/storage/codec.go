@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
@@ -19,11 +20,12 @@ import (
 const (
 	magic         = 0x4852444d // "HRDM"
 	formatVersion = 1
-	// storeVersion2 is the store-file header version that carries the
-	// WAL sequence number the snapshot is consistent through; the
-	// per-relation record format is unchanged (formatVersion). Load
-	// still accepts version-1 store files (LSN 0).
-	storeVersion2 = 2
+	// storeVersion is the store-file header version: the header carries
+	// the WAL sequence number the snapshot is consistent through, and
+	// the header and every relation record are each followed by a CRC32
+	// of their bytes. The per-relation record format itself is
+	// unchanged (formatVersion).
+	storeVersion = 3
 	// maxCount bounds every length field read from untrusted input, so a
 	// corrupted count cannot trigger a giant allocation.
 	maxCount = 1 << 24
@@ -137,21 +139,23 @@ func decodeScheme(r *errReader) (*schema.Scheme, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	key := make([]string, nk)
-	for i := range key {
-		key[i] = r.str()
+	key := make([]string, 0, min(nk, 16))
+	for i := uint32(0); i < nk && r.err == nil; i++ {
+		key = append(key, r.str())
 	}
 	na := r.count()
 	if r.err != nil {
 		return nil, r.err
 	}
-	attrs := make([]schema.Attribute, na)
-	for i := range attrs {
-		attrs[i].Name = r.str()
-		attrs[i].Domain.Kind = value.Kind(r.u8())
-		attrs[i].Domain.Name = r.str()
-		attrs[i].Interp = r.str()
-		attrs[i].Lifespan = decodeLifespan(r)
+	attrs := make([]schema.Attribute, 0, min(na, 16))
+	for i := uint32(0); i < na && r.err == nil; i++ {
+		var a schema.Attribute
+		a.Name = r.str()
+		a.Domain.Kind = value.Kind(r.u8())
+		a.Domain.Name = r.str()
+		a.Interp = r.str()
+		a.Lifespan = decodeLifespan(r)
+		attrs = append(attrs, a)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -173,8 +177,8 @@ func decodeLifespan(r *errReader) lifespan.Lifespan {
 	if r.err != nil || n == 0 {
 		return lifespan.Empty()
 	}
-	ivs := make([]chronon.Interval, 0, n)
-	for i := uint32(0); i < n; i++ {
+	ivs := make([]chronon.Interval, 0, min(n, 16))
+	for i := uint32(0); i < n && r.err == nil; i++ {
 		lo := chronon.Time(r.i64())
 		hi := chronon.Time(r.i64())
 		ivs = append(ivs, chronon.NewInterval(lo, hi))
@@ -282,11 +286,13 @@ func (w *errWriter) str(s string) {
 	w.write([]byte(s))
 }
 
-// errReader mirrors errWriter for decoding.
+// errReader mirrors errWriter for decoding. scratch is reused by every
+// str call, so a decoded string costs exactly its own allocation.
 type errReader struct {
-	r   io.Reader
-	err error
-	buf [8]byte
+	r       io.Reader
+	err     error
+	buf     [8]byte
+	scratch []byte
 }
 
 func (r *errReader) fail(err error) {
@@ -337,16 +343,20 @@ func (r *errReader) count() uint32 {
 	return n
 }
 
+// str reads a length-prefixed string into the reused scratch slice,
+// growing it as bytes arrive rather than by the length field, so a
+// corrupt length costs no more memory than the input holds.
 func (r *errReader) str() string {
-	n := r.u32()
+	n := int(r.count())
+	b := r.scratch[:0]
+	for len(b) < n && r.err == nil {
+		k := min(n-len(b), 64<<10)
+		b = slices.Grow(b, k)[:len(b)+k]
+		r.read(b[len(b)-k:])
+	}
+	r.scratch = b
 	if r.err != nil {
 		return ""
 	}
-	if n > 1<<24 {
-		r.fail(fmt.Errorf("storage: string length %d too large", n))
-		return ""
-	}
-	b := make([]byte, n)
-	r.read(b)
 	return string(b)
 }

@@ -233,19 +233,28 @@ func (s *Store) Dir() string { return s.dir }
 // records carry LSNs above the cut and survive the truncation. Safe to
 // crash at any point: the old snapshot plus the full log, or the new
 // snapshot plus a log whose ≤LSN prefix replay skips, both recover the
-// same state.
+// same state. A cut identical to the one the last checkpoint wrote —
+// the same relations at the same versions and the same LSN — is
+// already the snapshot, so nothing is written and nothing counted.
 func (s *Store) Checkpoint() error {
 	if s.log == nil {
 		return fmt.Errorf("storage: checkpoint: store is not durable")
 	}
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
 	t0 := time.Now()
 	cut := s.pinAll()
+	stamp := cut.stamp()
+	if stamp.equal(s.written) {
+		return nil
+	}
 	if err := savePinned(filepath.Join(s.dir, snapshotFile), cut); err != nil {
 		return err
 	}
 	if err := s.log.TruncateThrough(cut.lsn); err != nil {
 		return err
 	}
+	s.written = stamp
 	mCheckpointCount.Inc()
 	mCheckpointNs.ObserveSince(t0)
 	return nil

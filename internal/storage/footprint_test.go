@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
@@ -68,4 +69,45 @@ func TestTupleFootprint(t *testing.T) {
 		t.Errorf("%d B live per decoded tuple, want at most %d", per, maxPerTuple)
 	}
 	runtime.KeepAlive(r)
+}
+
+// TestDecodeStringAllocs bounds what a decoded string step costs in
+// allocations. A relation whose values are mostly strings — 16 tuples,
+// each a string key and a 64-step string attribute — is decoded with
+// DecodeBytes; each string must cost about one allocation, its own
+// bytes, with the rest of the decode spread over the steps (about 1.26
+// in all). Reading each string into a fresh slice and then copying it
+// into a string costs one more per string; rebuilding each function
+// step by step through overlap layering costs about six more.
+func TestDecodeStringAllocs(t *testing.T) {
+	const tuples, steps, maxPerString = 16, 64, 1.5
+	full := lifespan.Interval(0, 999)
+	s := schema.MustNew("NOTES", []string{"K"},
+		schema.Attribute{Name: "K", Domain: value.Strings, Lifespan: full},
+		schema.Attribute{Name: "NOTE", Domain: value.Strings, Lifespan: full, Interp: "step"},
+	)
+	src := core.NewRelation(s)
+	for i := 0; i < tuples; i++ {
+		b := core.NewTupleBuilder(s, lifespan.Interval(0, 10*steps-1)).
+			Key("K", value.String_(fmt.Sprintf("key-%02d", i)))
+		for j := 0; j < steps; j++ {
+			lo := int64(10 * j)
+			b.Set("NOTE", chronon.Time(lo), chronon.Time(lo+9), value.String_(fmt.Sprintf("note %d of tuple %d", j, i)))
+		}
+		src.MustInsert(b.MustBuild())
+	}
+	blob, err := EncodeBytes(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeBytes(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / (tuples * (steps + 1))
+	t.Logf("%.0f allocations, %.2f per string step", allocs, per)
+	if per > maxPerString {
+		t.Errorf("%.2f allocations per decoded string step, want at most %.2f", per, maxPerString)
+	}
 }

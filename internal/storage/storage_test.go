@@ -13,7 +13,7 @@ import (
 	"repro/internal/value"
 )
 
-func fixture(t *testing.T) *core.Relation {
+func fixture(t testing.TB) *core.Relation {
 	t.Helper()
 	full := lifespan.MustParse("{[0,99]}")
 	s := schema.MustNew("EMP", []string{"NAME"},

@@ -1,10 +1,14 @@
 package storage
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,6 +52,12 @@ type Store struct {
 	log       *wal.Log
 	lsn       atomic.Uint64
 	replaying atomic.Bool
+
+	// ckMu serialises checkpoints, so a slower one can never rename an
+	// older cut over a newer one; written stamps the cut the last
+	// checkpoint wrote (nil before the first).
+	ckMu    sync.Mutex
+	written *cutStamp
 }
 
 // NewStore returns an empty store.
@@ -107,6 +117,31 @@ type pinnedStore struct {
 	lsn   uint64
 }
 
+// cutStamp names what a cut holds without holding its tuples: each
+// relation (in name order) at its version, and the LSN. Cuts with equal
+// stamps encode to the same snapshot.
+type cutStamp struct {
+	rels []*core.Relation
+	vers []uint64
+	lsn  uint64
+}
+
+func (c pinnedStore) stamp() *cutStamp {
+	st := &cutStamp{lsn: c.lsn}
+	for _, v := range c.vers {
+		st.rels = append(st.rels, v.Rel())
+		st.vers = append(st.vers, v.Version())
+	}
+	return st
+}
+
+// equal reports whether b stamps the same cut as a; a nil b (no cut
+// written yet) stamps none.
+func (a *cutStamp) equal(b *cutStamp) bool {
+	return b != nil && a.lsn == b.lsn &&
+		slices.Equal(a.rels, b.rels) && slices.Equal(a.vers, b.vers)
+}
+
 // pinAll captures a pinnedStore cut of s.
 func (s *Store) pinAll() pinnedStore {
 	s.mu.RLock()
@@ -130,8 +165,20 @@ func (s *Store) pinAll() pinnedStore {
 
 // saveWrapWriter, when non-nil, wraps the save file before anything is
 // written — a test seam for injecting write failures into Save without
-// touching the filesystem layer.
+// touching the filesystem layer. The save buffer sits above it, so the
+// seam sees the writes the file would.
 var saveWrapWriter func(io.Writer) io.Writer
+
+// snapshotBufSize is the buffer between the snapshot codec and the
+// file: a save or load issues one write(2) or read(2) per this many
+// bytes, not one per encoded field.
+const snapshotBufSize = 64 << 10
+
+// ErrSnapshotCorrupt is wrapped by every load error past a store
+// file's magic and version: a checksum mismatch, a truncated or
+// undecodable record, a duplicate relation or trailing bytes. The
+// file's bytes are not the bytes a save wrote.
+var ErrSnapshotCorrupt = errors.New("storage: snapshot corrupt")
 
 // Save writes every relation to path in the binary format. The write
 // is atomic — a temp file in path's directory, fsynced, renamed over
@@ -159,16 +206,8 @@ func savePinned(path string, cut pinnedStore) (err error) {
 	if saveWrapWriter != nil {
 		out = saveWrapWriter(f)
 	}
-	w := &errWriter{w: out}
-	w.u32(magic)
-	w.u32(storeVersion2)
-	w.u64(cut.lsn)
-	w.u32(uint32(len(cut.names)))
-	for _, v := range cut.vers {
-		encodePinned(w, v)
-	}
-	if w.err != nil {
-		return fmt.Errorf("storage: save: %w", w.err)
+	if err := encodeStore(out, cut); err != nil {
+		return fmt.Errorf("storage: save: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("storage: save: %w", err)
@@ -182,6 +221,35 @@ func savePinned(path string, cut pinnedStore) (err error) {
 	return syncDir(dir)
 }
 
+// encodeStore writes cut to out in the store-file format (header
+// version 3), through one snapshotBufSize buffer:
+//
+//	file   = header u32 crc32(header) (record u32 crc32(record))*
+//	header = u32 magic | u32 version | u64 lsn | u32 nRecords
+//
+// where each record is one relation as Encode writes it, in name
+// order, and each CRC covers the bytes since the previous one.
+func encodeStore(out io.Writer, cut pinnedStore) error {
+	bw := bufio.NewWriterSize(out, snapshotBufSize)
+	sum := crc32.NewIEEE()
+	w := &errWriter{w: io.MultiWriter(bw, sum)}
+	seal := func() {
+		w.u32(sum.Sum32())
+		sum.Reset()
+	}
+	w.u32(magic)
+	w.u32(storeVersion)
+	w.u64(cut.lsn)
+	w.u32(uint32(len(cut.names)))
+	seal()
+	for _, v := range cut.vers {
+		encodePinned(w, v)
+		seal()
+	}
+	w.fail(bw.Flush())
+	return w.err
+}
+
 // Load reads a store written by Save and warms its indexes.
 func Load(path string) (*Store, error) {
 	s, _, err := loadFile(path)
@@ -192,40 +260,67 @@ func Load(path string) (*Store, error) {
 	return s, nil
 }
 
-// loadFile reads a store file (header version 1 or 2), returning the
-// snapshot's WAL sequence number (0 for version-1 files) and leaving
-// index warm-up to the caller.
+// loadFile reads a store file, returning the snapshot's WAL sequence
+// number and leaving index warm-up to the caller.
 func loadFile(path string) (*Store, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("storage: load: %w", err)
 	}
 	defer f.Close()
-	r := &errReader{r: f}
+	return decodeStore(f)
+}
+
+// decodeStore reads what encodeStore wrote, through one
+// snapshotBufSize buffer, checking every CRC before trusting what it
+// covers: the header's before its record count, each record's before
+// the relation joins the store.
+func decodeStore(in io.Reader) (*Store, uint64, error) {
+	br := bufio.NewReaderSize(in, snapshotBufSize)
+	sum := crc32.NewIEEE()
+	tee := io.TeeReader(br, sum)
+	r := &errReader{r: tee}
+	// sealed reads the CRC that closes a header or record and reports
+	// whether it matches the bytes read since the previous one.
+	sealed := func() bool {
+		want := sum.Sum32()
+		got := r.u32()
+		sum.Reset()
+		return r.err == nil && got == want
+	}
 	if m := r.u32(); r.err == nil && m != magic {
 		return nil, 0, fmt.Errorf("storage: bad store magic %#x", m)
 	}
-	ver := r.u32()
-	var lsn uint64
-	switch {
-	case r.err != nil:
-	case ver == formatVersion:
-	case ver == storeVersion2:
-		lsn = r.u64()
-	default:
-		return nil, 0, fmt.Errorf("storage: unsupported store version %d", ver)
+	if v := r.u32(); r.err == nil && v != storeVersion {
+		return nil, 0, fmt.Errorf("storage: unsupported store version %d", v)
 	}
+	lsn := r.u64()
 	n := r.u32()
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil, 0, fmt.Errorf("storage: load header: %w: %w", ErrSnapshotCorrupt, r.err)
+	}
+	if !sealed() {
+		return nil, 0, fmt.Errorf("storage: load header: %w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 	s := NewStore()
 	for i := uint32(0); i < n; i++ {
-		rel, err := Decode(f)
+		rel, err := Decode(tee)
 		if err != nil {
-			return nil, 0, fmt.Errorf("storage: load relation %d: %w", i, err)
+			return nil, 0, fmt.Errorf("storage: load relation %d: %w: %w", i, ErrSnapshotCorrupt, err)
+		}
+		name := rel.Scheme().Name
+		if !sealed() {
+			return nil, 0, fmt.Errorf("storage: load relation %d (%s): %w: checksum mismatch", i, name, ErrSnapshotCorrupt)
+		}
+		if _, dup := s.rels[name]; dup {
+			return nil, 0, fmt.Errorf("storage: load relation %d (%s): %w: duplicate name", i, name, ErrSnapshotCorrupt)
 		}
 		s.Put(rel)
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, 0, fmt.Errorf("storage: load: %w: bytes after the last of %d relations", ErrSnapshotCorrupt, n)
+	} else if err != io.EOF {
+		return nil, 0, fmt.Errorf("storage: load: %w", err)
 	}
 	return s, lsn, nil
 }

@@ -58,6 +58,12 @@ func (b *Builder) Build() Func {
 	if len(b.steps) == 0 {
 		return Func{}
 	}
+	// Assignments that arrive in time order without overlap — a decoded
+	// function, for one — erase nothing, so layering would rebuild them
+	// as they are, once per step.
+	if inOrder(b.steps) {
+		return canonical(b.steps)
+	}
 	// Apply assignments in order: each later step erases the overlapping
 	// part of earlier ones. We process by layering: start from the first
 	// and punch holes for subsequent ones.
@@ -81,6 +87,16 @@ func (b *Builder) Build() Func {
 		acc = next
 	}
 	return canonical(acc)
+}
+
+// inOrder reports whether each step starts after the previous one ends.
+func inOrder(ss []step) bool {
+	for i := 1; i < len(ss); i++ {
+		if ss[i].Iv.Lo <= ss[i-1].Iv.Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // canonical sorts, validates disjointness and merges equal-valued
