@@ -61,6 +61,11 @@ func main() {
 	openDir := flag.String("open", "", "open a durable (write-ahead-logged) store directory instead of the demo database")
 	workers := flag.Int("workers", 0, "parallel degree for query execution (0 = number of CPUs)")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -workers: must be 0 (number of CPUs) or more\n", *workers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var st *storage.Store
 	switch {

@@ -11,10 +11,59 @@ import (
 	"repro/internal/value"
 )
 
-// shuffledFixture is partitionFixture in a seeded random order, so a
+// empFixture builds n EMP tuples whose lifespans march forward in
+// time: tuple i lives on [i mod 90, i mod 90 + 4].
+func empFixture(t testing.TB, n int) []*Tuple {
+	t.Helper()
+	s := empScheme()
+	ts := make([]*Tuple, n)
+	for i := range ts {
+		lo := chronon.Time(i % 90)
+		hi := lo + 4
+		ts[i] = NewTupleBuilder(s, lifespan.Interval(lo, hi)).
+			Key("NAME", value.String_(fmt.Sprintf("emp%04d", i))).
+			Set("SAL", lo, hi, value.Int(int64(1000*i))).
+			Set("DEPT", lo, hi, value.String_("Toys")).
+			MustBuild()
+	}
+	return ts
+}
+
+func TestNewRelationFromTuples(t *testing.T) {
+	s := empScheme()
+	ts := empFixture(t, 30)
+	r, err := NewRelationFromTuples(s, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cardinality() != len(ts) {
+		t.Fatalf("cardinality %d, want %d", r.Cardinality(), len(ts))
+	}
+	// Equal to the incremental construction, key map included.
+	inc := NewRelation(s)
+	for _, tp := range ts {
+		inc.MustInsert(tp)
+	}
+	if !r.Equal(inc) {
+		t.Fatal("coalesced construction differs from incremental inserts")
+	}
+	if _, ok := r.lookupTuple(ts[17]); !ok {
+		t.Fatal("key map misses a constructed tuple")
+	}
+	if err := r.checkInvariants(); err != nil {
+		t.Fatalf("coalesced relation violates invariants: %v", err)
+	}
+
+	// A duplicate key fails the whole construction.
+	if _, err := NewRelationFromTuples(s, append(ts[:5:5], ts[4])); err == nil {
+		t.Fatal("duplicate key must fail the coalesced construction")
+	}
+}
+
+// shuffledFixture is empFixture in a seeded random order, so a
 // key-ordered rendering has real sorting to do.
 func shuffledFixture(t testing.TB, n int) []*Tuple {
-	ts := partitionFixture(t, n)
+	ts := empFixture(t, n)
 	rand.New(rand.NewSource(int64(n))).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 	return ts
 }

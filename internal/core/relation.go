@@ -140,6 +140,28 @@ func NewRelation(r *schema.Scheme) *Relation {
 	return &Relation{scheme: r, byKey: make(map[value.Key]int), id: relIDs.Add(1)}
 }
 
+// NewRelationFromTuples builds a relation over s holding exactly ts:
+// the slice is adopted as-is, and its positions are sorted by key
+// (sortByKey), which allocates nothing per tuple. Key uniqueness is
+// checked on that order — a duplicate is two equal adjacent keys and
+// fails the whole construction. The relation keeps the order, so
+// rendering it neither encodes nor sorts again; its key map is built
+// only when a keyed operation (Lookup, Equal, an insert, a write group)
+// first needs it, and the first mutation drops the order. It is the
+// materialization step of the engine's executor — operators produce
+// result slices (parallel ones merge their per-chunk slices in order)
+// and this constructor turns the final slice into a relation.
+// The relation is private to the caller (unpublished, no observers)
+// exactly as NewRelation's result is; ts must not be mutated
+// afterwards.
+func NewRelationFromTuples(s *schema.Scheme, ts []*Tuple) (*Relation, error) {
+	order, dup := sortByKey(s, ts)
+	if dup >= 0 {
+		return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ts[dup].key(s))
+	}
+	return &Relation{scheme: s, id: relIDs.Add(1), tuples: ts, order: order, version: 1}, nil
+}
+
 // Scheme returns the relation's scheme R.
 func (r *Relation) Scheme() *schema.Scheme { return r.scheme }
 

@@ -39,23 +39,23 @@ type analysis struct {
 // profiler only observes. A text that does not compile fails with the
 // error, and the class, Query gives it. Like evalQuery, it closes its
 // span at one finishQuery.
-func analyzeQuery(ctx context.Context, src string, env hql.Env) (*analysis, error) {
+func analyzeQuery(ctx context.Context, src string, db *DB) (*analysis, error) {
 	q := &lifted{}
 	q.lift(src)
 	sp := obs.Begin()
-	a, p, snap, err := runAnalyzed(ctx, q, env, &sp)
+	a, p, snap, err := runAnalyzed(ctx, q, db, &sp)
 	finishQuery(&sp, q, p, snap, err)
 	return a, err
 }
 
 // runAnalyzed does analyzeQuery's work, marking each stage on sp, and
 // returns the plan and snapshot it ran on (nil where it stopped short).
-func runAnalyzed(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (*analysis, *Plan, *Snapshot, error) {
-	e, p, err := compile(q, env, sp)
+func runAnalyzed(ctx context.Context, q *lifted, db *DB, sp *obs.Span) (*analysis, *Plan, *Snapshot, error) {
+	e, p, err := compile(q, db.store, sp)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	snap := pinPlan(ctx, p, q.params)
+	snap := pinPlan(ctx, db, p, q.params)
 	sp.Mark(obs.StagePin)
 	snap.prof = newProfiler()
 	res, err := p.run(snap, sp)
@@ -98,8 +98,7 @@ func (a *analysis) render() string {
 			fmt.Fprintf(&b, " lookups=%d", lk)
 		}
 		if st.par != nil {
-			fmt.Fprintf(&b, " degree=%d partitions=%d scanned=%d pruned=%d",
-				st.par.degree, st.par.parts, st.par.scanned, st.par.pruned)
+			fmt.Fprintf(&b, " degree=%d partitions=%d", st.par.degree, st.par.parts)
 		}
 		b.WriteString(")")
 	})

@@ -85,7 +85,7 @@ func TestAnalyzeMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		a, err := analyzeQuery(bg, q, st)
+		a, err := analyzeQuery(bg, q, OpenDB(st))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -110,7 +110,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 		`SELECT WHEN DEPT = 'Toys' FROM EMP`,
 		`REF JOIN EMP ON RNAME = NAME`,
 	} {
-		a, err := analyzeQuery(bg, q, st)
+		a, err := analyzeQuery(bg, q, OpenDB(st))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 // two REF tuples against EMP's key map is exactly two lookups.
 func TestAnalyzeJoinLookups(t *testing.T) {
 	st := goldenStore(t)
-	a, err := analyzeQuery(bg, `REF JOIN EMP ON RNAME = NAME`, st)
+	a, err := analyzeQuery(bg, `REF JOIN EMP ON RNAME = NAME`, OpenDB(st))
 	if err != nil {
 		t.Fatal(err)
 	}

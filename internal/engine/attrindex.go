@@ -37,12 +37,6 @@ type AttrIndex struct {
 	total   int
 }
 
-// NewAttrIndex builds the index over r's tuples for the named attribute.
-func NewAttrIndex(r *core.Relation, attr string) *AttrIndex {
-	//lint:allow pindiscipline index builds read the live relation by design; execution maps probes back to the pin (eqProbe)
-	return newAttrIndexFrom(r.Scheme(), r.Tuples(), attr)
-}
-
 // newAttrIndexFrom builds the index from a stable snapshot of the
 // tuples of a relation on s.
 func newAttrIndexFrom(s *schema.Scheme, ts []*core.Tuple, attr string) *AttrIndex {
@@ -144,13 +138,6 @@ func (ix *AttrIndex) Varying() []*core.Tuple {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.varying
-}
-
-// DistinctValues returns the number of distinct constant values indexed.
-func (ix *AttrIndex) DistinctValues() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.byVal)
 }
 
 // Stats summarizes the index's value distribution for the planner's

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,7 +30,6 @@ func BenchmarkParallelDegree(b *testing.B) {
 		ReincarnationProb: 0.2, MaxTenure: 40, Seed: 31,
 	}))
 	st.Put(groupRef(n / 16))
-	s := sess(st)
 	for _, o := range []struct{ name, q string }{
 		// No equality conjunct and no DURING window, so both selects are
 		// filters over the base scan. The join streams EMP: REF.GRP is
@@ -41,7 +39,7 @@ func BenchmarkParallelDegree(b *testing.B) {
 		{"select", `SELECT WHEN SAL > 30000 FROM EMP`},
 		{"join", `EMP JOIN REF ON DEPT = GRP`},
 	} {
-		plan, err := s.Explain(o.q)
+		plan, err := sess(st).Explain(o.q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,11 +51,11 @@ func BenchmarkParallelDegree(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
-			ctx := WithWorkers(context.Background(), w)
+			s := sessAt(st, w)
 			b.Run(fmt.Sprintf("%s/w%d", o.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := s.Eval(ctx, e); err != nil {
+					if _, err := s.Eval(bg, e); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -149,7 +149,7 @@ func TestCanceledKernelUnderPartitions(t *testing.T) {
 	}
 	const workers = 2
 	ctx := newFlipCtx(2)
-	_, err := sess(st).Query(WithWorkers(ctx, workers), q)
+	_, err := sessAt(st, workers).Query(ctx, q)
 	if !errors.Is(err, hrdmerr.ErrCanceled) {
 		t.Fatalf("error = %v, want ErrCanceled", err)
 	}

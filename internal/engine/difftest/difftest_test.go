@@ -44,7 +44,7 @@ func TestMain(m *testing.M) {
 // diffStore builds the deterministic fixture: the workload generators'
 // EMP and STOCK histories plus a REF relation keyed by employee name,
 // giving every eligible plan shape (candidate selects, time-slices,
-// windowed filters, index joins) a parallel-sized input.
+// DURING filters, index joins) a parallel-sized input.
 func diffStore(tb testing.TB, seed int64) *storage.Store {
 	tb.Helper()
 	st := storage.NewStore()
@@ -154,12 +154,11 @@ func compareAll(t *testing.T, st *storage.Store, src string) bool {
 	if err != nil {
 		return false
 	}
-	ctx := context.Background()
 	nRes, nErr := hql.EvalNaive(e, st)
 	var baseline string
-	sess := engine.OpenDB(st).NewSession()
 	for _, w := range diffWorkers {
-		gRes, gErr := sess.Eval(engine.WithWorkers(ctx, w), e)
+		sess := engine.OpenDBOptions(st, engine.DBOptions{Workers: w}).NewSession()
+		gRes, gErr := sess.Eval(context.Background(), e)
 		if hrdmerr.CodeOf(nErr) != hrdmerr.CodeOf(gErr) {
 			t.Fatalf("%q workers=%d: naive err=%v (class %d), engine err=%v (class %d)",
 				src, w, nErr, hrdmerr.CodeOf(nErr), gErr, hrdmerr.CodeOf(gErr))

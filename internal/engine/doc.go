@@ -29,8 +29,9 @@
 // single method, run, returning its whole result as a batch; a
 // per-tuple operator (time-slice, select, project, rename, index join)
 // binds to the pin as an input set plus a kernel, and one loop applies
-// a kernel to an input slice either sequentially or over
-// core.PartitionSlice chunks on the worker pool. Batches become
+// a kernel to an input slice either sequentially or over contiguous
+// chunks of it on the worker pool, at the degree of the session's DB.
+// Batches become
 // relations in exactly one place (batch.relation: the plan root, the
 // inputs of naive operators and lifespan sub-plans).
 //

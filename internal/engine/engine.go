@@ -60,22 +60,22 @@ func (q *lifted) text() string {
 // finishQuery, whichever way runQuery returned: engine.queries and
 // engine.query_total_ns count every query once, and the slow log sees
 // every outlier.
-func evalQuery(ctx context.Context, q *lifted, env hql.Env) (hql.Result, error) {
+func evalQuery(ctx context.Context, q *lifted, db *DB) (hql.Result, error) {
 	sp := obs.Begin()
-	res, p, snap, err := runQuery(ctx, q, env, &sp)
+	res, p, snap, err := runQuery(ctx, q, db, &sp)
 	finishQuery(&sp, q, p, snap, err)
 	return res, err
 }
 
 // runQuery does evalQuery's work, marking each stage on sp, and returns
 // the plan and snapshot it ran on (nil for a text that did not compile).
-func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
+func runQuery(ctx context.Context, q *lifted, db *DB, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
 	var p *Plan
 	if q.err == nil {
-		p = planCache.lookup(q.shape, env, q.params)
+		p = planCache.lookup(q.shape, db.store, q.params)
 	}
 	if p == nil {
-		e, fresh, err := compile(q, env, sp)
+		e, fresh, err := compile(q, db.store, sp)
 		if e != nil { // it parsed: a miss (parse errors count neither)
 			mPlanMisses.Inc()
 		}
@@ -85,7 +85,7 @@ func runQuery(ctx context.Context, q *lifted, env hql.Env, sp *obs.Span) (hql.Re
 		p = fresh
 		planCache.store(string(q.shape), p)
 	}
-	snap := pinPlan(ctx, p, q.params)
+	snap := pinPlan(ctx, db, p, q.params)
 	// On a hit one mark covers lookup + pin: splitting them would buy a
 	// clock read for a sub-microsecond distinction.
 	sp.Mark(obs.StagePin)

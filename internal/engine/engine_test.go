@@ -124,19 +124,21 @@ func TestAttrIndexBuckets(t *testing.T) {
 	r := workload.Personnel(workload.PersonnelConfig{
 		NumEmployees: 30, HistoryLen: 150, ChangeEvery: 10, ReincarnationProb: 0.3, Seed: 13,
 	})
-	ix := NewAttrIndex(r, "NAME") // key: every tuple constant
+	_, vers := core.Pin(r)
+	ts := vers[0].Tuples()
+	ix := newAttrIndexFrom(r.Scheme(), ts, "NAME") // key: every tuple constant
 	if len(ix.Varying()) != 0 {
 		t.Fatalf("NAME index has %d varying tuples, want 0", len(ix.Varying()))
 	}
-	if ix.DistinctValues() != r.Cardinality() {
-		t.Fatalf("NAME index has %d values, want %d", ix.DistinctValues(), r.Cardinality())
+	if d := ix.Stats().Distinct; d != r.Cardinality() {
+		t.Fatalf("NAME index has %d values, want %d", d, r.Cardinality())
 	}
 	got := ix.Probe(value.String_("emp0004"))
 	if len(got) != 1 {
 		t.Fatalf("probe emp0004 returned %d tuples, want 1", len(got))
 	}
-	dix := NewAttrIndex(r, "DEPT") // mostly varying
-	if len(dix.Varying())+dix.DistinctValues() == 0 {
+	dix := newAttrIndexFrom(r.Scheme(), ts, "DEPT") // mostly varying
+	if len(dix.Varying())+dix.Stats().Distinct == 0 {
 		t.Fatalf("DEPT index indexed nothing")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -48,12 +47,6 @@ type IntervalIndex struct {
 	// merges may leave them over-wide, which only softens estimates.
 	covered float64
 	lo, hi  chronon.Time
-}
-
-// NewIntervalIndex builds the index over r's tuples.
-func NewIntervalIndex(r *core.Relation) *IntervalIndex {
-	//lint:allow pindiscipline index builds read the live relation by design; execution maps probes back to the pin (overlapping)
-	return newIntervalIndexFrom(r.Tuples())
 }
 
 // newIntervalIndexFrom builds the index from a stable tuple snapshot.
@@ -321,20 +314,6 @@ func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
 	return slices.CompactFunc(es, func(a, b ientry) bool { return a.ord == b.ord }), true
 }
 
-// Overlapping returns, in insertion order, the tuples whose lifespan
-// shares at least one chronon with L.
-func (ix *IntervalIndex) Overlapping(L lifespan.Lifespan) []*core.Tuple {
-	es, _ := ix.hits(L, math.MaxInt)
-	if len(es) == 0 {
-		return nil
-	}
-	out := make([]*core.Tuple, len(es))
-	for i, e := range es {
-		out[i] = e.t
-	}
-	return out
-}
-
 // overlapping is the executor's pricing-plus-probe entry point: the
 // tuples of pinned version v whose lifespan could share a chronon with
 // L, in pinned order, when the relation's interval index matches at
@@ -360,16 +339,4 @@ func overlapping(v core.RelVersion, L lifespan.Lifespan, max int) ([]*core.Tuple
 		out = append(out, pinned[e.ord])
 	}
 	return out, true
-}
-
-// CountOverlapping returns |Overlapping(L)| without materializing the
-// candidate slice.
-func (ix *IntervalIndex) CountOverlapping(L lifespan.Lifespan) int {
-	es, _ := ix.hits(L, math.MaxInt)
-	return len(es)
-}
-
-// AliveAt returns the tuples alive at the single chronon s.
-func (ix *IntervalIndex) AliveAt(s chronon.Time) []*core.Tuple {
-	return ix.Overlapping(lifespan.Point(s))
 }

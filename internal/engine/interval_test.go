@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -25,8 +26,9 @@ func TestIntervalIndexMatchesLinearScan(t *testing.T) {
 	r := workload.Personnel(workload.PersonnelConfig{
 		NumEmployees: 120, HistoryLen: 300, ChangeEvery: 15, ReincarnationProb: 0.5, Seed: 7,
 	})
-	ix := NewIntervalIndex(r)
-	if ix.Tuples() != r.Cardinality() {
+	_, vers := core.Pin(r)
+	v := vers[0]
+	if ix := newIntervalIndexFrom(v.Tuples()); ix.Tuples() != r.Cardinality() {
 		t.Fatalf("indexed %d tuples, want %d", ix.Tuples(), r.Cardinality())
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -39,7 +41,7 @@ func TestIntervalIndexMatchesLinearScan(t *testing.T) {
 			L = L.Union(lifespan.Interval(lo2, lo2+chronon.Time(rng.Intn(20))))
 		}
 		want := naiveOverlapping(r, L)
-		got := ix.Overlapping(L)
+		got, _ := overlapping(v, L, math.MaxInt)
 		if len(got) != len(want) {
 			t.Fatalf("L=%s: index found %d tuples, scan found %d", L, len(got), len(want))
 		}
@@ -48,31 +50,33 @@ func TestIntervalIndexMatchesLinearScan(t *testing.T) {
 				t.Fatalf("L=%s: candidate %d differs (order or identity)", L, j)
 			}
 		}
-		if c := ix.CountOverlapping(L); c != len(want) {
-			t.Fatalf("L=%s: CountOverlapping=%d, want %d", L, c, len(want))
+		// Every match costs at least one entry, so a budget below the
+		// answer's size is declined.
+		if _, ok := overlapping(v, L, len(want)-1); ok && len(want) > 0 {
+			t.Fatalf("L=%s: %d matches fit a budget of %d", L, len(want), len(want)-1)
 		}
 	}
 }
 
 func TestIntervalIndexPointAndEmpty(t *testing.T) {
 	r := workload.Personnel(workload.DefaultPersonnel())
-	ix := NewIntervalIndex(r)
-	if got := ix.Overlapping(lifespan.Empty()); got != nil {
+	_, vers := core.Pin(r)
+	if got, _ := overlapping(vers[0], lifespan.Empty(), math.MaxInt); len(got) != 0 {
 		t.Fatalf("empty lifespan should match nothing, got %d", len(got))
 	}
 	for _, s := range []chronon.Time{0, 50, 199, 500, -3} {
 		want := naiveOverlapping(r, lifespan.Point(s))
-		got := ix.AliveAt(s)
+		got, _ := overlapping(vers[0], lifespan.Point(s), math.MaxInt)
 		if len(got) != len(want) {
-			t.Fatalf("AliveAt(%d)=%d tuples, want %d", s, len(got), len(want))
+			t.Fatalf("alive at %d: %d tuples, want %d", s, len(got), len(want))
 		}
 	}
 }
 
 func TestIntervalIndexEmptyRelation(t *testing.T) {
 	r := core.NewRelation(workload.PersonnelScheme(10))
-	ix := NewIntervalIndex(r)
-	if got := ix.Overlapping(lifespan.All()); got != nil {
+	_, vers := core.Pin(r)
+	if got, _ := overlapping(vers[0], lifespan.All(), math.MaxInt); len(got) != 0 {
 		t.Fatalf("empty relation should match nothing, got %d", len(got))
 	}
 }

@@ -7,7 +7,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/hql"
@@ -30,13 +29,12 @@ func TestJoinAllocsPerPair(t *testing.T) {
 		ReincarnationProb: 0.2, MaxTenure: 40, Seed: 31,
 	}))
 	st.Put(groupRef(n / 16))
-	s := sess(st)
+	s := sessAt(st, 1)
 	e, err := hql.Parse(`EMP JOIN REF ON DEPT = GRP`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithWorkers(context.Background(), 1)
-	r, err := s.Eval(ctx, e)
+	r, err := s.Eval(bg, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestJoinAllocsPerPair(t *testing.T) {
 		t.Fatalf("only %d joined pairs; the bound needs a join with output", pairs)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.Eval(ctx, e); err != nil {
+		if _, err := s.Eval(bg, e); err != nil {
 			t.Fatal(err)
 		}
 	})

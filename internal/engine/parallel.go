@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,9 +14,9 @@ import (
 // input is a slice of a pinned base relation — an index's candidates,
 // or the tuples of a base scan under a time-slice, a filter or the
 // streamed side of an index lookup join — and at least parallelMinInput
-// tuples long is evaluated by splitting that input into contiguous
-// range partitions (core.PartitionSlice), running the operator's own
-// kernel over the partitions on a bounded worker pool, and
+// tuples long is evaluated by cutting that input into contiguous
+// chunks of parallelChunkSize tuples, running the operator's own
+// kernel over the chunks on a bounded worker pool, and
 // concatenating the per-partition result slices in partition order.
 // Because partitions are contiguous chunks of the input in input order
 // and every kernel is order-preserving within its chunk, the
@@ -38,52 +37,23 @@ import (
 // clamped to one, or pool saturated); busy_workers is the number of
 // goroutines currently running partition work (helpers plus query
 // goroutines); partition_rows accumulates rows produced by partition
-// kernels; partitions_scanned / partitions_pruned count chunks
-// evaluated versus skipped by the lifespan-range prune.
+// kernels; partitions_scanned counts chunks evaluated.
 var parMetrics = struct {
 	tasks   *obs.Counter
 	inline  *obs.Counter
 	scanned *obs.Counter
-	pruned  *obs.Counter
 	rows    *obs.Counter
 	busy    *obs.Gauge
 }{
 	tasks:   obs.Default.Counter("engine.parallel.tasks"),
 	inline:  obs.Default.Counter("engine.parallel.inline"),
 	scanned: obs.Default.Counter("engine.parallel.partitions_scanned"),
-	pruned:  obs.Default.Counter("engine.parallel.partitions_pruned"),
 	rows:    obs.Default.Counter("engine.parallel.partition_rows"),
 	busy:    obs.Default.Gauge("engine.parallel.busy_workers"),
 }
 
 // ---------------------------------------------------------------------
-// degree-of-parallelism plumbing
-
-// defaultWorkers is the degree of parallelism queries use when neither
-// their context (WithWorkers) nor their DB (`-workers`) carries an
-// explicit setting: GOMAXPROCS as of process start.
-var defaultWorkers = runtime.GOMAXPROCS(0)
-
-// workersCtxKey carries a per-query degree override in a context.
-type workersCtxKey struct{}
-
-// WithWorkers returns a context whose queries execute parallel
-// operators with degree n (n < 1 means GOMAXPROCS). The
-// degree is an execution-time property of the snapshot, never part of
-// the plan, so sessions with different settings share cached plans.
-func WithWorkers(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, workersCtxKey{}, n)
-}
-
-// workersFrom resolves the degree a query pinned under ctx should use.
-func workersFrom(ctx context.Context) int {
-	if ctx != nil {
-		if n, ok := ctx.Value(workersCtxKey{}).(int); ok && n >= 1 {
-			return n
-		}
-	}
-	return defaultWorkers
-}
+// the engage rule
 
 // parallelMinInput is the engage threshold: bound inputs shorter than
 // it run on the query goroutine, so small stores — unit-test fixtures,
@@ -113,23 +83,19 @@ func partitioned(b bound) bool {
 
 // parallelNote is the engage rule as EXPLAIN shows it: the suffix of an
 // eligible operator whose pinned input is in long enough to run
-// partitioned, with the prune window if one is known before execution.
-func (s *Snapshot) parallelNote(in int, window *lsExpr) string {
+// partitioned.
+func parallelNote(in int) string {
 	if in < int(parallelMinInput.Load()) {
 		return ""
 	}
-	d := fmt.Sprintf(", parallel (chunk=%d", parallelChunkSize())
-	if window.static() && window != allTime {
-		d += ", prune-window " + window.render(s.params)
-	}
-	return d + ")"
+	return fmt.Sprintf(", parallel (chunk=%d)", parallelChunkSize())
 }
 
 // parallelChunkSize is the partition granularity: half the engage
 // threshold, so any input big enough to engage splits into at least
 // two chunks. Chunk boundaries depend only on the input length —
 // never on the degree — which keeps partition layout (and therefore
-// pruning counts and merged output) identical across worker counts.
+// the merged output) identical across worker counts.
 func parallelChunkSize() int {
 	c := int(parallelMinInput.Load()) / 2
 	if c < 1 {
@@ -185,43 +151,31 @@ func poolSubmit(f func()) bool {
 // the parallel executor
 
 // runPartitions runs op's bound kernel over its bound input in
-// parallel: partition the input, skip the chunks whose lifespan bounds
-// miss the operator's window entirely, fan the rest out over up to
+// parallel: cut the input into chunks, fan them out over up to
 // Snapshot.workers goroutines (the query goroutine always works;
 // helpers come from the bounded pool), and concatenate the per-chunk
 // results in chunk order.
 func (s *Snapshot) runPartitions(op tupleOp, b bound) ([]*core.Tuple, error) {
-	parts := core.PartitionSlice(b.in, parallelChunkSize())
-	degree := 1
-	if s.workers > degree {
-		degree = s.workers
-	}
-	if degree > len(parts) {
-		degree = len(parts)
-	}
+	chunk := parallelChunkSize()
+	parts := (len(b.in) + chunk - 1) / chunk
+	degree := min(s.workers, parts)
 
-	results := make([][]*core.Tuple, len(parts))
+	results := make([][]*core.Tuple, parts)
 	var next atomic.Int32
 	var stop atomic.Bool
 	var errMu sync.Mutex
 	var firstErr error
-	var scanned, pruned, rows atomic.Int64
+	var rows atomic.Int64
 
 	workerBody := func() {
 		parMetrics.busy.Add(1)
 		defer parMetrics.busy.Add(-1)
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
-			if i >= len(parts) {
+			if i >= parts {
 				return
 			}
-			p := parts[i]
-			if b.windowed && !p.Overlaps(b.window) {
-				pruned.Add(1)
-				continue
-			}
-			scanned.Add(1)
-			out, err := s.apply(b.kernel, p.Tuples, nil)
+			out, err := s.apply(b.kernel, b.in[i*chunk:min((i+1)*chunk, len(b.in))], nil)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -257,16 +211,12 @@ func (s *Snapshot) runPartitions(op tupleOp, b bound) ([]*core.Tuple, error) {
 	workerBody()
 	wg.Wait()
 
-	parMetrics.scanned.Add(uint64(scanned.Load()))
-	parMetrics.pruned.Add(uint64(pruned.Load()))
+	// Every chunk index claimed below parts was evaluated: a worker
+	// checks stop before it claims, never between claim and kernel.
+	parMetrics.scanned.Add(uint64(min(int(next.Load()), parts)))
 	parMetrics.rows.Add(uint64(rows.Load()))
 	if s.prof != nil {
-		s.prof.stats(op).par = &parStats{
-			degree:  helpers + 1,
-			parts:   len(parts),
-			scanned: int(scanned.Load()),
-			pruned:  int(pruned.Load()),
-		}
+		s.prof.stats(op).par = &parStats{degree: helpers + 1, parts: parts}
 	}
 	if firstErr != nil {
 		return nil, firstErr

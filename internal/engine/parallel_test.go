@@ -25,13 +25,18 @@ func lowerParallelThreshold(t testing.TB, th int) {
 	t.Cleanup(func() { SetParallelThreshold(prev) })
 }
 
+// sessAt opens a session on a DB over st whose queries run parallel
+// operators at degree w. DBs over one store share cached plans.
+func sessAt(st *storage.Store, w int) *Session {
+	return OpenDBOptions(st, DBOptions{Workers: w}).NewSession()
+}
+
 // marchStore builds a store whose MARCH relation has n tuples with
 // lifespans marching forward in insertion order — all but the last
-// four live inside [0,60], the last four late in [95,99] — so
-// contiguous partitions get narrow lifespan bounds, the final chunk
-// lives entirely outside a [0,90] window, and that window overlaps so
-// much of the relation that the interval index declines and the
-// planner takes the scan path where the partition prune arms.
+// four live inside [0,60], the last four late in [95,99] — so the
+// final chunk lives entirely outside a [0,90] window, and that window
+// overlaps so much of the relation that the interval index declines
+// and the time-slice partitions the whole relation.
 func marchStore(t testing.TB, n int) *storage.Store {
 	t.Helper()
 	full := lifespan.Interval(0, 99)
@@ -57,7 +62,7 @@ func marchStore(t testing.TB, n int) *storage.Store {
 
 // parallelBattery is the set of queries whose plans take a parallel
 // operator once the threshold admits the fixture: candidate-set
-// selects, index and scan time-slices, windowed and ∀ filters, and the
+// selects, index and scan time-slices, DURING and ∀ filters, and the
 // index lookup join streaming a base scan.
 var parallelBattery = []string{
 	`SELECT WHEN DEPT = 'Toys' FROM EMP`,
@@ -115,7 +120,7 @@ func TestParallelEquivalenceAcrossDegrees(t *testing.T) {
 		}
 		var first string
 		for _, w := range []int{1, 2, 4, 8} {
-			gRes, gErr := sess(st).Eval(WithWorkers(context.Background(), w), e)
+			gRes, gErr := sessAt(st, w).Eval(bg, e)
 			if gErr != nil {
 				t.Fatalf("%q workers=%d: %v", q, w, gErr)
 			}
@@ -134,12 +139,12 @@ func TestParallelEquivalenceAcrossDegrees(t *testing.T) {
 	}
 }
 
-// TestParallelPartitionPruning checks the lifespan-range prune end to
-// end. The [0,90] window overlaps 60 of 64 tuples, so the interval
-// index declines (its budget is n − log n − 1) and TIMESLICE takes the
-// scan path with the partition prune armed; the final chunk lives
-// entirely in [95,99] and must be skipped, while the surviving
-// partitions still produce exactly the sequential result.
+// TestParallelPartitionPruning checks that no chunk is skipped. The
+// [0,90] window overlaps 60 of 64 tuples, so the interval index
+// declines (its budget is n − log n − 1) and TIMESLICE partitions the
+// whole pinned relation; the final chunk lives entirely in [95,99]
+// and is scanned like every other, contributing nothing, so all 16
+// partitions run and the result is exactly the sequential one.
 func TestParallelPartitionPruning(t *testing.T) {
 	lowerParallelThreshold(t, 8) // chunk = 4 → 16 partitions of 64 tuples
 	st := marchStore(t, 64)
@@ -149,8 +154,8 @@ func TestParallelPartitionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "prune-window") {
-		t.Fatalf("wide time-slice over the scan did not arm the prune:\n%s", out)
+	if !strings.Contains(out, "restricting all 64 tuples), parallel (chunk=4)") {
+		t.Fatalf("wide time-slice did not partition the whole relation:\n%s", out)
 	}
 
 	e, err := hql.Parse(q)
@@ -161,29 +166,23 @@ func TestParallelPartitionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := parMetrics.pruned.Load()
 	s0 := parMetrics.scanned.Load()
-	gRes, err := sess(st).Eval(WithWorkers(context.Background(), 4), e)
+	gRes, err := sessAt(st, 4).Eval(bg, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nRes.Relation.Equal(gRes.Relation) || nRes.Relation.String() != gRes.Relation.String() {
-		t.Fatalf("pruned execution differs from naive\nnaive:\n%s\nengine:\n%s", nRes.Relation, gRes.Relation)
+		t.Fatalf("partitioned execution differs from naive\nnaive:\n%s\nengine:\n%s", nRes.Relation, gRes.Relation)
 	}
-	pruned, scanned := parMetrics.pruned.Load()-p0, parMetrics.scanned.Load()-s0
-	if pruned == 0 {
-		t.Fatal("the dead [95,99] chunk was not pruned")
-	}
-	if scanned+pruned != 16 {
-		t.Fatalf("scanned %d + pruned %d != 16 partitions", scanned, pruned)
+	if scanned := parMetrics.scanned.Load() - s0; scanned != 16 {
+		t.Fatalf("scanned %d partitions, want all 16", scanned)
 	}
 }
 
-// TestParallelForAllNoPrune pins the soundness carve-out: ∀-quantified
-// selection keeps tuples whose scope misses the window entirely
-// (vacuous truth), so its parallel form must never arm the partition
-// prune — and must agree with the naive evaluator on a fixture where
-// pruning would drop vacuous survivors.
+// TestParallelForAllNoPrune: ∀-quantified selection keeps tuples whose
+// scope misses the window entirely (vacuous truth), so its parallel
+// form must agree with the naive evaluator on a fixture where most
+// tuples are such vacuous survivors.
 func TestParallelForAllNoPrune(t *testing.T) {
 	lowerParallelThreshold(t, 8)
 	st := marchStore(t, 64)
@@ -195,15 +194,12 @@ func TestParallelForAllNoPrune(t *testing.T) {
 	if !strings.Contains(out, "parallel") {
 		t.Fatalf("forAll filter over a big scan should still parallelize:\n%s", out)
 	}
-	if strings.Contains(out, "prune-window") {
-		t.Fatalf("forAll filter must not arm the partition prune:\n%s", out)
-	}
 	e, _ := hql.Parse(q)
 	nRes, err := hql.EvalNaive(e, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRes, err := sess(st).Eval(WithWorkers(context.Background(), 4), e)
+	gRes, err := sessAt(st, 4).Eval(bg, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +217,7 @@ func TestParallelWorkerMetrics(t *testing.T) {
 	t0 := parMetrics.tasks.Load()
 	i0 := parMetrics.inline.Load()
 	r0 := parMetrics.rows.Load()
-	if _, err := sess(st).Query(WithWorkers(context.Background(), 4), `SELECT WHEN SAL >= 0 FROM MARCH`); err != nil {
+	if _, err := sessAt(st, 4).Query(bg, `SELECT WHEN SAL >= 0 FROM MARCH`); err != nil {
 		t.Fatal(err)
 	}
 	if parMetrics.tasks.Load() == t0 && parMetrics.inline.Load() == i0 {
@@ -243,7 +239,7 @@ func TestParallelCancellation(t *testing.T) {
 	st := marchStore(t, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sess(st).Query(WithWorkers(ctx, 4), `SELECT WHEN SAL >= 0 FROM MARCH`); err == nil {
+	if _, err := sessAt(st, 4).Query(ctx, `SELECT WHEN SAL >= 0 FROM MARCH`); err == nil {
 		t.Fatal("canceled context produced a result")
 	}
 }
@@ -251,7 +247,7 @@ func TestParallelCancellation(t *testing.T) {
 // TestAnalyzeAccountingParallel extends the Σself ≈ root-wall identity
 // to partitioned runs: the operator absorbs its partition work into
 // its own wall (concurrently-executing partition workers are counted
-// once), and the partition accounting (degree, scanned, pruned) is
+// once), and the partition accounting (degree, partitions) is
 // rendered.
 func TestAnalyzeAccountingParallel(t *testing.T) {
 	lowerParallelThreshold(t, 8)
@@ -260,7 +256,7 @@ func TestAnalyzeAccountingParallel(t *testing.T) {
 		`SELECT WHEN SAL >= 0 FROM MARCH`,
 		`TIMESLICE MARCH AT {[0,90]}`,
 	} {
-		a, err := analyzeQuery(WithWorkers(context.Background(), 4), q, st)
+		a, err := analyzeQuery(bg, q, OpenDBOptions(st, DBOptions{Workers: 4}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,9 +267,8 @@ func TestAnalyzeAccountingParallel(t *testing.T) {
 		if root.par.degree < 1 || root.par.degree > 4 {
 			t.Fatalf("%s: degree=%d outside [1,4]", q, root.par.degree)
 		}
-		if root.par.scanned+root.par.pruned != root.par.parts {
-			t.Fatalf("%s: scanned %d + pruned %d != partitions %d",
-				q, root.par.scanned, root.par.pruned, root.par.parts)
+		if root.par.parts != 16 {
+			t.Fatalf("%s: partitions=%d, want 16 (64 tuples, chunk 4)", q, root.par.parts)
 		}
 		if a.res.Relation == nil || int64(a.res.Relation.Cardinality()) != root.rows {
 			t.Fatalf("%s: root rows=%d vs result %v", q, root.rows, a.res.Relation)
@@ -301,6 +296,43 @@ func TestAnalyzeAccountingParallel(t *testing.T) {
 		if !strings.Contains(out, "degree=") || !strings.Contains(out, "partitions=") {
 			t.Fatalf("%s: partition accounting missing from rendering:\n%s", q, out)
 		}
+	}
+}
+
+// TestDBOwnsDegree: the degree a query runs with is its DB's. Over one
+// store, ANALYZE on a Workers: 1 DB reports degree 1; a Workers: 4 DB
+// then runs the same text on the plan the first DB cached — one miss
+// in total — and renders the result byte for byte as the first did.
+func TestDBOwnsDegree(t *testing.T) {
+	ResetPlanCache()
+	t.Cleanup(ResetPlanCache)
+	lowerParallelThreshold(t, 8)
+	st := marchStore(t, 64)
+	const q = `SELECT WHEN SAL >= 0 FROM MARCH`
+	one, four := sessAt(st, 1), sessAt(st, 4)
+
+	out, err := one.ExplainAnalyze(bg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, " degree=1 partitions=16)") {
+		t.Fatalf("Workers: 1 DB did not run at degree 1:\n%s", out)
+	}
+
+	_, m0, _ := PlanCacheStats()
+	r1, err := one.Query(bg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4, err := four.Query(bg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m1, _ := PlanCacheStats(); m1-m0 != 1 {
+		t.Fatalf("%d plan-cache misses over two DBs, want 1: the degree leaked into the plan", m1-m0)
+	}
+	if a, b := r1.Relation.String(), r4.Relation.String(); a != b {
+		t.Fatalf("rendering at degree 4 differs from degree 1\nw=1:\n%s\nw=4:\n%s", a, b)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -72,14 +71,19 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	// difference on top sees both relations through the one snapshot the
 	// whole plan pinned.
 	const selA, selB = `(SELECT WHEN V >= 0 FROM A)`, `(SELECT WHEN V >= 0 FROM B)`
+	degrees := []int{2, 4, 8}
+	dbAt := make(map[int]*DB, len(degrees))
+	for _, d := range degrees {
+		dbAt[d] = OpenDBOptions(st, DBOptions{Workers: d})
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				degree := []int{2, 4, 8}[(w+i)%3]
-				torn, err := tornGroup(sessionRun(WithWorkers(context.Background(), degree), st), selA, selB)
+				degree := degrees[(w+i)%len(degrees)]
+				torn, err := tornGroup(sessionRun(dbAt[degree]), selA, selB)
 				if err != nil {
 					t.Errorf("probe at degree %d: %v", degree, err)
 					return
@@ -100,7 +104,7 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	}
 
 	// Quiesced: every group fully visible.
-	res, err := sess(st).Query(WithWorkers(context.Background(), 4), selA+` INTERSECT `+selB)
+	res, err := dbAt[4].NewSession().Query(bg, selA+` INTERSECT `+selB)
 	if err != nil {
 		t.Fatal(err)
 	}

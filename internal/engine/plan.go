@@ -89,16 +89,12 @@ type tupleOp interface {
 }
 
 // bound is a per-tuple operator bound to one execution: its input, its
-// kernel, and what the executor may do with them. windowed promises
-// that an input tuple whose lifespan misses window produces nothing,
-// so whole partitions outside it can be skipped; partition marks an
+// kernel, and whether the executor may split them. partition marks an
 // input that is a slice of a pinned base relation (a scan or an
 // index's candidates), the shapes worth splitting across workers.
 type bound struct {
 	in        []*core.Tuple
 	kernel    tupleKernel
-	window    lifespan.Lifespan
-	windowed  bool
 	partition bool
 }
 
@@ -346,9 +342,9 @@ func (n *scanNode) describe(s *Snapshot) string {
 
 // scanNote is parallelNote for an operator that reads child directly:
 // empty unless child is a base scan — the partitionable shape.
-func (s *Snapshot) scanNote(child node, window *lsExpr) string {
+func (s *Snapshot) scanNote(child node) string {
 	if sc, ok := child.(*scanNode); ok {
-		return s.parallelNote(s.card(sc.rel), window)
+		return parallelNote(s.card(sc.rel))
 	}
 	return ""
 }
@@ -391,7 +387,7 @@ func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
 		return bound{}, err
 	}
 	cand, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: restrictKernel(L), window: L, windowed: true, partition: true}, err
+	return bound{in: cand, kernel: restrictKernel(L), partition: true}, err
 }
 func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexTimeSliceNode) estimate() cost                 { return n.est }
@@ -409,7 +405,7 @@ func (n *indexTimeSliceNode) describe(s *Snapshot) string {
 	default:
 		d += fmt.Sprintf(" (interval index: %d of %d tuples alive)", len(cand), s.card(n.rel))
 	}
-	return d + s.parallelNote(len(cand), n.at)
+	return d + parallelNote(len(cand))
 }
 
 // timeSliceNode restricts each tuple of its child to L — the form used
@@ -429,12 +425,12 @@ func (n *timeSliceNode) bind(s *Snapshot) (bound, error) {
 	}
 	in, err := s.tuplesFrom(n.child)
 	_, overScan := n.child.(*scanNode)
-	return bound{in: in, kernel: restrictKernel(L), window: L, windowed: true, partition: overScan}, err
+	return bound{in: in, kernel: restrictKernel(L), partition: overScan}, err
 }
 func (n *timeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *timeSliceNode) estimate() cost                 { return perTuple(n.child) }
 func (n *timeSliceNode) describe(s *Snapshot) string {
-	return "time-slice at " + n.at.render(s.params) + s.scanNote(n.child, n.at)
+	return "time-slice at " + n.at.render(s.params) + s.scanNote(n.child)
 }
 
 // ---------------------------------------------------------------------
@@ -463,13 +459,7 @@ func (n *filterNode) bind(s *Snapshot) (bound, error) {
 	}
 	in, err := s.tuplesFrom(n.child)
 	_, overScan := n.child.(*scanNode)
-	b := bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params, n.child.scheme()), n.when, n.forAll, L), partition: overScan}
-	if !n.forAll {
-		// ∀ keeps tuples whose scope is empty (vacuous truth), so only
-		// the existential and WHEN forms may skip what misses DURING.
-		b.window, b.windowed = L, true
-	}
-	return b, err
+	return bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params, n.child.scheme()), n.when, n.forAll, L), partition: overScan}, err
 }
 func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *filterNode) estimate() cost {
@@ -477,12 +467,8 @@ func (n *filterNode) estimate() cost {
 	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
 }
 func (n *filterNode) describe(s *Snapshot) string {
-	window := n.during
-	if n.forAll {
-		window = allTime
-	}
 	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), bindCond(n.cond, s.params, nil), s.duringSuffix(n.during)) +
-		s.scanNote(n.child, window)
+		s.scanNote(n.child)
 }
 
 // indexSelectNode evaluates an existential or WHEN selection over a
@@ -543,7 +529,7 @@ func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
 		return bound{}, err
 	}
 	cand, _, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), window: L, windowed: true, partition: true}, err
+	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), partition: true}, err
 }
 func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexSelectNode) estimate() cost                 { return n.est }
@@ -563,7 +549,7 @@ func (n *indexSelectNode) describe(s *Snapshot) string {
 		via = eq.String()
 	}
 	return fmt.Sprintf("%s via %s (%d of %d candidates)", d, via, len(cand), s.card(n.rel)) +
-		s.parallelNote(len(cand), n.during)
+		parallelNote(len(cand))
 }
 
 func selKind(when, forAll bool) string {
@@ -731,7 +717,7 @@ func (n *indexJoinNode) describe(s *Snapshot) string {
 	if p.ix == nil {
 		d += fmt.Sprintf(" (%d keys)", v.Cardinality())
 	}
-	return d + s.scanNote(n.stream, allTime)
+	return d + s.scanNote(n.stream)
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -68,11 +69,12 @@ func TestIncrementalIndexMaintenance(t *testing.T) {
 	}
 
 	// The maintained interval index answers exactly like a fresh scan.
+	_, vers := core.Pin(r)
 	for _, L := range []lifespan.Lifespan{
 		lifespan.Interval(0, 9), lifespan.Interval(40, 60), lifespan.MustParse("{[10,14],[80,99]}"),
 	} {
 		want := naiveOverlapping(r, L)
-		got := x.Interval().Overlapping(L)
+		got, _ := overlapping(vers[0], L, math.MaxInt)
 		if len(got) != len(want) {
 			t.Fatalf("L=%s: maintained index found %d, scan %d", L, len(got), len(want))
 		}
@@ -126,8 +128,9 @@ func TestIntervalOverlayCompaction(t *testing.T) {
 		t.Fatal("overlay never compacted across 200 inserts")
 	}
 	L := lifespan.Interval(50, 70)
+	_, vers := core.Pin(r)
 	want := naiveOverlapping(r, L)
-	got := x.Interval().Overlapping(L)
+	got, _ := overlapping(vers[0], L, math.MaxInt)
 	if len(got) != len(want) {
 		t.Fatalf("after compaction index found %d, scan %d", len(got), len(want))
 	}

@@ -29,13 +29,10 @@ type opStats struct {
 }
 
 // parStats is one parallel operator's partition accounting: the degree
-// actually used (helpers + the query goroutine), total partitions, and
-// how many were scanned versus pruned by the lifespan-range window.
+// actually used (helpers + the query goroutine) and total partitions.
 type parStats struct {
-	degree  int
-	parts   int
-	scanned int
-	pruned  int
+	degree int
+	parts  int
 }
 
 func newProfiler() *profiler {

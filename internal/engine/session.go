@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -24,9 +25,8 @@ import (
 // DB methods are safe for concurrent use.
 type DB struct {
 	store *storage.Store
-	// workers, when ≥ 1, is the degree of parallelism every session of
-	// this DB executes parallel plan operators with; 0 defers to the
-	// process default (GOMAXPROCS).
+	// workers is the degree of parallelism every session of this DB
+	// executes parallel plan operators with; at least 1.
 	workers int
 
 	mu     sync.Mutex
@@ -36,21 +36,23 @@ type DB struct {
 // DBOptions configures OpenDBOptions. The zero value matches OpenDB.
 type DBOptions struct {
 	// Workers is the degree of parallelism for this DB's queries:
-	// 1 forces sequential execution, 0 defers to the process default.
+	// 1 forces sequential execution, below 1 means GOMAXPROCS as of
+	// the open.
 	Workers int
 }
 
 // OpenDB wraps an existing store — in-memory or durable — as a DB.
 func OpenDB(st *storage.Store) *DB {
-	return &DB{store: st}
+	return OpenDBOptions(st, DBOptions{})
 }
 
 // OpenDBOptions is OpenDB with explicit options — the `-workers` flag
-// of the CLI, server and bench harness lands here.
+// of the CLI and server lands here. The degree is the DB's alone: a
+// query runs with the degree of the DB its session came from.
 func OpenDBOptions(st *storage.Store, o DBOptions) *DB {
 	w := o.Workers
-	if w < 0 {
-		w = 0
+	if w < 1 {
+		w = runtime.GOMAXPROCS(0)
 	}
 	return &DB{store: st, workers: w}
 }
@@ -115,26 +117,10 @@ type Session struct {
 // DB returns the database this session was created from.
 func (s *Session) DB() *DB { return s.db }
 
-// withDBWorkers applies the DB's workers option to a query context;
-// contexts already carrying an explicit WithWorkers value keep it.
-func (s *Session) withDBWorkers(ctx context.Context) context.Context {
-	if s.db.workers < 1 {
-		return ctx
-	}
-	if n, ok := ctx.Value(workersCtxKey{}).(int); ok && n >= 1 {
-		return ctx
-	}
-	return WithWorkers(ctx, s.db.workers)
-}
-
-// begin is the shared preamble of the executing entry points: apply
-// the DB's workers option and fail fast, with the typed error, on a
-// context that is already done.
-func (s *Session) begin(ctx context.Context) (context.Context, error) {
-	if err := ctx.Err(); err != nil {
-		return ctx, hrdmerr.FromContext(err)
-	}
-	return s.withDBWorkers(ctx), nil
+// begin is the shared preamble of the executing entry points: fail
+// fast, with the typed error, on a context that is already done.
+func (s *Session) begin(ctx context.Context) error {
+	return hrdmerr.FromContext(ctx.Err())
 }
 
 // Query parses, plans and executes src under ctx; a text that does not
@@ -156,12 +142,11 @@ func (s *Session) begin(ctx context.Context) (context.Context, error) {
 // materialize marks) plus finishQuery's atomics — measured against
 // BenchmarkRunCachedKeyEq to stay inside the ~3% overhead budget.
 func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
-	ctx, err := s.begin(ctx)
-	if err != nil {
+	if err := s.begin(ctx); err != nil {
 		return hql.Result{}, err
 	}
 	s.q.lift(src)
-	return evalQuery(ctx, &s.q, s.db.store)
+	return evalQuery(ctx, &s.q, s.db)
 }
 
 // Eval runs an already-parsed expression — the AST-level counterpart of
@@ -194,7 +179,7 @@ func (s *Session) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	snap := pinPlan(context.Background(), p, s.q.params)
+	snap := pinPlan(context.Background(), s.db, p, s.q.params)
 	status := "miss (first run compiles and caches the plan)"
 	if planCache.peek(s.q.shape, env, s.q.params) {
 		status = "hit (repeated runs skip parse and plan)"
@@ -209,11 +194,10 @@ func (s *Session) Explain(src string) (string, error) {
 // execution honors cancellation and deadlines exactly as Query does,
 // since EXPLAIN ANALYZE genuinely runs the query.
 func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	ctx, err := s.begin(ctx)
-	if err != nil {
+	if err := s.begin(ctx); err != nil {
 		return "", err
 	}
-	a, err := analyzeQuery(ctx, src, s.db.store)
+	a, err := analyzeQuery(ctx, src, s.db)
 	if err != nil {
 		return "", err
 	}

@@ -43,10 +43,9 @@ type Snapshot struct {
 	// never read a context.
 	ctx context.Context
 	// workers is the degree of parallelism the query's parallel
-	// operators may use, resolved at pin time from the query context
-	// (WithWorkers) or the process default. It is execution state, not
-	// plan state: plans stay degree-agnostic so sessions with different
-	// settings share cached plans. 0/1 means sequential.
+	// operators may use: its DB's, taken at pin time. It is execution
+	// state, not plan state: plans stay degree-agnostic so DBs with
+	// different settings share cached plans. 1 means sequential.
 	workers int
 }
 
@@ -71,17 +70,17 @@ func (s *Snapshot) canceled() error {
 }
 
 // pinPlan captures a snapshot of p's dependency relations for one
-// execution under ctx, binding its slots to ps. It cannot fail: a plan
-// holds no data a writer could have outdated between planning and the
-// pin.
-func pinPlan(ctx context.Context, p *Plan, ps []param) *Snapshot {
+// execution under ctx on db, binding its slots to ps. It cannot fail:
+// a plan holds no data a writer could have outdated between planning
+// and the pin.
+func pinPlan(ctx context.Context, db *DB, p *Plan, ps []param) *Snapshot {
 	rels := make([]*core.Relation, len(p.deps))
 	for i, d := range p.deps {
 		rels[i] = d.rel
 	}
 	epoch, vers := core.Pin(rels...)
 	s := &Snapshot{Epoch: epoch, vers: make(map[*core.Relation]core.RelVersion, len(vers)), deps: p.deps,
-		params: ps, workers: workersFrom(ctx)}
+		params: ps, workers: db.workers}
 	for i, d := range p.deps {
 		s.vers[d.rel] = vers[i]
 	}

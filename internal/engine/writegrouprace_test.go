@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,8 +32,8 @@ func tornGroup(run func(q string) (hql.Result, error), exprA, exprB string) (boo
 }
 
 // sessionRun evaluates through Session.Query — plan cache, pin, engine.
-func sessionRun(ctx context.Context, st *storage.Store) func(string) (hql.Result, error) {
-	return func(q string) (hql.Result, error) { return sess(st).Query(ctx, q) }
+func sessionRun(db *DB) func(string) (hql.Result, error) {
+	return func(q string) (hql.Result, error) { return db.NewSession().Query(bg, q) }
 }
 
 // naiveRun evaluates through hql.EvalNaive — the oracle, which pins its
@@ -76,7 +75,7 @@ func TestTornGroupDetectorFires(t *testing.T) {
 	check := func(when string, want bool) {
 		t.Helper()
 		for name, run := range map[string]func(string) (hql.Result, error){
-			"session": sessionRun(bg, st), "naive": naiveRun(st),
+			"session": sessionRun(OpenDB(st)), "naive": naiveRun(st),
 		} {
 			got, err := tornGroup(run, `A`, `B`)
 			if err != nil {
@@ -156,7 +155,7 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				torn, err := tornGroup(sessionRun(bg, st), `A`, `B`)
+				torn, err := tornGroup(sessionRun(OpenDB(st)), `A`, `B`)
 				if err != nil {
 					t.Error(err)
 					return
@@ -183,7 +182,7 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 	}
 
 	// Quiesced: both relations hold every group in full.
-	torn, err := tornGroup(sessionRun(bg, st), `A`, `B`)
+	torn, err := tornGroup(sessionRun(OpenDB(st)), `A`, `B`)
 	if err != nil {
 		t.Fatal(err)
 	}
