@@ -32,9 +32,7 @@
 // or intersection that changes nothing returns its operand. Code must
 // therefore never mutate a value it did not just allocate, and must not
 // read pointer equality between a result tuple and a base tuple as
-// "not derived". The interval index's dead set, keyed by tuple pointer,
-// stays sound: a relation holds one slot per key, and a merge always
-// mints a new tuple. NewRelationFromTuples adopts the caller's tuple
+// "not derived". NewRelationFromTuples adopts the caller's tuple
 // slice rather than copying it, and keeps the positions of its tuples
 // sorted by key beside it: the caller must not touch the slice again.
 // Renderings read that order; the key map is derived from the tuples,

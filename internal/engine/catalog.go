@@ -12,7 +12,7 @@ import (
 // server's `metrics` op can all show that single-tuple inserts are
 // absorbed incrementally instead of triggering full rebuilds.
 var idxMetrics = struct {
-	intervalBuilds *obs.Counter // full interval-tree (re)builds, incl. overlay compactions
+	intervalBuilds *obs.Counter // full interval-index (re)builds, incl. overlay compactions
 	attrBuilds     *obs.Counter // full attribute-index (re)builds
 	incremental    *obs.Counter // single-tuple changes absorbed in place
 	resyncs        *obs.Counter // full catch-ups after a missed notification
@@ -206,13 +206,12 @@ func (x *RelIndexes) Attr(name string) *AttrIndex {
 	return ix
 }
 
-// BuildIndexes eagerly constructs r's interval index and the hash index
-// of every key attribute. Storage loading calls it so that a freshly
-// opened database answers its first indexed query at full speed.
+// BuildIndexes eagerly constructs r's lifespan interval index, so that
+// a freshly opened database answers its first time-sliced query at full
+// speed; storage loading calls it. Attribute hash indexes are built on
+// their first probe: a single-attribute key needs none (the relation's
+// key map answers its probes and statistics), and any other attribute
+// is worth indexing only once a plan asks.
 func BuildIndexes(r *core.Relation) {
-	x := Indexes(r)
-	x.Interval()
-	for _, k := range r.Scheme().Key {
-		x.Attr(k)
-	}
+	Indexes(r).Interval()
 }

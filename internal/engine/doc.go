@@ -5,11 +5,12 @@
 // SELECT and JOIN walks all tuples and their chronon sets. This package
 // adds the classic relational-engine machinery on top without touching
 // the model semantics: a lifespan interval index (which tuples are alive
-// over [t1,t2] in O(log n + k)), key/attribute hash indexes over the
-// constant-valued functions the paper's CD domains guarantee, a
-// cost-aware planner that lowers parsed HQL expressions into physical
-// plans with selection and time-slice pushdown (core's linear-scan
-// operators wherever no index applies), per-relation
+// over [t1,t2] in O(log n + k)), the relation's key map for a
+// single-attribute key and attribute hash indexes, built on first
+// probe, over the constant-valued functions the paper's CD domains
+// guarantee, a cost-aware planner that lowers parsed HQL expressions
+// into physical plans with selection and time-slice pushdown (core's
+// linear-scan operators wherever no index applies), per-relation
 // statistics feeding the planner's selectivity and join estimates, and
 // a plan cache that lets repeated queries skip parse and plan entirely.
 // Indexes absorb single-tuple inserts, merges and coalesced batches

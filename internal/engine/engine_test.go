@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,6 +40,51 @@ func TestPlanShapes(t *testing.T) {
 		if !strings.Contains(out, c.want) {
 			t.Errorf("explain %q:\n%s\nwant substring %q", c.query, out, c.want)
 		}
+	}
+}
+
+// TestLoadBuildsNoKeyIndex loads a store holding an EMP keyed by the
+// single attribute NAME and an ENROLL keyed by (SNAME, CNAME). The load
+// builds no attribute hash index: a point lookup on NAME probes the
+// relation's key map, and ENROLL's SNAME index is built by the first
+// query that probes it.
+func TestLoadBuildsNoKeyIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.hrdm")
+	src := storage.NewStore()
+	src.Put(workload.Personnel(workload.DefaultPersonnel()))
+	_, _, enroll := workload.Enrollment(workload.DefaultEnrollment())
+	src.Put(enroll)
+	if err := src.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ab0 := idxMetrics.attrBuilds.Load()
+	st, err := storage.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab := idxMetrics.attrBuilds.Load(); ab != ab0 {
+		t.Fatalf("load built %d attribute indexes, want 0", ab-ab0)
+	}
+	out, err := sess(st).Explain(`SELECT WHEN NAME = 'emp0001' FROM EMP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "key-index EMP.NAME") {
+		t.Fatalf("point lookup does not probe the key map:\n%s", out)
+	}
+	if ab := idxMetrics.attrBuilds.Load(); ab != ab0 {
+		t.Fatalf("a key probe built %d attribute indexes, want 0", ab-ab0)
+	}
+	er, _ := st.Get("ENROLL")
+	if _, built := Indexes(er).AttrStatsIfBuilt("SNAME"); built {
+		t.Fatal("ENROLL.SNAME index exists before any probe")
+	}
+	compareQuery(t, st, `SELECT WHEN SNAME = 'stu001' FROM ENROLL`)
+	if _, built := Indexes(er).AttrStatsIfBuilt("SNAME"); !built {
+		t.Fatal("the first probe of ENROLL.SNAME built no index")
+	}
+	if ab := idxMetrics.attrBuilds.Load(); ab != ab0+1 {
+		t.Fatalf("first composite-key probe built %d attribute indexes, want 1", ab-ab0)
 	}
 }
 

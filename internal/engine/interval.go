@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/chronon"
@@ -12,34 +12,40 @@ import (
 
 // ientry is one lifespan interval of one tuple. A tuple with a gapped
 // lifespan (the paper's "reincarnation") contributes one entry per
-// incarnation; ord is the tuple's insertion ordinal, used to de-duplicate
-// multi-interval matches and keep candidate order deterministic.
+// incarnation; ord is the tuple's position in the relation, used to
+// de-duplicate multi-interval matches, keep candidate order
+// deterministic and map a match back to a pinned tuple. An entry holds
+// no pointer, so the index adds nothing for the collector to scan.
 type ientry struct {
 	iv  chronon.Interval
 	ord int
-	t   *core.Tuple
 }
 
-// IntervalIndex is a centered interval tree over the lifespan intervals
-// of a relation's tuples. It answers "which tuples are alive at some
-// time of L" in O(log n + k) against the naive O(n·|intervals|) scan.
-// The tree itself is static, but the index as a whole is incrementally
-// maintainable: single-tuple inserts and merges land in a small overlay
-// (extra entries plus a dead set for merged-away tuples) that queries
-// scan linearly alongside the tree; when the overlay grows past a
-// threshold it is compacted back into a fresh tree. The catalog feeds
-// the overlay from relation change notifications.
+// IntervalIndex indexes the lifespan intervals of a relation's tuples.
+// It answers "which tuples are alive at some time of L" in about
+// O(log n + k) against the naive O(n·|intervals|) scan.
+//
+// The static part is one slice of entries sorted by start, read as an
+// implicit balanced search tree: the range [l,r) has its node at
+// m = (l+r)/2, and maxHi[m] is the latest end in [l,r), so a probe
+// skips every subtree that ends before the query starts and stops at
+// the first start past the query's end. The index as a whole is
+// incrementally maintainable: inserts and merges land in a small
+// overlay (extra entries, plus the positions whose static entries a
+// merge replaced) that probes scan linearly; once the overlay grows
+// past a threshold it is compacted into a fresh static part. The
+// catalog feeds the overlay from relation change notifications.
 type IntervalIndex struct {
-	mu       sync.RWMutex
-	root     *inode
-	tuples   int // tuples indexed (logical, including overlay)
-	entries  int // lifespan intervals indexed (logical)
-	maxDepth int
+	mu      sync.RWMutex
+	es      []ientry       // static entries, sorted by iv.Lo
+	maxHi   []chronon.Time // implicit-tree subtree maxima over es
+	tuples  int            // tuples indexed (logical, including overlay)
+	entries int            // lifespan intervals indexed (logical)
 
-	// overlay: entries added since the tree was built, and tree/overlay
-	// entries whose tuple a merge replaced.
+	// overlay: entries added since the static part was built, and the
+	// positions whose static entries a merge replaced.
 	extra []ientry
-	dead  map[*core.Tuple]bool
+	dead  map[int]bool
 
 	// lifespan geometry for the statistics object. covered is the
 	// summed length of all live entries (in chronons, as float64 to
@@ -51,30 +57,52 @@ type IntervalIndex struct {
 
 // newIntervalIndexFrom builds the index from a stable tuple snapshot.
 func newIntervalIndexFrom(ts []*core.Tuple) *IntervalIndex {
-	var es []ientry
+	n := 0
+	for _, t := range ts {
+		n += t.Lifespan().NumIntervals()
+	}
+	es := make([]ientry, 0, n)
 	for ord, t := range ts {
-		for _, iv := range t.Lifespan().Intervals() {
-			es = append(es, ientry{iv: iv, ord: ord, t: t})
+		ls := t.Lifespan()
+		for i := range ls.NumIntervals() {
+			es = append(es, ientry{iv: ls.IntervalAt(i), ord: ord})
 		}
 	}
 	ix := &IntervalIndex{tuples: len(ts)}
-	ix.resetTreeLocked(es)
+	ix.resetLocked(es)
 	return ix
 }
 
-// resetTreeLocked replaces the tree with one built from es and clears
-// the overlay. Callers hold ix.mu (or own ix exclusively).
-func (ix *IntervalIndex) resetTreeLocked(es []ientry) {
+// resetLocked makes es, which it sorts in place, the static part and
+// clears the overlay. Callers hold ix.mu (or own ix exclusively).
+func (ix *IntervalIndex) resetLocked(es []ientry) {
 	idxMetrics.intervalBuilds.Inc()
+	slices.SortFunc(es, func(a, b ientry) int { return cmp.Compare(a.iv.Lo, b.iv.Lo) })
+	ix.es, ix.maxHi = es, make([]chronon.Time, len(es))
 	ix.entries = len(es)
-	ix.maxDepth = 0
-	ix.extra = nil
-	ix.dead = nil
+	ix.extra, ix.dead = nil, nil
 	ix.covered, ix.lo, ix.hi = 0, 0, 0
 	for i, e := range es {
 		ix.noteEntryLocked(e.iv, i == 0)
 	}
-	ix.root = build(es, 1, &ix.maxDepth)
+	if len(es) > 0 {
+		ix.fillMaxHi(0, len(es))
+	}
+}
+
+// fillMaxHi sets maxHi for the subtree over the non-empty range [l,r)
+// and returns its latest end.
+func (ix *IntervalIndex) fillMaxHi(l, r int) chronon.Time {
+	m := (l + r) / 2
+	h := ix.es[m].iv.Hi
+	if l < m {
+		h = max(h, ix.fillMaxHi(l, m))
+	}
+	if m+1 < r {
+		h = max(h, ix.fillMaxHi(m+1, r))
+	}
+	ix.maxHi[m] = h
+	return h
 }
 
 // noteEntryLocked folds one entry into the geometry statistics.
@@ -106,9 +134,9 @@ func (ix *IntervalIndex) Add(t *core.Tuple, pos int) {
 // AddBatch absorbs a bulk insert of tuples starting at position pos:
 // one lock acquisition, one overlay append per entry, and at most one
 // compaction at the end — the coalesced form of Add a relation's
-// ChangeBatch notification feeds. A batch large relative to the tree
-// folds into a single rebuild instead of the cascade of intermediate
-// compactions per-tuple absorption would trigger.
+// ChangeBatch notification feeds. A batch large relative to the static
+// part folds into a single rebuild instead of the cascade of
+// intermediate compactions per-tuple absorption would trigger.
 func (ix *IntervalIndex) AddBatch(ts []*core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -120,107 +148,50 @@ func (ix *IntervalIndex) AddBatch(ts []*core.Tuple, pos int) {
 }
 
 // Replace absorbs a merge: the relation replaced old with new at pos.
+// The static entries at pos go dead and the overlay's entries for pos,
+// which an earlier insert or merge put there, are dropped in place.
 func (ix *IntervalIndex) Replace(old, new *core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.dead == nil {
-		ix.dead = make(map[*core.Tuple]bool)
+		ix.dead = make(map[int]bool)
 	}
-	ix.dead[old] = true
-	ix.entries -= old.Lifespan().NumIntervals()
-	for _, iv := range old.Lifespan().Intervals() {
-		ix.covered -= ivLen(iv)
+	ix.dead[pos] = true
+	ix.extra = slices.DeleteFunc(ix.extra, func(e ientry) bool { return e.ord == pos })
+	ls := old.Lifespan()
+	ix.entries -= ls.NumIntervals()
+	for i := range ls.NumIntervals() {
+		ix.covered -= ivLen(ls.IntervalAt(i))
 	}
 	ix.addLocked(new, pos)
 	ix.maybeCompactLocked()
 }
 
 func (ix *IntervalIndex) addLocked(t *core.Tuple, pos int) {
-	for _, iv := range t.Lifespan().Intervals() {
-		ix.extra = append(ix.extra, ientry{iv: iv, ord: pos, t: t})
+	ls := t.Lifespan()
+	for i := range ls.NumIntervals() {
+		iv := ls.IntervalAt(i)
+		ix.extra = append(ix.extra, ientry{iv: iv, ord: pos})
 		ix.noteEntryLocked(iv, ix.entries == 0 && len(ix.extra) == 1)
 		ix.entries++
 	}
 }
 
-// maybeCompactLocked folds a grown overlay back into the tree, keeping
-// query cost O(log n + k + overlay) with a small bounded overlay.
+// maybeCompactLocked folds a grown overlay back into the static part,
+// keeping probe cost O(log n + k + overlay) with a small bounded
+// overlay.
 func (ix *IntervalIndex) maybeCompactLocked() {
 	load := len(ix.extra) + len(ix.dead)
 	if load <= 64 || load <= ix.entries/8 {
 		return
 	}
 	es := make([]ientry, 0, ix.entries)
-	walk(ix.root, func(e ientry) {
-		if !ix.dead[e.t] {
-			es = append(es, e)
-		}
-	})
-	for _, e := range ix.extra {
-		if !ix.dead[e.t] {
+	for _, e := range ix.es {
+		if !ix.dead[e.ord] {
 			es = append(es, e)
 		}
 	}
-	tuples := ix.tuples
-	ix.resetTreeLocked(es)
-	ix.tuples = tuples
-}
-
-// walk visits every entry stored in the tree.
-func walk(n *inode, f func(ientry)) {
-	if n == nil {
-		return
-	}
-	for _, e := range n.byLo {
-		f(e)
-	}
-	walk(n.left, f)
-	walk(n.right, f)
-}
-
-// inode is one node of the centered tree: entries overlapping center are
-// stored here (sorted two ways for one-sided queries), strictly earlier
-// entries descend left, strictly later ones right.
-type inode struct {
-	center      chronon.Time
-	left, right *inode
-	byLo        []ientry // sorted by iv.Lo ascending
-	byHi        []ientry // sorted by iv.Hi descending
-}
-
-// build recursively constructs the centered tree. The center is the
-// median interval midpoint, which keeps the tree balanced for the
-// clustered lifespans real histories produce.
-func build(es []ientry, depth int, maxDepth *int) *inode {
-	if len(es) == 0 {
-		return nil
-	}
-	if depth > *maxDepth {
-		*maxDepth = depth
-	}
-	mids := make([]chronon.Time, len(es))
-	for i, e := range es {
-		mids[i] = e.iv.Lo + (e.iv.Hi-e.iv.Lo)/2
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	n := &inode{center: mids[len(mids)/2]}
-	var left, right []ientry
-	for _, e := range es {
-		switch {
-		case e.iv.Hi < n.center:
-			left = append(left, e)
-		case e.iv.Lo > n.center:
-			right = append(right, e)
-		default:
-			n.byLo = append(n.byLo, e)
-		}
-	}
-	n.byHi = append([]ientry(nil), n.byLo...)
-	sort.Slice(n.byLo, func(i, j int) bool { return n.byLo[i].iv.Lo < n.byLo[j].iv.Lo })
-	sort.Slice(n.byHi, func(i, j int) bool { return n.byHi[i].iv.Hi > n.byHi[j].iv.Hi })
-	n.left = build(left, depth+1, maxDepth)
-	n.right = build(right, depth+1, maxDepth)
-	return n
+	ix.resetLocked(append(es, ix.extra...))
 }
 
 // Tuples returns the number of tuples indexed.
@@ -246,67 +217,44 @@ func (ix *IntervalIndex) Geometry() (covered float64, span chronon.Interval) {
 	return ix.covered, chronon.Interval{Lo: ix.lo, Hi: ix.hi}
 }
 
-// visit walks every entry whose interval overlaps [qlo,qhi].
-func (n *inode) visit(qlo, qhi chronon.Time, f func(ientry)) {
-	if n == nil {
-		return
+// collect appends to out the live static entries in [l,r) that overlap
+// [qlo,qhi], in start order, and stops once out holds more than max.
+func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out []ientry) []ientry {
+	for l < r && len(out) <= max && ix.maxHi[(l+r)/2] >= qlo {
+		m := (l + r) / 2
+		out = ix.collect(l, m, qlo, qhi, max, out)
+		e := ix.es[m]
+		if e.iv.Lo > qhi {
+			break
+		}
+		if e.iv.Hi >= qlo && !ix.dead[e.ord] {
+			out = append(out, e)
+		}
+		l = m + 1
 	}
-	switch {
-	case qhi < n.center:
-		// Node entries all reach center > qhi, so they overlap iff they
-		// start by qhi.
-		for _, e := range n.byLo {
-			if e.iv.Lo > qhi {
-				break
-			}
-			f(e)
-		}
-		n.left.visit(qlo, qhi, f)
-	case qlo > n.center:
-		// Node entries all start by center < qlo: overlap iff they reach qlo.
-		for _, e := range n.byHi {
-			if e.iv.Hi < qlo {
-				break
-			}
-			f(e)
-		}
-		n.right.visit(qlo, qhi, f)
-	default:
-		// The query straddles the center: every node entry overlaps.
-		for _, e := range n.byLo {
-			f(e)
-		}
-		n.left.visit(qlo, qhi, f)
-		n.right.visit(qlo, qhi, f)
-	}
+	return out
 }
 
-// hits walks the tree and overlay once and returns the live entries
-// overlapping L, one per tuple, in position order — the deterministic
-// candidate order the plan nodes stream — or false once more than max
-// entries have matched, before paying for the sort an abandoned index
-// plan would discard. Entries whose tuple a merge replaced are skipped;
-// the merged tuple's overlay entries reuse the original ordinal.
+// hits probes the static part and scans the overlay and returns the
+// live entries overlapping L, one per tuple, in position order — the
+// deterministic candidate order the plan nodes stream — or false once
+// more than max entries have matched, before paying for the sort an
+// abandoned index plan would discard.
 func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var es []ientry
-	hit := func(e ientry) {
-		if len(es) <= max && !ix.dead[e.t] {
-			es = append(es, e)
-		}
-	}
 	for i := range L.NumIntervals() {
 		qv := L.IntervalAt(i)
-		ix.root.visit(qv.Lo, qv.Hi, hit)
+		es = ix.collect(0, len(ix.es), qv.Lo, qv.Hi, max, es)
 		for _, e := range ix.extra {
 			if e.iv.Lo <= qv.Hi && e.iv.Hi >= qv.Lo {
-				hit(e)
+				es = append(es, e)
 			}
 		}
-	}
-	if len(es) > max {
-		return nil, false
+		if len(es) > max {
+			return nil, false
+		}
 	}
 	// A tuple with several incarnations inside L matched once per
 	// interval; its entries share an ordinal.

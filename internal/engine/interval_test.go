@@ -3,11 +3,14 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/lifespan"
+	"repro/internal/schema"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -133,4 +136,105 @@ func TestOverlappingAnswersAtThePin(t *testing.T) {
 	if _, ok := overlapping(v, L, 0); ok {
 		t.Fatal("probe ignored its budget")
 	}
+}
+
+// FuzzIntervalIndex drives an index through a random sequence of Add,
+// AddBatch and Replace — long enough to cross the overlay compaction
+// threshold — and after every step probes it with a random lifespan
+// and budget. The answer must be the positions of the live tuples
+// overlapping L, in order, whenever the matching entries fit the
+// budget, and a decline exactly when they do not.
+func FuzzIntervalIndex(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(int64(2), slices.Repeat([]byte{2, 6, 3, 10}, 40))
+	f.Add(int64(3), slices.Repeat([]byte{3, 7, 11}, 60))
+	full := lifespan.Interval(0, 1100)
+	s := schema.MustNew("I", []string{"K"}, schema.Attribute{Name: "K", Domain: value.Ints, Lifespan: full})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		// The reference scan is linear per step; 200 steps reach a
+		// thousand tuples and several compactions in milliseconds.
+		ops = ops[:min(len(ops), 200)]
+		rng := rand.New(rand.NewSource(seed))
+		span := func() lifespan.Lifespan {
+			lo := chronon.Time(rng.Intn(1000))
+			L := lifespan.Interval(lo, lo+chronon.Time(rng.Intn(60)))
+			if rng.Intn(3) == 0 { // a reincarnation
+				lo2 := lo + 61 + chronon.Time(rng.Intn(30))
+				L = L.Union(lifespan.Interval(lo2, lo2+chronon.Time(rng.Intn(10))))
+			}
+			return L
+		}
+		keys := 0
+		tuple := func() *core.Tuple {
+			keys++
+			return core.NewTupleBuilder(s, span()).Key("K", value.Int(int64(keys))).MustBuild()
+		}
+		live := make([]*core.Tuple, rng.Intn(100))
+		for i := range live {
+			live[i] = tuple()
+		}
+		ix := newIntervalIndexFrom(live)
+		for step, op := range ops {
+			switch op % 4 {
+			case 0, 1:
+				nt := tuple()
+				ix.Add(nt, len(live))
+				live = append(live, nt)
+			case 2:
+				batch := make([]*core.Tuple, 1+int(op/4)%16)
+				for i := range batch {
+					batch[i] = tuple()
+				}
+				ix.AddBatch(batch, len(live))
+				live = append(live, batch...)
+			case 3:
+				if len(live) == 0 {
+					continue
+				}
+				pos := rng.Intn(len(live))
+				nt := core.NewTupleBuilder(s, span()).Key("K", live[pos].KeyValue("K")).MustBuild()
+				ix.Replace(live[pos], nt, pos)
+				live[pos] = nt
+			}
+			L := span()
+			var want []int
+			matches, entries := 0, 0
+			for pos, lt := range live {
+				ls := lt.Lifespan()
+				entries += ls.NumIntervals()
+				if ls.Overlaps(L) {
+					want = append(want, pos)
+				}
+				for i := range L.NumIntervals() {
+					for j := range ls.NumIntervals() {
+						if q, e := L.IntervalAt(i), ls.IntervalAt(j); q.Lo <= e.Hi && e.Lo <= q.Hi {
+							matches++
+						}
+					}
+				}
+			}
+			if ix.Tuples() != len(live) || ix.Entries() != entries {
+				t.Fatalf("step %d: index counts %d tuples, %d entries; want %d, %d",
+					step, ix.Tuples(), ix.Entries(), len(live), entries)
+			}
+			budget := math.MaxInt
+			if rng.Intn(2) == 0 {
+				budget = rng.Intn(matches + 2)
+			}
+			es, ok := ix.hits(L, budget)
+			if ok != (matches <= budget) {
+				t.Fatalf("step %d: L=%s, %d matching entries, budget %d: ok=%v", step, L, matches, budget, ok)
+			}
+			if !ok {
+				continue
+			}
+			got := make([]int, len(es))
+			for i, e := range es {
+				got[i] = e.ord
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: L=%s: index found positions %v, scan %v", step, L, got, want)
+			}
+		}
+	})
 }

@@ -248,7 +248,7 @@ func TestExplainStatsAndCacheStatus(t *testing.T) {
 
 // TestTinyRelationTimeslice pins the kmax short-circuit: a relation of
 // ≤2 tuples goes straight to the streaming restrict instead of
-// traversing an interval tree it can never use.
+// probing an interval index it can never use.
 func TestTinyRelationTimeslice(t *testing.T) {
 	rs := schema.MustNew("TINY", []string{"NAME"},
 		schema.Attribute{Name: "NAME", Domain: value.Strings, Lifespan: lifespan.Interval(0, 99)},

@@ -24,10 +24,12 @@ import (
 // read.
 type Snapshot struct {
 	Epoch uint64
-	vers  map[*core.Relation]core.RelVersion
-	// deps echoes the plan's dependency list (sorted by name) for
-	// rendering; EXPLAIN prints it after the plan.
+	// deps is the plan's dependency list (sorted by name) and vers the
+	// version pinned for each, index for index. A plan reads one or two
+	// relations, so a scan finds a version faster than a map would and
+	// costs no allocation beyond core.Pin's own slice.
 	deps []planDep
+	vers []core.RelVersion
 	// params binds the plan's slots for this execution: the values of
 	// the literals of the text that runs (see params.go).
 	params []param
@@ -79,11 +81,7 @@ func pinPlan(ctx context.Context, db *DB, p *Plan, ps []param) *Snapshot {
 		rels[i] = d.rel
 	}
 	epoch, vers := core.Pin(rels...)
-	s := &Snapshot{Epoch: epoch, vers: make(map[*core.Relation]core.RelVersion, len(vers)), deps: p.deps,
-		params: ps, workers: db.workers}
-	for i, d := range p.deps {
-		s.vers[d.rel] = vers[i]
-	}
+	s := &Snapshot{Epoch: epoch, deps: p.deps, vers: vers, params: ps, workers: db.workers}
 	s.attachCtx(ctx)
 	return s
 }
@@ -102,8 +100,8 @@ func (s *Snapshot) attachCtx(ctx context.Context) {
 // epoch and each dependency at its pinned version.
 func (s *Snapshot) String() string {
 	parts := make([]string, 0, len(s.deps))
-	for _, d := range s.deps {
-		parts = append(parts, fmt.Sprintf("%s@%d", d.name, s.vers[d.rel].Version()))
+	for i, d := range s.deps {
+		parts = append(parts, fmt.Sprintf("%s@%d", d.name, s.vers[i].Version()))
 	}
 	return fmt.Sprintf("epoch %d (%s)", s.Epoch, strings.Join(parts, ", "))
 }
@@ -111,12 +109,16 @@ func (s *Snapshot) String() string {
 // pinned returns the version of r this snapshot pinned. Every relation
 // a plan reads is one of its dependencies, so a miss is a planner bug.
 func (s *Snapshot) pinned(r *core.Relation) (core.RelVersion, error) {
-	v, ok := s.vers[r]
-	if !ok {
-		return v, hrdmerr.New(hrdmerr.CodeInternal, "engine: relation %s is not part of the pinned snapshot", r.Scheme().Name)
+	for i, d := range s.deps {
+		if d.rel == r {
+			return s.vers[i], nil
+		}
 	}
-	return v, nil
+	return core.RelVersion{}, hrdmerr.New(hrdmerr.CodeInternal, "engine: relation %s is not part of the pinned snapshot", r.Scheme().Name)
 }
 
 // card is r's pinned cardinality, for EXPLAIN.
-func (s *Snapshot) card(r *core.Relation) int { return s.vers[r].Cardinality() }
+func (s *Snapshot) card(r *core.Relation) int {
+	v, _ := s.pinned(r)
+	return v.Cardinality()
+}

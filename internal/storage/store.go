@@ -21,7 +21,7 @@ import (
 
 // IndexBuilder is installed by internal/engine's init (storage cannot
 // import the engine without cycling through hql): it eagerly builds the
-// engine's lifespan interval index and key hash indexes for a relation.
+// engine's lifespan interval index for a relation.
 // Programs that link the engine get index-warm stores from Load and
 // ParseText; programs that don't simply skip the warm-up.
 var IndexBuilder func(*core.Relation)
@@ -400,9 +400,9 @@ func (s *Store) MergeStore(src *Store) error {
 }
 
 // RebuildIndexes eagerly constructs the query engine's lifespan interval
-// index and key hash indexes for every stored relation, so a freshly
-// loaded database answers its first indexed query at full speed. Load
-// and the text-format loader call it; it is idempotent.
+// index for every stored relation, so a freshly loaded database answers
+// its first time-sliced query at full speed. Load and the text-format
+// loader call it; it is idempotent.
 func (s *Store) RebuildIndexes() {
 	if IndexBuilder == nil {
 		return

@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/chronon"
@@ -44,18 +45,22 @@ func (k Kind) String() string {
 // Value is invalid and distinct from every valid value; operator results
 // never contain invalid values (where the paper says an attribute "does
 // not exist" at a time, the temporal function is simply undefined there).
+//
+// A float's bits live in n (math.Float64bits), which keeps a Value at
+// 32 bytes; Equal, Compare and rendering decode them, so float
+// semantics hold (+0 equals -0, NaN equals nothing). Compare Values
+// with Equal, never with ==, and do not use them as map keys.
 type Value struct {
 	kind Kind
-	n    int64   // int, bool (0/1), time
-	f    float64 // float
-	s    string  // string
+	n    int64  // int, bool (0/1), time, float bits
+	s    string // string
 }
 
 // Int returns an integer value.
 func Int(v int64) Value { return Value{kind: KindInt, n: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(v))} }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the String method.)
@@ -90,7 +95,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(uint64(v.n))
 	case KindInt:
 		return float64(v.n)
 	}
@@ -128,7 +133,7 @@ func (v Value) Equal(w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
 		case KindFloat:
-			return v.f == w.f
+			return v.AsFloat() == w.AsFloat()
 		case KindString:
 			return v.s == w.s
 		default:
@@ -195,7 +200,7 @@ func (v Value) AppendForm(dst []byte, f Form) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.n, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return f.appendQuoted(dst, v.s)
 	case KindBool:

@@ -1,8 +1,10 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/chronon"
 )
@@ -67,6 +69,10 @@ func TestEqual(t *testing.T) {
 		{Bool(true), Int(1), false},
 		{TimeVal(5), TimeVal(5), true},
 		{TimeVal(5), Int(5), false}, // times are not integers in the model
+		{Float(0), Float(negZero), true},
+		{Float(negZero), Int(0), true},
+		{Float(math.NaN()), Float(math.NaN()), false},
+		{Float(math.NaN()), Int(0), false},
 	}
 	for _, c := range cases {
 		if got := c.a.Equal(c.b); got != c.want {
@@ -97,8 +103,10 @@ func TestCompare(t *testing.T) {
 			t.Errorf("Compare(%v,%v) = %d, %v; want 1", c.b, c.a, back, err)
 		}
 	}
-	if got, err := Int(7).Compare(Int(7)); err != nil || got != 0 {
-		t.Errorf("Compare equal = %d, %v", got, err)
+	for _, eq := range [][2]Value{{Int(7), Int(7)}, {Float(negZero), Float(0)}} {
+		if got, err := eq[0].Compare(eq[1]); err != nil || got != 0 {
+			t.Errorf("Compare(%v,%v) = %d, %v; want 0", eq[0], eq[1], got, err)
+		}
 	}
 	for _, bad := range [][2]Value{
 		{Int(1), String_("1")},
@@ -164,6 +172,8 @@ func TestValueString(t *testing.T) {
 	cases := map[string]Value{
 		"42":        Int(42),
 		"2.5":       Float(2.5),
+		"-0":        Float(negZero),
+		"NaN":       Float(math.NaN()),
 		`"hi"`:      String_("hi"),
 		"true":      Bool(true),
 		"false":     Bool(false),
@@ -173,6 +183,22 @@ func TestValueString(t *testing.T) {
 	for want, v := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("String(%#v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+var negZero = math.Copysign(0, -1)
+
+// TestValueSize pins a Value at 32 bytes: a float keeps its bits in the
+// integer payload rather than in a field of its own, which made a
+// Value 40 bytes and a temporal function's step 64.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("Value is %d bytes, want 32", got)
+	}
+	for _, f := range []float64{0, negZero, 1.25, math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		if got := Float(f).AsFloat(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v).AsFloat() = %v, bits differ", f, got)
 		}
 	}
 }
