@@ -81,23 +81,31 @@ func (t *Tuple) VLSSet(r *schema.Scheme, attrs []string) lifespan.Lifespan {
 //     on all of vls — a key that is absent or varies cannot identify the
 //     object across its lifespan.
 func NewTuple(r *schema.Scheme, ls lifespan.Lifespan, vals []tfunc.Func) (*Tuple, error) {
+	if err := checkTuple(r, ls, vals); err != nil {
+		return nil, err
+	}
+	return &Tuple{l: ls, s: r, v: vals}, nil
+}
+
+// checkTuple enforces NewTuple's conditions.
+func checkTuple(r *schema.Scheme, ls lifespan.Lifespan, vals []tfunc.Func) error {
 	if ls.IsEmpty() {
-		return nil, fmt.Errorf("core: tuple on %s with empty lifespan", r.Name)
+		return fmt.Errorf("core: tuple on %s with empty lifespan", r.Name)
 	}
 	if len(vals) != len(r.Attrs) {
-		return nil, fmt.Errorf("core: tuple on %s: %d values for %d attributes", r.Name, len(vals), len(r.Attrs))
+		return fmt.Errorf("core: tuple on %s: %d values for %d attributes", r.Name, len(vals), len(r.Attrs))
 	}
 	// Every check below runs without allocating: vls is usually ls or
 	// the attribute lifespan itself, and the domain tests walk steps.
 	for i, a := range r.Attrs {
 		f := vals[i]
 		if !f.DomainSubsetOf(ls.Intersect(a.Lifespan)) {
-			return nil, fmt.Errorf("core: tuple on %s: value of %s defined on %v outside vls %v",
+			return fmt.Errorf("core: tuple on %s: value of %s defined on %v outside vls %v",
 				r.Name, a.Name, f.Domain(), ls.Intersect(a.Lifespan))
 		}
 		for j := range f.NumSteps() {
 			if _, v := f.StepAt(j); !a.Domain.Contains(v) {
-				return nil, fmt.Errorf("core: tuple on %s: value of %s outside domain %s",
+				return fmt.Errorf("core: tuple on %s: value of %s outside domain %s",
 					r.Name, a.Name, a.Domain.Name)
 			}
 		}
@@ -105,14 +113,44 @@ func NewTuple(r *schema.Scheme, ls lifespan.Lifespan, vals []tfunc.Func) (*Tuple
 	for _, i := range r.KeyIndex() {
 		f, a := vals[i], r.Attrs[i]
 		if !f.IsConstant() || f.IsNowhereDefined() {
-			return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be a constant-valued function", r.Name, a.Name)
+			return fmt.Errorf("core: tuple on %s: key attribute %s must be a constant-valued function", r.Name, a.Name)
 		}
 		if vls := ls.Intersect(a.Lifespan); !f.DomainEqual(vls) {
-			return nil, fmt.Errorf("core: tuple on %s: key attribute %s must be defined on all of vls %v, got %v",
+			return fmt.Errorf("core: tuple on %s: key attribute %s must be defined on all of vls %v, got %v",
 				r.Name, a.Name, vls, f.Domain())
 		}
 	}
-	return &Tuple{l: ls, s: r, v: vals}, nil
+	return nil
+}
+
+// TupleSlab builds many tuples whose headers share a few chunks of
+// storage, for a decoder that builds thousands at once: one allocation
+// per chunk instead of one per tuple. Chunks grow geometrically from a
+// constant, never from a count the caller supplies. A tuple keeps its
+// whole chunk reachable, so a TupleSlab suits tuples that live and die
+// together, such as a loaded relation's. The zero TupleSlab is ready to
+// use.
+type TupleSlab struct {
+	buf []Tuple
+}
+
+// Tuple slab chunk sizes: the first chunk holds tupleSlabMin tuples,
+// each later one twice its predecessor up to tupleSlabMax.
+const (
+	tupleSlabMin = 64
+	tupleSlabMax = 1024
+)
+
+// New is NewTuple with the tuple cut from the slab.
+func (s *TupleSlab) New(r *schema.Scheme, ls lifespan.Lifespan, vals []tfunc.Func) (*Tuple, error) {
+	if err := checkTuple(r, ls, vals); err != nil {
+		return nil, err
+	}
+	if len(s.buf) == cap(s.buf) {
+		s.buf = make([]Tuple, 0, min(max(2*cap(s.buf), tupleSlabMin), tupleSlabMax))
+	}
+	s.buf = append(s.buf, Tuple{l: ls, s: r, v: vals})
+	return &s.buf[len(s.buf)-1], nil
 }
 
 // KeyValue returns the tuple's (constant) value for key attribute k.

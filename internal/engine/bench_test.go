@@ -124,7 +124,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 				dst := core.NewRelation(src.Scheme())
 				st := storage.NewStore()
 				st.Put(dst)
-				st.RebuildIndexes()
+				Indexes(dst).Interval()
 				Indexes(dst).Attr("DEPT")
 				b.StartTimer()
 				if err := v.load(dst); err != nil {

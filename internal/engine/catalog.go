@@ -205,13 +205,3 @@ func (x *RelIndexes) Attr(name string) *AttrIndex {
 	}
 	return ix
 }
-
-// BuildIndexes eagerly constructs r's lifespan interval index, so that
-// a freshly opened database answers its first time-sliced query at full
-// speed; storage loading calls it. Attribute hash indexes are built on
-// their first probe: a single-attribute key needs none (the relation's
-// key map answers its probes and statistics), and any other attribute
-// is worth indexing only once a plan asks.
-func BuildIndexes(r *core.Relation) {
-	Indexes(r).Interval()
-}

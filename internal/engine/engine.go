@@ -7,14 +7,7 @@ import (
 	"repro/internal/hql"
 	"repro/internal/hrdmerr"
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
-
-// init installs the engine as the storage layer's index builder, so
-// stores rebuild their indexes on load.
-func init() {
-	storage.IndexBuilder = BuildIndexes
-}
 
 // lifted is a query text as the plan cache sees it: the text, its shape
 // and literals (hql.Lift), and the parameters the literals decode to.

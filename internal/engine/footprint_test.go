@@ -18,14 +18,15 @@ import (
 // TestLoadFootprint bounds what a loaded store keeps resident and what
 // loading it allocates. It saves a 20 000-tuple personnel EMP (single
 // key NAME, sparse short tenures on a long clock) and loads it with
-// storage.Load, which with the engine linked also builds the lifespan
-// interval index. After a collection the store may hold at most 600
-// bytes live per tuple — tuples, key map and interval index — and the
-// load may have allocated at most 1 600 bytes per tuple. A hash index
-// on the key, or an interval index holding tuple pointers in per-node
-// slices, reads about 735 and 3 136 bytes here.
+// storage.Load, which builds no index: the interval index is built on
+// its first probe. After a collection the store may hold at most 480
+// bytes live per tuple — tuples and key map — and the load may have
+// allocated at most 720 bytes and made at most 4 allocations per tuple.
+// A load that builds each tuple's lifespan, steps and value slice in
+// allocations of their own and sorts an interval index reads about 14.9
+// allocations, 500 bytes live and 965 allocated here.
 func TestLoadFootprint(t *testing.T) {
-	const n, maxLive, maxAlloc = 20000, 600, 1600
+	const n, maxLive, maxAlloc, maxMallocs = 20000, 480, 720, 4.0
 	path := filepath.Join(t.TempDir(), "emp.hrdm")
 	st := storage.NewStore()
 	st.Put(workload.Personnel(workload.PersonnelConfig{
@@ -52,13 +53,16 @@ func TestLoadFootprint(t *testing.T) {
 	}
 	live := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	alloc := int64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%d B live, %d B allocated, %.1f mallocs per tuple", live, alloc,
-		float64(after.Mallocs-before.Mallocs)/n)
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%d B live, %d B allocated, %.1f mallocs per tuple", live, alloc, mallocs)
 	if live > maxLive {
 		t.Errorf("%d B live per loaded tuple, want at most %d", live, maxLive)
 	}
 	if alloc > maxAlloc {
 		t.Errorf("%d B allocated per loaded tuple, want at most %d", alloc, maxAlloc)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("%.1f mallocs per loaded tuple, want at most %.0f", mallocs, maxMallocs)
 	}
 	runtime.KeepAlive(loaded)
 }

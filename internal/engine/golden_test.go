@@ -80,7 +80,10 @@ func goldenStore(t testing.TB) *storage.Store {
 		MustBuild())
 	st.Put(tiny)
 
-	st.RebuildIndexes()
+	for _, name := range st.Names() {
+		r, _ := st.Get(name)
+		Indexes(r).Interval()
+	}
 	Indexes(emp).Attr("DEPT")
 	return st
 }

@@ -23,7 +23,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 	r := core.NewRelation(s)
 	st := storage.NewStore()
 	st.Put(r)
-	BuildIndexes(r)
+	Indexes(r).Interval()
 	for i := 0; i < 16; i++ {
 		if err := r.Insert(raceTuple(s, fmt.Sprintf("seed%02d", i), int64(i))); err != nil {
 			t.Fatal(err)

@@ -35,8 +35,8 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	}
 	st.Put(a)
 	st.Put(b)
-	BuildIndexes(a)
-	BuildIndexes(b)
+	Indexes(a).Interval()
+	Indexes(b).Interval()
 	db := OpenDB(st)
 	defer db.Close()
 

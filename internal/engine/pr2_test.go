@@ -305,7 +305,7 @@ func TestEngineConcurrentReadWrite(t *testing.T) {
 	emp, _ := st.Get("EMP")
 	// Warm every index class so maintenance (not first builds) is on the
 	// hot path.
-	BuildIndexes(emp)
+	Indexes(emp).Interval()
 	Indexes(emp).Attr("DEPT")
 
 	queries := []string{

@@ -53,8 +53,8 @@ func TestSnapshotIsolationMultiRelation(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(a)
 	st.Put(b)
-	BuildIndexes(a)
-	BuildIndexes(b)
+	Indexes(a).Interval()
+	Indexes(b).Interval()
 
 	const rounds, batchN = 80, 5
 	writerDone := make(chan error, 1)
@@ -185,8 +185,8 @@ func TestSnapshotIsolationIndexJoin(t *testing.T) {
 	if err := emp.InsertBatch(preEmp); err != nil {
 		t.Fatal(err)
 	}
-	BuildIndexes(emp)
-	BuildIndexes(ref)
+	Indexes(emp).Interval()
+	Indexes(ref).Interval()
 	mkBatch := func(s *schema.Scheme, key, val string, cycle, round int) []*core.Tuple {
 		ts := make([]*core.Tuple, batchN)
 		for j := range ts {

@@ -124,8 +124,8 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(a)
 	st.Put(b)
-	BuildIndexes(a)
-	BuildIndexes(b)
+	Indexes(a).Interval()
+	Indexes(b).Interval()
 
 	const rounds, batchN = 80, 5
 	writerDone := make(chan error, 1)

@@ -1,12 +1,11 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
@@ -31,59 +30,61 @@ const (
 	maxCount = 1 << 24
 )
 
-// Encode serializes a historical relation (scheme and tuples) to w,
+// EncodeBytes serializes a historical relation (scheme and tuples),
 // reading the tuple state through its own core.Pin so a concurrent
 // writer can never yield a torn record.
-func Encode(w io.Writer, r *core.Relation) error {
+func EncodeBytes(r *core.Relation) ([]byte, error) {
 	_, vers := core.Pin(r)
-	bw := &errWriter{w: w}
-	encodePinned(bw, vers[0])
-	return bw.err
+	var w errWriter
+	encodePinned(&w, vers[0])
+	return w.buf, w.err
 }
 
 // encodePinned writes one relation record from a pinned version — the
 // only tuple-read path the binary writer has.
-func encodePinned(bw *errWriter, v core.RelVersion) {
-	bw.u32(magic)
-	bw.u32(formatVersion)
+func encodePinned(w *errWriter, v core.RelVersion) {
+	w.u32(magic)
+	w.u32(formatVersion)
 	s := v.Rel().Scheme()
-	encodeScheme(bw, s)
+	encodeScheme(w, s)
 	tuples := v.Tuples()
-	bw.u32(uint32(len(tuples)))
+	w.u32(uint32(len(tuples)))
 	for _, t := range tuples {
-		encodeLifespan(bw, t.Lifespan())
-		for i := range s.Attrs {
-			encodeFunc(bw, t.ValueAt(i))
-		}
+		encodeTuple(w, s, t)
 	}
 }
 
-// EncodeBytes is Encode into a fresh buffer.
-func EncodeBytes(r *core.Relation) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, r); err != nil {
-		return nil, err
+// encodeTuple writes t's lifespan, then its function of every attribute
+// of s in scheme order.
+func encodeTuple(w *errWriter, s *schema.Scheme, t *core.Tuple) {
+	encodeLifespan(w, t.Lifespan())
+	for i := range s.Attrs {
+		encodeFunc(w, t.ValueAt(i))
 	}
-	return buf.Bytes(), nil
 }
 
-// Decode reads a historical relation previously written by Encode.
-func Decode(rd io.Reader) (*core.Relation, error) {
-	br := &errReader{r: rd}
-	if m := br.u32(); br.err == nil && m != magic {
+// DecodeBytes reads a historical relation previously written by
+// EncodeBytes.
+func DecodeBytes(b []byte) (*core.Relation, error) {
+	return decodeRecord(&errReader{buf: b})
+}
+
+// decodeRecord reads one relation record as encodePinned wrote it.
+func decodeRecord(r *errReader) (*core.Relation, error) {
+	if m := r.u32(); r.err == nil && m != magic {
 		return nil, fmt.Errorf("storage: bad magic %#x", m)
 	}
-	if v := br.u32(); br.err == nil && v != formatVersion {
+	if v := r.u32(); r.err == nil && v != formatVersion {
 		return nil, fmt.Errorf("storage: unsupported version %d", v)
 	}
-	s, err := decodeScheme(br)
+	s, err := decodeScheme(r)
 	if err != nil {
 		return nil, err
 	}
 	out := core.NewRelation(s)
-	n := br.count()
-	if br.err != nil {
-		return nil, br.err
+	n := r.count()
+	if r.err != nil {
+		return nil, r.err
 	}
 	// Decode every tuple first and load them as one batch: a single
 	// version bump and one coalesced index-maintenance notification
@@ -92,15 +93,7 @@ func Decode(rd io.Reader) (*core.Relation, error) {
 	// corrupt header cannot trigger a giant allocation.
 	ts := make([]*core.Tuple, 0, int(min(n, 1024)))
 	for i := uint32(0); i < n; i++ {
-		ls := decodeLifespan(br)
-		vals := make([]tfunc.Func, len(s.Attrs))
-		for j := range vals {
-			vals[j] = decodeFunc(br)
-		}
-		if br.err != nil {
-			return nil, br.err
-		}
-		t, err := core.NewTuple(s, ls, vals)
+		t, err := r.tuple(s)
 		if err != nil {
 			return nil, fmt.Errorf("storage: decode tuple %d: %w", i, err)
 		}
@@ -109,12 +102,7 @@ func Decode(rd io.Reader) (*core.Relation, error) {
 	if err := out.InsertBatch(ts); err != nil {
 		return nil, err
 	}
-	return out, br.err
-}
-
-// DecodeBytes is Decode from a byte slice.
-func DecodeBytes(b []byte) (*core.Relation, error) {
-	return Decode(bytes.NewReader(b))
+	return out, r.err
 }
 
 func encodeScheme(w *errWriter, s *schema.Scheme) {
@@ -164,9 +152,9 @@ func decodeScheme(r *errReader) (*schema.Scheme, error) {
 }
 
 func encodeLifespan(w *errWriter, ls lifespan.Lifespan) {
-	ivs := ls.Intervals()
-	w.u32(uint32(len(ivs)))
-	for _, iv := range ivs {
+	w.u32(uint32(ls.NumIntervals()))
+	for i := range ls.NumIntervals() {
+		iv := ls.IntervalAt(i)
 		w.i64(int64(iv.Lo))
 		w.i64(int64(iv.Hi))
 	}
@@ -174,40 +162,35 @@ func encodeLifespan(w *errWriter, ls lifespan.Lifespan) {
 
 func decodeLifespan(r *errReader) lifespan.Lifespan {
 	n := r.count()
-	if r.err != nil || n == 0 {
-		return lifespan.Empty()
-	}
-	ivs := make([]chronon.Interval, 0, min(n, 16))
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		lo := chronon.Time(r.i64())
-		hi := chronon.Time(r.i64())
-		ivs = append(ivs, chronon.NewInterval(lo, hi))
+		lo, hi := chronon.Time(r.i64()), chronon.Time(r.i64())
+		if r.err == nil {
+			r.ivs.Add(lo, hi)
+		}
 	}
-	return lifespan.New(ivs...)
+	return r.ivs.Lifespan()
 }
 
 func encodeFunc(w *errWriter, f tfunc.Func) {
 	w.u32(uint32(f.NumSteps()))
-	f.Steps(func(iv chronon.Interval, v value.Value) bool {
+	for i := range f.NumSteps() {
+		iv, v := f.StepAt(i)
 		w.i64(int64(iv.Lo))
 		w.i64(int64(iv.Hi))
 		encodeValue(w, v)
-		return true
-	})
+	}
 }
 
 func decodeFunc(r *errReader) tfunc.Func {
 	n := r.count()
-	var b tfunc.Builder
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		lo := chronon.Time(r.i64())
-		hi := chronon.Time(r.i64())
+		lo, hi := chronon.Time(r.i64()), chronon.Time(r.i64())
 		v := decodeValue(r)
 		if r.err == nil {
-			b.Set(lo, hi, v)
+			r.steps.Add(lo, hi, v)
 		}
 	}
-	return b.Build()
+	return r.steps.Func()
 }
 
 func encodeValue(w *errWriter, v value.Value) {
@@ -250,11 +233,28 @@ func decodeValue(r *errReader) value.Value {
 	}
 }
 
-// errWriter folds write errors so encoding code stays linear.
+// window is the codec's buffer: a writer with a destination hands it
+// one write per window of bytes, and a reader with a source asks it
+// for one read per window.
+const window = 64 << 10
+
+// errWriter encodes into a buffer it owns and folds errors, so encoding
+// code stays linear. With a destination (newWriter) the buffer is one
+// window, written out whenever it fills; without one, the buffer grows
+// and holds the whole encoding. crc is the CRC32 of the bytes since the
+// last seal, folded in bulk over buf[summed:] when the buffer is
+// written out or sealed.
 type errWriter struct {
-	w   io.Writer
-	err error
-	buf [8]byte
+	dst    io.Writer
+	buf    []byte
+	crc    uint32
+	summed int
+	err    error
+}
+
+// newWriter returns an errWriter whose output goes to dst.
+func newWriter(dst io.Writer) *errWriter {
+	return &errWriter{dst: dst, buf: make([]byte, 0, window)}
 }
 
 func (w *errWriter) fail(err error) {
@@ -263,36 +263,102 @@ func (w *errWriter) fail(err error) {
 	}
 }
 
-func (w *errWriter) write(b []byte) {
-	if w.err != nil {
-		return
+// room makes room for n more bytes in a windowed buffer.
+func (w *errWriter) room(n int) {
+	if w.dst != nil && len(w.buf)+n > cap(w.buf) {
+		w.flush()
 	}
-	_, err := w.w.Write(b)
-	w.fail(err)
 }
 
-func (w *errWriter) u8(v uint8) { w.buf[0] = v; w.write(w.buf[:1]) }
+// flush writes the buffer out to the destination and empties it.
+func (w *errWriter) flush() {
+	w.sum()
+	if w.err == nil {
+		_, err := w.dst.Write(w.buf)
+		w.fail(err)
+	}
+	w.buf, w.summed = w.buf[:0], 0
+}
+
+// sum folds the bytes not yet summed into crc and returns it.
+func (w *errWriter) sum() uint32 {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[w.summed:])
+	w.summed = len(w.buf)
+	return w.crc
+}
+
+// seal writes the CRC32 of the bytes since the previous seal, which
+// the next seal's CRC does not cover.
+func (w *errWriter) seal() {
+	w.u32(w.sum())
+	w.crc, w.summed = 0, len(w.buf)
+}
+
+func (w *errWriter) u8(v uint8) {
+	w.room(1)
+	w.buf = append(w.buf, v)
+}
+
 func (w *errWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
+	w.room(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
+
 func (w *errWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
+	w.room(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
+
 func (w *errWriter) i64(v int64) { w.u64(uint64(v)) }
+
+// str writes a length-prefixed string, filling the window before each
+// write, so a long string costs no buffer beyond the window.
 func (w *errWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	w.write([]byte(s))
+	for len(s) > 0 {
+		w.room(1)
+		k := len(s)
+		if w.dst != nil {
+			k = min(k, cap(w.buf)-len(w.buf))
+		}
+		w.buf = append(w.buf, s[:k]...)
+		s = s[k:]
+	}
 }
 
-// errReader mirrors errWriter for decoding. scratch is reused by every
-// str call, so a decoded string costs exactly its own allocation.
+// errReader decodes from a window it owns and folds errors. With a
+// source (newReader) the window holds at most window bytes of it,
+// refilled by one read when a field runs past its end; without one,
+// buf is the whole input. crc is the CRC32 of the bytes consumed since
+// the last reset, folded in bulk over buf[summed:off] before the
+// window moves and when a caller asks.
+//
+// The reader also owns the slabs its decoded tuples are cut from:
+// lifespans' intervals, functions' steps, tuples' value slices and the
+// tuples themselves.
 type errReader struct {
-	r       io.Reader
+	src     io.Reader
+	buf     []byte // buf[off:] is unread
+	off     int
+	crc     uint32
+	summed  int
 	err     error
-	buf     [8]byte
-	scratch []byte
+	scratch []byte // a string longer than the window, as it arrives
+
+	ivs    lifespan.Slab
+	steps  tfunc.Slab
+	funcs  []tfunc.Func // chunk the value slices are cut from
+	tuples core.TupleSlab
+}
+
+// newReader returns an errReader over src.
+func newReader(src io.Reader) *errReader {
+	return &errReader{src: src, buf: make([]byte, 0, window)}
+}
+
+// reset points r at a new in-memory input, keeping its slabs.
+func (r *errReader) reset(b []byte) {
+	r.buf, r.off, r.crc, r.summed, r.err = b, 0, 0, 0, nil
 }
 
 func (r *errReader) fail(err error) {
@@ -301,33 +367,81 @@ func (r *errReader) fail(err error) {
 	}
 }
 
-func (r *errReader) read(b []byte) {
+// need reports whether n unread bytes are in the window, refilling it
+// from the source if they are not.
+func (r *errReader) need(n int) bool {
 	if r.err != nil {
-		return
+		return false
 	}
-	_, err := io.ReadFull(r.r, b)
+	if len(r.buf)-r.off >= n {
+		return true
+	}
+	if r.src == nil || n > cap(r.buf) {
+		r.fail(io.ErrUnexpectedEOF)
+		return false
+	}
+	r.sum()
+	k := copy(r.buf[:cap(r.buf)], r.buf[r.off:])
+	got, err := io.ReadAtLeast(r.src, r.buf[k:cap(r.buf)], n-k)
+	r.buf, r.off, r.summed = r.buf[:k+got], 0, 0
 	r.fail(err)
+	return r.err == nil
+}
+
+// sum folds the consumed bytes not yet summed into crc and returns it.
+func (r *errReader) sum() uint32 {
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.summed:r.off])
+	r.summed = r.off
+	return r.crc
+}
+
+// sealed reads the CRC32 that closes a header or record and reports
+// whether it matches the bytes consumed since the previous one.
+func (r *errReader) sealed() bool {
+	want := r.sum()
+	got := r.u32()
+	r.crc, r.summed = 0, r.off
+	return r.err == nil && got == want
+}
+
+// more reports whether any input is left unread.
+func (r *errReader) more() (bool, error) {
+	if r.off < len(r.buf) || r.src == nil {
+		return r.off < len(r.buf), nil
+	}
+	var b [1]byte
+	switch _, err := io.ReadFull(r.src, b[:]); err {
+	case nil:
+		return true, nil
+	case io.EOF:
+		return false, nil
+	default:
+		return false, err
+	}
 }
 
 func (r *errReader) u8() uint8 {
-	r.read(r.buf[:1])
-	return r.buf[0]
+	if !r.need(1) {
+		return 0
+	}
+	r.off++
+	return r.buf[r.off-1]
 }
 
 func (r *errReader) u32() uint32 {
-	r.read(r.buf[:4])
-	if r.err != nil {
+	if !r.need(4) {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	r.off += 4
+	return binary.LittleEndian.Uint32(r.buf[r.off-4:])
 }
 
 func (r *errReader) u64() uint64 {
-	r.read(r.buf[:8])
-	if r.err != nil {
+	if !r.need(8) {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.buf[r.off-8:])
 }
 
 func (r *errReader) i64() int64 { return int64(r.u64()) }
@@ -343,20 +457,56 @@ func (r *errReader) count() uint32 {
 	return n
 }
 
-// str reads a length-prefixed string into the reused scratch slice,
-// growing it as bytes arrive rather than by the length field, so a
-// corrupt length costs no more memory than the input holds.
+// str reads a length-prefixed string. One that fits the window is
+// copied out of it; a longer one gathers in the reused scratch slice
+// as bytes arrive rather than by the length field, so a corrupt length
+// costs no more memory than the input holds.
 func (r *errReader) str() string {
 	n := int(r.count())
+	if r.err != nil {
+		return ""
+	}
+	if r.src == nil || n <= cap(r.buf) {
+		if !r.need(n) {
+			return ""
+		}
+		r.off += n
+		return string(r.buf[r.off-n : r.off])
+	}
 	b := r.scratch[:0]
-	for len(b) < n && r.err == nil {
-		k := min(n-len(b), 64<<10)
-		b = slices.Grow(b, k)[:len(b)+k]
-		r.read(b[len(b)-k:])
+	for len(b) < n && r.need(1) {
+		k := min(n-len(b), len(r.buf)-r.off)
+		b = append(b, r.buf[r.off:r.off+k]...)
+		r.off += k
 	}
 	r.scratch = b
 	if r.err != nil {
 		return ""
 	}
 	return string(b)
+}
+
+// tuple reads one tuple of s as encodeTuple wrote it: the tuple, its
+// lifespan, its steps and its value slice are all cut from r's slabs.
+func (r *errReader) tuple(s *schema.Scheme) (*core.Tuple, error) {
+	ls := decodeLifespan(r)
+	vals := r.values(len(s.Attrs))
+	for i := range vals {
+		vals[i] = decodeFunc(r)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.tuples.New(s, ls, vals)
+}
+
+// values cuts a capped slice of n functions from the funcs chunk, which
+// grows geometrically from a constant like the slabs'.
+func (r *errReader) values(n int) []tfunc.Func {
+	if cap(r.funcs)-len(r.funcs) < n {
+		r.funcs = make([]tfunc.Func, 0, max(min(max(2*cap(r.funcs), 64), 1024), n))
+	}
+	k := len(r.funcs)
+	r.funcs = r.funcs[:k+n]
+	return r.funcs[k : k+n : k+n]
 }

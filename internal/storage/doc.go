@@ -7,6 +7,9 @@
 // thousand chronons costs one step — and are read back losslessly. The
 // same byte counts drive the storage-footprint experiment (E10), where
 // HRDM competes with the cube and tuple-timestamping representations.
+// One codec (codec.go) encodes and decodes through a 64 KiB window it
+// owns, for snapshot files and WAL group payloads alike, and cuts a
+// decoded relation's tuples, steps and intervals from a few slabs.
 //
 // A human-editable text format (text.go) mirrors the model for
 // authoring databases by hand. Both loaders publish through the bulk

@@ -185,6 +185,8 @@ func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats,
 	st.trackRelations(loaded)
 
 	st.replaying.Store(true)
+	// One reader decodes every group, so replayed tuples share its slabs.
+	dec := &errReader{}
 	err = log.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= snapLSN {
 			// Already folded into the snapshot: a crash between the
@@ -192,7 +194,8 @@ func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats,
 			// these records behind, and replaying them would double-apply.
 			return nil
 		}
-		n, err := st.applyGroupPayload(payload)
+		dec.reset(payload)
+		n, err := st.applyGroupPayload(dec)
 		if err != nil {
 			return fmt.Errorf("storage: replay lsn %d: %w", lsn, err)
 		}
@@ -217,7 +220,6 @@ func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats,
 		}
 	}
 	stats.LogBytes = log.Size()
-	st.RebuildIndexes()
 	return st, stats, nil
 }
 

@@ -75,7 +75,7 @@ func TestTupleFootprint(t *testing.T) {
 // allocations. A relation whose values are mostly strings — 16 tuples,
 // each a string key and a 64-step string attribute — is decoded with
 // DecodeBytes; each string must cost about one allocation, its own
-// bytes, with the rest of the decode spread over the steps (about 1.26
+// bytes, with the rest of the decode spread over the steps (about 1.05
 // in all). Reading each string into a fresh slice and then copying it
 // into a string costs one more per string; rebuilding each function
 // step by step through overlap layering costs about six more.

@@ -1,11 +1,9 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/tfunc"
 )
 
 // The WAL payload for one committed write group, restricted to the
@@ -49,12 +47,11 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 	if len(rels) == 0 {
 		return nil, nil
 	}
-	var buf bytes.Buffer
-	w := &errWriter{w: &buf}
+	var w errWriter
 	w.u32(uint32(len(rels)))
 	for _, r := range rels {
 		s := r.Scheme()
-		encodeScheme(w, s)
+		encodeScheme(&w, s)
 		ops := byRel[r]
 		w.u32(uint32(len(ops)))
 		for _, op := range ops {
@@ -63,16 +60,13 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 				flags |= groupOpFlagMerging
 			}
 			w.u8(flags)
-			encodeLifespan(w, op.t.Lifespan())
-			for i := range s.Attrs {
-				encodeFunc(w, op.t.ValueAt(i))
-			}
+			encodeTuple(&w, s, op.t)
 		}
 	}
 	if w.err != nil {
 		return nil, fmt.Errorf("storage: encode group: %w", w.err)
 	}
-	return buf.Bytes(), nil
+	return w.buf, nil
 }
 
 // applyGroupPayload re-executes one logged group against s as a fresh
@@ -81,8 +75,7 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 // scheme and registered after the commit. Returns the number of tuples
 // staged. The caller runs with s.replaying set, so the commit hook
 // does not re-log the group.
-func (s *Store) applyGroupPayload(payload []byte) (int, error) {
-	r := &errReader{r: bytes.NewReader(payload)}
+func (s *Store) applyGroupPayload(r *errReader) (int, error) {
 	nRels := r.count()
 	if r.err != nil {
 		return 0, r.err
@@ -112,15 +105,7 @@ func (s *Store) applyGroupPayload(payload []byte) (int, error) {
 		}
 		for j := uint32(0); j < nOps; j++ {
 			flags := r.u8()
-			ls := decodeLifespan(r)
-			vals := make([]tfunc.Func, len(sch.Attrs))
-			for k := range vals {
-				vals[k] = decodeFunc(r)
-			}
-			if r.err != nil {
-				return 0, r.err
-			}
-			t, err := core.NewTuple(sch, ls, vals)
+			t, err := r.tuple(sch)
 			if err != nil {
 				return 0, fmt.Errorf("storage: replay tuple %d of %s: %w", j, sch.Name, err)
 			}

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -208,4 +210,40 @@ func FuzzLoadStore(f *testing.F) {
 		}
 		checkLoadOrResave(t, data)
 	})
+}
+
+// TestCorruptCountAllocatesBounded sets the step count of a small valid
+// snapshot's first function to 2^24−1, the largest count the decoder
+// accepts, and loads it. The load must fail with ErrSnapshotCorrupt
+// and allocate under 1 MiB in all: the slabs grow by the steps that
+// actually arrive, never by a count field. A decoder that reserves a
+// slab by the count asks for 2^24 steps — about 800 MB — and fails
+// this.
+func TestCorruptCountAllocatesBounded(t *testing.T) {
+	st := NewStore()
+	r := core.NewRelation(dScheme("KV"))
+	r.MustInsert(dTuple(r.Scheme(), "a", 1))
+	st.Put(r)
+	data := snapshotBytes(t, st)
+
+	// header and its CRC, record magic and version, scheme, tuple
+	// count, then the tuple's one-interval lifespan.
+	var sw errWriter
+	encodeScheme(&sw, r.Scheme())
+	off := 24 + 8 + len(sw.buf) + 4 + 4 + 16
+	if got := binary.LittleEndian.Uint32(data[off:]); got != 1 {
+		t.Fatalf("field at %d holds %d, want the key's step count 1", off, got)
+	}
+	binary.LittleEndian.PutUint32(data[off:], maxCount-1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := decodeStore(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("load: %v, want ErrSnapshotCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a corrupt count made the load allocate %d bytes, want under 1 MiB", alloc)
+	}
 }

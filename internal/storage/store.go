@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,13 +16,6 @@ import (
 	"repro/internal/value"
 	"repro/internal/wal"
 )
-
-// IndexBuilder is installed by internal/engine's init (storage cannot
-// import the engine without cycling through hql): it eagerly builds the
-// engine's lifespan interval index for a relation.
-// Programs that link the engine get index-warm stores from Load and
-// ParseText; programs that don't simply skip the warm-up.
-var IndexBuilder func(*core.Relation)
 
 // Store is a minimal heap-file style database: a set of named historical
 // relations that can be persisted to and reloaded from a single file.
@@ -165,14 +156,9 @@ func (s *Store) pinAll() pinnedStore {
 
 // saveWrapWriter, when non-nil, wraps the save file before anything is
 // written — a test seam for injecting write failures into Save without
-// touching the filesystem layer. The save buffer sits above it, so the
-// seam sees the writes the file would.
+// touching the filesystem layer. The codec's window sits above it, so
+// the seam sees the writes the file would.
 var saveWrapWriter func(io.Writer) io.Writer
-
-// snapshotBufSize is the buffer between the snapshot codec and the
-// file: a save or load issues one write(2) or read(2) per this many
-// bytes, not one per encoded field.
-const snapshotBufSize = 64 << 10
 
 // ErrSnapshotCorrupt is wrapped by every load error past a store
 // file's magic and version: a checksum mismatch, a truncated or
@@ -222,46 +208,38 @@ func savePinned(path string, cut pinnedStore) (err error) {
 }
 
 // encodeStore writes cut to out in the store-file format (header
-// version 3), through one snapshotBufSize buffer:
+// version 3), through the codec's one window: a write(2) per window
+// of bytes.
 //
 //	file   = header u32 crc32(header) (record u32 crc32(record))*
 //	header = u32 magic | u32 version | u64 lsn | u32 nRecords
 //
-// where each record is one relation as Encode writes it, in name
+// where each record is one relation as EncodeBytes writes it, in name
 // order, and each CRC covers the bytes since the previous one.
 func encodeStore(out io.Writer, cut pinnedStore) error {
-	bw := bufio.NewWriterSize(out, snapshotBufSize)
-	sum := crc32.NewIEEE()
-	w := &errWriter{w: io.MultiWriter(bw, sum)}
-	seal := func() {
-		w.u32(sum.Sum32())
-		sum.Reset()
-	}
+	w := newWriter(out)
 	w.u32(magic)
 	w.u32(storeVersion)
 	w.u64(cut.lsn)
 	w.u32(uint32(len(cut.names)))
-	seal()
+	w.seal()
 	for _, v := range cut.vers {
 		encodePinned(w, v)
-		seal()
+		w.seal()
 	}
-	w.fail(bw.Flush())
+	w.flush()
 	return w.err
 }
 
-// Load reads a store written by Save and warms its indexes.
+// Load reads a store written by Save. Its relations' indexes are built
+// by the engine on their first probe.
 func Load(path string) (*Store, error) {
 	s, _, err := loadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s.RebuildIndexes()
-	return s, nil
+	return s, err
 }
 
 // loadFile reads a store file, returning the snapshot's WAL sequence
-// number and leaving index warm-up to the caller.
+// number too.
 func loadFile(path string) (*Store, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -271,23 +249,12 @@ func loadFile(path string) (*Store, uint64, error) {
 	return decodeStore(f)
 }
 
-// decodeStore reads what encodeStore wrote, through one
-// snapshotBufSize buffer, checking every CRC before trusting what it
-// covers: the header's before its record count, each record's before
-// the relation joins the store.
+// decodeStore reads what encodeStore wrote, through the codec's one
+// window — a read(2) per window of bytes — checking every CRC before
+// trusting what it covers: the header's before its record count, each
+// record's before the relation joins the store.
 func decodeStore(in io.Reader) (*Store, uint64, error) {
-	br := bufio.NewReaderSize(in, snapshotBufSize)
-	sum := crc32.NewIEEE()
-	tee := io.TeeReader(br, sum)
-	r := &errReader{r: tee}
-	// sealed reads the CRC that closes a header or record and reports
-	// whether it matches the bytes read since the previous one.
-	sealed := func() bool {
-		want := sum.Sum32()
-		got := r.u32()
-		sum.Reset()
-		return r.err == nil && got == want
-	}
+	r := newReader(in)
 	if m := r.u32(); r.err == nil && m != magic {
 		return nil, 0, fmt.Errorf("storage: bad store magic %#x", m)
 	}
@@ -299,17 +266,17 @@ func decodeStore(in io.Reader) (*Store, uint64, error) {
 	if r.err != nil {
 		return nil, 0, fmt.Errorf("storage: load header: %w: %w", ErrSnapshotCorrupt, r.err)
 	}
-	if !sealed() {
+	if !r.sealed() {
 		return nil, 0, fmt.Errorf("storage: load header: %w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 	s := NewStore()
 	for i := uint32(0); i < n; i++ {
-		rel, err := Decode(tee)
+		rel, err := decodeRecord(r)
 		if err != nil {
 			return nil, 0, fmt.Errorf("storage: load relation %d: %w: %w", i, ErrSnapshotCorrupt, err)
 		}
 		name := rel.Scheme().Name
-		if !sealed() {
+		if !r.sealed() {
 			return nil, 0, fmt.Errorf("storage: load relation %d (%s): %w: checksum mismatch", i, name, ErrSnapshotCorrupt)
 		}
 		if _, dup := s.rels[name]; dup {
@@ -317,10 +284,10 @@ func decodeStore(in io.Reader) (*Store, uint64, error) {
 		}
 		s.Put(rel)
 	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, 0, fmt.Errorf("storage: load: %w: bytes after the last of %d relations", ErrSnapshotCorrupt, n)
-	} else if err != io.EOF {
+	if more, err := r.more(); err != nil {
 		return nil, 0, fmt.Errorf("storage: load: %w", err)
+	} else if more {
+		return nil, 0, fmt.Errorf("storage: load: %w: bytes after the last of %d relations", ErrSnapshotCorrupt, n)
 	}
 	return s, lsn, nil
 }
@@ -395,29 +362,7 @@ func (s *Store) MergeStore(src *Store) error {
 	for _, nr := range fresh {
 		s.Put(nr)
 	}
-	s.RebuildIndexes()
 	return nil
-}
-
-// RebuildIndexes eagerly constructs the query engine's lifespan interval
-// index for every stored relation, so a freshly loaded database answers
-// its first time-sliced query at full speed. Load and the text-format
-// loader call it; it is idempotent.
-func (s *Store) RebuildIndexes() {
-	if IndexBuilder == nil {
-		return
-	}
-	// Snapshot the relation set first: index building takes catalog and
-	// relation locks, which should not nest inside the store's.
-	s.mu.RLock()
-	rels := make([]*core.Relation, 0, len(s.rels))
-	for _, r := range s.rels {
-		rels = append(rels, r)
-	}
-	s.mu.RUnlock()
-	for _, r := range rels {
-		IndexBuilder(r)
-	}
 }
 
 // SizeBytes estimates the logical storage footprint of a historical

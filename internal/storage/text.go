@@ -218,7 +218,6 @@ func ParseText(r io.Reader) (*Store, error) {
 	if err := group.Commit(); err != nil {
 		return nil, fmt.Errorf("storage: text: %w", err)
 	}
-	st.RebuildIndexes()
 	return st, nil
 }
 

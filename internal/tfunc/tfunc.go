@@ -58,9 +58,9 @@ func (b *Builder) Build() Func {
 	if len(b.steps) == 0 {
 		return Func{}
 	}
-	// Assignments that arrive in time order without overlap — a decoded
-	// function, for one — erase nothing, so layering would rebuild them
-	// as they are, once per step.
+	// Assignments that arrive in time order without overlap — a history
+	// built chronon range by range, for one — erase nothing, so layering
+	// would rebuild them as they are, once per step.
 	if inOrder(b.steps) {
 		return canonical(b.steps)
 	}
@@ -113,13 +113,19 @@ func canonical(ss []step) Func {
 		if s.Iv.Lo <= last.Iv.Hi {
 			panic(fmt.Sprintf("tfunc: overlapping steps %v and %v", last.Iv, s.Iv))
 		}
-		if last.Iv.Adjacent(s.Iv) && last.V.Equal(s.V) && last.V.Kind() == s.V.Kind() {
+		if mergeable(*last, s) {
 			last.Iv.Hi = s.Iv.Hi
 			continue
 		}
 		out = append(out, s)
 	}
 	return Func{steps: out}
+}
+
+// mergeable reports whether canonical form joins step b onto a: b
+// starts right after a ends, with an equal value of the same kind.
+func mergeable(a, b step) bool {
+	return a.Iv.Adjacent(b.Iv) && a.V.Equal(b.V) && a.V.Kind() == b.V.Kind()
 }
 
 // Constant returns the function mapping every chronon of ls to v — a
