@@ -41,11 +41,19 @@ func (b *batchRecorder) RelationChanged(_ *Relation, c Change) {
 	b.changes = append(b.changes, c)
 }
 
+// observeWith installs o as r's observer and returns the version it
+// starts from.
+func observeWith(r *Relation, o Observer) uint64 {
+	var v uint64
+	r.Observe(func(start uint64) Observer { v = start; return o })
+	return v
+}
+
 func TestInsertBatchAtomicity(t *testing.T) {
 	s := kvScheme("R")
 	r := NewRelation(s)
 	rec := &batchRecorder{}
-	r.Observe(rec)
+	observeWith(r, rec)
 
 	batch := make([]*Tuple, 10)
 	for i := range batch {
@@ -96,6 +104,41 @@ func TestInsertBatchAtomicity(t *testing.T) {
 	}
 	if r.Version() != v0+1 || len(rec.changes) != 1 {
 		t.Fatal("empty batch must be a no-op")
+	}
+}
+
+// TestInsertBatchDuplicateRollsBackKeys: a batch whose third tuple
+// repeats its first fails after its first two keys entered the key map
+// in the same pass; the failure takes them back, so neither is
+// findable, the cardinality is unchanged, and a later valid batch with
+// those keys succeeds.
+func TestInsertBatchDuplicateRollsBackKeys(t *testing.T) {
+	s := kvScheme("R")
+	r := NewRelation(s)
+	r.MustInsert(kvTuple(s, "live", 0, 0, 9))
+	bad := []*Tuple{kvTuple(s, "a", 1, 0, 9), kvTuple(s, "b", 2, 0, 9), kvTuple(s, "a", 3, 0, 9)}
+	if err := r.InsertBatch(bad); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("want duplicate-key error, got %v", err)
+	}
+	for _, k := range []string{`"a"`, `"b"`} {
+		if _, ok := r.Lookup(k); ok {
+			t.Fatalf("key %s of the failed batch is findable", k)
+		}
+	}
+	if _, ok := r.Lookup(`"live"`); !ok {
+		t.Fatal("the failed batch took back a live key")
+	}
+	if r.Cardinality() != 1 {
+		t.Fatalf("cardinality = %d, want 1", r.Cardinality())
+	}
+	if err := r.InsertBatch([]*Tuple{kvTuple(s, "a", 1, 0, 9), kvTuple(s, "b", 2, 0, 9)}); err != nil {
+		t.Fatalf("valid batch after the failed one: %v", err)
+	}
+	if tp, ok := r.Lookup(`"b"`); !ok || tp != r.Tuples()[2] {
+		t.Fatal("key b does not resolve to its tuple")
+	}
+	if err := r.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

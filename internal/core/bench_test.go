@@ -73,7 +73,10 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	p := core.Predicate{Attr: "SAL", Theta: value.GE, Const: value.Int(35000)}
 	for _, change := range []int{1, 50} {
 		world := personnel(500, 200, change, 13)
-		steps := core.CoalesceValueLifespans(world)["SAL"]
+		steps := 0
+		for _, t := range world.Tuples() {
+			steps += t.Value("SAL").NumSteps()
+		}
 		b.Run(fmt.Sprintf("changeEvery=%d/steps=%d", change, steps), func(b *testing.B) {
 			for b.Loop() {
 				if _, err := core.SelectWhen(world, p, lifespan.All()); err != nil {
@@ -99,7 +102,7 @@ func BenchmarkOuterVsInnerJoin(b *testing.B) {
 	})
 	b.Run("Outer", func(b *testing.B) {
 		for b.Loop() {
-			if _, err := core.EquiJoinOuter(emp, dept, "DEPT", "DNAME"); err != nil {
+			if _, err := core.ThetaJoinOuter(emp, dept, "DEPT", value.EQ, "DNAME"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -145,13 +145,13 @@ func TestSnapshotStableAcrossMerge(t *testing.T) {
 }
 
 // TestObserverNotifications checks the change-notification contract:
-// consecutive versions, insert and merge kinds, positions, and that an
-// unregistered observer goes quiet.
+// consecutive versions, insert and merge kinds, positions, and that a
+// relation keeps the one observer it installed first.
 func TestObserverNotifications(t *testing.T) {
 	rs := concScheme()
 	r := NewRelation(rs)
 	obs := &recordingObserver{}
-	startV := r.Observe(obs)
+	startV := observeWith(r, obs)
 	if startV != 0 {
 		t.Fatalf("fresh relation version = %d, want 0", startV)
 	}
@@ -173,15 +173,17 @@ func TestObserverNotifications(t *testing.T) {
 	if got[2].Kind != ChangeMerge || got[2].Pos != 0 || got[2].Version != 3 || got[2].Old == nil {
 		t.Fatalf("change 2 = %+v", got[2])
 	}
-	r.Unobserve(obs)
+	other := &recordingObserver{}
+	if got := r.Observe(func(uint64) Observer { return other }); got != Observer(obs) {
+		t.Fatal("a second Observe replaced the installed observer")
+	}
 	r.MustInsert(concTuple(rs, "c", 0, 4, 4))
-	if len(obs.got) != 3 {
-		t.Fatalf("unregistered observer still notified (%d changes)", len(obs.got))
+	if len(obs.got) != 4 || len(other.got) != 0 {
+		t.Fatalf("changes delivered: installed %d, refused %d; want 4 and 0", len(obs.got), len(other.got))
 	}
 }
 
-// recordingObserver captures every delivered change. Observers must be
-// comparable (Unobserve removes by identity), hence the pointer type.
+// recordingObserver captures every delivered change.
 type recordingObserver struct{ got []Change }
 
 func (o *recordingObserver) RelationChanged(_ *Relation, c Change) { o.got = append(o.got, c) }

@@ -18,7 +18,7 @@ import (
 // B after it. The fix is epoch-based snapshot isolation:
 //
 //   - Every mutation of a *published* relation (one that is reachable
-//     from a store, observed by an index catalog, or previously pinned)
+//     from a store, observed by its index set, or previously pinned)
 //     runs under a process-wide publish lock in shared mode and ticks a
 //     monotonically increasing database epoch. Writers to distinct
 //     relations still run concurrently; the relation's own mutex

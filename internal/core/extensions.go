@@ -71,26 +71,6 @@ func Materialize(r *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// CoalesceValueLifespans reports, for diagnostics and the storage
-// experiments, how many representation-level steps each attribute of the
-// relation stores in total — the size driver of Section 2's tradeoff
-// discussion.
-func CoalesceValueLifespans(r *Relation) map[string]int {
-	out := make(map[string]int, len(r.scheme.Attrs))
-	for _, t := range r.Tuples() {
-		for i, a := range r.scheme.Attrs {
-			out[a.Name] += t.v[i].NumSteps()
-		}
-	}
-	return out
-}
-
-// EquiJoinOuter is ThetaJoinOuter with θ = equality, the outer analogue
-// of EquiJoin.
-func EquiJoinOuter(r1, r2 *Relation, attrA, attrB string) (*Relation, error) {
-	return ThetaJoinOuter(r1, r2, attrA, value.EQ, attrB)
-}
-
 // NullLifespan returns, for a joined tuple, the set of times at which
 // the named attribute is null — in the tuple's lifespan and the
 // attribute's ALS but with no value. This is the paper's closing

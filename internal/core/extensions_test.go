@@ -66,7 +66,7 @@ func TestThetaJoinOuterRequiresSatisfyingTime(t *testing.T) {
 	if _, err := ThetaJoinOuter(emp, dept, "NOPE", value.EQ, "DNAME"); err == nil {
 		t.Error("unknown attribute must fail")
 	}
-	if _, err := EquiJoinOuter(emp, dept, "DEPT", "NOPE"); err == nil {
+	if _, err := ThetaJoinOuter(emp, dept, "DEPT", value.EQ, "NOPE"); err == nil {
 		t.Error("unknown right attribute must fail")
 	}
 }
@@ -75,7 +75,7 @@ func TestOuterJoinEquivalentToSelectIfOfProduct(t *testing.T) {
 	// Paper: outer join ≡ SELECT-IF of the Cartesian product.
 	emp := empRelation(t)
 	dept := deptRelation(t)
-	outer, err := EquiJoinOuter(emp, dept, "DEPT", "DNAME")
+	outer, err := ThetaJoinOuter(emp, dept, "DEPT", value.EQ, "DNAME")
 	mustHold(t, err)
 	prod, err := Product(emp, dept)
 	mustHold(t, err)
@@ -172,7 +172,12 @@ func TestMaterializeIdempotentOnTotal(t *testing.T) {
 
 func TestCoalesceValueLifespans(t *testing.T) {
 	emp := empRelation(t)
-	counts := CoalesceValueLifespans(emp)
+	counts := make(map[string]int)
+	for _, tp := range emp.Tuples() {
+		for i, a := range emp.scheme.Attrs {
+			counts[a.Name] += tp.v[i].NumSteps()
+		}
+	}
 	// John: SAL 2 steps; Mary: 1; Ahmed: 2 → 5.
 	if counts["SAL"] != 5 {
 		t.Errorf("SAL steps = %d, want 5", counts["SAL"])

@@ -19,12 +19,12 @@ import (
 // distinct constant key values.
 //
 // Tuples are kept in insertion order; byKey indexes the canonical key
-// string for the uniqueness check and merges. A relation built by
-// NewRelationFromTuples instead holds its tuples' positions sorted by
-// key (order): its renderings print from that order, and byKey is
-// built from the tuples only when a keyed operation (Lookup, Equal,
-// the set operators, an insert or a write group) first needs it. Any
-// mutation drops the order.
+// string for the uniqueness check and merges, and is built only when a
+// keyed operation (Lookup, Equal, the set operators, an insert or a
+// write group) first needs it. A relation built by
+// NewRelationFromTuples also holds its tuples' positions sorted by key
+// (order): its renderings print from that order. Any mutation drops
+// the order.
 //
 // Concurrency: mutations (Insert, InsertMerging, InsertBatch) and
 // reads are synchronized by an RWMutex, so any number of readers may
@@ -32,13 +32,14 @@ import (
 // tuple slice as an immutable snapshot: appends never touch the prefix
 // a snapshot covers, and a merge that would overwrite a slot copies
 // the slice first when a snapshot is outstanding (the shared flag).
-// Registered observers are notified of each mutation after the write
-// lock is released, which lets external index structures absorb
-// changes incrementally instead of rebuilding. Once a relation is
-// published (stored, observed, or pinned — see epoch.go), mutations
-// additionally run under the global publish lock and tick the database
-// epoch, so multi-relation readers can pin a transaction-consistent
-// snapshot across relations (Pin, RelVersion).
+// The relation's observer, once installed (Observe), is notified of
+// each mutation after the write lock is released, which lets the index
+// set built over it absorb changes incrementally instead of
+// rebuilding. Once a relation is published (stored, observed, or
+// pinned — see epoch.go), mutations additionally run under the global
+// publish lock and tick the database epoch, so multi-relation readers
+// can pin a transaction-consistent snapshot across relations (Pin,
+// RelVersion).
 type Relation struct {
 	scheme *schema.Scheme
 
@@ -50,8 +51,7 @@ type Relation struct {
 
 	mu     sync.RWMutex
 	tuples []*Tuple
-	// byKey is nil until keyIndexLocked builds it (NewRelationFromTuples
-	// relations only).
+	// byKey is nil until keyIndexLocked builds it.
 	byKey map[value.Key]int
 	// order lists tuple positions in key order; non-nil only in a
 	// NewRelationFromTuples relation not yet mutated.
@@ -60,10 +60,12 @@ type Relation struct {
 	// caches use it to detect staleness, since tuples themselves are
 	// immutable once inserted.
 	version uint64
-	// observers receive one Change per mutation; the slice is
-	// copy-on-append so a header read under the lock can be iterated
-	// after release.
-	observers []Observer
+	// observer, once Observe installs it, receives one Change per
+	// mutation. It is set once, under mu, and read without a lock.
+	observer atomic.Pointer[Observer]
+	// log, when AttachLog sets it, makes the relation's write groups
+	// durable before they apply (GroupLog). It is written under mu.
+	log GroupLog
 	// shared is set when a caller holds a snapshot of the tuples slice;
 	// the next merge copies the slice instead of writing in place.
 	shared atomic.Bool
@@ -122,10 +124,11 @@ type Change struct {
 	Version uint64
 }
 
-// Observer is notified of every mutation of a relation it is registered
-// on. Notifications are delivered outside the relation's lock (so the
-// handler may read the relation) but possibly out of order under
-// concurrent writers — handlers must use Change.Version to detect gaps.
+// Observer is notified of every mutation of the relation it is
+// installed on. Notifications are delivered outside the relation's
+// lock (so the handler may read the relation) but possibly out of
+// order under concurrent writers — handlers must use Change.Version to
+// detect gaps.
 type Observer interface {
 	RelationChanged(r *Relation, c Change)
 }
@@ -137,7 +140,7 @@ var relIDs atomic.Uint64
 
 // NewRelation returns an empty relation on scheme r.
 func NewRelation(r *schema.Scheme) *Relation {
-	return &Relation{scheme: r, byKey: make(map[value.Key]int), id: relIDs.Add(1)}
+	return &Relation{scheme: r, id: relIDs.Add(1)}
 }
 
 // NewRelationFromTuples builds a relation over s holding exactly ts:
@@ -202,31 +205,25 @@ func (r *Relation) SnapshotVersion() ([]*Tuple, uint64) {
 	return ts, v
 }
 
-// Observe registers o for mutation notifications and returns the
-// relation version o's view of the relation should start from.
-// Observing implies publication: an observed relation is shared state
-// whose mutations must be visible to snapshot pins.
-func (r *Relation) Observe(o Observer) uint64 {
+// Observe returns r's observer, installing the one mk builds if r has
+// none yet. mk runs under the write lock and receives the relation
+// version the observer starts from: it sees every change after that
+// version and none before. Once installed, the observer is read
+// without a lock, and it lives as long as r. Observing implies
+// publication: an observed relation is shared state whose mutations
+// must be visible to snapshot pins.
+func (r *Relation) Observe(mk func(version uint64) Observer) Observer {
+	if o := r.observer.Load(); o != nil {
+		return *o
+	}
 	r.published.Store(true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	obs := make([]Observer, len(r.observers), len(r.observers)+1)
-	copy(obs, r.observers)
-	r.observers = append(obs, o)
-	return r.version
-}
-
-// Unobserve removes a registered observer.
-func (r *Relation) Unobserve(o Observer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	obs := make([]Observer, 0, len(r.observers))
-	for _, x := range r.observers {
-		if x != o {
-			obs = append(obs, x)
-		}
+	if r.observer.Load() == nil {
+		o := mk(r.version)
+		r.observer.Store(&o)
 	}
-	r.observers = obs
+	return *r.observer.Load()
 }
 
 // Insert adds a tuple, enforcing the key-disjointness condition.
@@ -245,7 +242,7 @@ func (r *Relation) insert(t *Tuple, merging bool) error {
 	pub := r.beginPublish()
 	r.mu.Lock()
 	var c Change
-	switch i, dup := r.keyIndexLocked()[ks]; {
+	switch i, dup := r.keyIndexLocked(1)[ks]; {
 	case dup && merging:
 		c, err = r.mergeLocked(i, ks, t)
 	case dup:
@@ -253,7 +250,7 @@ func (r *Relation) insert(t *Tuple, merging bool) error {
 	default:
 		c = r.insertLocked(ks, t)
 	}
-	obs := r.observers
+	obs := r.observer.Load()
 	r.mu.Unlock()
 	r.endPublish(pub, err == nil)
 	if err != nil {
@@ -267,7 +264,7 @@ func (r *Relation) insert(t *Tuple, merging bool) error {
 // batch is validated first (a duplicate key — within the batch or
 // against existing tuples — fails the call with nothing applied),
 // then appended under a single version bump and a single epoch tick,
-// and observers receive one coalesced ChangeBatch notification. Bulk
+// and the observer receives one coalesced ChangeBatch notification. Bulk
 // loading through it costs one index merge instead of len(ts)
 // single-tuple overlays, and readers pinning snapshots see the batch
 // entirely or not at all.
@@ -287,26 +284,28 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	}
 	pub := r.beginPublish()
 	r.mu.Lock()
-	byKey := r.keyIndexLocked()
-	inBatch := make(map[value.Key]bool, len(kss))
-	for _, ks := range kss {
-		if _, dup := byKey[ks]; dup || inBatch[ks] {
+	byKey := r.keyIndexLocked(len(ts))
+	pos := len(r.tuples)
+	// One pass checks and inserts each key; a duplicate — against a
+	// live tuple or one earlier in the batch — takes back the keys this
+	// batch added before failing the call.
+	for i, ks := range kss {
+		if _, dup := byKey[ks]; dup {
+			for _, added := range kss[:i] {
+				delete(byKey, added)
+			}
 			r.mu.Unlock()
 			r.endPublish(pub, false)
 			return fmt.Errorf("core: relation %s: duplicate key %s in batch", r.scheme.Name, ks)
 		}
-		inBatch[ks] = true
+		byKey[ks] = pos + i
 	}
-	pos := len(r.tuples)
 	// One append keeps the prefix property: outstanding snapshots cover
 	// only [0,pos).
 	r.tuples = append(r.tuples, ts...)
-	for i, ks := range kss {
-		byKey[ks] = pos + i
-	}
 	r.mutatedLocked()
 	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ts, Version: r.version}
-	obs := r.observers
+	obs := r.observer.Load()
 	r.mu.Unlock()
 	r.endPublish(pub, true)
 	notify(obs, r, c)
@@ -349,11 +348,11 @@ func (r *Relation) mutatedLocked() {
 }
 
 // keyIndexLocked returns byKey, building it from the tuples if this is
-// the first keyed operation on a NewRelationFromTuples relation. The
-// caller holds the write lock.
-func (r *Relation) keyIndexLocked() map[value.Key]int {
+// the relation's first keyed operation, with room for extra more keys.
+// The caller holds the write lock.
+func (r *Relation) keyIndexLocked(extra int) map[value.Key]int {
 	if r.byKey == nil {
-		r.byKey = make(map[value.Key]int, len(r.tuples))
+		r.byKey = make(map[value.Key]int, len(r.tuples)+extra)
 		for i, t := range r.tuples {
 			r.byKey[t.key(r.scheme)] = i
 		}
@@ -371,15 +370,15 @@ func (r *Relation) rLockKeyed() {
 	}
 	r.mu.RUnlock()
 	r.mu.Lock()
-	r.keyIndexLocked()
+	r.keyIndexLocked(0)
 	r.mu.Unlock()
 	r.mu.RLock()
 }
 
-// notify delivers c to every observer registered at mutation time.
-func notify(obs []Observer, r *Relation, c Change) {
-	for _, o := range obs {
-		o.RelationChanged(r, c)
+// notify delivers c to the observer installed at mutation time, if any.
+func notify(obs *Observer, r *Relation, c Change) {
+	if obs != nil {
+		(*obs).RelationChanged(r, c)
 	}
 }
 

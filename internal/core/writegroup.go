@@ -39,7 +39,7 @@ var (
 // relation untouched. The apply runs under a single acquisition of the
 // global publish lock with the mutexes of all touched relations held
 // at once, bumps each relation's version once, ticks the database
-// epoch once, and hands each relation's observers one coalesced
+// epoch once, and hands each relation's observer one coalesced
 // ChangeBatch (appended tuples plus MergeSteps). Pin takes the publish
 // lock exclusively, so a pinned snapshot sees a committed group either
 // entirely or not at all — across however many relations it spans.
@@ -145,8 +145,8 @@ type groupApply struct {
 // relation is modified, no version moves and no observer is notified;
 // the group may be corrected and committed again. On success each
 // touched relation's version advances by exactly one, the database
-// epoch ticks exactly once, and observers receive one coalesced
-// ChangeBatch per relation after all locks are released. An empty
+// epoch ticks exactly once, and each relation's observer receives one
+// coalesced ChangeBatch after all locks are released. An empty
 // group commits trivially: no locks, no epoch tick.
 func (g *WriteGroup) Commit() error {
 	if len(g.order) == 0 {
@@ -186,23 +186,21 @@ func (g *WriteGroup) Commit() error {
 		applies = append(applies, ap)
 	}
 
-	// Between validation and apply, the commit hook gets one shot at
-	// making the group durable (see CommitHook). It runs with every
-	// lock still held, so a failure aborts with nothing applied and no
-	// snapshot can have observed the group.
-	if hp := commitHook.Load(); hp != nil {
-		if err := (*hp)(g); err != nil {
-			unlockAll()
-			mGroupAborts.Inc()
-			return err
-		}
+	// Between validation and apply, the group's log gets one shot at
+	// making it durable (see GroupLog). It runs with every lock still
+	// held, so a failure aborts with nothing applied and no snapshot can
+	// have observed the group.
+	if err := g.logLocked(); err != nil {
+		unlockAll()
+		mGroupAborts.Inc()
+		return err
 	}
 
 	// Phase 2 — apply; nothing below can fail.
 	published := false
 	type delivery struct {
 		rel *Relation
-		obs []Observer
+		obs *Observer
 		c   Change
 	}
 	deliveries := make([]delivery, 0, len(applies))
@@ -241,7 +239,7 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 	ap := groupApply{rel: r}
 	pendingIdx := make(map[value.Key]int, len(ops)) // key → index into ap.appended
 	mergeIdx := make(map[int]int)                   // live slot → index into ap.merges
-	byKey := r.keyIndexLocked()
+	byKey := r.keyIndexLocked(len(ops))
 	for _, op := range ops {
 		ks, err := r.keyOf(op.tuple)
 		if err != nil {
@@ -300,7 +298,7 @@ func mergeInto(r *Relation, ks value.Key, cur, t *Tuple) (*Tuple, error) {
 // is outstanding), append the new tuples in one extension of the
 // prefix, bump the version once, and return the coalesced Change to
 // deliver after every lock in the group is released.
-func (r *Relation) applyGroupLocked(ap groupApply) (Change, []Observer) {
+func (r *Relation) applyGroupLocked(ap groupApply) (Change, *Observer) {
 	if len(ap.merges) > 0 && r.shared.Load() {
 		r.tuples = append([]*Tuple(nil), r.tuples...)
 		r.shared.Store(false)
@@ -315,5 +313,5 @@ func (r *Relation) applyGroupLocked(ap groupApply) (Change, []Observer) {
 	}
 	r.mutatedLocked()
 	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ap.appended, Merges: ap.merges, Version: r.version}
-	return c, r.observers
+	return c, r.observer.Load()
 }

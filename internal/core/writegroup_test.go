@@ -55,8 +55,8 @@ func TestWriteGroupSingleRelationEqualsInsertBatch(t *testing.T) {
 	viaBatch.MarkPublished()
 	viaGroup.MarkPublished()
 	recB, recG := &batchRecorder{}, &batchRecorder{}
-	viaBatch.Observe(recB)
-	viaGroup.Observe(recG)
+	observeWith(viaBatch, recB)
+	observeWith(viaGroup, recG)
 
 	if err := viaBatch.InsertBatch(mkBatch()); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestWriteGroupValidationFailureLeavesAllUntouched(t *testing.T) {
 	recs := make([]*batchRecorder, 3)
 	for i, r := range []*Relation{a, b, c} {
 		recs[i] = &batchRecorder{}
-		r.Observe(recs[i])
+		observeWith(r, recs[i])
 	}
 
 	check := func(wantErr string, stage func(g *WriteGroup)) {
@@ -178,7 +178,7 @@ func TestWriteGroupMerges(t *testing.T) {
 	r.MarkPublished()
 	r.MustInsert(kvTuple(s, "a", 1, 0, 9))
 	rec := &batchRecorder{}
-	r.Observe(rec)
+	observeWith(r, rec)
 
 	_, vers := Pin(r) // outstanding snapshot: merges must copy-on-write
 	pinned := vers[0]

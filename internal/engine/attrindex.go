@@ -22,8 +22,8 @@ import (
 // defined can never satisfy an equality, so they are excluded entirely.
 //
 // The index is incrementally maintainable: Add absorbs a single-tuple
-// insert and Replace a merge, so the catalog keeps it fresh from
-// relation change notifications instead of rebuilding. Reads and writes
+// insert and Replace a merge, so the relation's index set keeps it
+// fresh from change notifications instead of rebuilding. Reads and writes
 // are synchronized internally; slices handed out by Probe/Varying are
 // stable snapshots (appends extend behind them, removals copy first).
 type AttrIndex struct {
@@ -179,9 +179,9 @@ func (ix *AttrIndex) String() string {
 // whose attribute could equal a value. When the attribute is the
 // relation's single-attribute key, the canonical key map the relation
 // maintains is the index and the pinned version bounds the lookup.
-// Otherwise the probe reads the catalog's live hash index — fetched
-// here, per execution, because the catalog replaces the object on
-// resync and eviction — and maps what it finds back to the pin: newer
+// Otherwise the probe reads the relation's live hash index — fetched
+// here, per execution, because the index set replaces the object on
+// resync — and maps what it finds back to the pin: newer
 // tuples drop out, merged successors become their pinned forms. The
 // live index holds a superset of the pinned matches (value images only
 // grow under merges) and the caller's full predicate runs on every

@@ -25,9 +25,9 @@ var idxMetrics = struct {
 
 // RelIndexes is the index set of one relation: a lifespan interval index
 // plus per-attribute hash indexes, each built lazily on first demand,
-// and the statistics object derived from them. The set registers itself
-// as a change observer on the relation, so single-tuple inserts and
-// merges are absorbed into the built indexes incrementally; a missed
+// and the statistics object derived from them. The set is the
+// relation's change observer, so single-tuple inserts and merges are
+// absorbed into the built indexes incrementally; a missed
 // notification (detected by a version gap) marks the set stale and the
 // next access rebuilds from a consistent snapshot.
 type RelIndexes struct {
@@ -41,60 +41,17 @@ type RelIndexes struct {
 	stats    *RelStats // cached statistics; nil = recompute on demand
 }
 
-// catalog is the process-wide index cache. Only base relations resolved
-// from a query environment (i.e. stored relations) enter it — plan
-// intermediates are never indexed — so its footprint tracks the
-// database, not the query stream. maxCatalog bounds it so long-lived
-// processes that reload stores (each \load creates fresh relation
-// values) cannot pin every generation of relations in memory; eviction
-// order is arbitrary, an evicted entry unregisters its observer, and an
-// evicted relation is simply re-indexed on its next query.
-var catalog struct {
-	mu   sync.Mutex
-	rels map[*core.Relation]*RelIndexes
-}
-
-const maxCatalog = 256
-
-// Indexes returns the (possibly empty) index set for r, creating the
-// cache entry — and registering it for change notifications — on first
-// use. The individual indexes are built lazily by Interval and Attr and
-// kept fresh incrementally thereafter.
+// Indexes returns r's (possibly empty) index set. The set is r's
+// change observer: it is installed on first use and lives exactly as
+// long as r does, so a long-lived process that reloads stores keeps
+// index memory only for the live relations that have been queried.
+// Once installed it is found without a lock. The individual indexes
+// are built lazily by Interval and Attr and kept fresh incrementally
+// thereafter.
 func Indexes(r *core.Relation) *RelIndexes {
-	catalog.mu.Lock()
-	defer catalog.mu.Unlock()
-	if catalog.rels == nil {
-		catalog.rels = make(map[*core.Relation]*RelIndexes)
-	}
-	x, ok := catalog.rels[r]
-	if !ok {
-		if len(catalog.rels) >= maxCatalog {
-			for victim, vx := range catalog.rels {
-				if victim != r {
-					victim.Unobserve(vx)
-					delete(catalog.rels, victim)
-					break
-				}
-			}
-		}
-		x = &RelIndexes{rel: r, attrs: make(map[string]*AttrIndex)}
-		x.version = r.Observe(x)
-		catalog.rels[r] = x
-	}
-	return x
-}
-
-// invalidateIndexes drops r's catalog entry (unregistering its change
-// observer), so the next query rebuilds every index from scratch. Tests
-// use it to force that rebuild and to release a relation they are done
-// with.
-func invalidateIndexes(r *core.Relation) {
-	catalog.mu.Lock()
-	defer catalog.mu.Unlock()
-	if x, ok := catalog.rels[r]; ok {
-		r.Unobserve(x)
-		delete(catalog.rels, r)
-	}
+	return r.Observe(func(version uint64) core.Observer {
+		return &RelIndexes{rel: r, version: version, attrs: make(map[string]*AttrIndex)}
+	}).(*RelIndexes)
 }
 
 // RelationChanged implements core.Observer: it absorbs one single-tuple

@@ -34,7 +34,7 @@ type ientry struct {
 // overlay (extra entries, plus the positions whose static entries a
 // merge replaced) that probes scan linearly; once the overlay grows
 // past a threshold it is compacted into a fresh static part. The
-// catalog feeds the overlay from relation change notifications.
+// relation's index set feeds the overlay from change notifications.
 type IntervalIndex struct {
 	mu      sync.RWMutex
 	es      []ientry       // static entries, sorted by iv.Lo
@@ -266,8 +266,8 @@ func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
 // tuples of pinned version v whose lifespan could share a chronon with
 // L, in pinned order, when the relation's interval index matches at
 // most max entries — and false otherwise. The index is fetched from the
-// catalog here, per execution (the catalog replaces the object on
-// resync and eviction), and is at least as new as the pin; its
+// relation's index set here, per execution (the set replaces the
+// object on resync), and is at least as new as the pin; its
 // ordinals are tuple positions, which appends and merges never move, so
 // a match at a position inside the pinned prefix is the pinned tuple
 // there. Lifespans only grow under merges, so the live matches are a

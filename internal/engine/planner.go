@@ -769,7 +769,7 @@ func indexJoin(stream node, streamAttr string, idx node, idxAttr string, joined 
 	if key := is.Key; len(key) != 1 || key[0] != idxAttr {
 		// Not the key, whose canonical-key map the relation already
 		// maintains: price the attribute index. Building it here is an
-		// O(n) scan, but the catalog caches it per (relation, attribute)
+		// O(n) scan, but the relation's index set keeps it per attribute
 		// and maintains it incrementally: every later query — either join
 		// orientation, or an index-select on the same attribute — reuses
 		// it, so the build amortizes like any index warm-up even when

@@ -18,7 +18,7 @@ import (
 // of passing a bare *storage.Store (or any hql.Env) around cmd/ code:
 // every entry point — CLI shell, benchmark harness, server — opens a DB
 // once and creates one Session per client/loop from it. The process-
-// wide pieces (index catalog, plan cache, metrics registry) stay shared
+// wide pieces (plan cache, metrics registry) stay shared
 // underneath, which is exactly what a multi-session server wants: two
 // sessions issuing the same query share one cached plan.
 //

@@ -11,9 +11,10 @@ import (
 
 // RelStats is the per-relation statistics object the planner costs
 // with: cardinality and lifespan geometry derived from the interval
-// index. It is collected lazily into the catalog alongside the indexes
-// it derives from and invalidated by the same change notifications, so
-// estimates track the live relation without a separate ANALYZE step.
+// index. It is collected lazily into the relation's index set beside
+// the indexes it derives from and invalidated by the same change
+// notifications, so estimates track the live relation without a
+// separate ANALYZE step.
 type RelStats struct {
 	Rows    int              // tuples
 	Entries int              // lifespan intervals (≥ Rows under reincarnation)

@@ -44,15 +44,6 @@ func Interval(lo, hi chronon.Time) Lifespan {
 // Point returns the singleton lifespan {t}.
 func Point(t chronon.Time) Lifespan { return New(chronon.Point(t)) }
 
-// Points builds a lifespan from individual time points.
-func Points(ts ...chronon.Time) Lifespan {
-	ivs := make([]chronon.Interval, 0, len(ts))
-	for _, t := range ts {
-		ivs = append(ivs, chronon.Point(t))
-	}
-	return fromIntervals(ivs)
-}
-
 // fromIntervals canonicalizes an arbitrary interval collection.
 func fromIntervals(in []chronon.Interval) Lifespan {
 	ivs := make([]chronon.Interval, 0, len(in))

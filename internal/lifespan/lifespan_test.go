@@ -24,8 +24,8 @@ func TestCanonicalization(t *testing.T) {
 		{"unsorted input", New(chronon.NewInterval(8, 9), chronon.NewInterval(1, 2)), "{[1,2],[8,9]}"},
 		{"drop empty", New(chronon.EmptyInterval(), chronon.NewInterval(1, 2)), "{[1,2]}"},
 		{"contained", New(chronon.NewInterval(1, 9), chronon.NewInterval(3, 4)), "{[1,9]}"},
-		{"points coalesce", Points(1, 2, 3, 7), "{[1,3],7}"},
-		{"duplicate points", Points(4, 4, 4), "{4}"},
+		{"points coalesce", New(chronon.Point(1), chronon.Point(2), chronon.Point(3), chronon.Point(7)), "{[1,3],7}"},
+		{"duplicate points", New(chronon.Point(4), chronon.Point(4), chronon.Point(4)), "{4}"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

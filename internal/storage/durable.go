@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -28,89 +27,41 @@ const (
 	walFile      = "wal.log"
 )
 
-// durableByRel maps a published relation to the durable store whose
-// WAL logs its write groups. The commit hook consults it on every
-// group commit; entries are added by Put/OpenDurable/MergeStore and
-// removed by Close.
-var durableByRel sync.Map // *core.Relation → *Store
-
-// The storage layer owns core's commit hook for the life of the
-// process: every write-group commit anywhere passes through
-// logWriteGroup, which is a cheap map miss for groups that touch no
-// durable store.
-func init() { core.SetCommitHook(logWriteGroup) }
-
-// logWriteGroup is the core.CommitHook: it serializes the group's ops
-// and fsyncs them to the owning store's WAL before core applies
-// anything. It runs under the publish lock (shared) with every touched
-// relation's mutex held, which gives the log two guarantees for free:
-// no Pin interleaves between append and apply, and two groups touching
-// a common relation reach the log in their apply order. An append
-// error aborts the commit — nothing applied, nothing acknowledged.
-func logWriteGroup(g *core.WriteGroup) error {
-	var target *Store
-	for _, r := range g.Rels() {
-		v, ok := durableByRel.Load(r)
-		if !ok {
-			continue
-		}
-		st := v.(*Store)
-		if st.replaying.Load() {
-			// Recovery re-commits logged groups through the normal path;
-			// they are already in the log.
-			continue
-		}
-		if target != nil && target != st {
-			// Refuse rather than log half a group into each store: a crash
-			// between the two appends would recover one store with a group
-			// the other never saw, breaking the committed-prefix invariant.
-			return fmt.Errorf("storage: write group spans two durable stores")
-		}
-		target = st
-	}
-	if target == nil {
-		return nil
-	}
-	payload, err := encodeGroupPayload(g, func(r *core.Relation) bool {
-		v, ok := durableByRel.Load(r)
-		return ok && v.(*Store) == target
-	})
+// LogGroup implements core.GroupLog: it serializes the group's ops on
+// the relations attached to s and fsyncs them to s's WAL before core
+// applies anything. It runs under the publish lock (shared) with every
+// touched relation's mutex held, which gives the log two guarantees
+// for free: no Pin interleaves between append and apply, and two
+// groups touching a common relation reach the log in their apply
+// order. An append error aborts the commit — nothing applied, nothing
+// acknowledged.
+func (s *Store) LogGroup(g *core.WriteGroup) error {
+	payload, err := encodeGroupPayload(g, s)
 	if err != nil || len(payload) == 0 {
 		return err
 	}
-	lsn, err := target.log.Append(payload)
+	lsn, err := s.log.Append(payload)
 	if err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
 	// Publish the new consistency point. Concurrent groups on disjoint
 	// relations may race here, so only ever move the LSN forward.
 	for {
-		cur := target.lsn.Load()
-		if lsn <= cur || target.lsn.CompareAndSwap(cur, lsn) {
+		cur := s.lsn.Load()
+		if lsn <= cur || s.lsn.CompareAndSwap(cur, lsn) {
 			break
 		}
 	}
 	return nil
 }
 
-// trackRelations registers rels as logged by s; a no-op for plain
-// in-memory stores.
-func (s *Store) trackRelations(rels []*core.Relation) {
+// attach makes s the log of rels; a no-op for plain in-memory stores.
+func (s *Store) attach(rels ...*core.Relation) {
 	if s.log == nil {
 		return
 	}
 	for _, r := range rels {
-		durableByRel.Store(r, s)
-	}
-}
-
-// untrackRelations undoes trackRelations.
-func (s *Store) untrackRelations(rels []*core.Relation) {
-	if s.log == nil {
-		return
-	}
-	for _, r := range rels {
-		durableByRel.Delete(r)
+		r.AttachLog(s)
 	}
 }
 
@@ -170,28 +121,21 @@ func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats,
 	if err != nil {
 		return nil, stats, err
 	}
-	st.dir = dir
-	st.log = log
 	st.lsn.Store(snapLSN)
 	// A checkpoint may have truncated every record the snapshot covers;
 	// keep the LSN clock ahead of the snapshot regardless.
 	log.EnsureLSN(snapLSN)
-	st.mu.RLock()
-	loaded := make([]*core.Relation, 0, len(st.rels))
-	for _, r := range st.rels {
-		loaded = append(loaded, r)
-	}
-	st.mu.RUnlock()
-	st.trackRelations(loaded)
 
-	st.replaying.Store(true)
-	// One reader decodes every group, so replayed tuples share its slabs.
+	// Replay runs before the store has a log, so no relation is attached
+	// yet and the re-committed groups are not logged a second time. One
+	// reader decodes every group, so replayed tuples share its slabs.
 	dec := &errReader{}
 	err = log.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= snapLSN {
 			// Already folded into the snapshot: a crash between the
 			// checkpoint's snapshot rename and its log truncation leaves
-			// these records behind, and replaying them would double-apply.
+			// these records behind, and applying them again would
+			// double-apply.
 			return nil
 		}
 		dec.reset(payload)
@@ -204,12 +148,17 @@ func OpenDurableOptions(dir string, opts DurableOptions) (*Store, RecoveryStats,
 		stats.ReplayedTuples += n
 		return nil
 	})
-	st.replaying.Store(false)
 	if err != nil {
-		st.untrackRelations(loaded)
 		log.Close()
 		return nil, stats, err
 	}
+	st.dir = dir
+	st.log = log
+	st.mu.RLock()
+	for _, r := range st.rels {
+		r.AttachLog(st)
+	}
+	st.mu.RUnlock()
 	stats.TornBytes = log.Stats().TornBytes
 	mRecoverGroups.Add(uint64(stats.ReplayedGroups))
 	mRecoverTuples.Add(uint64(stats.ReplayedTuples))
@@ -262,10 +211,11 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// Close checkpoints the store, stops logging its relations, and closes
-// the WAL. A write group racing Close either lands before the untrack
-// (logged and folded into the final state at the next open) or fails
-// its append against the closed log and aborts — never silently
+// Close checkpoints the store, detaches it from its relations, and
+// closes the WAL. A relation another store has attached since keeps
+// that store's log. A write group racing Close either lands before the
+// detach (logged and folded into the final state at the next open) or
+// fails its append against the closed log and aborts — never silently
 // undurable. In-memory stores close as a no-op.
 func (s *Store) Close() error {
 	if s.log == nil {
@@ -273,14 +223,10 @@ func (s *Store) Close() error {
 	}
 	err := s.Checkpoint()
 	s.mu.RLock()
-	rels := make([]*core.Relation, 0, len(s.rels))
 	for _, r := range s.rels {
-		rels = append(rels, r)
+		r.DetachLog(s)
 	}
 	s.mu.RUnlock()
-	for _, r := range rels {
-		durableByRel.Delete(r)
-	}
 	if cerr := s.log.Close(); err == nil {
 		err = cerr
 	}

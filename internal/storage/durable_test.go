@@ -411,6 +411,29 @@ func TestWriteGroupSpanningTwoDurableStoresRefused(t *testing.T) {
 	}
 }
 
+// TestRelationSharedByTwoDurableStores: a relation put into stores A
+// and B is logged by B, the store it was put into last. Closing A
+// detaches only what A logs, so a group committed afterwards is in B's
+// log and a recovery of B's directory has it.
+func TestRelationSharedByTwoDurableStores(t *testing.T) {
+	dirB := t.TempDir()
+	stA, _ := openDurableT(t, t.TempDir())
+	stB, _ := openDurableT(t, dirB)
+	r := core.NewRelation(dScheme("SHARED"))
+	stA.Put(r)
+	stB.Put(r)
+	if err := stA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	commitKV(t, []*core.Relation{r}, 1)
+
+	rec, stats := openDurableT(t, cloneDir(t, dirB))
+	if stats.ReplayedGroups != 1 {
+		t.Fatalf("B's recovery replayed %d groups, want 1", stats.ReplayedGroups)
+	}
+	checkPrefix(t, rec, "SHARED", 1)
+}
+
 // TestOpenDurableCreatesPrivateState: the store directory and the two
 // files in it (snapshot, log) hold the whole database; they are created
 // for their owner only (0700 / 0600).

@@ -24,8 +24,10 @@ import (
 // snapshot, the way a store is loaded, and requires at most 320 bytes
 // live per tuple after a collection: the tuple header, its value slice,
 // the functions' steps, the key string and the relation's slot and key
-// map entry. A tuple holding its values in a map per tuple measures
-// about 555 bytes here.
+// map entry. The encoded blob stays live through both heap samples, so
+// their difference is the decoded relation alone: about 300 bytes per
+// tuple on linux/amd64 with Go 1.24. A tuple holding its values in a
+// map per tuple measures about 555 bytes here.
 func TestTupleFootprint(t *testing.T) {
 	const n, maxPerTuple = 20000, 320
 	full := lifespan.Interval(0, 999)
@@ -57,9 +59,9 @@ func TestTupleFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = nil
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(b)
 	if r.Cardinality() != n {
 		t.Fatalf("decoded %d tuples, want %d", r.Cardinality(), n)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -24,44 +25,35 @@ import (
 // groupOpFlagMerging marks an op staged with InsertMerging semantics.
 const groupOpFlagMerging = 1
 
-// encodeGroupPayload serializes the ops of g whose relation satisfies
-// belongs. It returns nil (no error) when no staged op belongs. The
-// staged tuples are reachable only through the group — pre-apply, under
-// the commit locks — so this read path needs no pin.
-func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) ([]byte, error) {
-	type stagedOp struct {
-		t       *core.Tuple
-		merging bool
-	}
-	var rels []*core.Relation
-	byRel := make(map[*core.Relation][]stagedOp)
-	g.Ops(func(r *core.Relation, t *core.Tuple, merging bool) {
-		if !belongs(r) {
-			return
-		}
-		if _, ok := byRel[r]; !ok {
-			rels = append(rels, r)
-		}
-		byRel[r] = append(byRel[r], stagedOp{t: t, merging: merging})
-	})
-	if len(rels) == 0 {
-		return nil, nil
-	}
+// encodeGroupPayload serializes the ops of g on the relations attached
+// to l. It returns nil (no error) when no staged op is. The staged
+// tuples are reachable only through the group — pre-apply, under the
+// commit locks — so this read path needs no pin. Ops walks the group
+// grouped by relation, so each relation's op count is kept in place in
+// the buffer and bumped as its ops are written.
+func encodeGroupPayload(g *core.WriteGroup, l core.GroupLog) ([]byte, error) {
 	var w errWriter
-	w.u32(uint32(len(rels)))
-	for _, r := range rels {
-		s := r.Scheme()
-		encodeScheme(&w, s)
-		ops := byRel[r]
-		w.u32(uint32(len(ops)))
-		for _, op := range ops {
-			var flags uint8
-			if op.merging {
-				flags |= groupOpFlagMerging
-			}
-			w.u8(flags)
-			encodeTuple(&w, s, op.t)
+	w.u32(0) // relation count, bumped below
+	var cur *core.Relation
+	opsAt := 0
+	g.Ops(l, func(r *core.Relation, t *core.Tuple, merging bool) {
+		if r != cur {
+			cur = r
+			bumpU32(w.buf)
+			encodeScheme(&w, r.Scheme())
+			opsAt = len(w.buf)
+			w.u32(0) // op count, bumped below
 		}
+		bumpU32(w.buf[opsAt:])
+		var flags uint8
+		if merging {
+			flags |= groupOpFlagMerging
+		}
+		w.u8(flags)
+		encodeTuple(&w, r.Scheme(), t)
+	})
+	if cur == nil {
+		return nil, nil
 	}
 	if w.err != nil {
 		return nil, fmt.Errorf("storage: encode group: %w", w.err)
@@ -69,12 +61,17 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 	return w.buf, nil
 }
 
+// bumpU32 adds one to the little-endian u32 at the start of b.
+func bumpU32(b []byte) {
+	binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+1)
+}
+
 // applyGroupPayload re-executes one logged group against s as a fresh
 // write group: ops land on the store's existing relations by name, and
 // a relation the snapshot doesn't know is rebuilt from the record's
 // scheme and registered after the commit. Returns the number of tuples
-// staged. The caller runs with s.replaying set, so the commit hook
-// does not re-log the group.
+// staged. OpenDurable replays before it attaches the store's log to
+// any relation, so the group is not logged again.
 func (s *Store) applyGroupPayload(r *errReader) (int, error) {
 	nRels := r.count()
 	if r.err != nil {

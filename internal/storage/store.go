@@ -34,15 +34,15 @@ type Store struct {
 	rels map[string]*core.Relation
 
 	// Durable-mode state (nil/zero for plain in-memory stores). log is
-	// set once by OpenDurable and never reset to nil — after Close, a
-	// racing commit hook fails on the closed log instead of dereferencing
-	// nil. lsn is the WAL sequence number the in-memory state is
-	// consistent through; it moves under the publish lock's shared side
-	// (commit hook) and is read exactly under its exclusive side (pinAll).
-	dir       string
-	log       *wal.Log
-	lsn       atomic.Uint64
-	replaying atomic.Bool
+	// set once by OpenDurable, after replay, and never reset to nil —
+	// after Close, a racing LogGroup fails on the closed log instead of
+	// dereferencing nil. lsn is the WAL sequence number the in-memory
+	// state is consistent through; it moves under the publish lock's
+	// shared side (LogGroup) and is read exactly under its exclusive
+	// side (pinAll).
+	dir string
+	log *wal.Log
+	lsn atomic.Uint64
 
 	// ckMu serialises checkpoints, so a slower one can never rename an
 	// older cut over a newer one; written stamps the cut the last
@@ -59,8 +59,9 @@ func NewStore() *Store {
 // Put registers (or replaces) a relation under its scheme name. A
 // stored relation is shared database state: it is marked published so
 // every later mutation participates in the epoch/snapshot protocol
-// (see core.Pin). On a durable store the relation is also tracked for
-// write-ahead logging (and a replaced relation untracked).
+// (see core.Pin). On a durable store the relation's write groups are
+// also logged to the store's WAL from now on, and a replaced relation
+// logged by this store is detached.
 func (s *Store) Put(r *core.Relation) {
 	r.MarkPublished()
 	s.mu.Lock()
@@ -68,12 +69,10 @@ func (s *Store) Put(r *core.Relation) {
 	old := s.rels[name]
 	s.rels[name] = r
 	s.mu.Unlock()
-	if s.log != nil {
-		if old != nil && old != r {
-			durableByRel.Delete(old)
-		}
-		durableByRel.Store(r, s)
+	if old != nil && old != r {
+		old.DetachLog(s)
 	}
+	s.attach(r)
 }
 
 // Get returns the named relation.
@@ -98,7 +97,7 @@ func (s *Store) Names() []string {
 
 // pinnedStore is one consistent cut of the whole store: every relation
 // pinned in a single core.PinAtomic, plus the WAL sequence number the
-// cut is consistent through. Because the commit hook appends to the
+// cut is consistent through. Because LogGroup appends to the
 // log and advances lsn under the shared side of the publish lock, and
 // the pin holds its exclusive side, the LSN read here matches the
 // pinned tuple state exactly — no group is half in.
@@ -350,13 +349,12 @@ func (s *Store) MergeStore(src *Store) error {
 			g.InsertBatch(nr, sv.Tuples())
 		}
 	}
-	// A durable store must know the fresh relations before the commit
-	// hook fires, or their ops would miss the WAL.
-	s.trackRelations(fresh)
+	// A durable store logs the fresh relations' ops with the rest of
+	// the group, so they are attached before the commit.
+	s.attach(fresh...)
 	if err := g.Commit(); err != nil {
 		// Nothing was applied to s; the unregistered fresh relations are
 		// simply dropped.
-		s.untrackRelations(fresh)
 		return fmt.Errorf("storage: merge: %w", err)
 	}
 	for _, nr := range fresh {

@@ -28,11 +28,6 @@ type WideConfig struct {
 	Seed       int64
 }
 
-// DefaultWide is the configuration used by E10's wide rows.
-func DefaultWide() WideConfig {
-	return WideConfig{NumObjects: 100, HistoryLen: 400, NumAttrs: 8, BaseChange: 5, Seed: 21}
-}
-
 // WideScheme builds the scheme: OID (string key) plus V0..V{n-1}.
 func WideScheme(cfg WideConfig) *schema.Scheme {
 	full := lifespan.Interval(0, chronon.Time(cfg.HistoryLen-1))

@@ -7,8 +7,12 @@ import (
 	"repro/internal/storage"
 )
 
+// wideCfg is a wide relation of 100 objects over 400 chronons with 8
+// attributes.
+var wideCfg = WideConfig{NumObjects: 100, HistoryLen: 400, NumAttrs: 8, BaseChange: 5, Seed: 21}
+
 func TestWideShape(t *testing.T) {
-	cfg := DefaultWide()
+	cfg := wideCfg
 	r := Wide(cfg)
 	if r.Cardinality() != cfg.NumObjects {
 		t.Fatalf("cardinality = %d", r.Cardinality())
@@ -37,7 +41,7 @@ func TestWideShape(t *testing.T) {
 }
 
 func TestWideDeterministic(t *testing.T) {
-	cfg := DefaultWide()
+	cfg := wideCfg
 	if !Wide(cfg).Equal(Wide(cfg)) {
 		t.Error("same seed must reproduce the relation")
 	}
