@@ -2,6 +2,7 @@ package chronon
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -56,13 +57,70 @@ func (t Time) String() string { return string(t.AppendTo(nil)) }
 
 // AppendTo appends the String form of t to dst and returns the result.
 func (t Time) AppendTo(dst []byte) []byte {
+	return t.appendTo(slices.Grow(dst, maxIntLen))
+}
+
+// appendTo is AppendTo into dst whose capacity has maxIntLen bytes to
+// spare.
+func (t Time) appendTo(dst []byte) []byte {
 	switch t {
 	case Min:
 		return append(dst, "-inf"...)
 	case Max:
 		return append(dst, "+inf"...)
 	}
-	return strconv.AppendInt(dst, int64(t), 10)
+	return appendInt(dst, int64(t))
+}
+
+// maxIntLen is the longest decimal int64: a sign and 19 digits.
+const maxIntLen = 20
+
+// digitPairs holds the two decimal digits of 0…99 at 2n and 2n+1.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// AppendInt appends the decimal form of n to dst, the bytes of
+// strconv.AppendInt(dst, n, 10): the digits are written two at a time
+// straight into dst, with its capacity grown once.
+func AppendInt(dst []byte, n int64) []byte {
+	return appendInt(slices.Grow(dst, maxIntLen), n)
+}
+
+// appendInt is AppendInt into dst whose capacity has maxIntLen bytes to
+// spare.
+func appendInt(dst []byte, n int64) []byte {
+	u := uint64(n)
+	if n < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	digits := 1 // |n| ≤ 2⁶³ has at most 19, and 10¹⁹ fits a uint64
+	for p := uint64(10); digits < 19 && u >= p; p *= 10 {
+		digits++
+	}
+	i := len(dst) + digits
+	dst = dst[:i]
+	for u >= 100 {
+		q := u / 100
+		d := (u - q*100) * 2
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
 }
 
 // ParseTime parses a time point as printed by Time.String.
@@ -165,14 +223,13 @@ func (iv Interval) AppendTo(dst []byte) []byte {
 	if iv.IsEmpty() {
 		return append(dst, "[]"...)
 	}
+	// One reservation covers both bounds and the brackets.
+	dst = slices.Grow(dst, 2*maxIntLen+3)
 	if iv.Lo == iv.Hi {
-		return iv.Lo.AppendTo(dst)
+		return iv.Lo.appendTo(dst)
 	}
-	dst = append(dst, '[')
-	dst = iv.Lo.AppendTo(dst)
-	dst = append(dst, ',')
-	dst = iv.Hi.AppendTo(dst)
-	return append(dst, ']')
+	dst = iv.Lo.appendTo(append(dst, '['))
+	return append(iv.Hi.appendTo(append(dst, ',')), ']')
 }
 
 // ParseInterval parses "[lo,hi]", "[lo..hi]" or a bare point "t".

@@ -34,8 +34,12 @@
 // read pointer equality between a result tuple and a base tuple as
 // "not derived". NewRelationFromTuples adopts the caller's tuple
 // slice rather than copying it, and keeps the positions of its tuples
-// sorted by key beside it: the caller must not touch the slice again.
+// sorted by key beside it (NewRelationKeyOrdered adopts a slice already
+// in key order): the caller must not touch the slice again.
 // Renderings read that order; the key map is derived from the tuples,
 // under the relation's lock, by whichever keyed operation needs it
-// first; the first mutation drops the order.
+// first; the first mutation drops the order. A pinned version's key
+// order (RelVersion.KeyOrdered) is cached on its relation, tagged with
+// the version it describes, and is shared read-only by every reader of
+// that version.
 package core

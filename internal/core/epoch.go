@@ -113,6 +113,15 @@ func (v RelVersion) Tuples() []*Tuple { return v.tuples }
 // Version returns the relation mutation counter the version reflects.
 func (v RelVersion) Version() uint64 { return v.version }
 
+// KeyOrdered returns the pinned tuples in ascending key order — the
+// order every rendering prints — built on first use for each version
+// and cached on the relation, so scans of an unchanged relation sort
+// once. Tuples, Lookup and Resolve keep insertion order and positions;
+// callers must not mutate the slice.
+func (v RelVersion) KeyOrdered() ([]*Tuple, error) {
+	return v.rel.keyOrdered(v.version, v.tuples)
+}
+
 // Cardinality returns the number of tuples in the pinned version.
 func (v RelVersion) Cardinality() int { return len(v.tuples) }
 

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
+	"repro/internal/obs"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -199,4 +201,117 @@ func TestDerivedKeyIndexConcurrentLookup(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// TestNewRelationFromTuplesOneRow: a result of zero or one tuple is
+// built with no key encoded and no order slice — one allocation, the
+// relation — and behaves as the sorted construction: it renders the
+// same, finds its tuple, and takes inserts afterwards.
+func TestNewRelationFromTuplesOneRow(t *testing.T) {
+	s := empScheme()
+	one := empFixture(t, 1)
+	for _, ts := range [][]*Tuple{nil, one} {
+		r, err := NewRelationFromTuples(s, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewRelation(s)
+		if err := want.InsertBatch(ts); err != nil {
+			t.Fatal(err)
+		}
+		if r.String() != want.String() || !r.Equal(want) {
+			t.Fatalf("%d-row result:\n%s\nwant\n%s", len(ts), r, want)
+		}
+		fresh := empTuple("emp9999", 0, 9, 1)
+		if err := r.Insert(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Insert(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if r.String() != want.String() {
+			t.Fatalf("after an insert:\n%s\nwant\n%s", r, want)
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(100, func() { _, _ = NewRelationFromTuples(s, ts) }); n != 1 {
+				t.Errorf("%d-row NewRelationFromTuples: %.0f allocations, want 1 (the relation)", len(ts), n)
+			}
+		}
+	}
+	if _, ok := mustFromTuples(t, s, one).Lookup(one[0].KeyValue("NAME").String()); !ok {
+		t.Fatal("one-row result misses its tuple")
+	}
+}
+
+func mustFromTuples(t *testing.T, s *schema.Scheme, ts []*Tuple) *Relation {
+	t.Helper()
+	r, err := NewRelationFromTuples(s, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRelVersionKeyOrdered: a pinned version's key order is the order
+// NewRelationFromTuples renders in, built once per version and shared
+// by later pins of that version and by its view's rendering; the
+// version's Tuples keep insertion order. A mutation makes a new
+// version that builds its own order, while the older pin still gets
+// its own version's order and does not displace the newer cache.
+func TestRelVersionKeyOrdered(t *testing.T) {
+	s := empScheme()
+	ts := shuffledFixture(t, 300)
+	r := NewRelation(s)
+	if err := r.InsertBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.Default.Counter("core.keyorder.builds")
+	check := func(v RelVersion) []*Tuple {
+		t.Helper()
+		ko, err := v.KeyOrdered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := mustFromTuples(t, s, v.Tuples())
+		want := sorted.String()
+		if got := NewRelationKeyOrdered(s, ko).String(); got != want {
+			t.Fatalf("key order renders differently from the sort path")
+		}
+		if got := v.View().String(); got != want {
+			t.Fatalf("view renders differently from the sort path")
+		}
+		return ko
+	}
+	before := builds.Load()
+	_, vs := Pin(r)
+	old := vs[0]
+	first := check(old)
+	for i, tu := range old.Tuples() {
+		if tu != ts[i] {
+			t.Fatal("Tuples of a pinned version left insertion order")
+		}
+	}
+	_, again := Pin(r)
+	if ko, _ := again[0].KeyOrdered(); &ko[0] != &first[0] {
+		t.Fatal("a second pin of an unchanged version rebuilt its key order")
+	}
+	if got := builds.Load() - before; got != 1 {
+		t.Fatalf("%d key orders built for one version, want 1", got)
+	}
+	if err := r.InsertMerging(empTuple("emp0003", 95, 99, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	r.MustInsert(empTuple("a-first", 0, 9, 1))
+	_, vs = Pin(r)
+	newer := check(vs[0])
+	if got := builds.Load() - before; got != 2 {
+		t.Fatalf("%d key orders built for two versions, want 2", got)
+	}
+	if len(newer) != len(first)+1 || newer[0].KeyValue("NAME").String() != `"a-first"` {
+		t.Fatal("new version's key order misses its insert")
+	}
+	check(old) // the stale pin sorts its own version ...
+	if ko, _ := vs[0].KeyOrdered(); &ko[0] != &newer[0] {
+		t.Fatal("... without displacing the newer version's cache")
+	}
 }

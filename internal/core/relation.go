@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/lifespan"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -23,8 +24,10 @@ import (
 // keyed operation (Lookup, Equal, the set operators, an insert or a
 // write group) first needs it. A relation built by
 // NewRelationFromTuples also holds its tuples' positions sorted by key
-// (order): its renderings print from that order. Any mutation drops
-// the order.
+// (order), or knows its tuples to be in key order already (sorted): its
+// renderings print from that order. Any mutation drops both. A
+// relation whose pinned versions are read in key order (RelVersion.
+// KeyOrdered) caches that order for one version (keyOrder).
 //
 // Concurrency: mutations (Insert, InsertMerging, InsertBatch) and
 // reads are synchronized by an RWMutex, so any number of readers may
@@ -54,8 +57,16 @@ type Relation struct {
 	// byKey is nil until keyIndexLocked builds it.
 	byKey map[value.Key]int
 	// order lists tuple positions in key order; non-nil only in a
-	// NewRelationFromTuples relation not yet mutated.
-	order []int32
+	// NewRelationFromTuples relation not yet mutated. sorted says the
+	// tuples themselves are in key order (NewRelationKeyOrdered, or
+	// NewRelationFromTuples of at most one tuple); it is dropped with
+	// order.
+	order  []int32
+	sorted bool
+	// keyOrder caches the tuples of one version in ascending key order
+	// (keyOrdered). Its tag is the version and length it was built
+	// for, so a mutation leaves it stale without dropping it.
+	keyOrder atomic.Pointer[keyOrder]
 	// version counts mutations (Insert/InsertMerging); external index
 	// caches use it to detect staleness, since tuples themselves are
 	// immutable once inserted.
@@ -157,12 +168,26 @@ func NewRelation(r *schema.Scheme) *Relation {
 // The relation is private to the caller (unpublished, no observers)
 // exactly as NewRelation's result is; ts must not be mutated
 // afterwards.
+//
+// At most one tuple can hold no duplicate and is in key order, so such
+// a result is built without encoding a key.
 func NewRelationFromTuples(s *schema.Scheme, ts []*Tuple) (*Relation, error) {
+	if len(ts) <= 1 {
+		return NewRelationKeyOrdered(s, ts), nil
+	}
 	order, dup := sortByKey(s, ts)
 	if dup >= 0 {
 		return nil, fmt.Errorf("core: relation %s: duplicate key %s", s.Name, ts[dup].key(s))
 	}
 	return &Relation{scheme: s, id: relIDs.Add(1), tuples: ts, order: order, version: 1}, nil
+}
+
+// NewRelationKeyOrdered is NewRelationFromTuples for tuples already in
+// strictly ascending key order — a key-ordered scan and what
+// order-keeping kernels made of it — so no key is encoded or sorted.
+// The order is the caller's guarantee and is not checked.
+func NewRelationKeyOrdered(s *schema.Scheme, ts []*Tuple) *Relation {
+	return &Relation{scheme: s, id: relIDs.Add(1), tuples: ts, sorted: true, version: 1}
 }
 
 // Scheme returns the relation's scheme R.
@@ -344,7 +369,7 @@ func (r *Relation) insertLocked(ks value.Key, t *Tuple) Change {
 // tuples.
 func (r *Relation) mutatedLocked() {
 	r.version++
-	r.order = nil
+	r.order, r.sorted = nil, false
 }
 
 // keyIndexLocked returns byKey, building it from the tuples if this is
@@ -535,35 +560,86 @@ func (r *Relation) AppendTo(dst []byte) []byte { return r.AppendForm(dst, value.
 // order. Tuples appear in canonical key order — ascending by key, the
 // escaped encoding relations index by, compared bytewise — so a
 // rendering does not depend on insertion order. A NewRelationFromTuples
-// relation prints from the order it stored; any other is sorted by
+// relation prints from the order it stored, a frozen view from its
+// version's cached key order (keyOrdered); any other is sorted by
 // sortByKey.
 func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
 	var ts []*Tuple
 	var order []int32
+	sorted := false
 	if r.origin != nil {
-		ts = r.tuples // frozen views are immutable and store no order
+		// Frozen views are immutable; a duplicate key (never admitted)
+		// falls through to the sort below.
+		var err error
+		ts, err = r.origin.keyOrdered(r.version, r.tuples)
+		if sorted = err == nil; !sorted {
+			ts = r.tuples
+		}
 	} else {
 		// A snapshot like Tuples(), read with the order it describes.
 		r.mu.RLock()
 		r.shared.Store(true)
-		ts, order = r.tuples, r.order
+		ts, order, sorted = r.tuples, r.order, r.sorted
 		r.mu.RUnlock()
+	}
+	dst = r.scheme.AppendForm(dst, f)
+	if sorted {
+		for _, t := range ts {
+			dst = t.appendTo(append(f.Newline(dst), "  "...), nil, f)
+		}
+		return dst
 	}
 	if order == nil {
 		order, _ = sortByKey(r.scheme, ts)
 	}
-	dst = r.scheme.AppendForm(dst, f)
 	for _, i := range order {
-		dst = append(f.Newline(dst), "  "...)
-		dst = ts[i].appendTo(dst, nil, f)
+		dst = ts[i].appendTo(append(f.Newline(dst), "  "...), nil, f)
 	}
 	return dst
 }
 
+// keyOrder is a relation's tuples at one version in ascending key
+// order, tagged with the version and length it describes.
+type keyOrder struct {
+	version uint64
+	n       int
+	ts      []*Tuple
+}
+
+// mKeyOrderBuilds counts the key orders keyOrdered builds: one per
+// relation version read in key order.
+var mKeyOrderBuilds = obs.Default.Counter("core.keyorder.builds")
+
+// keyOrdered returns ts, r's tuples at version ver, in ascending key
+// order: from the cache when it was built for (ver, len(ts)), else
+// sorted once and cached. Builders racing on one version each sort and
+// store an equal slice; an older version never replaces a newer one.
+// A duplicate key, which the relation's inserts refuse, is reported as
+// an error.
+func (r *Relation) keyOrdered(ver uint64, ts []*Tuple) ([]*Tuple, error) {
+	old := r.keyOrder.Load()
+	if old != nil && old.version == ver && old.n == len(ts) {
+		return old.ts, nil
+	}
+	order, dup := sortByKey(r.scheme, ts)
+	if dup >= 0 {
+		return nil, fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ts[dup].key(r.scheme))
+	}
+	sorted := make([]*Tuple, len(order))
+	for i, p := range order {
+		sorted[i] = ts[p]
+	}
+	mKeyOrderBuilds.Inc()
+	if old == nil || old.version <= ver {
+		r.keyOrder.CompareAndSwap(old, &keyOrder{version: ver, n: len(ts), ts: sorted})
+	}
+	return sorted, nil
+}
+
 // sortByKey returns the positions of ts in ascending key order and the
 // position of a tuple whose key another tuple shares (-1 when every key
-// is distinct); see value.SortByKey. It is the one encode-and-sort both
-// NewRelationFromTuples and rendering use.
+// is distinct); see value.SortByKey. It is the one encode-and-sort
+// NewRelationFromTuples, key-ordered versions and rendering use.
 func sortByKey(s *schema.Scheme, ts []*Tuple) (order []int32, dup int) {
 	return value.SortByKey(len(ts), func(dst []byte, i int) []byte { return ts[i].appendKey(dst, s) })
 }

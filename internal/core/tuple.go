@@ -281,16 +281,29 @@ func (t *Tuple) appendByName(dst []byte, f value.Form) []byte {
 }
 
 // appendTo appends the tuple's lifespan and its values, named by its
-// scheme, to dst in form f: in the order of the positions pos, or in
-// scheme order when pos is nil.
+// scheme's labels, to dst in form f: in the order of the positions pos,
+// or in scheme order when pos is nil. The lifespan is written once: a
+// value constant over exactly t.l — every key, and most values — is
+// rendered as tfunc.Func.AppendForm would, <lifespan,value>, with the
+// lifespan's bytes copied from the ls= field.
 func (t *Tuple) appendTo(dst []byte, pos []int, f value.Form) []byte {
-	dst = t.l.AppendTo(append(dst, "⟨ls="...))
+	dst = append(dst, "⟨ls="...)
+	lo := len(dst)
+	dst = t.l.AppendTo(dst)
+	hi := len(dst)
 	for i := range t.v {
 		if pos != nil {
 			i = pos[i]
 		}
-		dst = append(f.Escape(append(dst, ' '), t.s.Attrs[i].Name), '=')
-		dst = t.v[i].AppendForm(dst, f)
+		dst = append(dst, t.s.Label(i, f)...)
+		fn := t.v[i]
+		if !fn.IsConstant() || !fn.DomainEqual(t.l) {
+			dst = fn.AppendForm(dst, f)
+			continue
+		}
+		v, _ := fn.ConstantValue()
+		dst = append(append(dst, '<'), dst[lo:hi]...)
+		dst = append(v.AppendForm(append(dst, ','), f), '>')
 	}
 	return append(dst, "⟩"...)
 }

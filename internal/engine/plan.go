@@ -44,30 +44,32 @@ type node interface {
 }
 
 // batch is a node's complete result: a tuple slice on the node's
-// scheme, or — for a scan's O(1) pinned view and a naive operator's
-// output — an already-built relation.
+// scheme and, for a scan's O(1) pinned view and a naive operator's
+// output, the relation already built over it. ordered says ts is in
+// ascending key order: a scan's (its pinned version's key order, while
+// the view keeps insertion order for naive consumers), kept through
+// kernels that emit at most one tuple per input, with that input's
+// key (see bound).
 type batch struct {
-	ts  []*core.Tuple
-	rel *core.Relation
-}
-
-func (b batch) tuples() []*core.Tuple {
-	if b.rel != nil {
-		//lint:allow pindiscipline rel is a frozen pinned view or an operator's private output
-		return b.rel.Tuples()
-	}
-	return b.ts
+	ts      []*core.Tuple
+	rel     *core.Relation
+	ordered bool
 }
 
 // relation is the engine's one materialization sink: the plan root,
 // naive operators' inputs and lifespan sub-plans turn a node's batch,
-// on its scheme s, into a relation here, in one pass that sorts by key
-// and allocates nothing per tuple (core.NewRelationFromTuples). Kernels
-// keep each input tuple's unique constant key (joins concatenate two),
-// so the construction cannot hit a duplicate; it still verifies.
+// on its scheme s, into a relation here. A key-ordered batch is
+// adopted as it is (core.NewRelationKeyOrdered); any other is sorted by
+// key in one pass that allocates nothing per tuple
+// (core.NewRelationFromTuples). Kernels keep each input tuple's unique
+// constant key (joins concatenate two), so the construction cannot hit
+// a duplicate; the sort still verifies.
 func (b batch) relation(s *schema.Scheme) (*core.Relation, error) {
-	if b.rel != nil {
+	switch {
+	case b.rel != nil:
 		return b.rel, nil
+	case b.ordered:
+		return core.NewRelationKeyOrdered(s, b.ts), nil
 	}
 	return core.NewRelationFromTuples(s, b.ts)
 }
@@ -92,10 +94,15 @@ type tupleOp interface {
 // kernel, and whether the executor may split them. partition marks an
 // input that is a slice of a pinned base relation (a scan or an
 // index's candidates), the shapes worth splitting across workers.
+// ordered marks a key-ordered input under a kernel that emits at most
+// one tuple per input tuple, with that tuple's key — time-slice,
+// SELECT, key-keeping PROJECT and RENAME — so the output is key-ordered
+// too, partitioned or not.
 type bound struct {
 	in        []*core.Tuple
 	kernel    tupleKernel
 	partition bool
+	ordered   bool
 }
 
 // run executes n — the operator boundary every parent goes through.
@@ -110,14 +117,21 @@ func (s *Snapshot) run(n node) (batch, error) {
 	t0 := time.Now()
 	b, err := n.run(s)
 	st.wall = time.Since(t0)
-	st.rows = int64(len(b.tuples()))
+	st.rows = int64(len(b.ts))
 	return b, err
 }
 
 // tuplesFrom runs a child operator and returns its result tuples.
 func (s *Snapshot) tuplesFrom(child node) ([]*core.Tuple, error) {
 	b, err := s.run(child)
-	return b.tuples(), err
+	return b.ts, err
+}
+
+// inputFrom binds an order-keeping kernel k to child's result,
+// ordered when that result is.
+func (s *Snapshot) inputFrom(child node, k tupleKernel) (bound, error) {
+	b, err := s.run(child)
+	return bound{in: b.ts, kernel: k, ordered: b.ordered}, err
 }
 
 // apply is the executor's one loop: kernel k over in, appending to
@@ -155,7 +169,7 @@ func (s *Snapshot) runOp(op tupleOp) (batch, error) {
 	} else {
 		out, err = s.apply(b.kernel, b.in, make([]*core.Tuple, 0, len(b.in)))
 	}
-	return batch{ts: out}, err
+	return batch{ts: out, ordered: b.ordered}, err
 }
 
 // restrictKernel is TIME-SLICE's per-tuple step: t|L, dropped when
@@ -314,9 +328,12 @@ func (n *whenNode) describe(*Snapshot) string      { return "when (lifespan of s
 // scan
 
 // scanNode reads every tuple of a base relation — the plan leaf when
-// no index applies. Its batch is the pinned version as a frozen O(1)
-// view, so naive operators consuming it read the snapshot, not the
-// live relation. card is the cardinality the planner costed with.
+// no index applies. Its batch is the pinned version twice over: as a
+// frozen O(1) view, so naive operators consuming it read the snapshot,
+// not the live relation, and as the version's tuples in key order
+// (core.RelVersion.KeyOrdered, sorted once per version), so kernels
+// over it keep the order the result is rendered in. card is the
+// cardinality the planner costed with.
 type scanNode struct {
 	name string
 	rel  *core.Relation
@@ -330,7 +347,11 @@ func (n *scanNode) run(s *Snapshot) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	return batch{rel: v.View()}, nil
+	ts, err := v.KeyOrdered()
+	if err != nil {
+		return batch{}, err
+	}
+	return batch{ts: ts, rel: v.View(), ordered: true}, nil
 }
 func (n *scanNode) estimate() cost {
 	r := float64(n.card)
@@ -423,9 +444,9 @@ func (n *timeSliceNode) bind(s *Snapshot) (bound, error) {
 	if err != nil {
 		return bound{}, err
 	}
-	in, err := s.tuplesFrom(n.child)
-	_, overScan := n.child.(*scanNode)
-	return bound{in: in, kernel: restrictKernel(L), partition: overScan}, err
+	b, err := s.inputFrom(n.child, restrictKernel(L))
+	_, b.partition = n.child.(*scanNode)
+	return b, err
 }
 func (n *timeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *timeSliceNode) estimate() cost                 { return perTuple(n.child) }
@@ -457,9 +478,9 @@ func (n *filterNode) bind(s *Snapshot) (bound, error) {
 	if err != nil {
 		return bound{}, err
 	}
-	in, err := s.tuplesFrom(n.child)
-	_, overScan := n.child.(*scanNode)
-	return bound{in: in, kernel: filterKernel(bindCond(n.cond, s.params, n.child.scheme()), n.when, n.forAll, L), partition: overScan}, err
+	b, err := s.inputFrom(n.child, filterKernel(bindCond(n.cond, s.params, n.child.scheme()), n.when, n.forAll, L))
+	_, b.partition = n.child.(*scanNode)
+	return b, err
 }
 func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *filterNode) estimate() cost {
@@ -587,14 +608,13 @@ type projectNode struct {
 func (n *projectNode) scheme() *schema.Scheme { return n.rs }
 func (n *projectNode) children() []node       { return []node{n.child} }
 func (n *projectNode) bind(s *Snapshot) (bound, error) {
-	in, err := s.tuplesFrom(n.child)
-	return bound{in: in, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+	return s.inputFrom(n.child, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
 		nt, err := core.ProjectTuple(n.rs, t, n.pos)
 		if err != nil {
 			return out, err
 		}
 		return append(out, nt), nil
-	}}, err
+	})
 }
 func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *projectNode) estimate() cost                 { return perTuple(n.child) }
@@ -616,10 +636,9 @@ type renameNode struct {
 func (n *renameNode) scheme() *schema.Scheme { return n.rs }
 func (n *renameNode) children() []node       { return []node{n.child} }
 func (n *renameNode) bind(s *Snapshot) (bound, error) {
-	in, err := s.tuplesFrom(n.child)
-	return bound{in: in, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+	return s.inputFrom(n.child, func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
 		return append(out, t.Renamed(n.rs)), nil
-	}}, err
+	})
 }
 func (n *renameNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *renameNode) estimate() cost                 { return perTuple(n.child) }
@@ -755,7 +774,11 @@ func (n *opNode) run(s *Snapshot) (batch, error) {
 		return batch{}, err
 	}
 	r, err := n.apply(rels)
-	return batch{rel: r}, err
+	if err != nil {
+		return batch{}, err
+	}
+	//lint:allow pindiscipline r is the operator's private output
+	return batch{ts: r.Tuples(), rel: r}, nil
 }
 func (n *opNode) estimate() cost            { return n.est }
 func (n *opNode) describe(*Snapshot) string { return n.label + " (naive)" }

@@ -45,6 +45,10 @@ type Scheme struct {
 	// keyPos holds the positions in Attrs of the names in Key, in Key
 	// order, resolved once by New.
 	keyPos []int
+	// labels holds each attribute's rendered " NAME=" label, escaped
+	// for a tuple line: the Text form of attribute i at i, its Wire
+	// form at len(Attrs)+i. New builds them, as schemes are immutable.
+	labels []string
 }
 
 // New validates and returns a scheme. It enforces the paper's structural
@@ -89,7 +93,7 @@ func New(name string, key []string, attrs ...Attribute) (*Scheme, error) {
 			return nil, fmt.Errorf("schema: scheme %s: key attribute %s not in scheme", name, k)
 		}
 	}
-	s := &Scheme{Name: name, Attrs: attrs, Key: append([]string(nil), key...), keyPos: make([]int, len(key))}
+	s := &Scheme{Name: name, Attrs: attrs, Key: append([]string(nil), key...), keyPos: make([]int, len(key)), labels: labels(attrs)}
 	ls := s.Lifespan()
 	for i, k := range key {
 		s.keyPos[i] = s.Index(k)
@@ -99,6 +103,39 @@ func New(name string, key []string, attrs ...Attribute) (*Scheme, error) {
 		}
 	}
 	return s, nil
+}
+
+// labels builds a scheme's attribute labels (Scheme.Label) over one
+// string: the Text labels of every attribute, then the Wire labels.
+func labels(attrs []Attribute) []string {
+	size := 0
+	for _, a := range attrs {
+		size += len(a.Name) + 2
+	}
+	ends := make([]int, 0, 2*len(attrs))
+	b := make([]byte, 0, 2*size)
+	for _, f := range []value.Form{value.Text, value.Wire} {
+		for _, a := range attrs {
+			b = append(f.Escape(append(b, ' '), a.Name), '=')
+			ends = append(ends, len(b))
+		}
+	}
+	all := string(b)
+	out := make([]string, len(ends))
+	start := 0
+	for k, end := range ends {
+		out[k], start = all[start:end], end
+	}
+	return out
+}
+
+// Label returns attribute i's label in a rendered tuple, " NAME=",
+// with the name written through f.Escape.
+func (s *Scheme) Label(i int, f value.Form) string {
+	if f == value.Wire {
+		i += len(s.Attrs)
+	}
+	return s.labels[i]
 }
 
 // MustNew is New that panics on error; for tests and examples.

@@ -344,3 +344,38 @@ func TestString(t *testing.T) {
 		}
 	}
 }
+
+// TestLabels: each attribute's label is " NAME=" with the name written
+// through the form's Escape, for names that need no escaping and for
+// names with quotes, backslashes, control bytes and U+2028; Rename
+// builds the renamed scheme's own labels.
+func TestLabels(t *testing.T) {
+	all := ls("{[0,9]}")
+	for _, names := range [][]string{
+		{"NAME", "SAL", "DEPT"},
+		{"K", `Q"T`, `B\S`, "N\nL", "U\u2028V", "é"},
+	} {
+		attrs := make([]Attribute, len(names))
+		for i, n := range names {
+			attrs[i] = Attribute{Name: n, Domain: value.Strings, Lifespan: all}
+		}
+		s, err := New("S", names[:1], attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Rename("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range []*Scheme{s, r} {
+			for i, a := range sc.Attrs {
+				for _, f := range []value.Form{value.Text, value.Wire} {
+					want := string(f.Escape([]byte(" "), a.Name)) + "="
+					if got := sc.Label(i, f); got != want {
+						t.Errorf("%s: Label(%d, %d) = %q, want %q", sc.Name, i, f, got, want)
+					}
+				}
+			}
+		}
+	}
+}

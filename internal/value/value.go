@@ -198,7 +198,7 @@ func (v Value) AppendTo(dst []byte) []byte { return v.AppendForm(dst, Text) }
 func (v Value) AppendForm(dst []byte, f Form) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(dst, v.n, 10)
+		return chronon.AppendInt(dst, v.n)
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 	case KindString:
