@@ -128,10 +128,12 @@ func (v RelVersion) Cardinality() int { return len(v.tuples) }
 // Lookup resolves a key (one value per key attribute in scheme order,
 // canonical rendering) within the pinned version.
 func (v RelVersion) Lookup(keyVals ...string) (*Tuple, bool) {
-	return v.lookupKS(value.EncodeKey(keyVals))
+	return v.LookupKey(value.EncodeKey(keyVals))
 }
 
-func (v RelVersion) lookupKS(ks value.Key) (*Tuple, bool) {
+// LookupKey resolves an encoded key (value.EncodeKey or value.KeyOf of
+// the key values) within the pinned version.
+func (v RelVersion) LookupKey(ks value.Key) (*Tuple, bool) {
 	i, ok := v.rel.keyPos(ks)
 	if !ok || i >= len(v.tuples) {
 		return nil, false
@@ -145,7 +147,7 @@ func (v RelVersion) lookupKS(ks value.Key) (*Tuple, bool) {
 // did not exist at the pin. Index probes against live structures use
 // it to restrict their candidates to the pinned state.
 func (v RelVersion) Resolve(t *Tuple) (*Tuple, bool) {
-	return v.lookupKS(t.key(v.rel.scheme))
+	return v.LookupKey(t.key(v.rel.scheme))
 }
 
 // View wraps the pinned version as a read-only Relation, so the naive

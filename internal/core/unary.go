@@ -209,9 +209,17 @@ func (p Predicate) holdsAt(t *Tuple, s chronon.Time) (bool, error) {
 // cover scope, the answer is scope itself.
 func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
 	f, g := p.operands(t)
-	f = f.Restrict(scope)
+	// A value's domain lies within t.l, so when scope covers t.l (SELECT
+	// without DURING) restricting to it could only return the operand.
+	cut := !t.l.SubsetOf(scope)
+	if cut {
+		f = f.Restrict(scope)
+	}
 	if p.OtherAttr != "" {
-		return thetaTimes(f, g.Restrict(scope), p.Theta)
+		if cut {
+			g = g.Restrict(scope)
+		}
+		return thetaTimes(f, g, p.Theta)
 	}
 	// Constant RHS: each step satisfies or fails as a whole. Nothing is
 	// built while every step so far satisfies.

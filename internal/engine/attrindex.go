@@ -230,7 +230,7 @@ func (p *eqProbe) candidates(vals ...value.Value) []*core.Tuple {
 	var out []*core.Tuple
 	if p.ix == nil {
 		for _, val := range vals {
-			if t, ok := p.v.Lookup(val.String()); ok {
+			if t, ok := p.v.LookupKey(value.KeyOf(val)); ok {
 				out = append(out, t)
 			}
 		}

@@ -9,8 +9,10 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/storage"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -51,5 +53,28 @@ func TestJoinAllocsPerPair(t *testing.T) {
 	t.Logf("%d pairs, %.0f allocations per query, %.2f per pair", pairs, allocs, per)
 	if per > maxPerPair {
 		t.Errorf("%.2f allocations per joined pair, want at most %d", per, maxPerPair)
+	}
+}
+
+// TestKeyProbeAllocs: a probe of a single-attribute key builds the key
+// once, with value.KeyOf from a stack buffer, and looks it up as a
+// value.Key: two allocations fewer than looking up the value's
+// rendering, which costs the rendering and EncodeKey's buffer and
+// string. The whole probe is that key and the candidate slice.
+func TestKeyProbeAllocs(t *testing.T) {
+	emp, _ := workload.Demo().Get("EMP")
+	_, vers := core.Pin(emp)
+	v, name := vers[0], value.String_("John")
+	p := newEqProbe(v, "NAME")
+	if got := p.candidates(name); len(got) != 1 {
+		t.Fatalf("key probe for John: %d candidates, want 1", len(got))
+	}
+	byKey := testing.AllocsPerRun(100, func() { v.LookupKey(value.KeyOf(name)) })
+	byRendering := testing.AllocsPerRun(100, func() { v.Lookup(name.String()) })
+	if byKey != byRendering-2 {
+		t.Errorf("key lookup: %.0f allocations, rendering lookup %.0f; want 2 fewer", byKey, byRendering)
+	}
+	if probe := testing.AllocsPerRun(100, func() { p.candidates(name) }); probe > 2 {
+		t.Errorf("key probe: %.0f allocations, want at most 2 (the key and the candidate slice)", probe)
 	}
 }

@@ -345,3 +345,39 @@ func BenchmarkServeScanReply(b *testing.B) {
 		}
 	}
 }
+
+// TestServedLookupAllocs pins the allocations of one served point
+// lookup on a warm connection with the default 30s query deadline:
+// decoding its line, handling it, and appending its reply line. It read
+// 25 with encoding/json decoding the line, a context.WithTimeout per
+// query and the key probe rendering its value.
+func TestServedLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv := New(engine.OpenDB(workload.Demo()), Config{QueryDeadline: 30 * time.Second})
+	sess := srv.db.NewSession()
+	qc := newQueryCtx(srv.baseCtx)
+	defer qc.close()
+	line := []byte(`{"op":"query","q":"SELECT WHEN NAME = 'John' FROM EMP"}`)
+	var dec decoder
+	var buf []byte
+	n := testing.AllocsPerRun(100, func() {
+		var req request
+		if err := dec.decode(line, &req); err != nil {
+			t.Fatal(err)
+		}
+		resp := srv.handleIn(qc, sess, req)
+		if !resp.OK || resp.Rows != 1 {
+			t.Fatalf("lookup: %+v", resp)
+		}
+		var err error
+		if buf, err = appendResponse(buf[:0], resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 13 {
+		t.Errorf("served lookup: %.0f allocations, want at most 13", n)
+	}
+	t.Logf("served lookup: %.0f allocations", n)
+}

@@ -196,9 +196,15 @@ func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
 	sess := s.db.NewSession()
 	defer sess.Abort() // discard a stray staged group on disconnect
+	var qc *queryCtx   // nil: no query deadline, ops run under baseCtx
+	if s.cfg.QueryDeadline > 0 {
+		qc = newQueryCtx(s.baseCtx)
+		defer qc.close()
+	}
 	sc := bufio.NewScanner(c)
 	sc.Buffer(nil, maxRequestLine)
 	w := newReplyWriter()
+	var dec decoder
 	for !s.draining.Load() && sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -207,10 +213,10 @@ func (s *Server) serveConn(c net.Conn) {
 		mRequests.Inc()
 		var req request
 		var resp response
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp = errResponse(hrdmerr.New(hrdmerr.CodeBadRequest, "malformed request: %v", err))
+		if err := dec.decode(line, &req); err != nil {
+			resp = errResponse(err)
 		} else {
-			resp = s.handle(sess, req)
+			resp = s.handleIn(qc, sess, req)
 		}
 		if err := w.write(c, resp); err != nil {
 			return
@@ -233,10 +239,15 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// handle executes one request against the connection's session.
+// handle executes one request outside a connection, with no deadline.
+func (s *Server) handle(sess *engine.Session, req request) response {
+	return s.handleIn(nil, sess, req)
+}
+
+// handleIn executes one request against the connection's session.
 // Engine-bound ops (query, explain, commit) pass admission control
 // first: a free inflight slot or an immediate typed overloaded error.
-func (s *Server) handle(sess *engine.Session, req request) response {
+func (s *Server) handleIn(qc *queryCtx, sess *engine.Session, req request) response {
 	switch req.Op {
 	case "ping":
 		return response{OK: true, Result: "pong"}
@@ -261,15 +272,15 @@ func (s *Server) handle(sess *engine.Session, req request) response {
 		}
 		return response{OK: true, Metrics: json.RawMessage(b.String())}
 	case "query", "explain", "commit":
-		return s.handleEngine(sess, req)
+		return s.handleEngine(qc, sess, req)
 	default:
 		return errResponse(hrdmerr.New(hrdmerr.CodeBadRequest, "unknown op %q", req.Op))
 	}
 }
 
 // handleEngine runs the ops that do real engine work under the
-// inflight semaphore and the per-query deadline.
-func (s *Server) handleEngine(sess *engine.Session, req request) response {
+// inflight semaphore and, armed in qc, the query deadline.
+func (s *Server) handleEngine(qc *queryCtx, sess *engine.Session, req request) response {
 	select {
 	case s.inflight <- struct{}{}:
 		defer func() { <-s.inflight }()
@@ -279,10 +290,10 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 			"server at capacity (%d queries in flight)", s.cfg.MaxInflight))
 	}
 	ctx := s.baseCtx
-	if s.cfg.QueryDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryDeadline)
-		defer cancel()
+	if qc != nil {
+		qc.arm(s.cfg.QueryDeadline)
+		defer qc.disarm()
+		ctx = qc
 	}
 	if hold := s.testHold; hold != nil {
 		hold(ctx, req.Op)
@@ -322,6 +333,82 @@ func (s *Server) handleEngine(sess *engine.Session, req request) response {
 		return response{OK: true, Committed: n}
 	}
 }
+
+// queryCtx is one connection's query context, armed for each engine op
+// with no allocation. Its timer is reset only when not pending or due too
+// late. A firing expires only an op whose own deadline has passed and
+// re-arms otherwise, so a firing left over from one op never cancels the
+// next. An arm after an expiry is live again; a drain's cancel is final.
+type queryCtx struct {
+	context.Context             // the base, for Value
+	stopBase        func() bool // unregisters cancel from the base
+	mu              sync.Mutex
+	timer           *time.Timer
+	due, deadline   time.Time // zero: the timer is not pending; no op is armed
+	done            chan struct{}
+	err             error // nil, context.DeadlineExceeded or the base's error
+}
+
+func newQueryCtx(base context.Context) *queryCtx {
+	c := &queryCtx{Context: base, done: make(chan struct{})}
+	c.timer = time.AfterFunc(time.Hour, c.fire)
+	c.timer.Stop() // until the first arm
+	c.stopBase = context.AfterFunc(base, c.cancel)
+	return c
+}
+
+func (c *queryCtx) arm(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil && c.Context.Err() == nil { // expired, not drained
+		c.err, c.done = nil, make(chan struct{})
+	}
+	if c.deadline = time.Now().Add(d); c.due.IsZero() || c.deadline.Before(c.due) {
+		c.due = c.deadline
+		c.timer.Reset(d)
+	}
+}
+
+func (c *queryCtx) disarm() { c.mu.Lock(); c.deadline = time.Time{}; c.mu.Unlock() }
+
+func (c *queryCtx) fire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.due = time.Time{}
+	if left := time.Until(c.deadline); c.deadline.IsZero() || c.err != nil {
+		return
+	} else if left > 0 {
+		c.due = c.deadline
+		c.timer.Reset(left)
+		return
+	}
+	c.err = context.DeadlineExceeded
+	close(c.done)
+}
+
+func (c *queryCtx) cancel() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		close(c.done)
+	}
+	c.err = c.Context.Err()
+}
+
+// close releases the timer and the hook on the base.
+func (c *queryCtx) close() {
+	c.stopBase()
+	c.timer.Stop()
+}
+
+func (c *queryCtx) Deadline() (time.Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deadline, !c.deadline.IsZero()
+}
+
+func (c *queryCtx) Done() <-chan struct{} { c.mu.Lock(); defer c.mu.Unlock(); return c.done }
+func (c *queryCtx) Err() error            { c.mu.Lock(); defer c.mu.Unlock(); return c.err }
 
 // replyWriter writes one connection's reply lines from one buffer it
 // reuses across replies. appendResponse builds each line there, a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -248,6 +249,138 @@ func TestQueryDeadline(t *testing.T) {
 	}
 }
 
+// TestQueryDeadlineNextRequestLive: after a query expires with the
+// typed deadline error, the next query on the same connection runs
+// under a live context and succeeds.
+func TestQueryDeadlineNextRequestLive(t *testing.T) {
+	srv := startServer(t, Config{QueryDeadline: 20 * time.Millisecond})
+	var held atomic.Bool
+	srv.testHold = func(ctx context.Context, op string) {
+		if held.CompareAndSwap(false, true) {
+			<-ctx.Done()
+		}
+	}
+	tc := dialT(t, srv.Addr())
+	resp := tc.do(t, request{Op: "query", Q: `EMP`})
+	if resp.OK || resp.Error == nil || resp.Error.Code != int(hrdmerr.CodeDeadline) {
+		t.Fatalf("held query = %+v, want deadline (code %d)", resp, hrdmerr.CodeDeadline)
+	}
+	for i := 0; i < 3; i++ {
+		if resp := tc.do(t, request{Op: "query", Q: `SELECT WHEN NAME = 'John' FROM EMP`}); !resp.OK || resp.Rows != 1 {
+			t.Fatalf("query %d after the expiry = %+v", i, resp)
+		}
+	}
+}
+
+// TestQueryCtxDoneOnExpiry: an armed op's Done channel closes when its
+// deadline passes, and Err then reports the deadline, which the engine
+// turns into the typed deadline error. Pollers on other goroutines, as
+// parallel workers poll, see Err set only with Done closed.
+func TestQueryCtxDoneOnExpiry(t *testing.T) {
+	c := newQueryCtx(context.Background())
+	defer c.close()
+	c.arm(time.Millisecond)
+	var pollers sync.WaitGroup
+	for range 4 {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for c.Err() == nil {
+			}
+			select {
+			case <-c.Done():
+			default:
+				t.Error("Err set while Done is open")
+			}
+		}()
+	}
+	pollers.Wait()
+	select {
+	case <-c.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done still open 5s after a 1ms deadline")
+	}
+	if err := c.Err(); !errors.Is(err, context.DeadlineExceeded) || hrdmerr.CodeOf(hrdmerr.FromContext(err)) != hrdmerr.CodeDeadline {
+		t.Fatalf("Err() = %v, want context.DeadlineExceeded", err)
+	}
+	c.disarm()
+	c.arm(time.Hour)
+	if err := c.Err(); err != nil {
+		t.Fatalf("next op: Err() = %v, want a live context", err)
+	}
+	select {
+	case <-c.Done():
+		t.Fatal("next op: Done already closed")
+	default:
+	}
+}
+
+// TestQueryCtxLateFiring: a timer firing left over from an op that is
+// over — here a 1µs deadline disarmed at once, its firing also forced by
+// hand — does not cancel the next op, whose deadline is an hour away.
+func TestQueryCtxLateFiring(t *testing.T) {
+	c := newQueryCtx(context.Background())
+	defer c.close()
+	c.arm(time.Microsecond)
+	c.disarm()
+	c.arm(time.Hour)
+	c.fire()
+	time.Sleep(5 * time.Millisecond)
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err() = %v, want the hour-long op live", err)
+	}
+	select {
+	case <-c.Done():
+		t.Fatal("Done closed for the hour-long op")
+	default:
+	}
+}
+
+// TestQueryDeadlineDrainCanceled: with a query deadline set, a forced
+// drain still aborts the in-flight op with the typed canceled error.
+func TestQueryDeadlineDrainCanceled(t *testing.T) {
+	srv := startServer(t, Config{QueryDeadline: time.Hour, DrainTimeout: 50 * time.Millisecond})
+	entered := make(chan struct{}, 1)
+	codes := make(chan hrdmerr.Code, 1)
+	srv.testHold = func(ctx context.Context, op string) {
+		entered <- struct{}{}
+		<-ctx.Done()
+		codes <- hrdmerr.CodeOf(hrdmerr.FromContext(ctx.Err()))
+	}
+	tc := dialT(t, srv.Addr())
+	tc.send(t, request{Op: "query", Q: `EMP`})
+	<-entered
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if code := <-codes; code != hrdmerr.CodeCanceled {
+		t.Fatalf("drained op saw %s, want canceled", code)
+	}
+}
+
+// TestQueryCtxCloseReleases: closing a connection's context stops its
+// timer and removes its hook from the base context, so a later cancel
+// of the base reaches nothing.
+func TestQueryCtxCloseReleases(t *testing.T) {
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := newQueryCtx(base)
+	c.arm(time.Hour)
+	c.disarm()
+	c.close()
+	if c.timer.Stop() {
+		t.Error("timer still pending after close")
+	}
+	if c.stopBase() {
+		t.Error("hook on the base context still registered after close")
+	}
+	cancel()
+	time.Sleep(5 * time.Millisecond)
+	if err := c.Err(); err != nil {
+		t.Errorf("Err() = %v after the base was canceled; want the closed context untouched", err)
+	}
+}
+
 // TestGracefulDrain: Shutdown lets an in-flight query finish and its
 // client read the response, wakes idle connections, and stops
 // accepting — all within the grace.
@@ -444,14 +577,15 @@ func commitID(sess *engine.Session, id int, rels ...string) error {
 // cross-relation write groups through the session API. The writer
 // starts once every client is connected and probing, and the clients
 // keep probing until it has finished, so the two overlap on any core
-// count. No client may ever see a group half-applied. Run under -race
-// in CI.
+// count. No client may ever see a group half-applied. Each connection's
+// queries run under its query deadline, as a served query does by
+// default. Run under -race in CI.
 func TestConcurrentClientsConsistency(t *testing.T) {
 	const (
 		clients = 64
 		groups  = 600
 	)
-	db, srv := pairedStore(t, Config{MaxConns: clients + 8, MaxInflight: clients + 8})
+	db, srv := pairedStore(t, Config{MaxConns: clients + 8, MaxInflight: clients + 8, QueryDeadline: time.Minute})
 
 	var ready sync.WaitGroup // every client has completed its first probe
 	ready.Add(clients)

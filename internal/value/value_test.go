@@ -244,7 +244,8 @@ func TestCompareProperties(t *testing.T) {
 
 // TestAppendKeyPart checks that appending key values part by part, after
 // an unrelated prefix, yields exactly EncodeKey of their renderings, and
-// that KeyOf builds that same Key.
+// that KeyOf builds that same Key — for a single value of every kind
+// too, the form a single-attribute key probe looks up.
 func TestAppendKeyPart(t *testing.T) {
 	keys := [][]Value{
 		{String_("plain")},
@@ -252,6 +253,8 @@ func TestAppendKeyPart(t *testing.T) {
 		{String_(`a\`), String_(`|b|c`)},
 		{Int(10), String_(`x\|y`), TimeVal(chronon.Max)},
 		{String_(""), String_("|")},
+		{Int(-42)}, {Float(2.5)}, {Float(-1e300)}, {Bool(true)}, {Bool(false)}, {TimeVal(7)},
+		{String_(`say "hi" | \ \" \|`)}, {String_("ünï\x00\n")},
 	}
 	for _, vals := range keys {
 		parts := make([]string, len(vals))
