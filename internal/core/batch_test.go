@@ -199,17 +199,15 @@ func TestPinnedVersionAndView(t *testing.T) {
 		t.Fatalf("pinned tuple reflects post-pin merge: lifespan %s", got)
 	}
 
-	// Resolve maps live successors back to pinned forms.
+	// InKeyOrder maps live positions back to pinned forms: a (position
+	// 0, merged since the pin) to its pinned tuple, c (position 2, born
+	// after it) to nothing; repeats answer once.
 	liveA, _ := r.Lookup(`"a"`)
 	if !liveA.Lifespan().Equal(ls("{[0,9],[20,29]}")) {
 		t.Fatalf("live merge missing: %s", liveA.Lifespan())
 	}
-	if pt, ok := v.Resolve(liveA); !ok || pt != a {
-		t.Fatal("Resolve must map the merged live tuple to its pinned form")
-	}
-	liveC, _ := r.Lookup(`"c"`)
-	if _, ok := v.Resolve(liveC); ok {
-		t.Fatal("Resolve must drop post-pin tuples")
+	if got, err := v.InKeyOrder([]int32{2, 0, 0}); err != nil || len(got) != 1 || got[0] != a {
+		t.Fatalf("InKeyOrder(2, 0, 0) = %v, %v; want the pinned a alone", got, err)
 	}
 
 	// Views are O(1) read-only relations over the pinned state.

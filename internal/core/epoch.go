@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,10 +117,40 @@ func (v RelVersion) Version() uint64 { return v.version }
 // KeyOrdered returns the pinned tuples in ascending key order — the
 // order every rendering prints — built on first use for each version
 // and cached on the relation, so scans of an unchanged relation sort
-// once. Tuples, Lookup and Resolve keep insertion order and positions;
+// once. Tuples and Lookup keep insertion order and positions;
 // callers must not mutate the slice.
 func (v RelVersion) KeyOrdered() ([]*Tuple, error) {
-	return v.rel.keyOrdered(v.version, v.tuples)
+	ko, err := v.rel.keyOrdered(v.version, v.tuples)
+	if err != nil {
+		return nil, err
+	}
+	return ko.ts, nil
+}
+
+// InKeyOrder returns the pinned tuples at positions pos, in ascending
+// key order and each once. pos may name positions of the live relation
+// past the pin, which are dropped: positions never move, so one inside
+// the pinned prefix is the pinned tuple there. The order is one integer
+// sort of the positions' key ranks, cached with the version's key order
+// (KeyOrdered). pos is overwritten.
+func (v RelVersion) InKeyOrder(pos []int32) ([]*Tuple, error) {
+	ko, err := v.rel.keyOrdered(v.version, v.tuples)
+	if err != nil {
+		return nil, err
+	}
+	rs := pos[:0]
+	for _, p := range pos {
+		if int(p) < len(v.tuples) {
+			rs = append(rs, ko.rank[p])
+		}
+	}
+	slices.Sort(rs)
+	rs = slices.Compact(rs)
+	out := make([]*Tuple, len(rs))
+	for i, r := range rs {
+		out[i] = ko.ts[r]
+	}
+	return out, nil
 }
 
 // Cardinality returns the number of tuples in the pinned version.
@@ -139,15 +170,6 @@ func (v RelVersion) LookupKey(ks value.Key) (*Tuple, bool) {
 		return nil, false
 	}
 	return v.tuples[i], true
-}
-
-// Resolve maps a tuple of the live relation (possibly newer than the
-// pin: inserted later, or the merged successor of a pinned tuple) to
-// its counterpart in this version. ok=false means the tuple's object
-// did not exist at the pin. Index probes against live structures use
-// it to restrict their candidates to the pinned state.
-func (v RelVersion) Resolve(t *Tuple) (*Tuple, bool) {
-	return v.LookupKey(t.key(v.rel.scheme))
 }
 
 // View wraps the pinned version as a read-only Relation, so the naive

@@ -509,12 +509,16 @@ func (r *Relation) keyPos(ks value.Key) (int, bool) {
 }
 
 // Lifespan computes LS(r) = t1.l ∪ t2.l ∪ ... ∪ tn.l, "the lifespan of
-// relation r" (Section 3). WHEN is defined directly from this. Every
-// tuple's intervals are gathered once and canonicalized once, rather
-// than folded through n pairwise unions that each re-sort the whole
-// accumulator.
-func (r *Relation) Lifespan() lifespan.Lifespan {
-	ts := r.Tuples()
+// relation r" (Section 3); see LifespanOf. WHEN is defined directly
+// from this.
+func (r *Relation) Lifespan() lifespan.Lifespan { return LifespanOf(r.Tuples()) }
+
+// LifespanOf is the union of the lifespans of ts. Every tuple's
+// intervals are gathered once and canonicalized once, rather than
+// folded through n pairwise unions that each re-sort the whole
+// accumulator; no relation, key or order is needed, so an executor can
+// take the WHEN of a result batch directly.
+func LifespanOf(ts []*Tuple) lifespan.Lifespan {
 	n := 0
 	for _, t := range ts {
 		n += t.l.NumIntervals()
@@ -570,10 +574,9 @@ func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
 	if r.origin != nil {
 		// Frozen views are immutable; a duplicate key (never admitted)
 		// falls through to the sort below.
-		var err error
-		ts, err = r.origin.keyOrdered(r.version, r.tuples)
-		if sorted = err == nil; !sorted {
-			ts = r.tuples
+		ts = r.tuples
+		if ko, err := r.origin.keyOrdered(r.version, r.tuples); err == nil {
+			ts, sorted = ko.ts, true
 		}
 	} else {
 		// A snapshot like Tuples(), read with the order it describes.
@@ -599,41 +602,46 @@ func (r *Relation) AppendForm(dst []byte, f value.Form) []byte {
 }
 
 // keyOrder is a relation's tuples at one version in ascending key
-// order, tagged with the version and length it describes.
+// order, tagged with the version and length it describes. rank is the
+// inverse: rank[pos] is the key-order index of the tuple at position
+// pos, so positions an index probe finds sort into key order as plain
+// integers (RelVersion.InKeyOrder).
 type keyOrder struct {
 	version uint64
 	n       int
 	ts      []*Tuple
+	rank    []int32
 }
 
 // mKeyOrderBuilds counts the key orders keyOrdered builds: one per
 // relation version read in key order.
 var mKeyOrderBuilds = obs.Default.Counter("core.keyorder.builds")
 
-// keyOrdered returns ts, r's tuples at version ver, in ascending key
-// order: from the cache when it was built for (ver, len(ts)), else
-// sorted once and cached. Builders racing on one version each sort and
-// store an equal slice; an older version never replaces a newer one.
-// A duplicate key, which the relation's inserts refuse, is reported as
+// keyOrdered returns the key order of ts, r's tuples at version ver:
+// from the cache when it was built for (ver, len(ts)), else sorted
+// once and cached. Builders racing on one version each sort and store
+// an equal order; an older version never replaces a newer one. A
+// duplicate key, which the relation's inserts refuse, is reported as
 // an error.
-func (r *Relation) keyOrdered(ver uint64, ts []*Tuple) ([]*Tuple, error) {
+func (r *Relation) keyOrdered(ver uint64, ts []*Tuple) (*keyOrder, error) {
 	old := r.keyOrder.Load()
 	if old != nil && old.version == ver && old.n == len(ts) {
-		return old.ts, nil
+		return old, nil
 	}
 	order, dup := sortByKey(r.scheme, ts)
 	if dup >= 0 {
 		return nil, fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ts[dup].key(r.scheme))
 	}
-	sorted := make([]*Tuple, len(order))
+	ko := &keyOrder{version: ver, n: len(ts), ts: make([]*Tuple, len(order)), rank: make([]int32, len(order))}
 	for i, p := range order {
-		sorted[i] = ts[p]
+		ko.ts[i] = ts[p]
+		ko.rank[p] = int32(i)
 	}
 	mKeyOrderBuilds.Inc()
 	if old == nil || old.version <= ver {
-		r.keyOrder.CompareAndSwap(old, &keyOrder{version: ver, n: len(ts), ts: sorted})
+		r.keyOrder.CompareAndSwap(old, ko)
 	}
-	return sorted, nil
+	return ko, nil
 }
 
 // sortByKey returns the positions of ts in ascending key order and the

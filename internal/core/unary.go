@@ -206,20 +206,24 @@ func (p Predicate) holdsAt(t *Tuple, s chronon.Time) (bool, error) {
 // for t, stepping through the representation-level pieces rather than
 // individual chronons. The steps are sorted, so the satisfying ones
 // build the lifespan directly; when every step satisfies and the steps
-// cover scope, the answer is scope itself.
+// cover scope, the answer is scope itself. An empty scope reads no
+// step.
 func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
+	if scope.IsEmpty() {
+		return lifespan.Empty(), nil
+	}
 	f, g := p.operands(t)
 	// A value's domain lies within t.l, so when scope covers t.l (SELECT
 	// without DURING) restricting to it could only return the operand.
 	cut := !t.l.SubsetOf(scope)
-	if cut {
-		f = f.Restrict(scope)
-	}
 	if p.OtherAttr != "" {
 		if cut {
-			g = g.Restrict(scope)
+			f, g = f.Restrict(scope), g.Restrict(scope)
 		}
 		return thetaTimes(f, g, p.Theta)
+	}
+	if cut {
+		return p.whenClipped(f, scope)
 	}
 	// Constant RHS: each step satisfies or fails as a whole. Nothing is
 	// built while every step so far satisfies.
@@ -252,6 +256,34 @@ func (p Predicate) when(t *Tuple, scope lifespan.Lifespan) (lifespan.Lifespan, e
 		return scope, nil
 	}
 	return f.Domain(), nil
+}
+
+// whenClipped is when for a constant RHS over a scope that cuts f's
+// domain: f's steps clipped to scope in one merge walk, each step that
+// meets scope tested once, with no restricted copy of f built.
+func (p Predicate) whenClipped(f tfunc.Func, scope lifespan.Lifespan) (lifespan.Lifespan, error) {
+	b := lifespan.NewBuilder(f.NumSteps())
+	k, n := 0, scope.NumIntervals()
+	for i := range f.NumSteps() {
+		iv, v := f.StepAt(i)
+		for k < n && scope.IntervalAt(k).Hi < iv.Lo {
+			k++
+		}
+		if k == n {
+			break
+		}
+		if scope.IntervalAt(k).Lo > iv.Hi {
+			continue
+		}
+		ok, err := p.Theta.Apply(v, p.Const)
+		if err != nil {
+			return lifespan.Empty(), err
+		}
+		for j := k; ok && j < n && scope.IntervalAt(j).Lo <= iv.Hi; j++ {
+			b.Add(iv.Intersect(scope.IntervalAt(j)))
+		}
+	}
+	return b.Lifespan(), nil
 }
 
 // SelectIf implements σ-IF(A θ a, Q, L)(r) (Section 4.3):

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -14,12 +13,13 @@ import (
 // this unusually effective: key attributes are constant-valued functions
 // by definition (the paper's CD domains), and in practice many non-key
 // attributes are constant per tuple too (a stock's ticker, a student's
-// major before any change). The index buckets the tuples whose value for
-// the attribute is a constant function, keyed by the value's canonical
-// string — the same rendering core.Relation.byKey uses — and keeps the
-// tuples whose value varies over time in an overflow list that every
-// probe must also consider. Tuples for which the attribute is nowhere
-// defined can never satisfy an equality, so they are excluded entirely.
+// major before any change). The index buckets the positions of the
+// tuples whose value for the attribute is a constant function, keyed by
+// the value's canonical string — the same rendering core.Relation.byKey
+// uses — and keeps the positions of the tuples whose value varies over
+// time in an overflow list that every probe must also consider. Tuples
+// for which the attribute is nowhere defined can never satisfy an
+// equality, so they are excluded entirely.
 //
 // The index is incrementally maintainable: Add absorbs a single-tuple
 // insert and Replace a merge, so the relation's index set keeps it
@@ -31,8 +31,8 @@ type AttrIndex struct {
 	pos  int // attr's position in the relation's scheme
 
 	mu      sync.RWMutex
-	byVal   map[string][]*core.Tuple
-	varying []*core.Tuple
+	byVal   map[string][]int32
+	varying []int32
 	absent  int
 	total   int
 }
@@ -41,39 +41,40 @@ type AttrIndex struct {
 // tuples of a relation on s.
 func newAttrIndexFrom(s *schema.Scheme, ts []*core.Tuple, attr string) *AttrIndex {
 	idxMetrics.attrBuilds.Inc()
-	ix := &AttrIndex{attr: attr, pos: s.Index(attr), byVal: make(map[string][]*core.Tuple)}
-	for _, t := range ts {
-		ix.addLocked(t)
+	ix := &AttrIndex{attr: attr, pos: s.Index(attr), byVal: make(map[string][]int32)}
+	for i, t := range ts {
+		ix.addLocked(t, int32(i))
 	}
 	return ix
 }
 
-// Add absorbs a single inserted tuple.
-func (ix *AttrIndex) Add(t *core.Tuple) {
+// Add absorbs a single tuple inserted at position pos.
+func (ix *AttrIndex) Add(t *core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.addLocked(t)
+	ix.addLocked(t, int32(pos))
 }
 
-// AddBatch absorbs a bulk insert under one lock acquisition — the
-// coalesced form of Add a relation's ChangeBatch notification feeds.
-func (ix *AttrIndex) AddBatch(ts []*core.Tuple) {
+// AddBatch absorbs a bulk insert starting at position pos under one
+// lock acquisition — the coalesced form of Add a relation's ChangeBatch
+// notification feeds.
+func (ix *AttrIndex) AddBatch(ts []*core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, t := range ts {
-		ix.addLocked(t)
+	for i, t := range ts {
+		ix.addLocked(t, int32(pos+i))
 	}
 }
 
-// Replace absorbs a merge: the relation replaced old with new in place.
-func (ix *AttrIndex) Replace(old, new *core.Tuple) {
+// Replace absorbs a merge: the relation replaced old with new at pos.
+func (ix *AttrIndex) Replace(old, new *core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(old)
-	ix.addLocked(new)
+	ix.removeLocked(old, int32(pos))
+	ix.addLocked(new, int32(pos))
 }
 
-func (ix *AttrIndex) addLocked(t *core.Tuple) {
+func (ix *AttrIndex) addLocked(t *core.Tuple, pos int32) {
 	ix.total++
 	f := t.ValueAt(ix.pos)
 	switch {
@@ -84,13 +85,13 @@ func (ix *AttrIndex) addLocked(t *core.Tuple) {
 		k := v.String()
 		// Appending never disturbs a handed-out snapshot: holders read
 		// only their own length.
-		ix.byVal[k] = append(ix.byVal[k], t)
+		ix.byVal[k] = append(ix.byVal[k], pos)
 	default:
-		ix.varying = append(ix.varying, t)
+		ix.varying = append(ix.varying, pos)
 	}
 }
 
-func (ix *AttrIndex) removeLocked(t *core.Tuple) {
+func (ix *AttrIndex) removeLocked(t *core.Tuple, pos int32) {
 	ix.total--
 	f := t.ValueAt(ix.pos)
 	switch {
@@ -99,42 +100,42 @@ func (ix *AttrIndex) removeLocked(t *core.Tuple) {
 	case f.IsConstant():
 		v, _ := f.ConstantValue()
 		k := v.String()
-		if nb := dropTuple(ix.byVal[k], t); len(nb) == 0 {
+		if nb := dropPos(ix.byVal[k], pos); len(nb) == 0 {
 			delete(ix.byVal, k)
 		} else {
 			ix.byVal[k] = nb
 		}
 	default:
-		ix.varying = dropTuple(ix.varying, t)
+		ix.varying = dropPos(ix.varying, pos)
 	}
 }
 
-// dropTuple returns s without t, copying first so outstanding snapshots
-// of s are unaffected. Order is preserved.
-func dropTuple(s []*core.Tuple, t *core.Tuple) []*core.Tuple {
-	out := make([]*core.Tuple, 0, len(s))
+// dropPos returns s without pos, copying first so outstanding
+// snapshots of s are unaffected. Order is preserved.
+func dropPos(s []int32, pos int32) []int32 {
+	out := make([]int32, 0, len(s))
 	for _, x := range s {
-		if x != t {
+		if x != pos {
 			out = append(out, x)
 		}
 	}
 	return out
 }
 
-// Probe returns the tuples whose attribute is constant and equal to v.
-// Callers must also consider Varying(): a time-varying value can equal v
-// over part of its domain without appearing in any bucket. The returned
-// slice is a stable snapshot.
-func (ix *AttrIndex) Probe(v value.Value) []*core.Tuple {
+// Probe returns the positions of the tuples whose attribute is constant
+// and equal to v. Callers must also consider Varying(): a time-varying
+// value can equal v over part of its domain without appearing in any
+// bucket. The returned slice is a stable snapshot.
+func (ix *AttrIndex) Probe(v value.Value) []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.byVal[v.String()]
 }
 
-// Varying returns the overflow list of tuples whose attribute value
-// changes over time. Every equality probe unions these in. The returned
-// slice is a stable snapshot.
-func (ix *AttrIndex) Varying() []*core.Tuple {
+// Varying returns the overflow list of the positions of tuples whose
+// attribute value changes over time. Every equality probe unions these
+// in. The returned slice is a stable snapshot.
+func (ix *AttrIndex) Varying() []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.varying
@@ -181,26 +182,19 @@ func (ix *AttrIndex) String() string {
 // maintains is the index and the pinned version bounds the lookup.
 // Otherwise the probe reads the relation's live hash index — fetched
 // here, per execution, because the index set replaces the object on
-// resync — and maps what it finds back to the pin: newer
-// tuples drop out, merged successors become their pinned forms. The
-// live index holds a superset of the pinned matches (value images only
-// grow under merges) and the caller's full predicate runs on every
-// candidate, so the mapping is exact, never lossy. An eqProbe is safe
-// for concurrent use by partition workers.
+// resync — and maps the positions it finds to the pin
+// (core.RelVersion.InKeyOrder): positions past the pin drop out, and
+// one inside it is the pinned tuple there, since appends and merges
+// never move a tuple. The live index holds a superset of the pinned
+// matches (value images only grow under merges, so a pinned constant
+// stays in its bucket or moves to the overflow) and the caller's full
+// predicate runs on every candidate, so the mapping is exact, never
+// lossy. An eqProbe is safe for concurrent use by partition workers.
 type eqProbe struct {
 	v    core.RelVersion
 	attr string
 	ix   *AttrIndex // nil: key probe
-	// varying memoizes the pinned form of ix's varying overflow by the
-	// live slice's identity: Varying() hands out stable snapshots
-	// (appends extend behind them, removals copy first), so the same
-	// (pointer, length) means the same contents, and a join pays
-	// O(varying) only when a merge actually lands mid-stream, not per
-	// streamed tuple. Racing workers at worst both compute it.
-	varying atomic.Pointer[pinnedVarying]
 }
-
-type pinnedVarying struct{ live, pinned []*core.Tuple }
 
 func newEqProbe(v core.RelVersion, attr string) *eqProbe {
 	p := &eqProbe{v: v, attr: attr}
@@ -219,63 +213,26 @@ func (p *eqProbe) String() string {
 }
 
 // candidates returns the pinned tuples whose attribute could equal one
-// of vals (distinct values): their constant buckets first, then the
-// varying overflow. The order matters under a concurrent writer — a
-// merge that turns a pinned-constant tuple varying after its bucket was
-// read must still find it in the overflow read afterwards — and is why
-// the result is de-duplicated by pinned identity: the same pinned tuple
-// can surface through a bucket read before such a merge and the
-// overflow read after it.
-func (p *eqProbe) candidates(vals ...value.Value) []*core.Tuple {
-	var out []*core.Tuple
+// of vals (distinct values). A key probe answers at most one tuple per
+// value, in vals order; a hash probe answers in key order, each tuple
+// once — the same pinned tuple can surface through a bucket read
+// before a merge turns its value varying and the overflow read after
+// it. The buckets are read before the overflow for that reason: the
+// merge cannot hide the tuple from both. A key order that cannot be
+// built yields no candidates and the error.
+func (p *eqProbe) candidates(vals ...value.Value) ([]*core.Tuple, error) {
 	if p.ix == nil {
+		var out []*core.Tuple
 		for _, val := range vals {
 			if t, ok := p.v.LookupKey(value.KeyOf(val)); ok {
 				out = append(out, t)
 			}
 		}
-		return out
+		return out, nil
 	}
+	var pos []int32
 	for _, val := range vals {
-		out = append(out, p.ix.Probe(val)...)
+		pos = append(pos, p.ix.Probe(val)...)
 	}
-	nb := len(out)
-	live := p.ix.Varying()
-	out = append(out, live...)
-	if p.v.Rel().Version() == p.v.Version() {
-		// Nothing was published since the pin, so the index (at least as
-		// new as the pin, no newer than the relation) is the pinned state.
-		return out
-	}
-	out = resolve(p.v, out[:nb], out[:0])
-	if len(live) == 0 {
-		return out
-	}
-	m := p.varying.Load()
-	if m == nil || len(m.live) != len(live) || &m.live[0] != &live[0] {
-		m = &pinnedVarying{live: live, pinned: resolve(p.v, live, nil)}
-		p.varying.Store(m)
-	}
-	seen := make(map[*core.Tuple]bool, len(out)+len(m.pinned))
-	for _, t := range out {
-		seen[t] = true
-	}
-	for _, t := range m.pinned {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// resolve appends to out the pinned counterparts of the live tuples in
-// cand, dropping those whose object did not exist at the pin.
-func resolve(v core.RelVersion, cand, out []*core.Tuple) []*core.Tuple {
-	for _, t := range cand {
-		if pt, ok := v.Resolve(t); ok {
-			out = append(out, pt)
-		}
-	}
-	return out
+	return p.v.InKeyOrder(append(pos, p.ix.Varying()...))
 }

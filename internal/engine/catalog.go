@@ -12,24 +12,27 @@ import (
 // server's `metrics` op can all show that single-tuple inserts are
 // absorbed incrementally instead of triggering full rebuilds.
 var idxMetrics = struct {
-	intervalBuilds *obs.Counter // full interval-index (re)builds, incl. overlay compactions
+	intervalBuilds *obs.Counter // full lifespan-index (re)builds, incl. overlay compactions
+	rangeBuilds    *obs.Counter // full value-range-index (re)builds, incl. overlay compactions
 	attrBuilds     *obs.Counter // full attribute-index (re)builds
 	incremental    *obs.Counter // single-tuple changes absorbed in place
 	resyncs        *obs.Counter // full catch-ups after a missed notification
 }{
 	intervalBuilds: obs.Default.Counter("engine.index.interval_builds"),
+	rangeBuilds:    obs.Default.Counter("engine.index.range_builds"),
 	attrBuilds:     obs.Default.Counter("engine.index.attr_builds"),
 	incremental:    obs.Default.Counter("engine.index.incremental"),
 	resyncs:        obs.Default.Counter("engine.index.resyncs"),
 }
 
-// RelIndexes is the index set of one relation: a lifespan interval index
-// plus per-attribute hash indexes, each built lazily on first demand,
-// and the statistics object derived from them. The set is the
-// relation's change observer, so single-tuple inserts and merges are
-// absorbed into the built indexes incrementally; a missed
-// notification (detected by a version gap) marks the set stale and the
-// next access rebuilds from a consistent snapshot.
+// RelIndexes is the index set of one relation: a lifespan interval
+// index, per-attribute hash indexes and per-attribute value-range
+// indexes, each built lazily on first demand, and the statistics object
+// derived from the lifespan index. The set is the relation's change
+// observer, so single-tuple inserts and merges are absorbed into the
+// built indexes incrementally; a missed notification (detected by a
+// version gap) marks the set stale and the next access rebuilds from a
+// consistent snapshot.
 type RelIndexes struct {
 	rel *core.Relation
 
@@ -38,7 +41,16 @@ type RelIndexes struct {
 	stale    bool   // a notification was missed; rebuild on next access
 	interval *IntervalIndex
 	attrs    map[string]*AttrIndex
+	ranges   map[string]*IntervalIndex
 	stats    *RelStats // cached statistics; nil = recompute on demand
+}
+
+// maintained is an index the set keeps current from change
+// notifications; every position is a tuple's slot in the relation.
+type maintained interface {
+	Add(t *core.Tuple, pos int)
+	AddBatch(ts []*core.Tuple, pos int)
+	Replace(old, new *core.Tuple, pos int)
 }
 
 // Indexes returns r's (possibly empty) index set. The set is r's
@@ -46,20 +58,38 @@ type RelIndexes struct {
 // long as r does, so a long-lived process that reloads stores keeps
 // index memory only for the live relations that have been queried.
 // Once installed it is found without a lock. The individual indexes
-// are built lazily by Interval and Attr and kept fresh incrementally
-// thereafter.
+// are built lazily by Interval, Attr and Range and kept fresh
+// incrementally thereafter.
 func Indexes(r *core.Relation) *RelIndexes {
 	return r.Observe(func(version uint64) core.Observer {
-		return &RelIndexes{rel: r, version: version, attrs: make(map[string]*AttrIndex)}
+		return &RelIndexes{rel: r, version: version, attrs: make(map[string]*AttrIndex), ranges: make(map[string]*IntervalIndex)}
 	}).(*RelIndexes)
 }
 
-// RelationChanged implements core.Observer: it absorbs one single-tuple
-// change into every already-built index. Notifications are delivered
-// outside the relation's lock and may therefore arrive out of order
-// under concurrent writers; the consecutive-version check detects a gap
-// and degrades to a full rebuild on next access instead of applying
-// changes twice or out of order.
+// builtLocked returns every index the set has built.
+func (x *RelIndexes) builtLocked() []maintained {
+	var out []maintained
+	if x.interval != nil {
+		out = append(out, x.interval)
+	}
+	for _, ix := range x.attrs {
+		out = append(out, ix)
+	}
+	for _, ix := range x.ranges {
+		out = append(out, ix)
+	}
+	return out
+}
+
+// RelationChanged implements core.Observer: it absorbs one change into
+// every already-built index. Notifications are delivered outside the
+// relation's lock and may therefore arrive out of order under
+// concurrent writers; the consecutive-version check detects a gap and
+// degrades to a full rebuild on next access instead of applying
+// changes twice or out of order. A batch absorbs as one coalesced
+// merge per index — one lock round and at most one overlay compaction
+// — and a write-group batch's replaced slots as in-place replacements
+// under the same version bump.
 func (x *RelIndexes) RelationChanged(r *core.Relation, c core.Change) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -72,41 +102,18 @@ func (x *RelIndexes) RelationChanged(r *core.Relation, c core.Change) {
 	}
 	x.version = c.Version
 	x.stats = nil
-	switch c.Kind {
-	case core.ChangeInsert:
-		if x.interval != nil {
-			x.interval.Add(c.New, c.Pos)
-		}
-		for _, ix := range x.attrs {
-			ix.Add(c.New)
-		}
-	case core.ChangeMerge:
-		if x.interval != nil {
-			x.interval.Replace(c.Old, c.New, c.Pos)
-		}
-		for _, ix := range x.attrs {
-			ix.Replace(c.Old, c.New)
-		}
-	case core.ChangeBatch:
-		// One coalesced merge per index for the whole batch — one lock
-		// round and at most one overlay compaction, instead of
-		// len(Batch) single-tuple overlays. A write-group batch may also
-		// carry replaced slots; they absorb as in-place replacements
-		// under the same version bump.
-		for _, m := range c.Merges {
-			if x.interval != nil {
-				x.interval.Replace(m.Old, m.New, m.Pos)
+	for _, ix := range x.builtLocked() {
+		switch c.Kind {
+		case core.ChangeInsert:
+			ix.Add(c.New, c.Pos)
+		case core.ChangeMerge:
+			ix.Replace(c.Old, c.New, c.Pos)
+		case core.ChangeBatch:
+			for _, m := range c.Merges {
+				ix.Replace(m.Old, m.New, m.Pos)
 			}
-			for _, ix := range x.attrs {
-				ix.Replace(m.Old, m.New)
-			}
-		}
-		if len(c.Batch) > 0 {
-			if x.interval != nil {
-				x.interval.AddBatch(c.Batch, c.Pos)
-			}
-			for _, ix := range x.attrs {
-				ix.AddBatch(c.Batch)
+			if len(c.Batch) > 0 {
+				ix.AddBatch(c.Batch, c.Pos)
 			}
 		}
 	}
@@ -121,13 +128,16 @@ func (x *RelIndexes) freshSnapshotLocked() []*core.Tuple {
 	//lint:allow pindiscipline index resync deliberately reads the live atomic (tuples, version) pair; probes are version-bounded later
 	ts, v := x.rel.SnapshotVersion()
 	if x.stale || v != x.version {
-		if x.interval != nil || len(x.attrs) > 0 {
+		if x.interval != nil || len(x.attrs) > 0 || len(x.ranges) > 0 {
 			idxMetrics.resyncs.Inc()
 			if x.interval != nil {
 				x.interval = newIntervalIndexFrom(ts)
 			}
 			for name := range x.attrs {
 				x.attrs[name] = newAttrIndexFrom(x.rel.Scheme(), ts, name)
+			}
+			for name := range x.ranges {
+				x.ranges[name] = x.newRangeIndex(ts, name)
 			}
 		}
 		x.version = v
@@ -161,4 +171,24 @@ func (x *RelIndexes) Attr(name string) *AttrIndex {
 		x.attrs[name] = ix
 	}
 	return ix
+}
+
+// Range returns the value-range index over the named Int- or
+// Time-valued attribute, building it on first use.
+func (x *RelIndexes) Range(name string) *IntervalIndex {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	ts := x.freshSnapshotLocked()
+	ix, ok := x.ranges[name]
+	if !ok {
+		ix = x.newRangeIndex(ts, name)
+		x.ranges[name] = ix
+	}
+	return ix
+}
+
+// newRangeIndex builds the value-range index over the named attribute
+// from a stable snapshot.
+func (x *RelIndexes) newRangeIndex(ts []*core.Tuple, name string) *IntervalIndex {
+	return newSpanIndexFrom(ts, valueSpans(x.rel.Scheme().Index(name)), idxMetrics.rangeBuilds)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifespan"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -19,7 +20,10 @@ import (
 // reopened from its checkpoint builds no index until a query probes
 // one, a key probe reads the relation's key map, and a relation with
 // no built index has nothing to maintain: the whole run builds one
-// interval index — EMP's, at its first slice — and maintains none.
+// interval index — EMP's, at its first slice — and maintains none. No
+// commit costs a key-order (rank) build or a value-range build: EMP,
+// never written, orders its slice candidates by the one key order its
+// first slice builds, and a key probe's one tuple needs none.
 func TestDurableMixedIndexWork(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := storage.OpenDurable(dir)
@@ -50,6 +54,8 @@ func TestDurableMixedIndexWork(t *testing.T) {
 	}
 
 	builds0, inc0 := idxMetrics.intervalBuilds.Load(), idxMetrics.incremental.Load()
+	keyOrders := obs.Default.Counter("core.keyorder.builds")
+	orders0, ranges0 := keyOrders.Load(), idxMetrics.rangeBuilds.Load()
 	st, _, err = storage.OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -94,5 +100,11 @@ func TestDurableMixedIndexWork(t *testing.T) {
 	}
 	if got := idxMetrics.incremental.Load() - inc0; got != 0 {
 		t.Errorf("engine.index.incremental rose by %d, want 0", got)
+	}
+	if got := keyOrders.Load() - orders0; got != 1 {
+		t.Errorf("core.keyorder.builds rose by %d over 20 commits, want 1 (EMP's)", got)
+	}
+	if got := idxMetrics.rangeBuilds.Load() - ranges0; got != 0 {
+		t.Errorf("engine.index.range_builds rose by %d, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,18 +195,22 @@ func TestAttrIndexBuckets(t *testing.T) {
 // a merge turns a pinned-constant GRP varying (out of its bucket, into
 // the overflow) and a fresh GRP = 'A' tuple arrives, a probe through
 // the old pin must still return exactly the tuples that held 'A' at the
-// pin, in their pinned forms, each once.
+// pin, in their pinned forms, each once, in key order.
 func TestEqProbeAnswersAtThePin(t *testing.T) {
 	st := testStore(t, 17)
 	ref, _ := st.Get("REF")
 	rs := ref.Scheme()
 	_, vers := core.Pin(ref)
 	v := vers[0]
-	want := map[*core.Tuple]bool{}
+	byKey, err := v.KeyOrdered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*core.Tuple
 	var victim *core.Tuple
-	for _, o := range v.Tuples() {
+	for _, o := range byKey {
 		if c, _ := o.Value("GRP").ConstantValue(); c.Equal(value.String_("A")) {
-			want[o] = true
+			want = append(want, o)
 			victim = o
 		}
 	}
@@ -214,16 +219,12 @@ func TestEqProbeAnswersAtThePin(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		got := newEqProbe(v, "GRP").candidates(value.String_("A"))
-		seen := map[*core.Tuple]bool{}
-		for _, o := range got {
-			if !want[o] || seen[o] {
-				t.Fatalf("%s: candidate %s is not a pinned 'A' tuple, or repeats", when, o)
-			}
-			seen[o] = true
+		got, err := newEqProbe(v, "GRP").candidates(value.String_("A"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(seen) != len(want) {
-			t.Fatalf("%s: probe found %d of the %d pinned 'A' tuples", when, len(seen), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: probe found %d candidates, want the %d pinned 'A' tuples once each in key order", when, len(got), len(want))
 		}
 	}
 	check("index at the pin")

@@ -101,6 +101,8 @@ var explainGolden = []struct {
 	{"during_interval_index", `SELECT WHEN SAL > 30000 DURING {[100,139]} FROM EMP`, false},
 	{"cache_hit", `SELECT WHEN NAME = 'bbemp' FROM EMP`, true},
 	{"time_slice_when_subplan", `TIMESLICE EMP AT WHEN (SELECT WHEN DEPT = 'Toys' FROM EMP)`, false},
+	{"range_index_select", `SELECT WHEN SAL > 33500 FROM EMP`, false},
+	{"range_over_budget", `SELECT IF SAL >= 30000 FROM EMP`, false},
 }
 
 // TestExplainGolden locks the full EXPLAIN rendering — plan shape,

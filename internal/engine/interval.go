@@ -2,27 +2,72 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/lifespan"
+	"repro/internal/obs"
+	"repro/internal/value"
 )
 
-// ientry is one lifespan interval of one tuple. A tuple with a gapped
-// lifespan (the paper's "reincarnation") contributes one entry per
-// incarnation; ord is the tuple's position in the relation, used to
-// de-duplicate multi-interval matches, keep candidate order
-// deterministic and map a match back to a pinned tuple. An entry holds
-// no pointer, so the index adds nothing for the collector to scan.
+// ientry is one interval of one tuple. A tuple with a gapped lifespan
+// (the paper's "reincarnation") contributes one entry per incarnation;
+// ord is the tuple's position in the relation, which maps a match back
+// to a pinned tuple (core.RelVersion.InKeyOrder). An entry holds no
+// pointer, so the index adds nothing for the collector to scan.
 type ientry struct {
 	iv  chronon.Interval
-	ord int
+	ord int32
 }
 
-// IntervalIndex indexes the lifespan intervals of a relation's tuples.
-// It answers "which tuples are alive at some time of L" in about
+// spanFunc appends to out the intervals tuple t contributes to an
+// IntervalIndex.
+type spanFunc func(t *core.Tuple, out []chronon.Interval) []chronon.Interval
+
+// lifespanSpans is the lifespan index's spanFunc: t's lifespan
+// intervals.
+func lifespanSpans(t *core.Tuple, out []chronon.Interval) []chronon.Interval {
+	ls := t.Lifespan()
+	for i := range ls.NumIntervals() {
+		out = append(out, ls.IntervalAt(i))
+	}
+	return out
+}
+
+// valueSpans is the spanFunc of a value-range index over the Int- or
+// Time-valued attribute at position pos (a tuple holds only values of
+// its attribute's domain): one interval [min, max] of the attribute's
+// step values, none when it is nowhere defined, as no comparison holds
+// where it is undefined.
+func valueSpans(pos int) spanFunc {
+	return func(t *core.Tuple, out []chronon.Interval) []chronon.Interval {
+		f := t.ValueAt(pos)
+		if f.IsNowhereDefined() {
+			return out
+		}
+		iv := chronon.Interval{Lo: math.MaxInt64, Hi: math.MinInt64}
+		for i := range f.NumSteps() {
+			_, v := f.StepAt(i)
+			x := chronon.Time(0)
+			if v.Kind() == value.KindTime {
+				x = v.AsTime()
+			} else {
+				x = chronon.Time(v.AsInt())
+			}
+			iv.Lo, iv.Hi = min(iv.Lo, x), max(iv.Hi, x)
+		}
+		return append(out, iv)
+	}
+}
+
+// IntervalIndex indexes intervals of a relation's tuples: their
+// lifespans (the lifespan index, which answers "which tuples are alive
+// at some time of L") or the [min, max] of one attribute's values (a
+// value-range index, which answers "which tuples could hold a value
+// in [lo, hi]"). A spanFunc says which. A probe costs about
 // O(log n + k) against the naive O(n·|intervals|) scan.
 //
 // The static part is one slice of entries sorted by start, read as an
@@ -36,18 +81,21 @@ type ientry struct {
 // past a threshold it is compacted into a fresh static part. The
 // relation's index set feeds the overlay from change notifications.
 type IntervalIndex struct {
+	spans   spanFunc
+	builds  *obs.Counter
 	mu      sync.RWMutex
 	es      []ientry       // static entries, sorted by iv.Lo
 	maxHi   []chronon.Time // implicit-tree subtree maxima over es
 	tuples  int            // tuples indexed (logical, including overlay)
-	entries int            // lifespan intervals indexed (logical)
+	entries int            // intervals indexed (logical)
 
 	// overlay: entries added since the static part was built, and the
 	// positions whose static entries a merge replaced.
 	extra []ientry
-	dead  map[int]bool
+	dead  map[int32]bool
 
-	// lifespan geometry for the statistics object. covered is the
+	// lifespan geometry for the statistics object (a value-range
+	// index keeps it too, unread). covered is the
 	// summed length of all live entries (in chronons, as float64 to
 	// absorb the ±2^62 sentinels); lo/hi bound every entry ever added —
 	// merges may leave them over-wide, which only softens estimates.
@@ -55,20 +103,24 @@ type IntervalIndex struct {
 	lo, hi  chronon.Time
 }
 
-// newIntervalIndexFrom builds the index from a stable tuple snapshot.
+// newIntervalIndexFrom builds a lifespan index from a stable tuple
+// snapshot.
 func newIntervalIndexFrom(ts []*core.Tuple) *IntervalIndex {
-	n := 0
-	for _, t := range ts {
-		n += t.Lifespan().NumIntervals()
-	}
-	es := make([]ientry, 0, n)
+	return newSpanIndexFrom(ts, lifespanSpans, idxMetrics.intervalBuilds)
+}
+
+// newSpanIndexFrom builds the index of the intervals spans gives each
+// tuple of a stable snapshot; builds counts it and its compactions.
+func newSpanIndexFrom(ts []*core.Tuple, spans spanFunc, builds *obs.Counter) *IntervalIndex {
+	var es []ientry
+	var buf []chronon.Interval
 	for ord, t := range ts {
-		ls := t.Lifespan()
-		for i := range ls.NumIntervals() {
-			es = append(es, ientry{iv: ls.IntervalAt(i), ord: ord})
+		buf = spans(t, buf[:0])
+		for _, iv := range buf {
+			es = append(es, ientry{iv: iv, ord: int32(ord)})
 		}
 	}
-	ix := &IntervalIndex{tuples: len(ts)}
+	ix := &IntervalIndex{spans: spans, builds: builds, tuples: len(ts)}
 	ix.resetLocked(es)
 	return ix
 }
@@ -76,7 +128,7 @@ func newIntervalIndexFrom(ts []*core.Tuple) *IntervalIndex {
 // resetLocked makes es, which it sorts in place, the static part and
 // clears the overlay. Callers hold ix.mu (or own ix exclusively).
 func (ix *IntervalIndex) resetLocked(es []ientry) {
-	idxMetrics.intervalBuilds.Inc()
+	ix.builds.Inc()
 	slices.SortFunc(es, func(a, b ientry) int { return cmp.Compare(a.iv.Lo, b.iv.Lo) })
 	ix.es, ix.maxHi = es, make([]chronon.Time, len(es))
 	ix.entries = len(es)
@@ -154,24 +206,21 @@ func (ix *IntervalIndex) Replace(old, new *core.Tuple, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.dead == nil {
-		ix.dead = make(map[int]bool)
+		ix.dead = make(map[int32]bool)
 	}
-	ix.dead[pos] = true
-	ix.extra = slices.DeleteFunc(ix.extra, func(e ientry) bool { return e.ord == pos })
-	ls := old.Lifespan()
-	ix.entries -= ls.NumIntervals()
-	for i := range ls.NumIntervals() {
-		ix.covered -= ivLen(ls.IntervalAt(i))
+	ix.dead[int32(pos)] = true
+	ix.extra = slices.DeleteFunc(ix.extra, func(e ientry) bool { return e.ord == int32(pos) })
+	for _, iv := range ix.spans(old, nil) {
+		ix.entries--
+		ix.covered -= ivLen(iv)
 	}
 	ix.addLocked(new, pos)
 	ix.maybeCompactLocked()
 }
 
 func (ix *IntervalIndex) addLocked(t *core.Tuple, pos int) {
-	ls := t.Lifespan()
-	for i := range ls.NumIntervals() {
-		iv := ls.IntervalAt(i)
-		ix.extra = append(ix.extra, ientry{iv: iv, ord: pos})
+	for _, iv := range ix.spans(t, nil) {
+		ix.extra = append(ix.extra, ientry{iv: iv, ord: int32(pos)})
 		ix.noteEntryLocked(iv, ix.entries == 0 && len(ix.extra) == 1)
 		ix.entries++
 	}
@@ -217,9 +266,10 @@ func (ix *IntervalIndex) Geometry() (covered float64, span chronon.Interval) {
 	return ix.covered, chronon.Interval{Lo: ix.lo, Hi: ix.hi}
 }
 
-// collect appends to out the live static entries in [l,r) that overlap
-// [qlo,qhi], in start order, and stops once out holds more than max.
-func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out []ientry) []ientry {
+// collect appends to out the positions of the live static entries in
+// [l,r) that overlap [qlo,qhi], in start order, and stops once out
+// holds more than max.
+func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out []int32) []int32 {
 	for l < r && len(out) <= max && ix.maxHi[(l+r)/2] >= qlo {
 		m := (l + r) / 2
 		out = ix.collect(l, m, qlo, qhi, max, out)
@@ -228,7 +278,7 @@ func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out [
 			break
 		}
 		if e.iv.Hi >= qlo && !ix.dead[e.ord] {
-			out = append(out, e)
+			out = append(out, e.ord)
 		}
 		l = m + 1
 	}
@@ -236,55 +286,52 @@ func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out [
 }
 
 // hits probes the static part and scans the overlay and returns the
-// live entries overlapping L, one per tuple, in position order — the
-// deterministic candidate order the plan nodes stream — or false once
-// more than max entries have matched, before paying for the sort an
-// abandoned index plan would discard.
-func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]ientry, bool) {
+// positions of the live entries overlapping L — a position once per
+// matching entry, in no particular order — or false once more than
+// max entries have matched.
+func (ix *IntervalIndex) hits(L lifespan.Lifespan, max int) ([]int32, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var es []ientry
+	var pos []int32
 	for i := range L.NumIntervals() {
 		qv := L.IntervalAt(i)
-		es = ix.collect(0, len(ix.es), qv.Lo, qv.Hi, max, es)
+		pos = ix.collect(0, len(ix.es), qv.Lo, qv.Hi, max, pos)
 		for _, e := range ix.extra {
 			if e.iv.Lo <= qv.Hi && e.iv.Hi >= qv.Lo {
-				es = append(es, e)
+				pos = append(pos, e.ord)
 			}
 		}
-		if len(es) > max {
+		if len(pos) > max {
 			return nil, false
 		}
 	}
-	// A tuple with several incarnations inside L matched once per
-	// interval; its entries share an ordinal.
-	slices.SortFunc(es, func(a, b ientry) int { return a.ord - b.ord })
-	return slices.CompactFunc(es, func(a, b ientry) bool { return a.ord == b.ord }), true
+	return pos, true
 }
 
-// overlapping is the executor's pricing-plus-probe entry point: the
-// tuples of pinned version v whose lifespan could share a chronon with
-// L, in pinned order, when the relation's interval index matches at
-// most max entries — and false otherwise. The index is fetched from the
-// relation's index set here, per execution (the set replaces the
-// object on resync), and is at least as new as the pin; its
-// ordinals are tuple positions, which appends and merges never move, so
-// a match at a position inside the pinned prefix is the pinned tuple
-// there. Lifespans only grow under merges, so the live matches are a
-// superset of the pinned ones and the caller's restriction to L drops
-// the excess.
-func overlapping(v core.RelVersion, L lifespan.Lifespan, max int) ([]*core.Tuple, bool) {
-	es, ok := Indexes(v.Rel()).Interval().hits(L, max)
+// probe is the executor's pricing-plus-probe entry point to an
+// interval index ix of the relation v pins: the pinned tuples with an
+// entry overlapping L, in key order, when at most max entries match —
+// and false otherwise. ix is fetched from the relation's index set per
+// execution (the set replaces the object on resync) and is at least as
+// new as the pin. Its ordinals are tuple positions, which appends and
+// merges never move, so a match inside the pinned prefix is the
+// pinned tuple there. Lifespans and value images only grow under
+// merges, so the live matches are a superset of the pinned ones and
+// the caller's full condition or restriction drops the excess. A key
+// order that cannot be built declines the probe; the caller's
+// fallback reads the same order and reports why.
+func (ix *IntervalIndex) probe(v core.RelVersion, L lifespan.Lifespan, max int) ([]*core.Tuple, bool) {
+	pos, ok := ix.hits(L, max)
 	if !ok {
 		return nil, false
 	}
-	pinned := v.Tuples()
-	out := make([]*core.Tuple, 0, len(es))
-	for _, e := range es {
-		if e.ord >= len(pinned) {
-			break
-		}
-		out = append(out, pinned[e.ord])
-	}
-	return out, true
+	ts, err := v.InKeyOrder(pos)
+	return ts, err == nil
+}
+
+// overlapping is the lifespan probe: the tuples of pinned version v
+// whose lifespan could share a chronon with L, in key order, when at
+// most max lifespan intervals match.
+func overlapping(v core.RelVersion, L lifespan.Lifespan, max int) ([]*core.Tuple, bool) {
+	return Indexes(v.Rel()).Interval().probe(v, L, max)
 }

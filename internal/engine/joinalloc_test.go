@@ -66,7 +66,7 @@ func TestKeyProbeAllocs(t *testing.T) {
 	_, vers := core.Pin(emp)
 	v, name := vers[0], value.String_("John")
 	p := newEqProbe(v, "NAME")
-	if got := p.candidates(name); len(got) != 1 {
+	if got, _ := p.candidates(name); len(got) != 1 {
 		t.Fatalf("key probe for John: %d candidates, want 1", len(got))
 	}
 	byKey := testing.AllocsPerRun(100, func() { v.LookupKey(value.KeyOf(name)) })

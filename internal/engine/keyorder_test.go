@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,12 +29,14 @@ func ordScheme() *schema.Scheme {
 	)
 }
 
+var ordDepts = []string{"Toys", "Shoes", "Books", "Tools", "Music"}
+
 // ordTuple is key k alive on [lo,lo+4] with V = v+t at each time t,
 // so any two tuples of one key and one v merge without contradiction.
 func ordTuple(s *schema.Scheme, k int, lo chronon.Time, v int64) *core.Tuple {
 	b := core.NewTupleBuilder(s, lifespan.Interval(lo, lo+4)).
 		Key("K", value.String_(fmt.Sprintf("k%04d", k))).
-		Set("D", lo, lo+4, value.String_([]string{"Toys", "Shoes"}[k&1]))
+		Set("D", lo, lo+4, value.String_(ordDepts[(k%5+5)%5]))
 	for t := lo; t <= lo+4; t++ {
 		b.SetAt("V", t, value.Int(v+int64(t)))
 	}
@@ -61,12 +64,25 @@ func ordStore(t testing.TB, n int) (*storage.Store, *core.Relation) {
 var orderedBattery = []struct{ q, plan string }{
 	{`ORD`, "scan ORD"},
 	{`SELECT WHEN V > 60 FROM ORD`, "filter when"},
-	{`SELECT IF V > 100 FROM ORD`, "filter if-exists"},
+	{`SELECT IF V > 100 OR D = 'Books' FROM ORD`, "filter if-exists"},
 	{`SELECT IF V < 90 FORALL FROM ORD`, "filter if-forall"},
 	{`TIMESLICE (RENAME ORD AS X) AT {[10,40],[60,70]}`, "time-slice at"},
 	{`PROJECT K, V FROM ORD`, "project K, V (key kept)"},
 	{`PROJECT K, D FROM (SELECT WHEN V > 30 FROM ORD)`, "project K, D (key kept)"},
 	{`RENAME (SELECT WHEN V < 80 FROM ORD) AS Y`, "rename as Y"},
+}
+
+// probeBattery is one query per index probe over ORD — the key
+// lookup, the hash index, the lifespan index under TIME-SLICE and under
+// SELECT … DURING, and the value-range index for each side of a range —
+// with the probe each must take. Every probe answers in key order.
+var probeBattery = []struct{ q, plan string }{
+	{`SELECT WHEN K = 'k0042' FROM ORD`, "via key-index ORD.K"},
+	{`SELECT WHEN D = 'Toys' FROM ORD`, "via attr-index(D"},
+	{`TIMESLICE ORD AT {[10,30]}`, "index-time-slice ORD at {[10,30]} (interval index: "},
+	{`SELECT WHEN K != 'k0001' DURING {[10,30]} FROM ORD`, "via interval-index during"},
+	{`SELECT WHEN V > 120 FROM ORD`, "via range-index ORD.V"},
+	{`SELECT IF V <= 20 FROM ORD`, "via range-index ORD.V"},
 }
 
 // checkKeyOrdered fails t unless res renders, and is Equal to, what
@@ -88,14 +104,15 @@ func checkKeyOrdered(t *testing.T, q string, res hql.Result) {
 
 // TestKeyOrderedResultsMatchSortPath: over a relation whose keys were
 // inserted out of order, and that merges extend between queries, every
-// order-keeping kernel over its scan — sequential, and partitioned at
-// degrees 1 and 4 — gives a result that renders and compares exactly
-// as the sorted construction of the same tuples, and as the naive
-// evaluator's result.
+// order-keeping kernel over its scan, and every index probe —
+// sequential, and partitioned at degrees 1, 2, 4 and 8 — gives a
+// result that renders and compares exactly as the sorted construction
+// of the same tuples, and as the naive evaluator's result.
 func TestKeyOrderedResultsMatchSortPath(t *testing.T) {
 	st, r := ordStore(t, 300)
 	s := r.Scheme()
-	for _, c := range orderedBattery {
+	battery := append(slices.Clone(orderedBattery), probeBattery...)
+	for _, c := range battery {
 		plan, err := OpenDB(st).NewSession().Explain(c.q)
 		if err != nil {
 			t.Fatal(err)
@@ -108,11 +125,12 @@ func TestKeyOrderedResultsMatchSortPath(t *testing.T) {
 		for _, par := range []struct {
 			name    string
 			th, deg int
-		}{{"sequential", defaultParallelThreshold, 1}, {"partitioned-1", 8, 1}, {"partitioned-4", 8, 4}} {
+		}{{"sequential", defaultParallelThreshold, 1}, {"partitioned-1", 8, 1}, {"partitioned-2", 8, 2},
+			{"partitioned-4", 8, 4}, {"partitioned-8", 8, 8}} {
 			t.Run(fmt.Sprintf("round%d/%s", round, par.name), func(t *testing.T) {
 				lowerParallelThreshold(t, par.th)
 				sess := sessAt(st, par.deg)
-				for _, c := range orderedBattery {
+				for _, c := range battery {
 					res, err := sess.Query(bg, c.q)
 					if err != nil {
 						t.Fatalf("%s: %v", c.q, err)

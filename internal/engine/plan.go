@@ -2,13 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
+	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/hql"
 	"repro/internal/lifespan"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // cost is the planner's currency: estimated result cardinality and
@@ -290,15 +293,10 @@ func lsApply(op string, l, r lifespan.Lifespan) lifespan.Lifespan {
 func (s *Snapshot) lifespanOf(e *lsExpr) (lifespan.Lifespan, error) {
 	switch {
 	case e.when != nil:
+		// WHEN is the union of the result's lifespans: no relation,
+		// key or order is needed.
 		b, err := s.run(e.when)
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		r, err := b.relation(e.when.scheme())
-		if err != nil {
-			return lifespan.Lifespan{}, err
-		}
-		return core.When(r), nil
+		return core.LifespanOf(b.ts), err
 	case e.op != "" && !e.static():
 		l, err := s.lifespanOf(e.l)
 		if err != nil {
@@ -377,7 +375,9 @@ func (s *Snapshot) scanNote(child node) string {
 // each execution asks the lifespan interval index for the pinned tuples
 // overlapping L, and restricts only those — unless the index would
 // touch nearly everything (log n + k ≥ n), in which case restricting
-// the whole pinned relation is cheaper and it does that instead.
+// the whole pinned relation is cheaper and it does that instead. Either
+// input is in key order: the probe's by rank, the fallback's the
+// version's cached key order.
 type indexTimeSliceNode struct {
 	name string
 	rel  *core.Relation
@@ -388,18 +388,19 @@ type indexTimeSliceNode struct {
 func (n *indexTimeSliceNode) scheme() *schema.Scheme { return n.rel.Scheme() }
 func (n *indexTimeSliceNode) children() []node       { return n.at.subplans(nil) }
 
-// candidates returns the pinned tuples to restrict and whether the
-// interval index chose them.
+// candidates returns the pinned tuples to restrict, in key order, and
+// whether the interval index chose them.
 func (n *indexTimeSliceNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*core.Tuple, bool, error) {
 	v, err := s.pinned(n.rel)
 	if err != nil {
 		return nil, false, err
 	}
-	all := v.Tuples()
-	if cand, ok := overlapping(v, L, len(all)-int(logN(len(all)))-1); ok {
+	c := v.Cardinality()
+	if cand, ok := overlapping(v, L, c-int(logN(c))-1); ok {
 		return cand, true, nil
 	}
-	return all, false, nil
+	all, err := v.KeyOrdered()
+	return all, false, err
 }
 
 func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
@@ -408,7 +409,7 @@ func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
 		return bound{}, err
 	}
 	cand, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: restrictKernel(L), partition: true}, err
+	return bound{in: cand, kernel: restrictKernel(L), partition: true, ordered: true}, err
 }
 func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexTimeSliceNode) estimate() cost                 { return n.est }
@@ -494,54 +495,123 @@ func (n *filterNode) describe(s *Snapshot) string {
 
 // indexSelectNode evaluates an existential or WHEN selection over a
 // base relation from an index-pruned candidate set. Each execution
-// prices, against the pin, the pruning the condition permits — the
-// tuples matching a required equality conjunct (hash index probe plus
-// its varying overflow), the tuples overlapping a DURING lifespan
-// (interval index) — against filtering the whole pinned relation, and
-// takes the cheapest. The full condition still runs per candidate, so
-// pruning is pure speedup, never semantics. The ∀ form never gets here
-// — vacuously-true tuples live outside any candidate set.
+// prices, against the pin, the pruning the condition permits: the
+// tuples matching a required equality conjunct (a key lookup, or the
+// hash index plus its varying overflow), then the tuples overlapping a
+// DURING lifespan (the lifespan index), then the tuples whose values
+// could meet a required range conjunct `A θ c`, θ ∈ {<, ≤, >, ≥}, over
+// an Int or Time attribute (the value-range index). Each probe is
+// bounded by probeBudget and by the best count so far. A probe over
+// the budget is abandoned: filtering the whole pinned relation in its
+// cached key order, which sorts nothing, is cheaper than ordering that
+// many candidates, and when no probe fits the node does that — and
+// EXPLAIN shows it as that filter. Every
+// input is in key order, so the result is. The full condition still
+// runs per candidate, so pruning is pure speedup, never semantics. The
+// ∀ form never gets here — vacuously-true tuples live outside any
+// candidate set.
 type indexSelectNode struct {
 	name   string
 	rel    *core.Relation
 	cond   hql.CondExpr
 	when   bool
 	during *lsExpr
-	// eqAttr = the constant in slot eqSlot is a required conjunct of
-	// cond; eqAttr is "" when it has none.
-	eqAttr string
-	eqSlot int
-	est    cost
+	// eq and rng are required conjuncts of cond with a constant in a
+	// parameter slot — an equality and a range comparison — or nil.
+	eq, rng *hql.PredExpr
+	est     cost
 }
+
+// probeBudget is the most candidates a probe of a pinned relation of
+// n tuples may return and still be taken over the key-ordered filter:
+// a candidate costs its probe, its rank in one integer sort and the
+// condition, a tuple the filter rejects the condition alone. The
+// crossover was measured on the benchmark's scan_join EMP (5 000
+// tuples, `SELECT WHEN SAL > c`, one worker, 2-CPU host): a range probe
+// of 0.29 n candidates took 0.90 of the filter's time, 0.39 n 0.96,
+// 0.50 n 1.02, 0.59 n 1.18 and 0.78 n 1.43.
+func probeBudget(n int) int { return n / 2 }
 
 func (n *indexSelectNode) scheme() *schema.Scheme { return n.rel.Scheme() }
 func (n *indexSelectNode) children() []node       { return n.during.subplans(nil) }
 
-// candidates returns the pinned tuples the condition has to see and how
-// they were found: through the equality probe eq, the interval index,
-// or (neither) by taking the whole pinned relation. Work units are the
-// planner's: a filter over the scan costs 2n, an index-select over k
-// candidates k+1.
-func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) (cand []*core.Tuple, eq *eqProbe, interval bool, err error) {
+// The probes an index-select can take, in the order it tries them.
+const (
+	viaScan = iota // none: the whole pinned relation
+	viaEq
+	viaDuring
+	viaRange
+)
+
+// candidates returns the pinned tuples the condition has to see, in key
+// order, and the probe that found them (viaScan when none was taken).
+func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*core.Tuple, int, error) {
 	v, err := s.pinned(n.rel)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, viaScan, err
 	}
-	cand = v.Tuples()
-	work := 2 * len(cand)
-	if n.eqAttr != "" {
-		p := newEqProbe(v, n.eqAttr)
-		if m := p.candidates(s.params[n.eqSlot].v); len(m)+1 < work {
-			cand, eq, work = m, p, len(m)+1
+	var cand []*core.Tuple
+	via, budget := viaScan, probeBudget(v.Cardinality())
+	if n.eq != nil {
+		m, err := newEqProbe(v, n.eq.Attr).candidates(s.params[n.eq.Slot].v)
+		if err != nil {
+			return nil, viaScan, err
+		}
+		if len(m) <= budget {
+			cand, via, budget = m, viaEq, len(m)-1
 		}
 	}
 	if n.during != allTime {
 		// Tuples missing L have empty scope and vanish.
-		if m, ok := overlapping(v, L, work-2); ok {
-			return m, nil, true, nil
+		if m, ok := overlapping(v, L, budget); ok {
+			cand, via, budget = m, viaDuring, len(m)-1
 		}
 	}
-	return cand, eq, false, nil
+	if n.rng != nil {
+		q := rangeQuery(n.rng.Theta, s.params[n.rng.Slot].v)
+		if m, ok := Indexes(n.rel).Range(n.rng.Attr).probe(v, q, budget); ok {
+			cand, via = m, viaRange
+		}
+	}
+	if via == viaScan {
+		cand, err = v.KeyOrdered()
+	}
+	return cand, via, err
+}
+
+// rangeQuery is the value interval a tuple's [min, max] must meet to
+// hold some value x with x θ c, for θ ∈ {<, ≤, >, ≥} and c of kind Int
+// or Time: > c is [c+1, +∞], ≥ c is [c, +∞], < c is [−∞, c−1], ≤ c is
+// [−∞, c], and empty past the int64 extremes. Ints compare as float64
+// (value.Compare), under which x ≥ c can hold for an x just below a c
+// of magnitude 2^53 or more that rounds with it; such a c is widened by
+// 2048, more than any two int64s rounding together differ by. > and <
+// need no slack: rounding is monotone.
+func rangeQuery(th value.Theta, c value.Value) lifespan.Lifespan {
+	x, slack := int64(0), int64(0)
+	if c.Kind() == value.KindTime {
+		x = int64(c.AsTime())
+	} else if x = c.AsInt(); x <= -1<<53 || x >= 1<<53 {
+		slack = 2048
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	switch th {
+	case value.GT:
+		if x == math.MaxInt64 {
+			return lifespan.Empty()
+		}
+		lo = x + 1
+	case value.GE:
+		lo = max(x, math.MinInt64+slack) - slack
+	case value.LT:
+		if x == math.MinInt64 {
+			return lifespan.Empty()
+		}
+		hi = x - 1
+	default:
+		hi = min(x, math.MaxInt64-slack) + slack
+	}
+	return lifespan.Interval(chronon.Time(lo), chronon.Time(hi))
 }
 
 func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
@@ -549,27 +619,33 @@ func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
 	if err != nil {
 		return bound{}, err
 	}
-	cand, _, _, err := n.candidates(s, L)
-	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), partition: true}, err
+	cand, _, err := n.candidates(s, L)
+	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), partition: true, ordered: true}, err
 }
 func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
 func (n *indexSelectNode) estimate() cost                 { return n.est }
 func (n *indexSelectNode) describe(s *Snapshot) string {
-	d := fmt.Sprintf("index-select %s %s %s%s", selKind(n.when, false), n.name, bindCond(n.cond, s.params, nil), s.duringSuffix(n.during))
+	kind, cond := selKind(n.when, false), fmt.Sprint(bindCond(n.cond, s.params, nil))+s.duringSuffix(n.during)
+	d := fmt.Sprintf("index-select %s %s %s", kind, n.name, cond)
 	if !n.during.static() {
 		return d + " (candidates priced at execution)"
 	}
-	cand, eq, interval, err := n.candidates(s, n.during.value(s.params))
-	via := "pinned scan"
+	cand, via, err := n.candidates(s, n.during.value(s.params))
 	switch {
 	case err != nil:
 		return fmt.Sprintf("%s (%v)", d, err)
-	case interval:
-		via = "interval-index during " + n.during.render(s.params)
-	case eq != nil:
-		via = eq.String()
+	case via == viaScan:
+		return fmt.Sprintf("filter %s %s", kind, cond) + parallelNote(len(cand))
 	}
-	return fmt.Sprintf("%s via %s (%d of %d candidates)", d, via, len(cand), s.card(n.rel)) +
+	how := "interval-index during " + n.during.render(s.params)
+	switch via {
+	case viaEq:
+		v, _ := s.pinned(n.rel)
+		how = newEqProbe(v, n.eq.Attr).String()
+	case viaRange:
+		how = fmt.Sprintf("range-index %s.%s", n.name, n.rng.Attr)
+	}
+	return fmt.Sprintf("%s via %s (%d of %d candidates)", d, how, len(cand), s.card(n.rel)) +
 		parallelNote(len(cand))
 }
 
@@ -690,14 +766,18 @@ func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 		// A constant join value costs one probe; a time-varying one
 		// probes once per distinct image value.
 		var cand []*core.Tuple
+		var err error
 		if f.IsConstant() {
 			v, _ := f.ConstantValue()
 			s.profLookups(n, 1)
-			cand = p.candidates(v)
+			cand, err = p.candidates(v)
 		} else {
 			vals := f.Image()
 			s.profLookups(n, len(vals))
-			cand = p.candidates(vals...)
+			cand, err = p.candidates(vals...)
+		}
+		if err != nil {
+			return out, err
 		}
 		for _, o := range cand {
 			t1, t2 := t, o

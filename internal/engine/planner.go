@@ -223,14 +223,17 @@ func (p *Plan) run(s *Snapshot, sp *obs.Span) (hql.Result, error) {
 
 // result materializes the root batch and wraps it in the query's sort.
 func (p *Plan) result(b batch, ps []param) (hql.Result, error) {
+	if p.kind == planWhen {
+		// WHEN is the union of the batch's lifespans: no relation, key
+		// or order is needed.
+		ls := core.LifespanOf(b.ts)
+		return hql.Result{Lifespan: &ls}, nil
+	}
 	r, err := b.relation(p.root.scheme())
 	if err != nil {
 		return hql.Result{}, err
 	}
 	switch p.kind {
-	case planWhen:
-		ls := core.When(r)
-		return hql.Result{Lifespan: &ls}, nil
 	case planSnapshot:
 		snap, err := core.Snapshot(r, ps[p.at].time())
 		if err != nil {
@@ -501,9 +504,9 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 }
 
 // lowerSelect plans SELECT IF/WHEN over its planned source: an
-// index-select over a base relation where a required equality conjunct
-// or a DURING lifespan gives an index something to prune by, a
-// per-tuple filter otherwise. A condition naming an attribute the
+// index-select over a base relation where a required equality or range
+// conjunct, or a DURING lifespan, gives an index something to prune by,
+// a per-tuple filter otherwise. A condition naming an attribute the
 // child's scheme lacks is refused here. Which of them is chosen
 // reads the condition's shape — attributes, comparators, constant
 // kinds — never a constant's value; the estimate still reads a static
@@ -524,12 +527,15 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	// ∀ quantification keeps tuples whose scope is empty (vacuous truth),
 	// so no candidate pruning is sound for it.
 	sc, isScan := child.(*scanNode)
-	req, hasReq := requiredEQ(n.Cond)
-	reqAttr := ""
-	if hasReq {
-		reqAttr = req.Attr
-		a, _ := cs.Attr(reqAttr)
-		hasReq = isScan && !forAll && a.Domain.Kind == req.Const.Kind()
+	var eq, rng *hql.PredExpr
+	if isScan && !forAll {
+		eq = requiredAtom(n.Cond, func(p *hql.PredExpr) bool {
+			return p.Theta == value.EQ && attrKind(cs, p.Attr) == p.Const.Kind()
+		})
+		rng = requiredAtom(n.Cond, func(p *hql.PredExpr) bool {
+			k := attrKind(cs, p.Attr)
+			return p.Theta != value.EQ && p.Theta != value.NE && (k == value.KindInt || k == value.KindTime) && k == p.Const.Kind()
+		})
 	}
 	// Selectivity: statistics-derived for base relations, comparator
 	// defaults for derived inputs whose distribution the catalog cannot
@@ -539,20 +545,25 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	var statsFor func(attr string) (AttrStats, bool)
 	if rel, rname, ok := baseRel(child); ok {
 		statsFor = func(attr string) (AttrStats, bool) {
-			return lc.attrStatsCheap(rname, rel, attr, hasReq && attr == reqAttr)
+			return lc.attrStatsCheap(rname, rel, attr, eq != nil && attr == eq.Attr)
 		}
 	}
 	sel := condSelectivity(n.Cond, statsFor)
-	if !isScan || forAll || (!hasReq && during == allTime) {
+	if !isScan || forAll || (eq == nil && rng == nil && during == allTime) {
 		return &filterNode{child: child, cond: n.Cond, when: n.When, forAll: forAll, during: during, sel: sel}, nil
 	}
 	// Candidates: the equality's matches, the tuples overlapping a
-	// static DURING, whichever the statistics say is fewer.
-	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: n.Cond, when: n.When, during: during}
+	// static DURING, whichever the statistics say is fewer. A range
+	// alone has only a comparator default, so the plan prices it as the
+	// filter it falls back to.
+	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: n.Cond, when: n.When, during: during, eq: eq, rng: rng}
 	k := float64(sc.card)
-	if hasReq {
-		isel.eqAttr, isel.eqSlot = reqAttr, req.Slot
-		as, _ := statsFor(reqAttr)
+	if eq == nil && during == allTime {
+		isel.est = cost{rows: k * sel, work: 2 * k}
+		return isel, nil
+	}
+	if eq != nil {
+		as, _ := statsFor(eq.Attr)
 		k = minf(k, as.EqMatches())
 	}
 	if during.static() && during != allTime {
@@ -560,6 +571,12 @@ func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
 	}
 	isel.est = cost{rows: k, work: k + 1}
 	return isel, nil
+}
+
+// attrKind is the value kind of attribute a's domain in s.
+func attrKind(s *schema.Scheme, a string) value.Kind {
+	at, _ := s.Attr(a)
+	return at.Domain.Kind
 }
 
 // baseRel resolves a plan node to the base relation its tuples derive
@@ -584,22 +601,26 @@ func baseRel(n node) (*core.Relation, string, bool) {
 	return nil, "", false
 }
 
-// requiredEQ finds an `attr = constant` atom that is a required conjunct
-// of the condition: the condition itself, or a conjunct of a (possibly
-// nested) AND. Tuples failing such an atom cannot satisfy the whole
-// condition, which is what makes index pruning on it sound.
-func requiredEQ(c hql.CondExpr) (*hql.PredExpr, bool) {
+// requiredAtom finds an `attr θ constant` atom that want accepts and
+// that is a required conjunct of the condition: the condition itself,
+// or a conjunct of a (possibly nested) AND. Tuples failing such an atom
+// cannot satisfy the whole condition, which is what makes index
+// pruning on it sound. It returns nil when there is none.
+func requiredAtom(c hql.CondExpr, want func(p *hql.PredExpr) bool) *hql.PredExpr {
 	if p := c.Pred; p != nil {
-		return p, p.Theta == value.EQ && p.OtherAttr == ""
+		if p.OtherAttr == "" && want(p) {
+			return p
+		}
+		return nil
 	}
 	if c.Op == "AND" {
 		for _, k := range c.Kids {
-			if p, ok := requiredEQ(k); ok {
-				return p, true
+			if p := requiredAtom(k, want); p != nil {
+				return p
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // lowerBinary plans the set operators, product and the join family. The

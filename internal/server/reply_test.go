@@ -36,6 +36,41 @@ func TestRequestLineNearLimit(t *testing.T) {
 	}
 }
 
+// TestRequestLineTrimsOnlyJSONWhitespace: space, tab and CR around a
+// request are JSON whitespace and pass; U+0085 and U+00A0, which
+// Unicode calls space but JSON does not, make the line a bad request
+// (code 11), as json.Unmarshal would.
+func TestRequestLineTrimsOnlyJSONWhitespace(t *testing.T) {
+	srv := startServer(t, Config{})
+	tc := dialT(t, srv.Addr())
+	ping := `{"op":"ping"}`
+	for _, c := range []struct {
+		line string
+		ok   bool
+	}{
+		{" \t" + ping + " \r", true},
+		{ping + "\u0085", false},
+		{"\u00a0" + ping, false},
+	} {
+		if _, err := tc.c.Write([]byte(c.line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		resp := tc.recv(t)
+		if c.ok {
+			if !resp.OK || resp.Result != "pong" {
+				t.Errorf("%q: %+v, want pong", c.line, resp)
+			}
+			continue
+		}
+		if resp.OK || resp.Error == nil || resp.Error.Code != int(hrdmerr.CodeBadRequest) {
+			t.Errorf("%q: %+v, want a bad_request (code %d)", c.line, resp, hrdmerr.CodeBadRequest)
+		}
+		if err := json.Unmarshal([]byte(c.line), new(request)); err == nil {
+			t.Errorf("%q: json.Unmarshal accepts the line", c.line)
+		}
+	}
+}
+
 // TestRequestLineTooLong: a line past maxRequestLine gets one typed
 // bad_request reply naming the limit before the server closes the
 // connection, not a bare reset.

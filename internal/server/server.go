@@ -206,7 +206,9 @@ func (s *Server) serveConn(c net.Conn) {
 	w := newReplyWriter()
 	var dec decoder
 	for !s.draining.Load() && sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+		// JSON's whitespace only: bytes.TrimSpace would also strip
+		// U+0085 and U+00A0, which the JSON grammar refuses.
+		line := bytes.Trim(sc.Bytes(), " \t\r\n")
 		if len(line) == 0 {
 			continue
 		}
