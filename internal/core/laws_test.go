@@ -139,13 +139,15 @@ func TestLawSelectIfCommutes(t *testing.T) {
 
 func TestLawTimesliceCommutesWithSelect(t *testing.T) {
 	// T_L ∘ σ-WHEN_p = σ-WHEN_p ∘ T_L: restricting then filtering equals
-	// filtering then restricting, because σ-WHEN works pointwise. The
-	// engine's planner prices both sides for a static slice over a
-	// σ-WHEN without DURING and runs the cheaper.
+	// filtering then restricting, because σ-WHEN works pointwise. For the
+	// same reason a window on either side folds into σ-WHEN's DURING:
+	// T_L(σ-WHEN_p DURING D (r)) = σ-WHEN_p DURING D∩L (r) =
+	// σ-WHEN_p DURING D (T_L(r)). The engine's planner lowers a slice of a
+	// σ-WHEN, and a σ-WHEN of a slice, as that one σ-WHEN DURING D∩L.
 	for i := int64(0); i < lawTrials; i++ {
 		r := genHist(i, 5)
 		p := randomPredicate(i)
-		L := randomLS(i)
+		L, D := randomLS(i), randomLS(i+700)
 		a1, err := TimesliceStatic(r, L)
 		mustHold(t, err)
 		a, err := SelectWhen(a1, p, lifespan.All())
@@ -157,6 +159,53 @@ func TestLawTimesliceCommutesWithSelect(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("seed %d: T_L does not commute with σ-WHEN_%s:\n%s\nvs\n%s", i, p, a, b)
 		}
+
+		folded, err := SelectWhen(r, p, D.Intersect(L))
+		mustHold(t, err)
+		c1, err := SelectWhen(r, p, D)
+		mustHold(t, err)
+		sliceOfSelect, err := TimesliceStatic(c1, L)
+		mustHold(t, err)
+		selectOfSlice, err := SelectWhen(a1, p, D)
+		mustHold(t, err)
+		for _, side := range []struct {
+			name string
+			rel  *Relation
+		}{{"T_L(σ-WHEN DURING D)", sliceOfSelect}, {"σ-WHEN DURING D (T_L)", selectOfSlice}} {
+			if !side.rel.Equal(folded) || side.rel.String() != folded.String() {
+				t.Fatalf("seed %d: %s is not σ-WHEN_%s DURING D∩L:\n%s\nvs\n%s", i, side.name, p, side.rel, folded)
+			}
+		}
+	}
+}
+
+// TestNotALawSliceFoldsIntoSelectIf is the negative control of the
+// fold above: σ-IF keeps each qualifying tuple whole, so T_L(σ-IF_p
+// DURING D (r)) keeps only L of it while σ-IF_p DURING D∩L (r) keeps
+// all of it, and σ-IF_p DURING D (T_L(r)) quantifies over the sliced
+// tuple. Some seed must tell each apart from the fold, which is why the
+// planner slices a σ-IF as written.
+func TestNotALawSliceFoldsIntoSelectIf(t *testing.T) {
+	var sliceOfSelect, selectOfSlice bool
+	for i := int64(0); i < lawTrials; i++ {
+		r := genHist(i, 5)
+		p := randomPredicate(i)
+		L, D := randomLS(i), randomLS(i+700)
+		folded, err := SelectIf(r, p, Exists, D.Intersect(L))
+		mustHold(t, err)
+		c1, err := SelectIf(r, p, Exists, D)
+		mustHold(t, err)
+		a, err := TimesliceStatic(c1, L)
+		mustHold(t, err)
+		a1, err := TimesliceStatic(r, L)
+		mustHold(t, err)
+		b, err := SelectIf(a1, p, Exists, D)
+		mustHold(t, err)
+		sliceOfSelect = sliceOfSelect || !a.Equal(folded) || a.String() != folded.String()
+		selectOfSlice = selectOfSlice || !b.Equal(folded) || b.String() != folded.String()
+	}
+	if !sliceOfSelect || !selectOfSlice {
+		t.Fatalf("σ-IF folded like σ-WHEN on every seed (slice of select differs: %v, select of slice differs: %v)", sliceOfSelect, selectOfSlice)
 	}
 }
 

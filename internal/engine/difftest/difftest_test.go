@@ -87,9 +87,11 @@ func diffStore(tb testing.TB, seed int64) *storage.Store {
 // plan shape plus surrounding operators (unions, projections, WHEN,
 // SNAPSHOT) that consume parallel sub-plans; the shapes the planner
 // rewrites by Section 5's laws (slices of σ-WHEN under a key equality,
-// an attribute equality and a range; nested literal slices); and the
-// shapes of rewrites that are not laws (σ over ∪o/∩o of two
-// complementary slices — see core's TestNotALaw… witnesses).
+// an attribute equality and a range, with and without DURING, at a
+// literal and a WHEN-valued window; σ-WHEN over a slice of a slice;
+// nested literal slices); and the shapes of rewrites that are not laws
+// (a slice of σ-IF; σ over ∪o/∩o of two complementary slices — see
+// core's TestNotALaw… witnesses).
 var goldenQueries = []string{
 	`TIMESLICE EMP AT {[0,9]}`,
 	`TIMESLICE EMP AT {[50,60],[150,160]}`,
@@ -142,6 +144,13 @@ var goldenQueries = []string{
 	`TIMESLICE (REF TIMES (RENAME REF AS b)) AT {[20,80]}`,
 	`SELECT WHEN GRP = 'A' FROM (STOCK TIMEJOIN REF ON EX_DIV)`,
 	`TIMESLICE ((TIMESLICE EMP AT {[0,99]}) UNIONMERGE (TIMESLICE EMP AT {[100,199]})) AT {[50,150]}`,
+	// A slice over a σ-WHEN with DURING folds into one DURING, as does an
+	// AT WHEN window, and a σ-WHEN over a slice of a slice; a slice over a
+	// σ-IF does not fold.
+	`TIMESLICE (SELECT WHEN SAL > 28000 DURING {[40,120]} FROM EMP) AT {[100,160]}`,
+	`TIMESLICE (SELECT IF DEPT = 'Toys' EXISTS DURING {[20,80]} FROM EMP) AT {[50,150]}`,
+	`TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT WHEN (SELECT WHEN SAL > 30000 FROM EMP)`,
+	`SELECT WHEN SAL > 30000 FROM (TIMESLICE (TIMESLICE EMP AT {[0,120]}) AT {[60,199]})`,
 }
 
 // compareAll runs src through the naive evaluator and the engine at
@@ -418,9 +427,8 @@ func TestDifferentialWriteInterleaved(t *testing.T) {
 
 // redraw returns a text of src's shape with other literals of the same
 // kinds: new names, departments, thresholds and times, and each
-// literal window shifted, keeping its length — and with it the side of
-// the cost crossing a law-3 plan is keyed on, which the window's width
-// alone prices.
+// literal window shifted, with a new length where both its ends are
+// finite.
 func redraw(rng *rand.Rand, src string) string {
 	shape, lits, ok := hql.Lift(src, nil, nil)
 	if !ok {
@@ -459,7 +467,10 @@ func redraw(rng *rand.Rand, src string) string {
 				if iv.Lo != chronon.Min {
 					iv.Lo += d
 				}
-				if iv.Hi != chronon.Max {
+				switch {
+				case iv.Lo != chronon.Min && iv.Hi != chronon.Max:
+					iv.Hi = iv.Lo + chronon.Time(rng.Intn(120))
+				case iv.Hi != chronon.Max:
 					iv.Hi += d
 				}
 				ivs[j] = iv
@@ -474,10 +485,10 @@ func redraw(rng *rand.Rand, src string) string {
 // TestDifferentialSharedShape is the harness's mode for plans keyed by
 // shape. Every golden and generated query runs against an empty plan
 // cache — its first run misses, and caches the plan the other degrees
-// hit — then three times with its literals redrawn (redraw). Every
-// variant must be served by the first text's plan, with no second
-// miss, and agree with the naive evaluator, error class included, byte
-// for byte at every degree.
+// hit — then three times with its literals redrawn (redraw), windows of
+// every width included. Every variant must be served by the first
+// text's plan, with no second miss, and agree with the naive
+// evaluator, error class included, byte for byte at every degree.
 func TestDifferentialSharedShape(t *testing.T) {
 	st := diffStore(t, 5)
 	rng := rand.New(rand.NewSource(17))

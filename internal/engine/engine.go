@@ -65,7 +65,7 @@ func evalQuery(ctx context.Context, q *lifted, db *DB) (hql.Result, error) {
 func runQuery(ctx context.Context, q *lifted, db *DB, sp *obs.Span) (hql.Result, *Plan, *Snapshot, error) {
 	var p *Plan
 	if q.err == nil {
-		p = planCache.lookup(q.shape, db.store, q.params)
+		p = planCache.lookup(q.shape, db.store)
 	}
 	if p == nil {
 		e, fresh, err := compile(q, db.store, sp)

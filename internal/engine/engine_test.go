@@ -90,13 +90,15 @@ func TestLoadBuildsNoKeyIndex(t *testing.T) {
 }
 
 // TestPlanLawShapes asserts where the planner applies Section 5's laws,
-// on an EMP large enough for the cost estimates of the two sides of
-// T_L(σ-WHEN_p(r)) = σ-WHEN_p(T_L(r)) to separate. want lists the plan
-// lines, outermost first, each line's operator a prefix: the key
-// equality keeps its index probe under the slice, attribute and range
-// conditions filter what the interval index sliced, nested literal
-// slices compose into one probe, and the rewrites that are not laws of
-// the engine — σ pushed below ∪o, π pushed below T_L — are not made.
+// on an EMP large enough for the probes to differ. want lists the plan
+// lines, outermost first, each line's operator a prefix: a slice of a
+// σ-WHEN, and a σ-WHEN over a slice, is one index-select with the
+// window in its DURING, probed by whatever finds the fewest candidates
+// at the pin — the key for a key equality, the interval index for an
+// attribute or range condition; σ-IF is sliced as written; nested
+// literal slices compose into one probe; and the rewrites that are not
+// laws of the engine — σ pushed below ∪o, π pushed below T_L — are not
+// made.
 func TestPlanLawShapes(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(workload.Personnel(workload.PersonnelConfig{
@@ -107,13 +109,13 @@ func TestPlanLawShapes(t *testing.T) {
 		want  []string
 	}{
 		{`TIMESLICE (SELECT WHEN NAME = 'emp0007' FROM EMP) AT {[10,14]}`,
-			[]string{"time-slice at {[10,14]}", "  index-select when EMP NAME=\"emp0007\" via key-index"}},
+			[]string{"index-select when EMP NAME=\"emp0007\" during {[10,14]} via key-index EMP.NAME (1 of"}},
 		{`TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT {[10,14]}`,
-			[]string{"filter when DEPT=\"Toys\"", "  index-time-slice EMP at {[10,14]}"}},
+			[]string{"index-select when EMP DEPT=\"Toys\" during {[10,14]} via interval-index"}},
 		{`TIMESLICE (SELECT WHEN SAL > 30000 FROM EMP) AT {[10,14]}`,
-			[]string{"filter when SAL>30000", "  index-time-slice EMP at {[10,14]}"}},
+			[]string{"index-select when EMP SAL>30000 during {[10,14]} via interval-index"}},
 		{`TIMESLICE (SELECT WHEN SAL > 30000 FROM (TIMESLICE EMP AT {[0,12]})) AT {[10,14]}`,
-			[]string{"filter when SAL>30000", "  index-time-slice EMP at {[10,12]}"}},
+			[]string{"index-select when EMP SAL>30000 during {[10,12]} via interval-index"}},
 		{`TIMESLICE (TIMESLICE EMP AT {[0,49]}) AT {[10,14],[60,70]}`,
 			[]string{"index-time-slice EMP at {[10,14]}"}},
 		{`TIMESLICE (TIMESLICE (TIMESLICE EMP AT {[0,49]}) AT {[5,99]}) AT {[10,14]}`,

@@ -274,7 +274,7 @@ func (ix *IntervalIndex) collect(l, r int, qlo, qhi chronon.Time, max int, out [
 		m := (l + r) / 2
 		out = ix.collect(l, m, qlo, qhi, max, out)
 		e := ix.es[m]
-		if e.iv.Lo > qhi {
+		if len(out) > max || e.iv.Lo > qhi {
 			break
 		}
 		if e.iv.Hi >= qlo && !ix.dead[e.ord] {

@@ -18,8 +18,7 @@ import (
 // probe value, literal lifespans and the SNAPSHOT time are all read
 // from it at bind. The literals a plan was costed with still move its
 // estimates, and so any choice made from them: a cached plan serves
-// other literals with the choices its first text priced. Only a law-3
-// order is keyed on its window (Plan.fits).
+// other literals with the choices its first text priced.
 
 // param is one slot's value in an execution: a value literal (a
 // condition constant, a SNAPSHOT time) or a lifespan literal.

@@ -498,10 +498,12 @@ func (n *filterNode) describe(s *Snapshot) string {
 // prices, against the pin, the pruning the condition permits: the
 // tuples matching a required equality conjunct (a key lookup, or the
 // hash index plus its varying overflow), then the tuples overlapping a
-// DURING lifespan (the lifespan index), then the tuples whose values
-// could meet a required range conjunct `A θ c`, θ ∈ {<, ≤, >, ≥}, over
-// an Int or Time attribute (the value-range index). Each probe is
-// bounded by probeBudget and by the best count so far. A probe over
+// DURING lifespan (the lifespan index), and, only when neither was
+// taken, the tuples whose values could meet a required range conjunct
+// `A θ c`, θ ∈ {<, ≤, >, ≥}, over an Int or Time attribute (the
+// value-range index, whose build over the whole relation an earlier
+// probe's few candidates would not repay). Each probe is bounded by
+// probeBudget and by the best count so far. A probe over
 // the budget is abandoned: filtering the whole pinned relation in its
 // cached key order, which sorts nothing, is cheaper than ordering that
 // many candidates, and when no probe fits the node does that — and
@@ -567,7 +569,7 @@ func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*core.
 			cand, via, budget = m, viaDuring, len(m)-1
 		}
 	}
-	if n.rng != nil {
+	if n.rng != nil && via == viaScan {
 		q := rangeQuery(n.rng.Theta, s.params[n.rng.Slot].v)
 		if m, ok := Indexes(n.rel).Range(n.rng.Attr).probe(v, q, budget); ok {
 			cand, via = m, viaRange

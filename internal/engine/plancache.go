@@ -41,13 +41,11 @@ func init() {
 // serving results from the old store), grown to no more than
 // staleGrowth times the cardinality it was costed at.
 
-// cacheEntry is one shape's cached plans: one, or — for a shape whose
-// law-3 order is keyed on its window (Plan.fits) — one per side of the
-// order's cost crossing, in plans[Plan.side]. elem is nil once the
-// entry has left the cache.
+// cacheEntry is one shape's cached plan. elem is nil once the entry has
+// left the cache.
 type cacheEntry struct {
 	shape string
-	plans [2]*Plan
+	plan  *Plan
 	elem  *list.Element
 }
 
@@ -63,57 +61,51 @@ const maxPlanCache = 256
 
 var planCache = &planCacheT{entries: make(map[string]*cacheEntry), lru: list.New()}
 
-// plansFor returns shape's entry and its plans, moving it to the front
-// of the LRU when touch.
-func (pc *planCacheT) plansFor(shape []byte, touch bool) (*cacheEntry, [2]*Plan) {
+// planFor returns shape's entry and its plan, moving it to the front of
+// the LRU when touch.
+func (pc *planCacheT) planFor(shape []byte, touch bool) (*cacheEntry, *Plan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	ent := pc.entries[string(shape)]
 	if ent == nil {
-		return nil, [2]*Plan{}
+		return nil, nil
 	}
 	if touch {
 		pc.lru.MoveToFront(ent.elem)
 	}
-	return ent, ent.plans
+	return ent, ent.plan
 }
 
-// lookup returns the cached plan for shape that fits ps and still
-// validates against env — a hit, counted here — or nil. A plan whose
-// dependency fence fails is dropped.
-func (pc *planCacheT) lookup(shape []byte, env hql.Env, ps []param) *Plan {
-	ent, plans := pc.plansFor(shape, true)
-	for _, p := range plans {
-		if p == nil || !p.fits(ps) {
-			continue
-		}
-		if !p.valid(env) {
-			pc.mu.Lock()
-			pc.dropLocked(ent, p)
-			pc.mu.Unlock()
-			mPlanInvalidations.Inc()
-			return nil
-		}
-		mPlanHits.Inc()
-		return p
+// lookup returns the cached plan for shape if it still validates
+// against env — a hit, counted here — or nil. A plan whose dependency
+// fence fails is dropped.
+func (pc *planCacheT) lookup(shape []byte, env hql.Env) *Plan {
+	ent, p := pc.planFor(shape, true)
+	if p == nil {
+		return nil
 	}
-	return nil
+	if !p.valid(env) {
+		pc.mu.Lock()
+		if ent.elem != nil && ent.plan == p { // neither evicted nor replaced since
+			pc.removeLocked(ent)
+		}
+		pc.mu.Unlock()
+		mPlanInvalidations.Inc()
+		return nil
+	}
+	mPlanHits.Inc()
+	return p
 }
 
 // peek reports whether lookup would hit, without touching LRU order,
 // the counters or a stale plan — EXPLAIN's read-only probe.
-func (pc *planCacheT) peek(shape []byte, env hql.Env, ps []param) bool {
-	_, plans := pc.plansFor(shape, false)
-	for _, p := range plans {
-		if p != nil && p.fits(ps) && p.valid(env) {
-			return true
-		}
-	}
-	return false
+func (pc *planCacheT) peek(shape []byte, env hql.Env) bool {
+	_, p := pc.planFor(shape, false)
+	return p != nil && p.valid(env)
 }
 
-// store caches p under shape — replacing the plan on its side, so two
-// goroutines racing one miss leave the later plan — and evicts
+// store caches p under shape — replacing its plan, so two goroutines
+// racing one miss leave the later plan — and evicts
 // least-recently-used shapes beyond the bound.
 func (pc *planCacheT) store(shape string, p *Plan) {
 	mPlanStores.Inc()
@@ -127,21 +119,10 @@ func (pc *planCacheT) store(shape string, p *Plan) {
 	} else {
 		pc.lru.MoveToFront(ent.elem)
 	}
-	ent.plans[p.side()] = p
+	ent.plan = p
 	for pc.lru.Len() > maxPlanCache {
 		pc.removeLocked(pc.lru.Back().Value.(*cacheEntry))
 		mPlanEvictions.Inc()
-	}
-}
-
-// dropLocked removes plan p from ent, and ent from the cache once it
-// holds no plan.
-func (pc *planCacheT) dropLocked(ent *cacheEntry, p *Plan) {
-	if ent.elem == nil || ent.plans[p.side()] != p {
-		return
-	}
-	if ent.plans[p.side()] = nil; ent.plans == [2]*Plan{} {
-		pc.removeLocked(ent)
 	}
 }
 
@@ -176,13 +157,10 @@ func InvalidateStalePlans(env hql.Env) (dropped int) {
 	var next *list.Element
 	for e := planCache.lru.Front(); e != nil; e = next {
 		next = e.Next()
-		ent := e.Value.(*cacheEntry)
-		for _, p := range ent.plans {
-			if p != nil && !p.valid(env) {
-				planCache.dropLocked(ent, p)
-				mPlanInvalidations.Inc()
-				dropped++
-			}
+		if ent := e.Value.(*cacheEntry); !ent.plan.valid(env) {
+			planCache.removeLocked(ent)
+			mPlanInvalidations.Inc()
+			dropped++
 		}
 	}
 	return dropped

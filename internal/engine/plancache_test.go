@@ -143,12 +143,13 @@ func TestCachedPlanSurvivesResync(t *testing.T) {
 	run("another store under the same names", testStore(t, 92), false)
 }
 
-// TestLawChoiceKeyedBySide pins the one window-keyed choice: a law-3
-// shape caches one plan per side of its slice-vs-filter cost crossing.
-// A narrow window slices first, a wide one filters first; each is
-// planned once, later windows on the same side hit the plan for their
-// side, and every run matches the naive evaluator.
-func TestLawChoiceKeyedBySide(t *testing.T) {
+// TestLawShapeOnePlanEveryWindow checks that a law-3 shape, a static
+// slice over a σ-WHEN, is one plan for every window: its narrow and
+// wide windows cost the shape's one miss between them, every later
+// window hits, the plan is the σ-WHEN with the window folded into its
+// DURING (one index-select, whose probe the pin chooses), and every run
+// matches the naive evaluator.
+func TestLawShapeOnePlanEveryWindow(t *testing.T) {
 	ResetPlanCache()
 	defer ResetPlanCache()
 	st := storage.NewStore()
@@ -156,22 +157,12 @@ func TestLawChoiceKeyedBySide(t *testing.T) {
 		NumEmployees: 2000, HistoryLen: 200, ChangeEvery: 20, ReincarnationProb: 0.3, Seed: 1,
 	}))
 	const q = `TIMESLICE (SELECT WHEN DEPT = 'Toys' FROM EMP) AT %s`
-	steps := []struct {
-		window string
-		hit    bool
-	}{
-		{"{[10,14]}", false}, // narrow: planned, slices first
-		{"{[0,199]}", false}, // wide: the other side, planned
-		{"{[60,66]}", true},
-		{"{[5,190]}", true},
-		{"{[10,14]}", true},
-	}
-	for _, s := range steps {
+	for i, window := range []string{"{[10,14]}", "{[0,199]}", "{[60,66]}", "{[5,190]}", "{[10,14]}"} {
 		h0, m0, _ := PlanCacheStats()
-		compareQuery(t, st, fmt.Sprintf(q, s.window))
+		compareQuery(t, st, fmt.Sprintf(q, window))
 		h1, m1, _ := PlanCacheStats()
-		if hit := h1 == h0+1 && m1 == m0; hit != s.hit {
-			t.Fatalf("window %s: hits +%d misses +%d, want hit=%v", s.window, h1-h0, m1-m0, s.hit)
+		if hit := h1 == h0+1 && m1 == m0; hit != (i > 0) {
+			t.Fatalf("window %s: hits +%d misses +%d, want hit=%v", window, h1-h0, m1-m0, i > 0)
 		}
 	}
 	planCache.mu.Lock()
@@ -180,10 +171,7 @@ func TestLawChoiceKeyedBySide(t *testing.T) {
 	if entries != 1 {
 		t.Fatalf("%d cached shapes, want the one", entries)
 	}
-	if _, ok := ent.plans[1].root.(*filterNode); !ok {
-		t.Errorf("narrow-window plan is %T, want a filter over the sliced relation", ent.plans[1].root)
-	}
-	if _, ok := ent.plans[0].root.(*timeSliceNode); !ok {
-		t.Errorf("wide-window plan is %T, want a slice of the filtered relation", ent.plans[0].root)
+	if _, ok := ent.plan.root.(*indexSelectNode); !ok {
+		t.Errorf("law-3 plan is %T, want an index-select with the window in its DURING", ent.plan.root)
 	}
 }

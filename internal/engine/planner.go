@@ -20,20 +20,14 @@ import (
 // holds no tuples, index objects or evaluated lifespans, and reads every
 // literal from its slot, so a write to a relation it reads does not
 // outdate it, and every text of its shape runs on it with its own
-// parameters.
-//
-// Its choices are still costed with the literals of the text that
-// missed: a window's width moves row estimates, and with them any
-// choice made from them. One such choice is keyed: a plan's first
-// law-3 order (choice, see sliceChoice) serves only windows on the side
-// of its cost crossing it was priced on (fits).
+// parameters. Its choices are costed with the literals of the text that
+// missed, and serve every later text of its shape.
 type Plan struct {
-	root   node
-	kind   planKind
-	at     int // SNAPSHOT time slot
-	deps   []planDep
-	notes  []string
-	choice *sliceChoice
+	root  node
+	kind  planKind
+	at    int // SNAPSHOT time slot
+	deps  []planDep
+	notes []string
 }
 
 // planDep is one relation the plan depends on — resolved from the
@@ -63,14 +57,12 @@ const (
 
 // lowerCtx threads the environment and the parameters being costed
 // with through lowering, while collecting the plan's relation
-// dependencies, the statistics notes EXPLAIN reports and its first
-// window-keyed law-3 choice.
+// dependencies and the statistics notes EXPLAIN reports.
 type lowerCtx struct {
 	env    hql.Env
 	params []param
 	deps   map[string]planDep
 	notes  map[string]string
-	choice *sliceChoice
 }
 
 // scan records that the plan depends on relation r (resolved as name)
@@ -181,24 +173,7 @@ func planQuery(e hql.Expr, env hql.Env, ps []param) (*Plan, error) {
 	}
 	p.deps = lc.depList()
 	p.notes = lc.noteList()
-	p.choice = lc.choice
 	return p, nil
-}
-
-// fits reports whether ps's law-3 window falls on the side of the cost
-// crossing the plan's order was chosen for — every plan without a keyed
-// choice fits.
-func (p *Plan) fits(ps []param) bool {
-	return p.choice == nil || p.choice.slicedFirst(ps) == p.choice.sliced
-}
-
-// side is the plan's slot among its shape's cached plans: 1 when its
-// keyed law-3 choice slices first, else 0.
-func (p *Plan) side() int {
-	if p.choice != nil && p.choice.sliced {
-		return 1
-	}
-	return 0
 }
 
 // run executes the plan against the given pinned snapshot and wraps
@@ -314,7 +289,7 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 
 	case *hql.TimesliceExpr:
 		if n.By == "" {
-			return lowerStaticSlice(n, lc)
+			return lowerSlice(n, lc)
 		}
 		child, err := lower(n.Source, lc)
 		if err != nil {
@@ -332,7 +307,7 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return lowerSelect(n, child, lc)
+		return lowerSelect(n, child, allTime, lc)
 
 	case *hql.ProjectExpr:
 		child, err := lower(n.Source, lc)
@@ -381,96 +356,44 @@ func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 	}
 }
 
-// lowerStaticSlice plans T_L(r). Over a σ-WHEN without DURING it lowers
-// both sides of Section 5's T_L(σ-WHEN_p(r)) = σ-WHEN_p(T_L(r)) (core's
-// TestLawTimesliceCommutesWithSelect: σ-WHEN is pointwise, so slicing
-// before or after the filter keeps the same chronons) and keeps the
-// cheaper: slicing first lets the interval index prune what the filter
-// reads, filtering first keeps an equality's index probe. σ-IF does not
-// commute with slicing — its quantifier's scope would change. Where the
-// sliced order's price moves with the window, the order is chosen by
-// the side of its cost crossing the window falls on (sliceChoice), and
-// the plan's first such choice keys it.
-func lowerStaticSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
+// lowerSlice plans a static or WHEN-valued T_L(r). Over a σ-WHEN it
+// plans σ-WHEN_p DURING D∩L (r) instead, which keeps the same chronons:
+// σ-WHEN is pointwise (core's TestLawTimesliceCommutesWithSelect). The
+// one selection then takes, against the pin, whichever of its probes
+// finds the fewest candidates — Section 5's slice-vs-select order,
+// decided at execution. σ-IF does not commute with slicing: it keeps
+// its tuples whole, so it is sliced as written.
+func lowerSlice(n *hql.TimesliceExpr, lc *lowerCtx) (node, error) {
 	at, err := lowerLS(n.At, lc)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := n.Source.(*hql.SelectExpr)
-	if !ok || !sel.When || sel.During != nil {
-		child, err := lower(n.Source, lc)
-		if err != nil {
-			return nil, err
-		}
-		return lowerTimeslice(child, at, lc), nil
+	src := n.Source
+	sel, when := src.(*hql.SelectExpr)
+	if when = when && sel.When; when {
+		src = sel.Source
 	}
-	child, err := lower(sel.Source, lc)
+	child, err := lower(src, lc)
 	if err != nil {
 		return nil, err
 	}
-	filtered, err := lowerSelect(sel, child, lc)
-	if err != nil {
-		return nil, err
+	if when {
+		return lowerSelect(sel, child, at, lc)
 	}
-	best := lowerTimeslice(filtered, at, lc)
-	// The slice keeps child's scheme, which filtered's condition passed.
-	sliced, _ := lowerSelect(sel, lowerTimeslice(child, at, lc), lc)
-	slicedFirst := sliced.estimate().work < best.estimate().work
-	if c := newSliceChoice(sliced, best.estimate().work, lc); c != nil {
-		slicedFirst = c.sliced
-		if lc.choice == nil {
-			lc.choice = c
-		}
-	}
-	if slicedFirst {
-		return sliced, nil
-	}
-	return best, nil
+	return lowerTimeslice(child, at, lc), nil
 }
 
-// sliceChoice is a law-3 order priced with its window's value. The
-// filtered order's price does not depend on the window. The sliced
-// order's grows with the k candidates the interval index yields for it,
-// each read twice (by the index, then by the filter above it), so the
-// two cost the same at one k — cross — and the order is the side of it
-// the window falls on.
-type sliceChoice struct {
-	at     *lsExpr // the sliced window, composed with an inner slice's
-	card   float64 // the indexed relation's cardinality and statistics, as priced
-	stats  RelStats
-	cross  float64
-	sliced bool // the side the plan's window fell on: slice first
-}
-
-// newSliceChoice prices a law-3 choice's crossing from the sliced
-// order's plan and the filtered order's work, or returns nil when the
-// sliced order's price does not move with the window — no interval
-// index probe under the filter: a source too small for one, or derived.
-func newSliceChoice(sliced node, filtered float64, lc *lowerCtx) *sliceChoice {
-	f, ok := sliced.(*filterNode)
-	if !ok {
-		return nil
+// meet is the lifespan parameter D∩L, or either operand alone when the
+// other is all of time.
+func meet(d, l *lsExpr) *lsExpr {
+	switch {
+	case d == allTime:
+		return l
+	case l == allTime:
+		return d
 	}
-	its, ok := f.child.(*indexTimeSliceNode)
-	if !ok || !its.at.static() {
-		return nil
-	}
-	c := &sliceChoice{at: its.at, card: float64(lc.deps[its.name].card), stats: lc.relStats(its.name, its.rel)}
-	k := c.rows(lc.params)
-	c.cross = k + (filtered-sliced.estimate().work)/2
-	c.sliced = k < c.cross
-	return c
+	return &lsExpr{op: "INTERSECT", l: d, r: l}
 }
-
-// rows is the candidate count the interval index is priced to yield for
-// the window ps binds, as lowerTimeslice prices it.
-func (c *sliceChoice) rows(ps []param) float64 {
-	return c.card * timesliceSelectivity(c.stats, c.at.value(ps))
-}
-
-// slicedFirst reports whether slicing first is the cheaper order for
-// the window ps binds.
-func (c *sliceChoice) slicedFirst(ps []param) bool { return c.rows(ps) < c.cross }
 
 // lowerTimeslice plans a static TIME-SLICE: the interval index over a
 // base relation big enough for one to pay (log n + k < n needs n > 2),
@@ -503,20 +426,33 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 	return &timeSliceNode{child: child, at: at}
 }
 
-// lowerSelect plans SELECT IF/WHEN over its planned source: an
-// index-select over a base relation where a required equality or range
-// conjunct, or a DURING lifespan, gives an index something to prune by,
-// a per-tuple filter otherwise. A condition naming an attribute the
-// child's scheme lacks is refused here. Which of them is chosen
-// reads the condition's shape — attributes, comparators, constant
-// kinds — never a constant's value; the estimate still reads a static
-// DURING window, so a choice above it can move with the window.
-func lowerSelect(n *hql.SelectExpr, child node, lc *lowerCtx) (node, error) {
+// lowerSelect plans SELECT IF/WHEN over its planned source, within the
+// window of a slice folded into it (allTime when none): an index-select
+// over a base relation where a required equality or range conjunct, or
+// a DURING lifespan, gives an index something to prune by, a per-tuple
+// filter otherwise. A σ-WHEN over a static or WHEN-valued slice folds
+// the slice's window into DURING too and reads the slice's source:
+// σ-WHEN_p DURING D (T_L(r)) = σ-WHEN_p DURING D∩L (r). A condition
+// naming an attribute the child's scheme lacks is refused here. Which
+// form is chosen reads the condition's shape — attributes,
+// comparators, constant kinds — never a constant's value; the estimate
+// still reads a static DURING window, so a choice above it can move
+// with the window.
+func lowerSelect(n *hql.SelectExpr, child node, within *lsExpr, lc *lowerCtx) (node, error) {
 	during := allTime
 	if n.During != nil {
 		var err error
 		if during, err = lowerLS(n.During, lc); err != nil {
 			return nil, err
+		}
+	}
+	during = meet(during, within)
+	if n.When {
+		switch c := child.(type) {
+		case *indexTimeSliceNode:
+			child, during = lc.scan(c.name, c.rel), meet(during, c.at)
+		case *timeSliceNode:
+			child, during = c.child, meet(during, c.at)
 		}
 	}
 	forAll := !n.When && n.ForAll

@@ -188,6 +188,36 @@ func TestRangeProbeOnScanJoinData(t *testing.T) {
 	}
 }
 
+// TestRangeIndexOnlyWithoutEarlierProbe runs temporal_window's
+// selections — SELECT WHEN SAL > c DURING a window of 5, 20 or 200
+// chronons, bare and under WHEN — over its EMP shape: the lifespan probe
+// bounds each to a few candidates, so no value-range index is built for
+// them, while the same comparison without DURING still builds one.
+func TestRangeIndexOnlyWithoutEarlierProbe(t *testing.T) {
+	st := storage.NewStore()
+	st.Put(workload.Personnel(workload.PersonnelConfig{
+		NumEmployees: 5000, HistoryLen: 100000, ChangeEvery: 25,
+		ReincarnationProb: 0.2, MaxTenure: 40, Seed: 1,
+	}))
+	rng := rand.New(rand.NewSource(1))
+	builds := idxMetrics.rangeBuilds.Load()
+	for i, w := range []int{5, 5, 20, 20, 200, 200} {
+		lo := rng.Intn(100000 - w)
+		q := fmt.Sprintf(`SELECT WHEN SAL > %d DURING {[%d,%d]} FROM EMP`, 26000+1000*rng.Intn(10), lo, lo+w-1)
+		if i%2 == 1 {
+			q = `WHEN (` + q + `)`
+		}
+		compareQuery(t, st, q)
+	}
+	if got := idxMetrics.rangeBuilds.Load() - builds; got != 0 {
+		t.Fatalf("DURING selections built %d value-range indexes, want 0", got)
+	}
+	compareQuery(t, st, `SELECT WHEN SAL > 33000 FROM EMP`)
+	if got := idxMetrics.rangeBuilds.Load() - builds; got != 1 {
+		t.Fatalf("a selection without DURING built %d value-range indexes, want 1", got)
+	}
+}
+
 // TestRangeQueryBounds: each comparison's value interval, empty rather
 // than wrapped past the int64 extremes, widened where int64s round
 // together as float64, and exact for Time values.

@@ -181,7 +181,7 @@ func (s *Session) Explain(src string) (string, error) {
 	}
 	snap := pinPlan(context.Background(), s.db, p, s.q.params)
 	status := "miss (first run compiles and caches the plan)"
-	if planCache.peek(s.q.shape, env, s.q.params) {
+	if planCache.peek(s.q.shape, env) {
 		status = "hit (repeated runs skip parse and plan)"
 	}
 	hits, misses, entries := PlanCacheStats()
