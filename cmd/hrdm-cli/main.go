@@ -24,16 +24,16 @@
 // docs/OBSERVABILITY.md), \q quits.
 // EXPLAIN QUERY prints the
 // physical plan the engine would run — which indexes it probes, what
-// falls back to the naive operators, the cost estimates, and the
-// epoch snapshot a run would pin — without executing the plan
+// falls back to the naive operators, which side a join streams, and
+// the epoch snapshot a run would pin — without executing the plan
 // (lifespan parameters, including WHEN sub-queries, are still
 // resolved during planning); EXPLAIN ANALYZE QUERY executes the
 // plan with a per-operator profiler attached and annotates the tree
 // with actual rows, wall time, self time and index lookups (see
 // docs/EXPLAIN.md). Anything else is parsed as an
 // HQL query; see
-// internal/hql for the grammar. Queries run through the cost-aware
-// planner of internal/engine (lifespan interval indexes plus key and
+// internal/hql for the grammar. Queries run through the planner of
+// internal/engine (lifespan interval indexes plus key and
 // attribute hash indexes, and the paper's Section 5 laws where they
 // pay).
 package main
@@ -357,7 +357,7 @@ func cutExplain(q string) (string, bool) {
 // cutAnalyze strips a leading ANALYZE keyword (any case) from the rest
 // of an EXPLAIN line: EXPLAIN ANALYZE executes the query with the
 // per-operator profiler attached and renders actual rows and timings
-// next to the estimates.
+// beside each operator.
 func cutAnalyze(q string) (string, bool) {
 	fields := strings.Fields(q)
 	if len(fields) == 0 || !strings.EqualFold(fields[0], "ANALYZE") {

@@ -141,22 +141,10 @@ func (ix *AttrIndex) Varying() []int32 {
 	return ix.varying
 }
 
-// Stats summarizes the index's value distribution for the planner's
-// selectivity estimates.
-func (ix *AttrIndex) Stats() AttrStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return AttrStats{
-		Rows:     ix.total,
-		Distinct: len(ix.byVal),
-		Varying:  len(ix.varying),
-		Absent:   ix.absent,
-	}
-}
-
-// AvgBucket estimates the number of candidates one equality probe
+// AvgBucket is the mean number of candidates one equality probe
 // returns: the mean constant bucket plus the whole varying overflow.
-// The planner's cost model prices index lookup joins with it.
+// An index lookup join between two base relations prices the side to
+// stream with it (eqProbe.bucket).
 func (ix *AttrIndex) AvgBucket() float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -210,6 +198,16 @@ func (p *eqProbe) String() string {
 		return fmt.Sprintf("key-index %s.%s", p.v.Rel().Scheme().Name, p.attr)
 	}
 	return p.ix.String()
+}
+
+// bucket is the mean number of candidates one probe returns: 1 from
+// the key map, the hash index's mean bucket plus its varying overflow
+// otherwise.
+func (p *eqProbe) bucket() float64 {
+	if p.ix == nil {
+		return 1
+	}
+	return p.ix.AvgBucket()
 }
 
 // candidates returns the pinned tuples whose attribute could equal one

@@ -27,9 +27,8 @@ var idxMetrics = struct {
 
 // RelIndexes is the index set of one relation: a lifespan interval
 // index, per-attribute hash indexes and per-attribute value-range
-// indexes, each built lazily on first demand, and the statistics object
-// derived from the lifespan index. The set is the relation's change
-// observer, so single-tuple inserts and merges are absorbed into the
+// indexes, each built lazily on first demand. The set is the
+// relation's change observer, so single-tuple inserts and merges are absorbed into the
 // built indexes incrementally; a missed notification (detected by a
 // version gap) marks the set stale and the next access rebuilds from a
 // consistent snapshot.
@@ -42,7 +41,6 @@ type RelIndexes struct {
 	interval *IntervalIndex
 	attrs    map[string]*AttrIndex
 	ranges   map[string]*IntervalIndex
-	stats    *RelStats // cached statistics; nil = recompute on demand
 }
 
 // maintained is an index the set keeps current from change
@@ -101,7 +99,6 @@ func (x *RelIndexes) RelationChanged(r *core.Relation, c core.Change) {
 		return
 	}
 	x.version = c.Version
-	x.stats = nil
 	for _, ix := range x.builtLocked() {
 		switch c.Kind {
 		case core.ChangeInsert:
@@ -142,7 +139,6 @@ func (x *RelIndexes) freshSnapshotLocked() []*core.Tuple {
 		}
 		x.version = v
 		x.stale = false
-		x.stats = nil
 	}
 	return ts
 }

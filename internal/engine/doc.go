@@ -8,11 +8,12 @@
 // over [t1,t2] in O(log n + k)), the relation's key map for a
 // single-attribute key and attribute hash indexes, built on first
 // probe, over the constant-valued functions the paper's CD domains
-// guarantee, a cost-aware planner that lowers parsed HQL expressions
-// into physical plans with selection and time-slice pushdown (core's
-// linear-scan operators wherever no index applies), per-relation
-// statistics feeding the planner's selectivity and join estimates, and
-// a plan cache that lets repeated queries skip parse and plan entirely.
+// guarantee, a planner that lowers parsed HQL expressions into
+// physical plans with selection and time-slice pushdown (core's
+// linear-scan operators wherever no index applies) — every choice the
+// data prices, which probe to take or which join side to stream, is
+// made by each run against its pin — and a plan cache that lets
+// repeated queries skip parse and plan entirely.
 // Indexes absorb single-tuple inserts, merges and coalesced batches
 // incrementally from relation change notifications instead of
 // rebuilding. A plan is a pure shape over schemes and holds no data:

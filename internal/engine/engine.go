@@ -46,8 +46,8 @@ func (q *lifted) text() string {
 // evalQuery is the one evaluation path behind Session.Query and
 // Session.Eval. A text whose shape has a cached plan fitting its
 // parameters runs on that plan at once: neither parser nor planner
-// runs. Any other text is compiled — parsed and planned, costed with
-// its own literals — and the plan cached under its shape, then run.
+// runs. Any other text is compiled — parsed and planned — and the plan
+// cached under its shape, then run.
 //
 // evalQuery owns the span it begins and closes it at its one
 // finishQuery, whichever way runQuery returned: engine.queries and
@@ -89,7 +89,7 @@ func runQuery(ctx context.Context, q *lifted, db *DB, sp *obs.Span) (hql.Result,
 // compile is the one place a query text becomes a plan — for a cache
 // miss, EXPLAIN and EXPLAIN ANALYZE alike. It parses q's text, marking
 // parse on sp, rejects a literal that did not decode, and plans the
-// expression costed with q's literals, marking plan. Its errors are
+// expression, type-checked with q's literals, marking plan. Its errors are
 // classified once, here: a syntax error is a parse error; an
 // undecodable literal, an unknown relation or an ill-typed operator
 // is semantic, as the naive evaluator classifies it.

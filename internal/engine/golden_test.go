@@ -16,8 +16,8 @@ import (
 )
 
 // The EXPLAIN output these golden files lock — every line, from the
-// plan tree and its cost estimates through the statistics, snapshot
-// and plan-cache reports — is documented in docs/EXPLAIN.md; update
+// plan tree through the snapshot and plan-cache reports — is
+// documented in docs/EXPLAIN.md; update
 // that document whenever an intentional format change updates the
 // golden files here.
 var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files under testdata/explain")
@@ -29,10 +29,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files 
 var epochRe = regexp.MustCompile(`epoch \d+`)
 
 // goldenStore builds a small fully deterministic database: a
-// 40-tuple EMP with staggered lifespans (large enough that index plans
-// win their costings), a two-tuple REF for joins, and TINY, a relation
-// small enough that the time-slice costing short-circuits before
-// consulting the interval index.
+// 40-tuple EMP with staggered lifespans (large enough that index probes
+// fit their budgets), a two-tuple REF for joins, and TINY, a relation
+// small enough that a time-slice restricts it whole without probing
+// the interval index.
 func goldenStore(t testing.TB) *storage.Store {
 	t.Helper()
 	st := storage.NewStore()
@@ -106,7 +106,7 @@ var explainGolden = []struct {
 }
 
 // TestExplainGolden locks the full EXPLAIN rendering — plan shape,
-// cost estimates, statistics, pinned snapshot, plan-cache status — for
+// pinned snapshot, plan-cache status — for
 // representative plans against golden files. Run with -update after an
 // intentional planner or formatting change:
 //

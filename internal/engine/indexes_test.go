@@ -9,13 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
-// resetIndexes drops every index and the statistics built over r, so
-// the next probe rebuilds them from scratch.
+// resetIndexes drops every index built over r, so the next probe
+// rebuilds it from scratch.
 func resetIndexes(r *core.Relation) {
 	x := Indexes(r)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.interval, x.attrs, x.stats = nil, make(map[string]*AttrIndex), nil
+	x.interval, x.attrs, x.ranges = nil, make(map[string]*AttrIndex), make(map[string]*IntervalIndex)
 }
 
 // TestIndexSetLivesWithRelation: a relation's index set is its change

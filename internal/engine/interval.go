@@ -93,14 +93,6 @@ type IntervalIndex struct {
 	// positions whose static entries a merge replaced.
 	extra []ientry
 	dead  map[int32]bool
-
-	// lifespan geometry for the statistics object (a value-range
-	// index keeps it too, unread). covered is the
-	// summed length of all live entries (in chronons, as float64 to
-	// absorb the ±2^62 sentinels); lo/hi bound every entry ever added —
-	// merges may leave them over-wide, which only softens estimates.
-	covered float64
-	lo, hi  chronon.Time
 }
 
 // newIntervalIndexFrom builds a lifespan index from a stable tuple
@@ -133,10 +125,6 @@ func (ix *IntervalIndex) resetLocked(es []ientry) {
 	ix.es, ix.maxHi = es, make([]chronon.Time, len(es))
 	ix.entries = len(es)
 	ix.extra, ix.dead = nil, nil
-	ix.covered, ix.lo, ix.hi = 0, 0, 0
-	for i, e := range es {
-		ix.noteEntryLocked(e.iv, i == 0)
-	}
 	if len(es) > 0 {
 		ix.fillMaxHi(0, len(es))
 	}
@@ -155,23 +143,6 @@ func (ix *IntervalIndex) fillMaxHi(l, r int) chronon.Time {
 	}
 	ix.maxHi[m] = h
 	return h
-}
-
-// noteEntryLocked folds one entry into the geometry statistics.
-func (ix *IntervalIndex) noteEntryLocked(iv chronon.Interval, first bool) {
-	ix.covered += ivLen(iv)
-	if first || iv.Lo < ix.lo {
-		ix.lo = iv.Lo
-	}
-	if first || iv.Hi > ix.hi {
-		ix.hi = iv.Hi
-	}
-}
-
-// ivLen returns the length of a closed interval in chronons as a float
-// (the ±2^62 infinity sentinels overflow int64 arithmetic).
-func ivLen(iv chronon.Interval) float64 {
-	return float64(iv.Hi) - float64(iv.Lo) + 1
 }
 
 // Add absorbs a single inserted tuple at position pos.
@@ -210,10 +181,7 @@ func (ix *IntervalIndex) Replace(old, new *core.Tuple, pos int) {
 	}
 	ix.dead[int32(pos)] = true
 	ix.extra = slices.DeleteFunc(ix.extra, func(e ientry) bool { return e.ord == int32(pos) })
-	for _, iv := range ix.spans(old, nil) {
-		ix.entries--
-		ix.covered -= ivLen(iv)
-	}
+	ix.entries -= len(ix.spans(old, nil))
 	ix.addLocked(new, pos)
 	ix.maybeCompactLocked()
 }
@@ -221,7 +189,6 @@ func (ix *IntervalIndex) Replace(old, new *core.Tuple, pos int) {
 func (ix *IntervalIndex) addLocked(t *core.Tuple, pos int) {
 	for _, iv := range ix.spans(t, nil) {
 		ix.extra = append(ix.extra, ientry{iv: iv, ord: int32(pos)})
-		ix.noteEntryLocked(iv, ix.entries == 0 && len(ix.extra) == 1)
 		ix.entries++
 	}
 }
@@ -255,15 +222,6 @@ func (ix *IntervalIndex) Entries() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.entries
-}
-
-// Geometry returns the summed covered chronons of all live entries and
-// the bounding interval of everything ever indexed — the raw material
-// for the statistics object's lifespan density.
-func (ix *IntervalIndex) Geometry() (covered float64, span chronon.Interval) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.covered, chronon.Interval{Lo: ix.lo, Hi: ix.hi}
 }
 
 // collect appends to out the positions of the live static entries in

@@ -80,7 +80,7 @@ var probeBattery = []struct{ q, plan string }{
 	{`SELECT WHEN K = 'k0042' FROM ORD`, "via key-index ORD.K"},
 	{`SELECT WHEN D = 'Toys' FROM ORD`, "via attr-index(D"},
 	{`TIMESLICE ORD AT {[10,30]}`, "index-time-slice ORD at {[10,30]} (interval index: "},
-	{`SELECT WHEN K != 'k0001' DURING {[10,30]} FROM ORD`, "via interval-index during"},
+	{`SELECT WHEN K != 'k0001' DURING {[10,30]} FROM ORD`, "during {[10,30]} via interval-index ("},
 	{`SELECT WHEN V > 120 FROM ORD`, "via range-index ORD.V"},
 	{`SELECT IF V <= 20 FROM ORD`, "via range-index ORD.V"},
 }

@@ -16,9 +16,10 @@ import (
 // its text's parameter vector — a []param indexed by slot, carried by
 // the execution's Snapshot. Condition constants, an index-select's
 // probe value, literal lifespans and the SNAPSHOT time are all read
-// from it at bind. The literals a plan was costed with still move its
-// estimates, and so any choice made from them: a cached plan serves
-// other literals with the choices its first text priced.
+// from it at bind. Planning reads a text's literals only to type-check
+// its conditions' constants, so a plan is the same whichever text of
+// its shape missed, and every choice a literal's value prices is made
+// at execution.
 
 // param is one slot's value in an execution: a value literal (a
 // condition constant, a SNAPSHOT time) or a lifespan literal.

@@ -14,15 +14,6 @@ import (
 	"repro/internal/value"
 )
 
-// cost is the planner's currency: estimated result cardinality and
-// abstract work units (tuple touches). Estimates are heuristic and come
-// from catalog statistics alone — a plan never touches tuples — which
-// is enough to rank alternatives.
-type cost struct {
-	rows float64
-	work float64
-}
-
 // node is one operator of a physical plan. A plan is a pure shape over
 // schemes: operators, relation pointers, parameter slots and sub-plans
 // for WHEN-valued lifespans. Everything that depends on data or on a
@@ -41,7 +32,6 @@ type cost struct {
 type node interface {
 	scheme() *schema.Scheme
 	run(s *Snapshot) (batch, error)
-	estimate() cost
 	describe(s *Snapshot) string
 	children() []node
 }
@@ -319,7 +309,6 @@ type whenNode struct{ child node }
 func (n *whenNode) scheme() *schema.Scheme         { return n.child.scheme() }
 func (n *whenNode) children() []node               { return []node{n.child} }
 func (n *whenNode) run(s *Snapshot) (batch, error) { return s.run(n.child) }
-func (n *whenNode) estimate() cost                 { return n.child.estimate() }
 func (n *whenNode) describe(*Snapshot) string      { return "when (lifespan of sub-query)" }
 
 // ---------------------------------------------------------------------
@@ -330,12 +319,10 @@ func (n *whenNode) describe(*Snapshot) string      { return "when (lifespan of s
 // frozen O(1) view, so naive operators consuming it read the snapshot,
 // not the live relation, and as the version's tuples in key order
 // (core.RelVersion.KeyOrdered, sorted once per version), so kernels
-// over it keep the order the result is rendered in. card is the
-// cardinality the planner costed with.
+// over it keep the order the result is rendered in.
 type scanNode struct {
 	name string
 	rel  *core.Relation
-	card int
 }
 
 func (n *scanNode) scheme() *schema.Scheme { return n.rel.Scheme() }
@@ -350,10 +337,6 @@ func (n *scanNode) run(s *Snapshot) (batch, error) {
 		return batch{}, err
 	}
 	return batch{ts: ts, rel: v.View(), ordered: true}, nil
-}
-func (n *scanNode) estimate() cost {
-	r := float64(n.card)
-	return cost{rows: r, work: r}
 }
 func (n *scanNode) describe(s *Snapshot) string {
 	return fmt.Sprintf("scan %s (%d tuples)", n.name, s.card(n.rel))
@@ -375,14 +358,15 @@ func (s *Snapshot) scanNote(child node) string {
 // each execution asks the lifespan interval index for the pinned tuples
 // overlapping L, and restricts only those — unless the index would
 // touch nearly everything (log n + k ≥ n), in which case restricting
-// the whole pinned relation is cheaper and it does that instead. Either
+// the whole pinned relation is cheaper and it does that instead. A
+// relation of at most two tuples leaves the probe no budget (n − log n
+// − 1 < 1), so its run neither probes nor builds the index. Either
 // input is in key order: the probe's by rank, the fallback's the
 // version's cached key order.
 type indexTimeSliceNode struct {
 	name string
 	rel  *core.Relation
 	at   *lsExpr
-	est  cost
 }
 
 func (n *indexTimeSliceNode) scheme() *schema.Scheme { return n.rel.Scheme() }
@@ -396,8 +380,10 @@ func (n *indexTimeSliceNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*co
 		return nil, false, err
 	}
 	c := v.Cardinality()
-	if cand, ok := overlapping(v, L, c-int(logN(c))-1); ok {
-		return cand, true, nil
+	if budget := c - int(logN(c)) - 1; budget >= 1 {
+		if cand, ok := overlapping(v, L, budget); ok {
+			return cand, true, nil
+		}
 	}
 	all, err := v.KeyOrdered()
 	return all, false, err
@@ -412,7 +398,6 @@ func (n *indexTimeSliceNode) bind(s *Snapshot) (bound, error) {
 	return bound{in: cand, kernel: restrictKernel(L), partition: true, ordered: true}, err
 }
 func (n *indexTimeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *indexTimeSliceNode) estimate() cost                 { return n.est }
 func (n *indexTimeSliceNode) describe(s *Snapshot) string {
 	d := fmt.Sprintf("index-time-slice %s at %s", n.name, n.at.render(s.params))
 	if !n.at.static() {
@@ -431,8 +416,7 @@ func (n *indexTimeSliceNode) describe(s *Snapshot) string {
 }
 
 // timeSliceNode restricts each tuple of its child to L — the form used
-// when the source is not a base relation, or is one too small for an
-// index to pay.
+// when the source is not a base relation.
 type timeSliceNode struct {
 	child node
 	at    *lsExpr
@@ -450,7 +434,6 @@ func (n *timeSliceNode) bind(s *Snapshot) (bound, error) {
 	return b, err
 }
 func (n *timeSliceNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *timeSliceNode) estimate() cost                 { return perTuple(n.child) }
 func (n *timeSliceNode) describe(s *Snapshot) string {
 	return "time-slice at " + n.at.render(s.params) + s.scanNote(n.child)
 }
@@ -459,16 +442,13 @@ func (n *timeSliceNode) describe(s *Snapshot) string {
 // selection
 
 // filterNode applies a SELECT-IF or SELECT-WHEN condition per child
-// tuple; its constants are bound from the parameters (bindCond). sel
-// is the condition's estimated selectivity — statistics-derived over
-// base relations, comparator defaults otherwise.
+// tuple; its constants are bound from the parameters (bindCond).
 type filterNode struct {
 	child  node
 	cond   hql.CondExpr
 	when   bool
 	forAll bool
 	during *lsExpr
-	sel    float64
 }
 
 func (n *filterNode) scheme() *schema.Scheme { return n.child.scheme() }
@@ -484,10 +464,6 @@ func (n *filterNode) bind(s *Snapshot) (bound, error) {
 	return b, err
 }
 func (n *filterNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *filterNode) estimate() cost {
-	c := n.child.estimate()
-	return cost{rows: c.rows * n.sel, work: c.work + c.rows}
-}
 func (n *filterNode) describe(s *Snapshot) string {
 	return fmt.Sprintf("filter %s %s%s", selKind(n.when, n.forAll), bindCond(n.cond, s.params, nil), s.duringSuffix(n.during)) +
 		s.scanNote(n.child)
@@ -521,7 +497,6 @@ type indexSelectNode struct {
 	// eq and rng are required conjuncts of cond with a constant in a
 	// parameter slot — an equality and a range comparison — or nil.
 	eq, rng *hql.PredExpr
-	est     cost
 }
 
 // probeBudget is the most candidates a probe of a pinned relation of
@@ -625,7 +600,6 @@ func (n *indexSelectNode) bind(s *Snapshot) (bound, error) {
 	return bound{in: cand, kernel: filterKernel(bindCond(n.cond, s.params, n.rel.Scheme()), n.when, false, L), partition: true, ordered: true}, err
 }
 func (n *indexSelectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *indexSelectNode) estimate() cost                 { return n.est }
 func (n *indexSelectNode) describe(s *Snapshot) string {
 	kind, cond := selKind(n.when, false), fmt.Sprint(bindCond(n.cond, s.params, nil))+s.duringSuffix(n.during)
 	d := fmt.Sprintf("index-select %s %s %s", kind, n.name, cond)
@@ -639,7 +613,7 @@ func (n *indexSelectNode) describe(s *Snapshot) string {
 	case via == viaScan:
 		return fmt.Sprintf("filter %s %s", kind, cond) + parallelNote(len(cand))
 	}
-	how := "interval-index during " + n.during.render(s.params)
+	how := "interval-index"
 	switch via {
 	case viaEq:
 		v, _ := s.pinned(n.rel)
@@ -695,7 +669,6 @@ func (n *projectNode) bind(s *Snapshot) (bound, error) {
 	})
 }
 func (n *projectNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *projectNode) estimate() cost                 { return perTuple(n.child) }
 func (n *projectNode) describe(*Snapshot) string {
 	return "project " + strings.Join(n.attrs, ", ") + " (key kept)"
 }
@@ -719,49 +692,101 @@ func (n *renameNode) bind(s *Snapshot) (bound, error) {
 	})
 }
 func (n *renameNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *renameNode) estimate() cost                 { return perTuple(n.child) }
 func (n *renameNode) describe(*Snapshot) string      { return "rename as " + n.prefix }
 
 // ---------------------------------------------------------------------
 // join
 
-// indexJoinNode is the index lookup equijoin: it streams one side and
-// probes the other side's hash index per tuple instead of nested-looping
-// over it. A streamed tuple whose join value is constant costs one
-// probe; a time-varying value probes once per distinct image value. The
-// indexed side's varying overflow joins against every streamed tuple —
-// the index cannot rule those pairs out — so the cost model charges for
-// them (avgBucket, from the statistics at planning) and the planner
-// picks the orientation that minimizes the total.
+// joinSide is one operand of an index lookup join: its join attribute
+// and that attribute's position in the operand's scheme, and either the
+// base relation it names — the kind of operand a lookup can probe, and
+// stream straight from the pin — or, for a derived operand, its plan.
+type joinSide struct {
+	in   node // nil for a base relation
+	rel  *core.Relation
+	name string
+	attr string
+	pos  int
+}
+
+func newJoinSide(n node, attr string) joinSide {
+	sd := joinSide{in: n, attr: attr, pos: n.scheme().Index(attr)}
+	if sc, ok := n.(*scanNode); ok {
+		sd.in, sd.rel, sd.name = nil, sc.rel, sc.name
+	}
+	return sd
+}
+
+// indexJoinNode is the index lookup equijoin: it streams one operand
+// and probes the other's key map or hash index per tuple instead of
+// nested-looping over it. A streamed tuple whose join value is constant
+// costs one probe; a time-varying value probes once per distinct image
+// value. Only a base relation is probed, so a derived operand is always
+// the one streamed. When both operands are base relations, each run
+// streams the side with the smaller pinned tuples × (2 + the other
+// side's probe bucket) — a streamed tuple costs its read, its probe and
+// the probe's candidates, the indexed side's varying overflow among
+// them — the left on a tie. The node then reads both relations from
+// the pin and has no children: the tree shows only what runs.
 type indexJoinNode struct {
-	stream       node
-	streamAttr   string
-	indexed      *core.Relation
-	indexedName  string
-	indexedAttr  string
-	rs           *schema.Scheme
-	join         core.Joiner // the pair kernel, r1 and r2 in result-scheme order
-	streamPos    int         // streamAttr's position in the stream's scheme
-	leftIsStream bool        // stream side is r1 of the result scheme
-	avgBucket    float64
+	side [2]joinSide // left and right operand
+	rs   *schema.Scheme
+	join core.Joiner // the pair kernel, left and right in result-scheme order
 }
 
 func (n *indexJoinNode) scheme() *schema.Scheme { return n.rs }
-func (n *indexJoinNode) children() []node       { return []node{n.stream} }
+func (n *indexJoinNode) children() []node {
+	for _, sd := range n.side {
+		if sd.in != nil {
+			return []node{sd.in}
+		}
+	}
+	return nil
+}
 
-// bind streams the child and joins each tuple against its probed
-// candidates — found through the pin (eqProbe), and re-checked by
-// the pair kernel, so the probe's superset is exact.
+// orient returns the index of the operand a run against s streams, and
+// the probes of the base operands (nil for a derived one) it was priced
+// with.
+func (n *indexJoinNode) orient(s *Snapshot) (int, [2]*eqProbe, error) {
+	var p [2]*eqProbe
+	for i, sd := range n.side {
+		if sd.rel != nil {
+			v, err := s.pinned(sd.rel)
+			if err != nil {
+				return 0, p, err
+			}
+			p[i] = newEqProbe(v, sd.attr)
+		}
+	}
+	switch {
+	case p[0] == nil:
+		return 0, p, nil
+	case p[1] == nil:
+		return 1, p, nil
+	}
+	if float64(p[1].v.Cardinality())*(2+p[0].bucket()) < float64(p[0].v.Cardinality())*(2+p[1].bucket()) {
+		return 1, p, nil
+	}
+	return 0, p, nil
+}
+
+// bind streams one operand and joins each tuple against its probed
+// candidates in the other — found through the pin (eqProbe), and
+// re-checked by the pair kernel, so the probe's superset is exact.
 func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
-	v, err := s.pinned(n.indexed)
+	i, probes, err := n.orient(s)
 	if err != nil {
 		return bound{}, err
 	}
-	in, err := s.tuplesFrom(n.stream)
-	p := newEqProbe(v, n.indexedAttr)
-	_, overScan := n.stream.(*scanNode)
-	return bound{in: in, partition: overScan, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
-		f := t.ValueAt(n.streamPos)
+	pos, p := n.side[i].pos, probes[1-i]
+	var in []*core.Tuple
+	if sp := probes[i]; sp != nil {
+		in, err = sp.v.KeyOrdered()
+	} else {
+		in, err = s.tuplesFrom(n.side[i].in)
+	}
+	return bound{in: in, partition: probes[i] != nil, kernel: func(t *core.Tuple, out []*core.Tuple) ([]*core.Tuple, error) {
+		f := t.ValueAt(pos)
 		if f.IsNowhereDefined() {
 			return out, nil
 		}
@@ -783,7 +808,7 @@ func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 		}
 		for _, o := range cand {
 			t1, t2 := t, o
-			if !n.leftIsStream {
+			if i == 1 {
 				t1, t2 = o, t
 			}
 			nt, err := n.join.Pair(t1, t2)
@@ -798,27 +823,24 @@ func (n *indexJoinNode) bind(s *Snapshot) (bound, error) {
 	}}, err
 }
 func (n *indexJoinNode) run(s *Snapshot) (batch, error) { return s.runOp(n) }
-func (n *indexJoinNode) estimate() cost {
-	c := n.stream.estimate()
-	probes := c.rows * (1 + n.avgBucket)
-	return cost{rows: c.rows * maxf(n.avgBucket, 0.5), work: c.work + probes}
-}
 func (n *indexJoinNode) describe(s *Snapshot) string {
-	side := "right"
-	if !n.leftIsStream {
-		side = "left"
-	}
-	d := fmt.Sprintf("index-lookup-join %s=%s probing %s %s", n.streamAttr, n.indexedAttr, side, n.indexedName)
-	v, err := s.pinned(n.indexed)
+	i, probes, err := n.orient(s)
 	if err != nil {
-		return fmt.Sprintf("%s (%v)", d, err)
+		return fmt.Sprintf("index-lookup-join (%v)", err)
 	}
-	p := newEqProbe(v, n.indexedAttr)
-	d += " via " + p.String()
+	st, ix, p := n.side[i], n.side[1-i], probes[1-i]
+	d := fmt.Sprintf("index-lookup-join %s=%s", st.attr, ix.attr)
+	note := ""
+	if sp := probes[i]; sp != nil {
+		c := sp.v.Cardinality()
+		d += fmt.Sprintf(" streaming %s (%d tuples)", st.name, c)
+		note = parallelNote(c)
+	}
+	d += fmt.Sprintf(" probing %s %s via %s", [2]string{"right", "left"}[i], ix.name, p)
 	if p.ix == nil {
-		d += fmt.Sprintf(" (%d keys)", v.Cardinality())
+		d += fmt.Sprintf(" (%d keys)", p.v.Cardinality())
 	}
-	return d + s.scanNote(n.stream)
+	return d + note
 }
 
 // ---------------------------------------------------------------------
@@ -834,7 +856,6 @@ type opNode struct {
 	label string
 	kids  []node
 	rs    *schema.Scheme
-	est   cost
 	apply func(rels []*core.Relation) (*core.Relation, error)
 }
 
@@ -862,14 +883,7 @@ func (n *opNode) run(s *Snapshot) (batch, error) {
 	//lint:allow pindiscipline r is the operator's private output
 	return batch{ts: r.Tuples(), rel: r}, nil
 }
-func (n *opNode) estimate() cost            { return n.est }
 func (n *opNode) describe(*Snapshot) string { return n.label + " (naive)" }
-
-// perTuple estimates an operator that keeps and touches each child row once.
-func perTuple(child node) cost {
-	c := child.estimate()
-	return cost{rows: c.rows, work: c.work + c.rows}
-}
 
 func logN(n int) float64 {
 	l := 0.0
@@ -877,18 +891,4 @@ func logN(n int) float64 {
 		l++
 	}
 	return l
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

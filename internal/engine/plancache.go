@@ -12,8 +12,8 @@ import (
 // the server's metrics op and the end-to-end benchmark see them
 // alongside every other engine counter; PlanCacheStats below stays as a thin typed
 // view over the same numbers. Invalidations count fence failures
-// (a dependency relation was swapped or outgrew its costing),
-// evictions count LRU overflow — the distinction tells an operator
+// (a dependency name resolves to another relation), evictions count
+// LRU overflow — the distinction tells an operator
 // whether the cache is too small or the store is being replaced.
 var (
 	mPlanHits          = obs.Default.Counter("engine.plancache.hits")
@@ -34,12 +34,12 @@ func init() {
 // The plan cache memoizes compiled plans by query shape (hql.Lift), so
 // a text whose shape was seen before — the same query with other
 // literals — skips parsing and planning and runs with its own
-// parameters. A plan holds no data, so writes do not invalidate it; it
-// is fenced by its dependencies' identity and size: each name must
-// still resolve to the relation the plan was compiled over (a swapped
-// environment, e.g. the CLI's \load, fails this and replans rather than
-// serving results from the old store), grown to no more than
-// staleGrowth times the cardinality it was costed at.
+// parameters. A plan holds no data, so writes do not invalidate it —
+// growth included: each run prices its choices at its pin. It is
+// fenced by its dependencies' identity: each name must still resolve
+// to the relation the plan was compiled over (a swapped environment,
+// e.g. the CLI's \load, fails this and replans rather than serving
+// results from the old store).
 
 // cacheEntry is one shape's cached plan. elem is nil once the entry has
 // left the cache.
@@ -145,12 +145,11 @@ func PlanCacheStats() (hits, misses uint64, entries int) {
 
 // InvalidateStalePlans drops every cached plan that no longer
 // validates against env — one of its dependencies resolves to a
-// different relation (a swapped store) or has outgrown its costing —
-// and reports how many plans were dropped. Plans whose dependencies
-// still resolve identically survive, so a store swap that shares
-// relations with its predecessor (or a reload of unrelated relations)
-// keeps the working set warm: the precise replacement for clearing the
-// cache wholesale on swap.
+// different relation (a swapped store) — and reports how many plans
+// were dropped. Plans whose dependencies still resolve identically
+// survive, so a store swap that shares relations with its predecessor
+// (or a reload of unrelated relations) keeps the working set warm: the
+// precise replacement for clearing the cache wholesale on swap.
 func InvalidateStalePlans(env hql.Env) (dropped int) {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()

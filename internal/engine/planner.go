@@ -15,37 +15,29 @@ import (
 
 // Plan is a compiled query shape: a physical operator tree plus the
 // result sort of the original expression (relation, lifespan or
-// snapshot), the relations it depends on — the plan cache's validity
-// fence — and the statistics the planner consulted, for EXPLAIN. A plan
-// holds no tuples, index objects or evaluated lifespans, and reads every
-// literal from its slot, so a write to a relation it reads does not
-// outdate it, and every text of its shape runs on it with its own
-// parameters. Its choices are costed with the literals of the text that
-// missed, and serve every later text of its shape.
+// snapshot) and the relations it depends on — the plan cache's validity
+// fence. A plan holds no tuples, index objects or evaluated lifespans,
+// and reads every literal from its slot, so a write to a relation it
+// reads does not outdate it, and every text of its shape runs on it
+// with its own parameters. It is a function of the query's shape and
+// its relations' schemes alone: every choice the data prices — the
+// probe a selection or slice takes, the side a join streams — is made
+// by each run against its pin.
 type Plan struct {
-	root  node
-	kind  planKind
-	at    int // SNAPSHOT time slot
-	deps  []planDep
-	notes []string
+	root node
+	kind planKind
+	at   int // SNAPSHOT time slot
+	deps []planDep
 }
 
-// planDep is one relation the plan depends on — resolved from the
-// environment during lowering, lifespan sub-plans included — with the
-// cardinality the planner costed it at. A cached plan is reusable
-// while every dep still resolves to the same relation (schemes are
-// immutable per relation) and none has outgrown its costing.
+// planDep is one relation the plan depends on, resolved from the
+// environment during lowering, lifespan sub-plans included. A cached
+// plan is reusable while every dep still resolves to the same relation
+// (schemes are immutable per relation).
 type planDep struct {
 	name string
 	rel  *core.Relation
-	card int
 }
-
-// staleGrowth bounds how stale a cost-chosen shape (a join
-// orientation, a too-small-to-index short-circuit) can get: a cached
-// plan is replanned once a dependency holds more than staleGrowth
-// times the tuples it was costed with.
-const staleGrowth = 2
 
 type planKind uint8
 
@@ -55,67 +47,20 @@ const (
 	planSnapshot
 )
 
-// lowerCtx threads the environment and the parameters being costed
-// with through lowering, while collecting the plan's relation
-// dependencies and the statistics notes EXPLAIN reports.
+// lowerCtx threads the environment and the parameters of the text
+// being planned — read only to type-check a condition's constants —
+// through lowering, while collecting the plan's relation dependencies.
 type lowerCtx struct {
 	env    hql.Env
 	params []param
 	deps   map[string]planDep
-	notes  map[string]string
 }
 
 // scan records that the plan depends on relation r (resolved as name)
-// and returns its leaf; repeated references share one costing.
+// and returns its leaf.
 func (lc *lowerCtx) scan(name string, r *core.Relation) *scanNode {
-	d, ok := lc.deps[name]
-	if !ok {
-		d = planDep{name: name, rel: r, card: r.Cardinality()}
-		lc.deps[name] = d
-	}
-	return &scanNode{name: name, rel: r, card: d.card}
-}
-
-// relStats resolves and records the statistics object of a base
-// relation for costing.
-func (lc *lowerCtx) relStats(name string, r *core.Relation) RelStats {
-	s := Indexes(r).Stats()
-	lc.notes[name] = fmt.Sprintf("%s: %s", name, s)
-	return s
-}
-
-// attrStats resolves and records per-attribute statistics of a base
-// relation for costing, building the attribute's hash index if needed.
-func (lc *lowerCtx) attrStats(name string, r *core.Relation, attr string) AttrStats {
-	return lc.noteAttr(name, attr, Indexes(r).AttrStatsFor(attr))
-}
-
-// attrStatsCheap resolves per-attribute statistics without paying an
-// O(n) index build the plan would not otherwise make: a
-// single-attribute key synthesizes exact statistics from the
-// canonical-key map the relation already maintains (keys are constant,
-// everywhere defined and unique); other attributes answer only from an
-// already-built index, unless willBuild says the plan is about to
-// build it anyway (a required-equality probe on a base scan).
-func (lc *lowerCtx) attrStatsCheap(name string, r *core.Relation, attr string, willBuild bool) (AttrStats, bool) {
-	if key := r.Scheme().Key; len(key) == 1 && key[0] == attr {
-		n := r.Cardinality()
-		return lc.noteAttr(name, attr, AttrStats{Rows: n, Distinct: n}), true
-	}
-	if willBuild {
-		return lc.attrStats(name, r, attr), true
-	}
-	if as, ok := Indexes(r).AttrStatsIfBuilt(attr); ok {
-		return lc.noteAttr(name, attr, as), true
-	}
-	return AttrStats{}, false
-}
-
-// noteAttr records an attribute-statistics line for EXPLAIN.
-func (lc *lowerCtx) noteAttr(name, attr string, as AttrStats) AttrStats {
-	key := name + "." + attr
-	lc.notes[key] = fmt.Sprintf("%s: %s", key, as)
-	return as
+	lc.deps[name] = planDep{name: name, rel: r}
+	return &scanNode{name: name, rel: r}
 }
 
 func (lc *lowerCtx) depList() []planDep {
@@ -127,21 +72,8 @@ func (lc *lowerCtx) depList() []planDep {
 	return out
 }
 
-func (lc *lowerCtx) noteList() []string {
-	keys := make([]string, 0, len(lc.notes))
-	for k := range lc.notes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = lc.notes[k]
-	}
-	return out
-}
-
 // PlanQuery lowers a parsed HQL expression into a physical plan for
-// its shape, costed with its own literals. An error means the planner
+// its shape, type-checked with its own literals. An error means the planner
 // refuses the expression: an unknown relation or operator, a literal
 // that does not decode, or an operator its operands' schemes refuse.
 func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
@@ -152,8 +84,9 @@ func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 	return planQuery(e, env, ps)
 }
 
-// planQuery lowers e for its shape, costed with ps — the parameters
-// its own literals bind, indexed by the slots the parser numbered.
+// planQuery lowers e for its shape, type-checked with ps — the
+// parameters its own literals bind, indexed by the slots the parser
+// numbered.
 func planQuery(e hql.Expr, env hql.Env, ps []param) (*Plan, error) {
 	p := &Plan{}
 	var src hql.Expr
@@ -166,13 +99,12 @@ func planQuery(e hql.Expr, env hql.Env, ps []param) (*Plan, error) {
 	default:
 		p.kind, src = planRelation, e
 	}
-	lc := &lowerCtx{env: env, params: ps, deps: make(map[string]planDep), notes: make(map[string]string)}
+	lc := &lowerCtx{env: env, params: ps, deps: make(map[string]planDep)}
 	var err error
 	if p.root, err = lower(src, lc); err != nil {
 		return nil, err
 	}
 	p.deps = lc.depList()
-	p.notes = lc.noteList()
 	return p, nil
 }
 
@@ -221,11 +153,10 @@ func (p *Plan) result(b batch, ps []param) (hql.Result, error) {
 }
 
 // valid reports whether the plan's dependencies still resolve to the
-// same relations, none grown past staleGrowth times its costing.
+// same relations.
 func (p *Plan) valid(env hql.Env) bool {
 	for _, d := range p.deps {
-		r, ok := env.Get(d.name)
-		if !ok || r != d.rel || r.Cardinality() > staleGrowth*d.card {
+		if r, ok := env.Get(d.name); !ok || r != d.rel {
 			return false
 		}
 	}
@@ -234,8 +165,8 @@ func (p *Plan) valid(env hql.Env) bool {
 
 // render is the skeleton EXPLAIN and EXPLAIN ANALYZE share: the
 // result-sort header, then the operator tree depth-first, one node per
-// line — described against pin s, with its cost estimate, and whatever
-// actual (if non-nil) appends for it.
+// line — described against pin s, followed by whatever actual (if
+// non-nil) appends for it.
 func (p *Plan) render(b *strings.Builder, s *Snapshot, actual func(n node)) {
 	depth := 0
 	switch p.kind {
@@ -248,8 +179,8 @@ func (p *Plan) render(b *strings.Builder, s *Snapshot, actual func(n node)) {
 	}
 	var visit func(n node, depth int)
 	visit = func(n node, depth int) {
-		c := n.estimate()
-		fmt.Fprintf(b, "%s%s  [rows≈%.0f cost≈%.0f]", strings.Repeat("  ", depth), n.describe(s), c.rows, c.work)
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(n.describe(s))
 		if actual != nil {
 			actual(n)
 		}
@@ -261,23 +192,16 @@ func (p *Plan) render(b *strings.Builder, s *Snapshot, actual func(n node)) {
 	visit(p.root, depth)
 }
 
-// explain renders the physical plan against pin s, followed by the
-// statistics the planner consulted.
+// explain renders the physical plan against pin s.
 func (p *Plan) explain(s *Snapshot) string {
 	var b strings.Builder
 	p.render(&b, s, nil)
-	if len(p.notes) > 0 {
-		b.WriteString("statistics:\n")
-		for _, n := range p.notes {
-			fmt.Fprintf(&b, "  %s\n", n)
-		}
-	}
 	return strings.TrimRight(b.String(), "\n")
 }
 
 // lower translates a relation-valued expression into a plan node,
-// choosing index-backed operators by cost where they apply and wrapping
-// the naive algebra otherwise.
+// choosing index-backed operators where the operands' shape admits one
+// and wrapping the naive algebra otherwise.
 func lower(e hql.Expr, lc *lowerCtx) (node, error) {
 	switch n := e.(type) {
 	case *hql.RelName:
@@ -395,9 +319,9 @@ func meet(d, l *lsExpr) *lsExpr {
 	return &lsExpr{op: "INTERSECT", l: d, r: l}
 }
 
-// lowerTimeslice plans a static TIME-SLICE: the interval index over a
-// base relation big enough for one to pay (log n + k < n needs n > 2),
-// a per-tuple restrict over any other input. A static slice of a static
+// lowerTimeslice plans a static or WHEN-valued TIME-SLICE: the
+// interval index over a base relation, a per-tuple restrict over any
+// other input. A static slice of a static
 // slice is first composed into one by Section 5's T_L1(T_L2(r)) =
 // T_{L1∩L2}(r) (core's TestLawTimesliceComposition): L1∩L2 is
 // intersected at bind, and the tuples are restricted once — never more
@@ -415,13 +339,8 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 			}
 		}
 	}
-	if sc, ok := child.(*scanNode); ok && sc.card-int(logN(sc.card))-1 > 0 {
-		k := float64(sc.card)
-		if at.static() {
-			k *= timesliceSelectivity(lc.relStats(sc.name, sc.rel), at.value(lc.params))
-		}
-		return &indexTimeSliceNode{name: sc.name, rel: sc.rel, at: at,
-			est: cost{rows: k, work: logN(sc.card) + k}}
+	if sc, ok := child.(*scanNode); ok {
+		return &indexTimeSliceNode{name: sc.name, rel: sc.rel, at: at}
 	}
 	return &timeSliceNode{child: child, at: at}
 }
@@ -435,9 +354,7 @@ func lowerTimeslice(child node, at *lsExpr, lc *lowerCtx) node {
 // σ-WHEN_p DURING D (T_L(r)) = σ-WHEN_p DURING D∩L (r). A condition
 // naming an attribute the child's scheme lacks is refused here. Which
 // form is chosen reads the condition's shape — attributes,
-// comparators, constant kinds — never a constant's value; the estimate
-// still reads a static DURING window, so a choice above it can move
-// with the window.
+// comparators, constant kinds — never a constant's value.
 func lowerSelect(n *hql.SelectExpr, child node, within *lsExpr, lc *lowerCtx) (node, error) {
 	during := allTime
 	if n.During != nil {
@@ -473,68 +390,16 @@ func lowerSelect(n *hql.SelectExpr, child node, within *lsExpr, lc *lowerCtx) (n
 			return p.Theta != value.EQ && p.Theta != value.NE && (k == value.KindInt || k == value.KindTime) && k == p.Const.Kind()
 		})
 	}
-	// Selectivity: statistics-derived for base relations, comparator
-	// defaults for derived inputs whose distribution the catalog cannot
-	// see. Statistics come only from indexes the query pays for anyway —
-	// the key map, an already-built index, or the index an index-select
-	// will probe for its required equality.
-	var statsFor func(attr string) (AttrStats, bool)
-	if rel, rname, ok := baseRel(child); ok {
-		statsFor = func(attr string) (AttrStats, bool) {
-			return lc.attrStatsCheap(rname, rel, attr, eq != nil && attr == eq.Attr)
-		}
-	}
-	sel := condSelectivity(n.Cond, statsFor)
 	if !isScan || forAll || (eq == nil && rng == nil && during == allTime) {
-		return &filterNode{child: child, cond: n.Cond, when: n.When, forAll: forAll, during: during, sel: sel}, nil
+		return &filterNode{child: child, cond: n.Cond, when: n.When, forAll: forAll, during: during}, nil
 	}
-	// Candidates: the equality's matches, the tuples overlapping a
-	// static DURING, whichever the statistics say is fewer. A range
-	// alone has only a comparator default, so the plan prices it as the
-	// filter it falls back to.
-	isel := &indexSelectNode{name: sc.name, rel: sc.rel, cond: n.Cond, when: n.When, during: during, eq: eq, rng: rng}
-	k := float64(sc.card)
-	if eq == nil && during == allTime {
-		isel.est = cost{rows: k * sel, work: 2 * k}
-		return isel, nil
-	}
-	if eq != nil {
-		as, _ := statsFor(eq.Attr)
-		k = minf(k, as.EqMatches())
-	}
-	if during.static() && during != allTime {
-		k = minf(k, float64(sc.card)*timesliceSelectivity(lc.relStats(sc.name, sc.rel), during.value(lc.params)))
-	}
-	isel.est = cost{rows: k, work: k + 1}
-	return isel, nil
+	return &indexSelectNode{name: sc.name, rel: sc.rel, cond: n.Cond, when: n.When, during: during, eq: eq, rng: rng}, nil
 }
 
 // attrKind is the value kind of attribute a's domain in s.
 func attrKind(s *schema.Scheme, a string) value.Kind {
 	at, _ := s.Attr(a)
 	return at.Domain.Kind
-}
-
-// baseRel resolves a plan node to the base relation its tuples derive
-// from, walking the tuple-preserving unary chain (time-slices, filters,
-// projections keep the base's value distribution close enough for
-// estimation).
-func baseRel(n node) (*core.Relation, string, bool) {
-	switch x := n.(type) {
-	case *scanNode:
-		return x.rel, x.name, true
-	case *indexTimeSliceNode:
-		return x.rel, x.name, true
-	case *indexSelectNode:
-		return x.rel, x.name, true
-	case *timeSliceNode:
-		return baseRel(x.child)
-	case *filterNode:
-		return baseRel(x.child)
-	case *projectNode:
-		return baseRel(x.child)
-	}
-	return nil, "", false
 }
 
 // requiredAtom finds an `attr θ constant` atom that want accepts and
@@ -563,9 +428,7 @@ func requiredAtom(c hql.CondExpr, want func(p *hql.PredExpr) bool) *hql.PredExpr
 // operands' schemes decide the result's by the algebra's rules
 // (internal/schema), so an ill-typed pair is refused here. The equijoin
 // gets the index treatment; everything else wraps the naive operator
-// over planned children. Output estimates use the algebraic bounds of
-// the set operators and statistics-derived join selectivities in place
-// of fixed guesses.
+// over planned children.
 func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 	left, err := lower(n.Left, lc)
 	if err != nil {
@@ -576,9 +439,6 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 		return nil, err
 	}
 	ls, rs := left.scheme(), right.scheme()
-	le, re := left.estimate(), right.estimate()
-	est := cost{rows: le.rows + re.rows, work: le.work + re.work + le.rows + re.rows}
-	pairs := cost{rows: le.rows * re.rows * defaultCmpSel, work: le.work + re.work + le.rows*re.rows}
 	merge := strings.HasSuffix(n.Op, "MERGE")
 	var (
 		s     *schema.Scheme
@@ -594,17 +454,12 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 		}
 	case "INTERSECT", "INTERSECTMERGE":
 		s, err = schema.IntersectScheme(ls, rs, merge)
-		// An intersection is bounded by its smaller operand, not the sum
-		// — pricing it as l+r mis-ranked index joins against it.
-		est.rows = minf(le.rows, re.rows)
 		apply = core.Intersect
 		if merge {
 			apply = core.IntersectMerge
 		}
 	case "MINUS", "MINUSMERGE":
 		s, err = schema.DiffScheme(ls, rs, merge)
-		// A difference returns at most its left operand.
-		est.rows = le.rows
 		apply = core.Diff
 		if merge {
 			apply = core.DiffMerge
@@ -612,17 +467,15 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 	case "TIMES":
 		s, err = schema.ProductScheme(ls, rs)
 		apply = core.Product
-		est = cost{rows: le.rows * re.rows, work: pairs.work}
 	case "JOIN":
 		if s, err = schema.JoinScheme(ls, rs, n.AttrA, n.AttrB); err == nil && n.Theta == value.EQ {
-			return lowerEquiJoin(n, left, right, s, lc), nil
+			return lowerEquiJoin(n, left, right, s), nil
 		}
 		th := n.Theta
 		name = fmt.Sprintf("theta-join %s %s %s", n.AttrA, th, n.AttrB)
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.ThetaJoin(l, r, n.AttrA, th, n.AttrB)
 		}
-		est = pairs
 	case "OUTERJOIN":
 		s, err = schema.JoinScheme(ls, rs, n.AttrA, n.AttrB)
 		th := n.Theta
@@ -630,123 +483,54 @@ func lowerBinary(n *hql.BinaryExpr, lc *lowerCtx) (node, error) {
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.ThetaJoinOuter(l, r, n.AttrA, th, n.AttrB)
 		}
-		est = pairs
-		if th == value.EQ && err == nil {
-			est.rows = le.rows * re.rows * equiJoinSelectivity(n, left, right, lc)
-		}
 	case "NATJOIN":
 		s, err = schema.NaturalJoinScheme(ls, rs)
 		name = "natural-join"
 		apply = core.NaturalJoin
-		// Natural joins here share key attributes, so output is bounded
-		// by key containment: about the larger operand, not half the
-		// cross product.
-		est = cost{rows: maxf(le.rows, re.rows), work: pairs.work}
 	case "TIMEJOIN":
 		s, err = schema.TimeJoinScheme(ls, rs, n.AttrA)
 		name = "time-join @" + n.AttrA
 		apply = func(l, r *core.Relation) (*core.Relation, error) {
 			return core.TimeJoin(l, r, n.AttrA)
 		}
-		est = pairs
 	default:
 		return nil, fmt.Errorf("engine: unknown operator %s", n.Op)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return naive2(name, left, right, s, est, apply), nil
+	return naive2(name, left, right, s, apply), nil
 }
 
-// equiJoinSelectivity estimates the fraction of the cross product an
-// A = B equijoin keeps, using the classic containment assumption
-// 1/max(distinct(A), distinct(B)) when either side's statistics are
-// cheaply known (key maps or already-built indexes — estimation never
-// forces an index build), and the comparator default otherwise.
-func equiJoinSelectivity(n *hql.BinaryExpr, left, right node, lc *lowerCtx) float64 {
-	d := 0.0
-	if rel, name, ok := baseRel(left); ok {
-		if as, ok := lc.attrStatsCheap(name, rel, n.AttrA, false); ok {
-			d = maxf(d, float64(as.Distinct))
+// lowerEquiJoin plans r1 JOIN r2 [A = B], whose result scheme is rs:
+// an index lookup join when A and B are of one value kind and an
+// operand is a base relation — the side a lookup can probe — and the
+// naive nested loop otherwise. When both operands are base relations,
+// each run picks the side to stream against its pin.
+func lowerEquiJoin(n *hql.BinaryExpr, left, right node, rs *schema.Scheme) node {
+	ls, rrs := left.scheme(), right.scheme()
+	if attrKind(ls, n.AttrA) == attrKind(rrs, n.AttrB) {
+		j := &indexJoinNode{side: [2]joinSide{newJoinSide(left, n.AttrA), newJoinSide(right, n.AttrB)},
+			rs: rs, join: core.NewJoiner(rs, ls, rrs, n.AttrA, value.EQ, n.AttrB)}
+		if j.side[0].rel != nil || j.side[1].rel != nil {
+			return j
 		}
 	}
-	if rel, name, ok := baseRel(right); ok {
-		if as, ok := lc.attrStatsCheap(name, rel, n.AttrB, false); ok {
-			d = maxf(d, float64(as.Distinct))
-		}
-	}
-	if d < 1 {
-		return defaultEqSel
-	}
-	return 1 / d
-}
-
-// lowerEquiJoin prices three physical forms of r1 JOIN r2 [A = B] — the
-// naive nested loop, streaming the left side against an index on the
-// right, and the mirror image — and picks the cheapest eligible one.
-// rs is the join's result scheme.
-func lowerEquiJoin(n *hql.BinaryExpr, left, right node, rs *schema.Scheme, lc *lowerCtx) node {
-	le, re := left.estimate(), right.estimate()
-	sel := equiJoinSelectivity(n, left, right, lc)
-	best := node(naive2(fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB), left, right, rs,
-		cost{rows: le.rows * re.rows * sel, work: le.work + re.work + le.rows*re.rows},
-		func(l, r *core.Relation) (*core.Relation, error) { return core.EquiJoin(l, r, n.AttrA, n.AttrB) }))
-	if j := indexJoin(left, n.AttrA, right, n.AttrB, rs, true); j != nil && j.estimate().work < best.estimate().work {
-		best = j
-	}
-	if j := indexJoin(right, n.AttrB, left, n.AttrA, rs, false); j != nil && j.estimate().work < best.estimate().work {
-		best = j
-	}
-	return best
-}
-
-// indexJoin builds an index-lookup-join candidate with stream as the
-// streamed side and idx as the indexed side of the join on scheme
-// joined, or nil when the shape is ineligible (non-base indexed side,
-// mismatched value kinds).
-func indexJoin(stream node, streamAttr string, idx node, idxAttr string, joined *schema.Scheme, leftIsStream bool) *indexJoinNode {
-	sc, ok := idx.(*scanNode)
-	if !ok {
-		return nil
-	}
-	ss, is := stream.scheme(), sc.rel.Scheme()
-	sa, _ := ss.Attr(streamAttr)
-	ia, _ := is.Attr(idxAttr)
-	if sa.Domain.Kind != ia.Domain.Kind {
-		return nil
-	}
-	ls, rs, la, ra := ss, is, streamAttr, idxAttr
-	if !leftIsStream {
-		ls, rs, la, ra = is, ss, idxAttr, streamAttr
-	}
-	j := &indexJoinNode{stream: stream, streamAttr: streamAttr,
-		indexed: sc.rel, indexedName: sc.name, indexedAttr: idxAttr,
-		rs: joined, join: core.NewJoiner(joined, ls, rs, la, value.EQ, ra), streamPos: ss.Index(streamAttr),
-		leftIsStream: leftIsStream, avgBucket: 1}
-	if key := is.Key; len(key) != 1 || key[0] != idxAttr {
-		// Not the key, whose canonical-key map the relation already
-		// maintains: price the attribute index. Building it here is an
-		// O(n) scan, but the relation's index set keeps it per attribute
-		// and maintains it incrementally: every later query — either join
-		// orientation, or an index-select on the same attribute — reuses
-		// it, so the build amortizes like any index warm-up even when
-		// this particular candidate loses the costing.
-		j.avgBucket = Indexes(sc.rel).Attr(idxAttr).AvgBucket()
-	}
-	return j
+	return naive2(fmt.Sprintf("equi-join %s=%s", n.AttrA, n.AttrB), left, right, rs,
+		func(l, r *core.Relation) (*core.Relation, error) { return core.EquiJoin(l, r, n.AttrA, n.AttrB) })
 }
 
 // naive1 wraps a unary naive operator over a planned child; rs is its
 // result scheme.
 func naive1(label string, child node, rs *schema.Scheme, apply func(*core.Relation) (*core.Relation, error)) *opNode {
-	return &opNode{label: label, kids: []node{child}, rs: rs, est: perTuple(child),
+	return &opNode{label: label, kids: []node{child}, rs: rs,
 		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0]) }}
 }
 
 // naive2 wraps a binary naive operator over planned children; rs is its
 // result scheme.
-func naive2(label string, left, right node, rs *schema.Scheme, est cost, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
-	return &opNode{label: label, kids: []node{left, right}, rs: rs, est: est,
+func naive2(label string, left, right node, rs *schema.Scheme, apply func(l, r *core.Relation) (*core.Relation, error)) *opNode {
+	return &opNode{label: label, kids: []node{left, right}, rs: rs,
 		apply: func(rels []*core.Relation) (*core.Relation, error) { return apply(rels[0], rels[1]) }}
 }
 

@@ -166,10 +166,9 @@ func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 // index operators probe their indexes to report the candidates a run
 // would touch — but no operator runs: a WHEN sub-query in an AT or
 // DURING position prints as a sub-plan below the operator it
-// parameterises. The output ends with the statistics the planner
-// consulted, the pinned snapshot — the database epoch plus each
-// dependency at its pinned version — and whether a plan for src's
-// shape is cached (EXPLAIN itself neither reads from nor populates the
+// parameterises. The output ends with the pinned snapshot — the
+// database epoch plus each dependency at its pinned version — and
+// whether a plan for src's shape is cached (EXPLAIN itself neither reads from nor populates the
 // cache).
 func (s *Session) Explain(src string) (string, error) {
 	env := s.db.store

@@ -12,12 +12,13 @@ import (
 
 // HQL queries are optimised by the engine's planner, which applies
 // Section 5's laws while lowering — nested literal slices compose, and a
-// slice over σ-WHEN is planned in whichever order costs less — and
-// leaves the written expression alone. These tests state, per query
-// shape, which rewrites mean the same as the text as written under the
-// reference evaluator, which do not, and that the planned answer is the
-// written one's. internal/engine's TestPlanLawShapes pins the chosen
-// plan shapes at a size where the cost estimates separate.
+// slice over σ-WHEN folds into the selection's DURING, whose run takes
+// whichever probe its pin prices cheaper — and leaves the written
+// expression alone. These tests state, per query shape, which rewrites
+// mean the same as the text as written under the reference evaluator,
+// which do not, and that the planned answer is the written one's.
+// internal/engine's TestPlanLawShapes pins the chosen plan shapes at a
+// size where the probes differ.
 
 // naive evaluates q with the reference evaluator over the demo database.
 func naive(t *testing.T, q string) hql.Result {

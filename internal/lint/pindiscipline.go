@@ -16,7 +16,8 @@ const corePkg = "repro/internal/core"
 // relation A through a raw accessor and relation B through another can
 // observe a writer's publication between the two — the exact torn read
 // core.Pin exists to exclude. Version() and Cardinality() are not
-// listed: they are fence/statistics reads that carry no tuple state.
+// listed: they are version and cardinality reads that carry no tuple
+// state.
 var rawReadMethods = map[string]bool{
 	"Tuples":          true,
 	"SnapshotVersion": true,
@@ -29,8 +30,8 @@ var rawReadMethods = map[string]bool{
 // hql code (and the CLI/bench front ends) must read relation tuple
 // state through a core.Pin — a RelVersion, a frozen View, or the
 // engine's Snapshot accessors — never through the live relation's raw
-// accessors. Plan-time statistics reads and index builders, which are
-// deliberately unpinned, carry //lint:allow annotations stating why.
+// accessors. Index builders, which are deliberately unpinned, carry
+// //lint:allow annotations stating why.
 //
 // Two shapes are flagged. A direct call (`r.Tuples()`) is the classic
 // violation, wherever it sits — ast.Inspect descends into function
