@@ -29,31 +29,9 @@ func kvTuple(s *schema.Scheme, k string, v int64, lo, hi chronon.Time) *Tuple {
 		MustBuild()
 }
 
-// batchRecorder collects change notifications.
-type batchRecorder struct {
-	mu      sync.Mutex
-	changes []Change
-}
-
-func (b *batchRecorder) RelationChanged(_ *Relation, c Change) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.changes = append(b.changes, c)
-}
-
-// observeWith installs o as r's observer and returns the version it
-// starts from.
-func observeWith(r *Relation, o Observer) uint64 {
-	var v uint64
-	r.Observe(func(start uint64) Observer { v = start; return o })
-	return v
-}
-
 func TestInsertBatchAtomicity(t *testing.T) {
 	s := kvScheme("R")
 	r := NewRelation(s)
-	rec := &batchRecorder{}
-	observeWith(r, rec)
 
 	batch := make([]*Tuple, 10)
 	for i := range batch {
@@ -69,13 +47,6 @@ func TestInsertBatchAtomicity(t *testing.T) {
 	if got := r.Version(); got != v0+1 {
 		t.Fatalf("version = %d, want one bump to %d", got, v0+1)
 	}
-	if len(rec.changes) != 1 {
-		t.Fatalf("notifications = %d, want one coalesced ChangeBatch", len(rec.changes))
-	}
-	c := rec.changes[0]
-	if c.Kind != ChangeBatch || c.Pos != 0 || len(c.Batch) != 10 || c.Version != v0+1 {
-		t.Fatalf("unexpected change: %+v", c)
-	}
 	if _, ok := r.Lookup(`"k07"`); !ok {
 		t.Fatal("batch tuple not resolvable by key")
 	}
@@ -84,7 +55,7 @@ func TestInsertBatchAtomicity(t *testing.T) {
 	}
 
 	// A duplicate — against existing tuples or within the batch — fails
-	// the whole call with nothing applied and nothing notified.
+	// the whole call with nothing applied.
 	for _, bad := range [][]*Tuple{
 		{kvTuple(s, "fresh", 1, 0, 9), kvTuple(s, "k03", 2, 0, 9)},
 		{kvTuple(s, "dup", 1, 0, 9), kvTuple(s, "dup", 2, 0, 9)},
@@ -93,16 +64,16 @@ func TestInsertBatchAtomicity(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "duplicate key") {
 			t.Fatalf("want duplicate-key error, got %v", err)
 		}
-		if r.Cardinality() != 10 || r.Version() != v0+1 || len(rec.changes) != 1 {
+		if r.Cardinality() != 10 || r.Version() != v0+1 {
 			t.Fatal("failed batch must leave the relation untouched")
 		}
 	}
 
-	// Empty batches are free: no version bump, no notification.
+	// Empty batches are free: no version bump.
 	if err := r.InsertBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != v0+1 || len(rec.changes) != 1 {
+	if r.Version() != v0+1 {
 		t.Fatal("empty batch must be a no-op")
 	}
 }

@@ -143,47 +143,3 @@ func TestSnapshotStableAcrossMerge(t *testing.T) {
 		t.Fatalf("merged tuple has %d intervals, want 2", got)
 	}
 }
-
-// TestObserverNotifications checks the change-notification contract:
-// consecutive versions, insert and merge kinds, positions, and that a
-// relation keeps the one observer it installed first.
-func TestObserverNotifications(t *testing.T) {
-	rs := concScheme()
-	r := NewRelation(rs)
-	obs := &recordingObserver{}
-	startV := observeWith(r, obs)
-	if startV != 0 {
-		t.Fatalf("fresh relation version = %d, want 0", startV)
-	}
-	r.MustInsert(concTuple(rs, "a", 0, 4, 1))
-	r.MustInsert(concTuple(rs, "b", 0, 4, 2))
-	if err := r.InsertMerging(concTuple(rs, "a", 10, 14, 3)); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	got := obs.got
-	if len(got) != 3 {
-		t.Fatalf("observed %d changes, want 3", len(got))
-	}
-	if got[0].Kind != ChangeInsert || got[0].Pos != 0 || got[0].Version != 1 {
-		t.Fatalf("change 0 = %+v", got[0])
-	}
-	if got[1].Kind != ChangeInsert || got[1].Pos != 1 || got[1].Version != 2 {
-		t.Fatalf("change 1 = %+v", got[1])
-	}
-	if got[2].Kind != ChangeMerge || got[2].Pos != 0 || got[2].Version != 3 || got[2].Old == nil {
-		t.Fatalf("change 2 = %+v", got[2])
-	}
-	other := &recordingObserver{}
-	if got := r.Observe(func(uint64) Observer { return other }); got != Observer(obs) {
-		t.Fatal("a second Observe replaced the installed observer")
-	}
-	r.MustInsert(concTuple(rs, "c", 0, 4, 4))
-	if len(obs.got) != 4 || len(other.got) != 0 {
-		t.Fatalf("changes delivered: installed %d, refused %d; want 4 and 0", len(obs.got), len(other.got))
-	}
-}
-
-// recordingObserver captures every delivered change.
-type recordingObserver struct{ got []Change }
-
-func (o *recordingObserver) RelationChanged(_ *Relation, c Change) { o.got = append(o.got, c) }

@@ -22,9 +22,9 @@
 // protocol (epoch.go) under which Pin captures transaction-consistent
 // multi-relation cuts; and WriteGroup (writegroup.go) stages mutations
 // across several relations and publishes them as one atomic unit — one
-// publish-lock acquisition, one epoch tick, one coalesced change
-// notification per relation — so a pinned snapshot can never observe a
-// partially applied group.
+// publish-lock acquisition, one epoch tick, one version bump per
+// relation — so a pinned snapshot can never observe a partially applied
+// group.
 //
 // Sharing contract: tuples, their temporal functions and lifespans are
 // immutable, so a derived tuple, function or lifespan may share storage

@@ -19,7 +19,7 @@ import (
 // B after it. The fix is epoch-based snapshot isolation:
 //
 //   - Every mutation of a *published* relation (one that is reachable
-//     from a store, observed by its index set, or previously pinned)
+//     from a store, or previously pinned)
 //     runs under a process-wide publish lock in shared mode and ticks a
 //     monotonically increasing database epoch. Writers to distinct
 //     relations still run concurrently; the relation's own mutex
@@ -227,8 +227,7 @@ func pinLocked(rels []*Relation) (uint64, []RelVersion) {
 
 // MarkPublished flags r as shared database state: from now on every
 // mutation publishes under the global lock and ticks the epoch.
-// Stores call it when a relation is registered; Observe and Pin imply
-// it. Relations never marked (operator intermediates) keep the cheap
+// Stores call it when a relation is registered; Pin implies it. Relations never marked (operator intermediates) keep the cheap
 // single-mutex write path.
 func (r *Relation) MarkPublished() { r.published.Store(true) }
 

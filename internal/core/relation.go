@@ -35,14 +35,10 @@ import (
 // tuple slice as an immutable snapshot: appends never touch the prefix
 // a snapshot covers, and a merge that would overwrite a slot copies
 // the slice first when a snapshot is outstanding (the shared flag).
-// The relation's observer, once installed (Observe), is notified of
-// each mutation after the write lock is released, which lets the index
-// set built over it absorb changes incrementally instead of
-// rebuilding. Once a relation is published (stored, observed, or
-// pinned — see epoch.go), mutations additionally run under the global
-// publish lock and tick the database epoch, so multi-relation readers
-// can pin a transaction-consistent snapshot across relations (Pin,
-// RelVersion).
+// Once a relation is published (stored or pinned — see epoch.go),
+// mutations additionally run under the global publish lock and tick
+// the database epoch, so multi-relation readers can pin a
+// transaction-consistent snapshot across relations (Pin, RelVersion).
 type Relation struct {
 	scheme *schema.Scheme
 
@@ -67,13 +63,13 @@ type Relation struct {
 	// (keyOrdered). Its tag is the version and length it was built
 	// for, so a mutation leaves it stale without dropping it.
 	keyOrder atomic.Pointer[keyOrder]
-	// version counts mutations (Insert/InsertMerging); external index
-	// caches use it to detect staleness, since tuples themselves are
-	// immutable once inserted.
+	// version counts mutations (Insert/InsertMerging); a pinned
+	// version carries it, and caches of one version (keyOrder, the
+	// engine's index set) are tagged with it.
 	version uint64
-	// observer, once Observe installs it, receives one Change per
-	// mutation. It is set once, under mu, and read without a lock.
-	observer atomic.Pointer[Observer]
+	// indexes is the engine's slot for the index set of one pinned
+	// version (IndexSlot). Core never reads it.
+	indexes atomic.Value
 	// log, when AttachLog sets it, makes the relation's write groups
 	// durable before they apply (GroupLog). It is written under mu.
 	log GroupLog
@@ -81,7 +77,7 @@ type Relation struct {
 	// the next merge copies the slice instead of writing in place.
 	shared atomic.Bool
 	// published is set once the relation becomes shared database state
-	// (registered in a store, observed, or pinned); from then on every
+	// (registered in a store, or pinned); from then on every
 	// mutation runs under the global publish lock and ticks the
 	// database epoch (see epoch.go). Unpublished relations — operator
 	// intermediates, single-goroutine builds — skip both.
@@ -93,55 +89,6 @@ type Relation struct {
 	// positions are append-stable, so the live map answers exactly for
 	// every older version). Views reject mutation.
 	origin *Relation
-}
-
-// ChangeKind discriminates the two mutations a relation supports.
-type ChangeKind uint8
-
-const (
-	// ChangeInsert appended a new tuple at Pos.
-	ChangeInsert ChangeKind = iota
-	// ChangeMerge replaced the tuple at Pos (Old) with its merge with
-	// an inserted tuple (New).
-	ChangeMerge
-	// ChangeBatch appended Batch starting at Pos under a single
-	// version bump — one notification for the whole bulk load, so
-	// observers can absorb it as one coalesced index merge instead of
-	// len(Batch) single-tuple overlays. A batch published by a
-	// WriteGroup may additionally carry Merges: slots the group
-	// replaced with merged tuples, still under the same version bump.
-	ChangeBatch
-)
-
-// MergeStep records one slot a coalesced batch replaced: the tuple at
-// Pos was overwritten by its merge New (Old is the tuple it replaced).
-type MergeStep struct {
-	Pos int
-	Old *Tuple
-	New *Tuple
-}
-
-// Change describes one mutation of a relation. Version is the
-// relation's mutation counter after the change; consecutive changes
-// carry consecutive versions, so an observer can detect a missed
-// notification and fall back to a full rebuild.
-type Change struct {
-	Kind    ChangeKind
-	Pos     int         // tuple position affected (first position for batches)
-	Old     *Tuple      // replaced tuple (merges only)
-	New     *Tuple      // inserted or merged tuple now at Pos
-	Batch   []*Tuple    // tuples appended at Pos (batches only)
-	Merges  []MergeStep // slots replaced under the same bump (write groups only)
-	Version uint64
-}
-
-// Observer is notified of every mutation of the relation it is
-// installed on. Notifications are delivered outside the relation's
-// lock (so the handler may read the relation) but possibly out of
-// order under concurrent writers — handlers must use Change.Version to
-// detect gaps.
-type Observer interface {
-	RelationChanged(r *Relation, c Change)
 }
 
 // relIDs issues the creation tickets WriteGroup.Commit orders its
@@ -165,9 +112,8 @@ func NewRelation(r *schema.Scheme) *Relation {
 // materialization step of the engine's executor — operators produce
 // result slices (parallel ones merge their per-chunk slices in order)
 // and this constructor turns the final slice into a relation.
-// The relation is private to the caller (unpublished, no observers)
-// exactly as NewRelation's result is; ts must not be mutated
-// afterwards.
+// The relation is private to the caller (unpublished) exactly as
+// NewRelation's result is; ts must not be mutated afterwards.
 //
 // At most one tuple can hold no duplicate and is in key order, so such
 // a result is built without encoding a key.
@@ -217,39 +163,9 @@ func (r *Relation) Tuples() []*Tuple {
 	return ts
 }
 
-// SnapshotVersion returns a stable tuple snapshot together with the
-// version it reflects — the atomic pair index builders need.
-func (r *Relation) SnapshotVersion() ([]*Tuple, uint64) {
-	if r.origin != nil {
-		return r.tuples, r.version
-	}
-	r.mu.RLock()
-	r.shared.Store(true)
-	ts, v := r.tuples, r.version
-	r.mu.RUnlock()
-	return ts, v
-}
-
-// Observe returns r's observer, installing the one mk builds if r has
-// none yet. mk runs under the write lock and receives the relation
-// version the observer starts from: it sees every change after that
-// version and none before. Once installed, the observer is read
-// without a lock, and it lives as long as r. Observing implies
-// publication: an observed relation is shared state whose mutations
-// must be visible to snapshot pins.
-func (r *Relation) Observe(mk func(version uint64) Observer) Observer {
-	if o := r.observer.Load(); o != nil {
-		return *o
-	}
-	r.published.Store(true)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.observer.Load() == nil {
-		o := mk(r.version)
-		r.observer.Store(&o)
-	}
-	return *r.observer.Load()
-}
+// IndexSlot returns the slot in which the engine caches the index set
+// of one pinned version of r. Core never reads or writes it.
+func (r *Relation) IndexSlot() *atomic.Value { return &r.indexes }
 
 // Insert adds a tuple, enforcing the key-disjointness condition.
 func (r *Relation) Insert(t *Tuple) error { return r.insert(t, false) }
@@ -266,33 +182,24 @@ func (r *Relation) insert(t *Tuple, merging bool) error {
 	}
 	pub := r.beginPublish()
 	r.mu.Lock()
-	var c Change
 	switch i, dup := r.keyIndexLocked(1)[ks]; {
 	case dup && merging:
-		c, err = r.mergeLocked(i, ks, t)
+		err = r.mergeLocked(i, ks, t)
 	case dup:
 		err = fmt.Errorf("core: relation %s: duplicate key %s", r.scheme.Name, ks)
 	default:
-		c = r.insertLocked(ks, t)
+		r.insertLocked(ks, t)
 	}
-	obs := r.observer.Load()
 	r.mu.Unlock()
 	r.endPublish(pub, err == nil)
-	if err != nil {
-		return err
-	}
-	notify(obs, r, c)
-	return nil
+	return err
 }
 
 // InsertBatch adds many tuples as one atomic publication: the whole
 // batch is validated first (a duplicate key — within the batch or
 // against existing tuples — fails the call with nothing applied),
 // then appended under a single version bump and a single epoch tick,
-// and the observer receives one coalesced ChangeBatch notification. Bulk
-// loading through it costs one index merge instead of len(ts)
-// single-tuple overlays, and readers pinning snapshots see the batch
-// entirely or not at all.
+// so readers pinning snapshots see the batch entirely or not at all.
 func (r *Relation) InsertBatch(ts []*Tuple) error {
 	if r.origin != nil {
 		return errFrozen(r)
@@ -329,11 +236,8 @@ func (r *Relation) InsertBatch(ts []*Tuple) error {
 	// only [0,pos).
 	r.tuples = append(r.tuples, ts...)
 	r.mutatedLocked()
-	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ts, Version: r.version}
-	obs := r.observer.Load()
 	r.mu.Unlock()
 	r.endPublish(pub, true)
-	notify(obs, r, c)
 	return nil
 }
 
@@ -353,15 +257,14 @@ func errFrozen(r *Relation) error {
 }
 
 // insertLocked appends t, whose key ks no tuple holds, under the write
-// lock and returns the Change to deliver after release.
-func (r *Relation) insertLocked(ks value.Key, t *Tuple) Change {
+// lock.
+func (r *Relation) insertLocked(ks value.Key, t *Tuple) {
 	pos := len(r.tuples)
 	r.byKey[ks] = pos
 	// Appending is snapshot-safe without copying: outstanding snapshots
 	// cover only the prefix [0,pos).
 	r.tuples = append(r.tuples, t)
 	r.mutatedLocked()
-	return Change{Kind: ChangeInsert, Pos: pos, New: t, Version: r.version}
 }
 
 // mutatedLocked records a mutation under the write lock: the version
@@ -400,16 +303,7 @@ func (r *Relation) rLockKeyed() {
 	r.mu.RLock()
 }
 
-// notify delivers c to the observer installed at mutation time, if any.
-func notify(obs *Observer, r *Relation, c Change) {
-	if obs != nil {
-		(*obs).RelationChanged(r, c)
-	}
-}
-
-// Version returns the relation's mutation counter. Index structures
-// built over the relation record it and catch up (or rebuild) when it
-// moves.
+// Version returns the relation's mutation counter.
 func (r *Relation) Version() uint64 {
 	if r.origin != nil {
 		return r.version
@@ -433,13 +327,11 @@ func (r *Relation) MustInsert(t *Tuple) {
 func (r *Relation) InsertMerging(t *Tuple) error { return r.insert(t, true) }
 
 // mergeLocked replaces the tuple at i, which holds t's key ks, with its
-// merge with t under the write lock, and returns the Change to deliver
-// after release.
-func (r *Relation) mergeLocked(i int, ks value.Key, t *Tuple) (Change, error) {
-	old := r.tuples[i]
-	m, err := mergeInto(r, ks, old, t)
+// merge with t under the write lock.
+func (r *Relation) mergeLocked(i int, ks value.Key, t *Tuple) error {
+	m, err := mergeInto(r, ks, r.tuples[i], t)
 	if err != nil {
-		return Change{}, err
+		return err
 	}
 	// A merge overwrites a slot an outstanding snapshot may cover; copy
 	// the slice first so snapshots stay immutable. The flag clears after
@@ -451,7 +343,7 @@ func (r *Relation) mergeLocked(i int, ks value.Key, t *Tuple) (Change, error) {
 	}
 	r.tuples[i] = m
 	r.mutatedLocked()
-	return Change{Kind: ChangeMerge, Pos: i, Old: old, New: m, Version: r.version}, nil
+	return nil
 }
 
 // Lookup returns the tuple whose key matches the given key values, one

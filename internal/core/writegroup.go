@@ -38,11 +38,10 @@ var (
 // histories — and only then applies, so a failing group leaves every
 // relation untouched. The apply runs under a single acquisition of the
 // global publish lock with the mutexes of all touched relations held
-// at once, bumps each relation's version once, ticks the database
-// epoch once, and hands each relation's observer one coalesced
-// ChangeBatch (appended tuples plus MergeSteps). Pin takes the publish
-// lock exclusively, so a pinned snapshot sees a committed group either
-// entirely or not at all — across however many relations it spans.
+// at once, bumps each relation's version once, and ticks the database
+// epoch once. Pin takes the publish lock exclusively, so a pinned
+// snapshot sees a committed group either entirely or not at all —
+// across however many relations it spans.
 //
 // A WriteGroup is a single-goroutine staging buffer: stage and commit
 // from one goroutine, and discard it after Commit (successful or not).
@@ -137,17 +136,22 @@ type groupApply struct {
 	rel      *Relation
 	appended []*Tuple
 	keys     []value.Key
-	merges   []MergeStep
+	merges   []slotMerge
+}
+
+// slotMerge is one live slot a group overwrites: the tuple at pos
+// becomes its merge with the group's tuples for that key.
+type slotMerge struct {
+	pos   int
+	tuple *Tuple
 }
 
 // Commit validates and atomically publishes the staged group. On any
 // validation error — a duplicate key, a contradicting merge — no
-// relation is modified, no version moves and no observer is notified;
-// the group may be corrected and committed again. On success each
-// touched relation's version advances by exactly one, the database
-// epoch ticks exactly once, and each relation's observer receives one
-// coalesced ChangeBatch after all locks are released. An empty
-// group commits trivially: no locks, no epoch tick.
+// relation is modified and no version moves; the group may be
+// corrected and committed again. On success each touched relation's
+// version advances by exactly one and the database epoch ticks exactly
+// once. An empty group commits trivially: no locks, no epoch tick.
 func (g *WriteGroup) Commit() error {
 	if len(g.order) == 0 {
 		return nil
@@ -198,19 +202,11 @@ func (g *WriteGroup) Commit() error {
 
 	// Phase 2 — apply; nothing below can fail.
 	published := false
-	type delivery struct {
-		rel *Relation
-		obs *Observer
-		c   Change
-	}
-	deliveries := make([]delivery, 0, len(applies))
 	for _, ap := range applies {
-		r := ap.rel
-		if r.published.Load() {
+		if ap.rel.published.Load() {
 			published = true
 		}
-		c, obs := r.applyGroupLocked(ap)
-		deliveries = append(deliveries, delivery{rel: r, obs: obs, c: c})
+		ap.rel.applyGroupLocked(ap)
 	}
 	unlockRelations(rels)
 	if published {
@@ -223,9 +219,6 @@ func (g *WriteGroup) Commit() error {
 	mGroupCommits.Inc()
 	mGroupTuples.Observe(int64(g.Len()))
 	mGroupRelations.Observe(int64(len(g.order)))
-	for _, d := range deliveries {
-		notify(d.obs, d.rel, d.c)
-	}
 	return nil
 }
 
@@ -262,18 +255,19 @@ func (r *Relation) validateGroupLocked(ops []groupOp) (groupApply, error) {
 				return ap, fmt.Errorf("core: relation %s: duplicate key %s in write group", r.scheme.Name, ks)
 			}
 			cur := r.tuples[i]
-			if mi, merged := mergeIdx[i]; merged {
-				cur = ap.merges[mi].New
+			mi, merged := mergeIdx[i]
+			if merged {
+				cur = ap.merges[mi].tuple
 			}
 			m, err := mergeInto(r, ks, cur, op.tuple)
 			if err != nil {
 				return ap, err
 			}
-			if mi, merged := mergeIdx[i]; merged {
-				ap.merges[mi].New = m
+			if merged {
+				ap.merges[mi].tuple = m
 			} else {
 				mergeIdx[i] = len(ap.merges)
-				ap.merges = append(ap.merges, MergeStep{Pos: i, Old: r.tuples[i], New: m})
+				ap.merges = append(ap.merges, slotMerge{pos: i, tuple: m})
 			}
 			continue
 		}
@@ -296,15 +290,14 @@ func mergeInto(r *Relation, ks value.Key, cur, t *Tuple) (*Tuple, error) {
 // applyGroupLocked installs one relation's validated outcome under its
 // held mutex: overwrite the merged slots (copy-on-write if a snapshot
 // is outstanding), append the new tuples in one extension of the
-// prefix, bump the version once, and return the coalesced Change to
-// deliver after every lock in the group is released.
-func (r *Relation) applyGroupLocked(ap groupApply) (Change, *Observer) {
+// prefix, and bump the version once.
+func (r *Relation) applyGroupLocked(ap groupApply) {
 	if len(ap.merges) > 0 && r.shared.Load() {
 		r.tuples = append([]*Tuple(nil), r.tuples...)
 		r.shared.Store(false)
 	}
 	for _, m := range ap.merges {
-		r.tuples[m.Pos] = m.New
+		r.tuples[m.pos] = m.tuple
 	}
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, ap.appended...)
@@ -312,6 +305,4 @@ func (r *Relation) applyGroupLocked(ap groupApply) (Change, *Observer) {
 		r.byKey[ks] = pos + i // built by validateGroupLocked
 	}
 	r.mutatedLocked()
-	c := Change{Kind: ChangeBatch, Pos: pos, Batch: ap.appended, Merges: ap.merges, Version: r.version}
-	return c, r.observer.Load()
 }

@@ -39,8 +39,8 @@ func TestWriteGroupEmpty(t *testing.T) {
 // TestWriteGroupSingleRelationEqualsInsertBatch: a group staging one
 // batch into one relation must be observably identical to
 // Relation.InsertBatch — same resulting tuples, one version bump, one
-// epoch tick, one coalesced ChangeBatch of the same shape, and the
-// same nothing-applied behavior on a duplicate key.
+// epoch tick, and the same nothing-applied behavior on a duplicate
+// key.
 func TestWriteGroupSingleRelationEqualsInsertBatch(t *testing.T) {
 	s := kvScheme("R")
 	mkBatch := func() []*Tuple {
@@ -54,9 +54,6 @@ func TestWriteGroupSingleRelationEqualsInsertBatch(t *testing.T) {
 	viaBatch, viaGroup := NewRelation(s), NewRelation(s)
 	viaBatch.MarkPublished()
 	viaGroup.MarkPublished()
-	recB, recG := &batchRecorder{}, &batchRecorder{}
-	observeWith(viaBatch, recB)
-	observeWith(viaGroup, recG)
 
 	if err := viaBatch.InsertBatch(mkBatch()); err != nil {
 		t.Fatal(err)
@@ -77,20 +74,12 @@ func TestWriteGroupSingleRelationEqualsInsertBatch(t *testing.T) {
 	if viaBatch.Version() != viaGroup.Version() {
 		t.Fatalf("version %d vs %d", viaBatch.Version(), viaGroup.Version())
 	}
-	if len(recB.changes) != 1 || len(recG.changes) != 1 {
-		t.Fatalf("notifications: batch %d, group %d, want 1 each", len(recB.changes), len(recG.changes))
-	}
-	cb, cg := recB.changes[0], recG.changes[0]
-	if cg.Kind != cb.Kind || cg.Pos != cb.Pos || len(cg.Batch) != len(cb.Batch) ||
-		cg.Version != cb.Version || len(cg.Merges) != 0 {
-		t.Fatalf("change shape differs: batch %+v vs group %+v", cb, cg)
-	}
 	if err := viaGroup.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Duplicate key in the staged batch: error, nothing applied, nothing
-	// notified — exactly like InsertBatch.
+	// Duplicate key in the staged batch: error, nothing applied —
+	// exactly like InsertBatch.
 	bad := NewWriteGroup()
 	bad.InsertBatch(viaGroup, []*Tuple{
 		kvTuple(s, "fresh", 1, 0, 9),
@@ -100,16 +89,15 @@ func TestWriteGroupSingleRelationEqualsInsertBatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "duplicate key") {
 		t.Fatalf("want duplicate-key error, got %v", err)
 	}
-	if viaGroup.Cardinality() != 8 || viaGroup.Version() != viaBatch.Version() || len(recG.changes) != 1 {
+	if viaGroup.Cardinality() != 8 || viaGroup.Version() != viaBatch.Version() {
 		t.Fatal("failed group must leave the relation untouched")
 	}
 }
 
 // TestWriteGroupValidationFailureLeavesAllUntouched: a group spanning
 // three relations whose last staged relation fails validation must
-// apply nothing anywhere — versions, cardinalities, epoch and
-// notifications all unchanged, for both duplicate-key and
-// contradicting-merge failures.
+// apply nothing anywhere — versions, cardinalities and epoch all
+// unchanged, for both duplicate-key and contradicting-merge failures.
 func TestWriteGroupValidationFailureLeavesAllUntouched(t *testing.T) {
 	sa, sb, sc := kvScheme("A"), kvScheme("B"), kvScheme("C")
 	a, b, c := NewRelation(sa), NewRelation(sb), NewRelation(sc)
@@ -117,11 +105,6 @@ func TestWriteGroupValidationFailureLeavesAllUntouched(t *testing.T) {
 		r.MarkPublished()
 	}
 	c.MustInsert(kvTuple(sc, "taken", 7, 0, 9))
-	recs := make([]*batchRecorder, 3)
-	for i, r := range []*Relation{a, b, c} {
-		recs[i] = &batchRecorder{}
-		observeWith(r, recs[i])
-	}
 
 	check := func(wantErr string, stage func(g *WriteGroup)) {
 		t.Helper()
@@ -141,11 +124,6 @@ func TestWriteGroupValidationFailureLeavesAllUntouched(t *testing.T) {
 		}
 		if Epoch() != e0 {
 			t.Fatal("failed group ticked the epoch")
-		}
-		for _, rec := range recs {
-			if len(rec.changes) != 0 {
-				t.Fatal("failed group notified observers")
-			}
 		}
 	}
 
@@ -170,15 +148,14 @@ func TestWriteGroupValidationFailureLeavesAllUntouched(t *testing.T) {
 
 // TestWriteGroupMerges: merging inserts inside a group — onto live
 // tuples (twice onto the same slot) and onto a tuple appended earlier
-// in the same group — apply correctly, notify one coalesced change
-// carrying the MergeSteps, and copy-on-write under an outstanding pin.
+// in the same group — apply correctly under one version bump, and
+// copy-on-write under an outstanding pin.
 func TestWriteGroupMerges(t *testing.T) {
 	s := kvScheme("R")
 	r := NewRelation(s)
 	r.MarkPublished()
 	r.MustInsert(kvTuple(s, "a", 1, 0, 9))
-	rec := &batchRecorder{}
-	observeWith(r, rec)
+	v0 := r.Version()
 
 	_, vers := Pin(r) // outstanding snapshot: merges must copy-on-write
 	pinned := vers[0]
@@ -204,15 +181,11 @@ func TestWriteGroupMerges(t *testing.T) {
 	if !b.Lifespan().Equal(ls("{[0,9],[60,69]}")) {
 		t.Fatalf("in-group merge lifespan %s", b.Lifespan())
 	}
-	if len(rec.changes) != 1 {
-		t.Fatalf("notifications %d, want one coalesced change", len(rec.changes))
+	if r.Version() != v0+1 {
+		t.Fatalf("version %d, want one bump from %d", r.Version(), v0)
 	}
-	c := rec.changes[0]
-	if c.Kind != ChangeBatch || len(c.Batch) != 2 || len(c.Merges) != 1 {
-		t.Fatalf("change: %+v", c)
-	}
-	if m := c.Merges[0]; m.Pos != 0 || m.New != a || m.Old == a {
-		t.Fatalf("merge step: %+v", m)
+	if ts := r.Tuples(); ts[0] != a {
+		t.Fatal("the merge onto a live tuple did not keep its slot")
 	}
 	if err := r.checkInvariants(); err != nil {
 		t.Fatal(err)

@@ -14,9 +14,10 @@
 // data prices, which probe to take or which join side to stream, is
 // made by each run against its pin — and a plan cache that lets
 // repeated queries skip parse and plan entirely.
-// Indexes absorb single-tuple inserts, merges and coalesced batches
-// incrementally from relation change notifications instead of
-// rebuilding. A plan is a pure shape over schemes and holds no data:
+// An index belongs to one pinned version and never changes: a probe
+// reuses the relation's cached index set when it was built at the
+// pin's version or later, and builds one from the pin otherwise. A
+// plan is a pure shape over schemes and holds no data:
 // every query executes against a pinned epoch snapshot of its
 // relations (core.Pin), through which every scan, index probe and
 // WHEN-valued lifespan parameter is read, so multi-relation plans read

@@ -78,7 +78,10 @@ func TestLoadBuildsNoKeyIndex(t *testing.T) {
 	}
 	er, _ := st.Get("ENROLL")
 	built := func() bool {
-		x := Indexes(er)
+		x := cachedIndexes(er)
+		if x == nil {
+			return false
+		}
 		x.mu.Lock()
 		defer x.mu.Unlock()
 		return x.attrs["SNAME"] != nil
@@ -148,31 +151,6 @@ func TestPlanLawShapes(t *testing.T) {
 	}
 }
 
-// TestCatalogInvalidation checks that indexes rebuild when a relation
-// grows — stale candidate sets would silently drop new tuples.
-func TestCatalogInvalidation(t *testing.T) {
-	r := workload.Personnel(workload.PersonnelConfig{
-		NumEmployees: 10, HistoryLen: 100, ChangeEvery: 10, ReincarnationProb: 0, Seed: 21,
-	})
-	before := Indexes(r).Interval().Tuples()
-	if before != 10 {
-		t.Fatalf("indexed %d tuples, want 10", before)
-	}
-	more := workload.Personnel(workload.PersonnelConfig{
-		NumEmployees: 11, HistoryLen: 100, ChangeEvery: 10, ReincarnationProb: 0, Seed: 22,
-	})
-	extra := more.Tuples()[10]
-	// Re-key the extra tuple via a fresh builder path: just insert it
-	// under its own (distinct) name.
-	if err := r.Insert(extra); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-	after := Indexes(r).Interval().Tuples()
-	if after != 11 {
-		t.Fatalf("after insert indexed %d tuples, want 11 (stale index served)", after)
-	}
-}
-
 // TestAttrIndexBuckets sanity-checks the constant/varying split on a
 // relation where both occur.
 func TestAttrIndexBuckets(t *testing.T) {
@@ -198,12 +176,14 @@ func TestAttrIndexBuckets(t *testing.T) {
 	}
 }
 
-// TestEqProbeAnswersAtThePin drives the equality probe's slow path —
-// the live hash index has moved past the pin — deterministically: after
-// a merge turns a pinned-constant GRP varying (out of its bucket, into
-// the overflow) and a fresh GRP = 'A' tuple arrives, a probe through
-// the old pin must still return exactly the tuples that held 'A' at the
-// pin, in their pinned forms, each once, in key order.
+// TestEqProbeAnswersAtThePin drives the equality probe through an
+// index built past its pin, deterministically: after a merge turns a
+// pinned-constant GRP varying (out of its bucket, into the overflow)
+// and a fresh GRP = 'A' tuple arrives, a probe through a newer pin
+// builds the hash index of the newer version. A probe through the old
+// pin then builds nothing — it reuses the newer index — and must still
+// return exactly the tuples that held 'A' at the pin, in their pinned
+// forms, each once, in key order.
 func TestEqProbeAnswersAtThePin(t *testing.T) {
 	st := testStore(t, 17)
 	ref, _ := st.Get("REF")
@@ -252,8 +232,19 @@ func TestEqProbeAnswersAtThePin(t *testing.T) {
 		MustBuild()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Indexes(ref).Attr("GRP").Varying()); got != 1 {
+	_, now := core.Pin(ref)
+	ab := idxMetrics.attrBuilds.Load()
+	if _, err := newEqProbe(now[0], "GRP").candidates(value.String_("A")); err != nil {
+		t.Fatal(err)
+	}
+	if got := idxMetrics.attrBuilds.Load() - ab; got != 1 {
+		t.Fatalf("a probe through the newer pin built %d attribute indexes, want 1", got)
+	}
+	if got := len(indexes(now[0]).Attr("GRP").Varying()); got != 1 {
 		t.Fatalf("merge left %d tuples in the varying overflow, want 1", got)
 	}
 	check("index past the pin")
+	if got := idxMetrics.attrBuilds.Load() - ab; got != 1 {
+		t.Fatalf("a probe through the old pin built %d attribute indexes, want 0", got-1)
+	}
 }

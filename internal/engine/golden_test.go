@@ -80,11 +80,10 @@ func goldenStore(t testing.TB) *storage.Store {
 		MustBuild())
 	st.Put(tiny)
 
-	for _, name := range st.Names() {
-		r, _ := st.Get(name)
-		Indexes(r).Interval()
+	sliceEach(t, st, st.Names()...)
+	if _, err := sess(st).Query(bg, `SELECT WHEN DEPT = 'Toys' FROM EMP`); err != nil {
+		t.Fatal(err)
 	}
-	Indexes(emp).Attr("DEPT")
 	return st
 }
 

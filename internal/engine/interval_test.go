@@ -37,8 +37,12 @@ func TestIntervalIndexMatchesLinearScan(t *testing.T) {
 	})
 	_, vers := core.Pin(r)
 	v := vers[0]
-	if ix := newIntervalIndexFrom(v.Tuples()); ix.Tuples() != r.Cardinality() {
-		t.Fatalf("indexed %d tuples, want %d", ix.Tuples(), r.Cardinality())
+	entries := 0
+	for _, o := range v.Tuples() {
+		entries += o.Lifespan().NumIntervals()
+	}
+	if ix := newIntervalIndexFrom(v.Tuples()); len(ix.es) != entries {
+		t.Fatalf("indexed %d intervals, want %d", len(ix.es), entries)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 400; i++ {
@@ -91,15 +95,16 @@ func TestIntervalIndexEmptyRelation(t *testing.T) {
 }
 
 // TestOverlappingAnswersAtThePin drives the pinned interval probe with
-// the live index past the pin: after a merge extends an old tuple's
-// lifespan into the window and a fresh tuple is born inside it, the
-// probe through the old pin returns only pinned tuples, in pinned
-// order, and every one whose pinned lifespan overlaps the window.
+// an index built past the pin: after a merge extends an old tuple's
+// lifespan into the window and a fresh tuple is born inside it, a probe
+// through a newer pin builds the newer version's index. A probe through
+// the old pin then builds nothing — it reuses the newer index — and
+// returns only pinned tuples, in pinned order, and every one whose
+// pinned lifespan overlaps the window.
 func TestOverlappingAnswersAtThePin(t *testing.T) {
 	r := workload.Personnel(workload.PersonnelConfig{
 		NumEmployees: 40, HistoryLen: 200, ChangeEvery: 10, ReincarnationProb: 0.5, Seed: 23,
 	})
-	Indexes(r).Interval()
 	_, vers := core.Pin(r)
 	v := vers[0]
 	L := lifespan.Interval(60, 70)
@@ -118,9 +123,20 @@ func TestOverlappingAnswersAtThePin(t *testing.T) {
 	if err := r.Insert(empTuple(r.Scheme(), "newcomer", 60, 70, 1, "X")); err != nil {
 		t.Fatal(err)
 	}
+	_, now := core.Pin(r)
+	b0 := idxMetrics.intervalBuilds.Load()
+	if _, ok := overlapping(now[0], L, math.MaxInt); !ok {
+		t.Fatal("probe through the newer pin declined an unlimited budget")
+	}
+	if got := idxMetrics.intervalBuilds.Load() - b0; got != 1 {
+		t.Fatalf("a probe through the newer pin built %d interval indexes, want 1", got)
+	}
 	got, ok := overlapping(v, L, len(v.Tuples()))
 	if !ok {
 		t.Fatal("probe declined an unlimited budget")
+	}
+	if n := idxMetrics.intervalBuilds.Load() - b0; n != 1 {
+		t.Fatalf("a probe through the old pin built %d interval indexes, want 0", n-1)
 	}
 	pos := map[*core.Tuple]int{}
 	for i, o := range v.Tuples() {
@@ -144,22 +160,19 @@ func TestOverlappingAnswersAtThePin(t *testing.T) {
 	}
 }
 
-// FuzzIntervalIndex drives an index through a random sequence of Add,
-// AddBatch and Replace — long enough to cross the overlay compaction
-// threshold — and after every step probes it with a random lifespan
-// and budget. The answer must be the positions of the live tuples
-// overlapping L whenever the matching entries fit the budget, and a
-// decline exactly when they do not.
+// FuzzIntervalIndex builds an index over a random set of tuples, some
+// with gapped lifespans, and probes it with random lifespans and
+// budgets. The answer must be the positions of the tuples overlapping L
+// whenever the matching entries fit the budget, and a decline exactly
+// when they do not.
 func FuzzIntervalIndex(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(int64(2), slices.Repeat([]byte{2, 6, 3, 10}, 40))
 	f.Add(int64(3), slices.Repeat([]byte{3, 7, 11}, 60))
 	full := lifespan.Interval(0, 1100)
 	s := schema.MustNew("I", []string{"K"}, schema.Attribute{Name: "K", Domain: value.Ints, Lifespan: full})
-	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		// The reference scan is linear per step; 200 steps reach a
-		// thousand tuples and several compactions in milliseconds.
-		ops = ops[:min(len(ops), 200)]
+	f.Fuzz(func(t *testing.T, seed int64, probes []byte) {
+		probes = probes[:min(len(probes), 200)]
 		rng := rand.New(rand.NewSource(seed))
 		span := func() lifespan.Lifespan {
 			lo := chronon.Time(rng.Intn(1000))
@@ -170,44 +183,17 @@ func FuzzIntervalIndex(f *testing.F) {
 			}
 			return L
 		}
-		keys := 0
-		tuple := func() *core.Tuple {
-			keys++
-			return core.NewTupleBuilder(s, span()).Key("K", value.Int(int64(keys))).MustBuild()
+		ts := make([]*core.Tuple, rng.Intn(1000))
+		for i := range ts {
+			ts[i] = core.NewTupleBuilder(s, span()).Key("K", value.Int(int64(i))).MustBuild()
 		}
-		live := make([]*core.Tuple, rng.Intn(100))
-		for i := range live {
-			live[i] = tuple()
-		}
-		ix := newIntervalIndexFrom(live)
-		for step, op := range ops {
-			switch op % 4 {
-			case 0, 1:
-				nt := tuple()
-				ix.Add(nt, len(live))
-				live = append(live, nt)
-			case 2:
-				batch := make([]*core.Tuple, 1+int(op/4)%16)
-				for i := range batch {
-					batch[i] = tuple()
-				}
-				ix.AddBatch(batch, len(live))
-				live = append(live, batch...)
-			case 3:
-				if len(live) == 0 {
-					continue
-				}
-				pos := rng.Intn(len(live))
-				nt := core.NewTupleBuilder(s, span()).Key("K", live[pos].KeyValue("K")).MustBuild()
-				ix.Replace(live[pos], nt, pos)
-				live[pos] = nt
-			}
+		ix := newIntervalIndexFrom(ts)
+		for n, b := range probes {
 			L := span()
 			var want []int
-			matches, entries := 0, 0
-			for pos, lt := range live {
-				ls := lt.Lifespan()
-				entries += ls.NumIntervals()
+			matches := 0
+			for pos, o := range ts {
+				ls := o.Lifespan()
 				if ls.Overlaps(L) {
 					want = append(want, pos)
 				}
@@ -219,17 +205,13 @@ func FuzzIntervalIndex(f *testing.F) {
 					}
 				}
 			}
-			if ix.Tuples() != len(live) || ix.Entries() != entries {
-				t.Fatalf("step %d: index counts %d tuples, %d entries; want %d, %d",
-					step, ix.Tuples(), ix.Entries(), len(live), entries)
-			}
 			budget := math.MaxInt
-			if rng.Intn(2) == 0 {
+			if b%2 == 0 {
 				budget = rng.Intn(matches + 2)
 			}
 			es, ok := ix.hits(L, budget)
 			if ok != (matches <= budget) {
-				t.Fatalf("step %d: L=%s, %d matching entries, budget %d: ok=%v", step, L, matches, budget, ok)
+				t.Fatalf("probe %d: L=%s, %d matching entries, budget %d: ok=%v", n, L, matches, budget, ok)
 			}
 			if !ok {
 				continue
@@ -240,7 +222,7 @@ func FuzzIntervalIndex(f *testing.F) {
 			}
 			slices.Sort(got)
 			if got = slices.Compact(got); !slices.Equal(got, want) {
-				t.Fatalf("step %d: L=%s: index found positions %v, scan %v", step, L, got, want)
+				t.Fatalf("probe %d: L=%s: index found positions %v, scan %v", n, L, got, want)
 			}
 		}
 	})

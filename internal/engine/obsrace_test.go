@@ -23,12 +23,12 @@ func TestObsCountersUnderRace(t *testing.T) {
 	r := core.NewRelation(s)
 	st := storage.NewStore()
 	st.Put(r)
-	Indexes(r).Interval()
 	for i := 0; i < 16; i++ {
 		if err := r.Insert(raceTuple(s, fmt.Sprintf("seed%02d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sliceEach(t, st, "OBSREL")
 
 	before := obs.Default.Snapshot()
 

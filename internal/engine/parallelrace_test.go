@@ -35,8 +35,7 @@ func TestParallelQueriesRaceWriteGroups(t *testing.T) {
 	}
 	st.Put(a)
 	st.Put(b)
-	Indexes(a).Interval()
-	Indexes(b).Interval()
+	sliceEach(t, st, "A", "B")
 	db := OpenDB(st)
 	defer db.Close()
 

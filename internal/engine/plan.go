@@ -546,7 +546,7 @@ func (n *indexSelectNode) candidates(s *Snapshot, L lifespan.Lifespan) ([]*core.
 	}
 	if n.rng != nil && via == viaScan {
 		q := rangeQuery(n.rng.Theta, s.params[n.rng.Slot].v)
-		if m, ok := Indexes(n.rel).Range(n.rng.Attr).probe(v, q, budget); ok {
+		if m, ok := indexes(v).Range(n.rng.Attr).probe(v, q, budget); ok {
 			cand, via = m, viaRange
 		}
 	}

@@ -89,8 +89,9 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 
 // TestCachedPlanSurvivesResync pins what a cached plan may and may not
 // outlive. It holds no index object, so it stays cached and correct
-// across writes, across resetIndexes (every index rebuilt from
-// scratch) — each execution fetches the indexes it probes — and across
+// across writes, across resetIndexes (the cached index sets dropped,
+// every index rebuilt from the next pin) — each execution fetches the
+// indexes of its pin — and across
 // any growth, which each run prices at its pin. It is never served to a
 // store that resolves its names to other relations (the CLI's \load).
 func TestCachedPlanSurvivesResync(t *testing.T) {

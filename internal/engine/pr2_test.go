@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
-	"repro/internal/workload"
 )
 
 // empTuple builds a fresh personnel tuple on r's scheme.
@@ -25,116 +23,6 @@ func empTuple(rs *schema.Scheme, name string, lo, hi int, sal int64, dept string
 		Set("SAL", clo, chi, value.Int(sal)).
 		Set("DEPT", clo, chi, value.String_(dept)).
 		MustBuild()
-}
-
-// TestIncrementalIndexMaintenance verifies the tentpole's third leg:
-// single-tuple inserts and merges are absorbed into the built indexes
-// via change notifications — no full rebuilds — and the maintained
-// indexes keep answering exactly like a fresh scan.
-func TestIncrementalIndexMaintenance(t *testing.T) {
-	r := workload.Personnel(workload.PersonnelConfig{
-		NumEmployees: 30, HistoryLen: 100, ChangeEvery: 10, ReincarnationProb: 0.3, Seed: 3,
-	})
-	x := Indexes(r)
-	x.Interval()
-	x.Attr("NAME")
-	x.Attr("DEPT")
-	ib0, ab0 := idxMetrics.intervalBuilds.Load(), idxMetrics.attrBuilds.Load()
-	inc0, rs0 := idxMetrics.incremental.Load(), idxMetrics.resyncs.Load()
-
-	// Absorb 20 inserts and 5 merges.
-	for i := 0; i < 20; i++ {
-		if err := r.Insert(empTuple(r.Scheme(), fmt.Sprintf("new%04d", i), 5*i%90, 5*i%90+4, 30000, "Growth")); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		// Extend the fresh tuples over disjoint chronons.
-		base := 5 * i % 90
-		if err := r.InsertMerging(empTuple(r.Scheme(), fmt.Sprintf("new%04d", i), base+20, base+24, 31000, "Growth")); err != nil {
-			t.Fatalf("merge %d: %v", i, err)
-		}
-	}
-
-	ib1, ab1 := idxMetrics.intervalBuilds.Load(), idxMetrics.attrBuilds.Load()
-	inc1, rs1 := idxMetrics.incremental.Load(), idxMetrics.resyncs.Load()
-	if ib1 != ib0 || ab1 != ab0 {
-		t.Fatalf("full rebuilds during single-tuple maintenance: interval %d→%d, attr %d→%d", ib0, ib1, ab0, ab1)
-	}
-	if rs1 != rs0 {
-		t.Fatalf("resyncs during sequential maintenance: %d→%d", rs0, rs1)
-	}
-	if inc1-inc0 != 25 {
-		t.Fatalf("incremental ops = %d, want 25", inc1-inc0)
-	}
-
-	// The maintained interval index answers exactly like a fresh scan.
-	_, vers := core.Pin(r)
-	for _, L := range []lifespan.Lifespan{
-		lifespan.Interval(0, 9), lifespan.Interval(40, 60), lifespan.MustParse("{[10,14],[80,99]}"),
-	} {
-		want := naiveOverlapping(r, L)
-		got, _ := overlapping(vers[0], L, math.MaxInt)
-		if len(got) != len(want) {
-			t.Fatalf("L=%s: maintained index found %d, scan %d", L, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("L=%s: candidate %d differs", L, i)
-			}
-		}
-	}
-	// The maintained attribute index sees the new department...
-	if got := len(x.Attr("DEPT").Probe(value.String_("Growth"))) + len(x.Attr("DEPT").Varying()); got < 20 {
-		t.Fatalf("DEPT index sees %d Growth candidates, want ≥ 20", got)
-	}
-	// ...and the merged tuples replaced their pre-merge versions.
-	nt, ok := r.Lookup(`"new0000"`)
-	if !ok {
-		t.Fatal("new0000 missing")
-	}
-	got := x.Attr("NAME").Probe(value.String_("new0000"))
-	if ts := r.Tuples(); len(got) != 1 || ts[got[0]] != nt {
-		t.Fatal("NAME index does not file new0000 once, at its merged tuple's position")
-	}
-	// The maintained lifespan index counts every tuple.
-	if n := x.Interval().Tuples(); n != r.Cardinality() {
-		t.Fatalf("interval index holds %d tuples, want %d", n, r.Cardinality())
-	}
-}
-
-// TestIntervalOverlayCompaction drives enough inserts through the
-// interval index to trip the overlay threshold and checks answers stay
-// exact, and in key order, across the compaction. The inserted keys
-// sort before the preloaded ones, so position order would differ.
-func TestIntervalOverlayCompaction(t *testing.T) {
-	r := workload.Personnel(workload.PersonnelConfig{
-		NumEmployees: 10, HistoryLen: 200, ChangeEvery: 10, ReincarnationProb: 0, Seed: 5,
-	})
-	x := Indexes(r)
-	x.Interval()
-	ib0 := idxMetrics.intervalBuilds.Load()
-	for i := 0; i < 200; i++ {
-		if err := r.Insert(empTuple(r.Scheme(), fmt.Sprintf("c%04d", i), i%190, i%190+5, 1000, "X")); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-	}
-	ib1 := idxMetrics.intervalBuilds.Load()
-	if ib1 == ib0 {
-		t.Fatal("overlay never compacted across 200 inserts")
-	}
-	L := lifespan.Interval(50, 70)
-	_, vers := core.Pin(r)
-	want := naiveOverlapping(r, L)
-	got, _ := overlapping(vers[0], L, math.MaxInt)
-	if len(got) != len(want) {
-		t.Fatalf("after compaction index found %d, scan %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("after compaction candidate %d differs", i)
-		}
-	}
 }
 
 // TestPlanCache covers the hit path (textual and structural repeats),
@@ -271,18 +159,14 @@ func TestTinyRelationTimeslice(t *testing.T) {
 }
 
 // TestEngineConcurrentReadWrite interleaves engine queries with Insert
-// and InsertMerging on the relations they scan — the ISSUE's -race
-// satellite: the lock story plus incremental index maintenance under
-// real contention, with a final equivalence sweep once writers settle.
+// and InsertMerging on the relations they scan: the lock story plus
+// per-version index builds under real contention, with a final
+// equivalence sweep once writers settle.
 func TestEngineConcurrentReadWrite(t *testing.T) {
 	ResetPlanCache()
 	defer ResetPlanCache()
 	st := testStore(t, 31)
 	emp, _ := st.Get("EMP")
-	// Warm every index class so maintenance (not first builds) is on the
-	// hot path.
-	Indexes(emp).Interval()
-	Indexes(emp).Attr("DEPT")
 
 	queries := []string{
 		`TIMESLICE EMP AT {[10,30]}`,
@@ -334,7 +218,7 @@ func TestEngineConcurrentReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Once quiescent, the maintained indexes and cached plans must agree
+	// Once quiescent, the indexes and cached plans must agree
 	// with the naive evaluator byte-for-byte.
 	for _, q := range []string{
 		`TIMESLICE EMP AT {[10,30]}`,

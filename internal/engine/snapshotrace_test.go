@@ -25,6 +25,18 @@ func raceScheme(name string) *schema.Scheme {
 	)
 }
 
+// sliceEach runs one TIMESLICE over each named relation of st, so each
+// builds the interval index of its current version through a probe, as
+// a served query would.
+func sliceEach(t testing.TB, st *storage.Store, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if _, err := sess(st).Query(bg, "TIMESLICE "+name+" AT {[0,0]}"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func raceTuple(s *schema.Scheme, k string, v int64) *core.Tuple {
 	return core.NewTupleBuilder(s, lifespan.Interval(0, 9)).
 		Key("K", value.String_(k)).
@@ -53,8 +65,6 @@ func TestSnapshotIsolationMultiRelation(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(a)
 	st.Put(b)
-	Indexes(a).Interval()
-	Indexes(b).Interval()
 
 	const rounds, batchN = 80, 5
 	writerDone := make(chan error, 1)
@@ -185,8 +195,7 @@ func TestSnapshotIsolationIndexJoin(t *testing.T) {
 	if err := emp.InsertBatch(preEmp); err != nil {
 		t.Fatal(err)
 	}
-	Indexes(emp).Interval()
-	Indexes(ref).Interval()
+	sliceEach(t, st, "EMP", "REF")
 	mkBatch := func(s *schema.Scheme, key, val string, cycle, round int) []*core.Tuple {
 		ts := make([]*core.Tuple, batchN)
 		for j := range ts {

@@ -124,8 +124,6 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(a)
 	st.Put(b)
-	Indexes(a).Interval()
-	Indexes(b).Interval()
 
 	const rounds, batchN = 80, 5
 	writerDone := make(chan error, 1)

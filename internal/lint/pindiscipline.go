@@ -19,10 +19,9 @@ const corePkg = "repro/internal/core"
 // listed: they are version and cardinality reads that carry no tuple
 // state.
 var rawReadMethods = map[string]bool{
-	"Tuples":          true,
-	"SnapshotVersion": true,
-	"Lookup":          true,
-	"Lifespan":        true,
+	"Tuples":   true,
+	"Lookup":   true,
+	"Lifespan": true,
 }
 
 // Pindiscipline enforces the snapshot read discipline of
@@ -30,8 +29,8 @@ var rawReadMethods = map[string]bool{
 // hql code (and the CLI/bench front ends) must read relation tuple
 // state through a core.Pin — a RelVersion, a frozen View, or the
 // engine's Snapshot accessors — never through the live relation's raw
-// accessors. Index builders, which are deliberately unpinned, carry
-// //lint:allow annotations stating why.
+// accessors. A deliberate live read carries a //lint:allow annotation
+// stating why.
 //
 // Two shapes are flagged. A direct call (`r.Tuples()`) is the classic
 // violation, wherever it sits — ast.Inspect descends into function

@@ -6,10 +6,9 @@ package pindiscipline
 import "repro/internal/core"
 
 func rawReads(r *core.Relation) {
-	r.Tuples()          // want `raw \(\*core\.Relation\)\.Tuples read outside a pinned snapshot`
-	r.Lookup("k")       // want `raw \(\*core\.Relation\)\.Lookup read outside a pinned snapshot`
-	r.SnapshotVersion() // want `raw \(\*core\.Relation\)\.SnapshotVersion read outside a pinned snapshot`
-	r.Lifespan()        // want `raw \(\*core\.Relation\)\.Lifespan read outside a pinned snapshot`
+	r.Tuples()    // want `raw \(\*core\.Relation\)\.Tuples read outside a pinned snapshot`
+	r.Lookup("k") // want `raw \(\*core\.Relation\)\.Lookup read outside a pinned snapshot`
+	r.Lifespan()  // want `raw \(\*core\.Relation\)\.Lifespan read outside a pinned snapshot`
 }
 
 func pinnedReads(r *core.Relation) {

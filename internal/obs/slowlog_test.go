@@ -71,15 +71,22 @@ func TestSlowLogConcurrent(t *testing.T) {
 // TestSpanStages verifies stage attribution and accumulation across
 // repeated marks (the plan/pin retry pattern).
 func TestSpanStages(t *testing.T) {
+	// time.Sleep sleeps at least its argument, so each stage is bounded
+	// below by its sleeps and never above: a loaded host only
+	// lengthens them. Plan's two sleeps are each longer than parse's,
+	// and a Mark that overwrote its stage instead of accumulating would
+	// keep only the second of them.
+	const parseSleep, planSleep1, planSleep2 = time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond
 	sp := Begin()
-	time.Sleep(time.Millisecond)
+	time.Sleep(parseSleep)
 	sp.Mark(StageParse)
-	time.Sleep(time.Millisecond)
+	time.Sleep(planSleep1)
 	sp.Mark(StagePlan)
-	time.Sleep(time.Millisecond)
+	time.Sleep(planSleep2)
 	sp.Mark(StagePlan) // retry accumulates into the same stage
-	if sp.StageDur(StageParse) <= 0 || sp.StageDur(StagePlan) <= sp.StageDur(StageParse)/2 {
-		t.Fatalf("stage attribution off: parse=%v plan=%v", sp.StageDur(StageParse), sp.StageDur(StagePlan))
+	if sp.StageDur(StageParse) < parseSleep || sp.StageDur(StagePlan) < planSleep1+planSleep2 {
+		t.Fatalf("stage attribution off: parse=%v (want ≥ %v) plan=%v (want ≥ %v)",
+			sp.StageDur(StageParse), parseSleep, sp.StageDur(StagePlan), planSleep1+planSleep2)
 	}
 	var sum time.Duration
 	for _, st := range sp.Stages() {

@@ -87,9 +87,8 @@ func decodeRecord(r *errReader) (*core.Relation, error) {
 		return nil, r.err
 	}
 	// Decode every tuple first and load them as one batch: a single
-	// version bump and one coalesced index-maintenance notification
-	// instead of n single-tuple rounds — the storage layer's bulk-load
-	// path. Capacity is bounded (not trusted from the count) so a
+	// version bump instead of n single-tuple rounds — the storage
+	// layer's bulk-load path. Capacity is bounded (not trusted from the count) so a
 	// corrupt header cannot trigger a giant allocation.
 	ts := make([]*core.Tuple, 0, int(min(n, 1024)))
 	for i := uint32(0); i < n; i++ {
